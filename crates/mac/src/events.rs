@@ -106,6 +106,20 @@ impl EventQueue {
         self.heap.pop().map(|Reverse(e)| e)
     }
 
+    /// Appends every pending event of `kind` scheduled at `time` to `out`,
+    /// in the order they will pop. The events stay queued. A linear scan
+    /// of the heap; `out` does not reallocate while it has room for them.
+    pub fn pending_at(&self, time: u64, kind: EventKind, out: &mut Vec<Event>) {
+        let from = out.len();
+        out.extend(
+            self.heap
+                .iter()
+                .map(|Reverse(e)| *e)
+                .filter(|e| e.time == time && e.kind == kind),
+        );
+        out[from..].sort_unstable();
+    }
+
     /// Outstanding events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -137,6 +151,21 @@ mod tests {
             .map(|e| (e.time, e.link, e.seq))
             .collect();
         assert_eq!(order, vec![(3, 9, 1), (5, 0, 2), (5, 1, 0), (5, 1, 3)]);
+    }
+
+    #[test]
+    fn pending_at_lists_one_kind_at_one_time_in_pop_order() {
+        let mut q = EventQueue::with_capacity(8);
+        q.push(5, 4, EventKind::TxEnd, 0); // seq 0
+        q.push(5, 2, EventKind::Attempt, 0); // seq 1
+        q.push(6, 1, EventKind::TxEnd, 0); // seq 2
+        q.push(5, 1, EventKind::TxEnd, 0); // seq 3
+        q.push(5, 3, EventKind::TxEnd, 0); // seq 4
+        let mut out = Vec::with_capacity(8);
+        q.pending_at(5, EventKind::TxEnd, &mut out);
+        let got: Vec<(u32, u32)> = out.iter().map(|e| (e.link, e.seq)).collect();
+        assert_eq!(got, vec![(1, 3), (3, 4), (4, 0)]);
+        assert_eq!(q.len(), 5, "the query leaves the events queued");
     }
 
     #[test]

@@ -27,8 +27,10 @@
 //! `(time, link, seq)`; every random draw comes from streams keyed on
 //! `(seed, replication, link)`; one replication is one trial on the
 //! ordered-merge Monte-Carlo engine. Reports are therefore bit-identical
-//! for any `UWB_THREADS`. The warm steady-state loop allocates nothing
-//! (see `tests/alloc_regression.rs` at the workspace root).
+//! for any `UWB_THREADS`, including when idle engine threads become
+//! decode lanes for frames that end in the same slot (see [`runner`]).
+//! The warm steady-state loop of a one-lane worker allocates nothing (see
+//! `tests/alloc_regression.rs` at the workspace root).
 //!
 //! # Example: a lightly loaded 2-user piconet
 //!

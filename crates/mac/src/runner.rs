@@ -33,27 +33,50 @@
 //! `max_airtime` slots after frame end. Each link keeps a ring of its 2
 //! most recent transmissions — sufficient because one victim airtime
 //! window can overlap at most 2 consecutive frames of one neighbor (their
-//! ends are at least one airtime apart).
+//! ends are at least one airtime apart). That holds for equal airtimes;
+//! `start_tx` counts every eviction of a still-mixable entry in
+//! [`MacLinkStats::ring_overflows`] so the assumption is checked, not
+//! trusted.
+//!
+//! ## Same-slot decode batches
+//!
+//! When the loop pops the first `TxEnd` of slot `T`, it decodes every
+//! frame ending at `T` at once (mix → AWGN → known-timing decode), spread
+//! over the worker's *decode lanes*, and parks each outcome on its link.
+//! The outcomes are then applied — counters, ACK-loss draws, follow-up
+//! events — as each `TxEnd` pops, in the unchanged `(time, link, seq)`
+//! order. This is exact because a decode's inputs are frozen once `T`
+//! begins: mixing sources need `start < T`; a record is released only at
+//! `end + max_airtime > T`, and a zero-out-degree record is read by no
+//! other link; and the one same-slot change a decode could see — a
+//! `start_tx` at `T` evicting a still-mixable ring entry — is counted in
+//! `ring_overflows`, which the acceptance scenarios pin at zero.
+//! Synthesis stays serial: it runs at `Attempt` time, interleaved with
+//! carrier sense and the record pool, and is a small share of the work.
 //!
 //! ## Zero warm-path allocation
 //!
 //! The event heap, queue rings, record pool (including every sample and
-//! payload buffer), mix buffer, and decode scratch are all preallocated
-//! in [`MacWorker::new`] from plan-time bounds and reused across events
-//! and trials.
+//! payload buffer), mix buffers, and decode scratch are all preallocated
+//! in [`MacWorker::with_lanes`] from plan-time bounds and reused across
+//! events and trials. A one-lane worker, and any batch of one frame,
+//! decodes on the worker's thread and allocates nothing; a batch split
+//! across lanes spawns scoped helper threads, a fixed number of
+//! allocations per split batch whatever its size.
 
-use crate::events::{EventKind, EventQueue};
+use crate::events::{Event, EventKind, EventQueue};
 use crate::plan::{plan_mac, MacPlan};
 use crate::report::MacReport;
 use crate::scenario::MacScenario;
 use crate::traffic::{ArrivalGen, TrafficModel};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use uwb_dsp::scratch::DspScratch;
 use uwb_dsp::stream::accumulate_scaled_offset;
 use uwb_dsp::Complex;
 use uwb_net::WorkerPool;
 use uwb_platform::link::BatchScratch;
 use uwb_platform::metrics::ErrorCounter;
-use uwb_sim::montecarlo::{Merge, MonteCarlo};
+use uwb_sim::montecarlo::{resolve_threads, Merge, MonteCarlo};
 use uwb_sim::{derive_trial_seed, Rand};
 
 /// Salt separating the MAC trial-seed domain from the network round
@@ -64,7 +87,7 @@ const MAC_TRIAL_SALT: u64 = 0x6D61_6353_6C6F_7431;
 const MAC_CTL_SALT: u64 = 0x6261_636B_6F66_6621;
 
 /// Per-link MAC statistics accumulated over replications.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MacLinkStats {
     /// Packets generated by the traffic source.
     pub offered: u64,
@@ -95,6 +118,10 @@ pub struct MacLinkStats {
     pub queue_delay_slots_sum: u64,
     /// Bit-level error counter over all decoded data frames.
     pub ber: ErrorCounter,
+    /// Transmissions that evicted a still-mixable frame from this link's
+    /// recent-transmission ring: a later decode could miss that frame.
+    /// Zero whenever all airtimes are equal.
+    pub ring_overflows: u64,
 }
 
 impl Merge for MacLinkStats {
@@ -113,6 +140,7 @@ impl Merge for MacLinkStats {
         self.latency_slots_max = self.latency_slots_max.max(other.latency_slots_max);
         self.queue_delay_slots_sum += other.queue_delay_slots_sum;
         self.ber.merge(&other.ber);
+        self.ring_overflows += other.ring_overflows;
     }
 }
 
@@ -168,6 +196,14 @@ struct TxRef {
 
 const RECENT: usize = 2;
 
+/// A data frame's decode outcome, computed with its slot's batch and
+/// applied when its `TxEnd` pops.
+#[derive(Debug, Clone, Copy)]
+struct Decoded {
+    ok: bool,
+    ber: ErrorCounter,
+}
+
 /// Per-link mutable MAC state.
 #[derive(Debug)]
 struct LinkState {
@@ -193,6 +229,8 @@ struct LinkState {
     /// Ring of the 2 most recent transmissions (mixing sources).
     recent: [TxRef; RECENT],
     recent_next: usize,
+    /// Outcome of the in-flight frame, once its slot has been decoded.
+    decoded: Option<Decoded>,
     /// Per-trial frame counter — the waveform-stream uid.
     tx_uid: u64,
     /// Waveform-stream master for this (trial, link).
@@ -219,6 +257,7 @@ impl LinkState {
             cur_start: 0,
             recent: [TxRef::default(); RECENT],
             recent_next: 0,
+            decoded: None,
             tx_uid: 0,
             wave_seed: 0,
             rng: Rand::new(0),
@@ -239,6 +278,7 @@ impl LinkState {
         self.cur_start = 0;
         self.recent = [TxRef::default(); RECENT];
         self.recent_next = 0;
+        self.decoded = None;
         self.tx_uid = 0;
         self.wave_seed = uwb_net::link_seed(trial_seed, l);
         self.rng = Rand::for_trial(trial_seed ^ MAC_CTL_SALT, l as u64);
@@ -317,27 +357,126 @@ impl RecordPool {
     }
 }
 
-/// Per-thread MAC worker: the pooled PHY workers plus all event-loop
-/// state, preallocated once and reused across trials.
-pub struct MacWorker {
+/// One decode lane: the PHY workers and buffers a decode writes. Lane 0
+/// runs on the worker's own thread and also serves synthesis; the others
+/// run on scoped helper threads while a batch is split.
+struct DecodeLane {
     pool: WorkerPool,
-    records: RecordPool,
-    links: Vec<LinkState>,
-    events: EventQueue,
     mixed: Vec<Complex>,
     scratch: DspScratch,
     batch: BatchScratch,
+    /// `(index in the slot's batch, outcome)` of each frame this lane
+    /// decoded.
+    done: Vec<(usize, Decoded)>,
+}
+
+impl DecodeLane {
+    fn new(plan: &MacPlan, sample_cap: usize) -> DecodeLane {
+        DecodeLane {
+            pool: WorkerPool::new(&plan.net),
+            mixed: Vec::with_capacity(sample_cap),
+            scratch: DspScratch::new(),
+            batch: BatchScratch::new(),
+            done: Vec::with_capacity(plan.len().max(1)),
+        }
+    }
+
+    /// Mixes, adds noise to and decodes the frame whose `TxEnd` is `ev`.
+    /// Reads the record pool and the links' rings, writes only this lane.
+    fn decode(
+        &mut self,
+        plan: &MacPlan,
+        records: &[TxRecord],
+        links: &[LinkState],
+        ev: &Event,
+    ) -> Decoded {
+        let (l, now) = (ev.link as usize, ev.time);
+        let rec = &records[ev.arg as usize];
+        let clean = rec
+            .clean
+            .as_ref()
+            .expect("in-flight record has synthesis metadata");
+        let s_v = links[l].cur_start;
+        {
+            let _t = uwb_obs::span!("mac_mix");
+            self.mixed.clear();
+            self.mixed.extend_from_slice(&rec.samples);
+            // Mix every coupled transmission whose airtime overlapped
+            // ours, at its true slot offset. Row order is ascending tx
+            // index; within a row, older ring entry first — both
+            // deterministic, part of the bit-exactness contract.
+            let slot_samples = plan.params.slot_samples as i64;
+            for &(u, gain) in &plan.net.coupling[l] {
+                let nb = &links[u];
+                let oldest = nb.recent_next; // ring of 2: next slot = oldest
+                for k in 0..RECENT {
+                    let r = nb.recent[(oldest + k) % RECENT];
+                    if r.valid && r.start < now && r.end > s_v {
+                        let off = (r.start as i64 - s_v as i64) * slot_samples;
+                        accumulate_scaled_offset(
+                            &mut self.mixed,
+                            &records[r.slot as usize].samples,
+                            off as isize,
+                            gain,
+                        );
+                    }
+                }
+            }
+            // Receiver noise last, from the RNG state the single-link path
+            // would hold.
+            let mut awgn = uwb_sim::stream::StreamingAwgn::new(clean.n0, clean.awgn_rng.clone());
+            uwb_dsp::stream::BlockProcessor::process_block(
+                &mut awgn,
+                &mut self.mixed,
+                &mut self.scratch,
+            );
+        }
+        let mut ber = ErrorCounter::default();
+        let ok = {
+            let _t = uwb_obs::span!("mac_rx");
+            let config = &plan.net.links[l].scenario.config;
+            let rx = self.pool.worker_for(l);
+            rx.count_errors_in_record_with_payload_batched(
+                config,
+                &self.mixed,
+                clean.slot0_start,
+                &rec.payload,
+                &mut self.batch,
+                &mut ber,
+            )
+        };
+        Decoded { ok, ber }
+    }
+}
+
+/// Per-thread MAC worker: the pooled PHY workers plus all event-loop
+/// state, preallocated once and reused across trials.
+pub struct MacWorker {
+    lanes: Vec<DecodeLane>,
+    records: RecordPool,
+    links: Vec<LinkState>,
+    events: EventQueue,
+    /// The `TxEnd` events of the slot being decoded, in pop order.
+    slot_frames: Vec<Event>,
     /// Network-wide bit-error total for the current trial (flight-recorder
     /// score).
     trial_errs: u64,
+    split_batches: u64,
 }
 
 impl MacWorker {
-    /// Builds the worker from the frozen plan, pre-sizing every buffer the
-    /// steady-state loop touches. Pools are fully preallocated for small
-    /// networks (≤ 64 links); very large sweeps let the record pool grow
-    /// lazily during the first trial instead of reserving 2N records.
+    /// A one-lane worker: every decode runs on the calling thread.
     pub fn new(plan: &MacPlan) -> MacWorker {
+        MacWorker::with_lanes(plan, 1)
+    }
+
+    /// Builds the worker from the frozen plan with `lanes` decode lanes
+    /// (at least one), pre-sizing every buffer the steady-state loop
+    /// touches. Pools are fully preallocated for small networks (≤ 64
+    /// links); very large sweeps let the record pool grow lazily during
+    /// the first trial instead of reserving 2N records. Results do not
+    /// depend on the lane count.
+    pub fn with_lanes(plan: &MacPlan, lanes: usize) -> MacWorker {
         let n = plan.len();
         let sample_cap = plan.max_record_len + plan.net.block_len;
         let prealloc = if n <= 64 { 2 * n } else { 0 };
@@ -345,15 +484,22 @@ impl MacWorker {
             .map(|l| LinkState::new(plan.params.queue_cap, plan.params.traffic, plan.rate_pps[l]))
             .collect();
         MacWorker {
-            pool: WorkerPool::new(&plan.net),
+            lanes: (0..lanes.max(1))
+                .map(|_| DecodeLane::new(plan, sample_cap))
+                .collect(),
             records: RecordPool::with_prealloc(prealloc, sample_cap, plan.net.payload_len),
             links,
             events: EventQueue::with_capacity(8 * n + 64),
-            mixed: Vec::with_capacity(sample_cap),
-            scratch: DspScratch::new(),
-            batch: BatchScratch::new(),
+            slot_frames: Vec::with_capacity(n.max(1)),
             trial_errs: 0,
+            split_batches: 0,
         }
+    }
+
+    /// Same-slot batches this worker has spread over more than one lane so
+    /// far — the batches that spawn helper threads.
+    pub fn split_batches(&self) -> u64 {
+        self.split_batches
     }
 
     /// Runs one complete replication: resets all state from
@@ -382,7 +528,7 @@ impl MacWorker {
             match ev.kind {
                 EventKind::Arrival => self.on_arrival(plan, l, ev.time, acc),
                 EventKind::Attempt => self.on_attempt(plan, l, ev.time, acc),
-                EventKind::TxEnd => self.on_tx_end(plan, l, ev.time, ev.arg, acc),
+                EventKind::TxEnd => self.on_tx_end(plan, ev, acc),
                 EventKind::AckDone => self.on_ack_done(plan, l, ev.time, ev.arg, acc),
                 EventKind::Release => self.on_release(l, ev.arg),
             }
@@ -444,7 +590,8 @@ impl MacWorker {
             let mut rng = Rand::for_trial(st.wave_seed, st.tx_uid);
             st.tx_uid += 1;
             let rec = &mut self.records.slots[slot as usize];
-            let clean = self.pool.worker_for(l).synthesize_clean_streamed_record(
+            let tx = self.lanes[0].pool.worker_for(l);
+            let clean = tx.synthesize_clean_streamed_record(
                 &plan.net.links[l].scenario,
                 plan.net.payload_len,
                 plan.net.block_len,
@@ -459,11 +606,18 @@ impl MacWorker {
             let rec = &mut self.records.slots[slot as usize];
             rec.payload.clear();
             rec.payload
-                .extend_from_slice(self.pool.worker_for(l).payload_bytes());
+                .extend_from_slice(self.lanes[0].pool.worker_for(l).payload_bytes());
         }
 
         let airtime = plan.airtime_slots[l];
         let st = &mut self.links[l];
+        let stats = &mut acc.links[l];
+        let evicted = st.recent[st.recent_next];
+        if evicted.valid && evicted.end + plan.max_airtime_slots > now {
+            // A frame some victim may still mix leaves the ring.
+            stats.ring_overflows += 1;
+            uwb_obs::event!("mac_ring_overflow");
+        }
         st.busy_from = now;
         st.busy_until = now + airtime;
         st.cur_slot = slot;
@@ -476,7 +630,6 @@ impl MacWorker {
         };
         st.recent_next = (st.recent_next + 1) % RECENT;
 
-        let stats = &mut acc.links[l];
         stats.tx_frames += 1;
         if st.attempt > 0 {
             stats.retries += 1;
@@ -490,64 +643,90 @@ impl MacWorker {
             .push(now + airtime, l as u32, EventKind::TxEnd, slot);
     }
 
-    fn on_tx_end(&mut self, plan: &MacPlan, l: usize, now: u64, slot: u32, acc: &mut MacAccumulator) {
-        let s_v = self.links[l].cur_start;
-        let (slot0_start, n0, awgn_rng) = {
-            let rec = &mut self.records.slots[slot as usize];
-            let c = rec.clean.take().expect("in-flight record has synthesis metadata");
-            (c.slot0_start, c.n0, c.awgn_rng)
-        };
-        {
-            let _t = uwb_obs::span!("mac_mix");
-            self.mixed.clear();
-            self.mixed
-                .extend_from_slice(&self.records.slots[slot as usize].samples);
-            // Mix every coupled transmission whose airtime overlapped
-            // ours, at its true slot offset. Row order is ascending tx
-            // index; within a row, older ring entry first — both
-            // deterministic, part of the bit-exactness contract.
-            let slot_samples = plan.params.slot_samples as i64;
-            for &(u, gain) in &plan.net.coupling[l] {
-                let nb = &self.links[u];
-                let oldest = nb.recent_next; // ring of 2: next slot = oldest
-                for k in 0..RECENT {
-                    let r = nb.recent[(oldest + k) % RECENT];
-                    if r.valid && r.start < now && r.end > s_v {
-                        let off = (r.start as i64 - s_v as i64) * slot_samples;
-                        accumulate_scaled_offset(
-                            &mut self.mixed,
-                            &self.records.slots[r.slot as usize].samples,
-                            off as isize,
-                            gain,
-                        );
-                    }
-                }
+    /// Decodes every frame ending in `first`'s slot, `first` included,
+    /// across the decode lanes, and parks each outcome on its link until
+    /// that link's `TxEnd` pops. Lanes claim frames from a shared index.
+    fn decode_slot(&mut self, plan: &MacPlan, first: Event) {
+        self.slot_frames.clear();
+        self.slot_frames.push(first);
+        self.events
+            .pending_at(first.time, EventKind::TxEnd, &mut self.slot_frames);
+        let MacWorker {
+            lanes,
+            records,
+            links,
+            slot_frames: frames,
+            split_batches,
+            ..
+        } = self;
+        let (records, shared_links) = (&records.slots[..], &links[..]);
+        // The worker's own lane decodes the last frame last, as a lone
+        // lane would, so per-thread "latest value" state (the flight
+        // recorder's notes) ends on the same frame for any lane count.
+        let last = frames.len() - 1;
+        // Relaxed: the counter only hands out indices. Outcomes come back
+        // through each lane's `done` once the scope has joined its threads.
+        let next = AtomicUsize::new(0);
+        let share = |lane: &mut DecodeLane| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= last {
+                break;
             }
-            // Receiver noise last, from the RNG state the single-link path
-            // would hold.
-            let mut awgn = uwb_sim::stream::StreamingAwgn::new(n0, awgn_rng);
-            uwb_dsp::stream::BlockProcessor::process_block(
-                &mut awgn,
-                &mut self.mixed,
-                &mut self.scratch,
-            );
-        }
-        let stats = &mut acc.links[l];
-        let errs_before = stats.ber.errors;
-        let ok = {
-            let _t = uwb_obs::span!("mac_rx");
-            let config = &plan.net.links[l].scenario.config;
-            let rx = self.pool.worker_for(l);
-            rx.count_errors_in_record_with_payload_batched(
-                config,
-                &self.mixed,
-                slot0_start,
-                &self.records.slots[slot as usize].payload,
-                &mut self.batch,
-                &mut stats.ber,
-            )
+            let d = lane.decode(plan, records, shared_links, &frames[i]);
+            lane.done.push((i, d));
         };
-        self.trial_errs += stats.ber.errors - errs_before;
+        let own_share = |lane: &mut DecodeLane| {
+            share(lane);
+            let d = lane.decode(plan, records, shared_links, &frames[last]);
+            lane.done.push((last, d));
+        };
+        let used = lanes.len().min(frames.len());
+        let (own, helpers) = lanes[..used]
+            .split_first_mut()
+            .expect("a worker has at least one lane");
+        if helpers.is_empty() {
+            own_share(own);
+        } else {
+            *split_batches += 1;
+            let trial = uwb_obs::current_trial();
+            std::thread::scope(|s| {
+                let share = &share;
+                let handles: Vec<_> = helpers
+                    .iter_mut()
+                    .map(|lane| {
+                        s.spawn(move || {
+                            uwb_obs::set_trial(trial);
+                            share(lane);
+                            uwb_obs::take_thread_telemetry()
+                        })
+                    })
+                    .collect();
+                own_share(own);
+                for h in handles {
+                    let telemetry = h.join().expect("decode lane panicked");
+                    uwb_obs::merge_thread_telemetry(&telemetry);
+                }
+            });
+        }
+        for lane in &mut lanes[..used] {
+            for (i, d) in lane.done.drain(..) {
+                links[frames[i].link as usize].decoded = Some(d);
+            }
+        }
+    }
+
+    fn on_tx_end(&mut self, plan: &MacPlan, ev: Event, acc: &mut MacAccumulator) {
+        let (l, now, slot) = (ev.link as usize, ev.time, ev.arg);
+        if self.links[l].decoded.is_none() {
+            self.decode_slot(plan, ev);
+        }
+        let Decoded { ok, ber } = self.links[l]
+            .decoded
+            .take()
+            .expect("a slot's batch decodes all of its frames");
+        let stats = &mut acc.links[l];
+        stats.ber.merge(&ber);
+        self.trial_errs += ber.errors;
 
         // Recycle the record as soon as it can no longer be mixed.
         if plan.out_deg[l] == 0 {
@@ -668,17 +847,44 @@ pub fn run_mac_plan_threads(plan: MacPlan, threads: usize) -> MacReport {
     run_mac_engine(plan, Some(threads))
 }
 
+/// Decode lanes per engine worker. The engine hands out replications in
+/// chunks of `chunk` trials, so at most `⌈replications / chunk⌉` workers
+/// ever get one; the threads they cannot keep busy become decode lanes.
+fn decode_lanes(threads: usize, replications: u64, chunk: u64) -> usize {
+    let busy = (threads as u64)
+        .min(replications.div_ceil(chunk.max(1)))
+        .max(1);
+    (threads as u64 / busy).max(1) as usize
+}
+
 fn run_mac_engine(plan: MacPlan, threads: Option<usize>) -> MacReport {
-    let mut engine = MonteCarlo::new(plan.seed(), plan.params.replications);
-    if let Some(t) = threads {
-        engine = engine.threads(t);
-    }
+    let threads = resolve_threads(threads);
+    let engine = MonteCarlo::new(plan.seed(), plan.params.replications).threads(threads);
+    let lanes = decode_lanes(threads, plan.params.replications, engine.chunk_size);
     let outcome = engine.run(
-        || MacWorker::new(&plan),
+        || MacWorker::with_lanes(&plan, lanes),
         |w: &mut MacWorker, rep, _rng, acc: &mut MacAccumulator| w.trial(&plan, rep, acc),
         |_| false,
     );
     let mut acc = outcome.value;
     acc.ensure_len(plan.len());
     MacReport::new(plan, acc, outcome.stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::decode_lanes;
+
+    #[test]
+    fn idle_engine_threads_become_decode_lanes() {
+        // One replication on two threads: the second thread decodes.
+        assert_eq!(decode_lanes(2, 1, 8), 2);
+        // 32 replications keep both threads busy: one lane each.
+        assert_eq!(decode_lanes(2, 32, 8), 1);
+        // Four replications fit one chunk: every thread is a lane.
+        assert_eq!(decode_lanes(8, 4, 8), 8);
+        assert_eq!(decode_lanes(1, 1, 8), 1);
+        assert_eq!(decode_lanes(4, 0, 8), 4);
+        assert_eq!(decode_lanes(3, 16, 8), 1);
+    }
 }

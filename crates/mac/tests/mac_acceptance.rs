@@ -1,6 +1,6 @@
-//! MAC acceptance criteria (ISSUE 10): light-load latency, saturation
-//! plateau, forced-collision ARQ recovery, conservation, and thread-count
-//! determinism.
+//! MAC acceptance criteria: light-load latency, saturation plateau,
+//! forced-collision ARQ recovery, conservation, thread-count determinism,
+//! and a recent-transmission ring that never drops a mixable frame.
 
 use uwb_mac::{plan_mac, run_mac, run_mac_plan_threads, MacReport, MacScenario};
 use uwb_net::ChannelPolicy;
@@ -28,9 +28,21 @@ fn fingerprint(r: &MacReport) -> Vec<u64> {
             s.queue_delay_slots_sum,
             s.ber.total,
             s.ber.errors,
+            s.ring_overflows,
         ]);
     }
     v
+}
+
+/// The mixing ring kept every frame a victim could still overlap: no
+/// decode missed an interferer, and same-slot decode batches are exact.
+fn assert_no_ring_overflow(r: &MacReport) {
+    for (l, lr) in r.links.iter().enumerate() {
+        assert_eq!(
+            lr.stats.ring_overflows, 0,
+            "link {l} overflowed its mixing ring"
+        );
+    }
 }
 
 /// A co-channel pair: both links on channel 3 so they genuinely contend
@@ -47,6 +59,7 @@ fn conservation_offered_equals_delivered_plus_dropped() {
     sc.horizon_slots = 300;
     sc.replications = 2;
     let r = run_mac(&sc);
+    assert_no_ring_overflow(&r);
     assert!(r.offered_total > 0, "traffic sources must generate packets");
     assert_eq!(
         r.offered_total,
@@ -63,6 +76,7 @@ fn light_load_latency_is_service_time_and_no_retries() {
     sc.horizon_slots = 1_500;
     sc.replications = 2;
     let r = run_mac(&sc);
+    assert_no_ring_overflow(&r);
     assert!(r.delivered_total > 10, "light load must still deliver");
     for (l, lr) in r.links.iter().enumerate() {
         assert_eq!(lr.stats.retries, 0, "link {l}: no retries at light load");
@@ -90,7 +104,9 @@ fn saturation_delivered_plateaus_at_channel_capacity() {
         let mut sc = co_channel_pair(10.0, load, 515);
         sc.horizon_slots = 400;
         sc.replications = 2;
-        run_mac(&sc).delivered_total
+        let r = run_mac(&sc);
+        assert_no_ring_overflow(&r);
+        r.delivered_total
     };
     let light = delivered_at(0.3);
     let sat = delivered_at(1.5);
@@ -137,6 +153,7 @@ fn hidden_terminals_collide_and_arq_recovers() {
     sc.horizon_slots = 500;
     sc.replications = 2;
     let r = run_mac(&sc);
+    assert_no_ring_overflow(&r);
     let decode_failures: u64 = r.links.iter().map(|l| l.stats.decode_failures).sum();
     let retries: u64 = r.links.iter().map(|l| l.stats.retries).sum();
     assert!(
@@ -165,6 +182,7 @@ fn hidden_terminals_collide_and_arq_recovers() {
     csma.horizon_slots = 500;
     csma.replications = 2;
     let rc = run_mac(&csma);
+    assert_no_ring_overflow(&rc);
     let csma_defers: u64 = rc.links.iter().map(|l| l.stats.defers).sum();
     assert!(
         csma_defers > 0,
@@ -179,12 +197,28 @@ fn reports_are_bit_identical_across_thread_counts() {
     let mut sc = MacScenario::ring(4, 9.0, 0.8, 31);
     sc.horizon_slots = 250;
     sc.replications = 4;
-    let baseline = fingerprint(&run_mac_plan_threads(plan_mac(&sc), 1));
+    let serial = run_mac_plan_threads(plan_mac(&sc), 1);
+    assert_no_ring_overflow(&serial);
+    let baseline = fingerprint(&serial);
     assert!(baseline.iter().any(|&x| x > 0));
+    // Four replications fill one engine chunk, so the other threads become
+    // decode lanes: 2, 4 and 8 lanes must reproduce the serial counters.
     for threads in [2, 4, 8] {
         let r = fingerprint(&run_mac_plan_threads(plan_mac(&sc), threads));
         assert_eq!(baseline, r, "thread count {threads} changed the counters");
     }
+}
+
+#[test]
+fn small_city_never_overflows_the_mixing_ring() {
+    // Many links, many overlaps and many frames ending in one slot: the
+    // ring of the two most recent transmissions must still hold every
+    // frame a victim can overlap.
+    let mut sc = MacScenario::clustered_city(8, 6, 9.0, 1.5, 4242);
+    sc.horizon_slots = 150;
+    let r = run_mac(&sc);
+    assert!(r.links.iter().map(|l| l.stats.tx_frames).sum::<u64>() > 50);
+    assert_no_ring_overflow(&r);
 }
 
 /// Larger thread-parity sweep for `scripts/check.sh mac` (slow: 8 users,
@@ -198,7 +232,9 @@ fn eight_user_report_is_bit_identical_across_thread_counts() {
     );
     sc.horizon_slots = 400;
     sc.replications = 4;
-    let baseline = fingerprint(&run_mac_plan_threads(plan_mac(&sc), 1));
+    let serial = run_mac_plan_threads(plan_mac(&sc), 1);
+    assert_no_ring_overflow(&serial);
+    let baseline = fingerprint(&serial);
     assert!(baseline.iter().any(|&x| x > 0));
     for threads in [2, 4, 8] {
         let r = fingerprint(&run_mac_plan_threads(plan_mac(&sc), threads));

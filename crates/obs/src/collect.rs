@@ -353,6 +353,69 @@ pub fn take_thread_telemetry() -> Telemetry {
     Telemetry::default()
 }
 
+/// Adds a snapshot back into this thread's collector — the inverse of
+/// [`take_thread_telemetry`]. A helper thread that ran part of a trial
+/// drains its own collector and the trial's thread merges the result, so
+/// the next drain on that thread covers the helper's work too. Stage
+/// calls/ns, event counts, histogram and digest bins add; span records
+/// append to this thread's trace ring (saturating like any other span).
+/// Flight-recorder entries are not carried: a helper never arms a trial,
+/// so its snapshot has none.
+#[cfg(feature = "obs")]
+pub fn merge_thread_telemetry(t: &Telemetry) {
+    let add = |cell: &Cell<u64>, v: u64| cell.set(cell.get().wrapping_add(v));
+    TLS.with(|c| {
+        for s in &t.stages {
+            let id = registry::register_stage(s.name);
+            if id != StageId::NONE {
+                add(&c.stage_calls[id.0 as usize], s.calls);
+                add(&c.stage_ns[id.0 as usize], s.ns);
+            }
+        }
+        for e in &t.events {
+            let id = registry::register_event(e.name);
+            if id != EventId::NONE {
+                add(&c.events[id.0 as usize], e.count);
+            }
+        }
+        for h in &t.hists {
+            let id = registry::register_hist(h.name);
+            if id != HistId::NONE {
+                let i = id.0 as usize;
+                add(&c.hist_n[i], h.count);
+                add(&c.hist_sum[i], h.sum);
+                for &(b, n) in &h.bins {
+                    add(&c.hist_bins[i][b as usize], n);
+                }
+            }
+        }
+        for d in &t.digests {
+            let id = registry::register_digest(d.name);
+            if id != DigestId::NONE {
+                let i = id.0 as usize;
+                add(&c.digest_n[i], d.count);
+                add(&c.digest_sum[i], d.sum);
+                c.digest_max[i].set(c.digest_max[i].get().max(d.max));
+                for &(b, n) in &d.bins {
+                    add(&c.digest_bins[i][b as usize], n);
+                }
+            }
+        }
+    });
+    #[cfg(feature = "obs-trace")]
+    for sp in &t.spans {
+        let id = registry::register_stage(sp.name);
+        if id != StageId::NONE {
+            crate::trace::push(id.0, sp.trial, sp.start_ns, sp.dur_ns);
+        }
+    }
+}
+
+/// No-op (`obs` feature off).
+#[cfg(not(feature = "obs"))]
+#[inline(always)]
+pub fn merge_thread_telemetry(_t: &Telemetry) {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,6 +465,39 @@ mod tests {
             assert!(h.bins.contains(&(3, 1)));
         } else {
             assert!(snap.is_empty());
+        }
+    }
+
+    #[test]
+    fn helper_thread_snapshot_merges_into_this_thread() {
+        let _ = take_thread_telemetry();
+        let work = || {
+            {
+                let _t = crate::span!("collect_test_merge_stage");
+            }
+            crate::event!("collect_test_merge_event");
+            crate::hist!("collect_test_merge_hist", 6u64);
+            crate::digest!("collect_test_merge_digest", 40u64);
+        };
+        work();
+        let helper = std::thread::scope(|s| {
+            s.spawn(|| {
+                work();
+                take_thread_telemetry()
+            })
+            .join()
+            .unwrap()
+        });
+        merge_thread_telemetry(&helper);
+        let merged = take_thread_telemetry();
+        let mut twice = helper.clone();
+        twice.merge(&helper);
+        assert_eq!(merged.fingerprint(), twice.fingerprint());
+        if crate::enabled() {
+            assert_eq!(merged.stage("collect_test_merge_stage").unwrap().calls, 2);
+            assert_eq!(merged.event_count("collect_test_merge_event"), 2);
+        } else {
+            assert!(merged.is_empty());
         }
     }
 

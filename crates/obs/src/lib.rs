@@ -99,7 +99,9 @@ mod collect;
 mod registry;
 mod ring;
 
-pub use collect::{current_trial, set_trial, take_thread_telemetry, StageTimer};
+pub use collect::{
+    current_trial, merge_thread_telemetry, set_trial, take_thread_telemetry, StageTimer,
+};
 #[doc(hidden)]
 pub use collect::{record_digest, record_event, record_hist};
 pub use counter::{Gauge, ShardedCounter, COUNTER_SHARDS};

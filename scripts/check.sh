@@ -45,7 +45,11 @@
 #                             by more than BENCH_TOL percent (default 15;
 #                             delivered fraction and mean latency are
 #                             bit-deterministic pins, so any drift there
-#                             means MAC/PHY behavior changed)
+#                             means MAC/PHY behavior changed), then the
+#                             uwbbench unit + smoke tests (benchmark/;
+#                             the smoke test checks mac_city_1k's
+#                             one-thread fingerprint against two threads,
+#                             i.e. one decode lane against two)
 #   scripts/check.sh batch    batched-runtime gate: batch-width invariance
 #                             (B in {1,2,4,8} x threads in {1,2,4,8} must be
 #                             bit-identical — counters, stop reason,
@@ -56,7 +60,8 @@
 #                             UWB_BATCH=1 and UWB_BATCH=8
 #   scripts/check.sh all      tier-1, then the whole workspace's tests, then
 #                             smoke, then obs, then stream, then net, then
-#                             mac, then batch
+#                             mac (which includes the uwbbench tests), then
+#                             batch
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -151,6 +156,12 @@ mac() {
     echo "== mac: macbench vs committed BENCH_mac.json (tol ${tol}%) =="
     cargo build --release -p uwb-bench --bin macbench
     UWB_THREADS=1 ./target/release/macbench --check BENCH_mac.json --tol "$tol"
+    benchmark_tests
+}
+
+benchmark_tests() {
+    echo "== benchmark: uwbbench unit + smoke tests =="
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml
 }
 
 batch() {

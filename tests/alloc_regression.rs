@@ -299,4 +299,43 @@ fn gen2_fast_path_steady_state_is_allocation_free() {
         mac_acc.links.iter().all(|l| l.delivered > 0),
         "MAC trials delivered no packets"
     );
+
+    // --- The same pair on a 2-lane MAC worker. A slot whose frames all
+    //     decode on this thread allocates nothing; a slot split across
+    //     lanes spawns one scoped helper thread and merges its telemetry
+    //     back, at most `PER_SPLIT` allocations however many frames it
+    //     decodes (5 without telemetry, 9 with, 10 with span timelines on
+    //     x86-64 Linux). The helper allocates on its own thread, so this section
+    //     reads the process-wide count, which the harness can bump by a
+    //     couple of allocations (see `CountingAlloc`): `SLACK` covers that.
+    //     The counters must match the one-lane worker's. ---
+    const PER_SPLIT: u64 = 16;
+    const SLACK: u64 = 8;
+    let mut lanes_worker = uwb_mac::MacWorker::with_lanes(&mac_plan, 2);
+    let mut lanes_acc = uwb_mac::MacAccumulator::default();
+    for rep in 0..3 {
+        lanes_worker.trial(&mac_plan, rep, &mut lanes_acc);
+    }
+
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let splits_before = lanes_worker.split_batches();
+    for rep in 3..8 {
+        lanes_worker.trial(&mac_plan, rep, &mut lanes_acc);
+    }
+    let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    let splits = lanes_worker.split_batches() - splits_before;
+
+    assert!(
+        splits > 0,
+        "the saturated pair must end frames in the same slot"
+    );
+    assert!(
+        allocs <= PER_SPLIT * splits + SLACK,
+        "2-lane MAC trials made {allocs} allocations over {splits} split slots \
+         (at most {PER_SPLIT} per split slot)"
+    );
+    assert_eq!(
+        lanes_acc.links, mac_acc.links,
+        "decode lanes changed the MAC counters"
+    );
 }

@@ -284,3 +284,49 @@ fn truncated_run_telemetry_is_thread_invariant() {
         assert_eq!(b.stats.telemetry.event_count("run_truncated"), 1);
     }
 }
+
+#[test]
+fn mac_city_replication_is_lane_invariant_including_telemetry() {
+    // One replication keeps one engine worker busy; the MAC runner turns
+    // the other threads into decode lanes for same-slot frames. So 1, 2
+    // and 4 threads decode the same frames on 1, 2 and 4 lanes, and the
+    // per-link counters and the telemetry fingerprint must not move —
+    // helper lanes' telemetry is merged back into the worker's thread.
+    let mut sc = uwb_mac::MacScenario::clustered_city(25, 4, 9.0, 1.5, SEED ^ 0x3C);
+    sc.horizon_slots = 80;
+    assert_eq!(sc.len(), 100);
+    let run = |threads: usize| uwb_mac::run_mac_plan_threads(uwb_mac::plan_mac(&sc), threads);
+    let serial = run(1);
+    let frames: u64 = serial.links.iter().map(|l| l.stats.tx_frames).sum();
+    assert!(frames > 100, "the city must put frames on air ({frames})");
+    for l in &serial.links {
+        assert_eq!(l.stats.ring_overflows, 0, "mixing ring overflowed");
+    }
+    for threads in [2, 4] {
+        let lanes = run(threads);
+        for (l, (a, b)) in serial.links.iter().zip(&lanes.links).enumerate() {
+            assert_eq!(
+                a.stats, b.stats,
+                "link {l}'s counters depend on {threads} lanes"
+            );
+        }
+        assert_eq!(
+            serial.stats.telemetry.fingerprint(),
+            lanes.stats.telemetry.fingerprint(),
+            "MAC telemetry fingerprint depends on {threads} lanes"
+        );
+        assert_eq!(
+            serial.stats.telemetry.to_json_deterministic(),
+            lanes.stats.telemetry.to_json_deterministic()
+        );
+    }
+    if uwb_obs::enabled() {
+        let telem = &serial.stats.telemetry;
+        for stage in ["mac_synth", "mac_mix", "mac_rx", "rx_rake"] {
+            let st = telem
+                .stage(stage)
+                .unwrap_or_else(|| panic!("stage {stage:?} missing from MAC telemetry"));
+            assert_eq!(st.calls, frames, "stage {stage:?} runs once per frame");
+        }
+    }
+}

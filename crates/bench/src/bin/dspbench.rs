@@ -23,8 +23,7 @@
 //! {
 //!   "schema": "uwb-dspbench-v1",
 //!   "kernels_us": { "<name>": <median-microseconds-per-call>, ... },
-//!   "throughput_tps": { "full_path": <trials/s>, "fast_path": <trials/s>,
-//!                       "full_path_batched": <trials/s>, "fast_path_batched": <trials/s> },
+//!   "throughput_tps": { "full_path": <trials/s>, "fast_path_batched": <trials/s> },
 //!   "stage_ns_per_trial": { "stage:<name>": <ns-per-trial>, ... },
 //!   "fft_plans_built": <count>
 //! }
@@ -97,8 +96,8 @@ fn run_kernels() -> Vec<Kernel> {
         });
     }
 
-    // 2b. 4096-point forward f32 SoA FFT (the `fast-acq` acquisition
-    //     correlator shape) through its thread-local plan cache.
+    // 2b. 4096-point forward f32 SoA FFT (the acquisition correlator
+    //     shape) through its thread-local plan cache.
     {
         let plan = uwb_dsp::fft32::cached_plan32(4096);
         let mut rng = Rand::new(21);
@@ -181,11 +180,8 @@ fn run_kernels() -> Vec<Kernel> {
         });
     }
 
-    // 6. Batched coarse acquisition at the stage-sweep shape: the template
-    //    spectrum is warmed once, then 8 records (one batch) are searched
-    //    against it — the per-batch amortization the batched runtime buys
-    //    over 8 independent acquisitions (which would each re-check the
-    //    memo under the bank's lock).
+    // 6. Eight coarse acquisitions (one default batch of records) against
+    //    one template whose spectrum is memoized after the first call.
     {
         let tpl = noise_complex(1277, 8);
         let acq = CoarseAcquisition::new(tpl, AcquisitionConfig::with_clock(2e9));
@@ -194,7 +190,6 @@ fn run_kernels() -> Vec<Kernel> {
         out.push(Kernel {
             name: "batched_acquisition_B8",
             us_per_call: time_us(10, 15, || {
-                acq.warm(2555, 1277);
                 for rec in &records {
                     let _ = acq.acquire_with(rec, 1277, &mut scratch);
                 }
@@ -205,12 +200,10 @@ fn run_kernels() -> Vec<Kernel> {
     out
 }
 
-/// The four end-to-end throughput figures plus the loop-wide FFT-plan
-/// count and the full-path stage profile.
+/// The two end-to-end throughput figures plus the loop-wide FFT-plan count
+/// and the full-path stage profile.
 struct Throughput {
     full_tps: f64,
-    fast_tps: f64,
-    full_batched_tps: f64,
     fast_batched_tps: f64,
     plans_built: u64,
     telemetry: uwb_obs::Telemetry,
@@ -220,9 +213,9 @@ struct Throughput {
 /// (AWGN, preamble_repeats = 2, Eb/N0 = 6 dB, 24-byte payload) — one
 /// worker driven directly, exactly what each Monte-Carlo thread executes.
 ///
-/// Four loops: the unbatched full and fast (BER-only) paths, then the same
-/// two on the batched stage-sweep runtime at `UWB_BATCH` (default
-/// `DEFAULT_BATCH`) trials per batch. `plans_built` counts the FFT plans
+/// Two loops, one per trial kernel: the unbatched full path, then the
+/// known-timing BER path on the batched stage-sweep runtime at `UWB_BATCH`
+/// (default `DEFAULT_BATCH`) trials per batch. `plans_built` counts the FFT plans
 /// constructed over the whole section *including* warm-up — in the steady state this must equal the
 /// number of distinct transform sizes the link path touches (each size
 /// planned exactly once, never per trial), so the JSON number stays O(1)
@@ -254,49 +247,13 @@ fn run_throughput(trials: u64) -> Throughput {
     let full_tps = trials as f64 / t0.elapsed().as_secs_f64();
     let telemetry = uwb_obs::take_thread_telemetry();
 
-    // Fast path (known-timing BER only).
-    let mut counter = ErrorCounter::default();
-    let mut rng = Rand::for_trial(scenario.seed, 0);
-    worker.trial_ber(&scenario, 24, &mut rng, &mut counter);
-    let t0 = Instant::now();
-    for t in 0..trials {
-        let mut rng = Rand::for_trial(scenario.seed, t);
-        worker.trial_ber(&scenario, 24, &mut rng, &mut counter);
-    }
-    let fast_tps = trials as f64 / t0.elapsed().as_secs_f64();
-
-    // Batched stage-sweep paths: `UWB_BATCH` (default [`DEFAULT_BATCH`])
-    // consecutive trials per sub-batch — the per-worker loop
-    // `MonteCarlo::run_batched` executes. The pinned baseline is generated
-    // with `UWB_BATCH` unset; the env override exists for B-sweep
+    // Batched known-timing BER path: `UWB_BATCH` (default
+    // [`DEFAULT_BATCH`]) consecutive trials per sub-batch — the per-worker
+    // loop `MonteCarlo::run_batched` executes. The pinned baseline is
+    // generated with `UWB_BATCH` unset; the env override exists for B-sweep
     // measurements (see EXPERIMENTS.md).
     let batch = resolve_batch(None);
     let mut scratch = BatchScratch::new();
-    let mut outcome = LinkOutcome::default();
-    worker.trial_batch_full_streamed(
-        &scenario,
-        24,
-        DEFAULT_STREAM_BLOCK,
-        0..batch.min(trials.max(1)),
-        &mut scratch,
-        &mut outcome,
-    );
-    let t0 = Instant::now();
-    let mut lo = 0;
-    while lo < trials {
-        let hi = (lo + batch).min(trials);
-        worker.trial_batch_full_streamed(
-            &scenario,
-            24,
-            DEFAULT_STREAM_BLOCK,
-            lo..hi,
-            &mut scratch,
-            &mut outcome,
-        );
-        lo = hi;
-    }
-    let full_batched_tps = trials as f64 / t0.elapsed().as_secs_f64();
-
     let mut counter = ErrorCounter::default();
     worker.trial_batch_ber_streamed(
         &scenario,
@@ -324,8 +281,6 @@ fn run_throughput(trials: u64) -> Throughput {
 
     Throughput {
         full_tps,
-        fast_tps,
-        full_batched_tps,
         fast_batched_tps,
         plans_built: fft_plans_built() - plans_before,
         telemetry,
@@ -348,11 +303,6 @@ fn render_json(
     s.push_str("  },\n");
     s.push_str("  \"throughput_tps\": {\n");
     s.push_str(&format!("    \"full_path\": {:.1},\n", tp.full_tps));
-    s.push_str(&format!("    \"fast_path\": {:.1},\n", tp.fast_tps));
-    s.push_str(&format!(
-        "    \"full_path_batched\": {:.1},\n",
-        tp.full_batched_tps
-    ));
     s.push_str(&format!(
         "    \"fast_path_batched\": {:.1}\n",
         tp.fast_batched_tps
@@ -380,10 +330,7 @@ fn render_json(
 fn metric_policy(key: &str) -> MetricPolicy {
     if key == "schema" || key == "fft_plans_built" || key.starts_with("stage:") {
         MetricPolicy::Skip
-    } else if matches!(
-        key,
-        "full_path" | "fast_path" | "full_path_batched" | "fast_path_batched"
-    ) {
+    } else if matches!(key, "full_path" | "fast_path_batched") {
         MetricPolicy::InfoHigherBetter
     } else {
         MetricPolicy::Gate
@@ -442,11 +389,6 @@ fn main() -> ExitCode {
         println!("{:<34} {:>10.2} µs/call", k.name, k.us_per_call);
     }
     println!("{:<34} {:>10.1} trials/s (1 thread)", "full_path", tp.full_tps);
-    println!("{:<34} {:>10.1} trials/s (1 thread)", "fast_path", tp.fast_tps);
-    println!(
-        "{:<34} {:>10.1} trials/s (1 thread, B={})",
-        "full_path_batched", tp.full_batched_tps, resolve_batch(None)
-    );
     println!(
         "{:<34} {:>10.1} trials/s (1 thread, B={})",
         "fast_path_batched", tp.fast_batched_tps, resolve_batch(None)

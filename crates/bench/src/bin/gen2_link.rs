@@ -9,7 +9,7 @@
 use std::time::Duration;
 use uwb_bench::{banner, trace_arg, write_trace, EXPERIMENT_SEED};
 use uwb_phy::Gen2Config;
-use uwb_platform::link::{run_ber_fast_streamed, BerRun, LinkScenario};
+use uwb_platform::link::{run_ber_fast, BerRun, LinkScenario};
 use uwb_platform::metrics::bpsk_awgn_ber;
 use uwb_platform::report::{format_rate, stage_table, Table};
 use uwb_sim::montecarlo::resolve_threads;
@@ -64,12 +64,11 @@ fn main() {
             "RAKE-8 + MLSE-3",
             "1-finger baseline",
         ]);
-        // Batched stage-sweep runner (`UWB_BATCH` wide): bit-identical to
-        // the unbatched fast runner on AWGN; multipath points use the
-        // streamed convolution, which agrees to numerical precision (see
-        // EXPERIMENTS.md for the value shift at the E5 re-baseline).
+        // Batched stage-sweep runner (`UWB_BATCH` wide); multipath points
+        // use the streamed direct-form convolution (see EXPERIMENTS.md for
+        // the value shift at the E5 re-baseline).
         for &ebn0 in &grid {
-            let rake = run_ber_fast_streamed(
+            let rake = run_ber_fast(
                 &LinkScenario {
                     channel,
                     ..LinkScenario::awgn(rake_cfg.clone(), ebn0, EXPERIMENT_SEED)
@@ -78,7 +77,7 @@ fn main() {
                 target_errors,
                 max_bits,
             );
-            let mlse = run_ber_fast_streamed(
+            let mlse = run_ber_fast(
                 &LinkScenario {
                     channel,
                     ..LinkScenario::awgn(mlse_cfg.clone(), ebn0, EXPERIMENT_SEED)
@@ -87,7 +86,7 @@ fn main() {
                 target_errors,
                 max_bits,
             );
-            let single = run_ber_fast_streamed(
+            let single = run_ber_fast(
                 &LinkScenario {
                     channel,
                     ..LinkScenario::awgn(single_cfg.clone(), ebn0, EXPERIMENT_SEED + 1)
@@ -136,7 +135,7 @@ fn main() {
     for &ebn0 in &[2.0, 3.0, 4.0, 5.0, 6.0] {
         let mut cells = vec![format!("{ebn0:.0}")];
         for cfg in [&uncoded_cfg, &k3_cfg, &k7_cfg] {
-            let run = run_ber_fast_streamed(
+            let run = run_ber_fast(
                 &LinkScenario::awgn(cfg.clone(), ebn0, EXPERIMENT_SEED),
                 32,
                 target_errors,

@@ -21,8 +21,8 @@ use std::time::Instant;
 use uwb_bench::{banner, trace_arg, write_trace, EXPERIMENT_SEED};
 use uwb_phy::Gen2Config;
 use uwb_platform::link::{
-    run_ber_budgeted, run_packet, run_ber_fast_budgeted, run_ber_fast_streamed_budgeted,
-    LinkOutcome, LinkScenario, LinkWorker, TrialBudget, DEFAULT_STREAM_BLOCK,
+    run_ber_budgeted, run_ber_fast_budgeted, run_packet, LinkOutcome, LinkScenario, LinkWorker,
+    TrialBudget,
 };
 use uwb_platform::report::stage_table;
 
@@ -177,12 +177,10 @@ fn main() -> ExitCode {
     };
     // 6 dB AWGN: a few errors per thousand bits, so the error target is
     // reachable well inside the trial budget. Runs on the batched
-    // stage-sweep path (`UWB_BATCH` wide); on AWGN its counters are
-    // bit-identical to the unbatched fast path.
+    // stage-sweep path (`UWB_BATCH` wide).
     let scenario = LinkScenario::awgn(config, 6.0, EXPERIMENT_SEED);
     let budget = TrialBudget { max_trials: 2_000 };
-    let run =
-        run_ber_fast_streamed_budgeted(&scenario, 24, DEFAULT_STREAM_BLOCK, 20, 200_000, budget);
+    let run = run_ber_fast_budgeted(&scenario, 24, 20, 200_000, budget);
     println!("parallel : {run}  ({})", run.stats.summary());
 
     let mut failures = 0u32;
@@ -204,8 +202,7 @@ fn main() -> ExitCode {
     // bit-for-bit with the free-threaded run above — counters AND the
     // deterministic telemetry view (stage call counts, events, histograms).
     std::env::set_var("UWB_THREADS", "1");
-    let serial =
-        run_ber_fast_streamed_budgeted(&scenario, 24, DEFAULT_STREAM_BLOCK, 20, 200_000, budget);
+    let serial = run_ber_fast_budgeted(&scenario, 24, 20, 200_000, budget);
     std::env::remove_var("UWB_THREADS");
     println!("1-thread : {serial}  ({})", serial.stats.summary());
     if serial.counter != run.counter || serial.stop != run.stop {

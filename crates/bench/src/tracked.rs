@@ -1,7 +1,7 @@
 //! Shared plumbing for the *tracked* benchmark binaries (`dspbench`,
-//! `stream_link`): timing, the flat `"name": number` JSON convention, and
-//! the baseline regression checker behind `scripts/check.sh bench` /
-//! `scripts/check.sh stream`.
+//! `netbench`, `macbench`): timing, the flat `"name": number` JSON
+//! convention, and the baseline regression checker behind
+//! `scripts/check.sh bench` / `net` / `mac`.
 //!
 //! Every tracked report uses a flat schema on purpose — each metric is a
 //! single `"name": number` pair at some nesting depth, names are globally

@@ -595,14 +595,14 @@ mod tests {
 
     #[test]
     fn planner_caches_plans_per_size() {
+        // The process-wide `fft_plans_built` counter is shared with every
+        // concurrently running test, so reuse is checked on the planner.
         let mut planner = FftPlanner::new();
-        let before = fft_plans_built();
         let p1 = planner.plan(512);
         let p2 = planner.plan(512);
         assert!(Rc::ptr_eq(&p1, &p2), "same size must share one plan");
-        assert_eq!(fft_plans_built() - before, 1);
+        assert_eq!(planner.planned_sizes(), 1);
         let _p3 = planner.plan(1024);
-        assert_eq!(fft_plans_built() - before, 2);
         assert_eq!(planner.planned_sizes(), 2);
     }
 
@@ -610,10 +610,8 @@ mod tests {
     fn cached_plan_reuses_thread_local_plan() {
         // Warm the cache, then verify repeat requests build nothing new.
         let a = cached_plan(2048);
-        let before = fft_plans_built();
         let b = cached_plan(2048);
         assert!(Rc::ptr_eq(&a, &b));
-        assert_eq!(fft_plans_built(), before);
     }
 
     #[test]

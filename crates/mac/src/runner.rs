@@ -74,7 +74,6 @@ use uwb_dsp::scratch::DspScratch;
 use uwb_dsp::stream::accumulate_scaled_offset;
 use uwb_dsp::Complex;
 use uwb_net::WorkerPool;
-use uwb_platform::link::BatchScratch;
 use uwb_platform::metrics::ErrorCounter;
 use uwb_sim::montecarlo::{resolve_threads, Merge, MonteCarlo};
 use uwb_sim::{derive_trial_seed, Rand};
@@ -364,7 +363,6 @@ struct DecodeLane {
     pool: WorkerPool,
     mixed: Vec<Complex>,
     scratch: DspScratch,
-    batch: BatchScratch,
     /// `(index in the slot's batch, outcome)` of each frame this lane
     /// decoded.
     done: Vec<(usize, Decoded)>,
@@ -376,7 +374,6 @@ impl DecodeLane {
             pool: WorkerPool::new(&plan.net),
             mixed: Vec::with_capacity(sample_cap),
             scratch: DspScratch::new(),
-            batch: BatchScratch::new(),
             done: Vec::with_capacity(plan.len().max(1)),
         }
     }
@@ -434,16 +431,8 @@ impl DecodeLane {
         let mut ber = ErrorCounter::default();
         let ok = {
             let _t = uwb_obs::span!("mac_rx");
-            let config = &plan.net.links[l].scenario.config;
             let rx = self.pool.worker_for(l);
-            rx.count_errors_in_record_with_payload_batched(
-                config,
-                &self.mixed,
-                clean.slot0_start,
-                &rec.payload,
-                &mut self.batch,
-                &mut ber,
-            )
+            rx.count_errors_in_record(&self.mixed, clean.slot0_start, &rec.payload, &mut ber)
         };
         Decoded { ok, ber }
     }

@@ -33,7 +33,7 @@ use crate::scenario::NetScenario;
 use uwb_dsp::scratch::DspScratch;
 use uwb_dsp::stream::accumulate_scaled;
 use uwb_dsp::Complex;
-use uwb_platform::link::{BatchScratch, CleanSynthesis};
+use uwb_platform::link::CleanSynthesis;
 use uwb_platform::metrics::ErrorCounter;
 use uwb_sim::montecarlo::{Merge, MonteCarlo};
 use uwb_sim::stream::StreamingAwgn;
@@ -137,10 +137,6 @@ pub struct NetWorker {
     power: Vec<f64>,
     mixed: Vec<Complex>,
     scratch: DspScratch,
-    /// Shared batched-runtime scratch: every pooled worker digitizes into
-    /// this one arena at decode time (one warm buffer for the whole pool
-    /// instead of one per `RxState`).
-    batch: BatchScratch,
 }
 
 impl NetWorker {
@@ -160,7 +156,6 @@ impl NetWorker {
             power: vec![0.0; n],
             mixed: Vec::new(),
             scratch: DspScratch::new(),
-            batch: BatchScratch::new(),
         }
     }
 
@@ -236,7 +231,6 @@ impl NetWorker {
             let stats = &mut acc.links[v];
             let errs_before = stats.ber.errors;
             stats.packets += 1;
-            let config = &plan.links[v].scenario.config;
             let rx = self.pool.worker_for(v);
             let ok = if row.is_empty() && self.schedule.last_use(v) == v {
                 // Isolated victim: nobody mixes this record and nobody else
@@ -253,12 +247,10 @@ impl NetWorker {
                     );
                 }
                 let _t = uwb_obs::span!("net_rx");
-                rx.count_errors_in_record_with_payload_batched(
-                    config,
+                rx.count_errors_in_record(
                     self.arena.record(v),
                     slot0_start,
                     &self.payloads[v],
-                    &mut self.batch,
                     &mut stats.ber,
                 )
             } else {
@@ -282,12 +274,10 @@ impl NetWorker {
                     );
                 }
                 let _t = uwb_obs::span!("net_rx");
-                rx.count_errors_in_record_with_payload_batched(
-                    config,
+                rx.count_errors_in_record(
                     &self.mixed,
                     slot0_start,
                     &self.payloads[v],
-                    &mut self.batch,
                     &mut stats.ber,
                 )
             };

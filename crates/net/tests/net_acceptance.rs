@@ -16,7 +16,7 @@ use uwb_net::{
     NetScenario,
 };
 use uwb_phy::bandplan::Channel;
-use uwb_platform::link::{run_ber_fast_streamed_budgeted, TrialBudget};
+use uwb_platform::link::{run_ber_fast_streamed_tuned, TrialBudget};
 use uwb_sim::topology::{LinkGeometry, Position, Topology};
 
 const SEED: u64 = 20050314;
@@ -60,7 +60,7 @@ fn isolated_link_matches_single_link_streamed_path_bitwise() {
         report.plan.coupling[7]
     );
 
-    let solo = run_ber_fast_streamed_budgeted(
+    let solo = run_ber_fast_streamed_tuned(
         &report.plan.links[7].scenario,
         sc.payload_len,
         sc.block_len,
@@ -69,6 +69,8 @@ fn isolated_link_matches_single_link_streamed_path_bitwise() {
         TrialBudget {
             max_trials: sc.rounds,
         },
+        None,
+        None,
     );
     assert_eq!(
         report.links[7].counter, solo.counter,
@@ -207,13 +209,13 @@ fn sparse_graph_round_is_bit_identical_to_dense_path() {
         reference.iter().any(|r| !r.is_empty()),
         "the 16-user scenario must actually couple"
     );
-    for v in 0..16 {
-        let bits = |row: &Vec<(usize, f64)>| -> Vec<(usize, u64)> {
-            row.iter().map(|&(u, g)| (u, g.to_bits())).collect()
-        };
+    let bits = |row: &Vec<(usize, f64)>| -> Vec<(usize, u64)> {
+        row.iter().map(|&(u, g)| (u, g.to_bits())).collect()
+    };
+    for (v, want) in reference.iter().enumerate() {
         assert_eq!(
             bits(&sparse_plan.coupling[v]),
-            bits(&reference[v]),
+            bits(want),
             "sparse row {v} differs from the dense reference"
         );
         assert_eq!(

@@ -90,18 +90,6 @@ impl CoarseAcquisition {
         self.acquire_with(signal, search_len, &mut scratch)
     }
 
-    /// Pre-builds the correlator bank's memoized template spectrum for a
-    /// search over `signal_len` samples and `search_len` candidate phases —
-    /// the lookup [`CoarseAcquisition::acquire_with`] would otherwise
-    /// perform lazily. Called once per batch by the batched stage-sweep
-    /// runtime; identical results either way.
-    pub fn warm(&self, signal_len: usize, search_len: usize) {
-        let m = self.bank.template_len();
-        let max_phase = signal_len.saturating_sub(m);
-        let n_phases = search_len.min(max_phase + 1);
-        self.bank.warm_prefix(signal_len, n_phases);
-    }
-
     /// [`CoarseAcquisition::acquire`] drawing all work buffers from the
     /// caller's scratch arena — identical results, zero steady-state heap
     /// allocation (the per-trial form used by the Gen2 receiver).

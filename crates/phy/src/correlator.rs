@@ -9,22 +9,13 @@
 
 use std::cell::RefCell;
 
-use uwb_dsp::fft::cached_plan;
 use uwb_dsp::fft32::cached_plan32;
 use uwb_dsp::math::next_pow2;
 use uwb_dsp::{Complex, DspScratch};
 
-/// Forward FFT of the zero-padded, conjugated, time-reversed template,
-/// memoized per FFT size so repeated acquisition sweeps pay for the template
-/// transform once instead of every call.
-#[derive(Debug, Clone)]
-struct TplSpectrum {
-    n: usize,
-    spec: Vec<Complex>,
-}
-
-/// Single-precision sibling of [`TplSpectrum`] for the `fast-acq` path:
-/// the same matched-template spectrum in split f32 lanes.
+/// Forward FFT of the zero-padded, conjugated, time-reversed template in
+/// split f32 lanes, memoized per FFT size so repeated acquisition sweeps pay
+/// for the template transform once instead of every call.
 #[derive(Debug, Clone)]
 struct TplSpectrum32 {
     n: usize,
@@ -53,9 +44,7 @@ pub struct CorrelatorStats {
 pub struct CorrelatorBank {
     template: Vec<Complex>,
     parallelism: usize,
-    /// Lazily built matched-template spectrum (see [`TplSpectrum`]).
-    tpl_spectrum: RefCell<Option<TplSpectrum>>,
-    /// f32 twin of `tpl_spectrum`, used by the `fast-acq` path.
+    /// Lazily built matched-template spectrum (see [`TplSpectrum32`]).
     tpl_spectrum32: RefCell<Option<TplSpectrum32>>,
 }
 
@@ -71,7 +60,6 @@ impl CorrelatorBank {
         CorrelatorBank {
             template,
             parallelism,
-            tpl_spectrum: RefCell::new(None),
             tpl_spectrum32: RefCell::new(None),
         }
     }
@@ -168,10 +156,8 @@ impl CorrelatorBank {
                 }
                 out.push(acc);
             }
-        } else if cfg!(feature = "fast-acq") {
-            self.correlate_prefix_fft32(signal, n_phases, scratch, out);
         } else {
-            self.correlate_prefix_fft(signal, n_phases, scratch, out);
+            self.correlate_prefix_fft32(signal, n_phases, scratch, out);
         }
         let dwells = n_phases.div_ceil(self.parallelism);
         CorrelatorStats {
@@ -184,45 +170,6 @@ impl CorrelatorBank {
     /// Below this work estimate the direct form wins (and stays exactly
     /// bit-identical to `run`, which small unit tests rely on).
     const FFT_THRESHOLD_MACS: usize = 1 << 15;
-
-    /// Pre-builds the memoized matched-template spectrum for the prefix
-    /// sweep [`CorrelatorBank::run_prefix_into`] would run over a signal of
-    /// `signal_len` samples and `n_phases` candidate phases — a no-op when
-    /// that sweep would take the direct (non-FFT) form or when the spectrum
-    /// for the implied transform size is already cached. The batched
-    /// acquisition sweep calls this once per batch so no lane pays the
-    /// template FFT inside its timed search; results are identical either
-    /// way (the memo would otherwise be built lazily on first use).
-    pub fn warm_prefix(&self, signal_len: usize, n_phases: usize) {
-        let m = self.template.len();
-        if !(m > 1 && n_phases.saturating_mul(m) >= Self::FFT_THRESHOLD_MACS) {
-            return;
-        }
-        let needed = (n_phases + m - 1).min(signal_len);
-        if needed < m {
-            return;
-        }
-        let n = next_pow2(needed + m - 1);
-        if cfg!(feature = "fast-acq") {
-            self.ensure_spectrum32(n);
-        } else {
-            self.ensure_spectrum(n);
-        }
-    }
-
-    /// (Re)builds the cached f64 template spectrum for transform size `n`.
-    fn ensure_spectrum(&self, n: usize) {
-        let mut cache = self.tpl_spectrum.borrow_mut();
-        if cache.as_ref().is_none_or(|c| c.n != n) {
-            let fft = cached_plan(n);
-            let mut spec = vec![Complex::ZERO; n];
-            for (o, t) in spec.iter_mut().zip(self.template.iter().rev()) {
-                *o = t.conj();
-            }
-            fft.forward_in_place(&mut spec);
-            *cache = Some(TplSpectrum { n, spec });
-        }
-    }
 
     /// (Re)builds the cached f32 template spectrum for transform size `n`,
     /// with the inverse transform's 1/N folded in (see
@@ -253,51 +200,10 @@ impl CorrelatorBank {
     }
 
     /// FFT path of [`CorrelatorBank::run_prefix_into`]: correlate against the
-    /// memoized template spectrum, writing `n_phases` outputs (zero-filled
-    /// past the last valid lag).
-    fn correlate_prefix_fft(
-        &self,
-        signal: &[Complex],
-        n_phases: usize,
-        scratch: &mut DspScratch,
-        out: &mut Vec<Complex>,
-    ) {
-        let m = self.template.len();
-        // Only the first `n_phases + m - 1` samples are ever touched.
-        let needed = (n_phases + m - 1).min(signal.len());
-        if needed < m {
-            out.resize(n_phases, Complex::ZERO);
-            return;
-        }
-        let n_valid = needed - m + 1;
-        let n = next_pow2(needed + m - 1);
-        // (Re)build the cached template spectrum when the size changes.
-        self.ensure_spectrum(n);
-        let cache = self.tpl_spectrum.borrow();
-        let spec = &cache
-            .as_ref()
-            .expect("tpl_spectrum populated above for this size")
-            .spec;
-        let fft = cached_plan(n);
-        let mut fa = scratch.take_complex(n);
-        fa[..needed].copy_from_slice(&signal[..needed]);
-        fft.forward_in_place(&mut fa);
-        for (x, y) in fa.iter_mut().zip(spec) {
-            *x *= *y;
-        }
-        fft.inverse_in_place(&mut fa);
-        let take = n_valid.min(n_phases);
-        out.reserve(n_phases);
-        out.extend_from_slice(&fa[m - 1..m - 1 + take]);
-        out.resize(n_phases, Complex::ZERO);
-        scratch.put_complex(fa);
-    }
-
-    /// `fast-acq` twin of [`CorrelatorBank::correlate_prefix_fft`]: the same
-    /// cross-correlation computed through [`uwb_dsp::fft32`] on split f32
-    /// lanes. Outputs differ from the f64 path by ~1e-7 relative (see the
-    /// `fast_acq` parity tests), which acquisition's threshold test and
-    /// argmax absorb; always compiled so the tests can compare both paths.
+    /// memoized template spectrum through [`uwb_dsp::fft32`] on split f32
+    /// lanes, writing `n_phases` outputs (zero-filled past the last valid
+    /// lag). Outputs differ from an f64 FFT by ~1e-7 relative (see the
+    /// parity tests), which acquisition's threshold test and argmax absorb.
     fn correlate_prefix_fft32(
         &self,
         signal: &[Complex],
@@ -427,21 +333,45 @@ mod tests {
         let (direct, s_direct) = bank.run(&sig, &phases);
         assert_eq!(s_fast, s_direct, "hardware accounting must not change");
         assert_eq!(fast.len(), direct.len());
-        // With `fast-acq` the FFT runs in f32, so parity with the f64 direct
-        // form is relative to the output scale rather than near-exact.
+        // The FFT runs in f32, so parity with the f64 direct form is
+        // relative to the output scale rather than near-exact.
         let scale = direct.iter().map(|z| z.norm()).fold(1.0, f64::max);
-        let tol = if cfg!(feature = "fast-acq") {
-            1e-5 * scale
-        } else {
-            1e-7
-        };
+        let tol = 1e-5 * scale;
         for (a, b) in fast.iter().zip(&direct) {
             assert!((*a - *b).norm() < tol, "{a} vs {b}");
         }
     }
 
-    /// `fast-acq` acceptance bound: the f32 FFT path must stay within a
-    /// small relative envelope of the f64 FFT path at every phase. The
+    /// f64 FFT cross-correlation over the prefix `0..n_phases` — the oracle
+    /// the f32 path is bounded against.
+    fn correlate_prefix_fft64(
+        tpl: &[Complex],
+        signal: &[Complex],
+        n_phases: usize,
+    ) -> Vec<Complex> {
+        let m = tpl.len();
+        let needed = (n_phases + m - 1).min(signal.len());
+        let n = next_pow2(needed + m - 1);
+        let fft = uwb_dsp::fft::cached_plan(n);
+        let mut spec = vec![Complex::ZERO; n];
+        for (o, t) in spec.iter_mut().zip(tpl.iter().rev()) {
+            *o = t.conj();
+        }
+        fft.forward_in_place(&mut spec);
+        let mut fa = vec![Complex::ZERO; n];
+        fa[..needed].copy_from_slice(&signal[..needed]);
+        fft.forward_in_place(&mut fa);
+        for (x, y) in fa.iter_mut().zip(&spec) {
+            *x *= *y;
+        }
+        fft.inverse_in_place(&mut fa);
+        let mut out = fa[m - 1..m - 1 + (needed - m + 1).min(n_phases)].to_vec();
+        out.resize(n_phases, Complex::ZERO);
+        out
+    }
+
+    /// Acceptance bound of the f32 acquisition FFT: it must stay within a
+    /// small relative envelope of the f64 FFT at every phase. The
     /// envelope (10 ppm of the peak magnitude) is ~1000× tighter than the
     /// margin between acquisition's detection threshold and real peaks.
     #[test]
@@ -453,11 +383,11 @@ mod tests {
         for (i, &t) in tpl.iter().enumerate() {
             sig[1777 + i] += t * 2.0;
         }
-        let bank = CorrelatorBank::new(tpl, 8);
+        let bank = CorrelatorBank::new(tpl.clone(), 8);
         let n_phases = 3000;
         let mut scratch = DspScratch::new();
-        let (mut f64_out, mut f32_out) = (Vec::new(), Vec::new());
-        bank.correlate_prefix_fft(&sig, n_phases, &mut scratch, &mut f64_out);
+        let f64_out = correlate_prefix_fft64(&tpl, &sig, n_phases);
+        let mut f32_out = Vec::new();
         bank.correlate_prefix_fft32(&sig, n_phases, &mut scratch, &mut f32_out);
         assert_eq!(f64_out.len(), f32_out.len());
         let scale = f64_out.iter().map(|z| z.norm()).fold(f64::MIN_POSITIVE, f64::max);

@@ -166,33 +166,15 @@ impl Gen2Receiver {
     /// configured ADC resolution.
     pub fn digitize(&self, samples: &[Complex]) -> Vec<Complex> {
         let mut out = Vec::new();
-        self.digitize_into(samples, &mut out);
+        self.digitize_append(samples, &mut out);
         out
     }
 
-    /// [`Gen2Receiver::digitize`] into a caller-owned buffer, fusing the
-    /// gain and quantization passes (bit-identical output, allocation-free
-    /// once the buffer capacity suffices).
-    pub fn digitize_into(&self, samples: &[Complex], out: &mut Vec<Complex>) {
-        let p = uwb_dsp::simd::mean_power(samples);
-        if p <= 0.0 {
-            out.clear();
-            out.extend_from_slice(samples);
-            return;
-        }
-        let gain = 0.355 / p.sqrt();
-        uwb_obs::gauge!("agc_gain_milli").set((gain * 1000.0) as u64);
-        uwb_obs::note!("agc_gain_milli", (gain * 1000.0) as u64);
-        // Fused scale + mid-rise quantize sweep — bit-identical to scaling
-        // and quantizing each rail in turn (see Quantizer parity test).
-        self.quantizer.quantize_scaled_into(samples, gain, out);
-    }
-
-    /// [`Gen2Receiver::digitize_into`] that *appends* the digitized record
-    /// to `out` instead of replacing it — the batched runtime's form, which
-    /// digitizes each trial's lane straight into a flat
-    /// [`uwb_dsp::batch::BatchArena`] buffer. Per-sample arithmetic, AGC
-    /// gain, and telemetry are identical to the replacing form.
+    /// [`Gen2Receiver::digitize`] *appending* the digitized record to a
+    /// caller-owned buffer (clear it first for a fresh record), fusing the
+    /// gain and quantization passes — allocation-free once the buffer
+    /// capacity suffices. The batched runtime digitizes each trial's lane
+    /// straight into a flat [`uwb_dsp::batch::BatchArena`] buffer this way.
     pub fn digitize_append(&self, samples: &[Complex], out: &mut Vec<Complex>) {
         let p = uwb_dsp::simd::mean_power(samples);
         if p <= 0.0 {
@@ -202,6 +184,8 @@ impl Gen2Receiver {
         let gain = 0.355 / p.sqrt();
         uwb_obs::gauge!("agc_gain_milli").set((gain * 1000.0) as u64);
         uwb_obs::note!("agc_gain_milli", (gain * 1000.0) as u64);
+        // Fused scale + mid-rise quantize sweep — bit-identical to scaling
+        // and quantizing each rail in turn (see Quantizer parity test).
         self.quantizer.quantize_scaled_append(samples, gain, out);
     }
 
@@ -214,83 +198,18 @@ impl Gen2Receiver {
     ///   [`PhyError::TruncatedInput`] — decode failures.
     pub fn receive_packet(&self, samples: &[Complex]) -> Result<ReceivedPacket, PhyError> {
         let mut state = RxState::new();
-        self.receive_packet_with(samples, &mut state)
-    }
-
-    /// [`Gen2Receiver::receive_packet`] drawing every work buffer from a
-    /// caller-owned [`RxState`] — identical results, but acquisition FFTs,
-    /// the digitized record, channel estimation, and RAKE rebuilds all reuse
-    /// the state's storage (the per-trial form used by the Monte-Carlo
-    /// engine). Only the returned packet itself is freshly allocated.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gen2Receiver::receive_packet`].
-    pub fn receive_packet_with(
-        &self,
-        samples: &[Complex],
-        state: &mut RxState,
-    ) -> Result<ReceivedPacket, PhyError> {
-        {
+        let digitized = {
             let _t = uwb_obs::span!("rx_agc_adc");
-            self.digitize_into(samples, &mut state.digitized);
-            state.chanest_memo = None;
-        }
-        self.receive_packet_predigitized(state)
+            self.digitize(samples)
+        };
+        let acq = self.acquire_record(&digitized, &mut state);
+        self.receive_packet_acquired(&digitized, &acq, &mut state)
     }
 
-    /// [`Gen2Receiver::receive_packet_with`] starting from the record
-    /// already digitized into `state.digitized`, skipping the AGC/ADC pass.
-    ///
-    /// Digitization is a pure function of the input record, so when a
-    /// caller has *just* digitized the same samples (e.g. the Monte-Carlo
-    /// full trial, whose known-timing BER pass runs first), re-running it
-    /// would reproduce `state.digitized` bit-for-bit — this entry point
-    /// skips that duplicate work with identical results.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gen2Receiver::receive_packet`].
-    pub fn receive_packet_predigitized(
-        &self,
-        state: &mut RxState,
-    ) -> Result<ReceivedPacket, PhyError> {
-        let digitized = std::mem::take(&mut state.digitized);
-        let out = self.receive_packet_from_record(&digitized, state);
-        state.digitized = digitized;
-        out
-    }
-
-    /// [`Gen2Receiver::receive_packet_predigitized`] reading the digitized
-    /// record from a caller-owned slice (e.g. one lane of a batched trial
-    /// arena) instead of `state.digitized` — bit-identical results.
-    ///
-    /// The same memo caveat applies: `state.chanest_memo` must refer to
-    /// *this* record (the caller just ran a known-timing pass on it) or be
-    /// `None`; [`Gen2Receiver::payload_statistics_predigitized_with`]
-    /// re-establishes that invariant at its entry.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gen2Receiver::receive_packet`].
-    pub fn receive_packet_from_record(
-        &self,
-        digitized: &[Complex],
-        state: &mut RxState,
-    ) -> Result<ReceivedPacket, PhyError> {
-        let acq = self.acquire_record(digitized, state);
-        self.receive_packet_acquired(digitized, &acq, state)
-    }
-
-    /// The coarse-acquisition front of [`receive_packet_from_record`]: one
-    /// preamble period of candidate phases correlated against the cached
-    /// matched-template spectrum. Split out so the batched runtime can sweep
-    /// acquisition across a whole batch of digitized lanes (amortizing the
-    /// template spectrum via [`Gen2Receiver::warm_acquisition`]) before any
-    /// lane's frame is decoded. Emits the same forensics notes and the
-    /// `acq_miss` event the fused path emits.
-    ///
-    /// [`receive_packet_from_record`]: Gen2Receiver::receive_packet_from_record
+    /// Coarse acquisition over an already-digitized record: one preamble
+    /// period of candidate phases correlated against the cached
+    /// matched-template spectrum. Emits the lock forensics notes and, on a
+    /// miss, the `acq_miss` event.
     pub fn acquire_record(&self, digitized: &[Complex], state: &mut RxState) -> AcquisitionResult {
         let sps = self.config.samples_per_slot();
         let period = self.config.preamble_length() * sps;
@@ -309,16 +228,16 @@ impl Gen2Receiver {
         acq
     }
 
-    /// The frame-decode back half of [`receive_packet_from_record`], given
+    /// The frame-decode back half of [`Gen2Receiver::receive_packet`], given
     /// an acquisition result obtained from [`Gen2Receiver::acquire_record`]
-    /// over the *same* digitized record. Bit-identical to the fused path;
-    /// the miss forensics were already emitted at acquisition time.
+    /// over the *same* digitized record: channel estimation → RAKE →
+    /// header → payload. `state.chanest_memo` must refer to this record or
+    /// be `None` (see
+    /// [`Gen2Receiver::payload_statistics_predigitized_with`]).
     ///
     /// # Errors
     ///
     /// Same as [`Gen2Receiver::receive_packet`].
-    ///
-    /// [`receive_packet_from_record`]: Gen2Receiver::receive_packet_from_record
     pub fn receive_packet_acquired(
         &self,
         digitized: &[Complex],
@@ -335,16 +254,6 @@ impl Gen2Receiver {
             acquisition: *acq,
             estimate: state.estimate.clone(),
         })
-    }
-
-    /// Pre-builds the cached matched-template spectrum for the transform
-    /// size acquisition will use on a record of `record_len` samples, so a
-    /// batched acquisition sweep pays the template FFT once per batch
-    /// instead of lazily inside the first lane's timed search. Identical
-    /// results either way — this only moves when the memo is built.
-    pub fn warm_acquisition(&self, record_len: usize) {
-        let period = self.config.preamble_length() * self.config.samples_per_slot();
-        self.acquisition.warm(record_len, period + CIR_PRE_SAMPLES);
     }
 
     /// Channel estimation + RAKE rebuild around the acquisition lock at
@@ -423,9 +332,8 @@ impl Gen2Receiver {
 
     /// Decodes one full frame whose acquisition lock sits at `offset` within
     /// the already-digitized record in `state`: channel estimation → RAKE
-    /// rebuild → header → payload. Shared by
-    /// [`Gen2Receiver::receive_packet_with`], the batch scan loop, and the
-    /// incremental [`crate::stream_rx::StreamRx`].
+    /// rebuild → header → payload, for the incremental
+    /// [`crate::stream_rx::StreamRx`].
     pub(crate) fn decode_frame_at(
         &self,
         state: &mut RxState,
@@ -438,7 +346,7 @@ impl Gen2Receiver {
     }
 
     /// [`Gen2Receiver::decode_frame_at`] reading the digitized record from
-    /// a caller-owned slice (the batched runtime's arena lanes).
+    /// a caller-owned slice.
     fn decode_frame_on(
         &self,
         digitized: &[Complex],
@@ -496,87 +404,6 @@ impl Gen2Receiver {
                 }
             })?;
         Ok((header, payload))
-    }
-
-    /// Scans a long record for multiple packets: acquire → decode → skip
-    /// past the decoded frame → repeat. Records that fail to decode after a
-    /// successful acquisition are skipped past the *acquired* preamble so a
-    /// corrupted packet cannot stall the scan (or be rescanned forever when
-    /// its preamble sits late in the attempt window).
-    ///
-    /// Returns every successfully decoded packet together with its start
-    /// offset (in samples) within `samples`.
-    ///
-    /// Every attempt re-digitizes and re-scans the whole remaining record —
-    /// O(record²) on long captures, and the entire record must be resident.
-    /// Prefer [`crate::stream_rx::StreamRx`], which runs the same state
-    /// machine incrementally over blocks in bounded memory.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `StreamRx` for incremental, bounded-memory packet scanning"
-    )]
-    pub fn receive_stream(&self, samples: &[Complex]) -> Vec<(usize, ReceivedPacket)> {
-        let sps = self.config.samples_per_slot();
-        let period = self.config.preamble_length() * sps;
-        let mut state = RxState::new();
-        let mut packets = Vec::new();
-        let mut cursor = 0usize;
-        // Need at least a preamble + header's worth of samples to try.
-        let min_len = period * self.config.preamble_repeats + 64 * sps;
-        while cursor + min_len <= samples.len() {
-            let window = &samples[cursor..];
-            {
-                let _t = uwb_obs::span!("rx_agc_adc");
-                self.digitize_into(window, &mut state.digitized);
-                state.chanest_memo = None;
-            }
-            let acq = {
-                let _t = uwb_obs::span!("rx_acquisition");
-                self.acquisition.acquire_with(
-                    &state.digitized,
-                    period + CIR_PRE_SAMPLES,
-                    &mut state.scratch,
-                )
-            };
-            if !acq.detected {
-                // Nothing acquired in this window's first period of phases:
-                // slide one period and keep scanning (records may contain
-                // long silence between packets).
-                uwb_obs::event!("acq_miss");
-                cursor += period;
-                continue;
-            }
-            match self.decode_frame_at(&mut state, acq.offset) {
-                Ok((header, payload)) => {
-                    let frame_slots = self.config.preamble_length()
-                        * self.config.preamble_repeats
-                        + SFD_SLOTS
-                        + header_slot_count(&self.config)
-                        + payload_slot_count(header.payload_len, &self.config);
-                    let advance = acq.offset + frame_slots * sps;
-                    packets.push((
-                        cursor + acq.offset,
-                        ReceivedPacket {
-                            payload,
-                            header,
-                            acquisition: acq,
-                            estimate: state.estimate.clone(),
-                        },
-                    ));
-                    cursor += advance.max(period);
-                }
-                Err(_) => {
-                    // Acquired but failed to decode: advance past the
-                    // preamble that was actually acquired (`offset` into this
-                    // window plus one period), not blindly one period from
-                    // the window start — the old behavior could land the
-                    // next attempt inside the same corrupted frame and burn
-                    // an acquisition pass per period for the rest of it.
-                    cursor += acq.offset + period;
-                }
-            }
-        }
-        packets
     }
 
     /// When carrier tracking is enabled and the payload is BPSK, runs the
@@ -647,55 +474,36 @@ impl Gen2Receiver {
         slot0_start: usize,
         payload_len: usize,
     ) -> Vec<Complex> {
-        let mut state = RxState::new();
         let mut out = Vec::new();
-        self.payload_statistics_known_timing_with(
-            samples,
+        let digitized = {
+            let _t = uwb_obs::span!("rx_agc_adc");
+            self.digitize(samples)
+        };
+        self.payload_statistics_predigitized_with(
+            &digitized,
             slot0_start,
             payload_len,
-            &mut state,
+            &mut RxState::new(),
             &mut out,
         );
         out
     }
 
-    /// [`Gen2Receiver::payload_statistics_known_timing`] drawing every work
-    /// buffer from a caller-owned [`RxState`] and writing the statistics into
-    /// `out` — identical results, zero steady-state heap allocation (the
-    /// per-trial form used by the Monte-Carlo BER engine; the MLSE path,
-    /// when enabled, is the documented exception).
-    pub fn payload_statistics_known_timing_with(
-        &self,
-        samples: &[Complex],
-        slot0_start: usize,
-        payload_len: usize,
-        state: &mut RxState,
-        out: &mut Vec<Complex>,
-    ) {
-        {
-            let _t = uwb_obs::span!("rx_agc_adc");
-            self.digitize_into(samples, &mut state.digitized);
-            state.chanest_memo = None;
-        }
-        let digitized = std::mem::take(&mut state.digitized);
-        self.payload_statistics_predigitized_with(&digitized, slot0_start, payload_len, state, out);
-        state.digitized = digitized;
-    }
-
     /// The chanest → RAKE → demodulate back half of
-    /// [`Gen2Receiver::payload_statistics_known_timing_with`], reading an
-    /// already-digitized record from a caller-owned slice (one lane of the
-    /// batched runtime's digitized arena; produce it with
+    /// [`Gen2Receiver::payload_statistics_known_timing`], reading an
+    /// already-digitized record (produce it with
     /// [`Gen2Receiver::digitize_append`] under the caller's own
-    /// `rx_agc_adc` span). Bit-identical to the fused form — digitization
-    /// and channel estimation are pure functions of the record.
+    /// `rx_agc_adc` span), drawing every work buffer from a caller-owned
+    /// [`RxState`] and writing the statistics into `out` — zero
+    /// steady-state heap allocation (the MLSE path, when enabled, is the
+    /// documented exception).
     ///
     /// Resets `state.chanest_memo` at entry (the record is externally
     /// supplied, so any memoized estimate may belong to a different
     /// record), then leaves the memo referring to this record — so a
-    /// following [`Gen2Receiver::receive_packet_from_record`] on the *same*
-    /// record skips the duplicate channel estimate exactly like the fused
-    /// full-trial sequence.
+    /// following [`Gen2Receiver::receive_packet_acquired`] on the *same*
+    /// record skips the duplicate channel estimate when acquisition locks at
+    /// `slot0_start`.
     pub fn payload_statistics_predigitized_with(
         &self,
         digitized: &[Complex],
@@ -749,43 +557,6 @@ mod tests {
         assert_eq!(got.payload, payload);
         assert_eq!(got.header.payload_len, 64);
         assert!(got.acquisition.detected);
-    }
-
-    #[test]
-    fn predigitized_matches_full_receive_bitwise() {
-        // receive_packet_predigitized after a known-timing BER pass (the
-        // trial_full sequence) must agree exactly with a fresh
-        // receive_packet_with on the same record.
-        let cfg = Gen2Config::nominal_100mbps();
-        let (tx, rx) = link(&cfg);
-        let payload = vec![0x5Au8; 32];
-        let burst = tx.transmit_packet(&payload).unwrap();
-        let mut rng = Rand::new(3);
-        let p = uwb_dsp::complex::mean_power(&burst.samples);
-        let noisy = add_awgn_complex(&burst.samples, p / 2.0, &mut rng);
-
-        let mut fresh = RxState::new();
-        let want = rx.receive_packet_with(&noisy, &mut fresh).unwrap();
-
-        let mut state = RxState::new();
-        let mut stats = Vec::new();
-        let slot0_start = burst.slot0_center - tx.pulse().len() / 2;
-        rx.payload_statistics_known_timing_with(
-            &noisy,
-            slot0_start,
-            payload.len(),
-            &mut state,
-            &mut stats,
-        );
-        let got = rx.receive_packet_predigitized(&mut state).unwrap();
-        assert_eq!(got.payload, want.payload);
-        assert_eq!(got.header, want.header);
-        assert_eq!(got.acquisition.offset, want.acquisition.offset);
-        assert_eq!(
-            got.acquisition.metric.to_bits(),
-            want.acquisition.metric.to_bits()
-        );
-        assert_eq!(got.estimate.taps(), want.estimate.taps());
     }
 
     #[test]
@@ -871,54 +642,6 @@ mod tests {
         let got = rx.receive_packet(&burst.samples).unwrap();
         assert_eq!(got.payload, payload);
         assert!(got.header.fec);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn stream_reception_finds_multiple_packets() {
-        let cfg = Gen2Config {
-            preamble_repeats: 2,
-            ..Gen2Config::nominal_100mbps()
-        };
-        let tx = Gen2Transmitter::new(cfg.clone()).unwrap();
-        let rx = Gen2Receiver::new(cfg.clone()).unwrap();
-        let payloads: Vec<Vec<u8>> = vec![
-            b"first packet".to_vec(),
-            b"second, longer packet with more bytes".to_vec(),
-            b"third".to_vec(),
-        ];
-        // Concatenate with silence gaps of varying length.
-        let mut record = vec![Complex::ZERO; 3000];
-        for (i, p) in payloads.iter().enumerate() {
-            let burst = tx.transmit_packet(p).unwrap();
-            record.extend_from_slice(&burst.samples);
-            record.extend(vec![Complex::ZERO; 2000 + i * 1500]);
-        }
-        let mut rng = Rand::new(21);
-        let p_sig = uwb_dsp::complex::mean_power(&record);
-        let noisy = add_awgn_complex(&record, p_sig / 10.0, &mut rng);
-        let packets = rx.receive_stream(&noisy);
-        assert_eq!(packets.len(), 3, "found {} packets", packets.len());
-        for ((offset, packet), expected) in packets.iter().zip(&payloads) {
-            assert_eq!(&packet.payload, expected);
-            assert!(*offset >= 2900, "offset {offset}");
-        }
-        // Offsets strictly increasing.
-        assert!(packets.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn stream_reception_empty_record() {
-        let cfg = Gen2Config {
-            preamble_repeats: 2,
-            ..Gen2Config::nominal_100mbps()
-        };
-        let rx = Gen2Receiver::new(cfg).unwrap();
-        let mut rng = Rand::new(22);
-        let noise = uwb_sim::awgn::complex_noise(40_000, 1.0, &mut rng);
-        assert!(rx.receive_stream(&noise).is_empty());
-        assert!(rx.receive_stream(&[]).is_empty());
     }
 
     #[test]
@@ -1009,46 +732,6 @@ mod tests {
     }
 
     #[test]
-    fn known_timing_with_state_matches_plain() {
-        let cfg = Gen2Config::nominal_100mbps();
-        let (tx, rx) = link(&cfg);
-        let payload = vec![0x9Au8; 24];
-        let burst = tx.transmit_packet(&payload).unwrap();
-        let slot0 = burst.slot0_center - tx.pulse().len() / 2;
-        let want = rx.payload_statistics_known_timing(&burst.samples, slot0, payload.len());
-        let mut state = RxState::new();
-        let mut out = Vec::new();
-        // Repeated calls on one warm state stay bit-identical.
-        for _ in 0..3 {
-            rx.payload_statistics_known_timing_with(
-                &burst.samples,
-                slot0,
-                payload.len(),
-                &mut state,
-                &mut out,
-            );
-            assert_eq!(out, want);
-        }
-    }
-
-    #[test]
-    fn receive_packet_with_state_matches_plain() {
-        let cfg = Gen2Config::nominal_100mbps();
-        let (tx, rx) = link(&cfg);
-        let payload = vec![0x42u8; 20];
-        let burst = tx.transmit_packet(&payload).unwrap();
-        let want = rx.receive_packet(&burst.samples).unwrap();
-        let mut state = RxState::new();
-        for _ in 0..2 {
-            let got = rx.receive_packet_with(&burst.samples, &mut state).unwrap();
-            assert_eq!(got.payload, want.payload);
-            assert_eq!(got.header, want.header);
-            assert_eq!(got.acquisition, want.acquisition);
-            assert_eq!(got.estimate, want.estimate);
-        }
-    }
-
-    #[test]
     fn receiver_rejects_bad_config() {
         let mut cfg = Gen2Config::nominal_100mbps();
         cfg.rake_fingers = 0;
@@ -1056,11 +739,12 @@ mod tests {
     }
 
     #[test]
-    fn stage_split_apis_match_fused_path_bitwise() {
+    fn stage_split_apis_match_convenience_forms_bitwise() {
         // digitize_append + payload_statistics_predigitized_with +
-        // receive_packet_from_record (the batched stage-sweep sequence)
-        // must reproduce the fused known-timing + predigitized sequence
-        // bit-for-bit.
+        // acquire_record + receive_packet_acquired on one warm state (the
+        // link trial sequence, whose known-timing pass primes the chanest
+        // memo) must reproduce the convenience forms bit-for-bit, call
+        // after call.
         let cfg = Gen2Config::nominal_100mbps();
         let (tx, rx) = link(&cfg);
         let payload = vec![0x3Cu8; 32];
@@ -1069,48 +753,40 @@ mod tests {
         let p = uwb_dsp::complex::mean_power(&burst.samples);
         let noisy = add_awgn_complex(&burst.samples, p / 2.0, &mut rng);
         let slot0 = burst.slot0_center - tx.pulse().len() / 2;
-
-        // Reference: the fused per-trial sequence (trial_full's shape).
-        let mut fused = RxState::new();
-        let mut want_stats = Vec::new();
-        rx.payload_statistics_known_timing_with(
-            &noisy,
-            slot0,
-            payload.len(),
-            &mut fused,
-            &mut want_stats,
-        );
-        let want_pkt = rx.receive_packet_predigitized(&mut fused).unwrap();
-
-        // Stage-split: digitize into an external lane, then run the back
-        // half and the acquisition pass from that lane.
-        let mut lane = vec![Complex::ONE; 7]; // junk prefix: append semantics
-        rx.digitize_append(&noisy, &mut lane);
-        let digitized = &lane[7..];
-        assert_eq!(digitized, &fused.digitized[..], "digitize_append parity");
-        let mut split = RxState::new();
-        let mut got_stats = Vec::new();
-        rx.payload_statistics_predigitized_with(
-            digitized,
-            slot0,
-            payload.len(),
-            &mut split,
-            &mut got_stats,
-        );
-        assert_eq!(
-            got_stats
-                .iter()
-                .map(|z| (z.re.to_bits(), z.im.to_bits()))
-                .collect::<Vec<_>>(),
-            want_stats
-                .iter()
+        let bits = |v: &[Complex]| {
+            v.iter()
                 .map(|z| (z.re.to_bits(), z.im.to_bits()))
                 .collect::<Vec<_>>()
-        );
-        let got_pkt = rx.receive_packet_from_record(digitized, &mut split).unwrap();
-        assert_eq!(got_pkt.payload, want_pkt.payload);
-        assert_eq!(got_pkt.header, want_pkt.header);
-        assert_eq!(got_pkt.acquisition, want_pkt.acquisition);
-        assert_eq!(got_pkt.estimate, want_pkt.estimate);
+        };
+
+        let want_stats = rx.payload_statistics_known_timing(&noisy, slot0, payload.len());
+        let want_pkt = rx.receive_packet(&noisy).unwrap();
+
+        let mut state = RxState::new();
+        let mut lane = Vec::new();
+        let mut got_stats = Vec::new();
+        for _ in 0..2 {
+            lane.clear();
+            lane.extend_from_slice(&[Complex::ONE; 7]); // junk prefix: append semantics
+            rx.digitize_append(&noisy, &mut lane);
+            let digitized = &lane[7..];
+            assert_eq!(digitized, &rx.digitize(&noisy)[..], "append parity");
+            rx.payload_statistics_predigitized_with(
+                digitized,
+                slot0,
+                payload.len(),
+                &mut state,
+                &mut got_stats,
+            );
+            assert_eq!(bits(&got_stats), bits(&want_stats));
+            let acq = rx.acquire_record(digitized, &mut state);
+            let got_pkt = rx
+                .receive_packet_acquired(digitized, &acq, &mut state)
+                .unwrap();
+            assert_eq!(got_pkt.payload, want_pkt.payload);
+            assert_eq!(got_pkt.header, want_pkt.header);
+            assert_eq!(got_pkt.acquisition, want_pkt.acquisition);
+            assert_eq!(got_pkt.estimate, want_pkt.estimate);
+        }
     }
 }

@@ -1,9 +1,7 @@
 //! Incremental, bounded-memory packet scanning over a sample stream.
 //!
-//! [`Gen2Receiver::receive_stream`] needs the whole capture resident and
-//! re-digitizes the entire remaining record on every attempt — O(record²)
-//! work on long captures. [`StreamRx`] runs the same acquire → decode → skip
-//! state machine *incrementally*: callers push arbitrarily sized blocks of
+//! [`StreamRx`] runs an acquire → decode → skip state machine
+//! *incrementally*: callers push arbitrarily sized blocks of
 //! complex-baseband samples, the receiver retains only a fixed window of
 //! history (about one preamble period of search slack plus one maximum frame
 //! span), and decoded packets come out tagged with their absolute sample
@@ -375,7 +373,9 @@ impl StreamRx {
         let a = self.cursor - self.base;
         let b = end - self.base;
         let _t = uwb_obs::span!("rx_agc_adc");
-        self.rx.digitize_into(&self.buf[a..b], &mut self.state.digitized);
+        self.state.digitized.clear();
+        self.rx
+            .digitize_append(&self.buf[a..b], &mut self.state.digitized);
         self.state.chanest_memo = None;
     }
 
@@ -412,7 +412,7 @@ mod tests {
         }
     }
 
-    /// Three noisy packets with silence gaps, as in the batch scan test.
+    /// Three noisy packets with silence gaps.
     fn three_packet_record() -> (Vec<Complex>, Vec<Vec<u8>>) {
         let tx = Gen2Transmitter::new(cfg()).unwrap();
         let payloads: Vec<Vec<u8>> = vec![
@@ -524,20 +524,6 @@ mod tests {
             cap_after_two,
             "history window kept growing"
         );
-    }
-
-    #[test]
-    fn matches_batch_scan_results() {
-        let (record, _) = three_packet_record();
-        let rx = Gen2Receiver::new(cfg()).unwrap();
-        #[allow(deprecated)]
-        let batch = rx.receive_stream(&record);
-        let streamed = run_stream(&record, 1024);
-        assert_eq!(streamed.len(), batch.len());
-        for ((s_off, s_payload), (b_off, b_packet)) in streamed.iter().zip(&batch) {
-            assert_eq!(s_payload, &b_packet.payload);
-            assert_eq!(s_off, b_off, "packet offsets diverged");
-        }
     }
 
     #[test]

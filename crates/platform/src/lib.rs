@@ -36,8 +36,8 @@ pub mod waveform;
 
 pub use link::{
     ber_waterfall, run_ber, run_ber_budgeted, run_ber_fast, run_ber_fast_budgeted,
-    run_ber_fast_streamed, run_ber_fast_streamed_budgeted, BerRun, CleanSynthesis, LinkOutcome,
-    LinkRun, LinkScenario, LinkStopReason, LinkWorker, TrialBudget, DEFAULT_STREAM_BLOCK,
+    run_ber_fast_streamed_tuned, BerRun, CleanSynthesis, LinkOutcome, LinkRun, LinkScenario,
+    LinkStopReason, LinkWorker, TrialBudget, DEFAULT_STREAM_BLOCK,
 };
 pub use mask::{check_mask, fcc_indoor_mask, MaskReport, MaskSegment};
 pub use metrics::ErrorCounter;

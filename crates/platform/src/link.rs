@@ -8,8 +8,20 @@
 //! interference, runs the gen2 receiver, and accumulates calibrated BER
 //! statistics.
 //!
-//! Since the deterministic parallel Monte-Carlo port, both [`run_ber`] and
-//! [`run_ber_fast`] execute on [`uwb_sim::montecarlo::MonteCarlo`]:
+//! Every trial synthesizes its record the same way:
+//! [`LinkWorker::synthesize_clean_streamed`] builds the clean record block by
+//! block (payload → frame → multipath channel → optional interferer), then
+//! one whole-record pass adds the calibrated receiver noise and, when
+//! enabled, the spectral monitor + notch. Two trial kernels read it:
+//!
+//! * [`LinkWorker::trial_full`] — known-timing BER plus the full
+//!   acquisition → header → CRC packet path, one trial at a time
+//!   ([`run_ber`], [`run_packet`]);
+//! * [`LinkWorker::trial_batch_ber_streamed`] — known-timing BER only, run
+//!   as stage sweeps over a batch of trials ([`run_ber_fast`],
+//!   [`run_ber_fast_streamed_tuned`]).
+//!
+//! Both runners execute on [`uwb_sim::montecarlo::MonteCarlo`]:
 //!
 //! * trial `t` draws its RNG from
 //!   [`uwb_sim::rng::derive_trial_seed`]`(scenario.seed, t)` (a splitmix64
@@ -31,11 +43,10 @@ use uwb_dsp::stream::BlockProcessor;
 use uwb_dsp::Complex;
 use uwb_phy::packet::{decode_payload_bits_into, reference_payload_bits_into};
 use uwb_phy::{
-    AcquisitionResult, Burst, FrameScratch, FrameSlots, Gen2Config, Gen2Receiver, Gen2Transmitter,
-    PhyError, RxState, SpectralMonitor,
+    Burst, FrameScratch, FrameSlots, Gen2Config, Gen2Receiver, Gen2Transmitter, PhyError, RxState,
+    SpectralMonitor,
 };
 use uwb_rf::TunableNotch;
-use uwb_sim::awgn::add_awgn_complex_in_place;
 use uwb_sim::montecarlo::{resolve_batch, Merge, MonteCarlo, RunStats, StopReason};
 use uwb_sim::stream::{StreamingAwgn, StreamingChannel, StreamingInterferer};
 use uwb_sim::sv_channel::{ChannelModel, ChannelRealization, Tap};
@@ -238,8 +249,8 @@ pub struct CleanSynthesis {
 ///
 /// The batched runtime holds all B in-flight waveforms in two flat
 /// [`BatchArena`]s (impaired records, then digitized records) plus
-/// per-trial sidecar vectors (synthesis metadata, payload snapshots,
-/// acquisition results). One instance lives next to each [`LinkWorker`]
+/// per-trial sidecar vectors (synthesis metadata, payload snapshots). One
+/// instance lives next to each [`LinkWorker`]
 /// and is reused across batches: `reset` keeps every buffer's capacity, so
 /// warm batches run allocation-free on the nominal path (enforced by the
 /// umbrella crate's counting-allocator gate).
@@ -255,8 +266,6 @@ pub struct BatchScratch {
     /// the largest batch seen); inner buffers are cleared and refilled in
     /// place, so steady-state batches never allocate here.
     payloads: Vec<Vec<u8>>,
-    /// Per-trial acquisition results (full-path batches only).
-    acq: Vec<AcquisitionResult>,
 }
 
 impl BatchScratch {
@@ -271,7 +280,6 @@ impl BatchScratch {
         self.records.clear();
         self.digitized.clear();
         self.clean.clear();
-        self.acq.clear();
     }
 }
 
@@ -303,6 +311,7 @@ pub struct LinkWorker {
     burst: Burst,
     payload: Vec<u8>,
     samples: Vec<Complex>,
+    digitized: Vec<Complex>,
     stats: Vec<Complex>,
     bits: Vec<bool>,
     ref_bits: Vec<bool>,
@@ -337,133 +346,42 @@ impl LinkWorker {
             },
             payload: Vec::new(),
             samples: Vec::new(),
+            digitized: Vec::new(),
             stats: Vec::new(),
             bits: Vec::new(),
             ref_bits: Vec::new(),
         }
     }
 
-    /// Synthesizes one impaired packet record into the worker's buffers
-    /// (`self.payload`, `self.samples`) and returns the known slot-0 start
-    /// — the shared front half of both the BER-only and the
-    /// full-acquisition paths. Allocation-free in steady state except for
-    /// the notch path.
-    fn synthesize(
-        &mut self,
-        scenario: &LinkScenario,
-        payload_len: usize,
-        rng: &mut Rand,
-    ) -> usize {
-        let config = &scenario.config;
-        {
-            let _t = uwb_obs::span!("tx");
-            self.payload.clear();
-            self.payload.resize(payload_len, 0);
-            rng.fill_bytes(&mut self.payload);
-            self.tx
-                .transmit_packet_into(&self.payload, &mut self.burst, &mut self.frame_scratch)
-                .expect("payload size");
-        }
-
-        // Channel (fresh realization per packet, taps regenerated in place).
-        let fs = config.sample_rate;
-        {
-            let _t = uwb_obs::span!("channel");
-            self.channel.regenerate(scenario.channel, rng);
-            self.channel.apply_into(
-                &self.burst.samples,
-                fs,
-                self.rx_state.scratch(),
-                &mut self.samples,
-            );
-        }
-
-        // Interference.
-        if let Some(intf) = &scenario.interferer {
-            let _t = uwb_obs::span!("interferer");
-            intf.add_to_in_place(&mut self.samples, fs.as_hz(), rng);
-        }
-
-        // Noise calibrated to Eb/N0 on information bits.
+    /// The back half of synthesis over one assembled clean record:
+    /// calibrated receiver noise replayed from the RNG state captured at
+    /// synthesis time, then the optional spectral monitor + tunable notch
+    /// (the paper's interferer defense). By the chunk-size invariance of
+    /// `StreamingAwgn`, one pass over the whole record draws exactly the
+    /// samples a per-block application would.
+    ///
+    /// The monitor and filter live in the worker; only the centre frequency
+    /// is re-tuned per record. The notch filter itself still allocates its
+    /// output (outside the zero-allocation steady-state contract), and the
+    /// monitor needs the whole record, which is why it runs after assembly.
+    fn impair(&mut self, scenario: &LinkScenario, clean: &CleanSynthesis, record: &mut [Complex]) {
         {
             let _t = uwb_obs::span!("awgn");
-            let eb = energy_per_info_bit(&self.burst.slots, self.payload.len());
-            let n0 = eb / uwb_dsp::math::db_to_pow(scenario.ebn0_db);
-            uwb_obs::note!("ebn0_milli_db", (scenario.ebn0_db * 1000.0) as i64 as u64);
-            add_awgn_complex_in_place(&mut self.samples, n0, rng);
+            let mut awgn = StreamingAwgn::new(clean.n0, clean.awgn_rng.clone());
+            awgn.process_block(record, self.rx_state.scratch());
         }
-
-        // Optional spectral monitoring + notch (the paper's interferer
-        // defense).
         if scenario.notch_enabled {
-            self.apply_notch(fs);
+            let _t = uwb_obs::span!("notch");
+            let report = self
+                .monitor
+                .analyze(record, scenario.config.sample_rate.as_hz());
+            if report.detected {
+                uwb_obs::event!("notch_retune", report.frequency.as_hz() as u64);
+                self.notch.tune(report.frequency);
+                let filtered = self.notch.process(record);
+                record.copy_from_slice(&filtered);
+            }
         }
-
-        self.burst.slot0_center - self.tx.pulse().len() / 2
-    }
-
-    /// Spectral monitoring + tunable notch over the assembled record. The
-    /// monitor and filter live in the worker; only the centre frequency is
-    /// re-tuned per record. The notch filter itself still allocates its
-    /// output (outside the zero-allocation steady-state contract), and the
-    /// monitor needs the whole record — both synthesis paths therefore run
-    /// it as a batch pass after assembly.
-    fn apply_notch(&mut self, fs: uwb_sim::time::SampleRate) {
-        // `mem::take` detaches the record so the lane variant can borrow it
-        // alongside `&mut self`; swap-restore, no allocation.
-        let mut samples = std::mem::take(&mut self.samples);
-        self.apply_notch_lane(fs, &mut samples);
-        self.samples = samples;
-    }
-
-    /// [`apply_notch`](Self::apply_notch) over an externally owned record —
-    /// one lane of the batched arena. Same monitor/tune/filter sequence; the
-    /// filtered output is copied back in place (the record length never
-    /// changes through the notch).
-    fn apply_notch_lane(&mut self, fs: uwb_sim::time::SampleRate, record: &mut [Complex]) {
-        let _t = uwb_obs::span!("notch");
-        let report = self.monitor.analyze(record, fs.as_hz());
-        if report.detected {
-            uwb_obs::event!("notch_retune", report.frequency.as_hz() as u64);
-            self.notch.tune(report.frequency);
-            let filtered = self.notch.process(record);
-            record.copy_from_slice(&filtered);
-        }
-    }
-
-    /// Block-based form of [`synthesize`](Self::synthesize): the impaired
-    /// record is built `block_len` samples at a time through the streaming
-    /// channel/interferer/noise operators, so no stage ever materializes a
-    /// whole-record intermediate of its own (the assembled record itself
-    /// still accumulates in `self.samples` because the known-timing BER
-    /// tail consumes a full record; the per-stage working set is O(block +
-    /// channel tail)).
-    ///
-    /// RNG draw order matches the batch path exactly: payload bytes →
-    /// channel realization → interferer starting phase → AWGN samples
-    /// (I then Q, ascending index). For AWGN-only, CW- and swept-interferer
-    /// scenarios the streamed record is therefore **bit-identical** to the
-    /// batch record for any `block_len`; multipath records agree to
-    /// numerical precision (direct-form vs FFT convolution) and modulated
-    /// interferers fork their symbol stream (see `uwb_sim::stream`).
-    ///
-    /// Internally this is [`synthesize_clean_streamed`](Self::synthesize_clean_streamed)
-    /// followed by one whole-record AWGN pass — by the chunk-size
-    /// invariance contract of `StreamingAwgn`, bit-identical to the
-    /// formerly interleaved per-block application.
-    fn synthesize_streamed(
-        &mut self,
-        scenario: &LinkScenario,
-        payload_len: usize,
-        block_len: usize,
-        rng: &mut Rand,
-    ) -> usize {
-        let clean = self.synthesize_clean_streamed(scenario, payload_len, block_len, rng);
-        self.apply_awgn_to_record(clean.n0, clean.awgn_rng);
-        if scenario.notch_enabled {
-            self.apply_notch(scenario.config.sample_rate);
-        }
-        clean.slot0_start
     }
 
     /// The noiseless front half of a streamed trial: payload → frame →
@@ -550,17 +468,15 @@ impl LinkWorker {
             self.stream_channel.configure(&self.channel, fs);
         }
 
-        // The streaming interferer draws its starting phase here — the same
-        // single draw, at the same RNG position, as the batch
-        // `add_to_in_place` call.
+        // The streaming interferer draws its starting phase here, right
+        // after the channel realization.
         let mut interferer = scenario
             .interferer
             .as_ref()
             .map(|i| StreamingInterferer::new(i, fs.as_hz(), rng));
 
         // Noise calibrated to Eb/N0 on information bits; the clone captures
-        // the RNG at exactly the state the batch path would start drawing
-        // noise from.
+        // the RNG at exactly the state the noise pass starts drawing from.
         let n0 = {
             let eb = energy_per_info_bit(&self.burst.slots, self.payload.len());
             eb / uwb_dsp::math::db_to_pow(scenario.ebn0_db)
@@ -590,8 +506,8 @@ impl LinkWorker {
         }
 
         // Multipath tail: the channel flushes its carried L-1 samples, which
-        // then pass through the downstream stages — the batch path's
-        // interferer also covers the convolution tail.
+        // then pass through the downstream stages — the interferer also
+        // covers the convolution tail.
         {
             let _t = uwb_obs::span!("channel");
             self.stream_channel.flush_into(record, scratch);
@@ -611,20 +527,11 @@ impl LinkWorker {
         }
     }
 
-    /// Applies calibrated receiver noise over the whole assembled record in
-    /// one pass. One `StreamingAwgn` pass over the full record draws
-    /// exactly the sample sequence the per-block interleaved application
-    /// drew (chunk-size invariance), so the result is bit-identical.
-    fn apply_awgn_to_record(&mut self, n0: f64, awgn_rng: Rand) {
-        let _t = uwb_obs::span!("awgn");
-        let mut awgn = StreamingAwgn::new(n0, awgn_rng);
-        awgn.process_block(&mut self.samples, self.rx_state.scratch());
-    }
-
-    /// The clean (or, after [`synthesize_streamed`](Self::synthesize_streamed),
-    /// impaired) record assembled by the most recent synthesis call. The
-    /// network simulator reads every transmitter's clean record through
-    /// this to build per-victim superpositions.
+    /// The record assembled by the most recent synthesis call: clean after
+    /// [`synthesize_clean_streamed`](Self::synthesize_clean_streamed),
+    /// impaired after [`trial_full`](Self::trial_full). The network
+    /// simulator reads every transmitter's clean record through this to
+    /// build per-victim superpositions.
     pub fn clean_record(&self) -> &[Complex] {
         &self.samples
     }
@@ -633,80 +540,21 @@ impl LinkWorker {
     /// network simulator snapshots these right after synthesizing a link's
     /// record so that a *shared* worker can later be handed back the right
     /// reference payload at decode time
-    /// (see [`count_errors_in_record_with_payload`](Self::count_errors_in_record_with_payload)).
+    /// (see [`count_errors_in_record`](Self::count_errors_in_record)).
     pub fn payload_bytes(&self) -> &[u8] {
         &self.payload
     }
 
-    /// Shared back half of the BER-only trials: known-timing statistics
-    /// over `self.samples`, decode, and error accumulation.
-    fn count_payload_errors(
-        &mut self,
-        scenario: &LinkScenario,
-        slot0_start: usize,
-        counter: &mut ErrorCounter,
-    ) {
-        // `mem::take` detaches the record so the external-record variant
-        // can borrow it alongside `&mut self`; swap-restore, no allocation.
-        let before = counter.errors;
-        let samples = std::mem::take(&mut self.samples);
-        self.count_errors_in_record(&scenario.config, &samples, slot0_start, counter);
-        self.samples = samples;
-        // BER-only trials never acquire; the flight recorder scores them on
-        // bit errors alone (no-op unless the engine armed this trial).
-        uwb_obs::recorder::observe(counter.errors - before, 0);
-    }
-
-    /// Known-timing BER back half over an *externally supplied* record —
-    /// the network simulator hands each victim receiver its mixed
-    /// (own + interference + noise) superposition rather than the worker's
-    /// private buffer. Returns `true` if the decoded payload was
-    /// error-free this trial (the network layer's per-round packet
-    /// success proxy). Expects the worker to still hold the payload and
-    /// frame produced by the matching synthesis call.
+    /// Known-timing BER decode of an *externally supplied* record — the
+    /// network and MAC simulators hand each victim receiver its mixed
+    /// (own + interference + noise) superposition. `payload` is the
+    /// snapshot taken at synthesis time (a pooled worker has synthesized
+    /// other links' records since). Digitizes into the worker's own buffer,
+    /// then statistics → decode → error count. Returns `true` if the decoded
+    /// payload was error-free (the per-packet success proxy).
+    /// Allocation-free in steady state.
     pub fn count_errors_in_record(
         &mut self,
-        config: &Gen2Config,
-        record: &[Complex],
-        slot0_start: usize,
-        counter: &mut ErrorCounter,
-    ) -> bool {
-        self.rx.payload_statistics_known_timing_with(
-            record,
-            slot0_start,
-            self.payload.len(),
-            &mut self.rx_state,
-            &mut self.stats,
-        );
-        let _t = uwb_obs::span!("rx_decode");
-        if decode_payload_bits_into(
-            &self.stats,
-            self.payload.len(),
-            config,
-            &mut self.frame_scratch,
-            &mut self.bits,
-        )
-        .is_ok()
-        {
-            let before = counter.errors;
-            reference_payload_bits_into(&self.payload, &mut self.frame_scratch, &mut self.ref_bits);
-            counter.add_bits(&self.ref_bits, &self.bits);
-            uwb_obs::hist!("trial_bit_errors", counter.errors - before);
-            uwb_obs::digest!("trial_bit_errors", counter.errors - before);
-            counter.errors == before
-        } else {
-            false
-        }
-    }
-
-    /// [`count_errors_in_record`](Self::count_errors_in_record) for a
-    /// *pooled* worker that has synthesized other links' records since this
-    /// link's: the caller supplies the payload snapshot taken at synthesis
-    /// time and the worker restores it before decoding. The copy is a few
-    /// dozen bytes into a warmed buffer — allocation-free in steady state.
-    pub fn count_errors_in_record_with_payload(
-        &mut self,
-        config: &Gen2Config,
         record: &[Complex],
         slot0_start: usize,
         payload: &[u8],
@@ -714,47 +562,36 @@ impl LinkWorker {
     ) -> bool {
         self.payload.clear();
         self.payload.extend_from_slice(payload);
-        self.count_errors_in_record(config, record, slot0_start, counter)
+        self.digitize_and_count(record, slot0_start, counter)
     }
 
-    /// [`count_errors_in_record_with_payload`](Self::count_errors_in_record_with_payload)
-    /// routed through the shared batched scratch: the AGC/ADC pass digitizes
-    /// the record into a scratch lane, then the predigitized back half
-    /// decodes from it. Same stage arithmetic and telemetry as the fused
-    /// path — bit-identical counters — with the digitized buffer owned by
-    /// the caller's [`BatchScratch`] instead of `RxState`, so a pooled
-    /// worker (the network simulator's) shares one arena across every link
-    /// it decodes for.
-    pub fn count_errors_in_record_with_payload_batched(
+    /// AGC/ADC of `record` into `self.digitized`, then the known-timing back
+    /// half over it. The digitized record stays in `self.digitized` for a
+    /// following acquisition pass.
+    fn digitize_and_count(
         &mut self,
-        config: &Gen2Config,
         record: &[Complex],
         slot0_start: usize,
-        payload: &[u8],
-        scratch: &mut BatchScratch,
         counter: &mut ErrorCounter,
     ) -> bool {
-        self.payload.clear();
-        self.payload.extend_from_slice(payload);
-        scratch.digitized.clear();
+        // `mem::take` detaches the buffer so the back half can read it
+        // alongside `&mut self`; swap-restore, no allocation.
+        let mut digitized = std::mem::take(&mut self.digitized);
+        digitized.clear();
         {
             let _t = uwb_obs::span!("rx_agc_adc");
-            let rx = &self.rx;
-            scratch
-                .digitized
-                .push_lane_with(|buf, _base| rx.digitize_append(record, buf));
+            self.rx.digitize_append(record, &mut digitized);
         }
-        self.count_errors_predigitized(config, scratch.digitized.lane(0), slot0_start, counter)
+        let ok = self.count_errors_predigitized(&digitized, slot0_start, counter);
+        self.digitized = digitized;
+        ok
     }
 
-    /// Known-timing BER back half over an already-digitized record (one
-    /// lane of the batched arena): statistics → decode → error count. Same
-    /// sequence as [`count_errors_in_record`](Self::count_errors_in_record)
-    /// minus the AGC/ADC pass, which the batched runtime runs as its own
-    /// stage sweep.
+    /// Known-timing BER back half over an already-digitized record:
+    /// statistics → decode → error count against `self.payload`. Returns
+    /// `true` if the payload decoded error-free.
     fn count_errors_predigitized(
         &mut self,
-        config: &Gen2Config,
         digitized: &[Complex],
         slot0_start: usize,
         counter: &mut ErrorCounter,
@@ -770,7 +607,7 @@ impl LinkWorker {
         if decode_payload_bits_into(
             &self.stats,
             self.payload.len(),
-            config,
+            self.rx.config(),
             &mut self.frame_scratch,
             &mut self.bits,
         )
@@ -787,38 +624,15 @@ impl LinkWorker {
         }
     }
 
-    /// BER-only trial: known-timing statistics path. Zero steady-state heap
-    /// allocation on the nominal configuration.
-    pub fn trial_ber(
-        &mut self,
-        scenario: &LinkScenario,
-        payload_len: usize,
-        rng: &mut Rand,
-        counter: &mut ErrorCounter,
-    ) {
-        let slot0_start = self.synthesize(scenario, payload_len, rng);
-        self.count_payload_errors(scenario, slot0_start, counter);
-    }
-
-    /// BER-only trial on the streamed synthesis path: the impaired record
-    /// is produced `block_len` samples at a time through the streaming
-    /// channel/interferer/noise operators (see
-    /// [`synthesize_streamed`](Self::synthesize_streamed) for the parity
-    /// contract). Zero steady-state heap allocation on the nominal
-    /// configuration, like [`trial_ber`](Self::trial_ber).
-    pub fn trial_ber_streamed(
-        &mut self,
-        scenario: &LinkScenario,
-        payload_len: usize,
-        block_len: usize,
-        rng: &mut Rand,
-        counter: &mut ErrorCounter,
-    ) {
-        let slot0_start = self.synthesize_streamed(scenario, payload_len, block_len, rng);
-        self.count_payload_errors(scenario, slot0_start, counter);
-    }
-
-    /// Full trial: BER path plus full-acquisition packet path.
+    /// Full trial: the clean record of
+    /// [`synthesize_clean_streamed`](Self::synthesize_clean_streamed) and
+    /// one whole-record [`impair`](Self::impair) pass, then the known-timing
+    /// BER path plus the full-acquisition packet path (acquire → header →
+    /// CRC → payload), both over one digitized record. The BER pass leaves
+    /// the channel-estimate memo pointing at the true frame start, so when
+    /// acquisition locks there the packet path skips the duplicate chanest
+    /// pass (bit-exact, see `RxState::chanest_memo`). Allocation-free in
+    /// steady state except for the notch path and the returned packet.
     pub fn trial_full(
         &mut self,
         scenario: &LinkScenario,
@@ -826,91 +640,68 @@ impl LinkWorker {
         rng: &mut Rand,
         outcome: &mut LinkOutcome,
     ) {
-        let slot0_start = self.synthesize(scenario, payload_len, rng);
+        let clean =
+            self.synthesize_clean_streamed(scenario, payload_len, DEFAULT_STREAM_BLOCK, rng);
         let ber_before = outcome.ber.errors;
+        // `mem::take` detaches the record so it can be read alongside
+        // `&mut self`; swap-restore, no allocation.
+        let mut samples = std::mem::take(&mut self.samples);
+        self.impair(scenario, &clean, &mut samples);
+        self.digitize_and_count(&samples, clean.slot0_start, &mut outcome.ber);
+        self.samples = samples;
 
-        // --- BER path: known timing. ---
-        self.rx.payload_statistics_known_timing_with(
-            &self.samples,
-            slot0_start,
-            self.payload.len(),
-            &mut self.rx_state,
-            &mut self.stats,
-        );
-        {
-            let _t = uwb_obs::span!("rx_decode");
-            if decode_payload_bits_into(
-                &self.stats,
-                self.payload.len(),
-                &scenario.config,
-                &mut self.frame_scratch,
-                &mut self.bits,
-            )
-            .is_ok()
-            {
-                let before = outcome.ber.errors;
-                reference_payload_bits_into(
-                    &self.payload,
-                    &mut self.frame_scratch,
-                    &mut self.ref_bits,
-                );
-                outcome.ber.add_bits(&self.ref_bits, &self.bits);
-                uwb_obs::hist!("trial_bit_errors", outcome.ber.errors - before);
-                uwb_obs::digest!("trial_bit_errors", outcome.ber.errors - before);
-            }
-        }
-
-        // --- Packet path: full acquisition. ---
-        // The BER path above just digitized this very record into
-        // `rx_state.digitized`; re-digitizing would reproduce it
-        // bit-for-bit, so start from the digitized record directly. When
-        // acquisition locks at the true frame start, the channel-estimate
-        // memo also skips the duplicate chanest pass (bit-exact, see
-        // `RxState::chanest_memo`).
         outcome.packets += 1;
-        let acq_metric_bits = match self.rx.receive_packet_predigitized(&mut self.rx_state) {
-            Ok(pkt) => {
-                if pkt.payload == self.payload {
-                    outcome.packets_ok += 1;
+        let acq = self.rx.acquire_record(&self.digitized, &mut self.rx_state);
+        let acq_metric_bits =
+            match self
+                .rx
+                .receive_packet_acquired(&self.digitized, &acq, &mut self.rx_state)
+            {
+                Ok(pkt) => {
+                    if pkt.payload == self.payload {
+                        outcome.packets_ok += 1;
+                    }
+                    pkt.acquisition.metric.to_bits()
                 }
-                pkt.acquisition.metric.to_bits()
-            }
-            Err(PhyError::SyncFailed) => {
-                outcome.sync_failures += 1;
-                0
-            }
-            Err(_) => 0,
-        };
+                Err(PhyError::SyncFailed) => {
+                    outcome.sync_failures += 1;
+                    0
+                }
+                Err(_) => 0,
+            };
         // Finalize the flight-recorder snapshot for this trial (no-op unless
         // the engine armed it): bit errors first, then the acquisition
         // confidence as tiebreak.
         uwb_obs::recorder::observe(outcome.ber.errors - ber_before, acq_metric_bits);
     }
 
-    /// The shared front half of both batched trial kinds, run as three
-    /// stage sweeps over the whole batch: (1) payload → frame → channel →
-    /// interferer, each trial's clean record appended to its own arena
-    /// lane; (2) calibrated AWGN (and the optional notch defense) over
-    /// every lane, replayed from each trial's captured RNG state; (3)
-    /// AGC/ADC, digitizing each lane into the second arena.
+    /// BER-only batched trial, run as four stage sweeps over `trials`:
+    /// (1) payload → frame → channel → interferer, each trial's clean record
+    /// appended to its own arena lane; (2) the [`impair`](Self::impair) pass
+    /// over every lane, replayed from each trial's captured RNG state;
+    /// (3) AGC/ADC, digitizing each lane into the second arena; (4)
+    /// known-timing statistics → decode → count, one trial at a time (the
+    /// receiver state is inherently per-trial).
     ///
     /// Every per-trial operation re-tags the telemetry trial index with
     /// `set_trial`, so spans, notes, and the flight recorder attribute work
     /// to the right trial even though the execution order interleaves
     /// stages across trials. Per-trial RNG streams are re-derived from the
-    /// scenario seed exactly as the unbatched engine path derives them —
-    /// each trial's draws are independent of batch width.
-    fn sweep_synthesize(
+    /// scenario seed exactly as the unbatched engine path derives them, so
+    /// counters, telemetry fingerprint, and flight-recorder report do not
+    /// depend on the batch width. Zero steady-state heap allocation once
+    /// the scratch has warmed.
+    pub fn trial_batch_ber_streamed(
         &mut self,
         scenario: &LinkScenario,
         payload_len: usize,
         block_len: usize,
         trials: Range<u64>,
         scratch: &mut BatchScratch,
+        counter: &mut ErrorCounter,
     ) {
         scratch.reset();
 
-        // Stage sweep 1: clean synthesis into the record lanes.
         for t in trials.clone() {
             uwb_obs::set_trial(t);
             let mut rng = Rand::for_trial(scenario.seed, t);
@@ -934,138 +725,34 @@ impl LinkWorker {
             scratch.payloads[i].extend_from_slice(&self.payload);
         }
 
-        // Stage sweep 2: receiver noise (and the optional notch defense),
-        // replayed per lane from the RNG state captured at synthesis time —
-        // bit-identical to the unbatched whole-record pass.
-        let fs = scenario.config.sample_rate;
         for (i, t) in trials.clone().enumerate() {
             uwb_obs::set_trial(t);
-            let n0 = scratch.clean[i].n0;
-            let awgn_rng = scratch.clean[i].awgn_rng.clone();
-            {
-                let _t = uwb_obs::span!("awgn");
-                let mut awgn = StreamingAwgn::new(n0, awgn_rng);
-                awgn.process_block(scratch.records.lane_mut(i), self.rx_state.scratch());
-            }
-            if scenario.notch_enabled {
-                self.apply_notch_lane(fs, scratch.records.lane_mut(i));
-            }
+            self.impair(scenario, &scratch.clean[i], scratch.records.lane_mut(i));
         }
 
-        // Stage sweep 3: AGC/ADC, each impaired lane digitized into the
-        // second arena.
-        for (i, t) in trials.enumerate() {
+        for (i, t) in trials.clone().enumerate() {
             uwb_obs::set_trial(t);
             let _t = uwb_obs::span!("rx_agc_adc");
             let BatchScratch {
                 records, digitized, ..
-            } = scratch;
+            } = &mut *scratch;
             let rx = &self.rx;
             digitized.push_lane_with(|buf, _base| rx.digitize_append(records.lane(i), buf));
         }
-    }
 
-    /// BER-only batched trial: runs the stage sweeps of
-    /// [`sweep_synthesize`](Self::sweep_synthesize) over `trials`, then a
-    /// final known-timing statistics → decode → count sweep. Counters,
-    /// telemetry fingerprint, and flight-recorder report are bit-identical
-    /// to running [`trial_ber_streamed`](Self::trial_ber_streamed) once per
-    /// trial — the batch width only changes execution order, never any
-    /// arithmetic or RNG stream. Zero steady-state heap allocation once the
-    /// scratch has warmed.
-    pub fn trial_batch_ber_streamed(
-        &mut self,
-        scenario: &LinkScenario,
-        payload_len: usize,
-        block_len: usize,
-        trials: Range<u64>,
-        scratch: &mut BatchScratch,
-        counter: &mut ErrorCounter,
-    ) {
-        self.sweep_synthesize(scenario, payload_len, block_len, trials.clone(), scratch);
-
-        // Stage sweep 4: chanest/rake/decode, one trial at a time (the
-        // receiver state is inherently per-trial).
         for (i, t) in trials.enumerate() {
             uwb_obs::set_trial(t);
             let before = counter.errors;
             self.payload.clear();
             self.payload.extend_from_slice(&scratch.payloads[i]);
             self.count_errors_predigitized(
-                &scenario.config,
                 scratch.digitized.lane(i),
                 scratch.clean[i].slot0_start,
                 counter,
             );
+            // BER-only trials never acquire; the flight recorder scores them
+            // on bit errors alone (no-op unless the engine armed this trial).
             uwb_obs::recorder::observe(counter.errors - before, 0);
-        }
-    }
-
-    /// Full batched trial (BER path plus full-acquisition packet path):
-    /// the stage sweeps of [`sweep_synthesize`](Self::sweep_synthesize),
-    /// then an acquisition sweep over every digitized lane — with the
-    /// correlator bank's template spectrum warmed **once per batch** rather
-    /// than looked up per trial — and finally the per-trial chanest/rake/
-    /// decode + packet-decode back half. Bit-identical outcome to running
-    /// [`trial_full`](Self::trial_full) on the streamed synthesis path once
-    /// per trial.
-    pub fn trial_batch_full_streamed(
-        &mut self,
-        scenario: &LinkScenario,
-        payload_len: usize,
-        block_len: usize,
-        trials: Range<u64>,
-        scratch: &mut BatchScratch,
-        outcome: &mut LinkOutcome,
-    ) {
-        self.sweep_synthesize(scenario, payload_len, block_len, trials.clone(), scratch);
-
-        // Stage sweep 4: coarse acquisition across every lane, over a
-        // template spectrum built once for the whole batch.
-        if scratch.digitized.lanes() > 0 {
-            self.rx.warm_acquisition(scratch.digitized.lane(0).len());
-        }
-        for (i, t) in trials.clone().enumerate() {
-            uwb_obs::set_trial(t);
-            let acq = self
-                .rx
-                .acquire_record(scratch.digitized.lane(i), &mut self.rx_state);
-            scratch.acq.push(acq);
-        }
-
-        // Stage sweep 5: known-timing BER path, then the packet decode from
-        // the already-swept acquisition, per trial.
-        for (i, t) in trials.enumerate() {
-            uwb_obs::set_trial(t);
-            let ber_before = outcome.ber.errors;
-            self.payload.clear();
-            self.payload.extend_from_slice(&scratch.payloads[i]);
-            self.count_errors_predigitized(
-                &scenario.config,
-                scratch.digitized.lane(i),
-                scratch.clean[i].slot0_start,
-                &mut outcome.ber,
-            );
-
-            outcome.packets += 1;
-            let acq_metric_bits = match self.rx.receive_packet_acquired(
-                scratch.digitized.lane(i),
-                &scratch.acq[i],
-                &mut self.rx_state,
-            ) {
-                Ok(pkt) => {
-                    if pkt.payload == self.payload {
-                        outcome.packets_ok += 1;
-                    }
-                    pkt.acquisition.metric.to_bits()
-                }
-                Err(PhyError::SyncFailed) => {
-                    outcome.sync_failures += 1;
-                    0
-                }
-                Err(_) => 0,
-            };
-            uwb_obs::recorder::observe(outcome.ber.errors - ber_before, acq_metric_bits);
         }
     }
 }
@@ -1138,9 +825,10 @@ pub fn run_ber_budgeted(
 }
 
 /// A lighter-weight BER-only runner that skips the full-acquisition packet
-/// path (several times faster; used for wide parameter sweeps). Runs in
-/// parallel on the deterministic Monte-Carlo engine: the returned counter
-/// is bit-identical for any `UWB_THREADS`.
+/// path (several times faster; used for wide parameter sweeps). Runs the
+/// batched kernel on the deterministic Monte-Carlo engine at `UWB_BATCH` /
+/// `UWB_THREADS`: the returned counter is bit-identical for any batch width
+/// and thread count.
 pub fn run_ber_fast(
     scenario: &LinkScenario,
     payload_len: usize,
@@ -1164,59 +852,10 @@ pub fn run_ber_fast_budgeted(
     max_bits: u64,
     budget: TrialBudget,
 ) -> BerRun {
-    let out = MonteCarlo::new(scenario.seed, budget.max_trials).run(
-        || LinkWorker::new(scenario),
-        |w, _trial, rng, acc: &mut ErrorCounter| w.trial_ber(scenario, payload_len, rng, acc),
-        |acc| acc.errors >= target_errors || acc.total >= max_bits,
-    );
-    let stop = classify_stop(out.stats.stop_reason, &out.value, target_errors);
-    BerRun {
-        counter: out.value,
-        stop,
-        stats: out.stats,
-    }
-}
-
-/// [`run_ber_fast`] on the streamed synthesis path: every trial builds its
-/// impaired record [`DEFAULT_STREAM_BLOCK`] samples at a time instead of
-/// whole-record stage-by-stage. For AWGN-only, CW- and swept-interferer
-/// scenarios the returned counter is **bit-identical** to [`run_ber_fast`]
-/// (and, like it, bit-identical for any `UWB_THREADS`).
-pub fn run_ber_fast_streamed(
-    scenario: &LinkScenario,
-    payload_len: usize,
-    target_errors: u64,
-    max_bits: u64,
-) -> BerRun {
-    run_ber_fast_streamed_budgeted(
-        scenario,
-        payload_len,
-        DEFAULT_STREAM_BLOCK,
-        target_errors,
-        max_bits,
-        TrialBudget::default(),
-    )
-}
-
-/// [`run_ber_fast_streamed`] with an explicit block length and trial
-/// budget. Since the structure-of-arrays port this runs on the **batched**
-/// engine path ([`MonteCarlo::run_batched`]): each worker sweeps every DSP
-/// stage across `UWB_BATCH` consecutive trials (default
-/// [`uwb_sim::montecarlo::DEFAULT_BATCH`]) before moving to the next
-/// stage. Counters, telemetry fingerprint, and worst-trial report are
-/// bit-identical for any batch width and any `UWB_THREADS`.
-pub fn run_ber_fast_streamed_budgeted(
-    scenario: &LinkScenario,
-    payload_len: usize,
-    block_len: usize,
-    target_errors: u64,
-    max_bits: u64,
-    budget: TrialBudget,
-) -> BerRun {
     run_ber_fast_streamed_tuned(
         scenario,
         payload_len,
-        block_len,
+        DEFAULT_STREAM_BLOCK,
         target_errors,
         max_bits,
         budget,
@@ -1225,9 +864,13 @@ pub fn run_ber_fast_streamed_budgeted(
     )
 }
 
-/// [`run_ber_fast_streamed_budgeted`] with explicit batch width and worker
-/// thread count overrides (`None` → `UWB_BATCH` / `UWB_THREADS`) — the
-/// hook the batch-invariance tests and benchmarks drive.
+/// [`run_ber_fast_budgeted`] with an explicit synthesis block length, batch
+/// width and worker thread count (`None` → `UWB_BATCH` / `UWB_THREADS`) —
+/// the hook the batch-invariance tests and benchmarks drive. Each worker
+/// sweeps every DSP stage across `batch` consecutive trials
+/// ([`MonteCarlo::run_batched`]) before moving to the next stage. Counters,
+/// telemetry fingerprint, and worst-trial report are bit-identical for any
+/// batch width, block length and thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn run_ber_fast_streamed_tuned(
     scenario: &LinkScenario,
@@ -1440,80 +1083,68 @@ mod tests {
         );
     }
 
+    /// Exact counters of both runners on three fixed-seed scenarios. The
+    /// values were captured at commit a25bf54, when `run_ber_budgeted` and
+    /// `run_ber_fast_budgeted` still synthesized whole records (FFT channel,
+    /// one-shot AWGN): AWGN, CW and notch records are bit-identical on the
+    /// streamed path, so any drift here is a behaviour change.
     #[test]
-    fn streamed_trial_matches_batch_awgn_bitwise() {
-        // AWGN-only: the streamed record is bit-identical to the batch
-        // record for every block partition, so the counters must agree
-        // exactly — and be independent of the block length.
-        let sc = LinkScenario::awgn(small_config(), 4.0, 31);
-        let batch = run_ber_fast(&sc, 32, 60, 120_000);
-        for block_len in [64usize, 1024, DEFAULT_STREAM_BLOCK, usize::MAX / 2] {
-            let streamed = run_ber_fast_streamed_budgeted(
-                &sc,
-                32,
-                block_len,
-                60,
-                120_000,
-                TrialBudget::default(),
-            );
-            assert_eq!(streamed.counter, batch.counter, "block {block_len}");
-            assert_eq!(streamed.stop, batch.stop, "block {block_len}");
+    fn runner_counters_are_pinned() {
+        let mut notch_cfg = small_config();
+        notch_cfg.adc_bits = 5;
+        let cases = [
+            (
+                LinkScenario::awgn(small_config(), 6.0, 51),
+                (10_752, 47, 17, 0),
+                (8_960, 41, LinkStopReason::TargetErrors),
+            ),
+            (
+                LinkScenario {
+                    interferer: Some(Interferer::cw(150e6, 0.2)),
+                    ..LinkScenario::awgn(small_config(), 8.0, 53)
+                },
+                (10_752, 83, 24, 0),
+                (7_168, 51, LinkStopReason::TargetErrors),
+            ),
+            (
+                LinkScenario {
+                    interferer: Some(Interferer::cw(150e6, 10.0)),
+                    notch_enabled: true,
+                    ..LinkScenario::awgn(notch_cfg, 10.0, 55)
+                },
+                (10_752, 1, 47, 0),
+                (80_640, 1, LinkStopReason::BitBudget),
+            ),
+        ];
+        for (sc, (bits, errors, ok, sync_failures), (fast_bits, fast_errors, fast_stop)) in cases {
+            let full =
+                run_ber_budgeted(&sc, 24, u64::MAX, u64::MAX, TrialBudget { max_trials: 48 });
+            let want = LinkOutcome {
+                ber: ErrorCounter {
+                    total: bits,
+                    errors,
+                },
+                packets: 48,
+                packets_ok: ok,
+                sync_failures,
+            };
+            let seed = sc.seed;
+            assert_eq!(full.outcome, want, "run_ber_budgeted, seed {seed}");
+            let fast =
+                run_ber_fast_budgeted(&sc, 24, 40, 80_000, TrialBudget { max_trials: 2_000 });
+            let want = ErrorCounter {
+                total: fast_bits,
+                errors: fast_errors,
+            };
+            assert_eq!(fast.counter, want, "run_ber_fast_budgeted, seed {seed}");
+            assert_eq!(fast.stop, fast_stop, "run_ber_fast_budgeted, seed {seed}");
         }
     }
 
     #[test]
-    fn streamed_trial_matches_batch_with_cw_interferer() {
-        // The CW interferer draws one phase at the same RNG position in
-        // both paths; the streamed counter must match bit-for-bit.
-        let base = LinkScenario::awgn(small_config(), 8.0, 33);
-        let sc = LinkScenario {
-            interferer: Some(Interferer::cw(150e6, 2.0)),
-            ..base
-        };
-        let batch = run_ber_fast(&sc, 24, 50, 80_000);
-        let streamed = run_ber_fast_streamed(&sc, 24, 50, 80_000);
-        assert_eq!(streamed.counter, batch.counter);
-    }
-
-    #[test]
-    fn streamed_trial_matches_batch_with_notch() {
-        // Notch path: both paths assemble the record first, then run the
-        // same monitor + filter over it.
-        let mut cfg = small_config();
-        cfg.adc_bits = 5;
-        let sc = LinkScenario {
-            interferer: Some(Interferer::cw(150e6, 10.0)),
-            notch_enabled: true,
-            ..LinkScenario::awgn(cfg, 10.0, 35)
-        };
-        let batch = run_ber_fast(&sc, 24, 40, 60_000);
-        let streamed = run_ber_fast_streamed(&sc, 24, 40, 60_000);
-        assert_eq!(streamed.counter, batch.counter);
-    }
-
-    #[test]
-    fn streamed_multipath_matches_batch_decisions() {
-        // Multipath records agree only to numerical precision (direct-form
-        // vs FFT convolution), so the contract is decision-level: both
-        // paths observe the same number of bits and (allowing the odd
-        // borderline decision to flip either way) the same errors.
-        let sc = LinkScenario {
-            channel: ChannelModel::Cm1,
-            ..LinkScenario::awgn(small_config(), 15.0, 37)
-        };
-        let batch = run_ber_fast(&sc, 32, 10, 3_000);
-        let streamed = run_ber_fast_streamed(&sc, 32, 10, 3_000);
-        assert_eq!(streamed.total, batch.total);
-        assert!(
-            streamed.errors.abs_diff(batch.errors) <= 2,
-            "streamed {streamed} vs batch {batch}"
-        );
-    }
-
-    #[test]
     fn streamed_single_trial_is_block_invariant_multipath() {
-        // Even where the batch path differs numerically, the streamed path
-        // must be invariant to its own block partition, per trial.
+        // The streamed synthesis must be invariant to its block partition,
+        // multipath tail included.
         let sc = LinkScenario {
             channel: ChannelModel::Cm3,
             ..LinkScenario::awgn(small_config(), 6.0, 39)
@@ -1521,10 +1152,8 @@ mod tests {
         let run = |block_len: usize| {
             let mut w = LinkWorker::new(&sc);
             let mut c = ErrorCounter::default();
-            for t in 0..3 {
-                let mut rng = Rand::for_trial(sc.seed, t);
-                w.trial_ber_streamed(&sc, 48, block_len, &mut rng, &mut c);
-            }
+            let mut scratch = BatchScratch::new();
+            w.trial_batch_ber_streamed(&sc, 48, block_len, 0..3, &mut scratch, &mut c);
             c
         };
         let reference = run(usize::MAX / 2);
@@ -1541,11 +1170,9 @@ mod tests {
 
     #[test]
     fn batched_ber_trials_match_unbatched_bitwise() {
-        // The stage-sweep path re-derives every trial's RNG stream and runs
-        // the exact same arithmetic as the one-trial-at-a-time streamed
-        // path, so the counter must agree bit-for-bit for every batch
-        // width — including on multipath, where both paths share the
-        // streamed convolution.
+        // The stage-sweep path re-derives every trial's RNG stream, so the
+        // counter must agree bit-for-bit with one trial per batch for every
+        // batch width — multipath included.
         for sc in [
             LinkScenario::awgn(small_config(), 4.0, 41),
             LinkScenario {
@@ -1556,11 +1183,18 @@ mod tests {
             let trials = 8u64;
             let mut reference = ErrorCounter::default();
             let mut w = LinkWorker::new(&sc);
+            let mut scratch = BatchScratch::new();
             for t in 0..trials {
-                let mut rng = Rand::for_trial(sc.seed, t);
-                w.trial_ber_streamed(&sc, 32, DEFAULT_STREAM_BLOCK, &mut rng, &mut reference);
+                w.trial_batch_ber_streamed(
+                    &sc,
+                    32,
+                    DEFAULT_STREAM_BLOCK,
+                    t..t + 1,
+                    &mut scratch,
+                    &mut reference,
+                );
             }
-            for batch in [1u64, 2, 4, 8] {
+            for batch in [2u64, 4, 8] {
                 let mut w = LinkWorker::new(&sc);
                 let mut scratch = BatchScratch::new();
                 let mut c = ErrorCounter::default();
@@ -1579,40 +1213,6 @@ mod tests {
                 }
                 assert_eq!(c, reference, "batch {batch} ({:?})", sc.channel);
             }
-        }
-    }
-
-    #[test]
-    fn batched_full_trials_match_trial_full_awgn() {
-        // On AWGN the streamed record is bit-identical to the batch record,
-        // so the batched full path (stage-swept acquisition + packet
-        // decode) must reproduce `trial_full`'s outcome exactly.
-        let sc = LinkScenario::awgn(small_config(), 6.0, 45);
-        let trials = 6u64;
-        let mut reference = LinkOutcome::default();
-        let mut w = LinkWorker::new(&sc);
-        for t in 0..trials {
-            let mut rng = Rand::for_trial(sc.seed, t);
-            w.trial_full(&sc, 24, &mut rng, &mut reference);
-        }
-        for batch in [1u64, 3, 8] {
-            let mut w = LinkWorker::new(&sc);
-            let mut scratch = BatchScratch::new();
-            let mut outcome = LinkOutcome::default();
-            let mut lo = 0;
-            while lo < trials {
-                let hi = (lo + batch).min(trials);
-                w.trial_batch_full_streamed(
-                    &sc,
-                    24,
-                    DEFAULT_STREAM_BLOCK,
-                    lo..hi,
-                    &mut scratch,
-                    &mut outcome,
-                );
-                lo = hi;
-            }
-            assert_eq!(outcome, reference, "batch {batch}");
         }
     }
 
@@ -1640,37 +1240,22 @@ mod tests {
     }
 
     #[test]
-    fn batched_decode_with_payload_matches_fused() {
-        // The network simulator's batched decode entry point must agree
-        // bit-for-bit with the fused record path it replaces.
+    fn record_decode_matches_trial_full_ber() {
+        // The network simulator's decode entry point, handed the impaired
+        // record and payload of a full trial, counts exactly the bits that
+        // trial's known-timing pass counted.
         let sc = LinkScenario::awgn(small_config(), 5.0, 49);
         let mut w = LinkWorker::new(&sc);
+        let mut outcome = LinkOutcome::default();
         let mut rng = Rand::for_trial(sc.seed, 0);
-        let clean = w.synthesize_clean_streamed(&sc, 32, DEFAULT_STREAM_BLOCK, &mut rng);
-        w.apply_awgn_to_record(clean.n0, clean.awgn_rng.clone());
+        w.trial_full(&sc, 32, &mut rng, &mut outcome);
         let record = w.clean_record().to_vec();
         let payload = w.payload_bytes().to_vec();
+        let slot0 = w.burst.slot0_center - w.tx.pulse().len() / 2;
 
-        let mut fused = ErrorCounter::default();
-        let ok_fused = w.count_errors_in_record_with_payload(
-            &sc.config,
-            &record,
-            clean.slot0_start,
-            &payload,
-            &mut fused,
-        );
-
-        let mut scratch = BatchScratch::new();
-        let mut batched = ErrorCounter::default();
-        let ok_batched = w.count_errors_in_record_with_payload_batched(
-            &sc.config,
-            &record,
-            clean.slot0_start,
-            &payload,
-            &mut scratch,
-            &mut batched,
-        );
-        assert_eq!(ok_fused, ok_batched);
-        assert_eq!(fused, batched);
+        let mut counter = ErrorCounter::default();
+        let ok = w.count_errors_in_record(&record, slot0, &payload, &mut counter);
+        assert_eq!(counter, outcome.ber);
+        assert_eq!(ok, counter.errors == 0);
     }
 }

@@ -76,13 +76,10 @@ pub struct Rand {
     spare: Option<f64>,
     /// SoA lane states for the block generator: `lanes[j][i]` is word `j`
     /// of lane `i`'s xoshiro256++ state.
-    #[cfg(not(feature = "precise"))]
     lanes: [[u64; GAUSS_LANES]; 4],
     /// Carry buffer of already-generated gaussians (`batch[batch_pos..]`
     /// are still unconsumed).
-    #[cfg(not(feature = "precise"))]
     batch: [f64; GAUSS_BATCH],
-    #[cfg(not(feature = "precise"))]
     batch_pos: usize,
 }
 
@@ -100,25 +97,18 @@ impl Rand {
         // The block-generator lanes continue the same splitmix64 stream, so
         // the main xoshiro state (and every pre-existing pinned stream) is
         // unchanged by their presence.
-        #[cfg(not(feature = "precise"))]
-        {
-            let mut lanes = [[0u64; GAUSS_LANES]; 4];
-            for i in 0..GAUSS_LANES {
-                for word in lanes.iter_mut() {
-                    word[i] = splitmix64(&mut sm);
-                }
-            }
-            Rand {
-                s,
-                spare: None,
-                lanes,
-                batch: [0.0; GAUSS_BATCH],
-                batch_pos: GAUSS_BATCH,
+        let mut lanes = [[0u64; GAUSS_LANES]; 4];
+        for i in 0..GAUSS_LANES {
+            for word in lanes.iter_mut() {
+                word[i] = splitmix64(&mut sm);
             }
         }
-        #[cfg(feature = "precise")]
-        {
-            Rand { s, spare: None }
+        Rand {
+            s,
+            spare: None,
+            lanes,
+            batch: [0.0; GAUSS_BATCH],
+            batch_pos: GAUSS_BATCH,
         }
     }
 
@@ -234,40 +224,29 @@ impl Rand {
     /// requests were partitioned (chunk-size invariance, tested).
     ///
     /// This is a **different stream** from the scalar [`Rand::gaussian`]:
-    /// the two share a seed but not draws, and their values differ. With
-    /// the `precise` feature the block path is replaced by sequential
-    /// scalar draws (bit-identical to a `gaussian()` loop), restoring the
-    /// pre-vectorization noise stream at matched seeds.
+    /// the two share a seed but not draws, and their values differ.
     ///
     /// Per-pair math: `u1 = (k1 + 1)·2⁻⁵³ ∈ (0, 1]` (no rejection loop —
     /// `u1 = 1` gives radius 0), `u2 = k2·2⁻⁵³ ∈ [0, 1)`, then
     /// `r = √(−2 ln u1)` and the pair is `(r·cos τu2, r·sin τu2)`, matching
     /// the scalar draw's cos-then-sin order.
     pub fn fill_gaussian(&mut self, out: &mut [f64]) {
-        #[cfg(feature = "precise")]
-        for o in out.iter_mut() {
-            *o = self.gaussian();
-        }
-        #[cfg(not(feature = "precise"))]
-        {
-            let mut filled = 0;
-            while filled < out.len() {
-                if self.batch_pos == GAUSS_BATCH {
-                    self.refill_gaussian_batch();
-                }
-                let n = (out.len() - filled).min(GAUSS_BATCH - self.batch_pos);
-                out[filled..filled + n]
-                    .copy_from_slice(&self.batch[self.batch_pos..self.batch_pos + n]);
-                self.batch_pos += n;
-                filled += n;
+        let mut filled = 0;
+        while filled < out.len() {
+            if self.batch_pos == GAUSS_BATCH {
+                self.refill_gaussian_batch();
             }
+            let n = (out.len() - filled).min(GAUSS_BATCH - self.batch_pos);
+            out[filled..filled + n]
+                .copy_from_slice(&self.batch[self.batch_pos..self.batch_pos + n]);
+            self.batch_pos += n;
+            filled += n;
         }
     }
 
     /// Advances all [`GAUSS_LANES`] lane generators one step, writing each
     /// lane's xoshiro256++ output to `out`. Both loops are lane-wise
     /// independent, so they lower to vector shifts/rotates/adds.
-    #[cfg(not(feature = "precise"))]
     #[inline]
     // Index form keeps the four state rows visibly in lockstep per lane;
     // an iterator chain over one row would obscure that and change nothing.
@@ -294,7 +273,6 @@ impl Rand {
     /// in four flat passes (raw draws → uniforms, batched `ln`, batched
     /// `sin`/`cos`, combine). All scratch lives on the stack — the warm
     /// path stays allocation-free.
-    #[cfg(not(feature = "precise"))]
     fn refill_gaussian_batch(&mut self) {
         const PAIRS: usize = GAUSS_BATCH / 2;
         const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
@@ -483,7 +461,6 @@ mod tests {
         assert!(v.iter().all(|x| x.is_finite()));
     }
 
-    #[cfg(not(feature = "precise"))]
     #[test]
     fn fill_gaussian_is_a_distinct_stream_from_scalar() {
         // Documented contract: the block stream shares the seed, not the
@@ -502,19 +479,6 @@ mod tests {
             let a = r.gaussian();
             let b = clean.gaussian();
             assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[cfg(feature = "precise")]
-    #[test]
-    fn fill_gaussian_precise_matches_scalar_bitwise() {
-        // With the precise feature, the block API is the scalar stream.
-        let mut r = Rand::new(55);
-        let mut block = vec![0.0; 33];
-        r.fill_gaussian(&mut block);
-        let mut s = Rand::new(55);
-        for (i, b) in block.iter().enumerate() {
-            assert_eq!(b.to_bits(), s.gaussian().to_bits(), "sample {i}");
         }
     }
 

@@ -165,9 +165,7 @@ proptest! {
 }
 
 /// The block stream must never perturb the scalar stream (they draw from
-/// independent generator state). Only true off the `precise` feature, where
-/// `fill_gaussian` intentionally *is* the scalar stream.
-#[cfg(not(feature = "precise"))]
+/// independent generator state).
 mod block_stream_independence {
     use super::*;
 

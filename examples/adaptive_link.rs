@@ -1,14 +1,14 @@
 //! Link adaptation walkthrough: the receiver measures the channel and
 //! reconfigures itself (paper §3: trading power, complexity, QoS and rate) —
 //! and every chosen operating point is then *verified* by measuring its BER
-//! on the streamed fast path (`run_ber_fast_streamed`), block by block, the
-//! way the real-time platform would.
+//! on the fast path (`run_ber_fast`), whose records are synthesized block
+//! by block, the way the real-time platform would.
 //!
 //! Run with: `cargo run --release --example adaptive_link`
 
 use uwb::phy::power::PowerModel;
 use uwb::phy::{ChannelConditions, Gen2Config, LinkAdapter};
-use uwb::platform::link::{run_ber_fast_streamed, LinkScenario};
+use uwb::platform::link::{run_ber_fast, LinkScenario};
 use uwb::sim::{ChannelModel, ChannelRealization, Rand};
 
 fn main() {
@@ -90,7 +90,7 @@ fn main() {
             notch_enabled: false,
             seed: 0xADA9 ^ snr_db.to_bits(),
         };
-        let measured = run_ber_fast_streamed(&scenario, 32, 50, 40_000);
+        let measured = run_ber_fast(&scenario, 32, 50, 40_000);
         println!(
             "  measured (streamed): BER {:.2e} over {} bits [{}]\n",
             measured.rate(),

@@ -18,7 +18,6 @@ use uwb_net::{plan_network, NetAccumulator, NetScenario, NetWorker};
 use uwb_phy::Gen2Config;
 use uwb_platform::link::{BatchScratch, LinkScenario, LinkWorker};
 use uwb_platform::ErrorCounter;
-use uwb_sim::Rand;
 
 /// System allocator wrapper that counts every allocation entry point.
 ///
@@ -75,17 +74,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
-/// Steady-state gen2 fast-path trials allocate nothing: warm one trial,
-/// then run many more and require the global allocation counter to stand
+/// Steady-state gen2 fast-path trials allocate nothing: warm a few
+/// batches, then run many more and require the allocation counter to stand
 /// still. Uses the same smoke scenario as the Monte-Carlo engine and
-/// `dspbench` (AWGN, `preamble_repeats = 2`, 24-byte payload).
-///
-/// The same gate covers the *streamed* synthesis path
-/// (`trial_ber_streamed`): after warm-up, block-based trials must also add
-/// zero allocations — the streaming operators draw all per-block workspace
-/// from the worker's scratch pool and carry their state in reused storage.
-/// (Both sections live in this one `#[test]` so no concurrent test can
-/// pollute the counter.)
+/// `dspbench` (AWGN, `preamble_repeats = 2`, 24-byte payload) on the
+/// batched stage-sweep kernel, 8 trials per batch: the batch arenas,
+/// payload snapshots, synthesis metadata, and the streaming operators'
+/// per-block workspace all ratchet to their high-water capacity during
+/// warm-up. (Every section lives in this one `#[test]` so no concurrent
+/// test can pollute the counter.)
 #[test]
 fn gen2_fast_path_steady_state_is_allocation_free() {
     let config = Gen2Config {
@@ -96,60 +93,11 @@ fn gen2_fast_path_steady_state_is_allocation_free() {
     let mut worker = LinkWorker::new(&scenario);
     let mut counter = ErrorCounter::default();
 
-    // Warm-up: builds FFT plans (cached per thread), sizes every pooled
-    // buffer in the worker, and settles the payload/frame storage.
-    for t in 0..3 {
-        let mut rng = Rand::for_trial(scenario.seed, t);
-        worker.trial_ber(&scenario, 24, &mut rng, &mut counter);
-    }
-
-    let before = thread_allocs();
-    for t in 0..200 {
-        let mut rng = Rand::for_trial(scenario.seed, t);
-        worker.trial_ber(&scenario, 24, &mut rng, &mut counter);
-    }
-    let after = thread_allocs();
-
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state fast-path trials must not allocate ({} allocations \
-         across 200 trials)",
-        after - before
-    );
-    // Sanity: the loop actually demodulated bits.
-    assert!(counter.total > 0, "trials produced no bits");
-
-    // --- Streamed synthesis path: same contract at a finite block size. ---
     const BLOCK: usize = 4096;
-    // Warm the streamed path's own storage (streaming channel taps/history).
-    for t in 0..3 {
-        let mut rng = Rand::for_trial(scenario.seed, t);
-        worker.trial_ber_streamed(&scenario, 24, BLOCK, &mut rng, &mut counter);
-    }
-
-    let before = thread_allocs();
-    for t in 0..200 {
-        let mut rng = Rand::for_trial(scenario.seed, t);
-        worker.trial_ber_streamed(&scenario, 24, BLOCK, &mut rng, &mut counter);
-    }
-    let after = thread_allocs();
-
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state streamed trials must not allocate ({} allocations \
-         across 200 trials at block {})",
-        after - before,
-        BLOCK
-    );
-
-    // --- Batched stage-sweep path: same contract, 8 trials per batch. ---
-    // The batch arenas, payload snapshots, and synthesis-metadata vectors
-    // all ratchet to their high-water capacity during warm-up; warm batches
-    // must add zero allocations.
     const BATCH: u64 = 8;
     let mut scratch = BatchScratch::new();
+    // Warm-up: builds FFT plans (cached per thread) and sizes every pooled
+    // buffer in the worker and the scratch.
     for b in 0..3 {
         worker.trial_batch_ber_streamed(
             &scenario,
@@ -182,6 +130,8 @@ fn gen2_fast_path_steady_state_is_allocation_free() {
         after - before,
         BATCH
     );
+    // Sanity: the loop actually demodulated bits.
+    assert!(counter.total > 0, "trials produced no bits");
 
     // --- Network warm path: a 2-link co-channel piconet round must also
     //     be allocation-free. Each round runs two full clean syntheses,

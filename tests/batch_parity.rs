@@ -126,10 +126,9 @@ fn env_batch_override_matches_explicit_batch() {
     // Serialize against other tests in this binary touching the env.
     std::env::set_var("UWB_BATCH", "4");
     std::env::set_var("UWB_THREADS", "1");
-    let via_env = uwb_platform::link::run_ber_fast_streamed_budgeted(
+    let via_env = uwb_platform::link::run_ber_fast_budgeted(
         &scenario(),
         PAYLOAD_LEN,
-        DEFAULT_STREAM_BLOCK,
         TARGET_ERRORS,
         MAX_BITS,
         BUDGET,

@@ -1,6 +1,6 @@
 //! Repo-level gates for the streaming signal chain (`scripts/check.sh
-//! stream`): the chunk-size invariance contract, end-to-end batch parity,
-//! and bounded receiver memory.
+//! stream`): the chunk-size invariance contract and bounded receiver
+//! memory.
 //!
 //! The property under test is the one that makes block streaming *safe to
 //! adopt everywhere*: the partition of a record into blocks is
@@ -13,8 +13,6 @@ use std::sync::OnceLock;
 use uwb::dsp::stream::BlockProcessor;
 use uwb::dsp::{Complex, DspScratch};
 use uwb::phy::{Gen2Config, Gen2Transmitter, ReceivedPacket, StreamRx};
-use uwb::platform::link::{LinkScenario, LinkWorker};
-use uwb::platform::ErrorCounter;
 use uwb::sim::stream::{StreamingAwgn, StreamingChannel, StreamingInterferer};
 use uwb::sim::sv_channel::{ChannelModel, ChannelRealization};
 use uwb::sim::time::SampleRate;
@@ -136,25 +134,6 @@ proptest! {
                 "sample {} differs: {:?} vs {:?} (blocks {:?})", i, s, w, &blocks
             );
         }
-    }
-
-    /// The streamed link trial is bit-identical to the batch trial on the
-    /// AWGN scenario for any block length, seed, and payload size.
-    #[test]
-    fn streamed_link_trial_matches_batch(
-        seed in 0u64..500,
-        block_len in 1usize..20_000,
-        payload_len in 8usize..64,
-    ) {
-        let sc = LinkScenario::awgn(small_config(), 5.0, seed);
-        let mut worker = LinkWorker::new(&sc);
-        let mut batch = ErrorCounter::default();
-        let mut rng = Rand::for_trial(sc.seed, 0);
-        worker.trial_ber(&sc, payload_len, &mut rng, &mut batch);
-        let mut streamed = ErrorCounter::default();
-        let mut rng = Rand::for_trial(sc.seed, 0);
-        worker.trial_ber_streamed(&sc, payload_len, block_len, &mut rng, &mut streamed);
-        prop_assert_eq!(batch, streamed);
     }
 
     /// `StreamRx` decodes the same packets (offsets and payloads) no matter

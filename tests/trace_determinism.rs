@@ -10,8 +10,9 @@
 //! on the `UWB_THREADS` environment variable.
 
 use uwb_phy::Gen2Config;
-use uwb_platform::link::{LinkScenario, LinkWorker};
+use uwb_platform::link::{BatchScratch, LinkScenario, LinkWorker, DEFAULT_STREAM_BLOCK};
 use uwb_platform::ErrorCounter;
+use uwb_sim::montecarlo::DEFAULT_BATCH;
 use uwb_sim::MonteCarlo;
 
 const SEED: u64 = 20050307;
@@ -24,14 +25,20 @@ fn scenario() -> LinkScenario {
     LinkScenario::awgn(config, 6.0, SEED)
 }
 
-/// A small engine-backed link run with an explicit worker count.
+/// A small engine-backed batched link run with an explicit worker count.
 fn link_run(threads: usize) -> uwb_sim::montecarlo::RunOutcome<ErrorCounter> {
     let sc = scenario();
-    MonteCarlo::new(SEED, 48).threads(threads).chunk_size(8).run(
-        || LinkWorker::new(&sc),
-        |w, _trial, rng, acc: &mut ErrorCounter| w.trial_ber(&sc, 24, rng, acc),
-        |_| false,
-    )
+    MonteCarlo::new(SEED, 48)
+        .threads(threads)
+        .chunk_size(8)
+        .run_batched(
+            DEFAULT_BATCH,
+            || (LinkWorker::new(&sc), BatchScratch::new()),
+            |(w, scratch): &mut (LinkWorker, BatchScratch), trials, acc: &mut ErrorCounter| {
+                w.trial_batch_ber_streamed(&sc, 24, DEFAULT_STREAM_BLOCK, trials, scratch, acc)
+            },
+            |_| false,
+        )
 }
 
 #[test]

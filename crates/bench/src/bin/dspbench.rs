@@ -40,6 +40,7 @@ use uwb_bench::tracked::{check_against, time_us, MetricPolicy};
 use uwb_bench::EXPERIMENT_SEED;
 use uwb_dsp::correlation::{circular_autocorrelation, cross_correlate_fft_into};
 use uwb_dsp::fft::{cached_plan, fft_convolve_real_into, fft_plans_built, Fft};
+use uwb_dsp::stream::BlockProcessor;
 use uwb_dsp::{Complex, DspScratch};
 use uwb_phy::{AcquisitionConfig, CoarseAcquisition, Gen2Config};
 use uwb_platform::link::{
@@ -47,7 +48,7 @@ use uwb_platform::link::{
 };
 use uwb_platform::ErrorCounter;
 use uwb_sim::montecarlo::resolve_batch;
-use uwb_sim::Rand;
+use uwb_sim::{ChannelModel, ChannelRealization, Rand, SampleRate, StreamingChannel};
 
 /// One measured kernel: name + median microseconds per call.
 struct Kernel {
@@ -193,6 +194,30 @@ fn run_kernels() -> Vec<Kernel> {
                 for rec in &records {
                     let _ = acq.acquire_with(rec, 1277, &mut scratch);
                 }
+            }),
+        });
+    }
+
+    // 7. Streamed multipath convolution at the link block shape: one
+    //    fixed-seed CM1 realization, configured once, over a 4096-sample
+    //    block. The cost is taps × 4096 complex multiply-adds; each call
+    //    restarts from the same input so the data never drifts.
+    {
+        let fs = SampleRate::from_gsps(1.0);
+        let ch = ChannelRealization::generate(ChannelModel::Cm1, &mut Rand::new(24));
+        let mut conv = StreamingChannel::from_realization(&ch, fs);
+        println!(
+            "stream_channel_cm1_4096: {} taps × 4096 samples per call",
+            conv.tail_len() + 1
+        );
+        let input = noise_complex(4096, 25);
+        let mut block = input.clone();
+        let mut scratch = DspScratch::new();
+        out.push(Kernel {
+            name: "stream_channel_cm1_4096",
+            us_per_call: time_us(50, 15, || {
+                block.copy_from_slice(&input);
+                conv.process_block(&mut block, &mut scratch);
             }),
         });
     }

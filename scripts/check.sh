@@ -20,8 +20,11 @@
 #                             the 1k-user city trace acceptance run, and a
 #                             trace-export smoke (`smoke --trace`)
 #   scripts/check.sh stream   streaming gate: chunk-size-invariance /
-#                             bounded-memory tests, then the allocation
-#                             gate (covers the streamed trial)
+#                             bounded-memory tests, the uwb-sim stream::
+#                             unit tests (tiled channel kernel bit-parity
+#                             against the one-output-at-a-time oracle,
+#                             flushed tail included), then the allocation
+#                             gate (covers the streamed trial, AWGN and CM1)
 #   scripts/check.sh net      network gate: builds uwb-net, runs its unit +
 #                             acceptance tests (isolation bit-parity,
 #                             co-channel contention, thread determinism),
@@ -113,6 +116,8 @@ obs() {
 stream() {
     echo "== stream: chunk-size invariance + bounded memory =="
     cargo test -q --release --test stream_parity
+    echo "== stream: tiled channel kernel bit-parity (uwb-sim stream:: units) =="
+    cargo test -q --release -p uwb-sim --lib stream::
     echo "== stream: zero-allocation warm streamed trial =="
     cargo test -q --release --test alloc_regression
 }

@@ -81,7 +81,8 @@ static COUNTING: CountingAlloc = CountingAlloc;
 /// batched stage-sweep kernel, 8 trials per batch: the batch arenas,
 /// payload snapshots, synthesis metadata, and the streaming operators'
 /// per-block workspace all ratchet to their high-water capacity during
-/// warm-up. (Every section lives in this one `#[test]` so no concurrent
+/// warm-up. A CM1 section then holds the multi-tap channel convolution to
+/// the same gate. (Every section lives in this one `#[test]` so no concurrent
 /// test can pollute the counter.)
 #[test]
 fn gen2_fast_path_steady_state_is_allocation_free() {
@@ -132,6 +133,53 @@ fn gen2_fast_path_steady_state_is_allocation_free() {
     );
     // Sanity: the loop actually demodulated bits.
     assert!(counter.total > 0, "trials produced no bits");
+
+    // --- Multipath: the same batched kernel on CM1 (256-byte payload, the
+    //     benchmark's multipath link shape) exercises the multi-tap
+    //     convolution and its per-block `[history | block]` workspace. CM1
+    //     tail lengths vary per realization, so a new trial range could
+    //     legitimately grow the arena once more: the gate warms one fixed
+    //     range and replays exactly that range. ---
+    let cm1 = LinkScenario {
+        channel: uwb_sim::ChannelModel::Cm1,
+        ebn0_db: 10.0,
+        ..scenario.clone()
+    };
+    let mut cm1_worker = LinkWorker::new(&cm1);
+    let mut cm1_counter = ErrorCounter::default();
+    let mut cm1_scratch = BatchScratch::new();
+    let range = 0..BATCH;
+    cm1_worker.trial_batch_ber_streamed(
+        &cm1,
+        256,
+        BLOCK,
+        range.clone(),
+        &mut cm1_scratch,
+        &mut cm1_counter,
+    );
+
+    let before = thread_allocs();
+    for _ in 0..3 {
+        cm1_worker.trial_batch_ber_streamed(
+            &cm1,
+            256,
+            BLOCK,
+            range.clone(),
+            &mut cm1_scratch,
+            &mut cm1_counter,
+        );
+    }
+    let after = thread_allocs();
+
+    assert_eq!(
+        after - before,
+        0,
+        "replayed CM1 batched trials must not allocate ({} allocations \
+         across 3 replays of {} trials)",
+        after - before,
+        BATCH
+    );
+    assert!(cm1_counter.total > 0, "CM1 trials produced no bits");
 
     // --- Network warm path: a 2-link co-channel piconet round must also
     //     be allocation-free. Each round runs two full clean syntheses,

@@ -1,48 +1,38 @@
 //! dspbench — tracked micro-benchmarks for the zero-allocation DSP kernel
 //! layer (the perf anchor for `scripts/check.sh bench`).
 //!
-//! Measures the FFT/correlation kernels that dominate the Monte-Carlo link
-//! trials, plus single-threaded end-to-end trial throughput, and emits a
-//! machine-readable JSON report:
+//! Times the FFT/correlation kernels that dominate the Monte-Carlo link
+//! trials (gated), single-threaded end-to-end trial throughput
+//! (informational), the FFT-plan count of the link path (an exact pin), and
+//! the paper §1 digital-back-end blocks the power model is built from
+//! (informational; EXPERIMENTS.md "Back-end block timings"):
 //!
 //! ```text
 //! cargo run -p uwb-bench --release --bin dspbench -- --out BENCH_dsp.json
 //! cargo run -p uwb-bench --release --bin dspbench -- --check BENCH_dsp.json --tol 15
 //! ```
 //!
-//! `--check` exits non-zero if any kernel regresses by more than `--tol`
-//! percent (default 15) against the committed baseline. Absolute timings
-//! move between machines; the regression gate therefore compares *this*
-//! machine's fresh run against the committed numbers only when asked to
-//! (CI runs on stable hardware; see EXPERIMENTS.md for methodology).
-//!
-//! The JSON schema (`uwb-dspbench-v1`) is flat on purpose so the checker
-//! needs no real JSON parser:
-//!
-//! ```json
-//! {
-//!   "schema": "uwb-dspbench-v1",
-//!   "kernels_us": { "<name>": <median-microseconds-per-call>, ... },
-//!   "throughput_tps": { "full_path": <trials/s>, "fast_path_batched": <trials/s> },
-//!   "stage_ns_per_trial": { "stage:<name>": <ns-per-trial>, ... },
-//!   "fft_plans_built": <count>
-//! }
-//! ```
-//!
-//! `stage_ns_per_trial` is the per-stage wall-clock profile of the full-path
-//! throughput loop (uwb-obs stage timers; empty when the `obs`
-//! feature is off). Keys are prefixed `stage:` and the regression checker
-//! skips them — the profile is informational, never a CI gate.
+//! The command line, report schema and check are `uwb_bench::tracked`'s;
+//! the stage profile is that of the full-path throughput loop.
 
+use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
-use uwb_bench::tracked::{check_against, time_us, MetricPolicy};
+use uwb_adc::{InterleaveMismatch, InterleavedAdc, SarAdc};
+use uwb_bench::tracked::{self, noise_complex, time_us, Metric, MetricPolicy::*, Suite};
 use uwb_bench::EXPERIMENT_SEED;
-use uwb_dsp::correlation::{circular_autocorrelation, cross_correlate_fft_into};
+use uwb_dsp::correlation::{
+    circular_autocorrelation, cross_correlate, cross_correlate_fft, cross_correlate_fft_into,
+};
 use uwb_dsp::fft::{cached_plan, fft_convolve_real_into, fft_plans_built, Fft};
 use uwb_dsp::stream::BlockProcessor;
-use uwb_dsp::{Complex, DspScratch};
-use uwb_phy::{AcquisitionConfig, CoarseAcquisition, Gen2Config};
+use uwb_dsp::{Complex, DspScratch, Window};
+use uwb_phy::chanest::{estimate_cir, ChannelEstimate};
+use uwb_phy::mlse::{apply_symbol_channel, MlseEqualizer};
+use uwb_phy::{
+    AcquisitionConfig, CoarseAcquisition, ConvCode, Gen2Config, Gen2Receiver, Gen2Transmitter,
+    RakeReceiver,
+};
 use uwb_platform::link::{
     BatchScratch, LinkOutcome, LinkScenario, LinkWorker, DEFAULT_STREAM_BLOCK,
 };
@@ -50,17 +40,26 @@ use uwb_platform::ErrorCounter;
 use uwb_sim::montecarlo::resolve_batch;
 use uwb_sim::{ChannelModel, ChannelRealization, Rand, SampleRate, StreamingChannel};
 
-/// One measured kernel: name + median microseconds per call.
-struct Kernel {
-    name: &'static str,
-    us_per_call: f64,
+/// Trials of each throughput loop.
+const TRIALS: u64 = 400;
+
+fn main() -> ExitCode {
+    tracked::main("dspbench", suite)
 }
 
-fn noise_complex(n: usize, seed: u64) -> Vec<Complex> {
-    let mut rng = Rand::new(seed);
-    (0..n)
-        .map(|_| Complex::new(rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)))
-        .collect()
+/// Throughput first, on a cold plan cache, so `fft_plans_built` reports
+/// exactly how many distinct transform sizes the link path planned (each
+/// once). The kernel timings would otherwise pre-populate the cache.
+fn suite() -> Suite {
+    let (throughput, telemetry) = run_throughput();
+    let mut metrics = run_kernels();
+    metrics.extend(throughput);
+    metrics.extend(backend_blocks());
+    Suite {
+        metrics,
+        telemetry,
+        trials: TRIALS,
+    }
 }
 
 fn noise_real(n: usize, seed: u64) -> Vec<f64> {
@@ -68,7 +67,7 @@ fn noise_real(n: usize, seed: u64) -> Vec<f64> {
     (0..n).map(|_| rng.uniform_in(-1.0, 1.0)).collect()
 }
 
-fn run_kernels() -> Vec<Kernel> {
+fn run_kernels() -> Vec<Metric> {
     let mut out = Vec::new();
 
     // 1. 4096-point forward FFT through the thread-local plan cache,
@@ -76,25 +75,27 @@ fn run_kernels() -> Vec<Kernel> {
     {
         let plan = cached_plan(4096);
         let mut buf = noise_complex(4096, 1);
-        out.push(Kernel {
-            name: "fft4096_planned_fwd",
-            us_per_call: time_us(100, 15, || {
+        out.push(Metric::us(
+            "fft4096_planned_fwd",
+            time_us(100, 15, || {
                 plan.forward_in_place(&mut buf);
             }),
-        });
+            Gate,
+        ));
     }
 
     // 2. The same transform with the plan rebuilt per call — what every
     //    FFT cost before the plan cache (kept as a reference point).
     {
         let mut buf = noise_complex(4096, 2);
-        out.push(Kernel {
-            name: "fft4096_unplanned_fwd",
-            us_per_call: time_us(50, 15, || {
+        out.push(Metric::us(
+            "fft4096_unplanned_fwd",
+            time_us(50, 15, || {
                 let plan = Fft::new(4096);
                 plan.forward_in_place(&mut buf);
             }),
-        });
+            Gate,
+        ));
     }
 
     // 2b. 4096-point forward f32 SoA FFT (the acquisition correlator
@@ -102,14 +103,19 @@ fn run_kernels() -> Vec<Kernel> {
     {
         let plan = uwb_dsp::fft32::cached_plan32(4096);
         let mut rng = Rand::new(21);
-        let mut re: Vec<f32> = (0..4096).map(|_| rng.uniform_in(-1.0, 1.0) as f32).collect();
-        let mut im: Vec<f32> = (0..4096).map(|_| rng.uniform_in(-1.0, 1.0) as f32).collect();
-        out.push(Kernel {
-            name: "fft32_4096_planned_fwd",
-            us_per_call: time_us(100, 15, || {
+        let mut re: Vec<f32> = (0..4096)
+            .map(|_| rng.uniform_in(-1.0, 1.0) as f32)
+            .collect();
+        let mut im: Vec<f32> = (0..4096)
+            .map(|_| rng.uniform_in(-1.0, 1.0) as f32)
+            .collect();
+        out.push(Metric::us(
+            "fft32_4096_planned_fwd",
+            time_us(100, 15, || {
                 plan.forward_in_place(&mut re, &mut im);
             }),
-        });
+            Gate,
+        ));
     }
 
     // 2c. Block Gaussian generation at the AWGN per-trial shape (4096
@@ -117,12 +123,13 @@ fn run_kernels() -> Vec<Kernel> {
     {
         let mut rng = Rand::new(22);
         let mut buf = vec![0.0f64; 4096];
-        out.push(Kernel {
-            name: "fill_gaussian_4096",
-            us_per_call: time_us(200, 15, || {
+        out.push(Metric::us(
+            "fill_gaussian_4096",
+            time_us(200, 15, || {
                 rng.fill_gaussian(&mut buf);
             }),
-        });
+            Gate,
+        ));
     }
 
     // 2d. Fused AGC scale + ADC quantization at the digitizer shape
@@ -131,12 +138,13 @@ fn run_kernels() -> Vec<Kernel> {
         let q = uwb_adc::Quantizer::new(5, 1.0);
         let input = noise_complex(2560, 23);
         let mut out_buf = Vec::new();
-        out.push(Kernel {
-            name: "quantize_scaled_2560x5b",
-            us_per_call: time_us(200, 15, || {
+        out.push(Metric::us(
+            "quantize_scaled_2560x5b",
+            time_us(200, 15, || {
                 q.quantize_scaled_into(&input, 1.7, &mut out_buf);
             }),
-        });
+            Gate,
+        ));
     }
 
     // 3. Packed real convolution (pulse shaping / template construction
@@ -146,12 +154,13 @@ fn run_kernels() -> Vec<Kernel> {
         let b = noise_real(257, 4);
         let mut scratch = DspScratch::new();
         let mut conv = Vec::new();
-        out.push(Kernel {
-            name: "fft_convolve_real_2000x257",
-            us_per_call: time_us(50, 15, || {
+        out.push(Metric::us(
+            "fft_convolve_real_2000x257",
+            time_us(50, 15, || {
                 fft_convolve_real_into(&a, &b, &mut scratch, &mut conv);
             }),
-        });
+            Gate,
+        ));
     }
 
     // 4. FFT cross-correlation at the channel-estimation shape:
@@ -161,24 +170,26 @@ fn run_kernels() -> Vec<Kernel> {
         let tpl = noise_complex(1277, 6);
         let mut scratch = DspScratch::new();
         let mut corr = Vec::new();
-        out.push(Kernel {
-            name: "cross_correlate_fft_2555x1277",
-            us_per_call: time_us(30, 15, || {
+        out.push(Metric::us(
+            "cross_correlate_fft_2555x1277",
+            time_us(30, 15, || {
                 cross_correlate_fft_into(&sig, &tpl, &mut scratch, &mut corr);
             }),
-        });
+            Gate,
+        ));
     }
 
     // 5. Circular autocorrelation of a 1024-chip code (PN-code analysis
     //    path; O(n²) before the FFT fold).
     {
         let x = noise_real(1024, 7);
-        out.push(Kernel {
-            name: "circular_autocorr_1024",
-            us_per_call: time_us(15, 15, || {
+        out.push(Metric::us(
+            "circular_autocorr_1024",
+            time_us(15, 15, || {
                 let _ = circular_autocorrelation(&x);
             }),
-        });
+            Gate,
+        ));
     }
 
     // 6. Eight coarse acquisitions (one default batch of records) against
@@ -188,14 +199,15 @@ fn run_kernels() -> Vec<Kernel> {
         let acq = CoarseAcquisition::new(tpl, AcquisitionConfig::with_clock(2e9));
         let records: Vec<Vec<Complex>> = (0..8).map(|i| noise_complex(2555, 9 + i)).collect();
         let mut scratch = DspScratch::new();
-        out.push(Kernel {
-            name: "batched_acquisition_B8",
-            us_per_call: time_us(10, 15, || {
+        out.push(Metric::us(
+            "batched_acquisition_B8",
+            time_us(10, 15, || {
                 for rec in &records {
                     let _ = acq.acquire_with(rec, 1277, &mut scratch);
                 }
             }),
-        });
+            Gate,
+        ));
     }
 
     // 7. Streamed multipath convolution at the link block shape: one
@@ -206,32 +218,20 @@ fn run_kernels() -> Vec<Kernel> {
         let fs = SampleRate::from_gsps(1.0);
         let ch = ChannelRealization::generate(ChannelModel::Cm1, &mut Rand::new(24));
         let mut conv = StreamingChannel::from_realization(&ch, fs);
-        println!(
-            "stream_channel_cm1_4096: {} taps × 4096 samples per call",
-            conv.tail_len() + 1
-        );
         let input = noise_complex(4096, 25);
         let mut block = input.clone();
         let mut scratch = DspScratch::new();
-        out.push(Kernel {
-            name: "stream_channel_cm1_4096",
-            us_per_call: time_us(50, 15, || {
+        out.push(Metric::us(
+            "stream_channel_cm1_4096",
+            time_us(50, 15, || {
                 block.copy_from_slice(&input);
                 conv.process_block(&mut block, &mut scratch);
             }),
-        });
+            Gate,
+        ));
     }
 
     out
-}
-
-/// The two end-to-end throughput figures plus the loop-wide FFT-plan count
-/// and the full-path stage profile.
-struct Throughput {
-    full_tps: f64,
-    fast_batched_tps: f64,
-    plans_built: u64,
-    telemetry: uwb_obs::Telemetry,
 }
 
 /// Single-threaded end-to-end trial throughput on the smoke scenario
@@ -240,14 +240,15 @@ struct Throughput {
 ///
 /// Two loops, one per trial kernel: the unbatched full path, then the
 /// known-timing BER path on the batched stage-sweep runtime at `UWB_BATCH`
-/// (default `DEFAULT_BATCH`) trials per batch. `plans_built` counts the FFT plans
-/// constructed over the whole section *including* warm-up — in the steady state this must equal the
+/// (default `DEFAULT_BATCH`) trials per batch. Returns the two trials/s
+/// rows, the `fft_plans_built` row, and the per-stage profile of the timed
+/// unbatched full-path loop (empty when the `obs` feature is off).
+/// `fft_plans_built` counts the FFT plans constructed over the whole
+/// section *including* warm-up — in the steady state this must equal the
 /// number of distinct transform sizes the link path touches (each size
-/// planned exactly once, never per trial), so the JSON number stays O(1)
-/// no matter how many trials run — and `telemetry` is the per-stage
-/// profile of the timed unbatched full-path loop (empty when the `obs`
-/// feature is off).
-fn run_throughput(trials: u64) -> Throughput {
+/// planned exactly once, never per trial), so it stays O(1) no matter how
+/// many trials run.
+fn run_throughput() -> (Vec<Metric>, uwb_obs::Telemetry) {
     let config = Gen2Config {
         preamble_repeats: 2,
         ..Gen2Config::nominal_100mbps()
@@ -265,11 +266,11 @@ fn run_throughput(trials: u64) -> Throughput {
     // timed loop below.
     let _ = uwb_obs::take_thread_telemetry();
     let t0 = Instant::now();
-    for t in 0..trials {
+    for t in 0..TRIALS {
         let mut rng = Rand::for_trial(scenario.seed, t);
         worker.trial_full(&scenario, 24, &mut rng, &mut outcome);
     }
-    let full_tps = trials as f64 / t0.elapsed().as_secs_f64();
+    let full_tps = TRIALS as f64 / t0.elapsed().as_secs_f64();
     let telemetry = uwb_obs::take_thread_telemetry();
 
     // Batched known-timing BER path: `UWB_BATCH` (default
@@ -284,14 +285,14 @@ fn run_throughput(trials: u64) -> Throughput {
         &scenario,
         24,
         DEFAULT_STREAM_BLOCK,
-        0..batch.min(trials.max(1)),
+        0..batch.min(TRIALS),
         &mut scratch,
         &mut counter,
     );
     let t0 = Instant::now();
     let mut lo = 0;
-    while lo < trials {
-        let hi = (lo + batch).min(trials);
+    while lo < TRIALS {
+        let hi = (lo + batch).min(TRIALS);
         worker.trial_batch_ber_streamed(
             &scenario,
             24,
@@ -302,140 +303,232 @@ fn run_throughput(trials: u64) -> Throughput {
         );
         lo = hi;
     }
-    let fast_batched_tps = trials as f64 / t0.elapsed().as_secs_f64();
+    let fast_batched_tps = TRIALS as f64 / t0.elapsed().as_secs_f64();
+    let plans_built = (fft_plans_built() - plans_before) as f64;
 
-    Throughput {
-        full_tps,
-        fast_batched_tps,
-        plans_built: fft_plans_built() - plans_before,
-        telemetry,
-    }
+    let rows = vec![
+        Metric::new("full_path", full_tps, "trials/s", 1, InfoHigherBetter),
+        Metric::new(
+            "fast_path_batched",
+            fast_batched_tps,
+            "trials/s",
+            1,
+            InfoHigherBetter,
+        ),
+        Metric::new("fft_plans_built", plans_built, "count", 0, Exact),
+    ];
+    (rows, telemetry)
 }
 
-fn render_json(
-    kernels: &[Kernel],
-    tp: &Throughput,
-    trials: u64,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"uwb-dspbench-v1\",\n");
-    s.push_str("  \"kernels_us\": {\n");
-    for (i, k) in kernels.iter().enumerate() {
-        let comma = if i + 1 == kernels.len() { "" } else { "," };
-        s.push_str(&format!("    \"{}\": {:.3}{comma}\n", k.name, k.us_per_call));
-    }
-    s.push_str("  },\n");
-    s.push_str("  \"throughput_tps\": {\n");
-    s.push_str(&format!("    \"full_path\": {:.1},\n", tp.full_tps));
-    s.push_str(&format!(
-        "    \"fast_path_batched\": {:.1}\n",
-        tp.fast_batched_tps
-    ));
-    s.push_str("  },\n");
-    // Informational stage profile ("stage:"-prefixed keys are skipped by the
-    // regression checker). ns per trial, not per call, so stages that run
-    // more than once per trial still sum to the trial budget.
-    s.push_str("  \"stage_ns_per_trial\": {\n");
-    let stages = &tp.telemetry.stages;
-    for (i, st) in stages.iter().enumerate() {
-        let comma = if i + 1 == stages.len() { "" } else { "," };
-        let per_trial = st.ns as f64 / trials.max(1) as f64;
-        s.push_str(&format!("    \"stage:{}\": {per_trial:.0}{comma}\n", st.name));
-    }
-    s.push_str("  },\n");
-    s.push_str(&format!("  \"fft_plans_built\": {}\n", tp.plans_built));
-    s.push_str("}\n");
-    s
-}
+/// The paper §1 digital-back-end blocks (Fig. 3: acquisition, channel
+/// estimate, RAKE, Viterbi, MLSE), the DSP substrate under them, the S-V
+/// channel generator, whole gen2 packets and the ADC models at line rate:
+/// the timings EXPERIMENTS.md's back-end table records and the power model
+/// (E10) scales from. Informational: they track trends, not a gate.
+fn backend_blocks() -> Vec<Metric> {
+    let mut out = Vec::new();
+    let mut row = |name, us| out.push(Metric::us(name, us, InfoLowerBetter));
 
-/// Metric policy for the `uwb-dspbench-v1` schema: kernel times are the
-/// gate; end-to-end trials/s is too load-sensitive to gate CI on and the
-/// `stage:` profile is wall-clock, machine- and feature-dependent.
-fn metric_policy(key: &str) -> MetricPolicy {
-    if key == "schema" || key == "fft_plans_built" || key.starts_with("stage:") {
-        MetricPolicy::Skip
-    } else if matches!(key, "full_path" | "fast_path_batched") {
-        MetricPolicy::InfoHigherBetter
-    } else {
-        MetricPolicy::Gate
-    }
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut tol_pct = 15.0;
-    let mut trials = 400u64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out_path = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--check" => {
-                check_path = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--tol" => {
-                tol_pct = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(tol_pct);
-                i += 2;
-            }
-            "--trials" => {
-                trials = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(trials);
-                i += 2;
-            }
-            other => {
-                eprintln!(
-                    "dspbench: unknown argument {other}\n\
-                     usage: dspbench [--out PATH] [--check BASELINE [--tol PCT]] [--trials N]"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    // Throughput first, on a cold plan cache, so `fft_plans_built` reports
-    // exactly how many distinct transform sizes the link path planned (each
-    // once). The kernel section would otherwise pre-populate the cache.
-    let tp = run_throughput(trials);
-    let kernels = run_kernels();
-    let json = render_json(&kernels, &tp, trials);
-
-    for k in &kernels {
-        println!("{:<34} {:>10.2} µs/call", k.name, k.us_per_call);
-    }
-    println!("{:<34} {:>10.1} trials/s (1 thread)", "full_path", tp.full_tps);
-    println!(
-        "{:<34} {:>10.1} trials/s (1 thread, B={})",
-        "fast_path_batched", tp.fast_batched_tps, resolve_batch(None)
+    // Substrate: an allocating 1024-point FFT through a prebuilt plan,
+    // direct vs FFT correlation, and a Welch PSD.
+    let fft = Fft::new(1024);
+    let x: Vec<Complex> = (0..1024).map(|i| Complex::cis(0.1 * i as f64)).collect();
+    row(
+        "fft1024_fwd",
+        time_us(200, 15, || {
+            black_box(fft.forward(black_box(&x)));
+        }),
     );
-    println!("{:<34} {:>10}", "fft_plans_built", tp.plans_built);
+    let sig: Vec<Complex> = (0..8192).map(|i| Complex::cis(0.03 * i as f64)).collect();
+    let tpl = sig[100..356].to_vec();
+    row(
+        "correlate_direct_8192x256",
+        time_us(2, 5, || {
+            black_box(cross_correlate(black_box(&sig), &tpl));
+        }),
+    );
+    row(
+        "correlate_fft_8192x256",
+        time_us(10, 5, || {
+            black_box(cross_correlate_fft(black_box(&sig), &tpl));
+        }),
+    );
+    let sig: Vec<Complex> = (0..16_384).map(|i| Complex::cis(0.01 * i as f64)).collect();
+    row(
+        "welch_psd_16k_1024seg",
+        time_us(10, 5, || {
+            black_box(uwb_dsp::psd::welch(
+                black_box(&sig),
+                1e9,
+                1024,
+                Window::Hann,
+            ));
+        }),
+    );
 
-    // Per-stage profile of the full-path loop (uwb-obs stage timers).
-    let profile = uwb_platform::report::stage_table(&tp.telemetry);
-    if !profile.is_empty() {
-        println!("\nfull-path stage profile ({trials} trials):");
-        print!("{profile}");
+    // Acquisition over one full preamble period and a 64-tap, 3-period
+    // channel estimate, on a clean 16-byte gen2 burst.
+    let cfg = Gen2Config {
+        preamble_repeats: 2,
+        ..Gen2Config::nominal_100mbps()
+    };
+    let tx = Gen2Transmitter::new(cfg.clone()).expect("nominal config is valid");
+    let burst = tx
+        .transmit_packet(&[0u8; 16])
+        .expect("16-byte payload fits");
+    let period = cfg.preamble_length() * cfg.samples_per_slot();
+    let engine = CoarseAcquisition::new(
+        tx.preamble_template(),
+        AcquisitionConfig::with_clock(cfg.sample_rate.as_hz()),
+    );
+    row(
+        "acquisition_full_period",
+        time_us(2, 5, || {
+            black_box(engine.acquire(black_box(&burst.samples), period));
+        }),
+    );
+    let cfg = Gen2Config::nominal_100mbps();
+    let tx = Gen2Transmitter::new(cfg.clone()).expect("nominal config is valid");
+    let burst = tx
+        .transmit_packet(&[0u8; 16])
+        .expect("16-byte payload fits");
+    let template = tx.preamble_template();
+    let period = cfg.preamble_length() * cfg.samples_per_slot();
+    row(
+        "chanest_64tap_3periods",
+        time_us(10, 5, || {
+            black_box(estimate_cir(
+                black_box(&burst.samples),
+                &template,
+                burst.slot0_center,
+                64,
+                3,
+                period,
+            ));
+        }),
+    );
+
+    // RAKE combining of 1000 symbols per finger count: cost linear in fingers.
+    let mut rng = Rand::new(1);
+    let taps: Vec<Complex> = (0..64)
+        .map(|_| Complex::new(rng.gaussian(), rng.gaussian()) * 0.2)
+        .collect();
+    let est = ChannelEstimate::new(taps);
+    let mf: Vec<Complex> = (0..100_000)
+        .map(|i| Complex::cis(0.001 * i as f64))
+        .collect();
+    for (name, fingers) in [
+        ("rake_1000sym_1finger", 1),
+        ("rake_1000sym_4finger", 4),
+        ("rake_1000sym_8finger", 8),
+        ("rake_1000sym_16finger", 16),
+    ] {
+        let rake = RakeReceiver::from_estimate(&est, fingers);
+        row(
+            name,
+            time_us(100, 15, || {
+                black_box(rake.combine_stream(black_box(&mf), 0, 10, 1000));
+            }),
+        );
     }
 
-    if let Some(path) = out_path {
-        if let Err(e) = std::fs::write(&path, &json) {
-            eprintln!("dspbench: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
+    // Soft Viterbi over 1000 bits: cost exponential in constraint length.
+    let mut rng = Rand::new(2);
+    let bits: Vec<bool> = (0..1000).map(|_| rng.bit()).collect();
+    for (name, code) in [
+        ("viterbi_1000bit_k3", ConvCode::k3()),
+        ("viterbi_1000bit_k7", ConvCode::k7()),
+    ] {
+        let soft: Vec<f64> = code
+            .encode(&bits)
+            .iter()
+            .map(|&b| if b { 1.0 } else { -1.0 } + 0.3 * rng.gaussian())
+            .collect();
+        row(
+            name,
+            time_us(5, 5, || {
+                black_box(code.decode_soft(black_box(&soft)));
+            }),
+        );
     }
-    if let Some(path) = check_path {
-        return check_against("dspbench", &path, &json, tol_pct, &metric_policy);
+
+    // 3-tap MLSE over 1000 symbols.
+    let h = vec![
+        Complex::new(1.0, 0.0),
+        Complex::new(0.5, 0.1),
+        Complex::new(-0.2, 0.2),
+    ];
+    let eq = MlseEqualizer::new(h.clone());
+    let mut rng = Rand::new(3);
+    let symbols: Vec<bool> = (0..1000).map(|_| rng.bit()).collect();
+    let rx = apply_symbol_channel(&symbols, &h);
+    row(
+        "mlse_3tap_1000sym",
+        time_us(20, 10, || {
+            black_box(eq.equalize(black_box(&rx)));
+        }),
+    );
+
+    // Saleh–Valenzuela realizations (a fresh one per call).
+    for (name, model) in [
+        ("sv_generate_cm1", ChannelModel::Cm1),
+        ("sv_generate_cm4", ChannelModel::Cm4),
+    ] {
+        let mut rng = Rand::new(4);
+        row(
+            name,
+            time_us(10, 10, || {
+                black_box(ChannelRealization::generate(model, &mut rng));
+            }),
+        );
     }
-    ExitCode::SUCCESS
+
+    // Whole gen2 packets: TX of 32 bytes, and RX of the same packet after
+    // one CM1 realization.
+    let cfg = Gen2Config {
+        preamble_repeats: 2,
+        ..Gen2Config::nominal_100mbps()
+    };
+    let tx = Gen2Transmitter::new(cfg.clone()).expect("nominal config is valid");
+    let rx = Gen2Receiver::new(cfg.clone()).expect("nominal config is valid");
+    let payload = vec![0x5Au8; 32];
+    row(
+        "gen2_tx_32byte",
+        time_us(50, 10, || {
+            black_box(tx.transmit_packet(black_box(&payload)).ok());
+        }),
+    );
+    let burst = tx.transmit_packet(&payload).expect("32-byte payload fits");
+    let ch = ChannelRealization::generate(ChannelModel::Cm1, &mut Rand::new(1));
+    let through = ch.apply(&burst.samples, cfg.sample_rate);
+    row(
+        "gen2_rx_32byte_cm1",
+        time_us(2, 5, || {
+            black_box(rx.receive_packet(black_box(&through)).ok());
+        }),
+    );
+
+    // ADC models over 100k samples: a 5-bit SAR with 1 % capacitor
+    // mismatch and the gen1 4-way interleaved flash.
+    let x: Vec<f64> = (0..100_000)
+        .map(|i| (i as f64 * 0.01).sin() * 0.9)
+        .collect();
+    let mut rng = Rand::new(3);
+    let sar = SarAdc::with_mismatch(5, 1.0, 0.01, 0.0, &mut rng);
+    let mut noise = Rand::new(4);
+    row(
+        "sar_5bit_100k",
+        time_us(3, 5, || {
+            black_box(sar.convert_block(black_box(&x), &mut noise));
+        }),
+    );
+    let flash = InterleavedAdc::gen1(4, InterleaveMismatch::typical(), &mut rng);
+    row(
+        "flash_4way_100k",
+        time_us(5, 5, || {
+            black_box(flash.convert_block(black_box(&x)));
+        }),
+    );
+
+    out
 }

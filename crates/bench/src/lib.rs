@@ -1,8 +1,10 @@
 //! # uwb-bench — experiment harnesses
 //!
 //! One binary per experiment of `DESIGN.md` §5 (run with
-//! `cargo run -p uwb-bench --release --bin <name>`), plus Criterion benches
-//! for the computational hot paths (`cargo bench`).
+//! `cargo run -p uwb-bench --release --bin <name>`), plus the tracked
+//! benchmark binaries `dspbench`, `netbench` and `macbench`: suites of
+//! timed kernels and determinism pins, run and checked against the
+//! committed `BENCH_*.json` baselines by one driver, [`tracked`].
 //!
 //! | Binary | Experiment | Paper source |
 //! |---|---|---|

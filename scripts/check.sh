@@ -4,14 +4,21 @@
 # Usage:
 #   scripts/check.sh          release build + the root test suite (tier-1)
 #   scripts/check.sh smoke    build + run the end-to-end engine/link smoke bin
-#   scripts/check.sh bench    build + run dspbench against the committed
+#   scripts/check.sh bench    the uwb-bench unit tests (the shared tracked
+#                             driver: flag parsing, report schema, checker),
+#                             then dspbench against the committed
 #                             BENCH_dsp.json baseline; fails if any DSP
-#                             kernel regresses by more than BENCH_TOL
-#                             percent (default 15; throughput is reported
-#                             but informational — see EXPERIMENTS.md)
+#                             kernel (`gate` row) regresses by more than
+#                             BENCH_TOL percent (default 15) or the exact
+#                             pin fft_plans_built changes (throughput and
+#                             back-end block rows are informational — see
+#                             EXPERIMENTS.md). BENCH_dsp/net/mac.json share
+#                             one schema, uwb-bench-v2: each row carries a
+#                             policy (gate / exact / info-*), and a row
+#                             missing from either side fails
 #   scripts/check.sh obs      observability gate: builds the workspace with
 #                             AND without the obs feature, clippy with
-#                             -D warnings over all targets (tests, benches,
+#                             -D warnings over all targets (tests and
 #                             examples included), the allocation-regression tests
 #                             with telemetry enabled AND with span timelines
 #                             on (`obs-trace`; the warm path must stay at
@@ -29,22 +36,25 @@
 #                             acceptance tests (isolation bit-parity,
 #                             co-channel contention, thread determinism),
 #                             the allocation gate (covers the warm 2-link
-#                             network round), then netbench against the
-#                             committed BENCH_net.json baseline; fails if
-#                             any gated metric regresses by more than
-#                             BENCH_TOL percent (default 15)
+#                             network round), the uwb-bench unit tests,
+#                             then netbench against the committed
+#                             BENCH_net.json baseline; fails if any `gate`
+#                             row regresses by more than BENCH_TOL percent
+#                             (default 15) or an exact pin
+#                             (aggregate_mbps, edges_per_node_10k) changes
 #   scripts/check.sh mac      MAC gate: uwb-mac unit + acceptance tests
 #                             (conservation, light-load latency, saturation
 #                             knee, hidden-terminal ARQ recovery, thread
 #                             determinism), the allocation gate (covers the
 #                             warm MAC discrete-event trial), the slow
-#                             8-user thread-parity sweep, then macbench
-#                             against the committed BENCH_mac.json
-#                             baseline; fails if any gated metric regresses
-#                             by more than BENCH_TOL percent (default 15;
-#                             delivered fraction and mean latency are
-#                             bit-deterministic pins, so any drift there
-#                             means MAC/PHY behavior changed), then the
+#                             8-user thread-parity sweep, the uwb-bench unit
+#                             tests, then macbench against the committed
+#                             BENCH_mac.json baseline; fails if any `gate`
+#                             row regresses by more than BENCH_TOL percent
+#                             (default 15) or an exact pin changes
+#                             (delivered fraction and mean latency are
+#                             bit-deterministic, so any drift there means
+#                             MAC/PHY behavior changed), then the
 #                             uwbbench unit + smoke tests (benchmark/;
 #                             the smoke test checks mac_city_1k's
 #                             one-thread fingerprint against two threads,
@@ -79,8 +89,14 @@ smoke() {
     ./target/release/smoke
 }
 
+tracked_tests() {
+    echo "== tracked: uwb-bench unit tests (flags, schema, checker) =="
+    cargo test -q -p uwb-bench --lib
+}
+
 bench() {
     local tol="${BENCH_TOL:-15}"
+    tracked_tests
     echo "== bench: dspbench vs committed BENCH_dsp.json (tol ${tol}%) =="
     cargo build --release -p uwb-bench --bin dspbench
     UWB_THREADS=1 ./target/release/dspbench --check BENCH_dsp.json --tol "$tol"
@@ -131,6 +147,7 @@ net() {
     cargo test -q --release --test alloc_regression
     echo "== net: 1,000-user sparse round, 1/2/4/8-thread fingerprint =="
     cargo test -q --release -p uwb-net --test net_acceptance -- --ignored
+    tracked_tests
     echo "== net: netbench vs committed BENCH_net.json (tol ${tol}%) =="
     cargo build --release -p uwb-bench --bin netbench
     UWB_THREADS=1 ./target/release/netbench --check BENCH_net.json --tol "$tol"
@@ -145,6 +162,7 @@ mac() {
     cargo test -q --release --test alloc_regression
     echo "== mac: 8-user contended run, 1/2/4/8-thread fingerprint =="
     cargo test -q --release -p uwb-mac --test mac_acceptance -- --ignored
+    tracked_tests
     echo "== mac: macbench vs committed BENCH_mac.json (tol ${tol}%) =="
     cargo build --release -p uwb-bench --bin macbench
     UWB_THREADS=1 ./target/release/macbench --check BENCH_mac.json --tol "$tol"

@@ -31,7 +31,7 @@ fn main() {
             ..Gen2Config::nominal_100mbps()
         };
         let tx = Gen2Transmitter::new(cfg.clone()).expect("config");
-        let template = tx.preamble_template();
+        let code = tx.spread_code();
         let period = cfg.preamble_length() * cfg.samples_per_slot();
 
         let mut table = Table::new(vec![
@@ -44,7 +44,7 @@ fn main() {
         for &th in &thresholds {
             let mk_engine = || {
                 CoarseAcquisition::new(
-                    template.clone(),
+                    code.clone(),
                     AcquisitionConfig {
                         threshold: th,
                         parallelism: 32,

@@ -21,7 +21,7 @@ fn main() {
         ..Gen2Config::nominal_100mbps()
     };
     let tx = Gen2Transmitter::new(cfg.clone()).expect("config");
-    let template = tx.preamble_template();
+    let code = tx.spread_code();
     let sps = cfg.samples_per_slot();
     let period = cfg.preamble_length() * sps;
     let fs = cfg.sample_rate.as_hz();
@@ -44,7 +44,7 @@ fn main() {
 
     for p in [1usize, 4, 16, 32, 64, 128] {
         let engine = CoarseAcquisition::new(
-            template.clone(),
+            code.clone(),
             AcquisitionConfig {
                 threshold: 0.28,
                 parallelism: p,

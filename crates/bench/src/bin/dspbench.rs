@@ -3,9 +3,10 @@
 //!
 //! Times the FFT/correlation kernels that dominate the Monte-Carlo link
 //! trials (gated), single-threaded end-to-end trial throughput
-//! (informational), the FFT-plan count of the link path (an exact pin), and
-//! the paper §1 digital-back-end blocks the power model is built from
-//! (informational; EXPERIMENTS.md "Back-end block timings"):
+//! (informational), the FFT-plan count of the link path and the op count
+//! of one gen2 acquisition (exact pins), and the paper §1 digital-back-end
+//! blocks the power model is built from (informational; EXPERIMENTS.md
+//! "Back-end block timings"):
 //!
 //! ```text
 //! cargo run -p uwb-bench --release --bin dspbench -- --out BENCH_dsp.json
@@ -30,8 +31,8 @@ use uwb_dsp::{Complex, DspScratch, Window};
 use uwb_phy::chanest::{estimate_cir, ChannelEstimate};
 use uwb_phy::mlse::{apply_symbol_channel, MlseEqualizer};
 use uwb_phy::{
-    AcquisitionConfig, CoarseAcquisition, ConvCode, Gen2Config, Gen2Receiver, Gen2Transmitter,
-    RakeReceiver,
+    AcquisitionConfig, CoarseAcquisition, ConvCode, CorrelatorBank, Gen2Config, Gen2Receiver,
+    Gen2Transmitter, RakeReceiver,
 };
 use uwb_platform::link::{
     BatchScratch, LinkOutcome, LinkScenario, LinkWorker, DEFAULT_STREAM_BLOCK,
@@ -93,26 +94,6 @@ fn run_kernels() -> Vec<Metric> {
             time_us(50, 15, || {
                 let plan = Fft::new(4096);
                 plan.forward_in_place(&mut buf);
-            }),
-            Gate,
-        ));
-    }
-
-    // 2b. 4096-point forward f32 SoA FFT (the acquisition correlator
-    //     shape) through its thread-local plan cache.
-    {
-        let plan = uwb_dsp::fft32::cached_plan32(4096);
-        let mut rng = Rand::new(21);
-        let mut re: Vec<f32> = (0..4096)
-            .map(|_| rng.uniform_in(-1.0, 1.0) as f32)
-            .collect();
-        let mut im: Vec<f32> = (0..4096)
-            .map(|_| rng.uniform_in(-1.0, 1.0) as f32)
-            .collect();
-        out.push(Metric::us(
-            "fft32_4096_planned_fwd",
-            time_us(100, 15, || {
-                plan.forward_in_place(&mut re, &mut im);
             }),
             Gate,
         ));
@@ -193,20 +174,36 @@ fn run_kernels() -> Vec<Metric> {
     }
 
     // 6. Eight coarse acquisitions (one default batch of records) against
-    //    one template whose spectrum is memoized after the first call.
+    //    the gen2 preamble code, over the receiver's search: one preamble
+    //    period plus its 8-sample channel-estimate margin. The exact row
+    //    beside it counts the chip-domain kernel's real adds and MACs for
+    //    one such acquisition.
     {
-        let tpl = noise_complex(1277, 8);
-        let acq = CoarseAcquisition::new(tpl, AcquisitionConfig::with_clock(2e9));
-        let records: Vec<Vec<Complex>> = (0..8).map(|i| noise_complex(2555, 9 + i)).collect();
+        let cfg = Gen2Config::nominal_100mbps();
+        let code = Gen2Transmitter::new(cfg.clone())
+            .expect("nominal config is valid")
+            .spread_code();
+        let search = cfg.preamble_length() * cfg.samples_per_slot() + 8;
+        let len = 2555;
+        let ops = CorrelatorBank::new(code.clone(), 32).kernel_ops(len, search);
+        let acq = CoarseAcquisition::new(code, AcquisitionConfig::with_clock(2e9));
+        let records: Vec<Vec<Complex>> = (0..8).map(|i| noise_complex(len, 9 + i)).collect();
         let mut scratch = DspScratch::new();
         out.push(Metric::us(
             "batched_acquisition_B8",
             time_us(10, 15, || {
                 for rec in &records {
-                    let _ = acq.acquire_with(rec, 1277, &mut scratch);
+                    let _ = acq.acquire_with(rec, search, &mut scratch);
                 }
             }),
             Gate,
+        ));
+        out.push(Metric::new(
+            "acq_kernel_ops_gen2",
+            ops as f64,
+            "ops",
+            0,
+            Exact,
         ));
     }
 
@@ -378,7 +375,7 @@ fn backend_blocks() -> Vec<Metric> {
         .expect("16-byte payload fits");
     let period = cfg.preamble_length() * cfg.samples_per_slot();
     let engine = CoarseAcquisition::new(
-        tx.preamble_template(),
+        tx.spread_code(),
         AcquisitionConfig::with_clock(cfg.sample_rate.as_hz()),
     );
     row(

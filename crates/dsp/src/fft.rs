@@ -50,14 +50,6 @@ pub fn fft_plans_built() -> u64 {
     PLANS_BUILT.load(Ordering::Relaxed)
 }
 
-/// Records a plan construction in the shared counters (used by the f32
-/// acquisition FFT in [`crate::fft32`] so the plan-cache regression tests
-/// cover both precisions).
-pub(crate) fn note_plan_built() {
-    PLANS_BUILT.fetch_add(1, Ordering::Relaxed);
-    uwb_obs::counter!("fft_plans_built").inc();
-}
-
 /// Planned FFT of a fixed power-of-two size.
 ///
 /// Construction precomputes the bit-reversal permutation and twiddle factors;

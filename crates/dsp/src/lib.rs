@@ -47,7 +47,6 @@ pub mod batch;
 pub mod complex;
 pub mod correlation;
 pub mod fft;
-pub mod fft32;
 pub mod scratch;
 pub mod goertzel;
 pub mod fir;

@@ -38,9 +38,6 @@ use crate::complex::Complex;
 pub struct DspScratch {
     complex: Vec<Vec<Complex>>,
     real: Vec<Vec<f64>>,
-    /// Single-precision lanes for the f32 acquisition FFT
-    /// ([`crate::fft32`]).
-    f32: Vec<Vec<f32>>,
 }
 
 /// Pops the pooled buffer with the largest capacity so capacities converge
@@ -91,23 +88,9 @@ impl DspScratch {
         self.real.push(buf);
     }
 
-    /// Takes a zero-filled `f32` buffer of exactly `len` elements (one SoA
-    /// lane for the f32 acquisition FFT).
-    pub fn take_f32(&mut self, len: usize) -> Vec<f32> {
-        let mut buf = pop_largest(&mut self.f32).unwrap_or_default();
-        buf.clear();
-        buf.resize(len, 0.0);
-        buf
-    }
-
-    /// Returns an `f32` buffer to the pool for reuse.
-    pub fn put_f32(&mut self, buf: Vec<f32>) {
-        self.f32.push(buf);
-    }
-
     /// Number of buffers currently parked in the pool (diagnostics).
     pub fn pooled(&self) -> usize {
-        self.complex.len() + self.real.len() + self.f32.len()
+        self.complex.len() + self.real.len()
     }
 }
 

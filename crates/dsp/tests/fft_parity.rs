@@ -228,55 +228,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// f32 SoA transforms stay within f32 rounding of the f64 reference for
-    /// arbitrary signals, across sizes and directions.
-    #[test]
-    fn fft32_matches_f64_within_f32_tolerance(
-        log2n in 0u32..12,
-        phase in 0.0f64..10.0,
-        invert in any::<bool>(),
-    ) {
-        let n = 1usize << log2n;
-        let x = signal(n, phase);
-        let reference = if invert {
-            Fft::new(n).inverse(&x)
-        } else {
-            Fft::new(n).forward(&x)
-        };
-        let mut re: Vec<f32> = x.iter().map(|z| z.re as f32).collect();
-        let mut im: Vec<f32> = x.iter().map(|z| z.im as f32).collect();
-        let plan = uwb_dsp::fft32::cached_plan32(n);
-        if invert {
-            plan.inverse_in_place(&mut re, &mut im);
-        } else {
-            plan.forward_in_place(&mut re, &mut im);
-        }
-        let scale = reference.iter().map(|z| z.norm()).fold(1.0f64, f64::max);
-        for ((r, i), want) in re.iter().zip(&im).zip(&reference) {
-            let err = (Complex::new(*r as f64, *i as f64) - *want).norm();
-            prop_assert!(err <= 1e-5 * scale, "err {} at scale {}", err, scale);
-        }
-    }
-
-    /// f32 forward/inverse round trip recovers the input at f32 tolerance.
-    #[test]
-    fn fft32_round_trip(log2n in 0u32..12, phase in 0.0f64..10.0) {
-        let n = 1usize << log2n;
-        let x = signal(n, phase);
-        let re0: Vec<f32> = x.iter().map(|z| z.re as f32).collect();
-        let im0: Vec<f32> = x.iter().map(|z| z.im as f32).collect();
-        let (mut re, mut im) = (re0.clone(), im0.clone());
-        let plan = uwb_dsp::fft32::cached_plan32(n);
-        plan.forward_in_place(&mut re, &mut im);
-        plan.inverse_in_place(&mut re, &mut im);
-        let scale = re0.iter().zip(&im0).map(|(r, i)| (r * r + i * i).sqrt()).fold(1.0f32, f32::max);
-        for ((a, b), (c, d)) in re.iter().zip(&im).zip(re0.iter().zip(&im0)) {
-            prop_assert!((a - c).abs() <= 2e-4 * scale);
-            prop_assert!((b - d).abs() <= 2e-4 * scale);
-        }
-    }
-}

@@ -6,8 +6,13 @@
 //! divides the search time by the number of correlators. The gen1 chip
 //! achieved "packet synchronization in less than 70 µs" this way; the gen2
 //! system targets a ~20 µs preamble.
+//!
+//! [`AcquisitionResult::stats`] and [`AcquisitionResult::search_time_us`]
+//! model that hardware bank. The software evaluates the same correlations
+//! in the chip domain (see [`crate::correlator`]), which is what the
+//! allocation-free per-trial path runs.
 
-use crate::correlator::{CorrelatorBank, CorrelatorStats};
+use crate::correlator::{CorrelatorBank, CorrelatorStats, SpreadCode};
 use uwb_dsp::{Complex, DspScratch};
 
 /// Acquisition tuning parameters.
@@ -55,23 +60,27 @@ pub struct AcquisitionResult {
 pub struct CoarseAcquisition {
     bank: CorrelatorBank,
     config: AcquisitionConfig,
+    /// Energy of the template waveform, summed once at construction.
+    template_energy: f64,
 }
 
 impl CoarseAcquisition {
-    /// Creates an engine for the given preamble-period template.
+    /// Creates an engine for the given preamble-period spread code.
     ///
     /// # Panics
     ///
-    /// Panics if the template is empty, `parallelism == 0`, or the threshold
-    /// is outside `(0, 1)`.
-    pub fn new(template: Vec<Complex>, config: AcquisitionConfig) -> Self {
+    /// Panics if the code is empty, `parallelism == 0`, or the threshold is
+    /// outside `(0, 1)`.
+    pub fn new(code: SpreadCode, config: AcquisitionConfig) -> Self {
         assert!(
             config.threshold > 0.0 && config.threshold < 1.0,
             "threshold must be in (0, 1)"
         );
+        let template_energy = code.template().iter().map(|z| z.norm_sqr()).sum();
         CoarseAcquisition {
-            bank: CorrelatorBank::new(template, config.parallelism),
+            bank: CorrelatorBank::new(code, config.parallelism),
             config,
+            template_energy,
         }
     }
 
@@ -103,18 +112,10 @@ impl CoarseAcquisition {
         let max_phase = signal.len().saturating_sub(m);
         let n_phases = search_len.min(max_phase + 1);
         let mut outputs = scratch.take_complex(0);
-        let stats = self
-            .bank
-            .run_prefix_into(signal, n_phases, scratch, &mut outputs);
+        let stats = self.bank.run_prefix_into(signal, n_phases, &mut outputs);
 
-        // Normalize each output by window and template energy.
-        let tpl_energy: f64 = self
-            .bank
-            .template()
-            .iter()
-            .map(|z| z.norm_sqr())
-            .sum();
-        // Scan in squared-metric space: one divide per phase and no sqrt
+        // Normalize each output by window and template energy, scanning
+        // in squared-metric space: one divide per phase and no sqrt
         // (squaring is monotone on nonnegative reals, so the argmax is the
         // one the per-phase-sqrt form picks); take the two square roots once
         // at the winning phase.
@@ -126,7 +127,7 @@ impl CoarseAcquisition {
             .map(|z| z.norm_sqr())
             .sum();
         for (p, z) in outputs.iter().enumerate() {
-            let denom_sq = win_energy * tpl_energy;
+            let denom_sq = win_energy * self.template_energy;
             let metric_sq = if denom_sq > 0.0 {
                 z.norm_sqr() / denom_sq
             } else {
@@ -151,7 +152,6 @@ impl CoarseAcquisition {
             search_time_us: CorrelatorBank::search_time_us(&stats, self.config.clock_hz),
         }
     }
-
 }
 
 #[cfg(test)]
@@ -160,21 +160,28 @@ mod tests {
     use uwb_sim::awgn::add_noise_snr;
     use uwb_sim::Rand;
 
-    fn preamble_signal(offset: usize, periods: usize) -> (Vec<Complex>, Vec<Complex>) {
-        // Build a chip-rate (1 sample/chip) preamble for simplicity.
-        let chips = crate::pn::msequence_chips(7);
-        let template: Vec<Complex> = chips.iter().map(|&c| Complex::new(c, 0.0)).collect();
-        let mut sig = vec![Complex::ZERO; offset];
-        for _ in 0..periods {
-            sig.extend(template.iter());
+    /// A chip-rate (1 sample/chip) preamble code, for simplicity.
+    fn chip_rate_code() -> SpreadCode {
+        SpreadCode {
+            chips: crate::pn::msequence_chips(7),
+            samples_per_chip: 1,
+            pulse: vec![1.0],
         }
-        sig.extend(vec![Complex::ZERO; 50]);
-        (sig, template)
     }
 
-    fn engine(template: Vec<Complex>, parallelism: usize) -> CoarseAcquisition {
+    fn preamble_signal(offset: usize, periods: usize) -> (Vec<Complex>, SpreadCode) {
+        let code = chip_rate_code();
+        let mut sig = vec![Complex::ZERO; offset];
+        for _ in 0..periods {
+            sig.extend(code.template());
+        }
+        sig.extend(vec![Complex::ZERO; 50]);
+        (sig, code)
+    }
+
+    fn engine(code: SpreadCode, parallelism: usize) -> CoarseAcquisition {
         CoarseAcquisition::new(
-            template,
+            code,
             AcquisitionConfig {
                 threshold: 0.5,
                 parallelism,
@@ -207,11 +214,9 @@ mod tests {
 
     #[test]
     fn noise_only_does_not_false_alarm() {
-        let chips = crate::pn::msequence_chips(7);
-        let tpl: Vec<Complex> = chips.iter().map(|&c| Complex::new(c, 0.0)).collect();
         let mut rng = Rand::new(2);
         let noise = uwb_sim::awgn::complex_noise(500, 1.0, &mut rng);
-        let acq = engine(tpl, 8);
+        let acq = engine(chip_rate_code(), 8);
         let r = acq.acquire(&noise, 127);
         assert!(!r.detected, "false alarm with metric {}", r.metric);
     }
@@ -227,9 +232,7 @@ mod tests {
 
     #[test]
     fn short_signal_handled() {
-        let chips = crate::pn::msequence_chips(7);
-        let tpl: Vec<Complex> = chips.iter().map(|&c| Complex::new(c, 0.0)).collect();
-        let acq = engine(tpl, 4);
+        let acq = engine(chip_rate_code(), 4);
         let sig = vec![Complex::ONE; 10]; // shorter than the template
         let r = acq.acquire(&sig, 127);
         assert!(!r.detected);
@@ -239,7 +242,7 @@ mod tests {
     #[should_panic(expected = "threshold")]
     fn bad_threshold_panics() {
         CoarseAcquisition::new(
-            vec![Complex::ONE],
+            chip_rate_code(),
             AcquisitionConfig {
                 threshold: 1.5,
                 parallelism: 1,

@@ -72,7 +72,7 @@ pub use adapt::{ChannelConditions, LinkAdapter, OperatingPoint};
 pub use bandplan::Channel;
 pub use chanest::{estimate_cir, ChannelEstimate};
 pub use config::Gen2Config;
-pub use correlator::{CorrelatorBank, CorrelatorStats};
+pub use correlator::{CorrelatorBank, CorrelatorStats, SpreadCode};
 pub use error::PhyError;
 pub use fec::ConvCode;
 pub use lms::LmsEqualizer;

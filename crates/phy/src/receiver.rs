@@ -120,9 +120,10 @@ impl Gen2Receiver {
         let pulse = PulseShape::gen2_default().generate_complex(config.sample_rate);
         // Reuse the transmitter's template construction so both ends agree.
         let tx = Gen2Transmitter::new(config.clone())?;
-        let preamble_template = tx.preamble_template();
+        let code = tx.spread_code();
+        let preamble_template = code.template();
         let acquisition = CoarseAcquisition::new(
-            preamble_template.clone(),
+            code,
             AcquisitionConfig::with_clock(config.sample_rate.as_hz()),
         );
         let quantizer = Quantizer::new(config.adc_bits, 1.0);
@@ -207,9 +208,9 @@ impl Gen2Receiver {
     }
 
     /// Coarse acquisition over an already-digitized record: one preamble
-    /// period of candidate phases correlated against the cached
-    /// matched-template spectrum. Emits the lock forensics notes and, on a
-    /// miss, the `acq_miss` event.
+    /// period of candidate phases correlated against the preamble's spread
+    /// code. Emits the lock forensics notes and, on a miss, the `acq_miss`
+    /// event.
     pub fn acquire_record(&self, digitized: &[Complex], state: &mut RxState) -> AcquisitionResult {
         let sps = self.config.samples_per_slot();
         let period = self.config.preamble_length() * sps;

@@ -7,6 +7,7 @@
 //! is needed (FCC mask, Fig. 4).
 
 use crate::config::Gen2Config;
+use crate::correlator::SpreadCode;
 use crate::error::PhyError;
 use crate::packet::{build_frame_into, FrameScratch, FrameSlots};
 use crate::pulse::PulseShape;
@@ -168,23 +169,22 @@ impl Gen2Transmitter {
         burst.samples_per_slot = sps;
     }
 
-    /// The preamble template waveform (one m-sequence period as pulses),
-    /// used by the receiver's correlators.
-    pub fn preamble_template(&self) -> Vec<Complex> {
-        let chips = crate::pn::msequence_chips(self.config.preamble_degree);
-        let sps = self.config.samples_per_slot();
-        // Chip k's pulse occupies [k*sps, k*sps + pulse.len()); sample 0 of
-        // the template aligns with (chip-0 center − pulse.len()/2) in a
-        // transmitted burst.
-        let n = (chips.len() - 1) * sps + self.pulse.len();
-        let mut out = vec![Complex::ZERO; n];
-        for (k, &c) in chips.iter().enumerate() {
-            let start = k * sps;
-            for (j, &p) in self.pulse.iter().enumerate() {
-                out[start + j].re += c * p;
-            }
+    /// The preamble's spread code: one m-sequence period of chips, one
+    /// slot apart, each carrying the transmit pulse. Sample 0 of its
+    /// template aligns with (chip-0 center − pulse.len()/2) in a
+    /// transmitted burst.
+    pub fn spread_code(&self) -> SpreadCode {
+        SpreadCode {
+            chips: crate::pn::msequence_chips(self.config.preamble_degree),
+            samples_per_chip: self.config.samples_per_slot(),
+            pulse: self.pulse.clone(),
         }
-        out
+    }
+
+    /// The preamble template waveform (one m-sequence period as pulses),
+    /// used by the receiver's channel estimator.
+    pub fn preamble_template(&self) -> Vec<Complex> {
+        self.spread_code().template()
     }
 }
 

@@ -9,10 +9,11 @@
 #                             then dspbench against the committed
 #                             BENCH_dsp.json baseline; fails if any DSP
 #                             kernel (`gate` row) regresses by more than
-#                             BENCH_TOL percent (default 15) or the exact
-#                             pin fft_plans_built changes (throughput and
-#                             back-end block rows are informational — see
-#                             EXPERIMENTS.md). BENCH_dsp/net/mac.json share
+#                             BENCH_TOL percent (default 15) or an exact
+#                             pin (fft_plans_built, acq_kernel_ops_gen2)
+#                             changes (throughput and back-end block rows
+#                             are informational — see EXPERIMENTS.md).
+#                             BENCH_dsp/net/mac.json share
 #                             one schema, uwb-bench-v2: each row carries a
 #                             policy (gate / exact / info-*), and a row
 #                             missing from either side fails
@@ -30,8 +31,13 @@
 #                             bounded-memory tests, the uwb-sim stream::
 #                             unit tests (tiled channel kernel bit-parity
 #                             against the one-output-at-a-time oracle,
-#                             flushed tail included), then the allocation
-#                             gate (covers the streamed trial, AWGN and CM1)
+#                             flushed tail included), the uwb-phy
+#                             correlator:: / acquisition:: unit tests
+#                             (acquisition is StreamRx's first stage; the
+#                             chip-domain kernel against its f64 FFT
+#                             oracle), the pinned acquisition decisions,
+#                             then the allocation gate (covers the streamed
+#                             trial, AWGN and CM1, and warm acquisition)
 #   scripts/check.sh net      network gate: builds uwb-net, runs its unit +
 #                             acceptance tests (isolation bit-parity,
 #                             co-channel contention, thread determinism),
@@ -134,7 +140,11 @@ stream() {
     cargo test -q --release --test stream_parity
     echo "== stream: tiled channel kernel bit-parity (uwb-sim stream:: units) =="
     cargo test -q --release -p uwb-sim --lib stream::
-    echo "== stream: zero-allocation warm streamed trial =="
+    echo "== stream: chip-domain acquisition kernel vs the f64 FFT oracle, acquisition units =="
+    cargo test -q --release -p uwb-phy --lib -- correlator:: acquisition::
+    echo "== stream: pinned acquisition decisions =="
+    cargo test -q --release --test acquisition_golden
+    echo "== stream: zero-allocation warm streamed trial and acquisition =="
     cargo test -q --release --test alloc_regression
 }
 

@@ -82,8 +82,10 @@ static COUNTING: CountingAlloc = CountingAlloc;
 /// payload snapshots, synthesis metadata, and the streaming operators'
 /// per-block workspace all ratchet to their high-water capacity during
 /// warm-up. A CM1 section then holds the multi-tap channel convolution to
-/// the same gate. (Every section lives in this one `#[test]` so no concurrent
-/// test can pollute the counter.)
+/// the same gate, and an acquisition section holds
+/// `Gen2Receiver::acquire_record` to its zero-steady-state-allocation
+/// claim. (Every section lives in this one `#[test]` so no concurrent test
+/// can pollute the counter.)
 #[test]
 fn gen2_fast_path_steady_state_is_allocation_free() {
     let config = Gen2Config {
@@ -180,6 +182,48 @@ fn gen2_fast_path_steady_state_is_allocation_free() {
         BATCH
     );
     assert!(cm1_counter.total > 0, "CM1 trials produced no bits");
+
+    // --- Acquisition: `Gen2Receiver::acquire_record` on one warm
+    //     `RxState` must not allocate on records it has never seen. The
+    //     records are synthesized, noised and digitized up front; the
+    //     first one warms the state's scratch. ---
+    let rx = uwb_phy::Gen2Receiver::new(scenario.config.clone()).expect("valid config");
+    let records: Vec<Vec<uwb_dsp::Complex>> = (0..17)
+        .map(|trial| {
+            let mut rng = uwb_sim::Rand::for_trial(scenario.seed, 1000 + trial);
+            let clean = worker.synthesize_clean_streamed(&scenario, 24, BLOCK, &mut rng);
+            let mut record = worker.clean_record().to_vec();
+            let mut scratch = uwb_dsp::DspScratch::new();
+            uwb_dsp::BlockProcessor::process_block(
+                &mut uwb_sim::StreamingAwgn::new(clean.n0, clean.awgn_rng),
+                &mut record,
+                &mut scratch,
+            );
+            rx.digitize(&record)
+        })
+        .collect();
+    let mut rx_state = uwb_phy::RxState::new();
+    assert!(rx.acquire_record(&records[0], &mut rx_state).detected);
+
+    let before = thread_allocs();
+    let mut detected = 0;
+    for record in &records[1..] {
+        detected += usize::from(rx.acquire_record(record, &mut rx_state).detected);
+    }
+    let after = thread_allocs();
+
+    assert_eq!(
+        after - before,
+        0,
+        "warm acquisition must not allocate ({} allocations across {} fresh records)",
+        after - before,
+        records.len() - 1
+    );
+    assert_eq!(
+        detected,
+        records.len() - 1,
+        "acquisition missed a 6 dB record"
+    );
 
     // --- Network warm path: a 2-link co-channel piconet round must also
     //     be allocation-free. Each round runs two full clean syntheses,

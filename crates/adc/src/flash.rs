@@ -6,7 +6,6 @@
 //! model draws per-comparator offsets once at construction so a given
 //! converter instance has a stable transfer function.
 
-use crate::quantizer::Quantizer;
 use uwb_sim::rng::Rand;
 
 /// A flash ADC: thermometer comparator bank with per-comparator offset.
@@ -82,43 +81,17 @@ impl FlashAdc {
     pub fn convert_block(&self, input: &[f64]) -> Vec<f64> {
         input.iter().map(|&x| self.convert(x)).collect()
     }
-
-    /// Differential nonlinearity per code, in LSB. An ideal converter is all
-    /// zeros.
-    pub fn dnl_lsb(&self) -> Vec<f64> {
-        let step = 2.0 * self.full_scale / (1u32 << self.bits) as f64;
-        self.thresholds
-            .windows(2)
-            .map(|w| (w[1] - w[0]) / step - 1.0)
-            .collect()
-    }
-
-    /// Integral nonlinearity per code, in LSB (cumulative sum of DNL).
-    pub fn inl_lsb(&self) -> Vec<f64> {
-        let mut acc = 0.0;
-        self.dnl_lsb()
-            .iter()
-            .map(|&d| {
-                acc += d;
-                acc
-            })
-            .collect()
-    }
-
-    /// The equivalent ideal quantizer (same bits and full scale).
-    pub fn to_ideal_quantizer(&self) -> Quantizer {
-        Quantizer::new(self.bits, self.full_scale)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quantizer::Quantizer;
 
     #[test]
     fn ideal_flash_matches_quantizer() {
         let flash = FlashAdc::ideal(4, 1.0);
-        let q = flash.to_ideal_quantizer();
+        let q = Quantizer::new(4, 1.0);
         for i in -100..=100 {
             let x = i as f64 / 100.0 * 1.2; // include clipping region
             assert!(
@@ -146,24 +119,6 @@ mod tests {
         let flash = FlashAdc::ideal(3, 1.0);
         assert_eq!(flash.convert_code(-2.0), 0);
         assert_eq!(flash.convert_code(2.0), 7);
-    }
-
-    #[test]
-    fn ideal_has_zero_dnl_inl() {
-        let flash = FlashAdc::ideal(6, 1.0);
-        assert!(flash.dnl_lsb().iter().all(|d| d.abs() < 1e-9));
-        assert!(flash.inl_lsb().iter().all(|d| d.abs() < 1e-9));
-    }
-
-    #[test]
-    fn offsets_create_dnl() {
-        let mut rng = Rand::new(2);
-        let flash = FlashAdc::with_offsets(6, 1.0, 0.005, &mut rng);
-        let max_dnl = flash
-            .dnl_lsb()
-            .iter()
-            .fold(0.0f64, |m, d| m.max(d.abs()));
-        assert!(max_dnl > 0.01, "offsets should show up in DNL: {max_dnl}");
     }
 
     #[test]

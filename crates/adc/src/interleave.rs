@@ -99,16 +99,6 @@ impl InterleavedAdc {
         self.lanes.len()
     }
 
-    /// Aggregate sample rate in hertz.
-    pub fn aggregate_rate_hz(&self) -> f64 {
-        self.aggregate_rate_hz
-    }
-
-    /// Per-lane sample rate.
-    pub fn lane_rate_hz(&self) -> f64 {
-        self.aggregate_rate_hz / self.lanes.len() as f64
-    }
-
     /// Converts a block sampled at the aggregate rate. Sample `i` goes to
     /// lane `i % M` with that lane's offset, gain, and skew applied.
     ///
@@ -174,8 +164,7 @@ mod tests {
         let mut rng = Rand::new(2);
         let adc = InterleavedAdc::gen1(4, InterleaveMismatch::none(), &mut rng);
         assert_eq!(adc.lanes(), 4);
-        assert_eq!(adc.aggregate_rate_hz(), 2.0e9);
-        assert_eq!(adc.lane_rate_hz(), 0.5e9);
+        assert_eq!(adc.aggregate_rate_hz, 2.0e9);
     }
 
     #[test]

@@ -9,9 +9,6 @@
 //!   converter with capacitor mismatch (paper Fig. 3)
 //! * [`InterleavedAdc`] — the gen1 4-way time-interleaved 2 GSps flash with
 //!   offset/gain/skew mismatch (paper Fig. 1)
-//! * [`jitter`] — aperture jitter
-//! * [`dither`] — rectangular/TPDF dither (the mechanism behind the 1-bit
-//!   regime)
 //! * [`metrics`] — SNDR / ENOB / SFDR sine-test metrology
 //!
 //! # Example: the paper's 1-bit regime
@@ -27,15 +24,12 @@
 
 #![warn(missing_docs)]
 
-pub mod dither;
 pub mod flash;
 pub mod interleave;
-pub mod jitter;
 pub mod metrics;
 pub mod quantizer;
 pub mod sar;
 
-pub use dither::{quantize_dithered, Dither};
 pub use flash::FlashAdc;
 pub use interleave::{InterleaveMismatch, InterleavedAdc};
 pub use metrics::{sine_test, SineTestResult};

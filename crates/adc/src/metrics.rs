@@ -71,19 +71,19 @@ pub fn sine_test(output: &[f64], fs_hz: f64, leak_bins: usize) -> SineTestResult
     }
 }
 
-/// Generates the standard coherent test sine: amplitude `amp`, an
-/// odd number of cycles over `n` samples so every code is exercised.
-pub fn test_sine(n: usize, cycles: usize, amp: f64) -> Vec<f64> {
-    let f = cycles as f64 / n as f64;
-    (0..n)
-        .map(|i| amp * (std::f64::consts::TAU * f * i as f64).sin())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::quantizer::Quantizer;
+
+    /// Generates the standard coherent test sine: amplitude `amp`, an
+    /// odd number of cycles over `n` samples so every code is exercised.
+    fn test_sine(n: usize, cycles: usize, amp: f64) -> Vec<f64> {
+        let f = cycles as f64 / n as f64;
+        (0..n)
+            .map(|i| amp * (std::f64::consts::TAU * f * i as f64).sin())
+            .collect()
+    }
 
     #[test]
     fn enob_close_to_nominal_bits() {

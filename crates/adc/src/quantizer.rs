@@ -130,11 +130,6 @@ impl Quantizer {
             .map(|&z| Complex::new(self.quantize(z.re), self.quantize(z.im)))
             .collect()
     }
-
-    /// Theoretical SQNR for a full-scale sinusoid: `6.02·bits + 1.76` dB.
-    pub fn ideal_sqnr_db(&self) -> f64 {
-        6.02 * self.bits as f64 + 1.76
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +196,7 @@ mod tests {
                 .sum::<f64>()
                 / n as f64;
             let sqnr = 10.0 * (sig_pow / err_pow).log10();
-            let ideal = q.ideal_sqnr_db();
+            let ideal = 6.02 * bits as f64 + 1.76;
             assert!(
                 (sqnr - ideal).abs() < 1.5,
                 "{bits}-bit: measured {sqnr:.2} vs ideal {ideal:.2}"

@@ -6,7 +6,6 @@
 //! weighted capacitors. This model implements the bit-cycling loop explicitly
 //! with per-bit weight errors, plus comparator noise.
 
-use uwb_dsp::Complex;
 use uwb_sim::rng::Rand;
 
 /// A SAR ADC with capacitor-mismatch weight errors and comparator noise.
@@ -121,16 +120,6 @@ impl SarAdc {
     pub fn convert_block(&self, input: &[f64], rng: &mut Rand) -> Vec<f64> {
         input.iter().map(|&x| self.convert(x, rng)).collect()
     }
-
-    /// Converts a complex block with two independent converters (I and Q),
-    /// matching Fig. 3's "two 5-bit SAR ADCs". The two converters share this
-    /// model instance (same mismatch draw) but use independent noise.
-    pub fn convert_complex(&self, input: &[Complex], rng: &mut Rand) -> Vec<Complex> {
-        input
-            .iter()
-            .map(|&z| Complex::new(self.convert(z.re, rng), self.convert(z.im, rng)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -208,17 +197,6 @@ mod tests {
         let codes: Vec<u32> = (0..200).map(|_| noisy.convert_code(0.0, &mut rng2)).collect();
         let first = codes[0];
         assert!(codes.iter().any(|&c| c != first), "noise had no effect");
-    }
-
-    #[test]
-    fn complex_conversion_shape() {
-        let sar = SarAdc::gen2_default();
-        let mut rng = Rand::new(8);
-        let input = vec![Complex::new(0.3, -0.4); 10];
-        let out = sar.convert_complex(&input, &mut rng);
-        assert_eq!(out.len(), 10);
-        assert!((out[0].re - 0.3).abs() < sar.full_scale() / 16.0);
-        assert!((out[0].im + 0.4).abs() < sar.full_scale() / 16.0);
     }
 
     #[test]

@@ -29,7 +29,6 @@
 //!     assert_eq!(arena.lane(lane).len(), 8);
 //! }
 //! assert_eq!(arena.lanes(), 4);
-//! assert_eq!(arena.total_len(), 32);
 //! arena.clear(); // next batch reuses the same 32-element allocation
 //! assert_eq!(arena.lanes(), 0);
 //! ```
@@ -88,26 +87,9 @@ impl BatchArena {
         self.lanes.len() - 1
     }
 
-    /// Appends a zero-filled lane of exactly `len` elements and returns its
-    /// index (used for derived per-trial products such as digitized
-    /// records, whose length is known up front).
-    pub fn push_lane_zeroed(&mut self, len: usize) -> usize {
-        self.push_lane_with(|buf, base| buf.resize(base + len, Complex::ZERO))
-    }
-
-    /// Appends a lane cloned from `src`.
-    pub fn push_lane_from_slice(&mut self, src: &[Complex]) -> usize {
-        self.push_lane_with(|buf, _| buf.extend_from_slice(src))
-    }
-
     /// Number of lanes currently in the arena.
     pub fn lanes(&self) -> usize {
         self.lanes.len()
-    }
-
-    /// Total elements across all lanes.
-    pub fn total_len(&self) -> usize {
-        self.buf.len()
     }
 
     /// Lane `i` as a shared slice.
@@ -125,6 +107,10 @@ impl BatchArena {
 mod tests {
     use super::*;
 
+    fn push_zeroed(a: &mut BatchArena, len: usize) -> usize {
+        a.push_lane_with(|buf, base| buf.resize(base + len, Complex::ZERO))
+    }
+
     #[test]
     fn lanes_are_contiguous_and_indexable() {
         let mut a = BatchArena::new();
@@ -132,11 +118,11 @@ mod tests {
             assert_eq!(base, 0);
             buf.extend_from_slice(&[Complex::ONE; 3]);
         });
-        let l1 = a.push_lane_zeroed(5);
-        let l2 = a.push_lane_from_slice(&[Complex::new(2.0, -1.0); 2]);
+        let l1 = push_zeroed(&mut a, 5);
+        let l2 = a.push_lane_with(|buf, _| buf.extend_from_slice(&[Complex::new(2.0, -1.0); 2]));
         assert_eq!((l0, l1, l2), (0, 1, 2));
         assert_eq!(a.lanes(), 3);
-        assert_eq!(a.total_len(), 10);
+        assert_eq!(a.buf.len(), 10);
         assert_eq!(a.lane(0), &[Complex::ONE; 3]);
         assert!(a.lane(1).iter().all(|&z| z == Complex::ZERO));
         assert_eq!(a.lane(2)[1], Complex::new(2.0, -1.0));
@@ -150,19 +136,19 @@ mod tests {
     fn clear_retains_capacity_for_zero_alloc_reuse() {
         let mut a = BatchArena::new();
         for _ in 0..4 {
-            a.push_lane_zeroed(100);
+            push_zeroed(&mut a, 100);
         }
         let cap = 400;
         let ptr = a.lane(0).as_ptr();
         a.clear();
         assert_eq!(a.lanes(), 0);
-        assert_eq!(a.total_len(), 0);
+        assert_eq!(a.buf.len(), 0);
         // Refill to the same total: same storage, no reallocation.
         for _ in 0..4 {
-            a.push_lane_zeroed(100);
+            push_zeroed(&mut a, 100);
         }
         assert_eq!(a.lane(0).as_ptr(), ptr);
-        assert_eq!(a.total_len(), cap);
+        assert_eq!(a.buf.len(), cap);
     }
 
     #[test]
@@ -170,11 +156,11 @@ mod tests {
         let mut a = BatchArena::new();
         a.reserve(8, 1000);
         let ptr = {
-            let l = a.push_lane_zeroed(125);
+            let l = push_zeroed(&mut a, 125);
             a.lane(l).as_ptr()
         };
         for _ in 1..8 {
-            a.push_lane_zeroed(125);
+            push_zeroed(&mut a, 125);
         }
         // No reallocation happened while filling within the reservation.
         assert_eq!(a.lane(0).as_ptr(), ptr);

@@ -222,29 +222,6 @@ pub fn peak(correlation: &[Complex]) -> Option<(usize, f64)> {
         .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
 }
 
-/// Peak-to-next-sidelobe ratio of a correlation magnitude sequence, excluding
-/// `guard` samples on either side of the peak. Returns `None` if there is no
-/// sidelobe region left.
-pub fn peak_to_sidelobe(mags: &[f64], guard: usize) -> Option<f64> {
-    if mags.is_empty() {
-        return None;
-    }
-    let peak_idx = crate::math::argmax(mags)?;
-    let peak_val = mags[peak_idx];
-    let mut sidelobe = 0.0f64;
-    let mut found = false;
-    for (i, &v) in mags.iter().enumerate() {
-        if i + guard < peak_idx || i > peak_idx + guard {
-            sidelobe = sidelobe.max(v);
-            found = true;
-        }
-    }
-    if !found || sidelobe == 0.0 {
-        return None;
-    }
-    Some(peak_val / sidelobe)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,16 +359,5 @@ mod tests {
         assert_eq!(out, first, "repeat call must be deterministic");
         assert_eq!(out.capacity(), cap, "output storage must be reused");
         assert_eq!(scratch.pooled(), 2, "scratch buffers must be returned");
-    }
-
-    #[test]
-    fn psl_of_clean_peak() {
-        let mags = [0.1, 0.2, 5.0, 0.2, 0.1];
-        // guard = 1 excludes the two samples adjacent to the peak, so the
-        // strongest remaining sidelobe is 0.1.
-        let r = peak_to_sidelobe(&mags, 1).unwrap();
-        assert!((r - 50.0).abs() < 1e-9);
-        assert!(peak_to_sidelobe(&mags, 10).is_none());
-        assert!(peak_to_sidelobe(&[], 0).is_none());
     }
 }

@@ -132,11 +132,6 @@ impl FirFilter {
         false
     }
 
-    /// Group delay in samples (linear-phase symmetric filter assumption).
-    pub fn group_delay(&self) -> f64 {
-        (self.taps.len() - 1) as f64 / 2.0
-    }
-
     /// Filters a real signal; output has the same length (transient included,
     /// i.e. "same" mode aligned to the start of the input).
     pub fn filter_real(&self, input: &[f64]) -> Vec<f64> {
@@ -166,20 +161,6 @@ impl FirFilter {
                 }
             }
             *o = acc;
-        }
-        out
-    }
-
-    /// Full linear convolution (output length `input + taps − 1`).
-    pub fn convolve_real(&self, input: &[f64]) -> Vec<f64> {
-        if input.is_empty() {
-            return Vec::new();
-        }
-        let mut out = vec![0.0; input.len() + self.taps.len() - 1];
-        for (i, &x) in input.iter().enumerate() {
-            for (j, &h) in self.taps.iter().enumerate() {
-                out[i + j] += x * h;
-            }
         }
         out
     }
@@ -301,14 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn convolve_full_length() {
-        let fir = FirFilter::new(vec![1.0, -1.0]);
-        let y = fir.convolve_real(&[1.0, 2.0, 3.0]);
-        assert_eq!(y, vec![1.0, 1.0, 1.0, -3.0]);
-        assert!(fir.convolve_real(&[]).is_empty());
-    }
-
-    #[test]
     fn streaming_matches_block() {
         let fir = FirFilter::lowpass(17, 0.25, Window::Hamming);
         let x: Vec<Complex> = (0..64)
@@ -326,12 +299,6 @@ mod tests {
         for (a, b) in block.iter().zip(&again) {
             assert!((*a - *b).norm() < 1e-12);
         }
-    }
-
-    #[test]
-    fn group_delay_is_center() {
-        let fir = FirFilter::lowpass(63, 0.1, Window::Hamming);
-        assert_eq!(fir.group_delay(), 31.0);
     }
 
     #[test]

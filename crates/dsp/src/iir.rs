@@ -28,7 +28,7 @@ pub struct Biquad {
 
 impl Biquad {
     /// Creates a biquad from normalized coefficients (`a0 == 1`).
-    pub fn from_coefficients(b: [f64; 3], a: [f64; 2]) -> Self {
+    fn from_coefficients(b: [f64; 3], a: [f64; 2]) -> Self {
         Biquad {
             b,
             a,
@@ -120,7 +120,7 @@ impl Biquad {
     }
 
     /// Processes one complex sample (same real coefficients on both rails).
-    pub fn push_complex(&mut self, x: Complex) -> Complex {
+    fn push_complex(&mut self, x: Complex) -> Complex {
         let y = x * self.b[0] + self.cx1 * self.b[1] + self.cx2 * self.b[2]
             - self.cy1 * self.a[0]
             - self.cy2 * self.a[1];
@@ -168,7 +168,8 @@ impl Biquad {
     }
 
     /// `true` if both poles are strictly inside the unit circle.
-    pub fn is_stable(&self) -> bool {
+    #[cfg(test)]
+    fn is_stable(&self) -> bool {
         // Jury criterion for 2nd order: |a2| < 1 and |a1| < 1 + a2.
         let (a1, a2) = (self.a[0], self.a[1]);
         a2.abs() < 1.0 && a1.abs() < 1.0 + a2
@@ -228,7 +229,7 @@ impl BiquadCascade {
     }
 
     /// Processes one complex sample through every section.
-    pub fn push_complex(&mut self, x: Complex) -> Complex {
+    fn push_complex(&mut self, x: Complex) -> Complex {
         self.sections
             .iter_mut()
             .fold(x, |acc, s| s.push_complex(acc))
@@ -262,7 +263,8 @@ impl BiquadCascade {
     }
 
     /// `true` if every section is stable.
-    pub fn is_stable(&self) -> bool {
+    #[cfg(test)]
+    fn is_stable(&self) -> bool {
         self.sections.iter().all(Biquad::is_stable)
     }
 }

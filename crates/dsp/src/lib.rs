@@ -11,7 +11,6 @@
 //!   kernels
 //! * [`batch::BatchArena`] — flat structure-of-arrays lane storage for the
 //!   batched stage-sweep trial runtime
-//! * [`Goertzel`] — O(N) single-bin DFT for cheap narrowband watching
 //! * [`FirFilter`] — windowed-sinc FIR design (lowpass/highpass/bandpass)
 //! * [`Biquad`]/[`BiquadCascade`] — IIR sections including the tunable notch
 //! * [`Window`] functions (Hann, Hamming, Blackman, Kaiser)
@@ -48,7 +47,6 @@ pub mod complex;
 pub mod correlation;
 pub mod fft;
 pub mod scratch;
-pub mod goertzel;
 pub mod fir;
 pub mod iir;
 pub mod math;
@@ -62,7 +60,6 @@ pub mod window;
 pub use complex::Complex;
 pub use fft::{Fft, FftPlanner};
 pub use scratch::DspScratch;
-pub use goertzel::Goertzel;
 pub use fir::{FirFilter, StreamingFir};
 pub use iir::{Biquad, BiquadCascade};
 pub use nco::Nco;

@@ -2,17 +2,6 @@
 //! functions (erfc, Q-function, modified Bessel I0), and small statistics
 //! helpers.
 
-/// Converts a power ratio to decibels: `10 * log10(ratio)`.
-///
-/// ```
-/// use uwb_dsp::math::pow_to_db;
-/// assert!((pow_to_db(100.0) - 20.0).abs() < 1e-12);
-/// ```
-#[inline]
-pub fn pow_to_db(ratio: f64) -> f64 {
-    10.0 * ratio.log10()
-}
-
 /// Converts decibels to a power ratio: `10^(db/10)`.
 #[inline]
 pub fn db_to_pow(db: f64) -> f64 {
@@ -29,18 +18,6 @@ pub fn amp_to_db(ratio: f64) -> f64 {
 #[inline]
 pub fn db_to_amp(db: f64) -> f64 {
     10f64.powf(db / 20.0)
-}
-
-/// Converts milliwatts to dBm.
-#[inline]
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    10.0 * mw.log10()
-}
-
-/// Converts dBm to milliwatts.
-#[inline]
-pub fn dbm_to_mw(dbm: f64) -> f64 {
-    10f64.powf(dbm / 10.0)
 }
 
 /// Complementary error function, via the rational approximation of
@@ -73,12 +50,6 @@ pub fn erfc(x: f64) -> f64 {
     } else {
         2.0 - ans
     }
-}
-
-/// Error function `erf(x) = 1 - erfc(x)`.
-#[inline]
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
 }
 
 /// Gaussian Q-function: tail probability of a standard normal,
@@ -154,11 +125,6 @@ pub fn variance(data: &[f64]) -> f64 {
     data.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / data.len() as f64
 }
 
-/// Standard deviation (square root of [`variance`]).
-pub fn std_dev(data: &[f64]) -> f64 {
-    variance(data).sqrt()
-}
-
 /// Root-mean-square value of a slice.
 pub fn rms(data: &[f64]) -> f64 {
     if data.is_empty() {
@@ -196,12 +162,6 @@ pub fn next_pow2(n: usize) -> usize {
     p
 }
 
-/// Linear interpolation between `a` and `b` with parameter `t` in `[0,1]`.
-#[inline]
-pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
-    a + (b - a) * t
-}
-
 /// Clamps `x` into `[lo, hi]`.
 ///
 /// # Panics
@@ -220,11 +180,8 @@ mod tests {
     #[test]
     fn db_round_trips() {
         for &v in &[0.001, 0.5, 1.0, 42.0, 1e6] {
-            assert!((db_to_pow(pow_to_db(v)) - v).abs() / v < 1e-12);
             assert!((db_to_amp(amp_to_db(v)) - v).abs() / v < 1e-12);
-            assert!((dbm_to_mw(mw_to_dbm(v)) - v).abs() / v < 1e-12);
         }
-        assert!((pow_to_db(2.0) - 3.0103).abs() < 1e-3);
         assert!((amp_to_db(2.0) - 6.0206).abs() < 1e-3);
     }
 
@@ -236,13 +193,6 @@ mod tests {
         assert!((erfc(1.0) - 0.1572992).abs() < 1e-6);
         assert!((erfc(2.0) - 0.0046777).abs() < 1e-6);
         assert!((erfc(-1.0) - 1.8427008).abs() < 1e-6);
-    }
-
-    #[test]
-    fn erf_symmetry() {
-        for &x in &[0.1, 0.7, 1.3, 2.2] {
-            assert!((erf(x) + erf(-x)).abs() < 1e-7);
-        }
     }
 
     #[test]
@@ -278,7 +228,6 @@ mod tests {
         let d = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&d), 2.5);
         assert!((variance(&d) - 1.25).abs() < 1e-12);
-        assert!((std_dev(&d) - 1.25f64.sqrt()).abs() < 1e-12);
         assert!((rms(&[3.0, 4.0]) - (12.5f64).sqrt()).abs() < 1e-12);
         assert_eq!(max_abs(&[-3.0, 2.0]), 3.0);
         assert_eq!(argmax(&[1.0, 5.0, 5.0, 2.0]), Some(1));
@@ -288,12 +237,11 @@ mod tests {
     }
 
     #[test]
-    fn pow2_and_lerp() {
+    fn pow2_and_clamp() {
         assert_eq!(next_pow2(0), 1);
         assert_eq!(next_pow2(1), 1);
         assert_eq!(next_pow2(5), 8);
         assert_eq!(next_pow2(1024), 1024);
-        assert_eq!(lerp(0.0, 10.0, 0.25), 2.5);
         assert_eq!(clamp(5.0, 0.0, 2.0), 2.0);
         assert_eq!(clamp(-5.0, 0.0, 2.0), 0.0);
     }

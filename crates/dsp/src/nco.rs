@@ -1,6 +1,6 @@
 //! Numerically controlled oscillator (NCO).
 //!
-//! Generates phase-continuous complex phasors or real sinusoids. Used for
+//! Generates phase-continuous complex phasors. Used for
 //! the local oscillator models (up/downconversion) and for synthesizing test
 //! tones and interferers.
 
@@ -15,8 +15,8 @@ use crate::complex::Complex;
 ///
 /// // A 5 GHz tone sampled at 32 GS/s.
 /// let mut nco = Nco::new(5.0e9, 32.0e9);
-/// let samples: Vec<f64> = (0..64).map(|_| nco.next_real()).collect();
-/// assert!(samples.iter().all(|x| x.abs() <= 1.0));
+/// let samples = nco.generate_complex(64);
+/// assert!(samples.iter().all(|z| (z.norm() - 1.0).abs() < 1e-12));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Nco {
@@ -59,17 +59,6 @@ impl Nco {
         self.step * self.fs / std::f64::consts::TAU
     }
 
-    /// Retunes the oscillator without a phase discontinuity.
-    pub fn set_frequency(&mut self, freq_hz: f64) {
-        self.step = std::f64::consts::TAU * freq_hz / self.fs;
-    }
-
-    /// Adds a phase offset (radians), e.g. from a tracking loop.
-    pub fn advance_phase(&mut self, dphi: f64) {
-        self.phase += dphi;
-        self.wrap();
-    }
-
     fn wrap(&mut self) {
         if self.phase > std::f64::consts::PI || self.phase < -std::f64::consts::PI {
             self.phase = self.phase.rem_euclid(std::f64::consts::TAU);
@@ -87,33 +76,15 @@ impl Nco {
         z
     }
 
-    /// Produces the next real cosine sample and advances the phase.
-    pub fn next_real(&mut self) -> f64 {
-        let x = self.phase.cos();
-        self.phase += self.step;
-        self.wrap();
-        x
-    }
-
     /// Generates `n` complex phasor samples.
     pub fn generate_complex(&mut self, n: usize) -> Vec<Complex> {
         (0..n).map(|_| self.next_complex()).collect()
-    }
-
-    /// Generates `n` real cosine samples.
-    pub fn generate_real(&mut self, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.next_real()).collect()
     }
 
     /// Mixes (multiplies) a complex signal with this oscillator, advancing the
     /// phase across the block. Used for frequency translation.
     pub fn mix(&mut self, signal: &[Complex]) -> Vec<Complex> {
         signal.iter().map(|&x| x * self.next_complex()).collect()
-    }
-
-    /// Mixes a real signal with the real oscillator output.
-    pub fn mix_real(&mut self, signal: &[f64]) -> Vec<f64> {
-        signal.iter().map(|&x| x * self.next_real()).collect()
     }
 }
 
@@ -151,18 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_continuity_across_retune() {
-        let fs = 1000.0;
-        let mut nco = Nco::new(100.0, fs);
-        for _ in 0..10 {
-            nco.next_complex();
-        }
-        let before = nco.phase();
-        nco.set_frequency(200.0);
-        assert_eq!(nco.phase(), before, "retune must not jump phase");
-    }
-
-    #[test]
     fn negative_frequency_conjugates() {
         let fs = 1000.0;
         let mut pos = Nco::new(100.0, fs);
@@ -188,22 +147,9 @@ mod tests {
     }
 
     #[test]
-    fn real_output_is_cosine() {
-        let mut nco = Nco::new(0.0, 100.0);
-        assert_eq!(nco.next_real(), 1.0); // cos(0)
-    }
-
-    #[test]
     fn with_phase_offset() {
         let mut nco = Nco::with_phase(0.0, 100.0, std::f64::consts::FRAC_PI_2);
-        assert!(nco.next_real().abs() < 1e-12); // cos(pi/2)
-    }
-
-    #[test]
-    fn advance_phase_wraps() {
-        let mut nco = Nco::new(0.0, 100.0);
-        nco.advance_phase(7.0 * std::f64::consts::PI);
-        assert!(nco.phase().abs() <= std::f64::consts::PI + 1e-12);
+        assert!(nco.next_complex().re.abs() < 1e-12); // cos(pi/2)
     }
 
     #[test]

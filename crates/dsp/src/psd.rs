@@ -47,7 +47,8 @@ impl Psd {
     }
 
     /// Total power: integral of the PSD over frequency.
-    pub fn total_power(&self) -> f64 {
+    #[cfg(test)]
+    fn total_power(&self) -> f64 {
         let df = self.fs / self.freqs.len() as f64;
         self.values.iter().sum::<f64>() * df
     }

@@ -15,7 +15,7 @@ use crate::window::Window;
 /// # Panics
 ///
 /// Panics if `factor == 0`.
-pub fn upsample_zero_stuff(signal: &[Complex], factor: usize) -> Vec<Complex> {
+fn upsample_zero_stuff(signal: &[Complex], factor: usize) -> Vec<Complex> {
     assert!(factor > 0, "upsampling factor must be positive");
     let mut out = vec![Complex::ZERO; signal.len() * factor];
     for (i, &x) in signal.iter().enumerate() {
@@ -62,17 +62,6 @@ pub fn decimate(signal: &[Complex], factor: usize) -> Vec<Complex> {
     filtered.iter().step_by(factor).copied().collect()
 }
 
-/// Decimates without filtering (pure downsampling) — used when the signal is
-/// already band-limited, e.g. taking every N-th correlator output.
-///
-/// # Panics
-///
-/// Panics if `factor == 0`.
-pub fn downsample(signal: &[Complex], factor: usize) -> Vec<Complex> {
-    assert!(factor > 0, "downsampling factor must be positive");
-    signal.iter().step_by(factor).copied().collect()
-}
-
 /// Applies a fractional delay of `delay` samples (may exceed 1) using a
 /// windowed-sinc interpolator with `2 * half_taps` taps.
 ///
@@ -110,30 +99,6 @@ pub fn fractional_delay(signal: &[Complex], delay: f64, half_taps: usize) -> Vec
             acc += signal[idx as usize] * (sinc(t) * w);
         }
         *o = acc;
-    }
-    out
-}
-
-/// Linear-interpolation resampler for arbitrary (even irrational) rate
-/// ratios. `ratio` = output rate / input rate.
-///
-/// # Panics
-///
-/// Panics if `ratio <= 0`.
-pub fn resample_linear(signal: &[Complex], ratio: f64) -> Vec<Complex> {
-    assert!(ratio > 0.0, "resampling ratio must be positive");
-    if signal.is_empty() {
-        return Vec::new();
-    }
-    let n_out = ((signal.len() as f64 - 1.0) * ratio).floor() as usize + 1;
-    let mut out = Vec::with_capacity(n_out);
-    for i in 0..n_out {
-        let pos = i as f64 / ratio;
-        let i0 = pos.floor() as usize;
-        let frac = pos - i0 as f64;
-        let a = signal[i0.min(signal.len() - 1)];
-        let b = signal[(i0 + 1).min(signal.len() - 1)];
-        out.push(a + (b - a) * frac);
     }
     out
 }
@@ -205,14 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn downsample_takes_every_nth() {
-        let x = to_complex(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-        let y = downsample(&x, 2);
-        assert_eq!(y.len(), 3);
-        assert_eq!(y[1].re, 2.0);
-    }
-
-    #[test]
     fn fractional_delay_integer_case() {
         let x = to_complex(&[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
         let y = fractional_delay(&x, 2.0, 4);
@@ -232,19 +189,6 @@ mod tests {
         let expected = -std::f64::consts::TAU * f * 0.5;
         let measured = (y[128] * x[128].conj()).arg();
         assert!((measured - expected).abs() < 0.01, "{measured} vs {expected}");
-    }
-
-    #[test]
-    fn linear_resample_lengths_and_identity() {
-        let x = tone(100, 0.01);
-        let y = resample_linear(&x, 1.0);
-        assert_eq!(y.len(), 100);
-        for (a, b) in x.iter().zip(&y) {
-            assert!((*a - *b).norm() < 1e-12);
-        }
-        let y2 = resample_linear(&x, 2.0);
-        assert_eq!(y2.len(), 199);
-        assert!(resample_linear(&[], 2.0).is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The per-trial signal chain (channel apply → AWGN → matched filter →
 //! correlator bank → channel estimation → RAKE) used to allocate a fresh
 //! `Vec` for every intermediate. [`DspScratch`] is a small pool of complex
-//! and real buffers that callers *take* for the duration of a kernel and
+//! buffers that callers *take* for the duration of a kernel and
 //! *put* back when done. After a few warm-up calls the pooled capacities
 //! converge to the scenario's working-set sizes and every subsequent
 //! `take_*` is allocation-free — the Monte-Carlo engine gives each worker
@@ -33,11 +33,10 @@
 
 use crate::complex::Complex;
 
-/// A pool of reusable complex / real buffers (see the module docs).
+/// A pool of reusable complex buffers (see the module docs).
 #[derive(Debug, Default)]
 pub struct DspScratch {
     complex: Vec<Vec<Complex>>,
-    real: Vec<Vec<f64>>,
 }
 
 /// Pops the pooled buffer with the largest capacity so capacities converge
@@ -75,22 +74,9 @@ impl DspScratch {
         self.complex.push(buf);
     }
 
-    /// Takes a zero-filled real buffer of exactly `len` elements.
-    pub fn take_real(&mut self, len: usize) -> Vec<f64> {
-        let mut buf = pop_largest(&mut self.real).unwrap_or_default();
-        buf.clear();
-        buf.resize(len, 0.0);
-        buf
-    }
-
-    /// Returns a real buffer to the pool for reuse.
-    pub fn put_real(&mut self, buf: Vec<f64>) {
-        self.real.push(buf);
-    }
-
     /// Number of buffers currently parked in the pool (diagnostics).
     pub fn pooled(&self) -> usize {
-        self.complex.len() + self.real.len()
+        self.complex.len()
     }
 }
 
@@ -104,9 +90,6 @@ mod tests {
         let b = s.take_complex(17);
         assert_eq!(b.len(), 17);
         assert!(b.iter().all(|z| *z == Complex::ZERO));
-        let r = s.take_real(5);
-        assert_eq!(r.len(), 5);
-        assert!(r.iter().all(|&x| x == 0.0));
     }
 
     #[test]

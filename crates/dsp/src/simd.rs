@@ -34,7 +34,7 @@ pub const LANES: usize = 8;
 /// lanes (lane `i` takes elements `i, i+LANES, …`), then combined in
 /// ascending lane order. Deterministic on every target.
 #[inline]
-pub fn sum_power(signal: &[Complex]) -> f64 {
+fn sum_power(signal: &[Complex]) -> f64 {
     let mut lanes = [0.0f64; LANES];
     let mut chunks = signal.chunks_exact(LANES);
     for chunk in &mut chunks {
@@ -48,7 +48,7 @@ pub fn sum_power(signal: &[Complex]) -> f64 {
     lanes.iter().sum()
 }
 
-/// Mean power `Σ|z|²/N` via [`sum_power`] (0 for an empty block).
+/// Mean power `Σ|z|²/N` via `sum_power` (0 for an empty block).
 #[inline]
 pub fn mean_power(signal: &[Complex]) -> f64 {
     if signal.is_empty() {

@@ -349,22 +349,6 @@ pub fn accumulate_scaled_offset(dst: &mut [Complex], src: &[Complex], offset: is
     }
 }
 
-/// Mixes one victim record with a fixed-order set of scaled foreign
-/// records: `out = own + Σ_k gain_k · src_k`, evaluated source-major so
-/// each output sample's floating-point summation order is exactly the
-/// order of `contributions`.
-///
-/// `out` is resized to `own.len()`; foreign records shorter than `own`
-/// contribute only over their length, longer ones are truncated. Reuses
-/// `out`'s capacity — zero allocations once warm.
-pub fn mix_sources_into(out: &mut Vec<Complex>, own: &[Complex], contributions: &[(&[Complex], f64)]) {
-    out.clear();
-    out.extend_from_slice(own);
-    for &(src, gain) in contributions {
-        accumulate_scaled(out, src, gain);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,23 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn mix_sources_into_matches_manual_sum_and_reuses_buffer() {
-        let own = ramp(16);
-        let a = ramp(16);
-        let b: Vec<Complex> = ramp(12).iter().map(|z| *z * Complex::new(0.0, 1.0)).collect();
-        let mut out = Vec::new();
-        mix_sources_into(&mut out, &own, &[(&a, 0.25), (&b, -0.5)]);
-        let mut manual = own.clone();
-        accumulate_scaled(&mut manual, &a, 0.25);
-        accumulate_scaled(&mut manual, &b, -0.5);
-        assert_eq!(out, manual);
-        // Warm path: same-length remix does not reallocate.
-        let cap = out.capacity();
-        mix_sources_into(&mut out, &own, &[(&a, 1.0)]);
-        assert_eq!(out.capacity(), cap);
-    }
-
-    #[test]
     fn mixing_is_block_partition_invariant() {
         // Mixing the whole record at once vs. mixing block-by-block must be
         // bit-identical: per-sample summation order is source order either
@@ -530,8 +497,9 @@ mod tests {
         let own = ramp(64);
         let a = ramp(64);
         let b = ramp(64);
-        let mut whole = Vec::new();
-        mix_sources_into(&mut whole, &own, &[(&a, 0.3), (&b, 0.7)]);
+        let mut whole = own.clone();
+        accumulate_scaled(&mut whole, &a, 0.3);
+        accumulate_scaled(&mut whole, &b, 0.7);
 
         let mut blocked = own.clone();
         for start in (0..64).step_by(7) {

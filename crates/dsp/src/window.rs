@@ -60,21 +60,6 @@ impl Window {
     pub fn generate(self, n: usize) -> Vec<f64> {
         (0..n).map(|k| self.coefficient(k, n)).collect()
     }
-
-    /// Coherent gain: mean of the window coefficients (1.0 for rectangular).
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        let w = self.generate(n);
-        w.iter().sum::<f64>() / n as f64
-    }
-
-    /// Equivalent noise bandwidth in bins:
-    /// `n * sum(w²) / (sum w)²`. 1.0 for rectangular, 1.5 for Hann.
-    pub fn enbw(self, n: usize) -> f64 {
-        let w = self.generate(n);
-        let s1: f64 = w.iter().sum();
-        let s2: f64 = w.iter().map(|x| x * x).sum();
-        n as f64 * s2 / (s1 * s1)
-    }
 }
 
 #[cfg(test)]
@@ -124,21 +109,6 @@ mod tests {
         for x in w {
             assert!((x - 1.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn enbw_reference_values() {
-        // Large n limits: rectangular 1.0, Hann 1.5, Hamming ~1.363.
-        let n = 4096;
-        assert!((Window::Rectangular.enbw(n) - 1.0).abs() < 1e-9);
-        assert!((Window::Hann.enbw(n) - 1.5).abs() < 0.01);
-        assert!((Window::Hamming.enbw(n) - 1.363).abs() < 0.01);
-    }
-
-    #[test]
-    fn coherent_gain_rectangular() {
-        assert!((Window::Rectangular.coherent_gain(64) - 1.0).abs() < 1e-12);
-        assert!((Window::Hann.coherent_gain(4096) - 0.5).abs() < 0.01);
     }
 
     #[test]

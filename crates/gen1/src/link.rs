@@ -51,7 +51,7 @@ impl Gen1Transmitter {
     }
 
     /// Builds the chip (slot amplitude) sequence: preamble + spread bits.
-    pub fn chip_sequence(&self, bits: &[bool]) -> Vec<f64> {
+    fn chip_sequence(&self, bits: &[bool]) -> Vec<f64> {
         let pn = msequence_chips(self.config.preamble_degree);
         let mut chips = Vec::new();
         for _ in 0..self.config.preamble_repeats {
@@ -98,7 +98,7 @@ impl Gen1Transmitter {
     /// # Panics
     ///
     /// Panics if `periods == 0`.
-    pub fn preamble_template_periods(&self, periods: usize) -> Vec<f64> {
+    fn preamble_template_periods(&self, periods: usize) -> Vec<f64> {
         assert!(periods > 0, "need at least one period");
         let pn = msequence_chips(self.config.preamble_degree);
         let sps = self.config.slot_samples;
@@ -244,7 +244,6 @@ mod tests {
         let burst = tx.transmit(&bits);
         let decoded = rx.receive(&burst.samples, bits.len()).expect("sync failed");
         assert_eq!(decoded.bits, bits);
-        assert!(decoded.sync.detected);
     }
 
     #[test]

@@ -8,11 +8,9 @@
 
 use crate::config::Gen1Config;
 
-/// Result of a gen1 synchronization attempt.
+/// A gen1 synchronization lock (the detection threshold was cleared).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyncResult {
-    /// Whether the detection threshold was cleared.
-    pub detected: bool,
     /// Sample offset of the preamble-template alignment.
     pub offset: usize,
     /// CFAR detection statistic: correlation peak over the median absolute
@@ -26,12 +24,16 @@ pub struct SyncResult {
     pub phases_searched: usize,
 }
 
+/// CFAR detection threshold (peak over median-absolute correlation). Pure
+/// noise peaks near ≈5.7× the median over an 8 k search; 7.0 keeps the
+/// false-alarm rate low while detecting down to the link's operating SNR.
+const THRESHOLD: f64 = 7.0;
+
 /// The parallelized synchronization engine.
 #[derive(Debug, Clone)]
 pub struct Gen1Sync {
     template: Vec<f64>,
     config: Gen1Config,
-    threshold: f64,
 }
 
 impl Gen1Sync {
@@ -42,25 +44,7 @@ impl Gen1Sync {
     /// Panics if the template is empty.
     pub fn new(template: Vec<f64>, config: Gen1Config) -> Self {
         assert!(!template.is_empty(), "template must be non-empty");
-        Gen1Sync {
-            template,
-            config,
-            threshold: 7.0,
-        }
-    }
-
-    /// Overrides the CFAR detection threshold (peak over median-absolute
-    /// correlation). Pure noise peaks near ≈5.7× the median over an 8 k
-    /// search; the default 7.0 keeps the false-alarm rate low while
-    /// detecting down to the link's operating SNR.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `threshold > 1`.
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        assert!(threshold > 1.0, "CFAR threshold must exceed 1");
-        self.threshold = threshold;
-        self
+        Gen1Sync { template, config }
     }
 
     /// Searches all phases of one preamble period. Returns `None` when the
@@ -96,43 +80,17 @@ impl Gen1Sync {
         let floor = sorted[sorted.len() / 2].max(f64::MIN_POSITIVE);
         let metric = mags[best_idx] / floor;
 
-        let detected = metric >= self.threshold;
+        if metric < THRESHOLD {
+            return None;
+        }
         let dwell_s = period as f64 / self.config.sample_rate.as_hz();
         let dwells = n_phases.div_ceil(self.config.sync_parallelism);
-        let result = SyncResult {
-            detected,
+        Some(SyncResult {
             offset: best_idx,
             metric,
             search_time_us: dwells as f64 * dwell_s * 1e6,
             phases_searched: n_phases,
-        };
-        detected.then_some(result)
-    }
-
-    /// The same search but reporting the result even when detection fails
-    /// (for false-alarm statistics).
-    pub fn acquire_always(&self, samples: &[f64]) -> SyncResult {
-        match self.acquire(samples) {
-            Some(r) => r,
-            None => {
-                // Re-run, but capture the sub-threshold peak.
-                let mut engine = self.clone();
-                engine.threshold = f64::MIN_POSITIVE;
-                engine
-                    .acquire(samples)
-                    .map(|mut r| {
-                        r.detected = false;
-                        r
-                    })
-                    .unwrap_or(SyncResult {
-                        detected: false,
-                        offset: 0,
-                        metric: 0.0,
-                        search_time_us: 0.0,
-                        phases_searched: 0,
-                    })
-            }
-        }
+        })
     }
 }
 
@@ -157,7 +115,6 @@ mod tests {
         let burst = tx.transmit(&[true, false, true]);
         let sync = Gen1Sync::new(tx.preamble_template(), config);
         let r = sync.acquire(&burst.samples).expect("no lock");
-        assert!(r.detected);
         assert_eq!(r.offset, burst.slot0_start);
         assert!(r.metric > 7.0, "{}", r.metric);
     }
@@ -193,9 +150,6 @@ mod tests {
         let mut rng = Rand::new(2);
         let noise: Vec<f64> = (0..50_000).map(|_| rng.gaussian()).collect();
         assert!(sync.acquire(&noise).is_none());
-        let r = sync.acquire_always(&noise);
-        assert!(!r.detected);
-        assert!(r.metric < 7.0, "{}", r.metric);
     }
 
     #[test]
@@ -204,12 +158,5 @@ mod tests {
         let tx = Gen1Transmitter::new(config.clone());
         let sync = Gen1Sync::new(tx.preamble_template(), config);
         assert!(sync.acquire(&[0.0; 10]).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold")]
-    fn bad_threshold_panics() {
-        let config = cfg();
-        Gen1Sync::new(vec![1.0], config).with_threshold(0.5);
     }
 }

@@ -88,7 +88,7 @@ impl RecordSchedule {
     }
 
     /// The transmitters whose records die once victim `v` is processed.
-    pub fn expiring_after(&self, v: usize) -> &[u32] {
+    fn expiring_after(&self, v: usize) -> &[u32] {
         &self.expire_at[v]
     }
 }

@@ -127,17 +127,6 @@ impl NetScenario {
         sc
     }
 
-    /// Enables convolutional coding on every link: the base config's
-    /// payload is encoded with `code` at the transmitter and soft-decision
-    /// Viterbi decoded at the receiver (rate 1/2, so [`Gen2Config::bit_rate`]
-    /// halves). The per-link planning/adaptation machinery carries the FEC
-    /// flag through unchanged — this is the `NetScenario`-level switch for
-    /// the paper's "Viterbi demodulator" coding-gain knob.
-    pub fn with_fec(mut self, code: uwb_phy::fec::ConvCode) -> NetScenario {
-        self.base_config.fec = Some(code);
-        self
-    }
-
     /// Number of links (the topology's length).
     pub fn len(&self) -> usize {
         self.topology.len()
@@ -154,9 +143,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn with_fec_halves_bit_rate_and_runs_end_to_end() {
+    fn fec_halves_bit_rate_and_runs_end_to_end() {
         let uncoded_rate = NetScenario::ring(2, 10.0, 77).base_config.bit_rate();
-        let sc = NetScenario::ring(2, 10.0, 77).with_fec(uwb_phy::fec::ConvCode::k7());
+        let mut sc = NetScenario::ring(2, 10.0, 77);
+        sc.base_config.fec = Some(uwb_phy::fec::ConvCode::k7());
         assert_eq!(
             sc.base_config.bit_rate(),
             uncoded_rate / 2.0,
@@ -164,7 +154,6 @@ mod tests {
         );
         // A coded network round runs the full encode -> superpose -> soft
         // Viterbi decode chain without error.
-        let mut sc = sc;
         sc.rounds = 1;
         sc.probe_spectral = false;
         let report = crate::runner::run_network(&sc);

@@ -197,6 +197,12 @@ impl<'a> Parser<'a> {
                     }
                     _ => return Err("bad escape in string".to_string()),
                 },
+                Some(b) if b < 0x20 => {
+                    return Err(format!(
+                        "unescaped control character 0x{b:02x} in string at byte {}",
+                        self.pos - 1
+                    ))
+                }
                 Some(b) if b < 0x80 => out.push(b as char),
                 Some(b) => {
                     // Multi-byte UTF-8: find the full sequence.
@@ -221,28 +227,44 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consumes one or more digits; errors (naming `part`) if there are none.
+    fn digits(&mut self, part: &str) -> Result<(), String> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(format!("expected a digit in {part} at byte {start}"));
+        }
+        Ok(())
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?` — the JSON
+    /// number grammar: no leading zeros, and at least one digit after the
+    /// sign, the point and the exponent marker.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(format!("leading zero in number at byte {start}"));
+            }
+        } else {
+            self.digits("the integer part")?;
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits("the fraction")?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits("the exponent")?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| "invalid number".to_string())?;
@@ -348,6 +370,51 @@ mod tests {
         assert!(parse("[1,2],").is_err());
         assert!(parse("").is_err());
         assert!(parse("{\"a\"").is_err());
+    }
+
+    #[test]
+    fn numbers_and_strings_follow_the_json_grammar() {
+        let accepted: [(&str, Json); 11] = [
+            ("0", Json::Num(0.0)),
+            ("-0", Json::Num(-0.0)),
+            ("0.5", Json::Num(0.5)),
+            ("-0.5", Json::Num(-0.5)),
+            ("10", Json::Num(10.0)),
+            ("1e3", Json::Num(1000.0)),
+            ("1E+3", Json::Num(1000.0)),
+            ("1.5e-2", Json::Num(0.015)),
+            ("-12.25E2", Json::Num(-1225.0)),
+            ("0e0", Json::Num(0.0)),
+            ("\"a\\nb\"", Json::Str("a\nb".to_string())),
+        ];
+        for (doc, want) in accepted {
+            assert_eq!(parse(doc), Ok(want), "{doc:?} must parse");
+        }
+        let rejected = [
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "-.5",
+            ".5",
+            "-",
+            "1e",
+            "1e+",
+            "1.e3",
+            "[01]",
+            "{\"a\":1.}",
+            "\"a\nb\"",
+            "\"\t\"",
+            "\"\u{1}\"",
+            "\"\u{1f}\"",
+        ];
+        for doc in rejected {
+            assert!(
+                parse(doc).is_err(),
+                "{doc:?} must be rejected, got {:?}",
+                parse(doc)
+            );
+        }
     }
 
     #[test]

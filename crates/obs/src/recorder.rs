@@ -100,7 +100,7 @@ impl TrialForensics {
 
     /// The trial's most recent event breadcrumbs as `(name, value)` rows in
     /// chronological order (oldest kept first).
-    pub fn crumbs(&self) -> Vec<(&'static str, u64)> {
+    fn crumbs(&self) -> Vec<(&'static str, u64)> {
         let names = crate::registry::event_names();
         let n = self.n_crumbs as usize;
         (0..n)

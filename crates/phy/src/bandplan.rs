@@ -113,7 +113,7 @@ impl Channel {
 
     /// Fraction of this channel's occupied bandwidth that `other`'s occupied
     /// band covers: 1.0 for the same channel, 0.0 for any disjoint pair.
-    pub fn overlap_fraction(self, other: Channel) -> f64 {
+    fn overlap_fraction(self, other: Channel) -> f64 {
         self.overlap_hz(other) / (CHANNEL_BANDWIDTH_MHZ * 1e6)
     }
 

@@ -47,20 +47,13 @@ impl ChannelEstimate {
         self.taps.iter().map(|z| z.norm_sqr()).sum()
     }
 
-    /// The `n` strongest taps as `(delay_samples, gain)`, strongest first.
-    pub fn strongest_fingers(&self, n: usize) -> Vec<(usize, Complex)> {
-        let mut idx = Vec::new();
-        self.select_strongest_into(n, &mut idx);
-        idx.into_iter().map(|i| (i, self.taps[i])).collect()
-    }
-
     /// Indices of the `n` strongest taps, strongest first, written into the
     /// caller-owned `idx` buffer (allocation-free once its capacity
     /// suffices).
     ///
     /// Uses an unstable sort with an explicit `(descending energy, ascending
-    /// index)` key, which reproduces exactly the order the stable sort in the
-    /// historical `strongest_fingers` produced — ties on energy are common
+    /// index)` key, which reproduces exactly the order a stable sort by
+    /// descending energy produces — ties on energy are common
     /// once taps are quantized to a few bits, so the tie-break matters for
     /// bit-identical finger selection.
     pub fn select_strongest_into(&self, n: usize, idx: &mut Vec<usize>) {
@@ -125,22 +118,6 @@ impl ChannelEstimate {
         } else {
             0.0
         }
-    }
-
-    /// Collapses the sample-spaced CIR to a symbol-spaced channel for the
-    /// MLSE: tap `k` sums the energy-weighted response in
-    /// `[k·sps, (k+1)·sps)` by matched-filter combining (coherent sum).
-    pub fn to_symbol_spaced(&self, samples_per_symbol: usize, n_taps: usize) -> Vec<Complex> {
-        (0..n_taps)
-            .map(|k| {
-                let lo = k * samples_per_symbol;
-                let hi = ((k + 1) * samples_per_symbol).min(self.taps.len());
-                if lo >= self.taps.len() {
-                    return Complex::ZERO;
-                }
-                self.taps[lo..hi].iter().copied().sum()
-            })
-            .collect()
     }
 }
 
@@ -294,19 +271,19 @@ mod tests {
     }
 
     #[test]
-    fn strongest_fingers_sorted() {
+    fn strongest_selection_sorted() {
         let est = ChannelEstimate::new(vec![
             Complex::new(0.1, 0.0),
             Complex::new(0.9, 0.0),
             Complex::new(0.0, 0.5),
             Complex::new(0.05, 0.0),
         ]);
-        let fingers = est.strongest_fingers(2);
-        assert_eq!(fingers.len(), 2);
-        assert_eq!(fingers[0].0, 1);
-        assert_eq!(fingers[1].0, 2);
+        let mut fingers = Vec::new();
+        est.select_strongest_into(2, &mut fingers);
+        assert_eq!(fingers, vec![1, 2]);
         // Requesting more than available returns all.
-        assert_eq!(est.strongest_fingers(99).len(), 4);
+        est.select_strongest_into(99, &mut fingers);
+        assert_eq!(fingers.len(), 4);
     }
 
     #[test]
@@ -331,20 +308,6 @@ mod tests {
     fn quantized_zero_estimate_unchanged() {
         let est = ChannelEstimate::new(vec![Complex::ZERO; 4]);
         assert_eq!(est.quantized(4), est);
-    }
-
-    #[test]
-    fn symbol_spaced_collapse() {
-        let mut taps = vec![Complex::ZERO; 20];
-        taps[0] = Complex::ONE;
-        taps[3] = Complex::new(0.5, 0.0);
-        taps[12] = Complex::new(0.0, 0.25);
-        let est = ChannelEstimate::new(taps);
-        let sym = est.to_symbol_spaced(10, 3);
-        assert_eq!(sym.len(), 3);
-        assert!((sym[0] - Complex::new(1.5, 0.0)).norm() < 1e-12);
-        assert!((sym[1] - Complex::new(0.0, 0.25)).norm() < 1e-12);
-        assert_eq!(sym[2], Complex::ZERO);
     }
 
     #[test]

@@ -142,16 +142,6 @@ impl ConvCode {
         bits_rev.truncate(n_steps - (k - 1)); // strip tail
         bits_rev
     }
-
-    /// Free distance of the code (tabulated for the built-in codes, else a
-    /// conservative lower bound of `K`).
-    pub fn free_distance(&self) -> u32 {
-        match (self.constraint_length, self.g0, self.g1) {
-            (3, 0o7, 0o5) => 5,
-            (7, 0o171, 0o133) => 10,
-            (k, _, _) => k,
-        }
-    }
 }
 
 #[inline]
@@ -168,7 +158,7 @@ pub fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
 
 /// [`bits_to_bytes`] into a caller-owned buffer (allocation-free once the
 /// capacity suffices).
-pub fn bits_to_bytes_into(bits: &[bool], out: &mut Vec<u8>) {
+fn bits_to_bytes_into(bits: &[bool], out: &mut Vec<u8>) {
     out.clear();
     out.extend(bits.chunks(8).map(|chunk| {
         chunk
@@ -287,9 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn free_distances() {
-        assert_eq!(ConvCode::k3().free_distance(), 5);
-        assert_eq!(ConvCode::k7().free_distance(), 10);
+    fn trellis_state_counts() {
         assert_eq!(ConvCode::k3().states(), 4);
         assert_eq!(ConvCode::k7().states(), 64);
     }

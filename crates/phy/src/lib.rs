@@ -17,7 +17,7 @@
 //! | PLL/DLL fine tracking | [`tracking`] |
 //! | 4-bit channel estimation | [`chanest`] |
 //! | programmable RAKE | [`rake`] |
-//! | Viterbi demodulator (FEC + MLSE) | [`fec`], [`mlse`] (LMS baseline in [`lms`]) |
+//! | Viterbi demodulator (FEC + MLSE) | [`fec`], [`mlse`] |
 //! | spectral monitoring → notch | [`spectral`] (filter in `uwb-rf`) |
 //! | power/QoS/rate adaptation | [`adapt`], [`power`] |
 //! | "precise locationing" (abstract) | [`ranging`] |
@@ -51,7 +51,6 @@ pub mod correlator;
 pub mod crc;
 pub mod error;
 pub mod fec;
-pub mod lms;
 pub mod mlse;
 pub mod modulation;
 pub mod packet;
@@ -75,7 +74,6 @@ pub use config::Gen2Config;
 pub use correlator::{CorrelatorBank, CorrelatorStats, SpreadCode};
 pub use error::PhyError;
 pub use fec::ConvCode;
-pub use lms::LmsEqualizer;
 pub use mlse::MlseEqualizer;
 pub use modulation::Modulation;
 pub use packet::{FrameScratch, FrameSlots, Header};
@@ -84,7 +82,7 @@ pub use pulse::PulseShape;
 pub use rake::RakeReceiver;
 pub use ranging::{solve_two_way, RangingResult, ToaEstimate, ToaEstimator};
 pub use receiver::{Gen2Receiver, ReceivedPacket, RxState};
-pub use spectral::{GoertzelMonitor, InterfererReport, SpectralMonitor};
+pub use spectral::{InterfererReport, SpectralMonitor};
 pub use stream_rx::{StreamPhase, StreamRx};
 pub use tracking::{Dll, Pll};
 pub use tx::{Burst, Gen2Transmitter};

@@ -160,7 +160,8 @@ impl MlseEqualizer {
 
     /// Reference: symbol-by-symbol threshold detection against the main tap
     /// only (what the receiver does with MLSE disabled).
-    pub fn threshold_detect(&self, received: &[Complex]) -> Vec<bool> {
+    #[cfg(test)]
+    fn threshold_detect(&self, received: &[Complex]) -> Vec<bool> {
         let h0 = self.channel[0];
         received.iter().map(|&z| (z * h0.conj()).re > 0.0).collect()
     }

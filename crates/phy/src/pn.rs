@@ -1,4 +1,4 @@
-//! Pseudo-noise sequences: LFSR m-sequences and Gold codes.
+//! Pseudo-noise sequences: LFSR m-sequences and the Barker-13 code.
 //!
 //! The acquisition preamble is a PN sequence whose sharp circular
 //! autocorrelation (N at lag 0, −1 elsewhere for an m-sequence) is what the
@@ -28,22 +28,6 @@ impl Lfsr {
             taps,
             degree,
             state: (1 << degree) - 1,
-        }
-    }
-
-    /// Creates an LFSR with explicit taps and seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `degree` is 0 or above 31, or the seed is zero.
-    pub fn with_taps(degree: u32, taps: u32, seed: u32) -> Self {
-        assert!((1..=31).contains(&degree), "degree must be 1..=31");
-        let mask = (1u32 << degree) - 1;
-        assert!(seed & mask != 0, "LFSR seed must be non-zero");
-        Lfsr {
-            taps,
-            degree,
-            state: seed & mask,
         }
     }
 
@@ -80,7 +64,7 @@ impl Lfsr {
 
     /// [`Lfsr::chips`] into a caller-owned buffer (allocation-free once the
     /// capacity suffices).
-    pub fn chips_into(&mut self, out: &mut Vec<f64>) {
+    fn chips_into(&mut self, out: &mut Vec<f64>) {
         let n = self.period();
         out.clear();
         out.extend((0..n).map(|_| if self.next_bit() { 1.0 } else { -1.0 }));
@@ -129,43 +113,8 @@ pub fn msequence_chips_into(degree: u32, out: &mut Vec<f64>) {
     Lfsr::msequence(degree).chips_into(out);
 }
 
-/// Generates a Gold code of degree `n` by XORing two m-sequences with
-/// different tap sets at relative phase `shift`. Gold families give many
-/// codes with bounded cross-correlation — useful when multiple links share
-/// a channel.
-///
-/// # Panics
-///
-/// Panics for unsupported degrees (preferred pairs are tabulated for 5, 7
-/// and 9; each pair verified to meet the Gold bound `2^((n+2)/2) + 1` under
-/// this module's LFSR convention).
-pub fn gold_code(degree: u32, shift: usize) -> Vec<f64> {
-    let (taps_a, taps_b) = match degree {
-        5 => (0o5u32, 0o17u32),
-        7 => (0o3u32, 0o11u32),
-        9 => (0o21u32, 0o33u32),
-        _ => panic!("unsupported Gold code degree {degree}"),
-    };
-    let n = (1usize << degree) - 1;
-    let mut a = Lfsr::with_taps(degree, taps_a, (1 << degree) - 1);
-    let mut b = Lfsr::with_taps(degree, taps_b, (1 << degree) - 1);
-    let seq_a = a.bits(n);
-    let mut seq_b = b.bits(n);
-    seq_b.rotate_left(shift % n);
-    seq_a
-        .iter()
-        .zip(&seq_b)
-        .map(|(&x, &y)| if x ^ y { 1.0 } else { -1.0 })
-        .collect()
-}
-
 /// The 13-chip Barker code — the classic start-frame-delimiter pattern with
 /// ideal aperiodic autocorrelation sidelobes of |1|.
-pub fn barker13() -> Vec<f64> {
-    BARKER13.to_vec()
-}
-
-/// The Barker-13 chip sequence as a constant (allocation-free access).
 pub const BARKER13: [f64; 13] = [
     1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0,
 ];
@@ -224,25 +173,8 @@ mod tests {
     }
 
     #[test]
-    fn gold_code_properties() {
-        let n = 127;
-        let g0 = gold_code(7, 0);
-        let g1 = gold_code(7, 13);
-        assert_eq!(g0.len(), n);
-        assert_ne!(g0, g1);
-        // Gold cross-correlation is bounded by ~ 2^((n+2)/2) + 1 = 17 for n=7.
-        let mut cross_max = 0.0f64;
-        for lag in 0..n {
-            let c: f64 = (0..n).map(|i| g0[i] * g1[(i + lag) % n]).sum();
-            cross_max = cross_max.max(c.abs());
-        }
-        assert!(cross_max <= 17.0 + 1e-9, "cross-corr {cross_max}");
-    }
-
-    #[test]
     fn barker_autocorrelation_sidelobes() {
-        let b = barker13();
-        assert_eq!(b.len(), 13);
+        let b = BARKER13;
         // Aperiodic autocorrelation sidelobes all <= 1.
         for lag in 1..13 {
             let c: f64 = (0..13 - lag).map(|i| b[i] * b[i + lag]).sum();
@@ -260,11 +192,5 @@ mod tests {
     #[should_panic(expected = "unsupported")]
     fn bad_degree_panics() {
         msequence_chips(20);
-    }
-
-    #[test]
-    #[should_panic(expected = "seed must be non-zero")]
-    fn zero_seed_panics() {
-        Lfsr::with_taps(5, 0b10100, 0);
     }
 }

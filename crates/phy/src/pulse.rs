@@ -154,7 +154,7 @@ fn rrc_sample(t: f64, beta: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if the pulse has zero energy.
-pub fn normalize_energy(pulse: &mut [f64]) {
+fn normalize_energy(pulse: &mut [f64]) {
     let e: f64 = pulse.iter().map(|x| x * x).sum();
     assert!(e > 0.0, "cannot normalize a zero pulse");
     let k = 1.0 / e.sqrt();

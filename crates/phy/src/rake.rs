@@ -58,17 +58,6 @@ impl RakeReceiver {
         self.total_weight = self.fingers.iter().map(|(_, w)| w.norm_sqr()).sum();
     }
 
-    /// A single-finger "RAKE" (plain matched filter at the strongest path) —
-    /// the baseline the RAKE is compared against.
-    pub fn single_finger(estimate: &ChannelEstimate) -> Self {
-        RakeReceiver::from_estimate(estimate, 1)
-    }
-
-    /// Number of active fingers.
-    pub fn finger_count(&self) -> usize {
-        self.fingers.len()
-    }
-
     /// The finger delays and combining weights.
     pub fn fingers(&self) -> &[(usize, Complex)] {
         &self.fingers
@@ -265,7 +254,7 @@ mod tests {
         let h = test_channel();
         let est = ChannelEstimate::new(h.clone());
         let rake = RakeReceiver::from_estimate(&est, 3);
-        let single = RakeReceiver::single_finger(&est);
+        let single = RakeReceiver::from_estimate(&est, 1); // plain matched filter
         let mut rng = Rand::new(3);
         let symbols: Vec<f64> = (0..2000)
             .map(|_| if rng.bit() { 1.0 } else { -1.0 })

@@ -132,11 +132,6 @@ pub fn solve_two_way(t_tx_ns: f64, t_rx_ns: f64, turnaround_ns: f64) -> RangingR
     }
 }
 
-/// Distance corresponding to a one-way propagation delay.
-pub fn delay_to_distance_m(delay_ns: f64) -> f64 {
-    SPEED_OF_LIGHT * delay_ns * 1e-9
-}
-
 /// One-way delay for a distance.
 pub fn distance_to_delay_ns(distance_m: f64) -> f64 {
     distance_m / SPEED_OF_LIGHT * 1e9
@@ -241,7 +236,7 @@ mod tests {
     #[test]
     fn distance_delay_round_trip() {
         for &d in &[0.1, 1.0, 10.0] {
-            assert!((delay_to_distance_m(distance_to_delay_ns(d)) - d).abs() < 1e-12);
+            assert!((SPEED_OF_LIGHT * distance_to_delay_ns(d) * 1e-9 - d).abs() < 1e-12);
         }
     }
 

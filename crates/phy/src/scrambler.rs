@@ -28,7 +28,7 @@ impl Scrambler {
     }
 
     /// The default seed used by the packet format.
-    pub fn default_seed() -> u16 {
+    fn default_seed() -> u16 {
         0x6959
     }
 

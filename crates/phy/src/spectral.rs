@@ -104,63 +104,6 @@ impl Default for SpectralMonitor {
     }
 }
 
-/// A low-power alternative monitor: instead of a full Welch FFT sweep, a
-/// Goertzel bank watches a fixed list of *suspect* frequencies (the known
-/// narrowband services near the operating channel — e.g. 802.11a at
-/// 5.15–5.35 GHz lands in-band for channels 3–4). `O(N)` per suspect, two
-/// real multiplies per sample — a fraction of the FFT's energy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GoertzelMonitor {
-    /// Baseband-equivalent suspect frequencies (Hz offsets from the channel
-    /// center).
-    pub suspects_hz: Vec<f64>,
-    /// Detection threshold on the interferer-to-background power ratio
-    /// (suspect-bin power over everything else), in dB.
-    pub threshold_db: f64,
-}
-
-impl GoertzelMonitor {
-    /// A monitor over the given suspect list: detect when a suspect carries
-    /// at least as much power as the rest of the block combined (0 dB).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `suspects_hz` is empty.
-    pub fn new(suspects_hz: Vec<f64>) -> Self {
-        assert!(!suspects_hz.is_empty(), "need at least one suspect");
-        GoertzelMonitor {
-            suspects_hz,
-            threshold_db: 0.0,
-        }
-    }
-
-    /// Analyzes a block; reports the strongest suspect.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty or `fs_hz <= 0`.
-    pub fn analyze(&self, samples: &[Complex], fs_hz: f64) -> InterfererReport {
-        assert!(!samples.is_empty(), "cannot analyze an empty block");
-        assert!(fs_hz > 0.0, "sample rate must be positive");
-        let total_power = uwb_dsp::complex::mean_power(samples).max(1e-300);
-        let scan = uwb_dsp::goertzel::scan_frequencies(samples, fs_hz, &self.suspects_hz);
-        let (freq, power) = scan
-            .iter()
-            .copied()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("non-empty suspect list");
-        // Interferer-to-background: bin power vs everything else in the block.
-        let background = (total_power - power).max(total_power * 1e-6);
-        let ratio_db = 10.0 * (power / background).log10();
-        InterfererReport {
-            detected: ratio_db >= self.threshold_db,
-            frequency: Hertz::new(freq),
-            peak_to_floor_db: ratio_db,
-            relative_power_db: 10.0 * (power / total_power).log10(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,37 +195,6 @@ mod tests {
         assert!(report.detected);
         assert!((report.frequency.as_hz() - 180e6).abs() < 2e6);
         assert!(report.relative_power_db > -3.0, "{}", report.relative_power_db);
-    }
-
-    #[test]
-    fn goertzel_monitor_detects_known_suspect() {
-        let mut rng = Rand::new(7);
-        let noise = complex_noise(16_384, 1.0, &mut rng);
-        let suspects = vec![-150e6, -50e6, 50e6, 150e6];
-        let monitor = GoertzelMonitor::new(suspects);
-        // No interferer: quiet.
-        let clean = monitor.analyze(&noise, FS);
-        assert!(!clean.detected, "{}", clean.peak_to_floor_db);
-        // Interferer on a suspect frequency, 10 dB above the noise.
-        let sig = Interferer::cw(150e6, 10.0).add_to(&noise, FS, &mut rng);
-        let report = monitor.analyze(&sig, FS);
-        assert!(report.detected, "{}", report.peak_to_floor_db);
-        assert_eq!(report.frequency.as_hz(), 150e6);
-        assert!((report.peak_to_floor_db - 10.0).abs() < 1.5, "{}", report.peak_to_floor_db);
-    }
-
-    #[test]
-    fn goertzel_monitor_agrees_with_welch() {
-        let mut rng = Rand::new(8);
-        let noise = complex_noise(16_384, 0.5, &mut rng);
-        let sig = Interferer::cw(-50e6, 8.0).add_to(&noise, FS, &mut rng);
-        let welch_report = SpectralMonitor::new().analyze(&sig, FS);
-        let goertzel_report =
-            GoertzelMonitor::new(vec![-150e6, -50e6, 50e6]).analyze(&sig, FS);
-        assert!(welch_report.detected && goertzel_report.detected);
-        assert!(
-            (welch_report.frequency.as_hz() - goertzel_report.frequency.as_hz()).abs() < 1e6
-        );
     }
 
     #[test]

@@ -109,8 +109,6 @@ pub struct StreamRx {
     phase: Phase,
     packets: Vec<(usize, ReceivedPacket)>,
     max_payload_len: usize,
-    /// Total samples pushed so far (absolute end of the stream seen).
-    pushed: usize,
 }
 
 impl StreamRx {
@@ -125,20 +123,9 @@ impl StreamRx {
     ///
     /// Panics if `max_payload_len == 0`.
     pub fn new(config: Gen2Config, max_payload_len: usize) -> Result<Self, PhyError> {
-        Ok(StreamRx::from_receiver(
-            Gen2Receiver::new(config)?,
-            max_payload_len,
-        ))
-    }
-
-    /// Wraps an existing receiver (shares its configuration and templates).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_payload_len == 0`.
-    pub fn from_receiver(rx: Gen2Receiver, max_payload_len: usize) -> Self {
+        let rx = Gen2Receiver::new(config)?;
         assert!(max_payload_len > 0, "max payload length must be positive");
-        StreamRx {
+        Ok(StreamRx {
             rx,
             state: RxState::new(),
             buf: Vec::new(),
@@ -147,8 +134,7 @@ impl StreamRx {
             phase: Phase::Searching,
             packets: Vec::new(),
             max_payload_len,
-            pushed: 0,
-        }
+        })
     }
 
     /// The wrapped receiver's configuration.
@@ -168,16 +154,6 @@ impl StreamRx {
     /// Absolute sample index the next attempt window starts at.
     pub fn cursor(&self) -> usize {
         self.cursor
-    }
-
-    /// Total samples pushed so far.
-    pub fn samples_pushed(&self) -> usize {
-        self.pushed
-    }
-
-    /// Samples currently retained in the history window.
-    pub fn buffered_len(&self) -> usize {
-        self.buf.len()
     }
 
     /// Capacity of the history window (bounded: about one acquisition search
@@ -204,7 +180,6 @@ impl StreamRx {
     ///
     /// Block size is arbitrary and does not affect the decoded output.
     pub fn push_block(&mut self, block: &[Complex]) -> usize {
-        self.pushed += block.len();
         // Drop any retained prefix the scan has already committed to skip.
         self.discard_front();
         let mut block = block;
@@ -555,7 +530,6 @@ mod tests {
         assert_eq!(srx.push_block(&[]), 0);
         assert_eq!(srx.push_block(&[Complex::ONE]), 0);
         assert_eq!(srx.finish(), 0);
-        assert_eq!(srx.samples_pushed(), 1);
     }
 
     #[test]

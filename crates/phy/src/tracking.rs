@@ -74,7 +74,7 @@ impl Dll {
 
 /// Correlates `template` against `signal` starting at fractional offset
 /// `start` (negative parts clipped), using sinc interpolation of the signal.
-pub fn correlate_at(signal: &[Complex], template: &[Complex], start: f64) -> Complex {
+fn correlate_at(signal: &[Complex], template: &[Complex], start: f64) -> Complex {
     if signal.is_empty() || template.is_empty() {
         return Complex::ZERO;
     }

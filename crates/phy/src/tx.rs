@@ -30,16 +30,6 @@ pub struct Burst {
 }
 
 impl Burst {
-    /// Sample index of the center of slot `k`.
-    pub fn slot_center(&self, k: usize) -> usize {
-        self.slot0_center + k * self.samples_per_slot
-    }
-
-    /// Total number of slots in the frame.
-    pub fn slot_count(&self) -> usize {
-        self.slots.concat().len()
-    }
-
     /// Duration of the burst in microseconds.
     pub fn duration_us(&self) -> f64 {
         self.samples.len() as f64 / self.sample_rate.as_hz() * 1e6
@@ -133,7 +123,7 @@ impl Gen2Transmitter {
     /// [`Gen2Transmitter::synthesize`], allocation-free once the capacity
     /// suffices. The four slot segments are walked in transmission order
     /// without concatenating them first.
-    pub fn synthesize_in_place(&self, burst: &mut Burst) {
+    fn synthesize_in_place(&self, burst: &mut Burst) {
         let sps = self.config.samples_per_slot();
         let half_pulse = self.pulse.len() / 2;
         // Guard so the first/last pulse fit entirely.
@@ -203,10 +193,8 @@ mod tests {
         let burst = t.transmit_packet(&[0xAB; 16]).unwrap();
         assert_eq!(burst.samples_per_slot, 10);
         let expected_slots = burst.slots.concat().len();
-        assert_eq!(burst.slot_count(), expected_slots);
         // Pulse energy appears at slot centers.
         assert!(burst.samples.len() > expected_slots * 10);
-        assert_eq!(burst.slot_center(5) - burst.slot_center(0), 50);
     }
 
     #[test]
@@ -214,7 +202,7 @@ mod tests {
         let t = tx();
         // A single +1 preamble chip puts a pulse peak at the slot center.
         let burst = t.transmit_packet(&[]).unwrap();
-        let c0 = burst.slot_center(0);
+        let c0 = burst.slot0_center;
         let first_chip = burst.slots.preamble[0];
         let peak = t.pulse()[t.pulse().len() / 2];
         assert!(

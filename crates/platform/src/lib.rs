@@ -9,8 +9,8 @@
 //!   interference with calibrated Eb/N0
 //! * [`waveform`] — arbitrary waveform generation + slot-level modulation
 //!   BER studies
-//! * [`metrics`] — BER/PER counters, Wilson confidence intervals, and the
-//!   closed-form AWGN reference curves
+//! * [`metrics`] — BER/PER counters and the closed-form AWGN reference
+//!   curves
 //! * [`mask`] — FCC −41.3 dBm/MHz spectral-mask compliance checking
 //! * [`report`] — ASCII tables, log strip charts, and oscillograms for the
 //!   experiment binaries

@@ -442,7 +442,7 @@ impl LinkWorker {
     /// The returned [`CleanSynthesis::slot0_start`] stays relative to this
     /// trial's own record (the lane), not the arena. Identical RNG schedule
     /// and sample values to the replacing variant.
-    pub fn synthesize_clean_streamed_append(
+    fn synthesize_clean_streamed_append(
         &mut self,
         scenario: &LinkScenario,
         payload_len: usize,

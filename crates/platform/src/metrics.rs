@@ -29,19 +29,6 @@ impl ErrorCounter {
         self.errors += diff + (n - common) as u64;
     }
 
-    /// Adds byte-level comparisons bitwise.
-    pub fn add_bytes(&mut self, reference: &[u8], received: &[u8]) {
-        let n = reference.len().max(received.len());
-        self.total += 8 * n as u64;
-        let common = reference.len().min(received.len());
-        let diff: u32 = reference[..common]
-            .iter()
-            .zip(&received[..common])
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
-        self.errors += diff as u64 + 8 * (n - common) as u64;
-    }
-
     /// Records `n` observations with `e` errors.
     pub fn add_raw(&mut self, n: u64, e: u64) {
         self.total += n;
@@ -58,27 +45,6 @@ impl ErrorCounter {
         } else {
             self.errors as f64 / self.total as f64
         }
-    }
-
-    /// Wilson 95 % confidence interval for the error rate.
-    pub fn wilson_ci(&self) -> (f64, f64) {
-        if self.total == 0 {
-            return (0.0, 1.0);
-        }
-        let n = self.total as f64;
-        let p = self.rate();
-        let z = 1.96f64;
-        let z2 = z * z;
-        let denom = 1.0 + z2 / n;
-        let center = (p + z2 / (2.0 * n)) / denom;
-        let half = z * ((p * (1.0 - p) + z2 / (4.0 * n)) / n).sqrt() / denom;
-        ((center - half).max(0.0), (center + half).min(1.0))
-    }
-
-    /// `true` once enough errors are collected for a ±50 % relative CI
-    /// (rule of thumb: 100 errors).
-    pub fn is_converged(&self) -> bool {
-        self.errors >= 100
     }
 
     /// Merges another counter.
@@ -140,40 +106,17 @@ mod tests {
     }
 
     #[test]
-    fn byte_counting() {
-        let mut c = ErrorCounter::new();
-        c.add_bytes(&[0xFF, 0x00], &[0xFE, 0x01]);
-        assert_eq!(c.total, 16);
-        assert_eq!(c.errors, 2);
-    }
-
-    #[test]
     fn length_mismatch_counts_as_errors() {
         let mut c = ErrorCounter::new();
         c.add_bits(&[true; 5], &[true; 3]);
         assert_eq!(c.total, 5);
         assert_eq!(c.errors, 2);
-        let mut c2 = ErrorCounter::new();
-        c2.add_bytes(&[0u8; 4], &[0u8; 2]);
-        assert_eq!(c2.errors, 16);
     }
 
     #[test]
-    fn wilson_interval_brackets_rate() {
-        let mut c = ErrorCounter::new();
-        c.add_raw(10_000, 100);
-        let (lo, hi) = c.wilson_ci();
-        assert!(lo < 0.01 && 0.01 < hi);
-        assert!(hi - lo < 0.005, "CI too wide: {lo}..{hi}");
-        assert!(c.is_converged());
-    }
-
-    #[test]
-    fn empty_counter_rate_is_nan_ci_is_unit() {
+    fn empty_counter_rate_is_nan() {
         let c = ErrorCounter::new();
         assert!(c.rate().is_nan(), "empty rate must be NaN, not 0");
-        assert_eq!(c.wilson_ci(), (0.0, 1.0));
-        assert!(!c.is_converged());
         // The `.rate().max(floor)` caller idiom stays safe: max ignores NaN.
         assert_eq!(c.rate().max(1e-6), 1e-6);
     }

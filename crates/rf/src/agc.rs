@@ -49,21 +49,6 @@ impl Agc {
         self.gain
     }
 
-    /// The target RMS level.
-    pub fn target_rms(&self) -> f64 {
-        self.target_rms
-    }
-
-    /// Lower gain limit.
-    pub fn min_gain(&self) -> f64 {
-        self.min_gain
-    }
-
-    /// Upper gain limit.
-    pub fn max_gain(&self) -> f64 {
-        self.max_gain
-    }
-
     /// Measures the block and applies the computed gain. A silent block
     /// keeps the previous gain.
     ///
@@ -86,42 +71,6 @@ impl Agc {
         let p = simd::mean_power(signal);
         if p > 0.0 {
             self.gain = (self.target_rms / p.sqrt()).clamp(self.min_gain, self.max_gain);
-        }
-        simd::scale_in_place(signal, self.gain);
-    }
-
-    /// Variant that sets gain from peak amplitude rather than RMS — this is
-    /// what a clipping-avoidance AGC does, and what lets a strong interferer
-    /// crush the wanted signal.
-    ///
-    /// Thin allocating wrapper over
-    /// [`Agc::process_peak_referenced_in_place`].
-    pub fn process_peak_referenced(&mut self, signal: &[Complex], full_scale: f64) -> Vec<Complex> {
-        let mut out = signal.to_vec();
-        self.process_peak_referenced_in_place(&mut out, full_scale);
-        out
-    }
-
-    /// [`Agc::process_peak_referenced`] mutating the signal in place
-    /// (allocation-free).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `full_scale` is positive and finite — the same
-    /// validation [`Agc::new`] enforces for its limits. (Without the guard
-    /// a zero, negative, or NaN full scale would put a NaN gain through
-    /// `clamp`, which propagates NaN, and silently corrupt the block.)
-    pub fn process_peak_referenced_in_place(&mut self, signal: &mut [Complex], full_scale: f64) {
-        assert!(
-            full_scale > 0.0 && full_scale.is_finite(),
-            "full scale must be positive and finite, got {full_scale}"
-        );
-        // max(|z|²) then one sqrt: sqrt is monotone and correctly rounded,
-        // so this is bit-identical to folding max over |z| — and the
-        // sqrt-free reduction autovectorizes.
-        let peak_sq = signal.iter().fold(0.0f64, |m, z| m.max(z.norm_sqr()));
-        if peak_sq > 0.0 {
-            self.gain = (full_scale / peak_sq.sqrt()).clamp(self.min_gain, self.max_gain);
         }
         simd::scale_in_place(signal, self.gain);
     }
@@ -166,18 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_referenced_backs_off_for_interferer() {
-        // Wanted pulse amplitude 0.1, interferer amplitude 10: peak AGC sets
-        // gain from the interferer, crushing the pulse.
-        let mut agc = Agc::new(0.355, 1e-6, 1e6);
-        let mut sig = vec![Complex::new(0.1, 0.0); 100];
-        sig[50] = Complex::new(10.0, 0.0);
-        let out = agc.process_peak_referenced(&sig, 1.0);
-        // Pulse is now at 0.1 * (1/10) = 0.01 of full scale.
-        assert!((out[0].norm() - 0.01).abs() < 1e-9, "{}", out[0].norm());
-    }
-
-    #[test]
     fn in_place_matches_allocating_bitwise() {
         let mut rng = Rand::new(7);
         let sig = uwb_sim::awgn::complex_noise(512, 3.7, &mut rng);
@@ -189,33 +126,11 @@ mod tests {
         b.process_in_place(&mut buf);
         assert_eq!(buf, want);
         assert_eq!(a.gain(), b.gain());
-
-        let mut a = Agc::new(0.355, 1e-6, 1e6);
-        let mut b = a.clone();
-        let want = a.process_peak_referenced(&sig, 1.0);
-        let mut buf = sig.clone();
-        b.process_peak_referenced_in_place(&mut buf, 1.0);
-        assert_eq!(buf, want);
-        assert_eq!(a.gain(), b.gain());
     }
 
     #[test]
     #[should_panic(expected = "min_gain")]
     fn bad_limits_panic() {
         Agc::new(1.0, 2.0, 1.0);
-    }
-
-    #[test]
-    fn peak_referenced_rejects_bad_full_scale() {
-        // A zero/negative/non-finite full scale used to put a NaN gain
-        // through clamp and silently corrupt the block.
-        for fs in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let caught = std::panic::catch_unwind(|| {
-                let mut agc = Agc::for_unit_adc();
-                let mut sig = vec![Complex::ONE; 4];
-                agc.process_peak_referenced_in_place(&mut sig, fs);
-            });
-            assert!(caught.is_err(), "full_scale {fs} must be rejected");
-        }
     }
 }

@@ -138,12 +138,6 @@ impl DirectConversionRx {
         self
     }
 
-    /// Sets the baseband lowpass cutoff.
-    pub fn with_lpf_cutoff(mut self, cutoff: Hertz) -> Self {
-        self.lpf_cutoff = cutoff;
-        self
-    }
-
     /// The configured impairments.
     pub fn impairments(&self) -> &IqImpairments {
         &self.impairments

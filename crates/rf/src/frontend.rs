@@ -87,11 +87,6 @@ impl RxChain {
         self
     }
 
-    /// Most recent AGC gain.
-    pub fn agc_gain(&self) -> f64 {
-        self.agc.gain()
-    }
-
     /// Full receive pass: real passband at `fs` in, AGC-leveled complex
     /// baseband out (same rate).
     pub fn receive(&mut self, passband: &[f64], fs: SampleRate, rng: &mut Rand) -> Vec<Complex> {
@@ -159,7 +154,7 @@ mod tests {
         let rms = uwb_dsp::complex::mean_power(&out).sqrt();
         // AGC target is 0.355 (-9 dBFS).
         assert!((rms - 0.355).abs() < 0.1, "rms {rms}");
-        assert!(rx.agc_gain() > 1.0);
+        assert!(rx.agc.gain() > 1.0);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! The analog portion of the paper's direct-conversion transceiver (Fig. 3),
 //! as sampled-signal behavioral models:
 //!
-//! * [`noise`] — thermal noise, noise figure, Friis cascade
 //! * [`lna`] — gain / NF / IIP3 low-noise amplifier
 //! * [`lo`] — local oscillator with CFO (ppm) and phase noise
 //! * [`downconvert`] — quadrature upconverter and zero-IF receiver with I/Q
@@ -41,10 +40,8 @@ pub mod downconvert;
 pub mod frontend;
 pub mod lna;
 pub mod lo;
-pub mod noise;
 pub mod notch;
 pub mod selectivity;
-pub mod stream;
 
 pub use agc::Agc;
 pub use downconvert::{DirectConversionRx, IqImpairments, Upconverter};
@@ -53,4 +50,3 @@ pub use lna::Lna;
 pub use lo::LocalOscillator;
 pub use notch::TunableNotch;
 pub use selectivity::ChannelSelectivity;
-pub use stream::{StreamingAgc, StreamingDownconverter, StreamingNotch};

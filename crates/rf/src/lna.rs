@@ -6,7 +6,6 @@
 //! nonlinearity (set by IIP3) and an equivalent input noise (set by NF).
 
 use uwb_dsp::math::{db_to_amp, db_to_pow};
-use uwb_dsp::Complex;
 use uwb_sim::rng::Rand;
 
 /// Behavioral LNA: linear gain, third-order compression, input-referred
@@ -33,7 +32,7 @@ impl Lna {
     }
 
     /// Amplitude gain (linear).
-    pub fn gain_linear(&self) -> f64 {
+    fn gain_linear(&self) -> f64 {
         db_to_amp(self.gain_db)
     }
 
@@ -81,44 +80,6 @@ impl Lna {
                 }
             })
             .collect()
-    }
-
-    /// Amplifies a complex baseband signal. The odd-order nonlinearity at
-    /// baseband appears as AM-AM compression `y = g·x·(1 − 0.75·c3·|x|²)`,
-    /// saturating at the curve's peak as in [`amplify_real`].
-    ///
-    /// [`amplify_real`]: Lna::amplify_real
-    pub fn amplify_complex(
-        &self,
-        input: &[Complex],
-        noise_power_in: f64,
-        rng: &mut Rand,
-    ) -> Vec<Complex> {
-        let g = self.gain_linear();
-        let c3 = self.c3();
-        // a(1 - 0.75 c3 a^2) peaks at a_sat = 1/sqrt(2.25 c3).
-        let a_sat = 1.0 / (2.25 * c3).sqrt();
-        let y_sat = g * (2.0 / 3.0) * a_sat;
-        let excess = (db_to_pow(self.nf_db) - 1.0) * noise_power_in;
-        let sigma = (excess.max(0.0) / 2.0).sqrt();
-        input
-            .iter()
-            .map(|&z| {
-                let zn = z + Complex::new(sigma * rng.gaussian(), sigma * rng.gaussian());
-                let a = zn.norm();
-                if a >= a_sat {
-                    zn * (y_sat / a.max(f64::MIN_POSITIVE))
-                } else {
-                    zn * (g * (1.0 - 0.75 * c3 * a * a))
-                }
-            })
-            .collect()
-    }
-
-    /// 1 dB input compression point in dBm, from the standard relation
-    /// `P_1dB ≈ IIP3 − 9.6 dB`.
-    pub fn p1db_dbm(&self) -> f64 {
-        self.iip3_dbm - 9.6
     }
 }
 
@@ -204,25 +165,5 @@ mod tests {
         let y = lna.amplify_real(&silence, 0.01, &mut rng);
         let p = uwb_dsp::complex::mean_power_real(&y);
         assert!((p - 0.01).abs() / 0.01 < 0.05, "{p}");
-    }
-
-    #[test]
-    fn complex_path_gain_matches() {
-        let lna = Lna {
-            gain_db: 12.0,
-            nf_db: 0.0,
-            iip3_dbm: 100.0,
-        };
-        let mut rng = Rand::new(5);
-        let x = vec![Complex::new(1e-3, -1e-3); 100];
-        let y = lna.amplify_complex(&x, 0.0, &mut rng);
-        let g = (y[0].norm() / x[0].norm()).log10() * 20.0;
-        assert!((g - 12.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn p1db_relation() {
-        let lna = Lna::uwb_default();
-        assert!((lna.p1db_dbm() - (lna.iip3_dbm - 9.6)).abs() < 1e-12);
     }
 }

@@ -65,11 +65,10 @@ impl LocalOscillator {
     }
 
     /// Emits the next unit-magnitude LO phasor at sample rate `fs_hz`,
-    /// advancing internal phase (and accumulating phase noise) — the
-    /// single-sample streaming form of [`LocalOscillator::generate`], with
-    /// identical arithmetic and draw order.
+    /// advancing internal phase (and accumulating phase noise) — one sample
+    /// of [`LocalOscillator::generate`].
     #[inline]
-    pub fn next_phasor(&mut self, fs_hz: f64, rng: &mut Rand) -> Complex {
+    fn next_phasor(&mut self, fs_hz: f64, rng: &mut Rand) -> Complex {
         let step = std::f64::consts::TAU * self.actual().as_hz() / fs_hz;
         let out = Complex::cis(self.phase);
         self.phase += step;

@@ -47,11 +47,6 @@ impl TunableNotch {
         self.center = Some(freq);
     }
 
-    /// Disengages the notch (signal passes through untouched).
-    pub fn bypass(&mut self) {
-        self.center = None;
-    }
-
     /// The tuned center frequency, if engaged.
     pub fn center(&self) -> Option<Hertz> {
         self.center
@@ -65,13 +60,6 @@ impl TunableNotch {
     /// The sample rate the notch was designed for.
     pub fn sample_rate(&self) -> SampleRate {
         self.fs
-    }
-
-    /// The −3 dB notch width in hertz (≈ `f_design/Q` mapped to the sample
-    /// rate — narrow relative to a 500 MHz UWB channel by design).
-    pub fn notch_width_hz(&self) -> f64 {
-        // Design frequency is fixed at fs/8 (see `process`).
-        (self.fs.as_hz() / 8.0) / self.q
     }
 
     /// Filters a complex baseband block. When disengaged, returns the input
@@ -145,13 +133,6 @@ mod tests {
         let out = notch.process(&sig_tone);
         let p = mean_power(&out[8192..]);
         assert!((p - 1.0).abs() < 0.05, "signal damaged: {p}");
-    }
-
-    #[test]
-    fn narrow_relative_to_channel() {
-        let notch = TunableNotch::new(fs(), 30.0);
-        // Width must be well below the 500 MHz channel bandwidth.
-        assert!(notch.notch_width_hz() < 50e6, "{}", notch.notch_width_hz());
     }
 
     #[test]

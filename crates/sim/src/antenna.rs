@@ -35,24 +35,6 @@ impl Antenna {
         }
     }
 
-    /// Custom band edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the edges are not ordered and positive.
-    pub fn with_band(low_edge: Hertz, high_edge: Hertz, order_sections: usize) -> Self {
-        assert!(
-            low_edge.as_hz() > 0.0 && high_edge.as_hz() > low_edge.as_hz(),
-            "band edges must satisfy 0 < low < high"
-        );
-        assert!(order_sections > 0, "need at least one filter section");
-        Antenna {
-            low_edge,
-            high_edge,
-            order_sections,
-        }
-    }
-
     /// Lower −3 dB edge.
     pub fn low_edge(&self) -> Hertz {
         self.low_edge
@@ -95,49 +77,9 @@ impl Antenna {
         self.build_filter(fs).process(signal)
     }
 
-    /// The sampled impulse response at `fs`, truncated when the tail energy
-    /// falls below `1e-6` of the total (minimum 16 samples).
-    pub fn impulse_response(&self, fs: SampleRate, max_len: usize) -> Vec<f64> {
-        let mut filt = self.build_filter(fs);
-        let mut h = Vec::with_capacity(max_len);
-        h.push(filt.push(1.0));
-        for _ in 1..max_len {
-            h.push(filt.push(0.0));
-        }
-        // Trim the negligible tail.
-        let total: f64 = h.iter().map(|x| x * x).sum();
-        let mut acc = 0.0;
-        let mut cut = h.len();
-        for (i, &x) in h.iter().enumerate().rev() {
-            acc += x * x;
-            if acc > 1e-6 * total {
-                cut = i + 1;
-                break;
-            }
-        }
-        h.truncate(cut.max(16.min(max_len)));
-        h
-    }
-
     /// Magnitude response (dB) at frequency `f` for sample rate `fs`.
     pub fn magnitude_db(&self, f: Hertz, fs: SampleRate) -> f64 {
         self.build_filter(fs).magnitude_db(fs.normalize(f))
-    }
-
-    /// Duration in nanoseconds over which the impulse response retains
-    /// `fraction` of its energy — the "ringing" the receiver's channel
-    /// estimator must absorb.
-    pub fn ringing_ns(&self, fs: SampleRate, fraction: f64) -> f64 {
-        let h = self.impulse_response(fs, 4096);
-        let total: f64 = h.iter().map(|x| x * x).sum();
-        let mut acc = 0.0;
-        for (i, &x) in h.iter().enumerate() {
-            acc += x * x;
-            if acc >= fraction * total {
-                return (i + 1) as f64 / fs.as_hz() * 1e9;
-            }
-        }
-        h.len() as f64 / fs.as_hz() * 1e9
     }
 }
 
@@ -168,18 +110,6 @@ mod tests {
         assert!(low < -25.0, "LF rejection {low}");
         let hi = ant.magnitude_db(Hertz::from_ghz(15.0), fs());
         assert!(hi < -8.0, "HF rejection {hi}");
-    }
-
-    #[test]
-    fn impulse_response_finite_and_ringing() {
-        let ant = Antenna::uwb_elliptical();
-        let h = ant.impulse_response(fs(), 4096);
-        assert!(h.len() >= 16);
-        let energy: f64 = h.iter().map(|x| x * x).sum();
-        assert!(energy > 0.0);
-        // 99% of energy within a few ns (antenna adds sub-channel-scale IR).
-        let ring = ant.ringing_ns(fs(), 0.99);
-        assert!(ring > 0.01 && ring < 10.0, "ringing {ring} ns");
     }
 
     #[test]
@@ -216,11 +146,5 @@ mod tests {
     #[should_panic(expected = "too low")]
     fn nyquist_violation_panics() {
         Antenna::uwb_elliptical().apply(&[0.0; 4], SampleRate::from_gsps(2.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "band edges")]
-    fn bad_band_panics() {
-        Antenna::with_band(Hertz::from_ghz(5.0), Hertz::from_ghz(3.0), 2);
     }
 }

@@ -1,7 +1,7 @@
 //! Additive white Gaussian noise.
 
 use crate::rng::Rand;
-use uwb_dsp::complex::{mean_power, mean_power_real};
+use uwb_dsp::complex::mean_power;
 use uwb_dsp::Complex;
 
 /// Stack-buffer quantum for the chunked noise loops: 256 gaussians = 128
@@ -80,20 +80,6 @@ pub fn complex_noise(n: usize, noise_power: f64, rng: &mut Rand) -> Vec<Complex>
     out
 }
 
-/// Generates `n` samples of real AWGN with power (variance) `noise_power`.
-///
-/// Negative `noise_power` is a caller bug: it panics in debug builds and
-/// clamps to zero (silence) in release builds.
-pub fn real_noise(n: usize, noise_power: f64, rng: &mut Rand) -> Vec<f64> {
-    let sigma = checked_noise_power(noise_power).sqrt();
-    let mut out = vec![0.0; n];
-    rng.fill_gaussian(&mut out);
-    for x in &mut out {
-        *x *= sigma;
-    }
-    out
-}
-
 /// Adds complex noise scaled for a target SNR (dB) relative to the measured
 /// power of `signal`. Returns the noisy signal and the noise power used.
 pub fn add_noise_snr(signal: &[Complex], snr_db: f64, rng: &mut Rand) -> (Vec<Complex>, f64) {
@@ -102,27 +88,10 @@ pub fn add_noise_snr(signal: &[Complex], snr_db: f64, rng: &mut Rand) -> (Vec<Co
     (add_awgn_complex(signal, p_noise, rng), p_noise)
 }
 
-/// Real-signal variant of [`add_noise_snr`].
-pub fn add_noise_snr_real(signal: &[f64], snr_db: f64, rng: &mut Rand) -> (Vec<f64>, f64) {
-    let p_sig = mean_power_real(signal);
-    let p_noise = p_sig / uwb_dsp::math::db_to_pow(snr_db);
-    (add_awgn_real(signal, p_noise, rng), p_noise)
-}
-
-/// Noise power for a given `Eb/N0` (dB) at complex baseband.
-///
-/// With `samples_per_bit` samples carrying each bit and average signal power
-/// `signal_power`, the energy per bit is `signal_power * samples_per_bit`
-/// (per-sample units), so `N0 = Eb / (Eb/N0)` and the per-sample complex
-/// noise power at the full sample rate is `N0` (two-sided, I+Q).
-pub fn noise_power_for_ebn0(signal_power: f64, samples_per_bit: f64, ebn0_db: f64) -> f64 {
-    let eb = signal_power * samples_per_bit;
-    eb / uwb_dsp::math::db_to_pow(ebn0_db)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uwb_dsp::complex::mean_power_real;
 
     #[test]
     fn noise_power_is_calibrated() {
@@ -132,7 +101,7 @@ mod tests {
         let noise = complex_noise(n, p, &mut rng);
         let measured = mean_power(&noise);
         assert!((measured - p).abs() / p < 0.03, "{measured}");
-        let rnoise = real_noise(n, p, &mut rng);
+        let rnoise = add_awgn_real(&vec![0.0; n], p, &mut rng);
         let rm = mean_power_real(&rnoise);
         assert!((rm - p).abs() / p < 0.03, "{rm}");
     }
@@ -150,16 +119,6 @@ mod tests {
             .sum::<f64>()
             / noisy.len() as f64;
         assert!((resid - 0.1).abs() < 0.005, "{resid}");
-    }
-
-    #[test]
-    fn snr_real_calibration() {
-        let mut rng = Rand::new(3);
-        let sig = vec![1.0; 100_000];
-        let (noisy, p_noise) = add_noise_snr_real(&sig, 3.0, &mut rng);
-        let resid: f64 = noisy.iter().map(|x| (x - 1.0) * (x - 1.0)).sum::<f64>()
-            / noisy.len() as f64;
-        assert!((resid - p_noise).abs() / p_noise < 0.05);
     }
 
     #[test]
@@ -186,16 +145,6 @@ mod tests {
         assert_eq!(out, sig);
     }
 
-    #[test]
-    fn ebn0_mapping() {
-        // 0 dB Eb/N0, unit power, 1 sample/bit: N0 = 1.
-        assert!((noise_power_for_ebn0(1.0, 1.0, 0.0) - 1.0).abs() < 1e-12);
-        // +3 dB halves the noise.
-        assert!((noise_power_for_ebn0(1.0, 1.0, 3.0103) - 0.5).abs() < 1e-4);
-        // More samples per bit means proportionally more noise per sample.
-        assert!((noise_power_for_ebn0(1.0, 8.0, 0.0) - 8.0).abs() < 1e-12);
-    }
-
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "negative noise_power")]
@@ -214,7 +163,7 @@ mod tests {
         let mut rng = Rand::new(1);
         let sig = vec![Complex::ONE; 4];
         assert_eq!(add_awgn_complex(&sig, -0.1, &mut rng), sig);
-        assert_eq!(real_noise(4, -1.0, &mut rng), vec![0.0; 4]);
+        assert_eq!(add_awgn_real(&[0.0; 4], -1.0, &mut rng), vec![0.0; 4]);
     }
 
     #[test]
@@ -232,7 +181,7 @@ mod tests {
     fn noise_is_white_ish() {
         // Lag-1 autocorrelation should be near zero.
         let mut rng = Rand::new(5);
-        let noise = real_noise(100_000, 1.0, &mut rng);
+        let noise = add_awgn_real(&vec![0.0; 100_000], 1.0, &mut rng);
         let mut acc = 0.0;
         for i in 0..noise.len() - 1 {
             acc += noise[i] * noise[i + 1];

@@ -130,18 +130,6 @@ impl Interferer {
             }
         }
     }
-
-    /// Signal-to-interference ratio (dB) that this interferer produces
-    /// against a signal of power `signal_power`.
-    pub fn sir_db(&self, signal_power: f64) -> f64 {
-        uwb_dsp::math::pow_to_db(signal_power / self.power)
-    }
-}
-
-/// Builds an interferer whose power is set from a target SIR (dB) given the
-/// signal power.
-pub fn interferer_for_sir(offset_hz: f64, signal_power: f64, sir_db: f64) -> Interferer {
-    Interferer::cw(offset_hz, signal_power / uwb_dsp::math::db_to_pow(sir_db))
 }
 
 #[cfg(test)]
@@ -239,14 +227,6 @@ mod tests {
             intf.add_to_in_place(&mut buf, 1e9, &mut rng);
             assert_eq!(buf, want);
         }
-    }
-
-    #[test]
-    fn sir_helpers() {
-        let intf = interferer_for_sir(0.0, 1.0, -20.0);
-        // SIR -20 dB means interferer 100x the signal.
-        assert!((intf.power - 100.0).abs() < 1e-9);
-        assert!((intf.sir_db(1.0) + 20.0).abs() < 1e-9);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Everything between the transmit antenna connector and the receive LNA:
 //!
 //! * [`time`] — `Picoseconds` / `Hertz` / `SampleRate` newtypes
-//! * [`rng`] — seeded, reproducible randomness with Gaussian/Rayleigh/
+//! * [`rng`] — seeded, reproducible randomness with Gaussian and
 //!   exponential sampling
 //! * [`montecarlo`] — deterministic parallel Monte-Carlo engine (bit-identical
 //!   results for any thread count, cooperative early stop)
@@ -15,7 +15,7 @@
 //! * [`antenna`] — band-pass behavioral model of the planar elliptical
 //!   antenna of paper Fig. 2
 //! * [`pathloss`] — free-space/log-distance loss and the FCC −41.3 dBm/MHz
-//!   link budget
+//!   power ceiling
 //! * [`topology`] — piconet floor-plan geometry and pairwise path gains
 //!
 //! # Example: one CM3 channel realization
@@ -45,7 +45,6 @@ pub mod topology;
 pub use antenna::Antenna;
 pub use interference::{Interferer, InterfererKind};
 pub use montecarlo::{Merge, MonteCarlo, RunOutcome, RunStats, StopReason};
-pub use pathloss::LinkBudget;
 pub use rng::{derive_trial_seed, Rand};
 pub use stream::{StreamingAwgn, StreamingChannel, StreamingInterferer};
 pub use sv_channel::{ChannelModel, ChannelRealization, SvParams, Tap};

@@ -295,7 +295,7 @@ impl MonteCarlo {
     /// `chunk_size` (the default 8 with B ∈ {1, 2, 4, 8}) this is exactly
     /// `chunk_size`, and [`MonteCarlo::run_batched`] stops at the same
     /// trial boundaries as [`MonteCarlo::run`].
-    pub fn effective_chunk_size(&self, batch: u64) -> u64 {
+    fn effective_chunk_size(&self, batch: u64) -> u64 {
         let chunk = self.chunk_size.max(1);
         let batch = batch.max(1);
         chunk.div_ceil(batch) * batch
@@ -318,7 +318,7 @@ impl MonteCarlo {
     /// * `stop(&merged)` is evaluated on the deterministic merge prefix
     ///   after each chunk, exactly as in [`MonteCarlo::run`].
     ///
-    /// Scheduling uses [`MonteCarlo::effective_chunk_size`], so when
+    /// Scheduling uses `effective_chunk_size`, so when
     /// `batch` divides `chunk_size` the contributing trial set — and hence
     /// the merged result, telemetry fingerprint, and worst-trial report —
     /// is bit-identical to [`MonteCarlo::run`] with a closure performing

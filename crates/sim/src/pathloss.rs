@@ -1,4 +1,4 @@
-//! Path loss and the regulatory link budget.
+//! Path loss and the FCC power ceiling.
 //!
 //! UWB links are power-limited by the FCC's −41.3 dBm/MHz EIRP rule rather
 //! than by transmitter capability, so the achievable range/rate trade is set
@@ -65,87 +65,6 @@ pub fn max_tx_power_dbm(bandwidth: Hertz) -> f64 {
     FCC_LIMIT_DBM_PER_MHZ + 10.0 * (bandwidth.as_hz() / 1e6).log10()
 }
 
-/// Thermal noise floor in dBm for the given bandwidth at 290 K:
-/// `−174 dBm/Hz + 10 log10(BW)`.
-pub fn thermal_noise_dbm(bandwidth: Hertz) -> f64 {
-    -174.0 + 10.0 * bandwidth.as_hz().log10()
-}
-
-/// A simple link budget for a UWB channel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinkBudget {
-    /// Transmit power in dBm (defaults to the FCC ceiling for the given
-    /// bandwidth).
-    pub tx_power_dbm: f64,
-    /// Occupied bandwidth.
-    pub bandwidth: Hertz,
-    /// Geometric center frequency used for path loss.
-    pub center: Hertz,
-    /// Receiver noise figure in dB.
-    pub noise_figure_db: f64,
-    /// Path loss exponent (1.7 LOS … 3.5 NLOS indoor).
-    pub path_loss_exponent: f64,
-    /// Implementation margin in dB (filters, estimation losses).
-    pub implementation_loss_db: f64,
-}
-
-impl LinkBudget {
-    /// Budget for one of the paper's 500 MHz channels at the FCC power
-    /// ceiling.
-    pub fn gen2_channel(center: Hertz) -> Self {
-        LinkBudget {
-            tx_power_dbm: max_tx_power_dbm(Hertz::from_mhz(500.0)),
-            bandwidth: Hertz::from_mhz(500.0),
-            center,
-            noise_figure_db: 6.6,
-            path_loss_exponent: 2.0,
-            implementation_loss_db: 3.0,
-        }
-    }
-
-    /// Received power (dBm) at distance `d_m`.
-    pub fn rx_power_dbm(&self, d_m: f64) -> f64 {
-        self.tx_power_dbm - log_distance_path_loss_db(d_m, self.center, self.path_loss_exponent)
-    }
-
-    /// Receiver noise floor (dBm) including the noise figure.
-    pub fn noise_floor_dbm(&self) -> f64 {
-        thermal_noise_dbm(self.bandwidth) + self.noise_figure_db
-    }
-
-    /// SNR (dB) at distance `d_m`, net of implementation loss.
-    pub fn snr_db(&self, d_m: f64) -> f64 {
-        self.rx_power_dbm(d_m) - self.noise_floor_dbm() - self.implementation_loss_db
-    }
-
-    /// `Eb/N0` (dB) at distance `d_m` for data rate `bit_rate` (bits/s):
-    /// `SNR + 10 log10(BW / R)`.
-    pub fn ebn0_db(&self, d_m: f64, bit_rate: f64) -> f64 {
-        self.snr_db(d_m) + 10.0 * (self.bandwidth.as_hz() / bit_rate).log10()
-    }
-
-    /// Maximum distance (m) at which `Eb/N0` stays above `required_ebn0_db`
-    /// for data rate `bit_rate`, found by bisection over 0.01–1000 m.
-    pub fn max_range_m(&self, bit_rate: f64, required_ebn0_db: f64) -> f64 {
-        let (mut lo, mut hi) = (0.01f64, 1000.0f64);
-        if self.ebn0_db(hi, bit_rate) >= required_ebn0_db {
-            return hi;
-        }
-        if self.ebn0_db(lo, bit_rate) < required_ebn0_db {
-            return 0.0;
-        }
-        for _ in 0..60 {
-            let mid = (lo * hi).sqrt();
-            if self.ebn0_db(mid, bit_rate) >= required_ebn0_db {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,37 +97,6 @@ mod tests {
         // Full band 7.5 GHz: about -2.55 dBm.
         let pfull = max_tx_power_dbm(Hertz::new(7.5e9));
         assert!((pfull + 2.55).abs() < 0.1, "{pfull}");
-    }
-
-    #[test]
-    fn thermal_noise_reference() {
-        // 500 MHz -> -174 + 87 = -87 dBm.
-        let n = thermal_noise_dbm(Hertz::from_mhz(500.0));
-        assert!((n + 87.0).abs() < 0.05, "{n}");
-    }
-
-    #[test]
-    fn gen2_budget_closes_at_short_range() {
-        let lb = LinkBudget::gen2_channel(Hertz::from_ghz(3.432));
-        // At 1 m and 100 Mbps the link must close comfortably (>10 dB Eb/N0).
-        let e1 = lb.ebn0_db(1.0, 100e6);
-        assert!(e1 > 10.0, "Eb/N0 at 1 m = {e1}");
-        // Eb/N0 decreases with distance.
-        assert!(lb.ebn0_db(10.0, 100e6) < e1);
-        // Lower rate buys Eb/N0 exactly 10log10(R1/R2).
-        let gain = lb.ebn0_db(5.0, 10e6) - lb.ebn0_db(5.0, 100e6);
-        assert!((gain - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn max_range_monotonic_in_rate() {
-        let lb = LinkBudget::gen2_channel(Hertz::from_ghz(3.96));
-        let r_100m = lb.max_range_m(100e6, 10.0);
-        let r_10m = lb.max_range_m(10e6, 10.0);
-        assert!(r_100m > 0.5, "100 Mbps range {r_100m}");
-        assert!(r_10m > r_100m, "{r_10m} vs {r_100m}");
-        // Range at the found distance actually meets the requirement.
-        assert!(lb.ebn0_db(r_100m * 0.99, 100e6) >= 10.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 /// The splitmix64 finalizer: a full-avalanche 64-bit mix.
 #[inline]
-pub fn splitmix64_mix(mut z: u64) -> u64 {
+fn splitmix64_mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -306,11 +306,6 @@ impl Rand {
         self.batch_pos = 0;
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    pub fn gaussian_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.gaussian()
-    }
-
     /// Exponential sample with the given rate λ (mean `1/λ`).
     ///
     /// # Panics
@@ -326,30 +321,12 @@ impl Rand {
         };
         -u.ln() / rate
     }
-
-    /// Rayleigh sample with scale σ (mode σ).
-    pub fn rayleigh(&mut self, sigma: f64) -> f64 {
-        let x = self.gaussian() * sigma;
-        let y = self.gaussian() * sigma;
-        x.hypot(y)
-    }
-
-    /// Log-normal sample where the underlying normal has mean `mu` and
-    /// standard deviation `sigma` (both in natural-log units).
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.gaussian_with(mu, sigma).exp()
-    }
-
-    /// Random vector of `n` standard normal samples.
-    pub fn gaussian_vec(&mut self, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.gaussian()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uwb_dsp::math::{mean, std_dev, variance};
+    use uwb_dsp::math::{mean, variance};
 
     #[test]
     fn determinism() {
@@ -420,7 +397,7 @@ mod tests {
     #[test]
     fn gaussian_moments() {
         let mut r = Rand::new(123);
-        let v = r.gaussian_vec(200_000);
+        let v: Vec<f64> = (0..200_000).map(|_| r.gaussian()).collect();
         assert!(mean(&v).abs() < 0.02, "mean {}", mean(&v));
         assert!((variance(&v) - 1.0).abs() < 0.03, "var {}", variance(&v));
     }
@@ -483,38 +460,12 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_with_params() {
-        let mut r = Rand::new(5);
-        let v: Vec<f64> = (0..100_000).map(|_| r.gaussian_with(3.0, 0.5)).collect();
-        assert!((mean(&v) - 3.0).abs() < 0.02);
-        assert!((std_dev(&v) - 0.5).abs() < 0.02);
-    }
-
-    #[test]
     fn exponential_mean() {
         let mut r = Rand::new(11);
         let rate = 4.0;
         let v: Vec<f64> = (0..100_000).map(|_| r.exponential(rate)).collect();
         assert!((mean(&v) - 1.0 / rate).abs() < 0.01);
         assert!(v.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    fn rayleigh_mean() {
-        let mut r = Rand::new(13);
-        let sigma = 2.0;
-        let v: Vec<f64> = (0..100_000).map(|_| r.rayleigh(sigma)).collect();
-        // Rayleigh mean = sigma * sqrt(pi/2).
-        let expect = sigma * (std::f64::consts::PI / 2.0).sqrt();
-        assert!((mean(&v) - expect).abs() < 0.05);
-    }
-
-    #[test]
-    fn lognormal_positive() {
-        let mut r = Rand::new(17);
-        for _ in 0..1000 {
-            assert!(r.lognormal(0.0, 1.0) > 0.0);
-        }
     }
 
     #[test]

@@ -208,7 +208,7 @@ impl ChannelRealization {
 
     /// Redraws a Saleh–Valenzuela realization in place (see
     /// [`ChannelRealization::regenerate`]).
-    pub fn regenerate_sv(&mut self, p: &SvParams, rng: &mut Rand) {
+    fn regenerate_sv(&mut self, p: &SvParams, rng: &mut Rand) {
         // Truncate the profile when mean energy has decayed by ~50 dB.
         let max_cluster_delay = 5.0 * p.cluster_decay;
         let max_ray_excess = 5.0 * p.ray_decay;

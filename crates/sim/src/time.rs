@@ -27,13 +27,8 @@ impl Picoseconds {
         Picoseconds(ns * 1e3)
     }
 
-    /// Creates a duration from microseconds.
-    pub fn from_micros(us: f64) -> Self {
-        Picoseconds(us * 1e6)
-    }
-
     /// Creates a duration from seconds.
-    pub fn from_secs(s: f64) -> Self {
+    fn from_secs(s: f64) -> Self {
         Picoseconds(s * 1e12)
     }
 
@@ -48,18 +43,13 @@ impl Picoseconds {
     }
 
     /// The value in microseconds.
-    pub fn as_us(self) -> f64 {
+    fn as_us(self) -> f64 {
         self.0 * 1e-6
     }
 
     /// The value in seconds.
     pub fn as_secs(self) -> f64 {
         self.0 * 1e-12
-    }
-
-    /// Number of whole samples this duration spans at `rate`.
-    pub fn to_samples(self, rate: SampleRate) -> usize {
-        (self.as_secs() * rate.as_hz()).round().max(0.0) as usize
     }
 }
 
@@ -212,16 +202,6 @@ impl SampleRate {
         self.0 * 1e-9
     }
 
-    /// The sample interval.
-    pub fn sample_period(self) -> Picoseconds {
-        Picoseconds::from_secs(1.0 / self.0)
-    }
-
-    /// Duration of `n` samples.
-    pub fn duration_of(self, n: usize) -> Picoseconds {
-        Picoseconds::from_secs(n as f64 / self.0)
-    }
-
     /// Converts a normalized frequency (cycles/sample) to hertz.
     pub fn to_hz(self, normalized: f64) -> Hertz {
         Hertz::new(normalized * self.0)
@@ -245,7 +225,7 @@ mod tests {
 
     #[test]
     fn picoseconds_conversions() {
-        let t = Picoseconds::from_micros(70.0);
+        let t = Picoseconds::from_nanos(70_000.0);
         assert_eq!(t.as_us(), 70.0);
         assert_eq!(t.as_ns(), 70_000.0);
         assert_eq!(t.as_ps(), 70_000_000.0);
@@ -275,24 +255,15 @@ mod tests {
     fn sample_rate_helpers() {
         let fs = SampleRate::from_gsps(2.0); // gen1 ADC rate
         assert_eq!(fs.as_hz(), 2.0e9);
-        assert!((fs.sample_period().as_ps() - 500.0).abs() < 1e-9);
-        assert!((fs.duration_of(2000).as_ns() - 1000.0).abs() < 1e-6);
         assert_eq!(fs.normalize(Hertz::from_mhz(500.0)), 0.25);
         assert_eq!(fs.to_hz(0.25).as_mhz(), 500.0);
-    }
-
-    #[test]
-    fn to_samples_rounding() {
-        let fs = SampleRate::from_gsps(1.0);
-        assert_eq!(Picoseconds::from_nanos(3.4).to_samples(fs), 3);
-        assert_eq!(Picoseconds::from_nanos(3.6).to_samples(fs), 4);
     }
 
     #[test]
     fn display_formats() {
         assert_eq!(Picoseconds::new(580.0).to_string(), "580.0 ps");
         assert_eq!(Picoseconds::from_nanos(20.0).to_string(), "20.000 ns");
-        assert_eq!(Picoseconds::from_micros(70.0).to_string(), "70.000 µs");
+        assert_eq!(Picoseconds::from_nanos(70_000.0).to_string(), "70.000 µs");
         assert_eq!(Hertz::from_ghz(3.432).to_string(), "3.4320 GHz");
         assert_eq!(Hertz::from_mhz(528.0).to_string(), "528.000 MHz");
     }

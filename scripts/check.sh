@@ -73,10 +73,17 @@
 #                             tests, the allocation gate (covers the warm
 #                             batched trial), and the smoke binary under
 #                             UWB_BATCH=1 and UWB_BATCH=8
+#   scripts/check.sh surface  public-surface gate: lists every `pub fn` in a
+#                             library crate (crates/*/src, not crates/bench)
+#                             whose name, as a whole word, appears in no
+#                             other .rs file under crates/, src/, tests/,
+#                             examples/ or benchmark/src/, and fails if there
+#                             is one. No allowlist: delete the function or
+#                             drop its `pub`
 #   scripts/check.sh all      tier-1, then the whole workspace's tests, then
-#                             smoke, then obs, then stream, then net, then
-#                             mac (which includes the uwbbench tests), then
-#                             batch
+#                             surface, then smoke, then obs, then stream,
+#                             then net, then mac (which includes the
+#                             uwbbench tests), then batch
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -87,6 +94,22 @@ tier1() {
     cargo build --release
     echo "== tier-1: cargo test -q =="
     cargo test -q
+}
+
+surface() {
+    echo "== surface: library pub fns no other file names =="
+    local hits=0 file name
+    while IFS= read -r file; do
+        for name in $(grep -oP '^\s*pub fn \K\w+' "$file" | sort -u); do
+            if ! grep -rlw --include='*.rs' -- "$name" crates src tests examples benchmark/src |
+                grep -qvxF -- "$file"; then
+                echo "  $file: $name"
+                hits=$((hits + 1))
+            fi
+        done
+    done < <(find crates -path crates/bench -prune -o -path '*/src/*.rs' -print | sort)
+    echo "surface: $hits unreferenced pub fn(s)"
+    [ "$hits" -eq 0 ]
 }
 
 smoke() {
@@ -201,6 +224,9 @@ case "$mode" in
 tier1)
     tier1
     ;;
+surface)
+    surface
+    ;;
 smoke)
     smoke
     ;;
@@ -226,6 +252,7 @@ all)
     tier1
     echo "== workspace: cargo test -q --workspace =="
     cargo test -q --workspace
+    surface
     smoke
     obs
     stream
@@ -234,7 +261,7 @@ all)
     batch
     ;;
 *)
-    echo "usage: scripts/check.sh [tier1|smoke|bench|obs|stream|net|mac|batch|all]" >&2
+    echo "usage: scripts/check.sh [tier1|surface|smoke|bench|obs|stream|net|mac|batch|all]" >&2
     exit 2
     ;;
 esac

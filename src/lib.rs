@@ -37,7 +37,7 @@ pub mod rf {
     pub use uwb_rf::*;
 }
 
-/// ADC models: flash, SAR, interleaving, jitter.
+/// ADC models: ideal quantizer, flash, SAR, interleaving, sine-test metrics.
 pub mod adc {
     pub use uwb_adc::*;
 }

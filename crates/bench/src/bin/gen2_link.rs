@@ -168,7 +168,7 @@ fn main() {
         resolve_threads(None),
     );
 
-    // Per-stage profile aggregated over every BER point (uwb-telemetry-v2).
+    // Per-stage profile aggregated over every BER point (uwb-telemetry-v3).
     let profile = stage_table(&telemetry);
     if !profile.is_empty() {
         println!("\nstage profile ({total_trials} trials, all points merged):");

@@ -44,9 +44,10 @@ fn tps(v: Option<f64>) -> String {
 }
 
 /// `smoke --speedup [trials]`: measures trials/sec of the pre-engine runner
-/// behavior (serial loop, tx/rx rebuilt per packet — what `run_ber` did
-/// before the Monte-Carlo port) against the engine-backed `run_ber`
-/// (per-worker cached state, `UWB_THREADS` workers) on the same scenario.
+/// behavior (serial loop, tx/rx rebuilt per packet — what the full-path
+/// runner did before the Monte-Carlo port) against the engine-backed
+/// `run_ber_budgeted` (per-worker cached state, `UWB_THREADS` workers) on
+/// the same scenario.
 fn speedup(trials: u64) -> ExitCode {
     let config = Gen2Config {
         preamble_repeats: 2,
@@ -55,7 +56,7 @@ fn speedup(trials: u64) -> ExitCode {
     let scenario = LinkScenario::awgn(config, 6.0, EXPERIMENT_SEED);
 
     // Before: the old serial loop (run_packet rebuilds the worker per call,
-    // exactly like the pre-port run_ber body).
+    // exactly like the pre-port full-path runner body).
     let t0 = Instant::now();
     let mut serial = LinkOutcome::default();
     for t in 0..trials {
@@ -200,7 +201,7 @@ fn main() -> ExitCode {
 
     // Determinism: the same run pinned to one worker thread must agree
     // bit-for-bit with the free-threaded run above — counters AND the
-    // deterministic telemetry view (stage call counts, events, histograms).
+    // deterministic telemetry view (stage call counts, events, digests).
     std::env::set_var("UWB_THREADS", "1");
     let serial = run_ber_fast_budgeted(&scenario, 24, 20, 200_000, budget);
     std::env::remove_var("UWB_THREADS");
@@ -225,13 +226,13 @@ fn main() -> ExitCode {
         failures += 1;
     }
 
-    // Per-stage profile of the multi-threaded run (uwb-telemetry-v2).
+    // Per-stage profile of the multi-threaded run (uwb-telemetry-v3).
     let profile = stage_table(&run.stats.telemetry);
     if !profile.is_empty() {
         println!("\nstage profile ({} trials):", run.stats.trials);
         print!("{profile}");
     }
-    // Percentile digests (v2 `quantiles`).
+    // Percentile digests (the report's `quantiles`).
     for d in &run.stats.telemetry.digests {
         println!(
             "digest {}: n={} p50={} p95={} p99={} max={}",

@@ -94,7 +94,6 @@ impl Fft {
     pub fn new(n: usize) -> Self {
         assert!(n > 0 && n.is_power_of_two(), "FFT size must be a power of two");
         PLANS_BUILT.fetch_add(1, Ordering::Relaxed);
-        uwb_obs::counter!("fft_plans_built").inc();
         let bits = n.trailing_zeros();
         let mut rev = vec![0usize; n];
         if bits > 0 {

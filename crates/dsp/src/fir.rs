@@ -76,47 +76,6 @@ impl FirFilter {
         FirFilter { taps }
     }
 
-    /// Windowed-sinc bandpass between `f_lo` and `f_hi` (fractions of the
-    /// sample rate). Built by modulating a lowpass prototype of half the
-    /// bandwidth up to the band center; gain at center is normalized to 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the band edges are not `0 < f_lo < f_hi < 0.5` or
-    /// `n_taps == 0`.
-    pub fn bandpass(n_taps: usize, f_lo: f64, f_hi: f64, window: Window) -> Self {
-        assert!(
-            f_lo > 0.0 && f_lo < f_hi && f_hi < 0.5,
-            "band edges must satisfy 0 < f_lo < f_hi < 0.5"
-        );
-        assert!(n_taps > 0, "FIR filter needs at least one tap");
-        let half_bw = (f_hi - f_lo) / 2.0;
-        let fc = (f_hi + f_lo) / 2.0;
-        let m = (n_taps - 1) as f64 / 2.0;
-        let mut taps: Vec<f64> = (0..n_taps)
-            .map(|k| {
-                let t = k as f64 - m;
-                2.0 * half_bw
-                    * sinc(2.0 * half_bw * t)
-                    * (std::f64::consts::TAU * fc * t).cos()
-                    * window.coefficient(k, n_taps)
-            })
-            .collect();
-        // Normalize gain at band center.
-        let gain: f64 = taps
-            .iter()
-            .enumerate()
-            .map(|(k, &h)| {
-                let t = k as f64 - m;
-                h * (std::f64::consts::TAU * fc * t).cos()
-            })
-            .sum();
-        for t in &mut taps {
-            *t /= gain;
-        }
-        FirFilter { taps }
-    }
-
     /// The tap weights.
     pub fn taps(&self) -> &[f64] {
         &self.taps
@@ -245,14 +204,6 @@ mod tests {
         let fir = FirFilter::highpass(101, 0.2, Window::Hamming);
         assert!(fir.magnitude_db(0.0) < -40.0);
         assert!(fir.magnitude_db(0.45).abs() < 0.1);
-    }
-
-    #[test]
-    fn bandpass_shape() {
-        let fir = FirFilter::bandpass(201, 0.15, 0.35, Window::Blackman);
-        assert!(fir.magnitude_db(0.25).abs() < 0.05, "{}", fir.magnitude_db(0.25));
-        assert!(fir.magnitude_db(0.02) < -50.0);
-        assert!(fir.magnitude_db(0.48) < -50.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   kernels
 //! * [`batch::BatchArena`] — flat structure-of-arrays lane storage for the
 //!   batched stage-sweep trial runtime
-//! * [`FirFilter`] — windowed-sinc FIR design (lowpass/highpass/bandpass)
+//! * [`FirFilter`] — windowed-sinc FIR design (lowpass/highpass)
 //! * [`Biquad`]/[`BiquadCascade`] — IIR sections including the tunable notch
 //! * [`Window`] functions (Hann, Hamming, Blackman, Kaiser)
 //! * [`Nco`] — phase-continuous oscillator for frequency translation

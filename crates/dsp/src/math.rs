@@ -24,13 +24,7 @@ pub fn db_to_amp(db: f64) -> f64 {
 /// Abramowitz & Stegun 7.1.26 refined with the standard `erfcx`-style
 /// continued form. Maximum absolute error below `1.2e-7`, which is far below
 /// the Monte-Carlo noise floor of any BER estimate in this workspace.
-///
-/// ```
-/// use uwb_dsp::math::erfc;
-/// assert!((erfc(0.0) - 1.0).abs() < 1e-7);
-/// assert!(erfc(3.0) < 1e-4);
-/// ```
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     // Numerical Recipes "erfcc": fractional error everywhere < 1.2e-7.
     let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);

@@ -113,7 +113,7 @@ impl Psd {
 /// # Panics
 ///
 /// Panics if `signal` is empty or `fs <= 0`.
-pub fn periodogram(signal: &[Complex], fs: f64, window: Window) -> Psd {
+fn periodogram(signal: &[Complex], fs: f64, window: Window) -> Psd {
     assert!(!signal.is_empty(), "cannot estimate PSD of empty signal");
     assert!(fs > 0.0, "sample rate must be positive");
     let n = signal.len();

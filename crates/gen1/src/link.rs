@@ -194,7 +194,7 @@ impl Gen1Receiver {
     }
 
     /// Demodulates `n_bits` starting from a known preamble offset.
-    pub fn demodulate(&self, digitized: &[f64], offset: usize, n_bits: usize) -> Vec<bool> {
+    fn demodulate(&self, digitized: &[f64], offset: usize, n_bits: usize) -> Vec<bool> {
         let sps = self.config.slot_samples;
         let mf = uwb_dsp::correlation::cross_correlate_real(digitized, &self.pulse);
         let preamble_chips =

@@ -61,8 +61,6 @@ pub mod traffic;
 pub use events::{Event, EventKind, EventQueue};
 pub use plan::{plan_mac, MacParams, MacPlan};
 pub use report::{MacLinkReport, MacReport};
-pub use runner::{
-    run_mac, run_mac_plan, run_mac_plan_threads, MacAccumulator, MacLinkStats, MacWorker,
-};
+pub use runner::{run_mac, run_mac_plan_threads, MacAccumulator, MacLinkStats, MacWorker};
 pub use scenario::MacScenario;
 pub use traffic::{ArrivalGen, TrafficModel};

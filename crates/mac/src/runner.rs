@@ -770,14 +770,14 @@ impl MacWorker {
             stats.latency_slots_sum += latency;
             stats.latency_slots_max = stats.latency_slots_max.max(latency);
             uwb_obs::digest!("mac_latency_slots", latency);
-            uwb_obs::hist!("mac_retries_per_packet", st.attempt as u64);
+            uwb_obs::digest!("mac_retries_per_packet", st.attempt as u64);
             true
         } else {
             st.attempt += 1;
             if st.attempt > plan.params.max_retries {
                 stats.dropped_retry += 1;
                 uwb_obs::event!("mac_retry_drop");
-                uwb_obs::hist!("mac_retries_per_packet", st.attempt as u64);
+                uwb_obs::digest!("mac_retries_per_packet", st.attempt as u64);
                 true
             } else {
                 st.be = (st.be + 1).min(plan.params.bexp_max);
@@ -818,20 +818,15 @@ impl MacWorker {
 
 /// Plans and measures a complete MAC scenario: serial [`plan_mac`], then
 /// `replications` trials on the deterministic parallel engine, then
-/// report assembly.
+/// report assembly. Worker count follows `UWB_THREADS` / available
+/// parallelism; all counters are bit-identical either way.
 pub fn run_mac(scenario: &MacScenario) -> MacReport {
-    run_mac_plan(plan_mac(scenario))
+    run_mac_engine(plan_mac(scenario), None)
 }
 
-/// Measurement phase over a frozen plan. Worker count follows
-/// `UWB_THREADS` / available parallelism; all counters are bit-identical
-/// either way.
-pub fn run_mac_plan(plan: MacPlan) -> MacReport {
-    run_mac_engine(plan, None)
-}
-
-/// [`run_mac_plan`] with an explicit worker-thread override — the hook
-/// the determinism tests use to compare thread counts in-process.
+/// The measurement phase over a frozen plan with an explicit worker-thread
+/// override — the hook the determinism tests use to compare thread counts
+/// in-process.
 pub fn run_mac_plan_threads(plan: MacPlan, threads: usize) -> MacReport {
     run_mac_engine(plan, Some(threads))
 }

@@ -1,4 +1,4 @@
-//! Per-thread collection state: stage timers, event counts, histograms.
+//! Per-thread collection state: stage timers, event counts, digests.
 //!
 //! Every collector slot is a const-initialised `Cell<u64>` inside a
 //! `thread_local!` block — no lazy allocation, no locking, no atomic RMW on
@@ -7,24 +7,19 @@
 //! merges in deterministic chunk order.
 
 #[cfg(feature = "obs")]
-use crate::registry::{self, EventId, HistId};
-#[cfg(not(feature = "obs"))]
-use crate::registry::{EventId, HistId};
-
-use crate::registry::{DigestId, StageId};
+use crate::registry;
+use crate::registry::{DigestId, EventId, StageId};
 use crate::telemetry::Telemetry;
 
 #[cfg(feature = "obs")]
-use crate::telemetry::{
-    digest_bin, log2_bin, DigestStat, EventStat, HistStat, StageStat, DIGEST_BINS, HIST_BINS,
-};
+use crate::telemetry::{digest_bin, DigestStat, EventStat, StageStat, DIGEST_BINS};
 #[cfg(feature = "obs")]
 use std::cell::Cell;
 #[cfg(feature = "obs")]
 use std::time::Instant;
 
 #[cfg(feature = "obs")]
-use crate::registry::{MAX_DIGESTS, MAX_EVENTS, MAX_HISTS, MAX_STAGES};
+use crate::registry::{MAX_DIGESTS, MAX_EVENTS, MAX_STAGES};
 
 // ---------------------------------------------------------------------------
 // Thread-local collector (obs on)
@@ -35,9 +30,6 @@ struct Collector {
     stage_ns: [Cell<u64>; MAX_STAGES],
     stage_calls: [Cell<u64>; MAX_STAGES],
     events: [Cell<u64>; MAX_EVENTS],
-    hist_n: [Cell<u64>; MAX_HISTS],
-    hist_sum: [Cell<u64>; MAX_HISTS],
-    hist_bins: [[Cell<u64>; HIST_BINS]; MAX_HISTS],
     digest_n: [Cell<u64>; MAX_DIGESTS],
     digest_sum: [Cell<u64>; MAX_DIGESTS],
     digest_max: [Cell<u64>; MAX_DIGESTS],
@@ -52,9 +44,6 @@ impl Collector {
             stage_ns: [const { Cell::new(0) }; MAX_STAGES],
             stage_calls: [const { Cell::new(0) }; MAX_STAGES],
             events: [const { Cell::new(0) }; MAX_EVENTS],
-            hist_n: [const { Cell::new(0) }; MAX_HISTS],
-            hist_sum: [const { Cell::new(0) }; MAX_HISTS],
-            hist_bins: [const { [const { Cell::new(0) }; HIST_BINS] }; MAX_HISTS],
             digest_n: [const { Cell::new(0) }; MAX_DIGESTS],
             digest_sum: [const { Cell::new(0) }; MAX_DIGESTS],
             digest_max: [const { Cell::new(0) }; MAX_DIGESTS],
@@ -73,8 +62,9 @@ thread_local! {
 // Trial tagging
 // ---------------------------------------------------------------------------
 
-/// Tags subsequent events on this thread with the given Monte-Carlo trial
-/// index (shows up in the ring buffer entries).
+/// Tags subsequent work on this thread with the given Monte-Carlo trial
+/// index: span-timeline records carry it, and the flight recorder uses it
+/// to attribute notes and breadcrumbs to the right armed trial.
 #[cfg(feature = "obs")]
 #[inline]
 pub fn set_trial(trial: u64) {
@@ -178,56 +168,31 @@ impl Drop for StageTimer {
 }
 
 // ---------------------------------------------------------------------------
-// Event / histogram recording (called from the macros)
+// Event / digest recording (called from the macros)
 // ---------------------------------------------------------------------------
 
-/// Bumps the per-thread count for the event and pushes a trial-tagged entry
-/// onto the global ring buffer. Called by [`crate::event!`]; not public API.
+/// Bumps the per-thread count for the event and leaves a breadcrumb on the
+/// flight recorder's in-flight trial. Called by [`crate::event!`]; not
+/// public API.
 #[cfg(feature = "obs")]
 #[doc(hidden)]
 #[inline]
-pub fn record_event(id: EventId, name: &'static str, value: u64) {
+pub fn record_event(id: EventId, value: u64) {
     if id == EventId::NONE {
         return;
     }
-    let trial = TLS.with(|c| {
+    TLS.with(|c| {
         let i = id.0 as usize;
         c.events[i].set(c.events[i].get() + 1);
-        c.trial.get()
     });
     crate::recorder::crumb(id.0, value);
-    crate::ring::push(name, trial, value);
 }
 
 /// No-op (`obs` feature off).
 #[cfg(not(feature = "obs"))]
 #[doc(hidden)]
 #[inline(always)]
-pub fn record_event(_id: EventId, _name: &'static str, _value: u64) {}
-
-/// Records `value` into the histogram's per-thread log2 bins. Called by
-/// [`crate::hist!`]; not public API.
-#[cfg(feature = "obs")]
-#[doc(hidden)]
-#[inline]
-pub fn record_hist(id: HistId, value: u64) {
-    if id == HistId::NONE {
-        return;
-    }
-    let i = id.0 as usize;
-    let b = log2_bin(value);
-    TLS.with(|c| {
-        c.hist_n[i].set(c.hist_n[i].get() + 1);
-        c.hist_sum[i].set(c.hist_sum[i].get().wrapping_add(value));
-        c.hist_bins[i][b].set(c.hist_bins[i][b].get() + 1);
-    });
-}
-
-/// No-op (`obs` feature off).
-#[cfg(not(feature = "obs"))]
-#[doc(hidden)]
-#[inline(always)]
-pub fn record_hist(_id: HistId, _value: u64) {}
+pub fn record_event(_id: EventId, _value: u64) {}
 
 /// Records `value` into the percentile digest's per-thread log-linear bins.
 /// Called by [`crate::digest!`]; not public API.
@@ -267,7 +232,6 @@ pub fn record_digest(_id: DigestId, _value: u64) {}
 pub fn take_thread_telemetry() -> Telemetry {
     let stage_names = registry::stage_names();
     let event_names = registry::event_names();
-    let hist_names = registry::hist_names();
     let digest_names = registry::digest_names();
 
     TLS.with(|c| {
@@ -284,26 +248,6 @@ pub fn take_thread_telemetry() -> Telemetry {
             let count = c.events[i].replace(0);
             if count > 0 {
                 events.push(EventStat { name, count });
-            }
-        }
-        let mut hists: Vec<HistStat> = Vec::new();
-        for (i, name) in hist_names.iter().enumerate() {
-            let count = c.hist_n[i].replace(0);
-            let sum = c.hist_sum[i].replace(0);
-            let mut bins: Vec<(u8, u64)> = Vec::new();
-            for (b, cell) in c.hist_bins[i].iter().enumerate() {
-                let n = cell.replace(0);
-                if n > 0 {
-                    bins.push((b as u8, n));
-                }
-            }
-            if count > 0 {
-                hists.push(HistStat {
-                    name,
-                    count,
-                    sum,
-                    bins,
-                });
             }
         }
         let mut digests: Vec<DigestStat> = Vec::new();
@@ -330,14 +274,12 @@ pub fn take_thread_telemetry() -> Telemetry {
         }
         stages.sort_unstable_by_key(|s| s.name);
         events.sort_unstable_by_key(|e| e.name);
-        hists.sort_unstable_by_key(|h| h.name);
         digests.sort_unstable_by_key(|d| d.name);
         let (spans, spans_dropped) = crate::trace::drain();
         let worst = crate::recorder::drain();
         Telemetry {
             stages,
             events,
-            hists,
             digests,
             spans,
             spans_dropped,
@@ -357,7 +299,7 @@ pub fn take_thread_telemetry() -> Telemetry {
 /// [`take_thread_telemetry`]. A helper thread that ran part of a trial
 /// drains its own collector and the trial's thread merges the result, so
 /// the next drain on that thread covers the helper's work too. Stage
-/// calls/ns, event counts, histogram and digest bins add; span records
+/// calls/ns, event counts and digest bins add; span records
 /// append to this thread's trace ring (saturating like any other span).
 /// Flight-recorder entries are not carried: a helper never arms a trial,
 /// so its snapshot has none.
@@ -376,17 +318,6 @@ pub fn merge_thread_telemetry(t: &Telemetry) {
             let id = registry::register_event(e.name);
             if id != EventId::NONE {
                 add(&c.events[id.0 as usize], e.count);
-            }
-        }
-        for h in &t.hists {
-            let id = registry::register_hist(h.name);
-            if id != HistId::NONE {
-                let i = id.0 as usize;
-                add(&c.hist_n[i], h.count);
-                add(&c.hist_sum[i], h.sum);
-                for &(b, n) in &h.bins {
-                    add(&c.hist_bins[i][b as usize], n);
-                }
             }
         }
         for d in &t.digests {
@@ -444,25 +375,26 @@ mod tests {
     }
 
     #[test]
-    fn events_and_hists_drain() {
+    fn events_and_digests_drain() {
         let _ = take_thread_telemetry();
         crate::event!("collect_test_event");
         crate::event!("collect_test_event", 9u64);
-        crate::hist!("collect_test_hist", 5u64);
-        crate::hist!("collect_test_hist", 0u64);
+        crate::digest!("collect_test_digest", 5u64);
+        crate::digest!("collect_test_digest", 0u64);
+        crate::digest!("collect_test_digest", 40u64);
         let snap = take_thread_telemetry();
         if crate::enabled() {
             assert_eq!(snap.event_count("collect_test_event"), 2);
-            let h = snap
-                .hists
+            let d = snap
+                .digests
                 .iter()
-                .find(|h| h.name == "collect_test_hist")
-                .expect("hist present");
-            assert_eq!(h.count, 2);
-            assert_eq!(h.sum, 5);
-            // 5 has 3 significant bits -> bin 3; 0 -> bin 0
-            assert!(h.bins.contains(&(0, 1)));
-            assert!(h.bins.contains(&(3, 1)));
+                .find(|d| d.name == "collect_test_digest")
+                .expect("digest present");
+            assert_eq!(d.count, 3);
+            assert_eq!(d.sum, 45);
+            assert_eq!(d.max, 40);
+            // Exact bins below 16; 40 = 0b101000 -> decade 2^5, sub-bucket 4.
+            assert_eq!(d.bins, vec![(0, 1), (5, 1), (16 + 16 + 4, 1)]);
         } else {
             assert!(snap.is_empty());
         }
@@ -476,7 +408,6 @@ mod tests {
                 let _t = crate::span!("collect_test_merge_stage");
             }
             crate::event!("collect_test_merge_event");
-            crate::hist!("collect_test_merge_hist", 6u64);
             crate::digest!("collect_test_merge_digest", 40u64);
         };
         work();

@@ -1,7 +1,7 @@
 //! Minimal hand-rolled JSON: an escaper for rendering and a strict
 //! recursive-descent parser for schema validation in tests.
 //!
-//! The workspace bans external dependencies, so the `uwb-telemetry-v2`
+//! The workspace bans external dependencies, so the `uwb-telemetry-v3`
 //! documents are rendered by hand and validated with this parser. The
 //! parser is deliberately strict: no `NaN`/`Infinity` tokens, no trailing
 //! commas, no comments — if a renderer leaks a non-finite float the schema

@@ -11,7 +11,7 @@
 //! breadcrumb ring of the most recent [`crate::event!`] occurrences.
 //!
 //! Everything lives in fixed-capacity per-thread storage ([`WORST_K`],
-//! [`NOTE_SLOTS`], [`CRUMB_SLOTS`], [`INFLIGHT_SLOTS`]): recording a note,
+//! `NOTE_SLOTS`, `CRUMB_SLOTS`, [`INFLIGHT_SLOTS`]): recording a note,
 //! a breadcrumb, or an observation never allocates. With the `obs` feature
 //! off every function here is a no-op.
 //!
@@ -25,9 +25,9 @@
 /// How many worst trials each report keeps.
 pub const WORST_K: usize = 8;
 /// Forensic note slots per trial (distinct note names; latest value wins).
-pub const NOTE_SLOTS: usize = 12;
+const NOTE_SLOTS: usize = 12;
 /// Breadcrumb slots per trial (most recent events win).
-pub const CRUMB_SLOTS: usize = 10;
+const CRUMB_SLOTS: usize = 10;
 /// In-flight trial slots per thread. The batched stage-sweep runtime arms
 /// one slot per trial in the sub-batch before sweeping stages across them,
 /// so this bounds the engine's batch width (`resolve_batch` clamps to it).
@@ -51,7 +51,7 @@ pub struct TrialForensics {
     /// bit order equals numeric order, so *lower* is worse.
     pub acq_metric_bits: u64,
     /// Total events seen during the trial (the breadcrumb ring keeps only
-    /// the last [`CRUMB_SLOTS`] of them).
+    /// the last `CRUMB_SLOTS` of them).
     pub events_seen: u32,
     n_notes: u8,
     n_crumbs: u8,

@@ -1,26 +1,23 @@
-//! Static registry of stages, events, histograms, counters, and gauges.
+//! Static registry of stage, event, digest, and note names.
 //!
 //! Registration is idempotent by name and happens once per call site (the
 //! macros cache the returned id in a `OnceLock`), so it is a cold-path
 //! concern: the warm path only ever touches preallocated per-thread slots
 //! indexed by these ids. Capacities are fixed ([`MAX_STAGES`],
-//! [`MAX_EVENTS`], [`MAX_HISTS`]); registrations past the cap return the
-//! `NONE` sentinel and are silently dropped rather than panicking inside an
-//! instrumented library.
+//! [`MAX_EVENTS`], [`MAX_DIGESTS`], `MAX_NOTES`); registrations past the cap
+//! return the `NONE` sentinel and are silently dropped rather than panicking
+//! inside an instrumented library.
 
-use crate::counter::{Gauge, ShardedCounter};
 use std::sync::Mutex;
 
 /// Maximum number of distinct stage names.
 pub const MAX_STAGES: usize = 32;
 /// Maximum number of distinct event names.
 pub const MAX_EVENTS: usize = 32;
-/// Maximum number of distinct histogram names.
-pub const MAX_HISTS: usize = 16;
 /// Maximum number of distinct percentile digests.
 pub const MAX_DIGESTS: usize = 8;
 /// Maximum number of distinct flight-recorder note names.
-pub const MAX_NOTES: usize = 16;
+const MAX_NOTES: usize = 16;
 
 /// Identifies a registered pipeline stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,14 +26,6 @@ pub struct StageId(pub(crate) u16);
 /// Identifies a registered event kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(pub(crate) u16);
-
-/// Identifies a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HistId(pub(crate) u16);
-
-/// Identifies a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GaugeId(pub(crate) u16);
 
 /// Identifies a registered percentile digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,11 +45,6 @@ impl EventId {
     pub const NONE: EventId = EventId(u16::MAX);
 }
 
-impl HistId {
-    /// Sentinel for "not registered".
-    pub const NONE: HistId = HistId(u16::MAX);
-}
-
 impl DigestId {
     /// Sentinel for "not registered".
     pub const NONE: DigestId = DigestId(u16::MAX);
@@ -75,21 +59,15 @@ impl NoteId {
 struct Registry {
     stages: Vec<&'static str>,
     events: Vec<&'static str>,
-    hists: Vec<&'static str>,
     digests: Vec<&'static str>,
     notes: Vec<&'static str>,
-    counters: Vec<(&'static str, &'static ShardedCounter)>,
-    gauges: Vec<(&'static str, &'static Gauge)>,
 }
 
 static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
     stages: Vec::new(),
     events: Vec::new(),
-    hists: Vec::new(),
     digests: Vec::new(),
     notes: Vec::new(),
-    counters: Vec::new(),
-    gauges: Vec::new(),
 });
 
 fn intern(list: &mut Vec<&'static str>, cap: usize, name: &'static str) -> Option<u16> {
@@ -115,12 +93,6 @@ pub fn register_event(name: &'static str) -> EventId {
     intern(&mut reg.events, MAX_EVENTS, name).map_or(EventId::NONE, EventId)
 }
 
-/// Registers (or looks up) a histogram name, returning its id.
-pub fn register_hist(name: &'static str) -> HistId {
-    let mut reg = REGISTRY.lock().expect("obs registry poisoned");
-    intern(&mut reg.hists, MAX_HISTS, name).map_or(HistId::NONE, HistId)
-}
-
 /// Registers (or looks up) a percentile digest name, returning its id.
 pub fn register_digest(name: &'static str) -> DigestId {
     let mut reg = REGISTRY.lock().expect("obs registry poisoned");
@@ -133,50 +105,6 @@ pub fn register_note(name: &'static str) -> NoteId {
     intern(&mut reg.notes, MAX_NOTES, name).map_or(NoteId::NONE, NoteId)
 }
 
-/// Registers (or looks up) a process-wide sharded counter by name.
-///
-/// The counter is leaked once on first registration and lives for the rest
-/// of the process — exactly like a `static`, but nameable at runtime.
-pub fn register_counter(name: &'static str) -> &'static ShardedCounter {
-    let mut reg = REGISTRY.lock().expect("obs registry poisoned");
-    if let Some((_, c)) = reg.counters.iter().find(|(n, _)| *n == name) {
-        return c;
-    }
-    let c: &'static ShardedCounter = Box::leak(Box::new(ShardedCounter::new()));
-    reg.counters.push((name, c));
-    c
-}
-
-/// Registers (or looks up) a process-wide gauge by name.
-pub fn register_gauge(name: &'static str) -> &'static Gauge {
-    let mut reg = REGISTRY.lock().expect("obs registry poisoned");
-    if let Some((_, g)) = reg.gauges.iter().find(|(n, _)| *n == name) {
-        return g;
-    }
-    let g: &'static Gauge = Box::leak(Box::new(Gauge::new()));
-    reg.gauges.push((name, g));
-    g
-}
-
-/// Snapshot of every registered counter as `(name, merged value)` rows,
-/// sorted by name (shards summed in fixed shard order).
-pub fn registered_counters() -> Vec<(&'static str, u64)> {
-    let reg = REGISTRY.lock().expect("obs registry poisoned");
-    let mut rows: Vec<(&'static str, u64)> =
-        reg.counters.iter().map(|(n, c)| (*n, c.get())).collect();
-    rows.sort_unstable_by_key(|(n, _)| *n);
-    rows
-}
-
-/// Snapshot of every registered gauge as `(name, value)` rows, sorted by
-/// name.
-pub fn registered_gauges() -> Vec<(&'static str, u64)> {
-    let reg = REGISTRY.lock().expect("obs registry poisoned");
-    let mut rows: Vec<(&'static str, u64)> = reg.gauges.iter().map(|(n, g)| (*n, g.get())).collect();
-    rows.sort_unstable_by_key(|(n, _)| *n);
-    rows
-}
-
 /// Names of all registered stages, indexed by [`StageId`].
 #[cfg_attr(not(feature = "obs"), allow(dead_code))]
 pub(crate) fn stage_names() -> Vec<&'static str> {
@@ -187,12 +115,6 @@ pub(crate) fn stage_names() -> Vec<&'static str> {
 #[cfg_attr(not(feature = "obs"), allow(dead_code))]
 pub(crate) fn event_names() -> Vec<&'static str> {
     REGISTRY.lock().expect("obs registry poisoned").events.clone()
-}
-
-/// Names of all registered histograms, indexed by [`HistId`].
-#[cfg_attr(not(feature = "obs"), allow(dead_code))]
-pub(crate) fn hist_names() -> Vec<&'static str> {
-    REGISTRY.lock().expect("obs registry poisoned").hists.clone()
 }
 
 /// Names of all registered percentile digests, indexed by [`DigestId`].
@@ -220,22 +142,8 @@ mod tests {
         let e1 = register_event("reg_test_event");
         let e2 = register_event("reg_test_event");
         assert_eq!(e1, e2);
-        let h1 = register_hist("reg_test_hist");
-        let h2 = register_hist("reg_test_hist");
-        assert_eq!(h1, h2);
-    }
-
-    #[test]
-    fn counters_and_gauges_are_shared_by_name() {
-        let c1 = register_counter("reg_test_ctr");
-        let c2 = register_counter("reg_test_ctr");
-        assert!(std::ptr::eq(c1, c2));
-        c1.add(3);
-        assert!(registered_counters()
-            .iter()
-            .any(|(n, v)| *n == "reg_test_ctr" && (*v >= 3 || !crate::enabled())));
-        let g1 = register_gauge("reg_test_gauge");
-        let g2 = register_gauge("reg_test_gauge");
-        assert!(std::ptr::eq(g1, g2));
+        let d1 = register_digest("reg_test_digest");
+        let d2 = register_digest("reg_test_digest");
+        assert_eq!(d1, d2);
     }
 }

@@ -1,5 +1,5 @@
 //! [`Telemetry`] — a mergeable snapshot of stage timers, event counts, and
-//! log2 histograms.
+//! percentile digests.
 //!
 //! Snapshots are drained per Monte-Carlo chunk by
 //! [`crate::take_thread_telemetry`] and merged in deterministic chunk order
@@ -8,26 +8,10 @@
 //! linear merge-join and rendered output never depends on registration
 //! order (which can race across threads).
 
-/// Number of log2 bins per histogram: bin 0 holds zero values, bin `k`
-/// (1 ≤ k ≤ 63) holds values with `k` significant bits, i.e.
-/// `2^(k-1) ≤ v < 2^k`; values with ≥ 63 bits saturate into bin 63.
-pub const HIST_BINS: usize = 64;
-
-/// Returns the log2 bin index for a sample.
-#[inline]
-#[cfg_attr(not(feature = "obs"), allow(dead_code))]
-pub(crate) fn log2_bin(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        ((64 - v.leading_zeros()) as usize).min(HIST_BINS - 1)
-    }
-}
-
 /// Sub-bucket precision bits of the log-linear digest binning: each power-of
 /// -two decade above 2^4 splits into `2^DIGEST_SUB_BITS` linear sub-buckets,
 /// bounding the relative quantile error at `2^-DIGEST_SUB_BITS` (6.25%).
-pub const DIGEST_SUB_BITS: u32 = 4;
+const DIGEST_SUB_BITS: u32 = 4;
 
 /// Number of bins per percentile digest: values `0..16` get exact bins,
 /// then each of the 60 power-of-two decades `2^4..=2^63` gets 16 linear
@@ -83,22 +67,9 @@ pub struct EventStat {
     pub count: u64,
 }
 
-/// A sparse fixed-bin log2 histogram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistStat {
-    /// Histogram name (a registered static string).
-    pub name: &'static str,
-    /// Total samples recorded.
-    pub count: u64,
-    /// Sum of all samples (wrapping).
-    pub sum: u64,
-    /// Non-empty `(bin, count)` pairs, sorted by bin index.
-    pub bins: Vec<(u8, u64)>,
-}
-
-/// A sparse log-linear (HDR-style) percentile digest: like [`HistStat`] but
-/// with enough bin resolution (≤ 6.25% relative error) to extract
-/// deterministic p50/p95/p99, plus the exact maximum.
+/// A sparse log-linear (HDR-style) percentile digest: enough bin resolution
+/// (≤ 6.25% relative error) to extract deterministic p50/p95/p99, plus the
+/// exact sum (hence the mean) and maximum.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DigestStat {
     /// Digest name (a registered static string).
@@ -135,7 +106,7 @@ impl DigestStat {
 }
 
 /// A mergeable telemetry snapshot: per-stage time/calls, event counts,
-/// histograms, percentile digests, plus (when enabled) span-timeline records
+/// percentile digests, plus (when enabled) span-timeline records
 /// and the worst-trial flight-recorder ring — the "where did the time go /
 /// why did it fail" record that rides on `uwb_sim::montecarlo::RunStats`.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -144,8 +115,6 @@ pub struct Telemetry {
     pub stages: Vec<StageStat>,
     /// Event counts, sorted by name.
     pub events: Vec<EventStat>,
-    /// Histograms, sorted by name.
-    pub hists: Vec<HistStat>,
     /// Percentile digests, sorted by name.
     pub digests: Vec<DigestStat>,
     /// Span-timeline records in execution order (only populated with the
@@ -202,7 +171,6 @@ impl Telemetry {
     pub fn is_empty(&self) -> bool {
         self.stages.is_empty()
             && self.events.is_empty()
-            && self.hists.is_empty()
             && self.digests.is_empty()
             && self.spans.is_empty()
             && self.spans_dropped == 0
@@ -227,38 +195,6 @@ impl Telemetry {
             &other.events,
             |e| e.name,
             |a, b| a.count += b.count,
-        );
-        merge_by_name(
-            &mut self.hists,
-            &other.hists,
-            |h| h.name,
-            |a, b| {
-                a.count += b.count;
-                a.sum = a.sum.wrapping_add(b.sum);
-                // Merge-join the sparse bin lists.
-                let mut bins = Vec::with_capacity(a.bins.len() + b.bins.len());
-                let (mut i, mut j) = (0usize, 0usize);
-                while i < a.bins.len() && j < b.bins.len() {
-                    match a.bins[i].0.cmp(&b.bins[j].0) {
-                        std::cmp::Ordering::Less => {
-                            bins.push(a.bins[i]);
-                            i += 1;
-                        }
-                        std::cmp::Ordering::Greater => {
-                            bins.push(b.bins[j]);
-                            j += 1;
-                        }
-                        std::cmp::Ordering::Equal => {
-                            bins.push((a.bins[i].0, a.bins[i].1 + b.bins[j].1));
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                bins.extend_from_slice(&a.bins[i..]);
-                bins.extend_from_slice(&b.bins[j..]);
-                a.bins = bins;
-            },
         );
         merge_by_name(
             &mut self.digests,
@@ -329,9 +265,7 @@ impl Telemetry {
     /// ```json
     /// {"stages":[{"name":"tx","calls":8,"ns":12345}],
     ///  "events":[{"name":"crc_fail","count":2}],
-    ///  "hists":[{"name":"trial_bit_errors","count":8,"sum":3,
-    ///            "bins":[[0,5],[1,3]]}],
-    ///  "quantiles":[{"name":"trial_bit_errors","count":8,
+    ///  "quantiles":[{"name":"trial_bit_errors","count":8,"sum":3,
     ///                "p50":1,"p95":3,"p99":3,"max":3}]}
     /// ```
     ///
@@ -381,34 +315,16 @@ impl Telemetry {
                 e.count
             ));
         }
-        s.push_str("],\"hists\":[");
-        for (i, h) in self.hists.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":{},\"count\":{},\"sum\":{},\"bins\":[",
-                crate::json::escape(h.name),
-                h.count,
-                h.sum
-            ));
-            for (j, (bin, n)) in h.bins.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("[{bin},{n}]"));
-            }
-            s.push_str("]}");
-        }
         s.push_str("],\"quantiles\":[");
         for (i, d) in self.digests.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
             s.push_str(&format!(
-                "{{\"name\":{},\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
+                "{{\"name\":{},\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
                 crate::json::escape(d.name),
                 d.count,
+                d.sum,
                 d.quantile(0.50),
                 d.quantile(0.95),
                 d.quantile(0.99),
@@ -420,7 +336,7 @@ impl Telemetry {
     }
 
     /// FNV-1a hash over the deterministic content (names, call counts,
-    /// event counts, histogram bins — **not** nanoseconds): two runs with
+    /// event counts, digest bins — **not** nanoseconds): two runs with
     /// the same contributing trials produce the same fingerprint regardless
     /// of thread count.
     pub fn fingerprint(&self) -> u64 {
@@ -438,15 +354,6 @@ impl Telemetry {
         for e in &self.events {
             eat(e.name.as_bytes());
             eat(&e.count.to_le_bytes());
-        }
-        for hh in &self.hists {
-            eat(hh.name.as_bytes());
-            eat(&hh.count.to_le_bytes());
-            eat(&hh.sum.to_le_bytes());
-            for (bin, n) in &hh.bins {
-                eat(&[*bin]);
-                eat(&n.to_le_bytes());
-            }
         }
         for d in &self.digests {
             eat(d.name.as_bytes());
@@ -504,41 +411,16 @@ mod tests {
                 name: "crc_fail",
                 count: 1,
             }],
-            hists: vec![HistStat {
+            // Samples 0, 2, 3.
+            digests: vec![DigestStat {
                 name: "errs",
                 count: 3,
                 sum: 5,
-                bins: vec![(0, 1), (2, 2)],
+                max: 3,
+                bins: vec![(0, 1), (2, 1), (3, 1)],
             }],
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn log2_binning() {
-        assert_eq!(log2_bin(0), 0);
-        assert_eq!(log2_bin(1), 1);
-        assert_eq!(log2_bin(2), 2);
-        assert_eq!(log2_bin(3), 2);
-        assert_eq!(log2_bin(4), 3);
-        assert_eq!(log2_bin(1023), 10);
-        assert_eq!(log2_bin(1024), 11);
-        assert_eq!(log2_bin(u64::MAX), 63);
-    }
-
-    #[test]
-    fn log2_binning_saturates_at_top_bin() {
-        // Overflow pin: the top bin is saturating. u64::MAX, anything with
-        // the high bit set, and the 2^62 / 2^63 boundary values must all
-        // land in bin 63 deterministically (bin 63 therefore covers
-        // [2^62, u64::MAX], twice the width of a regular bin).
-        assert_eq!(log2_bin(u64::MAX), HIST_BINS - 1);
-        assert_eq!(log2_bin(u64::MAX - 1), HIST_BINS - 1);
-        assert_eq!(log2_bin(1u64 << 63), HIST_BINS - 1);
-        assert_eq!(log2_bin((1u64 << 63) - 1), HIST_BINS - 1);
-        assert_eq!(log2_bin(1u64 << 62), HIST_BINS - 1);
-        // The last value with its own (unsaturated) bin.
-        assert_eq!(log2_bin((1u64 << 62) - 1), HIST_BINS - 2);
     }
 
     #[test]
@@ -683,11 +565,13 @@ mod tests {
                     count: 4,
                 },
             ],
-            hists: vec![HistStat {
+            // Samples 3 and 40.
+            digests: vec![DigestStat {
                 name: "errs",
-                count: 1,
-                sum: 9,
-                bins: vec![(2, 1), (4, 1)],
+                count: 2,
+                sum: 43,
+                max: 40,
+                bins: vec![(3, 1), (digest_bin(40) as u16, 1)],
             }],
             ..Default::default()
         };
@@ -699,9 +583,12 @@ mod tests {
         assert_eq!(a.event_count("crc_fail"), 5);
         assert_eq!(a.event_count("acq_miss"), 2);
         assert_eq!(a.event_count("nonexistent"), 0);
-        assert_eq!(a.hists[0].count, 4);
-        assert_eq!(a.hists[0].sum, 14);
-        assert_eq!(a.hists[0].bins, vec![(0, 1), (2, 3), (4, 1)]);
+        let d = &a.digests[0];
+        assert_eq!((d.count, d.sum, d.max), (5, 48, 40));
+        assert_eq!(
+            d.bins,
+            vec![(0, 1), (2, 1), (3, 2), (digest_bin(40) as u16, 1)]
+        );
     }
 
     #[test]
@@ -722,7 +609,12 @@ mod tests {
         let t = sample();
         let full = t.to_json();
         assert!(full.contains("\"ns\":100"), "{full}");
-        assert!(full.contains("\"bins\":[[0,1],[2,2]]"), "{full}");
+        assert!(
+            full.contains(
+                "\"quantiles\":[{\"name\":\"errs\",\"count\":3,\"sum\":5,\"p50\":2,\"p95\":3,\"p99\":3,\"max\":3}]"
+            ),
+            "{full}"
+        );
         let det = t.to_json_deterministic();
         assert!(!det.contains("\"ns\""), "{det}");
         // Both parse with the in-repo checker.

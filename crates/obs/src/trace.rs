@@ -19,7 +19,7 @@
 //!
 //! ## Allocation contract
 //!
-//! The per-thread ring is reserved to [`TRACE_CAP`] records on the first
+//! The per-thread ring is reserved to `TRACE_CAP` records on the first
 //! span of each thread (a warm-up-path, one-time allocation) and never grows:
 //! once full between drains, further records are counted as dropped rather
 //! than reallocating, so steady-state spans stay allocation-free.
@@ -28,7 +28,8 @@
 /// a 1,000-user network round (≈ 20k spans) fits without drops; when a chunk
 /// overflows it, the newest records are dropped and counted
 /// ([`crate::Telemetry::spans_dropped`]) deterministically.
-pub const TRACE_CAP: usize = 65_536;
+#[cfg(feature = "obs-trace")]
+const TRACE_CAP: usize = 65_536;
 
 /// One completed span: a named pipeline stage that ran on `thread` during
 /// Monte-Carlo trial `trial`, from `start_ns` (process-relative) for

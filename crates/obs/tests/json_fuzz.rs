@@ -12,7 +12,7 @@ use uwb_obs::json::{escape, parse, Json};
 /// renders (telemetry reports, bench baselines, Chrome trace exports), so
 /// truncation and mutation hit realistic parser states.
 const SEEDS: &[&str] = &[
-    r#"{"schema":"uwb-telemetry-v2","trials":100,"telemetry":{"stages":[{"name":"tx","calls":8,"ns":12345}],"events":[],"hists":[{"name":"e","count":3,"sum":5,"bins":[[0,1],[2,2]]}],"quantiles":[{"name":"e","count":3,"p50":1,"p95":2,"p99":2,"max":2}]}}"#,
+    r#"{"schema":"uwb-telemetry-v3","trials":100,"telemetry":{"stages":[{"name":"tx","calls":8,"ns":12345}],"events":[{"name":"crc_fail","count":2}],"quantiles":[{"name":"e","count":3,"sum":5,"p50":2,"p95":3,"p99":3,"max":3}]}}"#,
     r#"{"traceEvents":[{"name":"tx","cat":"uwb","ph":"X","ts":1.234,"dur":0.567,"pid":1,"tid":0,"args":{"trial":7}}]}"#,
     r#"{"kernels_us":{"a":10.0,"b":2.5e1},"throughput":{"tps":-1.5e-3}}"#,
     r#"[null,true,false,0,-0.5,1e9,"s",[],{},{"k":[1,2,3]}]"#,

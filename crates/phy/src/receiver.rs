@@ -183,7 +183,6 @@ impl Gen2Receiver {
             return;
         }
         let gain = 0.355 / p.sqrt();
-        uwb_obs::gauge!("agc_gain_milli").set((gain * 1000.0) as u64);
         uwb_obs::note!("agc_gain_milli", (gain * 1000.0) as u64);
         // Fused scale + mid-rise quantize sweep — bit-identical to scaling
         // and quantizing each rail in turn (see Quantizer parity test).

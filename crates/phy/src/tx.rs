@@ -104,24 +104,9 @@ impl Gen2Transmitter {
         Ok(())
     }
 
-    /// Synthesizes a waveform from explicit frame slots (used by the
-    /// platform crate for arbitrary-waveform experiments).
-    pub fn synthesize(&self, slots: FrameSlots) -> Burst {
-        let mut burst = Burst {
-            samples: Vec::new(),
-            sample_rate: self.config.sample_rate,
-            slot0_center: 0,
-            samples_per_slot: 0,
-            slots,
-        };
-        self.synthesize_in_place(&mut burst);
-        burst
-    }
-
     /// Re-synthesizes `burst.samples` (and geometry fields) from
-    /// `burst.slots`, reusing the sample buffer — identical output to
-    /// [`Gen2Transmitter::synthesize`], allocation-free once the capacity
-    /// suffices. The four slot segments are walked in transmission order
+    /// `burst.slots`, reusing the sample buffer — allocation-free once the
+    /// capacity suffices. The four slot segments are walked in transmission order
     /// without concatenating them first.
     fn synthesize_in_place(&self, burst: &mut Burst) {
         let sps = self.config.samples_per_slot();

@@ -7,8 +7,7 @@
 //!
 //! * [`link`] — end-to-end gen2 link runner over multipath / noise /
 //!   interference with calibrated Eb/N0
-//! * [`waveform`] — arbitrary waveform generation + slot-level modulation
-//!   BER studies
+//! * [`waveform`] — slot-level modulation BER studies
 //! * [`metrics`] — BER/PER counters and the closed-form AWGN reference
 //!   curves
 //! * [`mask`] — FCC −41.3 dBm/MHz spectral-mask compliance checking
@@ -35,11 +34,11 @@ pub mod report;
 pub mod waveform;
 
 pub use link::{
-    ber_waterfall, run_ber, run_ber_budgeted, run_ber_fast, run_ber_fast_budgeted,
-    run_ber_fast_streamed_tuned, BerRun, CleanSynthesis, LinkOutcome, LinkRun, LinkScenario,
-    LinkStopReason, LinkWorker, TrialBudget, DEFAULT_STREAM_BLOCK,
+    run_ber_budgeted, run_ber_fast, run_ber_fast_budgeted, run_ber_fast_streamed_tuned, BerRun,
+    CleanSynthesis, LinkOutcome, LinkRun, LinkScenario, LinkStopReason, LinkWorker, TrialBudget,
+    DEFAULT_STREAM_BLOCK,
 };
 pub use mask::{check_mask, fcc_indoor_mask, MaskReport, MaskSegment};
 pub use metrics::ErrorCounter;
 pub use report::Table;
-pub use waveform::{modulation_ber, ArbitraryWaveformGenerator};
+pub use waveform::modulation_ber;

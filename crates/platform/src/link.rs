@@ -16,7 +16,7 @@
 //!
 //! * [`LinkWorker::trial_full`] — known-timing BER plus the full
 //!   acquisition → header → CRC packet path, one trial at a time
-//!   ([`run_ber`], [`run_packet`]);
+//!   ([`run_ber_budgeted`], [`run_packet`]);
 //! * [`LinkWorker::trial_batch_ber_streamed`] — known-timing BER only, run
 //!   as stage sweeps over a batch of trials ([`run_ber_fast`],
 //!   [`run_ber_fast_streamed_tuned`]).
@@ -198,7 +198,7 @@ impl std::fmt::Display for BerRun {
     }
 }
 
-/// Result of [`run_ber`]: the full link outcome plus run metadata.
+/// Result of [`run_ber_budgeted`]: the full link outcome plus run metadata.
 ///
 /// Derefs to [`LinkOutcome`] so existing call sites keep working unchanged.
 #[derive(Debug, Clone)]
@@ -616,7 +616,6 @@ impl LinkWorker {
             let before = counter.errors;
             reference_payload_bits_into(&self.payload, &mut self.frame_scratch, &mut self.ref_bits);
             counter.add_bits(&self.ref_bits, &self.bits);
-            uwb_obs::hist!("trial_bit_errors", counter.errors - before);
             uwb_obs::digest!("trial_bit_errors", counter.errors - before);
             counter.errors == before
         } else {
@@ -785,25 +784,10 @@ pub fn run_packet(
     worker.trial_full(scenario, payload_len, &mut rng, outcome);
 }
 
-/// Runs packets until `target_errors` bit errors accumulate or `max_bits`
-/// bits are observed, in parallel on the deterministic Monte-Carlo engine
-/// ([`TrialBudget::default`] caps the run; see [`run_ber_budgeted`]).
-pub fn run_ber(
-    scenario: &LinkScenario,
-    payload_len: usize,
-    target_errors: u64,
-    max_bits: u64,
-) -> LinkRun {
-    run_ber_budgeted(
-        scenario,
-        payload_len,
-        target_errors,
-        max_bits,
-        TrialBudget::default(),
-    )
-}
-
-/// [`run_ber`] with an explicit trial budget.
+/// Runs packets through the full trial kernel until `target_errors` bit
+/// errors accumulate, `max_bits` bits are observed or `budget` runs out, in
+/// parallel on the deterministic Monte-Carlo engine
+/// ([`TrialBudget::default`] is the usual cap).
 pub fn run_ber_budgeted(
     scenario: &LinkScenario,
     payload_len: usize,
@@ -903,27 +887,6 @@ pub fn run_ber_fast_streamed_tuned(
     }
 }
 
-/// Convenience: sweep Eb/N0 and return `(ebn0_db, measured_ber)` rows.
-pub fn ber_waterfall(
-    base: &LinkScenario,
-    payload_len: usize,
-    ebn0_grid_db: &[f64],
-    target_errors: u64,
-    max_bits: u64,
-) -> Vec<(f64, f64)> {
-    ebn0_grid_db
-        .iter()
-        .map(|&ebn0| {
-            let scenario = LinkScenario {
-                ebn0_db: ebn0,
-                ..base.clone()
-            };
-            let c = run_ber_fast(&scenario, payload_len, target_errors, max_bits);
-            (ebn0, c.rate())
-        })
-        .collect()
-}
-
 /// Ground-truth channel statistics used by experiment harnesses (not part
 /// of any receiver path).
 pub fn channel_rms_delay_ns(model: ChannelModel, realizations: usize, seed: u64) -> f64 {
@@ -976,9 +939,18 @@ mod tests {
     #[test]
     fn ber_monotonic_in_ebn0() {
         let base = LinkScenario::awgn(small_config(), 0.0, 3);
-        let rows = ber_waterfall(&base, 32, &[0.0, 4.0, 8.0], 80, 400_000);
-        assert!(rows[0].1 > rows[1].1);
-        assert!(rows[1].1 >= rows[2].1);
+        let rates: Vec<f64> = [0.0, 4.0, 8.0]
+            .iter()
+            .map(|&ebn0_db| {
+                let scenario = LinkScenario {
+                    ebn0_db,
+                    ..base.clone()
+                };
+                run_ber_fast(&scenario, 32, 80, 400_000).rate()
+            })
+            .collect();
+        assert!(rates[0] > rates[1]);
+        assert!(rates[1] >= rates[2]);
     }
 
     #[test]
@@ -1021,7 +993,7 @@ mod tests {
         // derived seeds; their BER counters must agree bit-for-bit.
         let sc = LinkScenario::awgn(small_config(), 6.0, 9);
         let fast = run_ber_fast(&sc, 24, 40, 40_000);
-        let full = run_ber(&sc, 24, 40, 40_000);
+        let full = run_ber_budgeted(&sc, 24, 40, 40_000, TrialBudget::default());
         assert_eq!(full.ber, fast.counter);
         assert_eq!(full.stop, fast.stop);
         assert!(full.packets > 0);

@@ -290,7 +290,6 @@ mod tests {
                 name: "acq_miss",
                 count: 3,
             }],
-            hists: vec![],
             ..Default::default()
         };
         let t = stage_table(&telemetry);

@@ -1,83 +1,14 @@
-//! Arbitrary waveform generation and modulation-scheme comparison.
+//! Modulation-scheme comparison.
 //!
 //! The discrete prototype is "flexible enough to generate all kinds of
 //! signals within a bandwidth of 500 MHz, allowing the comparison between
-//! different modulation schemes" (paper §3). [`ArbitraryWaveformGenerator`]
-//! synthesizes any slot-amplitude stream with the 500 MHz pulse;
-//! [`modulation_ber`] runs a slot-level Monte-Carlo BER for any
-//! [`Modulation`].
+//! different modulation schemes" (paper §3). [`modulation_ber`] runs a
+//! slot-level Monte-Carlo BER for any [`Modulation`].
 
 use crate::metrics::ErrorCounter;
 use uwb_dsp::Complex;
-use uwb_phy::pulse::PulseShape;
 use uwb_phy::Modulation;
-use uwb_sim::time::{Hertz, SampleRate};
 use uwb_sim::Rand;
-
-/// Synthesizes pulse waveforms from arbitrary slot amplitudes.
-#[derive(Debug, Clone)]
-pub struct ArbitraryWaveformGenerator {
-    pulse: Vec<f64>,
-    samples_per_slot: usize,
-    sample_rate: SampleRate,
-}
-
-impl ArbitraryWaveformGenerator {
-    /// Creates a generator with the standard 500 MHz pulse.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot_rate` does not divide `sample_rate` into at least
-    /// two samples per slot.
-    pub fn new(sample_rate: SampleRate, slot_rate: Hertz) -> Self {
-        let sps = (sample_rate.as_hz() / slot_rate.as_hz()).round() as usize;
-        assert!(sps >= 2, "need at least two samples per slot");
-        ArbitraryWaveformGenerator {
-            pulse: PulseShape::gen2_default().generate(sample_rate),
-            samples_per_slot: sps,
-            sample_rate,
-        }
-    }
-
-    /// The sample rate.
-    pub fn sample_rate(&self) -> SampleRate {
-        self.sample_rate
-    }
-
-    /// Samples per slot.
-    pub fn samples_per_slot(&self) -> usize {
-        self.samples_per_slot
-    }
-
-    /// Synthesizes the complex baseband waveform for slot amplitudes.
-    pub fn synthesize(&self, amps: &[f64]) -> Vec<Complex> {
-        let sps = self.samples_per_slot;
-        let guard = self.pulse.len();
-        let n = amps.len() * sps + 2 * guard;
-        let mut out = vec![Complex::ZERO; n];
-        for (k, &a) in amps.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            let start = guard + k * sps;
-            for (j, &p) in self.pulse.iter().enumerate() {
-                out[start + j].re += a * p;
-            }
-        }
-        out
-    }
-
-    /// Measures the −10 dB occupied bandwidth of a synthesized waveform.
-    pub fn occupied_bandwidth(&self, waveform: &[Complex]) -> Hertz {
-        let psd = uwb_dsp::psd::welch(
-            waveform,
-            self.sample_rate.as_hz(),
-            512,
-            uwb_dsp::Window::Hann,
-        );
-        Hertz::new(psd.bandwidth_below_peak(10.0))
-    }
-}
 
 /// Slot-level Monte-Carlo BER of a modulation format in AWGN at the given
 /// Eb/N0 (dB). Coherent demodulation; runs until `target_errors` or
@@ -151,26 +82,6 @@ mod tests {
     use crate::metrics::{bpsk_awgn_ber, ook_awgn_ber, pam4_awgn_ber};
 
     #[test]
-    fn synthesized_waveform_within_500mhz() {
-        let awg = ArbitraryWaveformGenerator::new(
-            SampleRate::from_gsps(1.0),
-            Hertz::from_mhz(100.0),
-        );
-        let mut rng = Rand::new(1);
-        let amps: Vec<f64> = (0..4096)
-            .map(|_| if rng.bit() { 1.0 } else { -1.0 })
-            .collect();
-        let wf = awg.synthesize(&amps);
-        let bw = awg.occupied_bandwidth(&wf);
-        assert!(
-            bw.as_mhz() < 650.0,
-            "-10 dB bandwidth {} MHz exceeds the 500 MHz platform limit",
-            bw.as_mhz()
-        );
-        assert!(bw.as_mhz() > 250.0, "{}", bw.as_mhz());
-    }
-
-    #[test]
     fn bpsk_monte_carlo_matches_theory() {
         let c = modulation_ber(Modulation::Bpsk, 5.0, 400, 4_000_000, 2);
         let theory = bpsk_awgn_ber(5.0);
@@ -214,11 +125,5 @@ mod tests {
             .rate();
         assert!(noncoh > coh, "noncoherent {noncoh} vs coherent {coh}");
         assert!(modulation_ber_noncoherent(Modulation::Bpsk, e, 10, 100, 10).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "samples per slot")]
-    fn bad_rates_panic() {
-        ArbitraryWaveformGenerator::new(SampleRate::from_msps(100.0), Hertz::from_mhz(100.0));
     }
 }

@@ -55,7 +55,7 @@ impl LocalOscillator {
     }
 
     /// Actual frequency including the ppm offset.
-    pub fn actual(&self) -> Hertz {
+    fn actual(&self) -> Hertz {
         Hertz::new(self.nominal.as_hz() * (1.0 + self.cfo_ppm * 1e-6))
     }
 

@@ -29,7 +29,7 @@
 //! When the `obs` feature is on, the engine drains each worker's
 //! [`uwb_obs`] thread-local collector *per chunk* and merges the snapshots
 //! in the same deterministic chunk order as the results — so the
-//! [`RunStats::telemetry`] stage call counts, event counts, and histogram
+//! [`RunStats::telemetry`] stage call counts, event counts, and digest
 //! bins cover exactly the contributing trials and are bit-identical for any
 //! `UWB_THREADS`. Overrun chunks are discarded together with their
 //! telemetry. Stage *nanosecond* totals are wall-clock measurements and are
@@ -94,7 +94,7 @@ pub struct RunStats {
     /// Why the run stopped.
     pub stop_reason: StopReason,
     /// Per-run telemetry snapshot: stage timings/call counts, event counts,
-    /// and histograms accumulated over exactly the contributing trials,
+    /// and digests accumulated over exactly the contributing trials,
     /// merged in deterministic chunk order. Empty when the `obs` feature is
     /// off.
     pub telemetry: Telemetry,
@@ -136,12 +136,12 @@ impl RunStats {
         )
     }
 
-    /// `uwb-telemetry-v2` JSON record (hand-rolled — no serde).
+    /// `uwb-telemetry-v3` JSON record (hand-rolled — no serde).
     ///
     /// Run-level wall-clock fields (`wall_ms`, `trials_per_sec`) vary
     /// between runs; the embedded `"telemetry"` object is the
-    /// *deterministic* view (stage call counts, event counts, histogram
-    /// bins, and the v2 `"quantiles"` percentile digests — no nanoseconds)
+    /// *deterministic* view (stage call counts, event counts, and the
+    /// `"quantiles"` percentile digests — no nanoseconds)
     /// and is bit-identical for any `UWB_THREADS`. `trials_per_sec` is
     /// `null` when the run was too short to time.
     pub fn to_json(&self) -> String {
@@ -150,7 +150,7 @@ impl RunStats {
             None => "null".to_string(),
         };
         format!(
-            "{{\"schema\":\"uwb-telemetry-v2\",\"trials\":{},\"trials_executed\":{},\"wall_ms\":{:.3},\"threads\":{},\"trials_per_sec\":{},\"stop_reason\":\"{}\",\"truncated\":{},\"telemetry\":{}}}",
+            "{{\"schema\":\"uwb-telemetry-v3\",\"trials\":{},\"trials_executed\":{},\"wall_ms\":{:.3},\"threads\":{},\"trials_per_sec\":{},\"stop_reason\":\"{}\",\"truncated\":{},\"telemetry\":{}}}",
             self.trials,
             self.trials_executed,
             self.wall.as_secs_f64() * 1e3,
@@ -631,7 +631,7 @@ mod tests {
     fn stats_formatting() {
         let (_, s) = toy_run(1, 100, 5);
         let json = s.to_json();
-        assert!(json.contains("\"schema\":\"uwb-telemetry-v2\""), "{json}");
+        assert!(json.contains("\"schema\":\"uwb-telemetry-v3\""), "{json}");
         assert!(json.contains("\"trials\":"), "{json}");
         assert!(json.contains("\"stop_reason\":\"target-reached\""), "{json}");
         assert!(json.contains("\"telemetry\":{"), "{json}");
@@ -680,7 +680,7 @@ mod tests {
                     let _t = uwb_obs::span!("mc_test_stage");
                     acc.trials += 1;
                     let v = rng.next_u64() % 100;
-                    uwb_obs::hist!("mc_test_hist", v);
+                    uwb_obs::digest!("mc_test_digest", v);
                     if v == 0 {
                         uwb_obs::event!("mc_test_rare");
                     }
@@ -756,7 +756,7 @@ mod tests {
         let _sp = uwb_obs::span!("mc_batch_stage");
         acc.trials += 1;
         let v = rng.next_u64() % 64;
-        uwb_obs::hist!("mc_batch_hist", v);
+        uwb_obs::digest!("mc_batch_digest", v);
         uwb_obs::note!("mc_batch_note", v);
         if v == 0 {
             uwb_obs::event!("mc_batch_rare");

@@ -22,7 +22,7 @@ fn splitmix64_mix(mut z: u64) -> u64 {
 /// One step of the splitmix64 sequence: advances `state` and returns the
 /// next output.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     splitmix64_mix(*state)
 }

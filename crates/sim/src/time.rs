@@ -187,11 +187,6 @@ impl SampleRate {
         SampleRate::new(gsps * 1e9)
     }
 
-    /// Creates a sample rate in megasamples per second.
-    pub fn from_msps(msps: f64) -> Self {
-        SampleRate::new(msps * 1e6)
-    }
-
     /// Samples per second.
     pub fn as_hz(self) -> f64 {
         self.0

@@ -91,7 +91,7 @@ fn main() {
         report.aggregate_throughput_bps / 1e6
     );
     // Percentile digests over the round (per-link SINR and goodput, plus
-    // per-decode bit errors) — the `uwb-telemetry-v2` quantile view.
+    // per-decode bit errors) — the `uwb-telemetry-v3` quantile view.
     for d in &report.stats.telemetry.digests {
         println!(
             "digest {:<22} n={:<6} p50={:<8} p95={:<8} p99={:<8} max={}",

@@ -78,8 +78,10 @@
 #                             whose name, as a whole word, appears in no
 #                             other .rs file under crates/, src/, tests/,
 #                             examples/ or benchmark/src/, and fails if there
-#                             is one. No allowlist: delete the function or
-#                             drop its `pub`
+#                             is one. Comment lines, `pub use …;` re-exports
+#                             and `fn <name>` definitions in those other
+#                             files do not count as uses. No allowlist:
+#                             delete the function or drop its `pub`
 #   scripts/check.sh all      tier-1, then the whole workspace's tests, then
 #                             surface, then smoke, then obs, then stream,
 #                             then net, then mac (which includes the
@@ -98,16 +100,26 @@ tier1() {
 
 surface() {
     echo "== surface: library pub fns no other file names =="
-    local hits=0 file name
+    local hits=0 file name stripped
+    # A copy of every scanned .rs file without comment lines, `pub use …;`
+    # re-exports or `fn <name>` definitions: a name counts as used only
+    # where code calls, constructs or imports it.
+    stripped=$(mktemp -d)
+    while IFS= read -r file; do
+        mkdir -p "$stripped/$(dirname "$file")"
+        perl -0pe 's{^[ \t]*//.*$}{}mg; s{^[ \t]*pub use\b[^;]*;}{}msg; s{\bfn\s+\w+}{}g' \
+            "$file" >"$stripped/$file"
+    done < <(find crates src tests examples benchmark/src -name '*.rs')
     while IFS= read -r file; do
         for name in $(grep -oP '^\s*pub fn \K\w+' "$file" | sort -u); do
-            if ! grep -rlw --include='*.rs' -- "$name" crates src tests examples benchmark/src |
+            if ! (cd "$stripped" && grep -rlw -- "$name" crates src tests examples benchmark/src) |
                 grep -qvxF -- "$file"; then
                 echo "  $file: $name"
                 hits=$((hits + 1))
             fi
         done
     done < <(find crates -path crates/bench -prune -o -path '*/src/*.rs' -print | sort)
+    rm -rf "$stripped"
     echo "surface: $hits unreferenced pub fn(s)"
     [ "$hits" -eq 0 ]
 }

@@ -154,7 +154,7 @@ fn thread_resolution_precedence() {
 #[test]
 fn telemetry_is_thread_invariant_on_the_real_link() {
     // The determinism contract extends to the telemetry snapshot: stage
-    // call counts, event counts, and histogram bins come from per-chunk
+    // call counts, event counts, and digest bins come from per-chunk
     // thread-local deltas merged in chunk order, so the deterministic view
     // must be bit-identical for any worker count. (Stage nanoseconds are
     // wall-clock and deliberately excluded from both the fingerprint and

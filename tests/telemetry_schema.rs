@@ -1,4 +1,4 @@
-//! Schema gate for `uwb-telemetry-v2`: the hand-rolled `RunStats::to_json`
+//! Schema gate for `uwb-telemetry-v3`: the hand-rolled `RunStats::to_json`
 //! output must stay machine-parseable.
 //!
 //! The run report is rendered without serde (the repo vendors no JSON
@@ -61,7 +61,7 @@ fn run_stats_json_parses_and_matches_schema() {
         "top-level key set drifted"
     );
 
-    assert_eq!(field(o, "schema").as_str(), Some("uwb-telemetry-v2"));
+    assert_eq!(field(o, "schema").as_str(), Some("uwb-telemetry-v3"));
     let trials = field(o, "trials").as_num().expect("trials must be a number");
     assert!(trials >= 1.0 && trials.fract() == 0.0, "trials must be a whole count");
     let executed = field(o, "trials_executed").as_num().expect("number");
@@ -80,12 +80,11 @@ fn run_stats_json_parses_and_matches_schema() {
     assert!(field(o, "truncated").as_bool().is_some());
 
     // The embedded telemetry object is the deterministic form: stages carry
-    // name + calls only (no wall-clock ns), events name + count, hists
-    // name/count/sum/bins, and (new in v2) quantiles
-    // name/count/p50/p95/p99/max.
+    // name + calls only (no wall-clock ns), events name + count, and
+    // quantiles name/count/sum/p50/p95/p99/max.
     let telem = obj(field(o, "telemetry"));
     let tkeys: Vec<&str> = telem.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(tkeys, ["stages", "events", "hists", "quantiles"]);
+    assert_eq!(tkeys, ["stages", "events", "quantiles"]);
 
     let stages = field(telem, "stages").as_arr().expect("stages array");
     if uwb_obs::enabled() {
@@ -104,32 +103,19 @@ fn run_stats_json_parses_and_matches_schema() {
         assert_eq!(keys, ["name", "count"]);
         assert!(field(ev, "count").as_num().expect("number") >= 1.0);
     }
-    for h in field(telem, "hists").as_arr().expect("hists array") {
-        let h = obj(h);
-        let keys: Vec<&str> = h.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["name", "count", "sum", "bins"]);
-        let count = field(h, "count").as_num().expect("number");
-        let mut bin_total = 0.0;
-        for pair in field(h, "bins").as_arr().expect("bins array") {
-            let pair = pair.as_arr().expect("bin pair");
-            assert_eq!(pair.len(), 2, "bins are [bin, count] pairs");
-            let bin = pair[0].as_num().expect("bin index");
-            assert!((0.0..=63.0).contains(&bin), "log2 bin out of range: {bin}");
-            bin_total += pair[1].as_num().expect("bin count");
-        }
-        assert_eq!(bin_total, count, "histogram bins must sum to its count");
-    }
-
-    // v2 quantile digests: every entry carries finite, ordered percentiles.
+    // Quantile digests: every entry carries finite, ordered percentiles and
+    // a sum consistent with its count and maximum.
     let quantiles = field(telem, "quantiles").as_arr().expect("quantiles array");
     let mut saw_trial_bit_errors = false;
     for q in quantiles {
         let q = obj(q);
         let keys: Vec<&str> = q.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["name", "count", "p50", "p95", "p99", "max"]);
+        assert_eq!(keys, ["name", "count", "sum", "p50", "p95", "p99", "max"]);
         let name = field(q, "name").as_str().expect("digest name");
         saw_trial_bit_errors |= name == "trial_bit_errors";
-        assert!(field(q, "count").as_num().expect("number") >= 1.0);
+        let count = field(q, "count").as_num().expect("number");
+        assert!(count >= 1.0);
+        let sum = field(q, "sum").as_num().expect("sum number");
         let p50 = field(q, "p50").as_num().expect("p50 number");
         let p95 = field(q, "p95").as_num().expect("p95 number");
         let p99 = field(q, "p99").as_num().expect("p99 number");
@@ -138,6 +124,10 @@ fn run_stats_json_parses_and_matches_schema() {
             assert!(v.is_finite() && v >= 0.0, "{name}: non-finite percentile");
         }
         assert!(p50 <= p95 && p95 <= p99 && p99 <= max, "{name}: unordered percentiles");
+        assert!(
+            max <= sum && sum <= count * max,
+            "{name}: sum {sum} inconsistent with count {count} and max {max}"
+        );
     }
     if uwb_obs::enabled() {
         assert!(
@@ -180,5 +170,48 @@ fn telemetry_json_roundtrips_through_the_parser() {
     for (t, d) in timed_stages.iter().zip(det_stages) {
         assert_eq!(obj(t).len(), obj(d).len() + 1, "timed adds exactly `ns`");
         assert!(field(obj(t), "ns").as_num().expect("ns number") >= 0.0);
+    }
+}
+
+#[test]
+fn mac_digests_agree_with_mac_counters() {
+    // The MAC feeds three digests from the same event-loop points that
+    // bump its per-link counters, so on the saturated 8-user ring (every
+    // link has one co-channel contender) their sample counts must equal
+    // the counters summed over links. A digest dropped at the registry cap
+    // (`MAX_DIGESTS`) would read zero here.
+    use uwb_phy::bandplan::Channel;
+    let mut sc = uwb_mac::MacScenario::ring(8, 9.0, 1.2, SEED);
+    sc.net.policy =
+        uwb_net::ChannelPolicy::RoundRobin((3..7).map(|i| Channel::new(i).unwrap()).collect());
+    sc.horizon_slots = 400;
+    sc.replications = 4;
+    let report = uwb_mac::run_mac(&sc);
+    let sum = |f: fn(&uwb_mac::MacLinkStats) -> u64| -> u64 {
+        report.links.iter().map(|l| f(&l.stats)).sum()
+    };
+    let delivered = sum(|s| s.delivered);
+    let dropped_retry = sum(|s| s.dropped_retry);
+    let tx_frames = sum(|s| s.tx_frames);
+    let retries = sum(|s| s.retries);
+    assert!(
+        delivered > 0 && retries > 0,
+        "the ring must deliver and retry"
+    );
+    let count = |name: &str| {
+        report
+            .stats
+            .telemetry
+            .digests
+            .iter()
+            .find(|d| d.name == name)
+            .map_or(0, |d| d.count)
+    };
+    if uwb_obs::enabled() {
+        assert_eq!(count("mac_latency_slots"), delivered);
+        assert_eq!(count("mac_queue_delay_slots"), tx_frames - retries);
+        assert_eq!(count("mac_retries_per_packet"), delivered + dropped_retry);
+    } else {
+        assert!(report.stats.telemetry.is_empty());
     }
 }

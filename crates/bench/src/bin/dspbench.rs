@@ -32,7 +32,7 @@ use uwb_phy::chanest::{estimate_cir, ChannelEstimate};
 use uwb_phy::mlse::{apply_symbol_channel, MlseEqualizer};
 use uwb_phy::{
     AcquisitionConfig, CoarseAcquisition, ConvCode, CorrelatorBank, Gen2Config, Gen2Receiver,
-    Gen2Transmitter, RakeReceiver,
+    Gen2Transmitter, PulseShape, RakeReceiver,
 };
 use uwb_platform::link::{
     BatchScratch, LinkOutcome, LinkScenario, LinkWorker, DEFAULT_STREAM_BLOCK,
@@ -405,15 +405,19 @@ fn backend_blocks() -> Vec<Metric> {
         }),
     );
 
-    // RAKE combining of 1000 symbols per finger count: cost linear in fingers.
+    // RAKE combining of 1000 slots per finger count, the way every receiver
+    // path runs it: the pulse correlated from a sample record at the finger
+    // delays (10 samples per slot, the gen2 pulse at 1 GS/s).
     let mut rng = Rand::new(1);
     let taps: Vec<Complex> = (0..64)
         .map(|_| Complex::new(rng.gaussian(), rng.gaussian()) * 0.2)
         .collect();
     let est = ChannelEstimate::new(taps);
-    let mf: Vec<Complex> = (0..100_000)
+    let pulse = PulseShape::gen2_default().generate(SampleRate::from_gsps(1.0));
+    let record: Vec<Complex> = (0..1000 * 10 + 64 + pulse.len())
         .map(|i| Complex::cis(0.001 * i as f64))
         .collect();
+    let mut stats = Vec::new();
     for (name, fingers) in [
         ("rake_1000sym_1finger", 1),
         ("rake_1000sym_4finger", 4),
@@ -424,7 +428,8 @@ fn backend_blocks() -> Vec<Metric> {
         row(
             name,
             time_us(100, 15, || {
-                black_box(rake.combine_stream(black_box(&mf), 0, 10, 1000));
+                rake.combine_slots_into(black_box(&record), &pulse, 0, 10, 1000, &mut stats);
+                black_box(&stats);
             }),
         );
     }

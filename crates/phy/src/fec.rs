@@ -158,7 +158,7 @@ pub fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
 
 /// [`bits_to_bytes`] into a caller-owned buffer (allocation-free once the
 /// capacity suffices).
-fn bits_to_bytes_into(bits: &[bool], out: &mut Vec<u8>) {
+pub(crate) fn bits_to_bytes_into(bits: &[bool], out: &mut Vec<u8>) {
     out.clear();
     out.extend(bits.chunks(8).map(|chunk| {
         chunk

@@ -15,7 +15,7 @@
 use crate::config::Gen2Config;
 use crate::crc::{crc32_ieee, crc8};
 use crate::error::PhyError;
-use crate::fec::{bits_to_bytes, bytes_to_bits_into};
+use crate::fec::{bits_to_bytes_into, bytes_to_bits_into};
 use crate::modulation::{Modulation, MAX_BITS_PER_SYMBOL, MAX_SLOTS_PER_SYMBOL};
 use crate::pn::{msequence_chips_into, BARKER13};
 use crate::scrambler::Scrambler;
@@ -102,16 +102,6 @@ impl FrameSlots {
         v.extend_from_slice(&self.header);
         v.extend_from_slice(&self.payload);
         v
-    }
-
-    /// Slot index where the header begins (after preamble + SFD).
-    pub fn header_start(&self) -> usize {
-        self.preamble.len() + self.sfd.len()
-    }
-
-    /// Slot index where the payload begins.
-    pub fn payload_start(&self) -> usize {
-        self.header_start() + self.header.len()
     }
 }
 
@@ -253,20 +243,9 @@ pub fn header_slot_count(config: &Gen2Config) -> usize {
 }
 
 /// Combines spread repetitions and demaps a slot-statistic stream back to
-/// soft bit metrics. Inverse of [`bits_to_slots`]'s layout.
-fn slots_to_soft(
-    stats: &[Complex],
-    modulation: Modulation,
-    ppb: usize,
-) -> (Vec<bool>, Vec<f64>) {
-    let mut bits = Vec::new();
-    let mut soft = Vec::new();
-    slots_to_soft_into(stats, modulation, ppb, &mut bits, &mut soft);
-    (bits, soft)
-}
-
-/// [`slots_to_soft`] into caller-owned buffers, with fixed stack arrays per
-/// symbol (allocation-free once the capacities suffice).
+/// hard decisions and soft bit metrics in caller-owned buffers, with fixed
+/// stack arrays per symbol (allocation-free once the capacities suffice).
+/// Inverse of [`bits_to_slots_into`]'s layout.
 fn slots_to_soft_into(
     stats: &[Complex],
     modulation: Modulation,
@@ -292,22 +271,32 @@ fn slots_to_soft_into(
     }
 }
 
-/// Decodes header slot statistics.
+/// Decodes header slot statistics, drawing working storage from `scratch`
+/// (allocation-free once the capacities suffice).
 ///
 /// # Errors
 ///
-/// Returns [`PhyError::HeaderInvalid`] on CRC failure or short input.
-pub fn decode_header(stats: &[Complex], config: &Gen2Config) -> Result<Header, PhyError> {
+/// * [`PhyError::TruncatedInput`] — fewer than the header's slots.
+/// * [`PhyError::HeaderInvalid`] — the header CRC failed.
+pub fn decode_header_into(
+    stats: &[Complex],
+    config: &Gen2Config,
+    scratch: &mut FrameScratch,
+) -> Result<Header, PhyError> {
     if stats.len() < header_slot_count(config) {
         return Err(PhyError::TruncatedInput);
     }
-    let (bits, _) = slots_to_soft(
+    slots_to_soft_into(
         &stats[..header_slot_count(config)],
         Modulation::Bpsk,
         config.pulses_per_bit,
+        &mut scratch.hard,
+        &mut scratch.soft,
     );
-    let bytes = bits_to_bytes(&bits);
-    let arr: [u8; 4] = bytes[..4].try_into().map_err(|_| PhyError::HeaderInvalid)?;
+    bits_to_bytes_into(&scratch.hard, &mut scratch.body);
+    let arr: [u8; 4] = scratch.body[..4]
+        .try_into()
+        .map_err(|_| PhyError::HeaderInvalid)?;
     Header::from_bytes(&arr)
 }
 
@@ -410,33 +399,54 @@ pub fn decode_payload(
     payload_len: usize,
     config: &Gen2Config,
 ) -> Result<Vec<u8>, PhyError> {
+    decode_payload_into(stats, payload_len, config, &mut FrameScratch::new())
+}
+
+/// [`decode_payload`] drawing its working storage from `scratch`: without
+/// FEC (the Viterbi trellis allocates), the returned payload is its only
+/// allocation, and a failed decode allocates nothing.
+///
+/// # Errors
+///
+/// Same as [`decode_payload`].
+pub fn decode_payload_into(
+    stats: &[Complex],
+    payload_len: usize,
+    config: &Gen2Config,
+    scratch: &mut FrameScratch,
+) -> Result<Vec<u8>, PhyError> {
     let needed = payload_slot_count(payload_len, config);
     if stats.len() < needed {
         return Err(PhyError::TruncatedInput);
     }
-    let (hard, soft) = slots_to_soft(&stats[..needed], config.modulation, config.pulses_per_bit);
+    slots_to_soft_into(
+        &stats[..needed],
+        config.modulation,
+        config.pulses_per_bit,
+        &mut scratch.hard,
+        &mut scratch.soft,
+    );
     let raw_bits = 8 * (payload_len + 4);
-    let mut bits = match config.fec {
+    let bits = match config.fec {
         Some(code) => {
             let coded_len = 2 * (raw_bits + code.constraint_length as usize - 1);
-            code.decode_soft(&soft[..coded_len])
+            scratch.bits.clear();
+            scratch
+                .bits
+                .extend_from_slice(&code.decode_soft(&scratch.soft[..coded_len]));
+            &mut scratch.bits
         }
-        None => hard,
+        None => &mut scratch.hard,
     };
     bits.truncate(raw_bits);
-    let mut body = bits_to_bytes(&bits);
-    let mut scrambler = Scrambler::default();
-    scrambler.apply_bytes(&mut body);
-    let payload = body[..payload_len].to_vec();
-    let fcs = u32::from_be_bytes(
-        body[payload_len..payload_len + 4]
-            .try_into()
-            .expect("FCS slice is exactly 4 bytes"),
-    );
-    if crc32_ieee(&payload) != fcs {
+    bits_to_bytes_into(bits, &mut scratch.body);
+    Scrambler::default().apply_bytes(&mut scratch.body);
+    let (payload, fcs) = scratch.body.split_at(payload_len);
+    let fcs = u32::from_be_bytes(fcs[..4].try_into().expect("FCS slice is exactly 4 bytes"));
+    if crc32_ieee(payload) != fcs {
         return Err(PhyError::CrcMismatch);
     }
-    Ok(payload)
+    Ok(payload.to_vec())
 }
 
 #[cfg(test)]
@@ -491,10 +501,9 @@ mod tests {
             frame.payload.len(),
             payload_slot_count(payload.len(), &config)
         );
-        assert_eq!(frame.header_start(), 127 * 4 + 13);
         assert_eq!(
             frame.concat().len(),
-            frame.payload_start() + frame.payload.len()
+            127 * 4 + 13 + frame.header.len() + frame.payload.len()
         );
     }
 
@@ -503,7 +512,9 @@ mod tests {
         let config = cfg();
         let payload: Vec<u8> = (0..=200).map(|i| (i * 7) as u8).collect();
         let frame = build_frame(&payload, &config).unwrap();
-        let header = decode_header(&to_stats(&frame.header), &config).unwrap();
+        let header =
+            decode_header_into(&to_stats(&frame.header), &config, &mut FrameScratch::new())
+                .unwrap();
         assert_eq!(header.payload_len, payload.len());
         let decoded = decode_payload(&to_stats(&frame.payload), payload.len(), &config).unwrap();
         assert_eq!(decoded, payload);
@@ -572,7 +583,7 @@ mod tests {
             Err(PhyError::TruncatedInput)
         );
         assert_eq!(
-            decode_header(&to_stats(&[1.0; 3]), &config),
+            decode_header_into(&to_stats(&[1.0; 3]), &config, &mut FrameScratch::new()),
             Err(PhyError::TruncatedInput)
         );
     }

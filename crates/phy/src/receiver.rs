@@ -11,7 +11,10 @@ use crate::config::Gen2Config;
 use crate::error::PhyError;
 use crate::mlse::MlseEqualizer;
 use crate::modulation::Modulation;
-use crate::packet::{decode_header, decode_payload, header_slot_count, payload_slot_count, Header};
+use crate::packet::{
+    decode_header_into, decode_payload_into, header_slot_count, payload_slot_count, FrameScratch,
+    Header,
+};
 use crate::pulse::PulseShape;
 use crate::rake::RakeReceiver;
 use crate::tx::Gen2Transmitter;
@@ -40,6 +43,21 @@ pub struct ReceivedPacket {
     pub estimate: ChannelEstimate,
 }
 
+/// What an [`RxState`] holds for the record it last decoded, keyed by the
+/// acquisition offset it was computed at.
+///
+/// `estimate` and `rake` belong to `offset`; when `payload_slots` is
+/// `Some(n)`, `payload_raw` holds the `n` raw payload statistics of the
+/// frame locked at `offset` (RAKE output before carrier tracking and MLSE).
+/// All of it is a pure function of `(record, offset)` and, for the
+/// statistics, `n`, so reusing it is bit-exact — as long as it is dropped
+/// whenever the record changes ([`RxState::forget_record`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FrameMemo {
+    offset: usize,
+    payload_slots: Option<usize>,
+}
+
 /// Reusable per-worker receive state: every buffer the receive chain needs,
 /// owned by the caller so steady-state trials allocate nothing.
 ///
@@ -55,34 +73,59 @@ pub struct RxState {
     pub(crate) digitized: Vec<Complex>,
     /// Channel estimate (raw, then quantized in place).
     pub(crate) estimate: ChannelEstimate,
-    /// RAKE rebuilt in place each packet.
+    /// RAKE rebuilt from `estimate` whenever it is re-estimated.
     pub(crate) rake: RakeReceiver,
     /// Finger-selection index scratch.
     pub(crate) finger_idx: Vec<usize>,
-    /// Memo: the acquisition offset `estimate` currently corresponds to,
-    /// valid for the current contents of `digitized`. Every write to
-    /// `digitized` must clear this; `prepare_rake_at` uses it to skip
-    /// recomputing a channel estimate it just produced (the estimate is a
-    /// pure function of `(digitized, offset)`, so the skip is bit-exact).
-    pub(crate) chanest_memo: Option<usize>,
+    /// Frame-decode header statistics.
+    header_stats: Vec<Complex>,
+    /// Frame-decode payload statistics, tracked and equalized in place.
+    payload_stats: Vec<Complex>,
+    /// Raw payload statistics of the memoized frame (see [`FrameMemo`]).
+    payload_raw: Vec<Complex>,
+    /// Header and payload decode buffers.
+    frame: FrameScratch,
+    /// What `estimate`, `rake` and `payload_raw` hold, valid for the
+    /// current record. The known-timing pass and every write to
+    /// `digitized` clear it; `prepare_rake_on` and `payload_raw_on` fill
+    /// it, and skip any stage it already holds.
+    memo: Option<FrameMemo>,
+    /// Slots the RAKE has combined on this state since it was created.
+    combined_slots: u64,
 }
 
 impl RxState {
     /// Creates an empty state; buffers size themselves on first use.
     pub fn new() -> Self {
         let estimate = ChannelEstimate::new(vec![Complex::ZERO]);
-        let rake = RakeReceiver::from_estimate(
-            &ChannelEstimate::new(vec![Complex::ONE]),
-            1,
-        );
+        let rake = RakeReceiver::from_estimate(&ChannelEstimate::new(vec![Complex::ONE]), 1);
         RxState {
             scratch: DspScratch::new(),
             digitized: Vec::new(),
             estimate,
             rake,
             finger_idx: Vec::new(),
-            chanest_memo: None,
+            header_stats: Vec::new(),
+            payload_stats: Vec::new(),
+            payload_raw: Vec::new(),
+            frame: FrameScratch::new(),
+            memo: None,
+            combined_slots: 0,
         }
+    }
+
+    /// Drops everything memoized about the current record. Call it on
+    /// every change to the record the next decode reads.
+    pub(crate) fn forget_record(&mut self) {
+        self.memo = None;
+    }
+
+    /// How many slots the RAKE has combined on this state since it was
+    /// created: a deterministic work count. A known-timing pass followed by
+    /// a frame decode at the same lock combines the payload once, not
+    /// twice.
+    pub fn combined_slots(&self) -> u64 {
+        self.combined_slots
     }
 
     /// The scratch arena, for callers that interleave their own DSP work
@@ -102,7 +145,8 @@ impl Default for RxState {
 #[derive(Debug, Clone)]
 pub struct Gen2Receiver {
     config: Gen2Config,
-    pulse: Vec<Complex>,
+    /// The real matched-filter pulse the RAKE correlates with.
+    pulse: Vec<f64>,
     preamble_template: Vec<Complex>,
     acquisition: CoarseAcquisition,
     quantizer: Quantizer,
@@ -117,7 +161,7 @@ impl Gen2Receiver {
     /// validation.
     pub fn new(config: Gen2Config) -> Result<Self, PhyError> {
         config.validate()?;
-        let pulse = PulseShape::gen2_default().generate_complex(config.sample_rate);
+        let pulse = PulseShape::gen2_default().generate(config.sample_rate);
         // Reuse the transmitter's template construction so both ends agree.
         let tx = Gen2Transmitter::new(config.clone())?;
         let code = tx.spread_code();
@@ -189,6 +233,14 @@ impl Gen2Receiver {
         self.quantizer.quantize_scaled_append(samples, gain, out);
     }
 
+    /// Digitizes `samples` into `state` as the record the next decode
+    /// reads, dropping everything memoized about the previous one.
+    pub(crate) fn load_record(&self, samples: &[Complex], state: &mut RxState) {
+        state.digitized.clear();
+        self.digitize_append(samples, &mut state.digitized);
+        state.forget_record();
+    }
+
     /// Runs the complete receive chain on a complex-baseband record.
     ///
     /// # Errors
@@ -231,9 +283,11 @@ impl Gen2Receiver {
     /// The frame-decode back half of [`Gen2Receiver::receive_packet`], given
     /// an acquisition result obtained from [`Gen2Receiver::acquire_record`]
     /// over the *same* digitized record: channel estimation → RAKE →
-    /// header → payload. `state.chanest_memo` must refer to this record or
-    /// be `None` (see
-    /// [`Gen2Receiver::payload_statistics_predigitized_with`]).
+    /// header → payload. `state` must be fresh or have last decoded this
+    /// record. After [`Gen2Receiver::payload_statistics_predigitized_with`]
+    /// on this record, a lock at its `slot0_start` reuses that pass's
+    /// channel estimate, RAKE and, when the header announces a payload of
+    /// the same slot count, its raw payload statistics.
     ///
     /// # Errors
     ///
@@ -256,46 +310,80 @@ impl Gen2Receiver {
         })
     }
 
-    /// Channel estimation + RAKE rebuild around the acquisition lock at
-    /// `offset` into `state.digitized` (shared by the batch and streaming
-    /// decode paths). Returns `est_start`, the base sample index the RAKE
-    /// finger delays are relative to.
-    fn prepare_rake_at(&self, state: &mut RxState, offset: usize) -> usize {
-        let digitized = std::mem::take(&mut state.digitized);
-        let est_start = self.prepare_rake_on(&digitized, state, offset);
-        state.digitized = digitized;
+    /// Channel estimation and finger selection around the acquisition lock
+    /// at `offset` into `digitized`, skipped when `state.memo` already holds
+    /// `offset`. Returns `est_start`, the base sample index the RAKE finger
+    /// delays are relative to.
+    fn prepare_rake_on(&self, digitized: &[Complex], state: &mut RxState, offset: usize) -> usize {
+        let est_start = offset.saturating_sub(CIR_PRE_SAMPLES);
+        if state.memo.is_some_and(|m| m.offset == offset) {
+            return est_start;
+        }
+        let period = self.config.preamble_length() * self.config.samples_per_slot();
+        let periods = (self.config.preamble_repeats - 1).max(1);
+        let _t = uwb_obs::span!("rx_chanest");
+        estimate_cir_into(
+            digitized,
+            &self.preamble_template,
+            est_start,
+            CIR_WINDOW,
+            periods,
+            period,
+            &mut state.estimate,
+        );
+        if let Some(bits) = self.config.chanest_bits {
+            state.estimate.quantize_in_place(bits);
+        }
+        state.rake.rebuild_from_estimate(
+            &state.estimate,
+            self.config.rake_fingers,
+            &mut state.finger_idx,
+        );
+        state.memo = Some(FrameMemo {
+            offset,
+            payload_slots: None,
+        });
         est_start
     }
 
-    /// [`Gen2Receiver::prepare_rake_at`] reading the digitized record from
-    /// a caller-owned slice.
-    fn prepare_rake_on(&self, digitized: &[Complex], state: &mut RxState, offset: usize) -> usize {
-        let period = self.config.preamble_length() * self.config.samples_per_slot();
-        let est_start = offset.saturating_sub(CIR_PRE_SAMPLES);
-        if state.chanest_memo == Some(offset) {
-            // `state.estimate` already holds the (quantized) estimate for
-            // exactly this (digitized record, offset) pair; recomputing
-            // would reproduce it bit-for-bit.
-            return est_start;
+    /// Frame slot index of the first header slot: the preamble repeats,
+    /// then the start-of-frame delimiter.
+    fn header_slot0(&self) -> usize {
+        self.config.preamble_length() * self.config.preamble_repeats + SFD_SLOTS
+    }
+
+    /// Leaves in `state.payload_raw` the raw statistics (RAKE output before
+    /// carrier tracking and MLSE) of the first `n_payload` payload slots of
+    /// the frame locked at `offset`, unless `state.memo` says they are
+    /// there already.
+    fn payload_raw_on(
+        &self,
+        digitized: &[Complex],
+        state: &mut RxState,
+        offset: usize,
+        n_payload: usize,
+    ) {
+        let est_start = self.prepare_rake_on(digitized, state, offset);
+        let memo = FrameMemo {
+            offset,
+            payload_slots: Some(n_payload),
+        };
+        if state.memo == Some(memo) {
+            return;
         }
-        let periods = (self.config.preamble_repeats - 1).max(1);
-        {
-            let _t = uwb_obs::span!("rx_chanest");
-            estimate_cir_into(
-                digitized,
-                &self.preamble_template,
-                est_start,
-                CIR_WINDOW,
-                periods,
-                period,
-                &mut state.estimate,
-            );
-            if let Some(bits) = self.config.chanest_bits {
-                state.estimate.quantize_in_place(bits);
-            }
-        }
-        state.chanest_memo = Some(offset);
-        est_start
+        let sps = self.config.samples_per_slot();
+        let payload_slot0 = self.header_slot0() + header_slot_count(&self.config);
+        let _t = uwb_obs::span!("rx_rake");
+        state.rake.combine_slots_into(
+            digitized,
+            &self.pulse,
+            est_start + payload_slot0 * sps,
+            sps,
+            n_payload,
+            &mut state.payload_raw,
+        );
+        state.combined_slots += n_payload as u64;
+        state.memo = Some(memo);
     }
 
     /// Decodes the header of a frame whose acquisition lock sits at `offset`
@@ -307,25 +395,38 @@ impl Gen2Receiver {
         state: &mut RxState,
         offset: usize,
     ) -> Result<Header, PhyError> {
-        let est_start = self.prepare_rake_at(state, offset);
+        let digitized = std::mem::take(&mut state.digitized);
+        let out = self.decode_header_on(&digitized, state, offset);
+        state.digitized = digitized;
+        out
+    }
+
+    /// [`Gen2Receiver::decode_header_at`] reading the digitized record from
+    /// a caller-owned slice: the header's RAKE statistics into
+    /// `state.header_stats`, then the header decode.
+    fn decode_header_on(
+        &self,
+        digitized: &[Complex],
+        state: &mut RxState,
+        offset: usize,
+    ) -> Result<Header, PhyError> {
+        let est_start = self.prepare_rake_on(digitized, state, offset);
         let sps = self.config.samples_per_slot();
-        let _t_rake = uwb_obs::span!("rx_rake");
-        state
-            .rake
-            .rebuild_from_estimate(&state.estimate, self.config.rake_fingers, &mut state.finger_idx);
-        let digitized = &state.digitized;
-        let rake = &state.rake;
-        let preamble_slots = self.config.preamble_length() * self.config.preamble_repeats;
-        let header_start = preamble_slots + SFD_SLOTS;
         let n_header = header_slot_count(&self.config);
-        let header_stats: Vec<Complex> = (0..n_header)
-            .map(|k| {
-                rake.combine_direct(digitized, &self.pulse, est_start + (header_start + k) * sps)
-            })
-            .collect();
-        drop(_t_rake);
-        let _t_decode = uwb_obs::span!("rx_decode");
-        decode_header(&header_stats, &self.config).inspect_err(|_| {
+        {
+            let _t = uwb_obs::span!("rx_rake");
+            state.rake.combine_slots_into(
+                digitized,
+                &self.pulse,
+                est_start + self.header_slot0() * sps,
+                sps,
+                n_header,
+                &mut state.header_stats,
+            );
+            state.combined_slots += n_header as u64;
+        }
+        let _t = uwb_obs::span!("rx_decode");
+        decode_header_into(&state.header_stats, &self.config, &mut state.frame).inspect_err(|_| {
             uwb_obs::event!("header_fail");
         })
     }
@@ -347,62 +448,44 @@ impl Gen2Receiver {
 
     /// [`Gen2Receiver::decode_frame_at`] reading the digitized record from
     /// a caller-owned slice.
+    ///
+    /// The matched filter is never run over the whole record: the RAKE
+    /// correlates the pulse only at its finger delays in the header and
+    /// payload slots (`combine_slots_into`). Slot `s` of the frame has its
+    /// pulse starting at `offset + s·sps`; finger delays are relative to
+    /// `offset − CIR_PRE_SAMPLES`. Every statistic buffer lives in `state`,
+    /// and the payload's raw statistics come from the memo when a
+    /// known-timing pass at this lock already combined them.
     fn decode_frame_on(
         &self,
         digitized: &[Complex],
         state: &mut RxState,
         offset: usize,
     ) -> Result<(Header, Vec<u8>), PhyError> {
-        let sps = self.config.samples_per_slot();
-        let est_start = self.prepare_rake_on(digitized, state, offset);
-
-        // --- Matched filter + RAKE ---
-        // The matched filter is evaluated lazily at the finger delays of
-        // each decoded slot (combine_direct) instead of FFT-filtering the
-        // whole record: only slots × fingers values are ever read.
-        let _t_rake = uwb_obs::span!("rx_rake");
-        state
-            .rake
-            .rebuild_from_estimate(&state.estimate, self.config.rake_fingers, &mut state.finger_idx);
-        let rake = &state.rake;
-
-        // Slot s of the frame has its pulse starting at offset + s*sps;
-        // fingers are relative to est_start = offset - CIR_PRE_SAMPLES.
-        let prompt_base = est_start;
-        let stat = |slot: usize| -> Complex {
-            rake.combine_direct(digitized, &self.pulse, prompt_base + slot * sps)
-        };
-
-        // --- Header ---
-        let preamble_slots = self.config.preamble_length() * self.config.preamble_repeats;
-        let header_start = preamble_slots + SFD_SLOTS;
-        let n_header = header_slot_count(&self.config);
-        let header_stats: Vec<Complex> =
-            (0..n_header).map(|k| stat(header_start + k)).collect();
-        drop(_t_rake);
-        let _t_decode = uwb_obs::span!("rx_decode");
-        let header = decode_header(&header_stats, &self.config).inspect_err(|_| {
-            uwb_obs::event!("header_fail");
-        })?;
-
-        // --- Payload ---
-        let payload_start = header_start + n_header;
+        let header = self.decode_header_on(digitized, state, offset)?;
         let n_payload = payload_slot_count(header.payload_len, &self.config);
-        let mut payload_stats: Vec<Complex> =
-            (0..n_payload).map(|k| stat(payload_start + k)).collect();
-        self.maybe_track_carrier_in_place(&mut payload_stats);
+        self.payload_raw_on(digitized, state, offset, n_payload);
+        let _t = uwb_obs::span!("rx_decode");
+        state.payload_stats.clear();
+        state.payload_stats.extend_from_slice(&state.payload_raw);
+        self.maybe_track_carrier_in_place(&mut state.payload_stats);
         self.maybe_equalize_in_place(
-            &mut payload_stats,
+            &mut state.payload_stats,
             &state.estimate,
             &state.rake,
             &mut state.scratch,
         );
-        let payload =
-            decode_payload(&payload_stats, header.payload_len, &self.config).inspect_err(|e| {
-                if matches!(e, PhyError::CrcMismatch) {
-                    uwb_obs::event!("crc_fail");
-                }
-            })?;
+        let payload = decode_payload_into(
+            &state.payload_stats,
+            header.payload_len,
+            &self.config,
+            &mut state.frame,
+        )
+        .inspect_err(|e| {
+            if matches!(e, PhyError::CrcMismatch) {
+                uwb_obs::event!("crc_fail");
+            }
+        })?;
         Ok((header, payload))
     }
 
@@ -498,12 +581,13 @@ impl Gen2Receiver {
     /// steady-state heap allocation (the MLSE path, when enabled, is the
     /// documented exception).
     ///
-    /// Resets `state.chanest_memo` at entry (the record is externally
-    /// supplied, so any memoized estimate may belong to a different
-    /// record), then leaves the memo referring to this record — so a
-    /// following [`Gen2Receiver::receive_packet_acquired`] on the *same*
-    /// record skips the duplicate channel estimate when acquisition locks at
-    /// `slot0_start`.
+    /// Forgets `state`'s memo at entry (the record is externally supplied,
+    /// so anything memoized may belong to a different record), then leaves
+    /// the memo holding this record's channel estimate, RAKE and raw
+    /// payload statistics at `slot0_start` — so a following
+    /// [`Gen2Receiver::receive_packet_acquired`] on the *same* record that
+    /// locks at `slot0_start` skips both the second channel estimate and
+    /// the second payload combine.
     pub fn payload_statistics_predigitized_with(
         &self,
         digitized: &[Complex],
@@ -512,22 +596,11 @@ impl Gen2Receiver {
         state: &mut RxState,
         out: &mut Vec<Complex>,
     ) {
-        state.chanest_memo = None;
-        let sps = self.config.samples_per_slot();
-        let est_start = self.prepare_rake_on(digitized, state, slot0_start);
-        let _t_rake = uwb_obs::span!("rx_rake");
-        state
-            .rake
-            .rebuild_from_estimate(&state.estimate, self.config.rake_fingers, &mut state.finger_idx);
-        let preamble_slots = self.config.preamble_length() * self.config.preamble_repeats;
-        let payload_slot0 = preamble_slots + SFD_SLOTS + header_slot_count(&self.config);
+        state.forget_record();
         let n_payload = payload_slot_count(payload_len, &self.config);
-        let rake = &state.rake;
+        self.payload_raw_on(digitized, state, slot0_start, n_payload);
         out.clear();
-        out.extend((0..n_payload).map(|k| {
-            rake.combine_direct(digitized, &self.pulse, est_start + (payload_slot0 + k) * sps)
-        }));
-        drop(_t_rake);
+        out.extend_from_slice(&state.payload_raw);
         self.maybe_track_carrier_in_place(out);
         self.maybe_equalize_in_place(out, &state.estimate, &state.rake, &mut state.scratch);
     }
@@ -536,6 +609,7 @@ impl Gen2Receiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::decode_payload;
     use uwb_sim::awgn::add_awgn_complex;
     use uwb_sim::sv_channel::{ChannelModel, ChannelRealization};
     use uwb_sim::Rand;
@@ -711,8 +785,7 @@ mod tests {
             let noisy = add_awgn_complex(&through, p / 3.0, &mut rng);
             let slot0 = burst.slot0_center - tx.pulse().len() / 2;
             let stats = rx.payload_statistics_known_timing(&noisy, slot0, payload.len());
-            let bits =
-                crate::packet::decode_payload_bits(&stats, payload.len(), &cfg).unwrap();
+            let bits = crate::packet::decode_payload_bits(&stats, payload.len(), &cfg).unwrap();
             crate::packet::reference_payload_bits(&payload)
                 .iter()
                 .zip(&bits)
@@ -788,5 +861,173 @@ mod tests {
             assert_eq!(got_pkt.acquisition, want_pkt.acquisition);
             assert_eq!(got_pkt.estimate, want_pkt.estimate);
         }
+    }
+
+    /// Exact bit patterns of a run of statistics.
+    fn bits(v: &[Complex]) -> Vec<(u64, u64)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// A seeded frame through `model` with noise at half the signal power,
+    /// before AGC/ADC, and the sample index of its slot 0 pulse.
+    fn seeded_record(
+        tx: &Gen2Transmitter,
+        model: ChannelModel,
+        payload: &[u8],
+        seed: u64,
+    ) -> (Vec<Complex>, usize) {
+        let burst = tx.transmit_packet(payload).unwrap();
+        let mut rng = Rand::new(seed);
+        let ch = ChannelRealization::generate(model, &mut rng);
+        let through = ch.apply(&burst.samples, burst.sample_rate);
+        let p = uwb_dsp::complex::mean_power(&through);
+        let noisy = add_awgn_complex(&through, p / 2.0, &mut rng);
+        (noisy, burst.slot0_center - tx.pulse().len() / 2)
+    }
+
+    #[test]
+    fn known_timing_statistics_match_the_per_slot_oracle_bitwise() {
+        // The slot kernel against one-slot-at-a-time combining on real
+        // gen2 records: every multipath class, both ends of the ADC range.
+        // The 24-byte AWGN record ends inside the late fingers of its last
+        // slots.
+        let payload = vec![0x5Au8; 24];
+        for adc_bits in [1, 5] {
+            let cfg = Gen2Config {
+                adc_bits,
+                ..Gen2Config::nominal_100mbps()
+            };
+            let (tx, rx) = link(&cfg);
+            let sps = cfg.samples_per_slot();
+            let n_payload = payload_slot_count(payload.len(), &cfg);
+            for (i, model) in [
+                ChannelModel::Awgn,
+                ChannelModel::Cm1,
+                ChannelModel::Cm2,
+                ChannelModel::Cm3,
+                ChannelModel::Cm4,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let (record, slot0) = seeded_record(&tx, model, &payload, 40 + i as u64);
+                let digitized = rx.digitize(&record);
+                let mut state = RxState::new();
+                let mut got = Vec::new();
+                rx.payload_statistics_predigitized_with(
+                    &digitized,
+                    slot0,
+                    payload.len(),
+                    &mut state,
+                    &mut got,
+                );
+                let first =
+                    slot0 - CIR_PRE_SAMPLES + (rx.header_slot0() + header_slot_count(&cfg)) * sps;
+                let want: Vec<Complex> = (0..n_payload)
+                    .map(|k| {
+                        state
+                            .rake
+                            .combine_slot_oracle(&digitized, &rx.pulse, first + k * sps)
+                    })
+                    .collect();
+                assert_eq!(bits(&got), bits(&want), "{model:?}, {adc_bits}-bit ADC");
+            }
+        }
+    }
+
+    /// Everything a frame decode at `offset` leaves behind, as bits: the
+    /// result, the estimate and the header and payload statistics.
+    type FrameBits = (
+        Result<(Header, Vec<u8>), PhyError>,
+        Vec<(u64, u64)>,
+        Vec<(u64, u64)>,
+        Vec<(u64, u64)>,
+    );
+
+    fn frame_bits(
+        rx: &Gen2Receiver,
+        digitized: &[Complex],
+        state: &mut RxState,
+        offset: usize,
+    ) -> FrameBits {
+        let result = rx.decode_frame_on(digitized, state, offset);
+        (
+            result,
+            bits(state.estimate.taps()),
+            bits(&state.header_stats),
+            bits(&state.payload_stats),
+        )
+    }
+
+    #[test]
+    fn frame_decode_on_a_warm_state_equals_a_fresh_one_after_every_invalidation() {
+        let cfg = Gen2Config::nominal_100mbps();
+        let (tx, rx) = link(&cfg);
+        let payload = vec![0xA7u8; 24];
+        let n_header = header_slot_count(&cfg) as u64;
+        let n_payload = payload_slot_count(payload.len(), &cfg) as u64;
+        // Two records with the same frame timing and different noise: a
+        // stale memo from one would decode the other at the same offset.
+        let (raw_a, slot0) = seeded_record(&tx, ChannelModel::Cm1, &payload, 60);
+        let (raw_b, slot0_b) = seeded_record(&tx, ChannelModel::Cm1, &payload, 61);
+        assert_eq!(slot0, slot0_b);
+        let (a, b) = (rx.digitize(&raw_a), rx.digitize(&raw_b));
+        let fresh = |d: &[Complex]| frame_bits(&rx, d, &mut RxState::new(), slot0);
+        let (want_a, want_b) = (fresh(&a), fresh(&b));
+        assert_eq!(want_a.0.as_ref().unwrap().1, payload);
+        assert_ne!(
+            want_a.3, want_b.3,
+            "the records must differ where a stale memo would show"
+        );
+
+        let mut state = RxState::new();
+        let mut stats = Vec::new();
+        let mut known_timing = |state: &mut RxState, d: &[Complex], offset: usize, len: usize| {
+            rx.payload_statistics_predigitized_with(d, offset, len, state, &mut stats);
+        };
+        // The link trial's sequence reuses the known-timing payload: the
+        // frame decode combines only the header.
+        known_timing(&mut state, &a, slot0, payload.len());
+        let before = state.combined_slots();
+        assert_eq!(frame_bits(&rx, &a, &mut state, slot0), want_a);
+        assert_eq!(state.combined_slots() - before, n_header);
+
+        // A known-timing pass at another offset: estimate, RAKE and payload
+        // are all recomputed at the frame's own lock.
+        known_timing(&mut state, &a, slot0 + 3, payload.len());
+        let before = state.combined_slots();
+        assert_eq!(frame_bits(&rx, &a, &mut state, slot0), want_a);
+        assert_eq!(state.combined_slots() - before, n_header + n_payload);
+
+        // A payload length the header does not announce: the estimate is
+        // reused, the payload recombined.
+        let other_len = payload.len() + 7;
+        assert_ne!(payload_slot_count(other_len, &cfg) as u64, n_payload);
+        known_timing(&mut state, &a, slot0, other_len);
+        let before = state.combined_slots();
+        assert_eq!(frame_bits(&rx, &a, &mut state, slot0), want_a);
+        assert_eq!(state.combined_slots() - before, n_header + n_payload);
+
+        // A known-timing pass on another record at the same offset.
+        known_timing(&mut state, &b, slot0, payload.len());
+        assert_eq!(frame_bits(&rx, &b, &mut state, slot0), want_b);
+
+        // The streaming receiver's record reset: a new window replaces the
+        // record in the state, then the frame decodes at the same offset.
+        rx.load_record(&raw_a, &mut state);
+        assert_eq!(rx.decode_frame_at(&mut state, slot0), want_a.0);
+        rx.load_record(&raw_b, &mut state);
+        let before = state.combined_slots();
+        let got = rx.decode_frame_at(&mut state, slot0);
+        assert_eq!(
+            (
+                got,
+                bits(state.estimate.taps()),
+                bits(&state.header_stats),
+                bits(&state.payload_stats)
+            ),
+            want_b
+        );
+        assert_eq!(state.combined_slots() - before, n_header + n_payload);
     }
 }

@@ -348,10 +348,7 @@ impl StreamRx {
         let a = self.cursor - self.base;
         let b = end - self.base;
         let _t = uwb_obs::span!("rx_agc_adc");
-        self.state.digitized.clear();
-        self.rx
-            .digitize_append(&self.buf[a..b], &mut self.state.digitized);
-        self.state.chanest_memo = None;
+        self.rx.load_record(&self.buf[a..b], &mut self.state);
     }
 
     /// Decode failure after a successful acquisition: advance past the

@@ -1230,4 +1230,30 @@ mod tests {
         assert_eq!(counter, outcome.ber);
         assert_eq!(ok, counter.errors == 0);
     }
+
+    #[test]
+    fn full_trial_reuses_the_known_timing_payload_statistics() {
+        // The benchmark's link_full_awgn trial (24 bytes at 6 dB): the
+        // known-timing pass combines the payload, acquisition locks at the
+        // true frame start, and the frame decode then combines only the
+        // header, taking the payload statistics from the memo.
+        let sc = LinkScenario::awgn(small_config(), 6.0, 20050307);
+        let mut w = LinkWorker::new(&sc);
+        let mut outcome = LinkOutcome::default();
+        let cfg = &sc.config;
+        let n_header = uwb_phy::packet::header_slot_count(cfg) as u64;
+        let n_payload = uwb_phy::packet::payload_slot_count(24, cfg) as u64;
+        for t in 0..20 {
+            let before = w.rx_state.combined_slots();
+            w.trial_full(&sc, 24, &mut Rand::for_trial(sc.seed, t), &mut outcome);
+            assert_eq!(
+                w.rx_state.combined_slots() - before,
+                n_payload + n_header,
+                "trial {t} combined the payload twice"
+            );
+        }
+        assert_eq!(outcome.packets, 20);
+        assert_eq!(outcome.sync_failures, 0);
+        assert!(outcome.packets_ok > 0);
+    }
 }

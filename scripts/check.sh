@@ -82,10 +82,15 @@
 #                             and `fn <name>` definitions in those other
 #                             files do not count as uses. No allowlist:
 #                             delete the function or drop its `pub`
+#   scripts/check.sh pins     end-to-end determinism gate: one short
+#                             uwbbench run of all five workloads at the
+#                             default seed (--seconds 0.1); fails unless it
+#                             exits 0, i.e. unless every fingerprint equals
+#                             benchmark/pins.json and no check failed
 #   scripts/check.sh all      tier-1, then the whole workspace's tests, then
 #                             surface, then smoke, then obs, then stream,
 #                             then net, then mac (which includes the
-#                             uwbbench tests), then batch
+#                             uwbbench tests), then batch, then pins
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -219,6 +224,11 @@ benchmark_tests() {
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 }
 
+pins() {
+    echo "== pins: uwbbench fingerprints of all five workloads vs benchmark/pins.json =="
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --seconds 0.1
+}
+
 batch() {
     echo "== batch: batch-width x thread-count invariance =="
     cargo test -q --release --test batch_parity
@@ -260,6 +270,9 @@ mac)
 batch)
     batch
     ;;
+pins)
+    pins
+    ;;
 all)
     tier1
     echo "== workspace: cargo test -q --workspace =="
@@ -271,9 +284,10 @@ all)
     net
     mac
     batch
+    pins
     ;;
 *)
-    echo "usage: scripts/check.sh [tier1|surface|smoke|bench|obs|stream|net|mac|batch|all]" >&2
+    echo "usage: scripts/check.sh [tier1|surface|smoke|bench|obs|stream|net|mac|batch|pins|all]" >&2
     exit 2
     ;;
 esac

@@ -82,10 +82,11 @@ static COUNTING: CountingAlloc = CountingAlloc;
 /// payload snapshots, synthesis metadata, and the streaming operators'
 /// per-block workspace all ratchet to their high-water capacity during
 /// warm-up. A CM1 section then holds the multi-tap channel convolution to
-/// the same gate, and an acquisition section holds
+/// the same gate, an acquisition section holds
 /// `Gen2Receiver::acquire_record` to its zero-steady-state-allocation
-/// claim. (Every section lives in this one `#[test]` so no concurrent test
-/// can pollute the counter.)
+/// claim, and a frame-decode section pins `receive_packet_acquired` to the
+/// two allocations its returned packet owns. (Every section lives in this
+/// one `#[test]` so no concurrent test can pollute the counter.)
 #[test]
 fn gen2_fast_path_steady_state_is_allocation_free() {
     let config = Gen2Config {
@@ -188,7 +189,7 @@ fn gen2_fast_path_steady_state_is_allocation_free() {
     //     records are synthesized, noised and digitized up front; the
     //     first one warms the state's scratch. ---
     let rx = uwb_phy::Gen2Receiver::new(scenario.config.clone()).expect("valid config");
-    let records: Vec<Vec<uwb_dsp::Complex>> = (0..17)
+    let records: Vec<(Vec<uwb_dsp::Complex>, usize)> = (0..17)
         .map(|trial| {
             let mut rng = uwb_sim::Rand::for_trial(scenario.seed, 1000 + trial);
             let clean = worker.synthesize_clean_streamed(&scenario, 24, BLOCK, &mut rng);
@@ -199,15 +200,15 @@ fn gen2_fast_path_steady_state_is_allocation_free() {
                 &mut record,
                 &mut scratch,
             );
-            rx.digitize(&record)
+            (rx.digitize(&record), clean.slot0_start)
         })
         .collect();
     let mut rx_state = uwb_phy::RxState::new();
-    assert!(rx.acquire_record(&records[0], &mut rx_state).detected);
+    assert!(rx.acquire_record(&records[0].0, &mut rx_state).detected);
 
     let before = thread_allocs();
     let mut detected = 0;
-    for record in &records[1..] {
+    for (record, _) in &records[1..] {
         detected += usize::from(rx.acquire_record(record, &mut rx_state).detected);
     }
     let after = thread_allocs();
@@ -223,6 +224,38 @@ fn gen2_fast_path_steady_state_is_allocation_free() {
         detected,
         records.len() - 1,
         "acquisition missed a 6 dB record"
+    );
+
+    // --- Frame decode: `receive_packet_acquired` on the same warm state,
+    //     in the link trial's order (known-timing pass, acquisition, frame
+    //     decode). Its statistic and decode buffers live in the state; the
+    //     allocations left are the returned `ReceivedPacket`'s own storage:
+    //       1. the payload bytes (`decode_payload_into`'s `to_vec`);
+    //       2. the channel-estimate clone.
+    //     A failed decode (header or CRC) allocates nothing. ---
+    const ALLOCS_PER_DELIVERED_PACKET: u64 = 2;
+    let mut stats = Vec::new();
+    let mut frame_allocs = 0;
+    let mut delivered = 0;
+    for (i, (record, slot0)) in records.iter().enumerate() {
+        rx.payload_statistics_predigitized_with(record, *slot0, 24, &mut rx_state, &mut stats);
+        let acq = rx.acquire_record(record, &mut rx_state);
+        let before = thread_allocs();
+        let packet = rx.receive_packet_acquired(record, &acq, &mut rx_state);
+        let after = thread_allocs();
+        // Record 0 warms the state's frame buffers.
+        if i > 0 {
+            frame_allocs += after - before;
+            delivered += u64::from(packet.is_ok());
+        }
+    }
+    assert!(delivered > 0, "no 6 dB record decoded");
+    assert_eq!(
+        frame_allocs,
+        ALLOCS_PER_DELIVERED_PACKET * delivered,
+        "a warm frame decode must allocate only the returned packet's payload \
+         and estimate ({frame_allocs} allocations, {delivered} of {} packets delivered)",
+        records.len() - 1
     );
 
     // --- Network warm path: a 2-link co-channel piconet round must also

@@ -74,8 +74,9 @@ impl Quantizer {
     /// one branch-free block pass (see [`uwb_dsp::simd`]).
     ///
     /// Bit-identical to `quantize(z.re * gain)` / `quantize(z.im * gain)`
-    /// per sample: the kernel keeps the same divide-by-`step` arithmetic
-    /// (locked down by a parity test).
+    /// per sample: the kernel divides by `step`, or multiplies by `1/step`
+    /// when that reciprocal is an exact power of two, as it is at full
+    /// scale 1.0 (locked down by a parity test at every resolution).
     pub fn quantize_scaled_into(&self, input: &[Complex], gain: f64, out: &mut Vec<Complex>) {
         let half_levels = (self.levels() / 2) as f64;
         uwb_dsp::simd::quantize_scaled_into(
@@ -238,6 +239,50 @@ mod tests {
             for (z, o) in input.iter().zip(&out) {
                 let want = Complex::new(q.quantize(z.re * gain), q.quantize(z.im * gain));
                 assert_eq!(*o, want, "bits={bits} z={z}");
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_scaled_matches_scalar_division_at_every_resolution() {
+        // At full scale 1.0 the step is a power of two and the sweep
+        // multiplies by its exact reciprocal; at 0.9 it divides (there a
+        // rounded reciprocal would floor some boundary inputs wrongly).
+        // Either way it must match the scalar `x / step` path bit for bit:
+        // on code boundaries and their neighbours, ±0, subnormals, the
+        // clamped extremes and overflowing products.
+        // The receiver's AGC sets gain = 0.355 / rms of the record.
+        let agc = 0.355 / 0.0123f64.sqrt();
+        let gains = [agc, 1.0, 0.733, 1.7378, 2.0, 0.1, 12.5, 1e-3, 1e-310, 1e300];
+        for bits in 1..=24 {
+            for full_scale in [1.0, 0.9] {
+                let q = Quantizer::new(bits, full_scale);
+                let half = (q.levels() / 2) as f64;
+                let mut xs = vec![0.0, -0.0, f64::MAX, -f64::MAX, 1e10, -1e10];
+                xs.extend([f64::MIN_POSITIVE, f64::from_bits(1), -f64::from_bits(1)]);
+                for k in [-half - 1.0, -half, -half + 1.0, -3.0, -1.0, 0.0, 1.0, 7.0] {
+                    for k in [k, k + half - 1.0, k + half, k + half + 1.0] {
+                        let x = k * q.step();
+                        xs.extend([x, x.next_up(), x.next_down()]);
+                    }
+                }
+                xs.extend((-40..40).map(|i| i as f64 * 0.0371));
+                let input: Vec<Complex> = xs
+                    .iter()
+                    .zip(xs.iter().rev())
+                    .map(|(&re, &im)| Complex::new(re, im))
+                    .collect();
+                for gain in gains {
+                    let mut out = Vec::new();
+                    q.quantize_scaled_into(&input, gain, &mut out);
+                    for (z, o) in input.iter().zip(&out) {
+                        let (re, im) = (q.quantize(z.re * gain), q.quantize(z.im * gain));
+                        assert!(
+                            o.re.to_bits() == re.to_bits() && o.im.to_bits() == im.to_bits(),
+                            "bits={bits} fs={full_scale} gain={gain} z={z:?}: {o:?}"
+                        );
+                    }
+                }
             }
         }
     }

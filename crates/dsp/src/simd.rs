@@ -70,12 +70,13 @@ pub fn scale_in_place(signal: &mut [Complex], gain: f64) {
 ///
 /// For each input sample, both rails are scaled by `gain`, quantized to the
 /// code `k = clamp(floor(x·gain / step), lo, hi)` and reconstructed at the
-/// code centre `(k + 0.5)·step` — exactly the arithmetic of
-/// `Quantizer::quantize(z * gain)` (division by `step`, not multiplication
-/// by a reciprocal), so the output is **bit-identical** to the scalar
-/// per-sample path; the parity is locked down in `uwb-adc`'s tests. The
-/// clamp lowers to `max`/`min` and the loop body is straight-line, so the
-/// whole sweep autovectorizes.
+/// code centre `(k + 0.5)·step` — the arithmetic of
+/// `Quantizer::quantize(z * gain)`, whose division by `step` becomes a
+/// multiplication only where that is exact (see
+/// [`quantize_scaled_append`]), so the output is **bit-identical** to the
+/// scalar per-sample path; the parity is locked down in `uwb-adc`'s
+/// tests. The clamp lowers to `max`/`min` and the loop body is
+/// straight-line, so the whole sweep autovectorizes.
 pub fn quantize_scaled_into(
     input: &[Complex],
     gain: f64,
@@ -92,6 +93,13 @@ pub fn quantize_scaled_into(
 /// it — the form used by the batched runtime to digitize one trial's lane
 /// directly into a flat [`crate::batch::BatchArena`] buffer. Sample
 /// arithmetic is identical.
+///
+/// When `step` is a power of two whose reciprocal is representable (every
+/// `Quantizer::new(bits, 1.0)`, whose step is `2^(1−bits)`), the sweep
+/// multiplies by `1/step` instead of dividing. The reciprocal is then
+/// exact, so `y·(1/step)` and `y/step` are the correctly rounded values of
+/// the same real number `y·2^-e` and agree bit for bit, subnormal and
+/// overflowing results included. Any other step keeps the division.
 pub fn quantize_scaled_append(
     input: &[Complex],
     gain: f64,
@@ -101,11 +109,35 @@ pub fn quantize_scaled_append(
     out: &mut Vec<Complex>,
 ) {
     out.reserve(input.len());
-    out.extend(input.iter().map(|&z| {
-        let kr = (z.re * gain / step).floor().max(lo).min(hi);
-        let ki = (z.im * gain / step).floor().max(lo).min(hi);
-        Complex::new((kr + 0.5) * step, (ki + 0.5) * step)
-    }));
+    if let Some(recip) = exact_reciprocal(step) {
+        out.extend(input.iter().map(|&z| {
+            let kr = (z.re * gain * recip).floor().max(lo).min(hi);
+            let ki = (z.im * gain * recip).floor().max(lo).min(hi);
+            Complex::new((kr + 0.5) * step, (ki + 0.5) * step)
+        }));
+    } else {
+        out.extend(input.iter().map(|&z| {
+            let kr = (z.re * gain / step).floor().max(lo).min(hi);
+            let ki = (z.im * gain / step).floor().max(lo).min(hi);
+            Complex::new((kr + 0.5) * step, (ki + 0.5) * step)
+        }));
+    }
+}
+
+/// `1/step` when `step` is a positive power of two (normal or subnormal)
+/// and `1/step` is itself finite, so that multiplying by it rounds exactly
+/// like dividing by `step`; `None` otherwise.
+fn exact_reciprocal(step: f64) -> Option<f64> {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let bits = step.to_bits();
+    let pow2 = step > 0.0
+        && if step.is_normal() {
+            bits & MANTISSA == 0
+        } else {
+            bits.is_power_of_two()
+        };
+    let recip = 1.0 / step;
+    (pow2 && recip.is_finite()).then_some(recip)
 }
 
 /// Correlation of `signal` against a purely real template (the channel
@@ -283,6 +315,49 @@ mod tests {
         for (z, o) in input.iter().zip(&out) {
             let want = Complex::new(scalar_q(z.re * gain), scalar_q(z.im * gain));
             assert_eq!(*o, want);
+        }
+    }
+
+    #[test]
+    fn exact_reciprocal_only_for_representable_powers_of_two() {
+        let min_sub = f64::from_bits(1); // 2^-1074: its reciprocal overflows
+        let half_min = f64::from_bits(1 << 51); // 2^-1023, subnormal
+        for step in [1.0, 0.5, 2.0, 0.0625, 2f64.powi(-23)] {
+            assert_eq!(exact_reciprocal(step), Some(1.0 / step), "{step:e}");
+        }
+        for step in [f64::MIN_POSITIVE, half_min] {
+            let recip = exact_reciprocal(step).unwrap_or_else(|| panic!("{step:e}"));
+            assert_eq!(recip * step, 1.0, "{step:e}");
+        }
+        assert_eq!(exact_reciprocal(2f64.powi(1023)), Some(2f64.powi(-1023)));
+        for step in [0.0, -0.0, -0.5, 3.0, 0.1, min_sub, f64::INFINITY, f64::NAN] {
+            assert_eq!(exact_reciprocal(step), None, "{step:e}");
+        }
+    }
+
+    #[test]
+    fn non_power_of_two_step_keeps_the_division() {
+        // A 5-bit quantizer at full scale 0.9. Multiplying by the rounded
+        // reciprocal of its step floors differently from dividing on some
+        // code boundaries and their neighbours; the kernel must divide.
+        let step = 2.0 * 0.9 / 32.0;
+        let (lo, hi) = (-1e9, 1e9);
+        let recip = 1.0 / step;
+        let witnesses: Vec<Complex> = (-4000..4000)
+            .flat_map(|k| {
+                let y = k as f64 * step;
+                [y, y.next_up(), y.next_down()]
+            })
+            .filter(|&y| (y * recip).floor() != (y / step).floor())
+            .map(|y| Complex::new(y, -y))
+            .collect();
+        assert!(!witnesses.is_empty());
+        let mut out = Vec::new();
+        quantize_scaled_into(&witnesses, 1.0, step, lo, hi, &mut out);
+        for (z, o) in witnesses.iter().zip(&out) {
+            let want = |y: f64| ((y / step).floor().max(lo).min(hi) + 0.5) * step;
+            assert_eq!(o.re.to_bits(), want(z.re).to_bits(), "{z:?}");
+            assert_eq!(o.im.to_bits(), want(z.im).to_bits(), "{z:?}");
         }
     }
 

@@ -1135,6 +1135,34 @@ mod tests {
     }
 
     #[test]
+    fn cm1_burst_takes_the_real_channel_kernel() {
+        // The transmitted burst is real baseband BPSK, and the interferer
+        // is added after the channel, so every multi-tap block (flush
+        // included) must run the real-input kernel. A burst that turned
+        // complex before the channel would fall back to the complex kernel
+        // and fail here instead of silently doubling the channel's cost.
+        let sc = LinkScenario {
+            channel: ChannelModel::Cm1,
+            ..LinkScenario::awgn(small_config(), 10.0, 61)
+        };
+        let mut w = LinkWorker::new(&sc);
+        let blocks_per_trial =
+            |w: &LinkWorker| w.burst.samples.len().div_ceil(DEFAULT_STREAM_BLOCK) as u64 + 1;
+
+        let (mut scratch, mut c) = (BatchScratch::new(), ErrorCounter::default());
+        w.trial_batch_ber_streamed(&sc, 256, DEFAULT_STREAM_BLOCK, 0..4, &mut scratch, &mut c);
+        let batch = w.stream_channel.kernel_counts();
+        assert_eq!(batch.real, 4 * blocks_per_trial(&w), "{batch:?}");
+        assert_eq!((batch.complex, batch.single_tap), (0, 0), "{batch:?}");
+
+        let mut rng = Rand::for_trial(sc.seed, 4);
+        w.trial_full(&sc, 256, &mut rng, &mut LinkOutcome::default());
+        let full = w.stream_channel.kernel_counts();
+        assert_eq!(full.real - batch.real, blocks_per_trial(&w), "{full:?}");
+        assert_eq!((full.complex, full.single_tap), (0, 0), "{full:?}");
+    }
+
+    #[test]
     fn channel_stats_helper() {
         let rms = channel_rms_delay_ns(ChannelModel::Cm3, 20, 7);
         assert!(rms > 5.0 && rms < 30.0, "{rms}");

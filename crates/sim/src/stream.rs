@@ -17,12 +17,21 @@
 //! * [`StreamingChannel`] on a **single-tap** channel (AWGN scenarios) is
 //!   bit-identical to [`ChannelRealization::apply_into`]. Multi-tap
 //!   channels use a direct-form convolution with a fixed summation
-//!   contract: per output, ascending k; outputs are computed `TILE` (16)
-//!   at a time, and tiling never reorders a sum. The batch path uses FFT
-//!   convolution, so the two agree to numerical precision (≲1e-12
-//!   relative) but not bitwise — the chunk-invariance gates therefore
-//!   compare streamed-vs-streamed and assert equality of *decisions* vs
-//!   batch.
+//!   contract: per output, ascending k from a `+0.0` accumulator; outputs
+//!   are computed a tile at a time, and tiling never reorders a sum. Two
+//!   kernels honour that contract. When every sample of
+//!   `[history | block]` has a zero imaginary part (the transmitted burst
+//!   is real baseband BPSK), a real-input kernel adds `h.re·x` and
+//!   `h.im·x` into two `f64` accumulators; otherwise the complex kernel
+//!   adds `h·x`. For finite taps and inputs they agree bit for bit: the
+//!   products the real kernel drops (`h.im·x.im`, `h.re·x.im`) are ±0, a
+//!   round-to-nearest sum that starts at `+0.0` never becomes `−0.0`
+//!   (exact cancellation gives `+0.0`), so adding ±0 never changes it,
+//!   and every nonzero term is the same product either way. The batch
+//!   path uses FFT convolution, so the two agree to numerical precision
+//!   (≲1e-12 relative) but not bitwise — the chunk-invariance gates
+//!   therefore compare streamed-vs-streamed and assert equality of
+//!   *decisions* vs batch.
 //! * [`StreamingAwgn`] seeded with the RNG state at the point the batch
 //!   path would call `add_awgn_complex_in_place` is bit-identical to it.
 //! * [`StreamingInterferer`] for CW and swept kinds draws only the initial
@@ -39,14 +48,66 @@ use crate::time::SampleRate;
 use uwb_dsp::stream::BlockProcessor;
 use uwb_dsp::{Complex, DspScratch, Nco};
 
-/// Outputs per pass of the multi-tap convolution over the taps: each tile
-/// keeps this many complex accumulators live. Sixteen fill eight 256-bit
-/// registers; on a 2-vCPU AVX-512 host `dspbench`'s
+/// Outputs per pass of the complex multi-tap kernel over the taps: each
+/// tile keeps this many complex accumulators live. Sixteen fill eight
+/// 256-bit registers; on a 2-vCPU AVX-512 host `dspbench`'s
 /// `stream_channel_cm1_4096` row ran level with 8 and ahead of 32 (which
 /// spills), at about twice the speed of one output at a time. The width
 /// only sets how many sums run side by side, never the order within one,
 /// so changing it cannot change a bit of output.
 const TILE: usize = 16;
+
+/// Outputs per pass of the real-input kernel: 32 `re` and 32 `im` `f64`
+/// accumulators. Picked by measurement on the same host, over one
+/// 23,820-sample CM1 burst streamed in 4,096-sample blocks (median of 300
+/// runs, three rounds): 8, 16 and 24 ran 1.4–2× slower than 32, 64 lost
+/// and 48 ran level; in the `link_ber_cm1` trial 32 beat 16 in 4 of 5
+/// alternating pairs. As with [`TILE`], the width cannot change a bit of
+/// output.
+const REAL_TILE: usize = 32;
+
+/// Whether every imaginary part in `xs` is ±0 (a branch-free sweep, no
+/// early exit, so it vectorizes).
+fn all_real(xs: &[Complex]) -> bool {
+    xs.iter().fold(true, |real, z| real & (z.im == 0.0))
+}
+
+/// One tile of the real-input kernel: `out[w] = Σ_k h[k]·x[L-1+w-k]` for
+/// `w < REAL_TILE`, summed in ascending `k` from `+0.0`. As in the complex
+/// kernel, one pass over the taps serves the whole tile, but the w-th
+/// output's re and im sums live in two `f64` arrays: two real
+/// multiply-adds per tap and output, no re/im shuffles. Kept out of line
+/// so the accumulators stay in registers whatever the caller's shape:
+/// inlined into the block loop, one variant of the caller spilled them
+/// and ran about 4× slower.
+#[inline(never)]
+fn real_tile(h: &[Complex], x: &[f64], out: &mut [Complex]) {
+    let l = h.len();
+    let mut re = [0.0f64; REAL_TILE];
+    let mut im = [0.0f64; REAL_TILE];
+    for (k, hk) in h.iter().enumerate() {
+        let xs = &x[l - 1 - k..][..REAL_TILE];
+        for w in 0..REAL_TILE {
+            re[w] += hk.re * xs[w];
+            im[w] += hk.im * xs[w];
+        }
+    }
+    for (o, (&r, &i)) in out.iter_mut().zip(re.iter().zip(&im)) {
+        *o = Complex::new(r, i);
+    }
+}
+
+/// Blocks a [`StreamingChannel`] has run on each kernel since it was
+/// built: a deterministic record of which path the data took.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelCounts {
+    /// Blocks on a single-tap channel (plain scaling).
+    pub single_tap: u64,
+    /// Multi-tap blocks whose `[history | block]` was all real.
+    pub real: u64,
+    /// Multi-tap blocks with a nonzero imaginary part somewhere.
+    pub complex: u64,
+}
 
 /// Stateful direct-form channel convolver: carries the multipath tail
 /// across block boundaries and emits it on flush.
@@ -56,13 +117,18 @@ const TILE: usize = 16;
 /// tail), independent of record length. Output sample `y[n]` is
 /// `Σ_{k=0..L} h[k]·x[n-k]` accumulated in ascending `k`, so the block
 /// partition never changes the arithmetic. The flushed tail is the same
-/// kernel run over `L-1` zero inputs.
+/// kernel run over `L-1` zero inputs. Each block picks the real-input or
+/// the complex kernel from its own samples (module docs); both give the
+/// same bits.
 #[derive(Debug, Clone, Default)]
 pub struct StreamingChannel {
     /// Discretized impulse response.
     h: Vec<Complex>,
     /// Last `h.len()-1` input samples, oldest first.
     history: Vec<Complex>,
+    /// The real-input kernel's `[history | block]` real parts.
+    real_ext: Vec<f64>,
+    counts: KernelCounts,
 }
 
 impl StreamingChannel {
@@ -70,7 +136,7 @@ impl StreamingChannel {
     pub fn new() -> Self {
         StreamingChannel {
             h: vec![Complex::ONE],
-            history: Vec::new(),
+            ..StreamingChannel::default()
         }
     }
 
@@ -95,21 +161,16 @@ impl StreamingChannel {
     pub fn tail_len(&self) -> usize {
         self.history.len()
     }
-}
 
-impl BlockProcessor for StreamingChannel {
-    fn process_block(&mut self, block: &mut [Complex], scratch: &mut DspScratch) {
+    /// Blocks run on each kernel since construction (flushes included).
+    pub fn kernel_counts(&self) -> KernelCounts {
+        self.counts
+    }
+
+    /// The complex kernel: `acc += h[k]·x` over a complex
+    /// `[history | block]` copy.
+    fn convolve_complex(&mut self, block: &mut [Complex], scratch: &mut DspScratch) {
         let l = self.h.len();
-        if l == 1 {
-            // Single-tap channel: plain scaling, bit-identical to the batch
-            // `apply_into` fast path (`z * g`, no accumulator —
-            // `MulAssign` expands to exactly `*z = *z * g`).
-            let g = self.h[0];
-            for z in block.iter_mut() {
-                *z *= g;
-            }
-            return;
-        }
         let n = block.len();
         // ext = [history | block input]: every x[n-k] an output needs.
         let mut ext = scratch.take_complex(l - 1 + n);
@@ -142,6 +203,65 @@ impl BlockProcessor for StreamingChannel {
         }
         self.history.copy_from_slice(&ext[n..]);
         scratch.put_complex(ext);
+    }
+
+    /// The real-input kernel, for a `[history | block]` whose imaginary
+    /// parts are all ±0: `re += h[k].re·x` and `im += h[k].im·x` over the
+    /// real parts, in the complex kernel's tiles and tap order.
+    fn convolve_real(&mut self, block: &mut [Complex]) {
+        let l = self.h.len();
+        let n = block.len();
+        self.real_ext.clear();
+        self.real_ext.extend(self.history.iter().map(|z| z.re));
+        self.real_ext.extend(block.iter().map(|z| z.re));
+        let (x, h) = (&self.real_ext[..], &self.h[..]);
+        // The carried history is the last L-1 complex inputs (their zero
+        // imaginary parts keep their signs); take it before the block is
+        // overwritten with outputs.
+        if n >= l - 1 {
+            self.history.copy_from_slice(&block[n - (l - 1)..]);
+        } else {
+            self.history.copy_within(n.., 0);
+            self.history[l - 1 - n..].copy_from_slice(block);
+        }
+        let tiled = n - n % REAL_TILE;
+        let mut tiles = block.chunks_exact_mut(REAL_TILE);
+        for (t, out) in (&mut tiles).enumerate() {
+            real_tile(h, &x[t * REAL_TILE..], out);
+        }
+        // The last `n mod REAL_TILE` outputs, one serial sum each.
+        for (j, out) in tiles.into_remainder().iter_mut().enumerate() {
+            let (mut re, mut im) = (0.0f64, 0.0f64);
+            for (k, hk) in h.iter().enumerate() {
+                let xv = x[l - 1 + tiled + j - k];
+                re += hk.re * xv;
+                im += hk.im * xv;
+            }
+            *out = Complex::new(re, im);
+        }
+    }
+}
+
+impl BlockProcessor for StreamingChannel {
+    fn process_block(&mut self, block: &mut [Complex], scratch: &mut DspScratch) {
+        if self.h.len() == 1 {
+            // Single-tap channel: plain scaling, bit-identical to the batch
+            // `apply_into` fast path (`z * g`, no accumulator —
+            // `MulAssign` expands to exactly `*z = *z * g`).
+            self.counts.single_tap += 1;
+            let g = self.h[0];
+            for z in block.iter_mut() {
+                *z *= g;
+            }
+            return;
+        }
+        if all_real(&self.history) && all_real(block) {
+            self.counts.real += 1;
+            self.convolve_real(block);
+        } else {
+            self.counts.complex += 1;
+            self.convolve_complex(block, scratch);
+        }
     }
 
     fn flush_into(&mut self, out: &mut Vec<Complex>, scratch: &mut DspScratch) {
@@ -546,6 +666,123 @@ mod tests {
                         assert_bits_eq(&got, &want, &format!("{model:?} len {len} block {bl}"));
                     }
                 }
+            }
+        }
+    }
+
+    /// A [`StreamingChannel`] held on the complex kernel for every block,
+    /// flush included: the oracle the real-input kernel must match.
+    struct ComplexKernel(StreamingChannel);
+
+    impl BlockProcessor for ComplexKernel {
+        fn process_block(&mut self, block: &mut [Complex], scratch: &mut DspScratch) {
+            self.0.convolve_complex(block, scratch);
+        }
+
+        fn flush_into(&mut self, out: &mut Vec<Complex>, scratch: &mut DspScratch) {
+            let start = out.len();
+            out.resize(start + self.0.history.len(), Complex::ZERO);
+            self.0.convolve_complex(&mut out[start..], scratch);
+            self.0.history.fill(Complex::ZERO);
+        }
+
+        fn reset(&mut self) {
+            self.0.reset();
+        }
+
+        fn name(&self) -> &'static str {
+            "complex-kernel"
+        }
+    }
+
+    /// A real burst as the transmitter emits it: pulses of both signs,
+    /// runs of exact zeros (guard samples, some `-0.0`), and imaginary
+    /// parts that alternate between `+0.0` and `-0.0`.
+    fn real_signal(n: usize) -> Vec<Complex> {
+        (0..n)
+            .map(|i| {
+                let re = match (i / 29) % 4 {
+                    3 if i % 2 == 0 => 0.0,
+                    3 => -0.0,
+                    _ => (0.37 * i as f64).sin() * 1.5,
+                };
+                Complex::new(re, if i % 3 == 0 { -0.0 } else { 0.0 })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn real_kernel_matches_complex_kernel_and_reference_bitwise() {
+        let fs = SampleRate::from_gsps(1.0);
+        let mut rng = Rand::new(2020);
+        let mut scratch = DspScratch::new();
+        for model in MULTIPATH {
+            for _ in 0..2 {
+                let ch = ChannelRealization::generate(model, &mut rng);
+                for len in [13, 87, 4105] {
+                    let sig = real_signal(len);
+                    let mut want = sig.clone();
+                    let mut oracle = ReferenceChannel::new(&ch, fs);
+                    process_record(&mut oracle, &mut want, 64, &mut scratch);
+                    for bl in [1, 15, 16, 17, 31, 32, 33, 255, 4096] {
+                        let what = format!("{model:?} len {len} block {bl}");
+                        let mut got = sig.clone();
+                        let mut conv = StreamingChannel::from_realization(&ch, fs);
+                        process_record(&mut conv, &mut got, bl, &mut scratch);
+                        assert_bits_eq(&got, &want, &what);
+                        // Every block and the flush ran the real kernel.
+                        let blocks = len.div_ceil(bl) as u64 + 1;
+                        let counts = conv.kernel_counts();
+                        assert_eq!(counts.real, blocks, "{what}: {counts:?}");
+                        assert_eq!(counts.complex, 0, "{what}: {counts:?}");
+
+                        let mut complex = sig.clone();
+                        let mut forced = ComplexKernel(StreamingChannel::from_realization(&ch, fs));
+                        process_record(&mut forced, &mut complex, bl, &mut scratch);
+                        assert_bits_eq(&got, &complex, &format!("{what} vs complex kernel"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_switch_checks_the_history_with_the_block() {
+        let fs = SampleRate::from_gsps(1.0);
+        let mut rng = Rand::new(31);
+        let mut scratch = DspScratch::new();
+        // One complex sample at index `hot` in an otherwise real record:
+        // every block whose [history | block] window still holds it must
+        // take the complex kernel, or its imaginary part would be lost.
+        let len = 1500;
+        let hot = 20;
+        let mut sig = real_signal(len);
+        sig[hot].im = 0.75;
+        for model in MULTIPATH {
+            let ch = ChannelRealization::generate(model, &mut rng);
+            let mut want = sig.clone();
+            let mut oracle = ReferenceChannel::new(&ch, fs);
+            process_record(&mut oracle, &mut want, 64, &mut scratch);
+            for bl in [1, 15, 16, 17, 33, 255] {
+                let what = format!("{model:?} block {bl}");
+                let mut got = sig.clone();
+                let mut conv = StreamingChannel::from_realization(&ch, fs);
+                let tail = conv.tail_len();
+                assert!(tail + hot < len, "{what}: record too short for the test");
+                process_record(&mut conv, &mut got, bl, &mut scratch);
+                assert_bits_eq(&got, &want, &what);
+                // Block b covers inputs [b·bl, b·bl + bl) and sees history
+                // back to b·bl − tail.
+                let complex = (0..len.div_ceil(bl))
+                    .filter(|b| b * bl <= hot + tail && hot < (b + 1) * bl)
+                    .count() as u64;
+                let counts = conv.kernel_counts();
+                assert_eq!(counts.complex, complex, "{what}: {counts:?}");
+                assert_eq!(
+                    counts.real,
+                    len.div_ceil(bl) as u64 + 1 - complex,
+                    "{what}: {counts:?}"
+                );
             }
         }
     }

@@ -29,8 +29,9 @@
 #                             trace-export smoke (`smoke --trace`)
 #   scripts/check.sh stream   streaming gate: chunk-size-invariance /
 #                             bounded-memory tests, the uwb-sim stream::
-#                             unit tests (tiled channel kernel bit-parity
-#                             against the one-output-at-a-time oracle,
+#                             unit tests (both tiled channel kernels, real-
+#                             input and complex, bit-parity against the
+#                             one-output-at-a-time oracle and each other,
 #                             flushed tail included), the uwb-phy
 #                             correlator:: / acquisition:: unit tests
 #                             (acquisition is StreamRx's first stage; the

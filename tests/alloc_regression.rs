@@ -139,7 +139,8 @@ fn gen2_fast_path_steady_state_is_allocation_free() {
 
     // --- Multipath: the same batched kernel on CM1 (256-byte payload, the
     //     benchmark's multipath link shape) exercises the multi-tap
-    //     convolution and its per-block `[history | block]` workspace. CM1
+    //     convolution and its per-block `[history | block]` workspace (the
+    //     real burst takes the real-input kernel and its `f64` buffer). CM1
     //     tail lengths vary per realization, so a new trial range could
     //     legitimately grow the arena once more: the gate warms one fixed
     //     range and replays exactly that range. ---

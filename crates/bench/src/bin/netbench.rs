@@ -15,7 +15,10 @@
 //! `aggregate_mbps` and `edges_per_node_10k` are *physical* quantities,
 //! bit-deterministic for the fixed scenario/seed, pinned exactly as cheap
 //! whole-chain determinism checks: any drift means the physics or the
-//! graph changed. The command line, report schema and check are
+//! graph changed. `arena_live_1k` and `arena_live_10k` pin the record
+//! arena the runner's channel-major sweep needs on the two city floor
+//! plans: a change there means the sweep order or its liveness schedule
+//! moved. The command line, report schema and check are
 //! `uwb_bench::tracked`'s; the stage profile is that of the warm 8-user
 //! rounds (one round per trial).
 
@@ -27,6 +30,7 @@ use uwb_dsp::stream::accumulate_scaled;
 use uwb_dsp::Complex;
 use uwb_net::{
     build_coupling_sparse, plan_network, run_plan_threads, NetAccumulator, NetScenario, NetWorker,
+    RecordSchedule,
 };
 use uwb_phy::bandplan::Channel;
 use uwb_sim::Rand;
@@ -130,9 +134,11 @@ fn suite() -> Suite {
             let _ =
                 build_coupling_sparse(&city.topology, &city.selectivity, &channels, &city.coupling);
         });
+        let live = RecordSchedule::channel_major(&channels, &rows).max_live();
         metrics.extend([
             Metric::us("graph_build_10k", build_us, Gate),
             Metric::new("edges_per_node_10k", edges_per_node, "edges/node", 2, Exact),
+            Metric::new("arena_live_10k", live as f64, "records", 0, Exact),
         ]);
     }
 
@@ -158,6 +164,13 @@ fn suite() -> Suite {
                 "nodes/s",
                 0,
                 InfoHigherBetter,
+            ),
+            Metric::new(
+                "arena_live_1k",
+                city_plan.record_schedule().max_live() as f64,
+                "records",
+                0,
+                Exact,
             ),
         ]);
     }

@@ -1,16 +1,27 @@
 //! The shared-waveform arena and its plan-time liveness schedule.
 //!
 //! Both the planning probe sweep and every measurement round walk victims
-//! in ascending order, and each needs transmitter `u`'s clean record from
-//! the first victim that reads it (which may be `u` itself) until the last.
-//! [`RecordSchedule`] derives that live range from the coupling rows once,
-//! and [`RecordArena`] provides exactly `max_live` interchangeable record
-//! buffers: a record is synthesized **once** per (transmitter, round) into
-//! an acquired slot, shared read-only by every coupled receiver, and the
-//! slot is recycled the moment its last reader has been processed. Memory
-//! therefore scales with the interference graph's *overlap width*, not with
-//! the network size — the property that lets a 10 000-node round run in a
-//! few dozen record buffers.
+//! in **channel-major** order: link ids stably sorted by their assigned
+//! channel, then by id. Coupling is strongest between links on the same
+//! channel, so consecutive victims share most of their interferers and
+//! the records they read stay hot in cache, where an ascending-id sweep
+//! would interleave all 14 channels and keep most of a city's records
+//! live at once. Each victim needs transmitter `u`'s clean record from the
+//! first sweep position that reads it (which may be `u` itself) until the
+//! last. [`RecordSchedule`] derives that live range from the coupling rows
+//! once, and [`RecordArena`] provides exactly `max_live` interchangeable
+//! record buffers: a record is synthesized **once** per (transmitter,
+//! round) into an acquired slot, shared read-only by every coupled
+//! receiver, and the slot is recycled the moment its last reader has been
+//! processed. Memory therefore scales with the interference graph's
+//! *overlap width* along the sweep, not with the network size — the
+//! property that lets a 10 000-node round run in a bounded set of record
+//! buffers.
+//!
+//! The sweep order only decides *when* each victim's sum is computed,
+//! never its value: every record is a pure function of its link seed and
+//! the round, and every victim mixes its own record, then its coupling row
+//! in ascending-transmitter order, then its own noise.
 //!
 //! Everything here is allocation-free once warm: the slot buffers ratchet
 //! to their high-water capacity during the first round (the acquisition
@@ -19,36 +30,79 @@
 
 use crate::coupling::CouplingRow;
 use uwb_dsp::Complex;
+use uwb_phy::bandplan::Channel;
 
 /// Sentinel residency: the link's record is not in the arena.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Plan-time liveness of per-transmitter records over the ascending-victim
-/// sweep: when each record is first needed, when it dies, and the maximum
-/// number simultaneously alive (= the arena size).
+/// The channel-major victim sweep: link ids stably sorted by assigned
+/// channel index, then by id. The runner derives `channels` from its plan
+/// and the planner from its allocation, so both walk the same order.
+pub(crate) fn channel_major_order(channels: &[Channel]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..channels.len() as u32).collect();
+    order.sort_by_key(|&v| channels[v as usize].index());
+    order
+}
+
+/// Plan-time liveness of per-transmitter records over a victim sweep: the
+/// order victims are processed in, when each record dies, which records
+/// another victim reads, and the maximum number simultaneously alive
+/// (= the arena size).
 #[derive(Debug, Clone)]
 pub struct RecordSchedule {
-    /// Per victim `v`: the transmitters whose records are dead once `v`
-    /// has been processed (each transmitter appears exactly once).
+    /// Link ids in sweep order: position `p` processes victim `order[p]`.
+    order: Vec<u32>,
+    /// Per sweep position: the transmitters whose records are dead once
+    /// that position's victim has been processed (each transmitter
+    /// appears exactly once).
     expire_at: Vec<Vec<u32>>,
-    /// Per transmitter: the last victim index that reads its record.
-    last_use: Vec<u32>,
+    /// Per link: `true` when some other victim's row reads its record.
+    shared: Vec<bool>,
     /// Maximum simultaneously-live records over the sweep.
     max_live: usize,
 }
 
 impl RecordSchedule {
-    /// Derives the schedule from the coupling rows of an `n`-link network.
-    /// Transmitter `u`'s record is read by victim `u` (its own signal) and
-    /// by every victim whose row contains `u`.
+    /// The identity-order (ascending link id) schedule of an `n`-link
+    /// network. Transmitter `u`'s record is read by victim `u` (its own
+    /// signal) and by every victim whose row contains `u`.
     pub fn build(n: usize, rows: &[CouplingRow]) -> RecordSchedule {
+        RecordSchedule::ordered((0..n as u32).collect(), rows)
+    }
+
+    /// The channel-major schedule the planner and the runner sweep, where
+    /// `channels[v]` is link `v`'s assigned channel.
+    pub fn channel_major(channels: &[Channel], rows: &[CouplingRow]) -> RecordSchedule {
+        RecordSchedule::ordered(channel_major_order(channels), rows)
+    }
+
+    /// The schedule of the sweep that processes victim `order[p]` at
+    /// position `p`; first and last use are sweep positions.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one row per link and `order` is a
+    /// permutation of the link ids.
+    pub(crate) fn ordered(order: Vec<u32>, rows: &[CouplingRow]) -> RecordSchedule {
+        let n = order.len();
         assert_eq!(rows.len(), n, "one coupling row per link");
-        let mut first: Vec<u32> = (0..n as u32).collect();
-        let mut last: Vec<u32> = (0..n as u32).collect();
-        for (v, row) in rows.iter().enumerate() {
+        let mut pos = vec![u32::MAX; n];
+        for (p, &v) in order.iter().enumerate() {
+            assert_eq!(
+                pos[v as usize],
+                u32::MAX,
+                "sweep order must be a permutation"
+            );
+            pos[v as usize] = p as u32;
+        }
+        let mut first = pos.clone();
+        let mut last = pos.clone();
+        let mut shared = vec![false; n];
+        for (row, &p) in rows.iter().zip(&pos) {
             for &(u, _) in row {
-                first[u] = first[u].min(v as u32);
-                last[u] = last[u].max(v as u32);
+                first[u] = first[u].min(p);
+                last[u] = last[u].max(p);
+                shared[u] = true;
             }
         }
         let mut expire_at: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -61,17 +115,23 @@ impl RecordSchedule {
         }
         let mut live = 0usize;
         let mut max_live = 0usize;
-        for v in 0..n {
-            live += acquires[v] as usize;
+        for p in 0..n {
+            live += acquires[p] as usize;
             max_live = max_live.max(live);
-            live -= expire_at[v].len();
+            live -= expire_at[p].len();
         }
         debug_assert_eq!(live, 0, "every record must die by the end of the sweep");
         RecordSchedule {
+            order,
             expire_at,
-            last_use: last,
+            shared,
             max_live,
         }
+    }
+
+    /// The link ids in sweep order.
+    pub fn order(&self) -> &[u32] {
+        self.order.as_slice()
     }
 
     /// The arena size this schedule needs.
@@ -79,17 +139,18 @@ impl RecordSchedule {
         self.max_live
     }
 
-    /// The last victim index that reads transmitter `u`'s record. A link
-    /// whose record has no reader beyond itself (`last_use(u) == u` with an
-    /// empty row) is *isolated* — the event-driven round applies its noise
-    /// in place instead of copying into a mix buffer.
-    pub fn last_use(&self, u: usize) -> usize {
-        self.last_use[u] as usize
+    /// `true` when another victim reads link `u`'s record. A link with an
+    /// empty row whose record nobody else reads is *isolated*: the
+    /// event-driven round applies its noise in place instead of copying
+    /// into a mix buffer.
+    pub fn is_shared(&self, u: usize) -> bool {
+        self.shared[u]
     }
 
-    /// The transmitters whose records die once victim `v` is processed.
-    fn expiring_after(&self, v: usize) -> &[u32] {
-        &self.expire_at[v]
+    /// The transmitters whose records die once the victim at sweep
+    /// position `p` is processed.
+    fn expiring_after(&self, p: usize) -> &[u32] {
+        &self.expire_at[p]
     }
 }
 
@@ -148,7 +209,7 @@ impl RecordArena {
 
     /// Mutable view of link `u`'s resident record — the isolated-victim
     /// fast path applies receiver noise directly in the slot instead of
-    /// copying into a mix buffer (valid only when no later victim reads
+    /// copying into a mix buffer (valid only when no other victim reads
     /// the record).
     pub fn record_mut(&mut self, u: usize) -> &mut [Complex] {
         let slot = self.slot_of[u];
@@ -156,9 +217,10 @@ impl RecordArena {
         &mut self.slots[slot as usize]
     }
 
-    /// Recycles every record whose last reader was victim `v`.
-    pub fn release_expired(&mut self, schedule: &RecordSchedule, v: usize) {
-        for &u in schedule.expiring_after(v) {
+    /// Recycles every record whose last reader was the victim at sweep
+    /// position `p`.
+    pub fn release_expired(&mut self, schedule: &RecordSchedule, p: usize) {
+        for &u in schedule.expiring_after(p) {
             let slot = self.slot_of[u as usize];
             debug_assert_ne!(slot, NO_SLOT, "expiring a non-resident record");
             self.slot_of[u as usize] = NO_SLOT;
@@ -170,6 +232,7 @@ impl RecordArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn schedule_bounds_live_records() {
@@ -180,9 +243,11 @@ mod tests {
         // Sweep: v0 acquires {0, 2}, frees 0; v1 acquires 1 (live {1,2}),
         // v2 frees 2 after its own decode; v3 acquires 3, frees 1 and 3.
         assert_eq!(s.max_live(), 2);
-        assert_eq!(s.last_use(0), 0);
-        assert_eq!(s.last_use(1), 3);
-        assert_eq!(s.last_use(2), 2);
+        assert_eq!(s.order(), &[0, 1, 2, 3]);
+        assert!(!s.is_shared(0));
+        assert!(s.is_shared(1));
+        assert!(s.is_shared(2));
+        assert!(!s.is_shared(3));
         assert_eq!(s.expiring_after(0), &[0]);
         assert_eq!(s.expiring_after(2), &[2]);
         assert_eq!(s.expiring_after(3), &[1, 3]);
@@ -216,6 +281,104 @@ mod tests {
             arena.record_mut(v)[0] = Complex::ZERO;
             arena.release_expired(&s, v);
             assert!(!arena.is_resident(v));
+        }
+    }
+
+    #[test]
+    fn channel_major_order_is_stable_by_channel() {
+        let ch = |i| Channel::new(i).unwrap();
+        let channels = [ch(2), ch(0), ch(2), ch(1), ch(0), ch(13), ch(1)];
+        assert_eq!(channel_major_order(&channels), vec![1, 4, 3, 6, 0, 2, 5]);
+        let rows: Vec<CouplingRow> = vec![Vec::new(); channels.len()];
+        let s = RecordSchedule::channel_major(&channels, &rows);
+        assert_eq!(s.order(), &[1, 4, 3, 6, 0, 2, 5]);
+        assert_eq!(s.max_live(), 1);
+    }
+
+    #[test]
+    fn liveness_is_over_sweep_positions() {
+        // Victim 0 reads tx 1; tx 1's row is empty. Sweeping 1 then 0 keeps
+        // both records live at position 1, and tx 1 — an empty-row victim
+        // whose record a later victim reads — is shared, so the runner
+        // must not apply its noise in place.
+        let rows: Vec<CouplingRow> = vec![vec![(1, 0.5)], vec![]];
+        let s = RecordSchedule::ordered(vec![1, 0], &rows);
+        assert_eq!(s.order(), &[1, 0]);
+        assert!(s.is_shared(1));
+        assert!(!s.is_shared(0));
+        assert!(s.expiring_after(0).is_empty());
+        assert_eq!(s.expiring_after(1), &[0, 1]);
+        assert_eq!(s.max_live(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation")]
+    fn order_must_be_a_permutation() {
+        let rows: Vec<CouplingRow> = vec![vec![], vec![]];
+        RecordSchedule::ordered(vec![1, 1], &rows);
+    }
+
+    /// `n` random coupling rows (up to 7 distinct foreign transmitters
+    /// each) and a random sweep permutation, drawn from `seed`.
+    fn rows_and_order(n: usize, seed: u64) -> (Vec<CouplingRow>, Vec<u32>) {
+        let mut rng = uwb_sim::Rand::new(seed);
+        let rows = (0..n)
+            .map(|v| {
+                let mut us: Vec<usize> = (0..rng.below(8)).map(|_| rng.below(n)).collect();
+                us.sort_unstable();
+                us.dedup();
+                us.retain(|&u| u != v);
+                us.into_iter().map(|u| (u, 0.5)).collect()
+            })
+            .collect();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.below(i + 1));
+        }
+        (rows, order)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Driving an arena through any sweep: every record is acquired
+        /// once and stays resident for each of its readers, is released
+        /// exactly once, and the live count never passes `max_live`.
+        #[test]
+        fn any_sweep_keeps_readers_resident(n in 1usize..48, seed in any::<u64>()) {
+            let (rows, order) = rows_and_order(n, seed);
+            let s = RecordSchedule::ordered(order.clone(), &rows);
+            prop_assert_eq!(s.order(), order.as_slice());
+            let mut arena = RecordArena::new(n, s.max_live());
+            let mut acquired = vec![0u32; n];
+            let mut released = vec![0u32; n];
+            let mut live = 0usize;
+            let mut peak = 0usize;
+            for (p, &v) in s.order().iter().enumerate() {
+                let v = v as usize;
+                for u in std::iter::once(v).chain(rows[v].iter().map(|&(u, _)| u)) {
+                    if !arena.is_resident(u) {
+                        arena.acquire(u);
+                        acquired[u] += 1;
+                        live += 1;
+                    }
+                }
+                peak = peak.max(live);
+                prop_assert!(peak <= s.max_live());
+                for &u in s.expiring_after(p) {
+                    released[u as usize] += 1;
+                    live -= 1;
+                }
+                arena.release_expired(&s, p);
+            }
+            prop_assert_eq!(peak, s.max_live());
+            prop_assert!(acquired.iter().all(|&a| a == 1), "a record was re-synthesized");
+            prop_assert!(released.iter().all(|&r| r == 1));
+            prop_assert!((0..n).all(|u| !arena.is_resident(u)));
+            for u in 0..n {
+                let read = rows.iter().any(|r| r.iter().any(|&(w, _)| w == u));
+                prop_assert_eq!(s.is_shared(u), read);
+            }
         }
     }
 

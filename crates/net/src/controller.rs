@@ -9,6 +9,12 @@
 //! `uwb_phy::spectral` measurements), freezes its decisions into a
 //! [`NetPlan`], and the measurement phase replays that static plan —
 //! bit-identically for any `UWB_THREADS`.
+//!
+//! The probe sweep walks victims in the same channel-major order as the
+//! measurement rounds ([`RecordSchedule::channel_major`]), so the probe
+//! records a victim mixes are the ones its channel neighbours just used.
+//! Every plan entry is a pure function of its victim; the order changes
+//! only the arena size and the cache traffic, never the plan.
 
 use crate::arena::{RecordArena, RecordSchedule};
 use crate::coupling::{build_coupling_sparse, coupling_db, CouplingRow};
@@ -94,6 +100,14 @@ impl NetPlan {
     pub fn link_seed(&self, l: usize) -> u64 {
         self.links[l].scenario.seed
     }
+
+    /// The channel-major sweep schedule the measurement rounds run (and
+    /// the planning probe sweep ran); its `max_live` is the round's arena
+    /// size.
+    pub fn record_schedule(&self) -> RecordSchedule {
+        let channels: Vec<Channel> = self.links.iter().map(|l| l.channel).collect();
+        RecordSchedule::channel_major(&channels, &self.coupling)
+    }
 }
 
 /// Runs the planning phase: probe synthesis, channel allocation,
@@ -107,6 +121,15 @@ impl NetPlan {
 /// Panics if the scenario has no links, a policy candidate list is empty,
 /// or an adapted configuration fails validation.
 pub fn plan_network(scenario: &NetScenario) -> NetPlan {
+    plan_network_swept(scenario, RecordSchedule::channel_major)
+}
+
+/// [`plan_network`] with the probe sweep's schedule built by `sweep` from
+/// the channel assignment and the coupling rows.
+fn plan_network_swept(
+    scenario: &NetScenario,
+    sweep: fn(&[Channel], &[CouplingRow]) -> RecordSchedule,
+) -> NetPlan {
     let _t = uwb_obs::span!("net_schedule");
     let n = scenario.len();
     assert!(n > 0, "network needs at least one link");
@@ -125,12 +148,13 @@ pub fn plan_network(scenario: &NetScenario) -> NetPlan {
         build_coupling_sparse(&scenario.topology, &scenario.selectivity, &channels, &scenario.coupling);
 
     // --- Per-link probe measurements on the final assignment. ---
-    // Row-driven sweep over the shared-waveform arena: each link's clean
-    // probe record is synthesized once (by a single shared worker — probes
-    // always use the base config), shared by every coupled victim, and its
-    // slot recycled after its last reader. Peak memory is the graph's
-    // overlap width, not N records.
-    let schedule = RecordSchedule::build(n, &coupling);
+    // Row-driven channel-major sweep over the shared-waveform arena (the
+    // measurement rounds' order): each link's clean probe record is
+    // synthesized once (by a single shared worker — probes always use the
+    // base config), shared by every coupled victim, and its slot recycled
+    // after its last reader. Peak memory is the graph's overlap width
+    // along the sweep, not N records.
+    let schedule = sweep(&channels, &coupling);
     let mut arena = RecordArena::new(n, schedule.max_live());
     let mut probe_worker = LinkWorker::new(&LinkScenario {
         config: scenario.base_config.clone(),
@@ -153,11 +177,12 @@ pub fn plan_network(scenario: &NetScenario) -> NetPlan {
     let monitor = SpectralMonitor::new();
     let fs_hz = scenario.base_config.sample_rate.as_hz();
     let mut mix = Vec::new();
-    let mut entries = Vec::with_capacity(n);
+    let mut entries: Vec<Option<NetLinkPlan>> = (0..n).map(|_| None).collect();
     let mut curve = Vec::new(); // reused across links (trade_curve_into)
     let adapter = LinkAdapter::new(scenario.base_config.clone(), PowerModel::cmos180());
     let delay_ns = channel_rms_delay_ns(scenario.channel_model, 8, scenario.seed);
-    for v in 0..n {
+    for (p, &v) in schedule.order().iter().enumerate() {
+        let v = v as usize;
         ensure_probe(scenario, v, &mut probe, &mut probe_worker, &mut arena, &mut probe_n0);
         for &(u, _) in &coupling[v] {
             ensure_probe(scenario, u, &mut probe, &mut probe_worker, &mut arena, &mut probe_n0);
@@ -227,7 +252,7 @@ pub fn plan_network(scenario: &NetScenario) -> NetPlan {
             None
         };
 
-        entries.push(NetLinkPlan {
+        entries[v] = Some(NetLinkPlan {
             scenario: LinkScenario {
                 config,
                 channel: scenario.channel_model,
@@ -243,11 +268,14 @@ pub fn plan_network(scenario: &NetScenario) -> NetPlan {
         });
 
         // Recycle every probe record whose last reader was this victim.
-        arena.release_expired(&schedule, v);
+        arena.release_expired(&schedule, p);
     }
 
     NetPlan {
-        links: entries,
+        links: entries
+            .into_iter()
+            .map(|e| e.expect("every link swept"))
+            .collect(),
         coupling,
         payload_len: scenario.payload_len,
         block_len: scenario.block_len,
@@ -259,8 +287,8 @@ pub fn plan_network(scenario: &NetScenario) -> NetPlan {
 /// Synthesizes link `u`'s clean probe record into the arena if it is not
 /// already resident. Probes always run on the base config, so one shared
 /// worker serves every link; each record is a pure function of the link's
-/// decorrelated seed, so the lazy first-use order produces exactly the
-/// records the old eager 0..n sweep did.
+/// decorrelated seed, so the lazy first-use order of any sweep produces
+/// exactly the records an eager 0..n sweep would.
 fn ensure_probe(
     scenario: &NetScenario,
     u: usize,
@@ -447,6 +475,41 @@ mod tests {
             // All-co-channel, everyone sees interference.
             assert!(op.rationale.contains("interferer"), "{}", op.rationale);
             assert!(l.interference_rel_db.is_finite());
+        }
+    }
+
+    #[test]
+    fn plan_is_sweep_order_invariant() {
+        // Channel-major versus ascending-id probe sweep on a 200-link city
+        // with adaptation and spectral probing on: equal plans, bit for
+        // bit. The city's round-robin channels make the two orders differ.
+        let mut sc = NetScenario::clustered_city(20, 10, 7.0, 20050307);
+        sc.adapt = true;
+        sc.probe_spectral = true;
+        let a = plan_network(&sc);
+        let b = plan_network_swept(&sc, |ch, rows| RecordSchedule::build(ch.len(), rows));
+        assert!(
+            a.coupling.iter().any(|r| !r.is_empty()),
+            "the city must couple"
+        );
+        assert_ne!(
+            a.record_schedule().order(),
+            RecordSchedule::build(a.len(), &a.coupling).order()
+        );
+        assert_eq!(a.len(), b.len());
+        for (ra, rb) in a.coupling.iter().zip(&b.coupling) {
+            let bits =
+                |r: &CouplingRow| r.iter().map(|&(u, g)| (u, g.to_bits())).collect::<Vec<_>>();
+            assert_eq!(bits(ra), bits(rb));
+        }
+        for (x, y) in a.links.iter().zip(&b.links) {
+            assert_eq!(
+                x.interference_rel_db.to_bits(),
+                y.interference_rel_db.to_bits()
+            );
+            // Debug prints every f64 in its shortest round-trip form, so
+            // equal strings mean equal entries.
+            assert_eq!(format!("{x:?}"), format!("{y:?}"));
         }
     }
 

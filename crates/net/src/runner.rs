@@ -11,14 +11,18 @@
 //! `UWB_THREADS`.
 //!
 //! Rounds are **event-driven** over the sparse interference graph: victims
-//! are processed in ascending order; each transmitter's clean waveform is
-//! synthesized lazily (once per round, at its first reader) into a slot of
-//! the shared [`RecordArena`] and recycled after its last reader, so peak
-//! waveform memory is the graph's overlap width rather than N records. An
-//! isolated victim — empty coupling row, record unread by anyone else —
-//! skips the mix-buffer copy entirely and takes its receiver noise in
-//! place, which is what makes idle links and isolated clusters nearly
-//! free.
+//! are processed in the channel-major sweep of [`RecordSchedule`] (by
+//! assigned channel, then by id), so consecutive victims share most of
+//! their interferers; each transmitter's clean waveform is synthesized
+//! lazily (once per round, at its first reader) into a slot of the shared
+//! [`RecordArena`] and recycled after its last reader, so peak waveform
+//! memory is the graph's overlap width along the sweep rather than N
+//! records, and the records being mixed stay in cache. The sweep order
+//! never changes a value: each victim's sum is own record, coupling row in
+//! ascending-transmitter order, then its own noise. An isolated victim —
+//! empty coupling row, record unread by anyone else — skips the mix-buffer
+//! copy entirely and takes its receiver noise in place, which is what
+//! makes idle links and isolated clusters nearly free.
 //!
 //! The warm path allocates nothing: the config-deduplicated worker pool,
 //! the arena slots, the mix buffer, and the per-round synthesis metadata
@@ -143,9 +147,14 @@ impl NetWorker {
     /// Builds the pooled workers, liveness schedule, and arena from the
     /// frozen plan.
     pub fn new(plan: &NetPlan) -> Self {
+        NetWorker::with_schedule(plan, plan.record_schedule())
+    }
+
+    /// [`NetWorker::new`] sweeping victims in `schedule`'s order instead
+    /// of the plan's channel-major one.
+    fn with_schedule(plan: &NetPlan, schedule: RecordSchedule) -> Self {
         let n = plan.len();
         let pool = crate::pool::WorkerPool::new(plan);
-        let schedule = RecordSchedule::build(n, &plan.coupling);
         let arena = RecordArena::new(n, schedule.max_live());
         NetWorker {
             pool,
@@ -187,13 +196,13 @@ impl NetWorker {
     /// Runs one network round (= one engine trial) and accumulates every
     /// link's outcome into `acc`.
     ///
-    /// Victims are processed in ascending order. Per victim: materialize
-    /// the records its coupling row needs (`net_schedule`, lazy, shared),
-    /// mix own + coupled foreign records + calibrated AWGN in fixed
-    /// ascending-transmitter order (`net_mix`), decode and count
-    /// (`net_rx`), then recycle every record this victim read last. An
-    /// isolated victim takes its noise in place on its own record and
-    /// never touches the mix buffer.
+    /// Victims are processed in the schedule's channel-major sweep. Per
+    /// victim: materialize the records its coupling row needs
+    /// (`net_schedule`, lazy, shared), mix own + coupled foreign records +
+    /// calibrated AWGN in fixed ascending-transmitter order (`net_mix`),
+    /// decode and count (`net_rx`), then recycle every record this victim
+    /// read last. An isolated victim takes its noise in place on its own
+    /// record and never touches the mix buffer.
     pub fn round(&mut self, plan: &NetPlan, round: u64, acc: &mut NetAccumulator) {
         let n = plan.len();
         acc.ensure_len(n);
@@ -203,7 +212,8 @@ impl NetWorker {
 
         let mut round_errs = 0u64;
         let mut round_bad = 0u64;
-        for v in 0..n {
+        for p in 0..n {
+            let v = self.schedule.order()[p] as usize;
             self.ensure_record(plan, round, v);
             for &(u, _) in &plan.coupling[v] {
                 self.ensure_record(plan, round, u);
@@ -232,7 +242,7 @@ impl NetWorker {
             let errs_before = stats.ber.errors;
             stats.packets += 1;
             let rx = self.pool.worker_for(v);
-            let ok = if row.is_empty() && self.schedule.last_use(v) == v {
+            let ok = if row.is_empty() && !self.schedule.is_shared(v) {
                 // Isolated victim: nobody mixes this record and nobody else
                 // reads it — apply receiver noise in place and decode from
                 // the slot. Identical sample values to the general path
@@ -286,7 +296,7 @@ impl NetWorker {
                 round_bad += 1;
             }
             round_errs += stats.ber.errors - errs_before;
-            self.arena.release_expired(&self.schedule, v);
+            self.arena.release_expired(&self.schedule, p);
         }
         // Finalize this round's flight-recorder snapshot: one network round
         // is one engine trial, scored by its network-wide bit-error total
@@ -349,6 +359,94 @@ fn run_plan_engine(plan: NetPlan, threads: Option<usize>) -> NetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::ChannelPolicy;
+    use uwb_phy::bandplan::Channel;
+
+    /// Runs `rounds` rounds of `plan` on one worker sweeping `schedule`,
+    /// returning the accumulator and the rounds' deterministic telemetry.
+    fn sweep(plan: &NetPlan, schedule: RecordSchedule, rounds: u64) -> (NetAccumulator, String) {
+        let _ = uwb_obs::take_thread_telemetry();
+        let mut worker = NetWorker::with_schedule(plan, schedule);
+        let mut acc = NetAccumulator::default();
+        for r in 0..rounds {
+            worker.round(plan, r, &mut acc);
+        }
+        (
+            acc,
+            uwb_obs::take_thread_telemetry().to_json_deterministic(),
+        )
+    }
+
+    /// Channel-major and ascending-id sweeps of `plan` give the same
+    /// per-link counters and telemetry over `rounds` rounds.
+    fn assert_sweep_order_invariant(plan: &NetPlan, rounds: u64) {
+        let ordered = plan.record_schedule();
+        let identity = RecordSchedule::build(plan.len(), &plan.coupling);
+        assert_ne!(ordered.order(), identity.order(), "the orders must differ");
+        assert!(
+            plan.coupling.iter().any(|r| !r.is_empty()),
+            "the plan must couple"
+        );
+        let (a, ta) = sweep(plan, ordered, rounds);
+        let (b, tb) = sweep(plan, identity, rounds);
+        for (l, (x, y)) in a.links.iter().zip(&b.links).enumerate() {
+            assert_eq!(x.ber, y.ber, "link {l}: sweep order changed the counter");
+            assert_eq!(x.packets, y.packets);
+            assert_eq!(
+                x.packets_bad, y.packets_bad,
+                "link {l}: sweep order changed PER"
+            );
+        }
+        assert!(
+            a.links.iter().all(|l| l.ber.total > 0),
+            "rounds produced no bits"
+        );
+        assert_eq!(ta, tb, "sweep order changed the telemetry");
+    }
+
+    #[test]
+    fn round_is_sweep_order_invariant() {
+        let mut sc = NetScenario::clustered_city(20, 10, 7.0, 20050307);
+        sc.rounds = 4;
+        let plan = plan_network(&sc);
+        assert_sweep_order_invariant(&plan, 4);
+    }
+
+    /// Release-scale gate (run via `scripts/check.sh net`): the 1,000-user
+    /// clustered city of the thread-invariance acceptance test measures
+    /// bit-identically under the channel-major and ascending-id sweeps.
+    #[test]
+    #[ignore = "release-scale gate: scripts/check.sh net runs it with --release"]
+    fn thousand_user_clustered_round_is_sweep_order_invariant() {
+        let mut sc = NetScenario::clustered_city(100, 10, 7.0, 20050314 ^ 0x1000);
+        sc.rounds = 1;
+        let plan = plan_network(&sc);
+        assert_eq!(plan.len(), 1000);
+        assert_sweep_order_invariant(&plan, 1);
+    }
+
+    #[test]
+    fn shared_empty_row_victim_takes_the_copy_path() {
+        // Link 1's row is emptied by hand while link 0 still reads it.
+        // Sweeping 1 before 0 puts the empty-row victim first with a later
+        // reader: applying its noise in place would corrupt the record
+        // link 0 mixes. Its sweep position (1) happens to equal its id, so
+        // a position-versus-id comparison would take the in-place path.
+        let mut sc = NetScenario::ring(2, 6.0, 20050314);
+        sc.policy = ChannelPolicy::Static(vec![Channel::new(3).unwrap()]);
+        sc.probe_spectral = false;
+        let mut plan = plan_network(&sc);
+        assert_eq!(plan.coupling[0].len(), 1, "link 0 must read link 1");
+        plan.coupling[1].clear();
+        let reversed = RecordSchedule::ordered(vec![1, 0], &plan.coupling);
+        assert!(reversed.is_shared(1));
+        let (a, _) = sweep(&plan, reversed, 6);
+        let (b, _) = sweep(&plan, RecordSchedule::build(2, &plan.coupling), 6);
+        for l in 0..2 {
+            assert_eq!(a.links[l].ber, b.links[l].ber, "link {l}");
+            assert_eq!(a.links[l].packets_bad, b.links[l].packets_bad, "link {l}");
+        }
+    }
 
     #[test]
     fn link_round_stats_merge_is_elementwise() {

@@ -7,10 +7,11 @@
 //! * **Plan** — per-channel spatial grids enumerate ~O(N·k) candidate
 //!   couplings instead of all N² pairs; anything below the −40 dB
 //!   total-coupling floor is never even visited.
-//! * **Measure** — each transmitter's clean waveform is synthesized once
-//!   per round into a recycled arena slot and shared read-only by every
-//!   coupled receiver, so peak waveform memory is the graph's overlap
-//!   width (a few dozen records), not 10,000 records.
+//! * **Measure** — victims are swept channel by channel; each
+//!   transmitter's clean waveform is synthesized once per round into a
+//!   recycled arena slot and shared read-only by every coupled receiver,
+//!   so peak waveform memory is the graph's overlap width along the sweep
+//!   (982 records), not 10,000 records.
 //!
 //! Run with: `cargo run --release --example piconet_city`
 //!
@@ -23,7 +24,7 @@
 //!   timeline Perfetto loads comfortably).
 
 use std::time::Instant;
-use uwb::net::{plan_network, run_plan_threads, NetScenario, RecordSchedule};
+use uwb::net::{plan_network, run_plan_threads, NetScenario};
 
 /// Extracts the value following `flag`, if present.
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -63,15 +64,15 @@ fn main() {
     let edges: usize = plan.coupling.iter().map(|r| r.len()).sum();
     let max_row = plan.coupling.iter().map(|r| r.len()).max().unwrap_or(0);
     let isolated = plan.coupling.iter().filter(|r| r.is_empty()).count();
-    let schedule = RecordSchedule::build(n, &plan.coupling);
+    let arena = plan.record_schedule().max_live();
     println!("plan phase            {plan_s:>10.2} s");
     println!("directed edges        {edges:>10}   ({:.2} per node, dense would be {})",
         edges as f64 / n as f64, n - 1);
     println!("largest coupling row  {max_row:>10}");
     println!("isolated links        {isolated:>10}");
     println!(
-        "arena size            {:>10}   live records max (vs {n} without sharing)",
-        schedule.max_live()
+        "arena size            {arena:>10}   live records max, channel-major sweep \
+         (vs {n} without sharing)"
     );
 
     // --- Measure: one event-driven round over the whole city. ---

@@ -41,14 +41,17 @@
 #                             trial, AWGN and CM1, and warm acquisition)
 #   scripts/check.sh net      network gate: builds uwb-net, runs its unit +
 #                             acceptance tests (isolation bit-parity,
-#                             co-channel contention, thread determinism),
+#                             co-channel contention, thread determinism,
+#                             channel-major versus link-id sweep parity,
+#                             the 1,000-user city at release scale),
 #                             the allocation gate (covers the warm 2-link
 #                             network round), the uwb-bench unit tests,
 #                             then netbench against the committed
 #                             BENCH_net.json baseline; fails if any `gate`
 #                             row regresses by more than BENCH_TOL percent
 #                             (default 15) or an exact pin
-#                             (aggregate_mbps, edges_per_node_10k) changes
+#                             (aggregate_mbps, edges_per_node_10k,
+#                             arena_live_1k, arena_live_10k) changes
 #   scripts/check.sh mac      MAC gate: uwb-mac unit + acceptance tests
 #                             (conservation, light-load latency, saturation
 #                             knee, hidden-terminal ARQ recovery, thread
@@ -196,8 +199,8 @@ net() {
     cargo test -q -p uwb-net
     echo "== net: zero-allocation warm network round =="
     cargo test -q --release --test alloc_regression
-    echo "== net: 1,000-user sparse round, 1/2/4/8-thread fingerprint =="
-    cargo test -q --release -p uwb-net --test net_acceptance -- --ignored
+    echo "== net: 1,000-user sparse round, 1/2/4/8-thread and sweep-order parity =="
+    cargo test -q --release -p uwb-net --lib --test net_acceptance -- --ignored
     tracked_tests
     echo "== net: netbench vs committed BENCH_net.json (tol ${tol}%) =="
     cargo build --release -p uwb-bench --bin netbench

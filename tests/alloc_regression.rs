@@ -303,13 +303,21 @@ fn gen2_fast_path_steady_state_is_allocation_free() {
     //     synthesis into recycled arena slots, config-pooled workers,
     //     payload snapshots, and per-victim mixing all out of `NetWorker`'s
     //     preallocated storage. The finite coupling floor makes the graph
-    //     sparse, so slots really are recycled mid-round. ---
+    //     sparse, so slots really are recycled mid-round, and round-robin
+    //     channels make the channel-major sweep differ from link-id
+    //     order, so the gate covers the reordered sweep. ---
     let mut city = NetScenario::ring(64, 6.0, 20050315);
     city.probe_spectral = false;
     city.coupling.floor_db = -60.0;
     let plan = plan_network(&city);
     let edges: usize = plan.coupling.iter().map(|r| r.len()).sum();
     assert!(edges > 0, "the 64-user gate must exercise real mixing");
+    let identity: Vec<u32> = (0..plan.len() as u32).collect();
+    assert_ne!(
+        plan.record_schedule().order(),
+        identity.as_slice(),
+        "the 64-user gate must sweep victims out of link-id order"
+    );
     let mut net_worker = NetWorker::new(&plan);
     let mut acc = NetAccumulator::default();
     for r in 0..2 {

@@ -18,7 +18,10 @@
 //! graph changed. `arena_live_1k` and `arena_live_10k` pin the record
 //! arena the runner's channel-major sweep needs on the two city floor
 //! plans: a change there means the sweep order or its liveness schedule
-//! moved. The command line, report schema and check are
+//! moved. `net_mix_1k` (informational) is the warm 1,000-user round's
+//! `net_mix` span per victim — the plane mix of its ~34 coupled records
+//! plus the noise pass — so the victim decode's mix half has its own row
+//! beside the AoS `mix_superpose_8x` kernel. The command line, report schema and check are
 //! `uwb_bench::tracked`'s; the stage profile is that of the warm 8-user
 //! rounds (one round per trial).
 
@@ -152,9 +155,16 @@ fn suite() -> Suite {
         let mut worker = NetWorker::new(&city_plan);
         let mut acc = NetAccumulator::default();
         worker.round(&city_plan, 0, &mut acc);
+        let _ = uwb_obs::take_thread_telemetry();
         let us = time_us(1, 5, || {
             worker.round(&city_plan, 1, &mut acc);
         });
+        // Without telemetry (`--no-default-features`) there is no span to
+        // read, and the row is left out.
+        if let Some(mix) = uwb_obs::take_thread_telemetry().stage("net_mix") {
+            let per_victim = mix.ns as f64 / 1e3 / mix.calls.max(1) as f64;
+            metrics.push(Metric::us("net_mix_1k", per_victim, InfoLowerBetter));
+        }
         let nodes_per_s = city_plan.len() as f64 / (us * 1e-6);
         metrics.extend([
             Metric::us("net_round_1k", us, Gate),

@@ -322,33 +322,6 @@ pub fn accumulate_scaled(dst: &mut [Complex], src: &[Complex], gain: f64) {
     }
 }
 
-/// [`accumulate_scaled`] with a sample offset: `src[i]` lands on
-/// `dst[i + offset]` (negative offsets shift `src` earlier, so only its
-/// tail overlaps `dst`'s head). Out-of-range samples on either side are
-/// clipped; `dst` samples outside the overlap are untouched.
-///
-/// This is the mixing primitive for *asynchronous* transmissions: the MAC
-/// layer's carrier-sense simulator starts packets on sense-slot boundaries,
-/// so a victim's record overlaps an interferer's record at an arbitrary
-/// relative sample offset rather than sample 0. The per-sample operation
-/// and summation-order guarantees are identical to [`accumulate_scaled`]
-/// (which this equals at `offset == 0`).
-pub fn accumulate_scaled_offset(dst: &mut [Complex], src: &[Complex], offset: isize, gain: f64) {
-    let (d0, s0) = if offset >= 0 {
-        (offset as usize, 0usize)
-    } else {
-        (0usize, offset.unsigned_abs())
-    };
-    if d0 >= dst.len() || s0 >= src.len() {
-        return;
-    }
-    let n = (dst.len() - d0).min(src.len() - s0);
-    for (d, s) in dst[d0..d0 + n].iter_mut().zip(&src[s0..s0 + n]) {
-        d.re += gain * s.re;
-        d.im += gain * s.im;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,44 +422,6 @@ mod tests {
         // Tail beyond the source untouched.
         assert_eq!(dst[4], before[4]);
         assert_eq!(dst[5], before[5]);
-    }
-
-    #[test]
-    fn accumulate_scaled_offset_clips_both_sides() {
-        let src = ramp(4);
-
-        // Zero offset degenerates to accumulate_scaled.
-        let mut dst = ramp(6);
-        let mut reference = ramp(6);
-        accumulate_scaled_offset(&mut dst, &src, 0, 0.5);
-        accumulate_scaled(&mut reference, &src, 0.5);
-        assert_eq!(dst, reference);
-
-        // Positive offset: src[0] lands on dst[2]; dst head untouched.
-        let mut dst = ramp(6);
-        let before = dst.clone();
-        accumulate_scaled_offset(&mut dst, &src, 2, 1.0);
-        assert_eq!(dst[0], before[0]);
-        assert_eq!(dst[1], before[1]);
-        for i in 0..4 {
-            assert_eq!(dst[2 + i].re, before[2 + i].re + src[i].re);
-        }
-
-        // Negative offset: only src's tail overlaps dst's head.
-        let mut dst = ramp(6);
-        let before = dst.clone();
-        accumulate_scaled_offset(&mut dst, &src, -3, 1.0);
-        assert_eq!(dst[0].re, before[0].re + src[3].re);
-        for i in 1..6 {
-            assert_eq!(dst[i], before[i]);
-        }
-
-        // Fully out of range either way: no-op.
-        let mut dst = ramp(4);
-        let before = dst.clone();
-        accumulate_scaled_offset(&mut dst, &src, 10, 1.0);
-        accumulate_scaled_offset(&mut dst, &src, -10, 1.0);
-        assert_eq!(dst, before);
     }
 
     #[test]

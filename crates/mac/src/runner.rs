@@ -41,8 +41,10 @@
 //! ## Same-slot decode batches
 //!
 //! When the loop pops the first `TxEnd` of slot `T`, it decodes every
-//! frame ending at `T` at once (mix → AWGN → known-timing decode), spread
-//! over the worker's *decode lanes*, and parks each outcome on its link.
+//! frame ending at `T` at once (mix → AWGN → known-timing decode, the
+//! victim decode [`uwb_net::VictimMixer::decode_victim`] that the network
+//! round runs too), spread over the worker's *decode lanes*, and parks
+//! each outcome on its link.
 //! The outcomes are then applied — counters, ACK-loss draws, follow-up
 //! events — as each `TxEnd` pops, in the unchanged `(time, link, seq)`
 //! order. This is exact because a decode's inputs are frozen once `T`
@@ -54,10 +56,15 @@
 //! Synthesis stays serial: it runs at `Attempt` time, interleaved with
 //! carrier sense and the record pool, and is a small share of the work.
 //!
+//! Pooled records are `re` / `im` planes ([`uwb_net::WaveRecord`]): a
+//! synthesis writes one complex record that is split into its slot's
+//! planes, and on AWGN no `im` plane is kept, so every overlapping source
+//! is mixed with one real axpy at its slot offset.
+//!
 //! ## Zero warm-path allocation
 //!
-//! The event heap, queue rings, record pool (including every sample and
-//! payload buffer), mix buffers, and decode scratch are all preallocated
+//! The event heap, queue rings, record pool (including every `re` plane
+//! and payload buffer), mix buffers, and decode scratch are all preallocated
 //! in [`MacWorker::with_lanes`] from plan-time bounds and reused across
 //! events and trials. A one-lane worker, and any batch of one frame,
 //! decodes on the worker's thread and allocates nothing; a batch split
@@ -70,10 +77,8 @@ use crate::report::MacReport;
 use crate::scenario::MacScenario;
 use crate::traffic::{ArrivalGen, TrafficModel};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use uwb_dsp::scratch::DspScratch;
-use uwb_dsp::stream::accumulate_scaled_offset;
 use uwb_dsp::Complex;
-use uwb_net::WorkerPool;
+use uwb_net::{Layer, MixCounts, Victim, VictimMixer, WaveRecord, WorkerPool};
 use uwb_platform::metrics::ErrorCounter;
 use uwb_sim::montecarlo::{resolve_threads, Merge, MonteCarlo};
 use uwb_sim::{derive_trial_seed, Rand};
@@ -300,11 +305,11 @@ impl LinkState {
     }
 }
 
-/// A pooled waveform record: samples, the payload snapshot, and the
+/// A pooled waveform record: its planes, the payload snapshot, and the
 /// synthesis metadata needed at decode time.
 #[derive(Debug, Default)]
 struct TxRecord {
-    samples: Vec<Complex>,
+    wave: WaveRecord,
     payload: Vec<u8>,
     clean: Option<uwb_platform::link::CleanSynthesis>,
 }
@@ -327,7 +332,7 @@ impl RecordPool {
         };
         for _ in 0..count {
             pool.slots.push(TxRecord {
-                samples: Vec::with_capacity(sample_cap),
+                wave: WaveRecord::with_capacity(sample_cap),
                 payload: Vec::with_capacity(payload_cap),
                 clean: None,
             });
@@ -361,8 +366,7 @@ impl RecordPool {
 /// run on scoped helper threads while a batch is split.
 struct DecodeLane {
     pool: WorkerPool,
-    mixed: Vec<Complex>,
-    scratch: DspScratch,
+    mixer: VictimMixer,
     /// `(index in the slot's batch, outcome)` of each frame this lane
     /// decoded.
     done: Vec<(usize, Decoded)>,
@@ -372,8 +376,7 @@ impl DecodeLane {
     fn new(plan: &MacPlan, sample_cap: usize) -> DecodeLane {
         DecodeLane {
             pool: WorkerPool::new(&plan.net),
-            mixed: Vec::with_capacity(sample_cap),
-            scratch: DspScratch::new(),
+            mixer: VictimMixer::with_capacity(sample_cap),
             done: Vec::with_capacity(plan.len().max(1)),
         }
     }
@@ -394,46 +397,34 @@ impl DecodeLane {
             .as_ref()
             .expect("in-flight record has synthesis metadata");
         let s_v = links[l].cur_start;
-        {
-            let _t = uwb_obs::span!("mac_mix");
-            self.mixed.clear();
-            self.mixed.extend_from_slice(&rec.samples);
-            // Mix every coupled transmission whose airtime overlapped
-            // ours, at its true slot offset. Row order is ascending tx
-            // index; within a row, older ring entry first — both
-            // deterministic, part of the bit-exactness contract.
-            let slot_samples = plan.params.slot_samples as i64;
-            for &(u, gain) in &plan.net.coupling[l] {
-                let nb = &links[u];
-                let oldest = nb.recent_next; // ring of 2: next slot = oldest
-                for k in 0..RECENT {
-                    let r = nb.recent[(oldest + k) % RECENT];
-                    if r.valid && r.start < now && r.end > s_v {
-                        let off = (r.start as i64 - s_v as i64) * slot_samples;
-                        accumulate_scaled_offset(
-                            &mut self.mixed,
-                            &records[r.slot as usize].samples,
-                            off as isize,
-                            gain,
-                        );
-                    }
-                }
-            }
-            // Receiver noise last, from the RNG state the single-link path
-            // would hold.
-            let mut awgn = uwb_sim::stream::StreamingAwgn::new(clean.n0, clean.awgn_rng.clone());
-            uwb_dsp::stream::BlockProcessor::process_block(
-                &mut awgn,
-                &mut self.mixed,
-                &mut self.scratch,
-            );
-        }
+        // Every coupled transmission whose airtime overlapped ours, at its
+        // true slot offset. Row order is ascending tx index; within a row,
+        // older ring entry first — both deterministic, part of the
+        // bit-exactness contract.
+        let slot_samples = plan.params.slot_samples as i64;
+        let sources = plan.net.coupling[l].iter().flat_map(|&(u, gain)| {
+            let nb = &links[u];
+            let oldest = nb.recent_next; // ring of 2: next slot = oldest
+            (0..RECENT).filter_map(move |k| {
+                let r = nb.recent[(oldest + k) % RECENT];
+                (r.valid && r.start < now && r.end > s_v).then(|| {
+                    let off = (r.start as i64 - s_v as i64) * slot_samples;
+                    (&records[r.slot as usize].wave, off as isize, gain)
+                })
+            })
+        });
         let mut ber = ErrorCounter::default();
-        let ok = {
-            let _t = uwb_obs::span!("mac_rx");
-            let rx = self.pool.worker_for(l);
-            rx.count_errors_in_record(&self.mixed, clean.slot0_start, &rec.payload, &mut ber)
-        };
+        let ok = self.mixer.decode_victim(
+            Layer::Mac,
+            Victim {
+                record: &rec.wave,
+                clean,
+                payload: &rec.payload,
+            },
+            sources,
+            self.pool.worker_for(l),
+            &mut ber,
+        );
         Decoded { ok, ber }
     }
 }
@@ -443,6 +434,9 @@ impl DecodeLane {
 pub struct MacWorker {
     lanes: Vec<DecodeLane>,
     records: RecordPool,
+    /// The complex record a synthesis writes before it is split into its
+    /// pool slot's planes.
+    synth: Vec<Complex>,
     links: Vec<LinkState>,
     events: EventQueue,
     /// The `TxEnd` events of the slot being decoded, in pop order.
@@ -477,6 +471,7 @@ impl MacWorker {
                 .map(|_| DecodeLane::new(plan, sample_cap))
                 .collect(),
             records: RecordPool::with_prealloc(prealloc, sample_cap, plan.net.payload_len),
+            synth: Vec::with_capacity(sample_cap),
             links,
             events: EventQueue::with_capacity(8 * n + 64),
             slot_frames: Vec::with_capacity(n.max(1)),
@@ -489,6 +484,18 @@ impl MacWorker {
     /// far — the batches that spawn helper threads.
     pub fn split_batches(&self) -> u64 {
         self.split_batches
+    }
+
+    /// The sources this worker's decodes have mixed so far, by path,
+    /// summed over its lanes: on AWGN every one is `re`-only.
+    pub fn mix_counts(&self) -> MixCounts {
+        self.lanes.iter().fold(MixCounts::default(), |a, lane| {
+            let c = lane.mixer.counts();
+            MixCounts {
+                re_only: a.re_only + c.re_only,
+                with_im: a.with_im + c.with_im,
+            }
+        })
     }
 
     /// Runs one complete replication: resets all state from
@@ -585,8 +592,9 @@ impl MacWorker {
                 plan.net.payload_len,
                 plan.net.block_len,
                 &mut rng,
-                &mut rec.samples,
+                &mut self.synth,
             );
+            rec.wave.set_from(&self.synth);
             rec.clean = Some(clean);
         }
         {

@@ -1,10 +1,14 @@
 //! MAC acceptance criteria: light-load latency, saturation plateau,
-//! forced-collision ARQ recovery, conservation, thread-count determinism,
-//! and a recent-transmission ring that never drops a mixable frame.
+//! forced-collision ARQ recovery, conservation, thread-count determinism
+//! (AWGN and CM1), a recent-transmission ring that never drops a mixable
+//! frame, and the `re`-only mix path on AWGN.
 
-use uwb_mac::{plan_mac, run_mac, run_mac_plan_threads, MacReport, MacScenario};
+use uwb_mac::{
+    plan_mac, run_mac, run_mac_plan_threads, MacAccumulator, MacReport, MacScenario, MacWorker,
+};
 use uwb_net::ChannelPolicy;
 use uwb_phy::bandplan::Channel;
+use uwb_sim::sv_channel::ChannelModel;
 
 /// Every counter that participates in the bit-exactness contract, per
 /// link, flattened for comparison.
@@ -207,6 +211,48 @@ fn reports_are_bit_identical_across_thread_counts() {
         let r = fingerprint(&run_mac_plan_threads(plan_mac(&sc), threads));
         assert_eq!(baseline, r, "thread count {threads} changed the counters");
     }
+}
+
+#[test]
+fn cm1_report_is_bit_identical_at_one_and_two_threads() {
+    // Multipath records carry `im` planes: the CM1 run must mix them and
+    // still reproduce the serial counters on two decode lanes.
+    let mut sc = MacScenario::ring(4, 9.0, 1.0, 0xC41);
+    sc.net.policy = ChannelPolicy::Static(vec![Channel::new(3).unwrap()]);
+    sc.net.channel_model = ChannelModel::Cm1;
+    sc.horizon_slots = 200;
+    sc.replications = 1;
+    let plan = plan_mac(&sc);
+    let mut worker = MacWorker::new(&plan);
+    worker.trial(&plan, 0, &mut MacAccumulator::default());
+    let counts = worker.mix_counts();
+    assert!(counts.with_im > 0, "CM1 sources must mix with im planes: {counts:?}");
+    assert_eq!(counts.re_only, 0, "CM1 records are complex: {counts:?}");
+
+    let serial = run_mac_plan_threads(plan, 1);
+    assert_no_ring_overflow(&serial);
+    let baseline = fingerprint(&serial);
+    assert!(serial.links.iter().all(|l| l.stats.ber.total > 0));
+    let r = fingerprint(&run_mac_plan_threads(plan_mac(&sc), 2));
+    assert_eq!(baseline, r, "two threads changed the CM1 counters");
+}
+
+#[test]
+fn eight_user_awgn_ring_mixes_every_source_on_the_re_plane() {
+    // The `mac_ring8_saturated` shape: eight users on four channels, past
+    // the knee. On AWGN no record has an `im` plane.
+    let mut sc = MacScenario::ring(8, 9.0, 1.2, 20050307);
+    sc.net.policy = ChannelPolicy::RoundRobin(
+        (3..7).map(|i| Channel::new(i).unwrap()).collect(),
+    );
+    sc.horizon_slots = 200;
+    let plan = plan_mac(&sc);
+    let mut worker = MacWorker::new(&plan);
+    let mut acc = MacAccumulator::default();
+    worker.trial(&plan, 0, &mut acc);
+    let counts = worker.mix_counts();
+    assert!(counts.re_only > 0, "the ring must mix overlapping frames");
+    assert_eq!(counts.with_im, 0, "AWGN sources must mix re-only: {counts:?}");
 }
 
 #[test]

@@ -13,7 +13,11 @@
 //! record buffers: a record is synthesized **once** per (transmitter,
 //! round) into an acquired slot, shared read-only by every coupled
 //! receiver, and the slot is recycled the moment its last reader has been
-//! processed. Memory therefore scales with the interference graph's
+//! processed. A slot holds its record as `re` / `im` planes
+//! ([`WaveRecord`]); on AWGN every `im` plane stays empty, so a record
+//! costs 8 bytes per sample, not 16. No victim writes a slot: the victim
+//! decode reads its own record and its sources and writes its own mix
+//! buffers. Memory therefore scales with the interference graph's
 //! *overlap width* along the sweep, not with the network size — the
 //! property that lets a 10 000-node round run in a bounded set of record
 //! buffers.
@@ -29,7 +33,7 @@
 //! and the free list / residency map are sized at construction.
 
 use crate::coupling::CouplingRow;
-use uwb_dsp::Complex;
+use crate::mix::WaveRecord;
 use uwb_phy::bandplan::Channel;
 
 /// Sentinel residency: the link's record is not in the arena.
@@ -45,9 +49,8 @@ pub(crate) fn channel_major_order(channels: &[Channel]) -> Vec<u32> {
 }
 
 /// Plan-time liveness of per-transmitter records over a victim sweep: the
-/// order victims are processed in, when each record dies, which records
-/// another victim reads, and the maximum number simultaneously alive
-/// (= the arena size).
+/// order victims are processed in, when each record dies, and the maximum
+/// number simultaneously alive (= the arena size).
 #[derive(Debug, Clone)]
 pub struct RecordSchedule {
     /// Link ids in sweep order: position `p` processes victim `order[p]`.
@@ -56,8 +59,6 @@ pub struct RecordSchedule {
     /// that position's victim has been processed (each transmitter
     /// appears exactly once).
     expire_at: Vec<Vec<u32>>,
-    /// Per link: `true` when some other victim's row reads its record.
-    shared: Vec<bool>,
     /// Maximum simultaneously-live records over the sweep.
     max_live: usize,
 }
@@ -97,12 +98,10 @@ impl RecordSchedule {
         }
         let mut first = pos.clone();
         let mut last = pos.clone();
-        let mut shared = vec![false; n];
         for (row, &p) in rows.iter().zip(&pos) {
             for &(u, _) in row {
                 first[u] = first[u].min(p);
                 last[u] = last[u].max(p);
-                shared[u] = true;
             }
         }
         let mut expire_at: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -124,7 +123,6 @@ impl RecordSchedule {
         RecordSchedule {
             order,
             expire_at,
-            shared,
             max_live,
         }
     }
@@ -139,14 +137,6 @@ impl RecordSchedule {
         self.max_live
     }
 
-    /// `true` when another victim reads link `u`'s record. A link with an
-    /// empty row whose record nobody else reads is *isolated*: the
-    /// event-driven round applies its noise in place instead of copying
-    /// into a mix buffer.
-    pub fn is_shared(&self, u: usize) -> bool {
-        self.shared[u]
-    }
-
     /// The transmitters whose records die once the victim at sweep
     /// position `p` is processed.
     fn expiring_after(&self, p: usize) -> &[u32] {
@@ -154,12 +144,12 @@ impl RecordSchedule {
     }
 }
 
-/// `max_live` interchangeable waveform buffers plus the link → slot
+/// `max_live` interchangeable plane records plus the link → slot
 /// residency map. Slot identity is meaningless — buffers only carry a
 /// round's record between its synthesis and its last reader.
 #[derive(Debug)]
 pub struct RecordArena {
-    slots: Vec<Vec<Complex>>,
+    slots: Vec<WaveRecord>,
     free: Vec<u32>,
     slot_of: Vec<u32>,
 }
@@ -168,7 +158,7 @@ impl RecordArena {
     /// An arena of `max_live` slots covering `n_links` links.
     pub fn new(n_links: usize, max_live: usize) -> RecordArena {
         RecordArena {
-            slots: (0..max_live).map(|_| Vec::new()).collect(),
+            slots: (0..max_live).map(|_| WaveRecord::default()).collect(),
             free: (0..max_live as u32).rev().collect(),
             slot_of: vec![NO_SLOT; n_links],
         }
@@ -179,14 +169,14 @@ impl RecordArena {
         self.slot_of[u] != NO_SLOT
     }
 
-    /// Acquires a slot for link `u`'s record and returns its buffer for the
-    /// synthesis call to fill.
+    /// Acquires a slot for link `u`'s record and returns it for the caller
+    /// to fill with the synthesized record.
     ///
     /// # Panics
     ///
     /// Panics if `u` is already resident or the schedule's `max_live` bound
     /// is violated (both are plan-construction bugs, not runtime states).
-    pub fn acquire(&mut self, u: usize) -> &mut Vec<Complex> {
+    pub fn acquire(&mut self, u: usize) -> &mut WaveRecord {
         assert_eq!(self.slot_of[u], NO_SLOT, "link {u} already resident");
         let slot = self
             .free
@@ -201,20 +191,10 @@ impl RecordArena {
     /// # Panics
     ///
     /// Panics if `u` is not resident.
-    pub fn record(&self, u: usize) -> &[Complex] {
+    pub fn record(&self, u: usize) -> &WaveRecord {
         let slot = self.slot_of[u];
         assert_ne!(slot, NO_SLOT, "link {u} not resident");
         &self.slots[slot as usize]
-    }
-
-    /// Mutable view of link `u`'s resident record — the isolated-victim
-    /// fast path applies receiver noise directly in the slot instead of
-    /// copying into a mix buffer (valid only when no other victim reads
-    /// the record).
-    pub fn record_mut(&mut self, u: usize) -> &mut [Complex] {
-        let slot = self.slot_of[u];
-        assert_ne!(slot, NO_SLOT, "link {u} not resident");
-        &mut self.slots[slot as usize]
     }
 
     /// Recycles every record whose last reader was the victim at sweep
@@ -233,6 +213,7 @@ impl RecordArena {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use uwb_dsp::Complex;
 
     #[test]
     fn schedule_bounds_live_records() {
@@ -244,10 +225,6 @@ mod tests {
         // v2 frees 2 after its own decode; v3 acquires 3, frees 1 and 3.
         assert_eq!(s.max_live(), 2);
         assert_eq!(s.order(), &[0, 1, 2, 3]);
-        assert!(!s.is_shared(0));
-        assert!(s.is_shared(1));
-        assert!(s.is_shared(2));
-        assert!(!s.is_shared(3));
         assert_eq!(s.expiring_after(0), &[0]);
         assert_eq!(s.expiring_after(2), &[2]);
         assert_eq!(s.expiring_after(3), &[1, 3]);
@@ -273,12 +250,10 @@ mod tests {
         let mut arena = RecordArena::new(3, s.max_live());
         for v in 0..3 {
             assert!(!arena.is_resident(v));
-            let buf = arena.acquire(v);
-            buf.clear();
-            buf.push(Complex::ONE);
+            arena.acquire(v).set_from(&[Complex::ONE]);
             assert!(arena.is_resident(v));
-            assert_eq!(arena.record(v).len(), 1);
-            arena.record_mut(v)[0] = Complex::ZERO;
+            assert_eq!(arena.record(v).re(), &[1.0]);
+            assert!(arena.record(v).im().is_none());
             arena.release_expired(&s, v);
             assert!(!arena.is_resident(v));
         }
@@ -298,14 +273,11 @@ mod tests {
     #[test]
     fn liveness_is_over_sweep_positions() {
         // Victim 0 reads tx 1; tx 1's row is empty. Sweeping 1 then 0 keeps
-        // both records live at position 1, and tx 1 — an empty-row victim
-        // whose record a later victim reads — is shared, so the runner
-        // must not apply its noise in place.
+        // both records live at position 1: tx 1's record outlives its own
+        // victim because a later victim reads it.
         let rows: Vec<CouplingRow> = vec![vec![(1, 0.5)], vec![]];
         let s = RecordSchedule::ordered(vec![1, 0], &rows);
         assert_eq!(s.order(), &[1, 0]);
-        assert!(s.is_shared(1));
-        assert!(!s.is_shared(0));
         assert!(s.expiring_after(0).is_empty());
         assert_eq!(s.expiring_after(1), &[0, 1]);
         assert_eq!(s.max_live(), 2);
@@ -375,10 +347,6 @@ mod tests {
             prop_assert!(acquired.iter().all(|&a| a == 1), "a record was re-synthesized");
             prop_assert!(released.iter().all(|&r| r == 1));
             prop_assert!((0..n).all(|u| !arena.is_resident(u)));
-            for u in 0..n {
-                let read = rows.iter().any(|r| r.iter().any(|&(w, _)| w == u));
-                prop_assert_eq!(s.is_shared(u), read);
-            }
         }
     }
 

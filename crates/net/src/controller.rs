@@ -14,13 +14,16 @@
 //! measurement rounds ([`RecordSchedule::channel_major`]), so the probe
 //! records a victim mixes are the ones its channel neighbours just used.
 //! Every plan entry is a pure function of its victim; the order changes
-//! only the arena size and the cache traffic, never the plan.
+//! only the arena size and the cache traffic, never the plan. Probe
+//! records live in the arena as `re` / `im` planes and are mixed by the
+//! same plane mixer as the rounds ([`VictimMixer`]), so on AWGN a probe
+//! mix touches only `re` planes.
 
 use crate::arena::{RecordArena, RecordSchedule};
 use crate::coupling::{build_coupling_sparse, coupling_db, CouplingRow};
+use crate::mix::{VictimMixer, WaveRecord};
 use crate::scenario::{ChannelPolicy, NetScenario};
 use uwb_dsp::complex::mean_power;
-use uwb_dsp::stream::accumulate_scaled;
 use uwb_dsp::Complex;
 use uwb_phy::bandplan::Channel;
 use uwb_phy::{ChannelConditions, InterfererReport, LinkAdapter, OperatingPoint, PowerModel, SpectralMonitor};
@@ -156,49 +159,52 @@ fn plan_network_swept(
     // along the sweep, not N records.
     let schedule = sweep(&channels, &coupling);
     let mut arena = RecordArena::new(n, schedule.max_live());
-    let mut probe_worker = LinkWorker::new(&LinkScenario {
-        config: scenario.base_config.clone(),
-        channel: scenario.channel_model,
-        ebn0_db: scenario.ebn0_db,
-        interferer: None,
-        notch_enabled: false,
-        seed: scenario.seed,
-    });
-    let mut probe = LinkScenario {
-        config: scenario.base_config.clone(),
-        channel: scenario.channel_model,
-        ebn0_db: scenario.ebn0_db,
-        interferer: None,
-        notch_enabled: false,
-        seed: 0,
+    let mut probes = Probes {
+        worker: LinkWorker::new(&LinkScenario {
+            config: scenario.base_config.clone(),
+            channel: scenario.channel_model,
+            ebn0_db: scenario.ebn0_db,
+            interferer: None,
+            notch_enabled: false,
+            seed: scenario.seed,
+        }),
+        scenario: LinkScenario {
+            config: scenario.base_config.clone(),
+            channel: scenario.channel_model,
+            ebn0_db: scenario.ebn0_db,
+            interferer: None,
+            notch_enabled: false,
+            seed: 0,
+        },
+        synth: Vec::new(),
+        n0: vec![0.0f64; n],
+        power: vec![0.0f64; n],
     };
-    let mut probe_n0 = vec![0.0f64; n];
 
     let monitor = SpectralMonitor::new();
     let fs_hz = scenario.base_config.sample_rate.as_hz();
-    let mut mix = Vec::new();
+    let mut mixer = VictimMixer::default();
+    let mut spectral_mix = Vec::new();
     let mut entries: Vec<Option<NetLinkPlan>> = (0..n).map(|_| None).collect();
-    let mut curve = Vec::new(); // reused across links (trade_curve_into)
     let adapter = LinkAdapter::new(scenario.base_config.clone(), PowerModel::cmos180());
     let delay_ns = channel_rms_delay_ns(scenario.channel_model, 8, scenario.seed);
     for (p, &v) in schedule.order().iter().enumerate() {
         let v = v as usize;
-        ensure_probe(scenario, v, &mut probe, &mut probe_worker, &mut arena, &mut probe_n0);
+        probes.ensure(scenario, v, &mut arena);
         for &(u, _) in &coupling[v] {
-            ensure_probe(scenario, u, &mut probe, &mut probe_worker, &mut arena, &mut probe_n0);
+            probes.ensure(scenario, u, &mut arena);
         }
 
         // Interference superposition at receiver v under the final plan,
         // mixed in the same fixed ascending-transmitter order (and with the
         // same per-edge gains) as the measurement phase.
-        mix.clear();
-        mix.resize(arena.record(v).len(), Complex::ZERO);
+        mixer.start_zeros(arena.record(v).len());
         let any = !coupling[v].is_empty();
         for &(u, gain) in &coupling[v] {
-            accumulate_scaled(&mut mix, arena.record(u), gain);
+            mixer.add(arena.record(u), 0, gain);
         }
-        let p_own = mean_power(arena.record(v)).max(1e-300);
-        let p_intf = if any { mean_power(&mix) } else { 0.0 };
+        let p_own = probes.power[v].max(1e-300);
+        let p_intf = if any { mixer.mean_power() } else { 0.0 };
         let interference_rel_db = if p_intf > 0.0 {
             10.0 * (p_intf / p_own).log10()
         } else {
@@ -208,8 +214,9 @@ fn plan_network_swept(
         // Spectral measurement over own signal + interference (optional:
         // the Welch PSD dominates plan time on large networks).
         let spectral = if scenario.probe_spectral {
-            accumulate_scaled(&mut mix, arena.record(v), 1.0);
-            monitor.analyze(&mix, fs_hz)
+            mixer.add(arena.record(v), 0, 1.0);
+            mixer.complex_into(&mut spectral_mix);
+            monitor.analyze(&spectral_mix, fs_hz)
         } else {
             InterfererReport {
                 detected: false,
@@ -225,25 +232,13 @@ fn plan_network_swept(
         let mut config = scenario.base_config.clone();
         config.channel = channels[v];
         let operating = if scenario.adapt {
-            let p_noise = probe_n0[v].max(1e-300);
+            let p_noise = probes.n0[v].max(1e-300);
             let degradation_db = 10.0 * (1.0 + p_intf / p_noise).log10();
             let conditions = ChannelConditions {
                 snr_db: scenario.ebn0_db - degradation_db,
                 delay_spread_ns: delay_ns,
                 interferer_present: spectral.detected || any,
             };
-            // Evaluate the trade curve around the measured point (buffer
-            // reused across links — `trade_curve_into` keeps this loop
-            // allocation-free once warm) and adopt the adapter's choice.
-            adapter.trade_curve_into(
-                &[
-                    conditions.snr_db - 4.0,
-                    conditions.snr_db,
-                    conditions.snr_db + 4.0,
-                ],
-                delay_ns,
-                &mut curve,
-            );
             let op = adapter.adapt(&conditions);
             config = Gen2ConfigWithChannel(op.config.clone(), channels[v]).into_config();
             config.validate().expect("adapted config");
@@ -284,32 +279,40 @@ fn plan_network_swept(
     }
 }
 
-/// Synthesizes link `u`'s clean probe record into the arena if it is not
-/// already resident. Probes always run on the base config, so one shared
-/// worker serves every link; each record is a pure function of the link's
-/// decorrelated seed, so the lazy first-use order of any sweep produces
-/// exactly the records an eager 0..n sweep would.
-fn ensure_probe(
-    scenario: &NetScenario,
-    u: usize,
-    probe: &mut LinkScenario,
-    worker: &mut LinkWorker,
-    arena: &mut RecordArena,
-    probe_n0: &mut [f64],
-) {
-    if arena.is_resident(u) {
-        return;
+/// The probe sweep's synthesis state: one shared worker (probes always run
+/// on the base config), the probe scenario whose seed each synthesis sets,
+/// the complex synthesis buffer, and per link the probe's calibrated `n0`
+/// and clean mean power.
+struct Probes {
+    worker: LinkWorker,
+    scenario: LinkScenario,
+    synth: Vec<Complex>,
+    n0: Vec<f64>,
+    power: Vec<f64>,
+}
+
+impl Probes {
+    /// Synthesizes link `u`'s clean probe record into the arena if it is
+    /// not already resident. Each record is a pure function of the link's
+    /// decorrelated seed, so the lazy first-use order of any sweep produces
+    /// exactly the records an eager 0..n sweep would.
+    fn ensure(&mut self, scenario: &NetScenario, u: usize, arena: &mut RecordArena) {
+        if arena.is_resident(u) {
+            return;
+        }
+        self.scenario.seed = link_seed(scenario.seed, u);
+        let mut rng = Rand::for_trial(self.scenario.seed, PROBE_ROUND);
+        let clean = self.worker.synthesize_clean_streamed_record(
+            &self.scenario,
+            scenario.payload_len,
+            scenario.block_len,
+            &mut rng,
+            &mut self.synth,
+        );
+        self.n0[u] = clean.n0;
+        self.power[u] = mean_power(&self.synth);
+        arena.acquire(u).set_from(&self.synth);
     }
-    probe.seed = link_seed(scenario.seed, u);
-    let mut rng = Rand::for_trial(probe.seed, PROBE_ROUND);
-    let clean = worker.synthesize_clean_streamed_record(
-        probe,
-        scenario.payload_len,
-        scenario.block_len,
-        &mut rng,
-        arena.acquire(u),
-    );
-    probe_n0[u] = clean.n0;
 }
 
 /// Tiny helper keeping the channel assignment authoritative over whatever
@@ -339,7 +342,7 @@ fn allocate_channels(scenario: &NetScenario) -> Vec<Channel> {
             // O(N) probe-record table and scans O(N²) pairs — a planning
             // policy for small networks, kept dense by design. Large
             // networks use the static policies, which are free.
-            let probes: Vec<Vec<Complex>> = (0..n)
+            let probes: Vec<WaveRecord> = (0..n)
                 .map(|l| {
                     let ps = LinkScenario {
                         config: scenario.base_config.clone(),
@@ -357,11 +360,13 @@ fn allocate_channels(scenario: &NetScenario) -> Vec<Channel> {
                         scenario.block_len,
                         &mut rng,
                     );
-                    worker.clean_record().to_vec()
+                    let mut probe = WaveRecord::default();
+                    probe.set_from(worker.clean_record());
+                    probe
                 })
                 .collect();
             let mut assigned: Vec<Channel> = Vec::with_capacity(n);
-            let mut mix = Vec::new();
+            let mut mixer = VictimMixer::default();
             for v in 0..n {
                 let mut best = candidates[0];
                 let mut best_power = f64::INFINITY;
@@ -369,8 +374,7 @@ fn allocate_channels(scenario: &NetScenario) -> Vec<Channel> {
                     // Measured interference power at v on this candidate:
                     // superpose the already-assigned transmitters' probe
                     // waveforms through the coupling model and measure.
-                    mix.clear();
-                    mix.resize(probes[v].len(), Complex::ZERO);
+                    mixer.start_zeros(probes[v].len());
                     let mut any = false;
                     for (u, &ch_u) in assigned.iter().enumerate() {
                         if let Some(db) = coupling_db(
@@ -381,11 +385,11 @@ fn allocate_channels(scenario: &NetScenario) -> Vec<Channel> {
                             v,
                             cand,
                         ) {
-                            accumulate_scaled(&mut mix, &probes[u], 10f64.powf(db / 20.0));
+                            mixer.add(&probes[u], 0, 10f64.powf(db / 20.0));
                             any = true;
                         }
                     }
-                    let p = if any { mean_power(&mix) } else { 0.0 };
+                    let p = if any { mixer.mean_power() } else { 0.0 };
                     if p < best_power {
                         best_power = p;
                         best = cand;

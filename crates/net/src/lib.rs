@@ -34,6 +34,8 @@
 //!   (static / round-robin / interference-aware), closed-loop adaptation;
 //!   frozen into a [`NetPlan`]
 //! * [`runner`] — parallel measurement phase on the Monte-Carlo engine
+//! * [`mix`] — plane-stored records and the one victim decode (mix,
+//!   noise, known-timing decode) the rounds and the `uwb-mac` layer share
 //! * [`report`] — per-link BER/PER/goodput + aggregate throughput
 //!
 //! # Example: an 8-user piconet
@@ -53,6 +55,7 @@
 pub mod arena;
 pub mod controller;
 pub mod coupling;
+pub mod mix;
 pub mod pool;
 pub mod report;
 pub mod runner;
@@ -63,6 +66,7 @@ pub use controller::{link_seed, plan_network, NetLinkPlan, NetPlan};
 pub use coupling::{
     build_coupling, build_coupling_sparse, coupling_db, sense_sets, CouplingParams, CouplingRow,
 };
+pub use mix::{Layer, MixCounts, Source, Victim, VictimMixer, WaveRecord};
 pub use pool::WorkerPool;
 pub use report::{LinkReport, NetReport};
 pub use runner::{

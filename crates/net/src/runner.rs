@@ -19,28 +19,31 @@
 //! memory is the graph's overlap width along the sweep rather than N
 //! records, and the records being mixed stay in cache. The sweep order
 //! never changes a value: each victim's sum is own record, coupling row in
-//! ascending-transmitter order, then its own noise. An isolated victim —
-//! empty coupling row, record unread by anyone else — skips the mix-buffer
-//! copy entirely and takes its receiver noise in place, which is what
-//! makes idle links and isolated clusters nearly free.
+//! ascending-transmitter order, then its own noise.
+//!
+//! Records are stored as `re` / `im` planes ([`crate::mix::WaveRecord`]),
+//! and every victim goes through the one victim decode the MAC shares,
+//! [`VictimMixer::decode_victim`]: on AWGN no record has an `im` plane, so
+//! each coupled source costs one real axpy over the `re` plane. A victim
+//! with an empty row skips the mix copy — the noise pass reads its own
+//! record — which is what makes idle links and isolated clusters nearly
+//! free.
 //!
 //! The warm path allocates nothing: the config-deduplicated worker pool,
-//! the arena slots, the mix buffer, and the per-round synthesis metadata
-//! all live in [`NetWorker`] and are reused round after round (the arena's
-//! slot-acquisition sequence is identical every round, so each slot
-//! ratchets to its high-water capacity during round 0).
+//! the arena slots, the synthesis and mix buffers, and the per-round
+//! synthesis metadata all live in [`NetWorker`] and are reused round after
+//! round (the arena's slot-acquisition sequence is identical every round,
+//! so each slot ratchets to its high-water capacity during round 0).
 
 use crate::arena::{RecordArena, RecordSchedule};
 use crate::controller::{plan_network, NetPlan};
+use crate::mix::{Layer, MixCounts, Victim, VictimMixer};
 use crate::report::{LinkReport, NetReport};
 use crate::scenario::NetScenario;
-use uwb_dsp::scratch::DspScratch;
-use uwb_dsp::stream::accumulate_scaled;
 use uwb_dsp::Complex;
 use uwb_platform::link::CleanSynthesis;
 use uwb_platform::metrics::ErrorCounter;
 use uwb_sim::montecarlo::{Merge, MonteCarlo};
-use uwb_sim::stream::StreamingAwgn;
 use uwb_sim::Rand;
 
 /// Per-link error statistics accumulated over measurement rounds.
@@ -117,8 +120,8 @@ impl Merge for NetAccumulator {
 
 /// Per-thread measurement state: a config-deduplicated [`LinkWorker`] pool,
 /// the shared-waveform arena with its liveness schedule, and the reusable
-/// mixing buffers. Constructed once per engine worker; everything warm is
-/// allocation-free.
+/// synthesis and mixing buffers. Constructed once per engine worker;
+/// everything warm is allocation-free.
 ///
 /// The pool ([`crate::pool::WorkerPool`]) holds one worker per **distinct**
 /// `Gen2Config` rather than one per link — a worker only carries
@@ -139,8 +142,10 @@ pub struct NetWorker {
     /// Per link: mean power of this round's clean record (cached at
     /// synthesis, read by every victim that mixes it for its SINR digest).
     power: Vec<f64>,
-    mixed: Vec<Complex>,
-    scratch: DspScratch,
+    /// The complex record a synthesis writes before it is split into its
+    /// arena slot's planes.
+    synth: Vec<Complex>,
+    mixer: VictimMixer,
 }
 
 impl NetWorker {
@@ -163,9 +168,15 @@ impl NetWorker {
             clean: (0..n).map(|_| None).collect(),
             payloads: vec![Vec::new(); n],
             power: vec![0.0; n],
-            mixed: Vec::new(),
-            scratch: DspScratch::new(),
+            synth: Vec::new(),
+            mixer: VictimMixer::default(),
         }
+    }
+
+    /// The sources this worker's victims have mixed so far, by path: on
+    /// AWGN every one is `re`-only.
+    pub fn mix_counts(&self) -> MixCounts {
+        self.mixer.counts()
     }
 
     /// Synthesizes link `u`'s clean record for this round into an arena
@@ -185,11 +196,12 @@ impl NetWorker {
             plan.payload_len,
             plan.block_len,
             &mut rng,
-            self.arena.acquire(u),
+            &mut self.synth,
         );
         self.payloads[u].clear();
         self.payloads[u].extend_from_slice(worker.payload_bytes());
-        self.power[u] = uwb_dsp::simd::mean_power(self.arena.record(u));
+        self.power[u] = uwb_dsp::simd::mean_power(&self.synth);
+        self.arena.acquire(u).set_from(&self.synth);
         self.clean[u] = Some(clean);
     }
 
@@ -201,9 +213,42 @@ impl NetWorker {
     /// (`net_schedule`, lazy, shared), mix own + coupled foreign records +
     /// calibrated AWGN in fixed ascending-transmitter order (`net_mix`),
     /// decode and count (`net_rx`), then recycle every record this victim
-    /// read last. An isolated victim takes its noise in place on its own
-    /// record and never touches the mix buffer.
+    /// read last.
     pub fn round(&mut self, plan: &NetPlan, round: u64, acc: &mut NetAccumulator) {
+        self.round_by(plan, round, acc, NetWorker::decode);
+    }
+
+    /// One victim's mix, noise and decode on the plane mixer, its row's
+    /// records all resident.
+    fn decode(
+        &mut self,
+        plan: &NetPlan,
+        v: usize,
+        clean: &CleanSynthesis,
+        counter: &mut ErrorCounter,
+    ) -> bool {
+        let arena = &self.arena;
+        self.mixer.decode_victim(
+            Layer::Net,
+            Victim {
+                record: arena.record(v),
+                clean,
+                payload: &self.payloads[v],
+            },
+            plan.coupling[v].iter().map(|&(u, gain)| (arena.record(u), 0, gain)),
+            self.pool.worker_for(v),
+            counter,
+        )
+    }
+
+    /// [`round`](Self::round) with each victim decoded by `decode`.
+    fn round_by(
+        &mut self,
+        plan: &NetPlan,
+        round: u64,
+        acc: &mut NetAccumulator,
+        decode: fn(&mut NetWorker, &NetPlan, usize, &CleanSynthesis, &mut ErrorCounter) -> bool,
+    ) {
         let n = plan.len();
         acc.ensure_len(n);
         for c in &mut self.clean {
@@ -218,11 +263,7 @@ impl NetWorker {
             for &(u, _) in &plan.coupling[v] {
                 self.ensure_record(plan, round, u);
             }
-            let CleanSynthesis {
-                slot0_start,
-                n0,
-                awgn_rng,
-            } = self.clean[v].take().expect("own record just ensured");
+            let clean = self.clean[v].take().expect("own record just ensured");
 
             let row = &plan.coupling[v];
             // Per-victim round SINR: own clean power over coupled foreign
@@ -234,63 +275,19 @@ impl NetWorker {
                 .iter()
                 .map(|&(u, gain)| gain * gain * self.power[u])
                 .sum();
-            let sinr = self.power[v] / (interference + n0).max(f64::MIN_POSITIVE);
+            let sinr = self.power[v] / (interference + clean.n0).max(f64::MIN_POSITIVE);
             let sinr_cdb = (10.0 * sinr.log10() + 100.0) * 100.0;
             uwb_obs::digest!("net_link_sinr_cdb", sinr_cdb.max(0.0) as u64);
 
             let stats = &mut acc.links[v];
             let errs_before = stats.ber.errors;
             stats.packets += 1;
-            let rx = self.pool.worker_for(v);
-            let ok = if row.is_empty() && !self.schedule.is_shared(v) {
-                // Isolated victim: nobody mixes this record and nobody else
-                // reads it — apply receiver noise in place and decode from
-                // the slot. Identical sample values to the general path
-                // (copy + noise), minus the copy.
-                {
-                    let _t = uwb_obs::span!("net_mix");
-                    let mut awgn = StreamingAwgn::new(n0, awgn_rng);
-                    uwb_dsp::stream::BlockProcessor::process_block(
-                        &mut awgn,
-                        self.arena.record_mut(v),
-                        &mut self.scratch,
-                    );
-                }
-                let _t = uwb_obs::span!("net_rx");
-                rx.count_errors_in_record(
-                    self.arena.record(v),
-                    slot0_start,
-                    &self.payloads[v],
-                    &mut stats.ber,
-                )
-            } else {
-                {
-                    let _t = uwb_obs::span!("net_mix");
-                    self.mixed.clear();
-                    self.mixed.extend_from_slice(self.arena.record(v));
-                    // Fixed ascending-transmitter order: the summation order
-                    // is part of the bit-exactness contract.
-                    for &(u, gain) in row {
-                        accumulate_scaled(&mut self.mixed, self.arena.record(u), gain);
-                    }
-                    // Receiver noise last, from the RNG state the single-link
-                    // path would hold — an uncoupled link is bit-identical to
-                    // an isolated streamed run.
-                    let mut awgn = StreamingAwgn::new(n0, awgn_rng);
-                    uwb_dsp::stream::BlockProcessor::process_block(
-                        &mut awgn,
-                        &mut self.mixed,
-                        &mut self.scratch,
-                    );
-                }
-                let _t = uwb_obs::span!("net_rx");
-                rx.count_errors_in_record(
-                    &self.mixed,
-                    slot0_start,
-                    &self.payloads[v],
-                    &mut stats.ber,
-                )
-            };
+            // Own record, then the row in ascending-transmitter order (the
+            // summation order is part of the bit-exactness contract), then
+            // receiver noise from the RNG state the single-link path would
+            // hold — an uncoupled link is bit-identical to an isolated
+            // streamed run.
+            let ok = decode(self, plan, v, &clean, &mut stats.ber);
             if !ok {
                 stats.packets_bad += 1;
                 round_bad += 1;
@@ -359,22 +356,75 @@ fn run_plan_engine(plan: NetPlan, threads: Option<usize>) -> NetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mix::{oracle, Source};
     use crate::scenario::ChannelPolicy;
     use uwb_phy::bandplan::Channel;
+    use uwb_sim::sv_channel::ChannelModel;
 
-    /// Runs `rounds` rounds of `plan` on one worker sweeping `schedule`,
-    /// returning the accumulator and the rounds' deterministic telemetry.
-    fn sweep(plan: &NetPlan, schedule: RecordSchedule, rounds: u64) -> (NetAccumulator, String) {
+    /// A per-victim decode a round can run.
+    type Decode = fn(&mut NetWorker, &NetPlan, usize, &CleanSynthesis, &mut ErrorCounter) -> bool;
+
+    /// The oracle victim decode: the complex (AoS) mix the planes replaced,
+    /// over the same arena records, with the same spans.
+    fn aos_decode(
+        w: &mut NetWorker,
+        plan: &NetPlan,
+        v: usize,
+        clean: &CleanSynthesis,
+        counter: &mut ErrorCounter,
+    ) -> bool {
+        let sources: Vec<Source<'_>> = plan.coupling[v]
+            .iter()
+            .map(|&(u, gain)| (w.arena.record(u), 0, gain))
+            .collect();
+        let victim = Victim {
+            record: w.arena.record(v),
+            clean,
+            payload: &w.payloads[v],
+        };
+        oracle::decode_victim(Layer::Net, victim, &sources, w.pool.worker_for(v), counter)
+    }
+
+    /// Runs `rounds` rounds of `plan` on one worker sweeping `schedule`
+    /// and decoding with `decode`, returning the accumulator, the rounds'
+    /// deterministic telemetry and the worker's mix counts.
+    fn sweep_by(
+        plan: &NetPlan,
+        schedule: RecordSchedule,
+        rounds: u64,
+        decode: Decode,
+    ) -> (NetAccumulator, String, MixCounts) {
         let _ = uwb_obs::take_thread_telemetry();
         let mut worker = NetWorker::with_schedule(plan, schedule);
         let mut acc = NetAccumulator::default();
         for r in 0..rounds {
-            worker.round(plan, r, &mut acc);
+            worker.round_by(plan, r, &mut acc, decode);
         }
         (
             acc,
             uwb_obs::take_thread_telemetry().to_json_deterministic(),
+            worker.mix_counts(),
         )
+    }
+
+    /// [`sweep_by`] on the plane mixer.
+    fn sweep(plan: &NetPlan, schedule: RecordSchedule, rounds: u64) -> (NetAccumulator, String) {
+        let (acc, telemetry, _) = sweep_by(plan, schedule, rounds, NetWorker::decode);
+        (acc, telemetry)
+    }
+
+    /// Equal per-link counters, bit for bit.
+    fn assert_same_links(a: &NetAccumulator, b: &NetAccumulator, what: &str) {
+        assert_eq!(a.links.len(), b.links.len());
+        for (l, (x, y)) in a.links.iter().zip(&b.links).enumerate() {
+            assert_eq!(x.ber, y.ber, "link {l}: {what} changed the counter");
+            assert_eq!(x.packets, y.packets);
+            assert_eq!(x.packets_bad, y.packets_bad, "link {l}: {what} changed PER");
+        }
+        assert!(
+            a.links.iter().all(|l| l.ber.total > 0),
+            "rounds produced no bits"
+        );
     }
 
     /// Channel-major and ascending-id sweeps of `plan` give the same
@@ -389,19 +439,59 @@ mod tests {
         );
         let (a, ta) = sweep(plan, ordered, rounds);
         let (b, tb) = sweep(plan, identity, rounds);
-        for (l, (x, y)) in a.links.iter().zip(&b.links).enumerate() {
-            assert_eq!(x.ber, y.ber, "link {l}: sweep order changed the counter");
-            assert_eq!(x.packets, y.packets);
-            assert_eq!(
-                x.packets_bad, y.packets_bad,
-                "link {l}: sweep order changed PER"
-            );
-        }
-        assert!(
-            a.links.iter().all(|l| l.ber.total > 0),
-            "rounds produced no bits"
-        );
+        assert_same_links(&a, &b, "sweep order");
         assert_eq!(ta, tb, "sweep order changed the telemetry");
+    }
+
+    /// The plane mixer and the complex oracle give the same per-link
+    /// counters and telemetry over `rounds` rounds of `plan`; returns the
+    /// plane path's mix counts.
+    fn assert_matches_oracle(plan: &NetPlan, rounds: u64) -> MixCounts {
+        let (a, ta, counts) = sweep_by(plan, plan.record_schedule(), rounds, NetWorker::decode);
+        let (b, tb, _) = sweep_by(plan, plan.record_schedule(), rounds, aos_decode);
+        assert_same_links(&a, &b, "the plane mix");
+        assert_eq!(ta, tb, "the plane mix changed the telemetry");
+        let sources: usize = plan.coupling.iter().map(|r| r.len()).sum();
+        assert!(sources > 0, "the plan must couple");
+        assert_eq!(
+            counts.re_only + counts.with_im,
+            rounds * sources as u64,
+            "every source is mixed once per round"
+        );
+        counts
+    }
+
+    #[test]
+    fn awgn_round_matches_the_oracle_on_the_re_plane_alone() {
+        let mut sc = NetScenario::clustered_city(20, 10, 7.0, 20050307);
+        sc.rounds = 2;
+        let counts = assert_matches_oracle(&plan_network(&sc), 2);
+        assert_eq!(counts.with_im, 0, "AWGN records must mix re-only");
+    }
+
+    #[test]
+    fn cm1_round_matches_the_oracle_with_im_planes() {
+        let mut sc = NetScenario::clustered_city(6, 4, 9.0, 20050308);
+        sc.channel_model = ChannelModel::Cm1;
+        sc.rounds = 2;
+        let counts = assert_matches_oracle(&plan_network(&sc), 2);
+        assert_eq!(counts.re_only, 0, "CM1 records are complex");
+        assert!(counts.with_im > 0);
+    }
+
+    /// Release-scale gate (run via `scripts/check.sh net`): one round of
+    /// the 1,000-user clustered city on the plane mixer matches the
+    /// complex oracle worker in every per-link counter and in the
+    /// deterministic telemetry, and every source takes the `re`-only path.
+    #[test]
+    #[ignore = "release-scale gate: scripts/check.sh net runs it with --release"]
+    fn thousand_user_city_round_matches_the_oracle() {
+        let mut sc = NetScenario::clustered_city(100, 10, 7.0, 20050314 ^ 0x1000);
+        sc.rounds = 1;
+        let plan = plan_network(&sc);
+        assert_eq!(plan.len(), 1000);
+        let counts = assert_matches_oracle(&plan, 1);
+        assert_eq!(counts.with_im, 0, "AWGN records must mix re-only");
     }
 
     #[test]
@@ -426,12 +516,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_empty_row_victim_takes_the_copy_path() {
+    fn record_read_by_a_later_victim_is_unchanged_by_an_earlier_decode() {
         // Link 1's row is emptied by hand while link 0 still reads it.
-        // Sweeping 1 before 0 puts the empty-row victim first with a later
-        // reader: applying its noise in place would corrupt the record
-        // link 0 mixes. Its sweep position (1) happens to equal its id, so
-        // a position-versus-id comparison would take the in-place path.
+        // Sweeping 1 before 0 decodes the empty-row victim first while a
+        // later victim still needs its record: the decode must leave that
+        // record as synthesized, and the round must match the id sweep.
         let mut sc = NetScenario::ring(2, 6.0, 20050314);
         sc.policy = ChannelPolicy::Static(vec![Channel::new(3).unwrap()]);
         sc.probe_spectral = false;
@@ -439,13 +528,21 @@ mod tests {
         assert_eq!(plan.coupling[0].len(), 1, "link 0 must read link 1");
         plan.coupling[1].clear();
         let reversed = RecordSchedule::ordered(vec![1, 0], &plan.coupling);
-        assert!(reversed.is_shared(1));
+
+        let mut w = NetWorker::with_schedule(&plan, reversed.clone());
+        w.ensure_record(&plan, 0, 1);
+        let planes = |r: &crate::mix::WaveRecord| {
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (bits(r.re()), r.im().map(bits))
+        };
+        let before = planes(w.arena.record(1));
+        let clean = w.clean[1].take().expect("just synthesized");
+        w.decode(&plan, 1, &clean, &mut ErrorCounter::default());
+        assert_eq!(planes(w.arena.record(1)), before, "the decode wrote its own record");
+
         let (a, _) = sweep(&plan, reversed, 6);
         let (b, _) = sweep(&plan, RecordSchedule::build(2, &plan.coupling), 6);
-        for l in 0..2 {
-            assert_eq!(a.links[l].ber, b.links[l].ber, "link {l}");
-            assert_eq!(a.links[l].packets_bad, b.links[l].packets_bad, "link {l}");
-        }
+        assert_same_links(&a, &b, "the reversed sweep");
     }
 
     #[test]

@@ -17,6 +17,7 @@ use uwb_net::{
 };
 use uwb_phy::bandplan::Channel;
 use uwb_platform::link::{run_ber_fast_streamed_tuned, TrialBudget};
+use uwb_sim::sv_channel::ChannelModel;
 use uwb_sim::topology::{LinkGeometry, Position, Topology};
 
 const SEED: u64 = 20050314;
@@ -37,11 +38,23 @@ fn contended_pair() -> Topology {
 
 #[test]
 fn isolated_link_matches_single_link_streamed_path_bitwise() {
-    // 8 links; link 7 parked on channel 13 while everyone else crowds
-    // channels 0–2 — the gap to channel 13 is far below the gen2
-    // selectivity floor, so link 7's coupling row must be empty and its
-    // counter bit-identical to a solo streamed run.
+    assert_isolated_link_matches_single_link(ChannelModel::Awgn, 6);
+}
+
+#[test]
+fn isolated_cm1_link_matches_single_link_streamed_path_bitwise() {
+    // Multipath records carry `im` planes, which the AWGN run never
+    // builds; the coupled links mix them too.
+    assert_isolated_link_matches_single_link(ChannelModel::Cm1, 3);
+}
+
+/// 8 links; link 7 parked on channel 13 while everyone else crowds
+/// channels 0–2 — the gap to channel 13 is far below the gen2
+/// selectivity floor, so link 7's coupling row must be empty and its
+/// counter bit-identical to a solo streamed run.
+fn assert_isolated_link_matches_single_link(channel: ChannelModel, rounds: u64) {
     let mut sc = NetScenario::ring(8, 7.0, SEED);
+    sc.channel_model = channel;
     sc.policy = ChannelPolicy::Static(vec![
         ch(0),
         ch(0),
@@ -52,7 +65,7 @@ fn isolated_link_matches_single_link_streamed_path_bitwise() {
         ch(0),
         ch(13),
     ]);
-    sc.rounds = 6;
+    sc.rounds = rounds;
     let report = run_network(&sc);
     assert!(
         report.plan.coupling[7].is_empty(),

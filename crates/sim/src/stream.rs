@@ -330,6 +330,51 @@ impl StreamingAwgn {
         self.initial = rng.clone();
         self.rng = rng;
     }
+
+    /// Adds this source's noise to a record held as `re` and `im` planes
+    /// and writes the complex result to `out`, replacing its contents:
+    /// sample `i` becomes `(re[i] + σ·g0, im[i] + σ·g1)`, where `im[i]` is
+    /// `+0.0` when `im` is `None`. The draws and their order are those of
+    /// [`BlockProcessor::process_block`] over the interleaved record, so
+    /// the output is bit-identical to interleaving the planes and running
+    /// it. The `+0.0` is added, not dropped: at `σ = 0` a negative draw
+    /// makes `σ·g1` a `−0.0` that `+0.0 + σ·g1` rounds back to `+0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `im` is present and its length differs from `re`'s.
+    pub fn add_to_planes(&mut self, re: &[f64], im: Option<&[f64]>, out: &mut Vec<Complex>) {
+        if let Some(im) = im {
+            assert_eq!(im.len(), re.len(), "re and im planes must be equally long");
+        }
+        out.clear();
+        out.reserve(re.len());
+        let sigma = self.sigma;
+        let mut buf = [0.0f64; 256];
+        for (k, re) in re.chunks(128).enumerate() {
+            let g = &mut buf[..2 * re.len()];
+            self.rng.fill_gaussian(g);
+            let noisy = |(&r, &i, g): (&f64, &f64, &[f64])| {
+                Complex::new(r + sigma * g[0], i + sigma * g[1])
+            };
+            match im {
+                Some(im) => {
+                    let im = &im[128 * k..][..re.len()];
+                    out.extend(
+                        re.iter()
+                            .zip(im)
+                            .zip(g.chunks_exact(2))
+                            .map(|((r, i), g)| noisy((r, i, g))),
+                    );
+                }
+                None => out.extend(
+                    re.iter()
+                        .zip(g.chunks_exact(2))
+                        .map(|(r, g)| noisy((r, &0.0, g))),
+                ),
+            }
+        }
+    }
 }
 
 impl BlockProcessor for StreamingAwgn {
@@ -844,6 +889,42 @@ mod tests {
             let mut scratch = DspScratch::new();
             process_record(&mut src, &mut streamed, bl, &mut scratch);
             assert_eq!(streamed, batch, "block {bl}");
+        }
+    }
+
+    #[test]
+    fn awgn_plane_pass_matches_process_block_bitwise() {
+        // Planes holding ±0 and ordinary values, at lengths around the
+        // 128-sample draw chunk, with and without an `im` plane, at σ > 0
+        // and at σ = 0, where a dropped `+0.0` would keep `−0.0` draws.
+        for len in [0usize, 1, 127, 128, 129, 300] {
+            let sig = test_signal(len);
+            let re: Vec<f64> = sig.iter().map(|z| z.re).collect();
+            let im: Vec<f64> = (0..len)
+                .map(|i| [sig[i].im, -0.0, 0.0][i % 3])
+                .collect();
+            for (p, with_im) in [(0.7, true), (0.7, false), (0.0, true), (0.0, false)] {
+                let interleaved: Vec<Complex> = (0..len)
+                    .map(|i| Complex::new(re[i], if with_im { im[i] } else { 0.0 }))
+                    .collect();
+                let mut want = interleaved.clone();
+                let mut scratch = DspScratch::new();
+                StreamingAwgn::new(p, Rand::new(17)).process_block(&mut want, &mut scratch);
+                let mut got = vec![Complex::ONE; 3];
+                StreamingAwgn::new(p, Rand::new(17)).add_to_planes(
+                    &re,
+                    with_im.then_some(im.as_slice()),
+                    &mut got,
+                );
+                assert_eq!(got.len(), len);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        (g.re.to_bits(), g.im.to_bits()),
+                        (w.re.to_bits(), w.im.to_bits()),
+                        "len {len}, n0 {p}, im plane {with_im}: sample {i}"
+                    );
+                }
+            }
         }
     }
 

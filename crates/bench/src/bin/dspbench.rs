@@ -3,10 +3,10 @@
 //!
 //! Times the FFT/correlation kernels that dominate the Monte-Carlo link
 //! trials (gated), single-threaded end-to-end trial throughput
-//! (informational), the FFT-plan count of the link path and the op count
-//! of one gen2 acquisition (exact pins), and the paper §1 digital-back-end
-//! blocks the power model is built from (informational; EXPERIMENTS.md
-//! "Back-end block timings"):
+//! (informational), the FFT-plan count of the link path and the op counts
+//! of one gen2 acquisition and one gen1 sync search (exact pins), and the
+//! paper §1 digital-back-end blocks the power model is built from
+//! (informational; EXPERIMENTS.md "Back-end block timings"):
 //!
 //! ```text
 //! cargo run -p uwb-bench --release --bin dspbench -- --out BENCH_dsp.json
@@ -22,12 +22,11 @@ use std::time::Instant;
 use uwb_adc::{InterleaveMismatch, InterleavedAdc, SarAdc};
 use uwb_bench::tracked::{self, noise_complex, time_us, Metric, MetricPolicy::*, Suite};
 use uwb_bench::EXPERIMENT_SEED;
-use uwb_dsp::correlation::{
-    circular_autocorrelation, cross_correlate, cross_correlate_fft, cross_correlate_fft_into,
-};
-use uwb_dsp::fft::{cached_plan, fft_convolve_real_into, fft_plans_built, Fft};
+use uwb_dsp::correlation::cross_correlate;
+use uwb_dsp::fft::{cached_plan, fft_plans_built, Fft};
 use uwb_dsp::stream::BlockProcessor;
 use uwb_dsp::{Complex, DspScratch, Window};
+use uwb_gen1::{Gen1Config, Gen1Transmitter};
 use uwb_phy::chanest::{estimate_cir, ChannelEstimate};
 use uwb_phy::mlse::{apply_symbol_channel, MlseEqualizer};
 use uwb_phy::{
@@ -61,11 +60,6 @@ fn suite() -> Suite {
         telemetry,
         trials: TRIALS,
     }
-}
-
-fn noise_real(n: usize, seed: u64) -> Vec<f64> {
-    let mut rng = Rand::new(seed);
-    (0..n).map(|_| rng.uniform_in(-1.0, 1.0)).collect()
 }
 
 fn run_kernels() -> Vec<Metric> {
@@ -128,56 +122,12 @@ fn run_kernels() -> Vec<Metric> {
         ));
     }
 
-    // 3. Packed real convolution (pulse shaping / template construction
-    //    shape): 2000-sample record against a 257-tap pulse.
-    {
-        let a = noise_real(2000, 3);
-        let b = noise_real(257, 4);
-        let mut scratch = DspScratch::new();
-        let mut conv = Vec::new();
-        out.push(Metric::us(
-            "fft_convolve_real_2000x257",
-            time_us(50, 15, || {
-                fft_convolve_real_into(&a, &b, &mut scratch, &mut conv);
-            }),
-            Gate,
-        ));
-    }
-
-    // 4. FFT cross-correlation at the channel-estimation shape:
-    //    2555-sample record against a 1277-sample preamble template.
-    {
-        let sig = noise_complex(2555, 5);
-        let tpl = noise_complex(1277, 6);
-        let mut scratch = DspScratch::new();
-        let mut corr = Vec::new();
-        out.push(Metric::us(
-            "cross_correlate_fft_2555x1277",
-            time_us(30, 15, || {
-                cross_correlate_fft_into(&sig, &tpl, &mut scratch, &mut corr);
-            }),
-            Gate,
-        ));
-    }
-
-    // 5. Circular autocorrelation of a 1024-chip code (PN-code analysis
-    //    path; O(n²) before the FFT fold).
-    {
-        let x = noise_real(1024, 7);
-        out.push(Metric::us(
-            "circular_autocorr_1024",
-            time_us(15, 15, || {
-                let _ = circular_autocorrelation(&x);
-            }),
-            Gate,
-        ));
-    }
-
-    // 6. Eight coarse acquisitions (one default batch of records) against
+    // 3. Eight coarse acquisitions (one default batch of records) against
     //    the gen2 preamble code, over the receiver's search: one preamble
     //    period plus its 8-sample channel-estimate margin. The exact row
     //    beside it counts the chip-domain kernel's real adds and MACs for
-    //    one such acquisition.
+    //    one such acquisition; the gen1 row counts them for one sync search
+    //    of the demonstrated receiver over one preamble period of phases.
     {
         let cfg = Gen2Config::nominal_100mbps();
         let code = Gen2Transmitter::new(cfg.clone())
@@ -205,9 +155,21 @@ fn run_kernels() -> Vec<Metric> {
             0,
             Exact,
         ));
+        let cfg = Gen1Config::demonstrated_193kbps();
+        let code = Gen1Transmitter::new(cfg.clone()).preamble_code(cfg.sync_periods());
+        let phases = cfg.preamble_period_samples();
+        let region = phases + code.template_len() - 1;
+        let ops = CorrelatorBank::new(code, cfg.sync_parallelism).kernel_ops(region, phases);
+        out.push(Metric::new(
+            "acq_kernel_ops_gen1",
+            ops as f64,
+            "ops",
+            0,
+            Exact,
+        ));
     }
 
-    // 7. Streamed multipath convolution at the link block shape: one
+    // 4. Streamed multipath convolution at the link block shape: one
     //    fixed-seed CM1 realization, configured once, over a 4096-sample
     //    block. Complex noise runs the complex kernel (taps × 4096 complex
     //    multiply-adds); the real parts of a 256-byte gen2 burst from its
@@ -345,7 +307,7 @@ fn backend_blocks() -> Vec<Metric> {
     let mut row = |name, us| out.push(Metric::us(name, us, InfoLowerBetter));
 
     // Substrate: an allocating 1024-point FFT through a prebuilt plan,
-    // direct vs FFT correlation, and a Welch PSD.
+    // direct correlation, and a Welch PSD.
     let fft = Fft::new(1024);
     let x: Vec<Complex> = (0..1024).map(|i| Complex::cis(0.1 * i as f64)).collect();
     row(
@@ -360,12 +322,6 @@ fn backend_blocks() -> Vec<Metric> {
         "correlate_direct_8192x256",
         time_us(2, 5, || {
             black_box(cross_correlate(black_box(&sig), &tpl));
-        }),
-    );
-    row(
-        "correlate_fft_8192x256",
-        time_us(10, 5, || {
-            black_box(cross_correlate_fft(black_box(&sig), &tpl));
         }),
     );
     let sig: Vec<Complex> = (0..16_384).map(|i| Complex::cis(0.01 * i as f64)).collect();

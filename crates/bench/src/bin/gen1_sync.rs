@@ -46,7 +46,7 @@ fn main() {
     let cfg = Gen1Config::demonstrated_193kbps();
     let tx = Gen1Transmitter::new(cfg.clone());
     let rx = Gen1Receiver::new(cfg.clone(), InterleaveMismatch::typical(), EXPERIMENT_SEED);
-    let sync = Gen1Sync::new(tx.preamble_template(), cfg.clone());
+    let sync = Gen1Sync::new(tx.preamble_code(1), cfg.clone());
     let mut rng = Rand::new(EXPERIMENT_SEED);
     let trials = 40;
     let mut locks = 0;

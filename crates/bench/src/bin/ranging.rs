@@ -10,6 +10,7 @@ use uwb_dsp::resample::fractional_delay;
 use uwb_dsp::Complex;
 use uwb_phy::pulse::PulseShape;
 use uwb_phy::ranging::{distance_to_delay_ns, solve_two_way, ToaEstimator};
+use uwb_phy::SpreadCode;
 use uwb_platform::report::Table;
 use uwb_sim::awgn::add_awgn_complex;
 use uwb_sim::sv_channel::{ChannelModel, ChannelRealization};
@@ -20,19 +21,13 @@ fn fs() -> SampleRate {
     SampleRate::from_gsps(1.0)
 }
 
-/// A preamble-like ranging waveform: 31 BPSK pulses at 100 MHz PRF.
-fn ranging_waveform() -> Vec<Complex> {
-    let pulse = PulseShape::gen2_default().generate_complex(fs());
-    let chips = uwb_phy::pn::msequence_chips(5);
-    let sps = 10;
-    let n = (chips.len() - 1) * sps + pulse.len();
-    let mut out = vec![Complex::ZERO; n];
-    for (k, &c) in chips.iter().enumerate() {
-        for (j, &p) in pulse.iter().enumerate() {
-            out[k * sps + j] += p * c;
-        }
+/// A preamble-like ranging code: 31 BPSK pulses at 100 MHz PRF.
+fn ranging_code() -> SpreadCode {
+    SpreadCode {
+        chips: uwb_phy::pn::msequence_chips(5),
+        samples_per_chip: 10,
+        pulse: PulseShape::gen2_default().generate(fs()),
     }
-    out
 }
 
 fn main() {
@@ -41,7 +36,8 @@ fn main() {
         banner("E13", "precise locationing via leading-edge TOA", "abstract")
     );
 
-    let template = ranging_waveform();
+    let code = ranging_code();
+    let template = code.template();
     let est = ToaEstimator::new();
 
     // --- Part 1: TOA error vs matched-filter SNR (LOS, fractional delays) ---
@@ -58,7 +54,7 @@ fn main() {
             let delayed = fractional_delay(&sig, true_delay, 8);
             let p = uwb_dsp::complex::mean_power(&delayed);
             let noisy = add_awgn_complex(&delayed, p / uwb_dsp::math::db_to_pow(snr_db), &mut rng);
-            if let Some(toa) = est.estimate(&noisy, &template, fs()) {
+            if let Some(toa) = est.estimate(&noisy, &code, fs()) {
                 let err_samples = toa.samples - (80.0 + true_delay);
                 sq += err_samples * err_samples;
             } else {
@@ -102,7 +98,7 @@ fn main() {
                 let p = uwb_dsp::complex::mean_power(&delayed);
                 let noisy = add_awgn_complex(&delayed, p / 100.0, &mut rng);
                 for (which, est_ref) in [(0, &est), (1, &naive)] {
-                    if let Some(toa) = est_ref.estimate(&noisy, &template, fs()) {
+                    if let Some(toa) = est_ref.estimate(&noisy, &code, fs()) {
                         // Two-way: assume symmetric link (same TOA both ways).
                         let t_tx = 0.0;
                         let turnaround = 1000.0;

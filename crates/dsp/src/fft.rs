@@ -1,8 +1,10 @@
 //! Radix-2 decimation-in-time FFT.
 //!
 //! A dependency-free iterative Cooley–Tukey implementation with precomputed
-//! twiddle factors, plus helpers for real-input transforms and zero-padded
-//! transforms of arbitrary length.
+//! twiddle factors, plus zero-padded transforms of arbitrary length and
+//! linear convolution. Its users are spectra (Welch PSD), the multipath
+//! channel's whole-record convolution and test oracles; no receiver search
+//! correlates through it.
 //!
 //! The forward transform computes `X[k] = Σ x[n] e^{-i 2π nk/N}`; the inverse
 //! applies the conjugate kernel and divides by `N`, so
@@ -10,7 +12,7 @@
 //!
 //! # Allocation-free steady state
 //!
-//! Three layers keep the per-trial DSP path allocation-free:
+//! Two layers keep the FFT path allocation-free:
 //!
 //! * **In-place / into-buffer transforms** — [`Fft::process_in_place`],
 //!   [`Fft::forward_in_place`], [`Fft::inverse_in_place`],
@@ -23,12 +25,6 @@
 //!   computed once per (worker thread, size) instead of per call.
 //!   [`fft_plans_built`] exposes a process-wide construction counter that
 //!   tests use to assert the cache is effective.
-//! * **Packed real transforms** — [`fft_convolve_real`] packs both real
-//!   inputs into one complex signal (`z = a + i·b`), so a real×real linear
-//!   convolution costs two transforms instead of three. The unpacking
-//!   reorders float operations, so results match the complex reference to
-//!   ≤ 1e-12 relative error rather than bitwise (tolerance documented and
-//!   parity-tested in `tests/fft_parity.rs`).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -383,68 +379,6 @@ pub fn fft_convolve_into(
     scratch.put_complex(pb);
 }
 
-/// Linear convolution of two real signals via one **packed** complex FFT.
-///
-/// Both inputs ride a single transform (`z = a + i·b`): the spectra are
-/// unpacked with the Hermitian-symmetry identities
-/// `A[k] = (Z[k] + conj(Z[n-k]))/2`, `B[k] = -i/2 · (Z[k] - conj(Z[n-k]))`,
-/// multiplied, and inverse-transformed once — two FFTs instead of the three a
-/// complex-path convolution needs. The reordering of float operations means
-/// results match the complex reference to **≤ 1e-12** relative error (not
-/// bitwise); the parity is locked down in `tests/fft_parity.rs`.
-pub fn fft_convolve_real(a: &[f64], b: &[f64]) -> Vec<f64> {
-    let mut scratch = DspScratch::new();
-    let mut out = Vec::new();
-    fft_convolve_real_into(a, b, &mut scratch, &mut out);
-    out
-}
-
-/// [`fft_convolve_real`] computing into caller-owned storage.
-///
-/// `out` is cleared and filled with the `a.len() + b.len() - 1` samples; the
-/// packed complex work buffer comes from `scratch`, so the steady state is
-/// allocation-free.
-pub fn fft_convolve_real_into(
-    a: &[f64],
-    b: &[f64],
-    scratch: &mut DspScratch,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    if a.is_empty() || b.is_empty() {
-        return;
-    }
-    let out_len = a.len() + b.len() - 1;
-    let n = next_pow2(out_len);
-    let fft = cached_plan(n);
-    let mut z = scratch.take_complex(n);
-    for (zi, &x) in z.iter_mut().zip(a) {
-        zi.re = x;
-    }
-    for (zi, &x) in z.iter_mut().zip(b) {
-        zi.im = x;
-    }
-    fft.forward_in_place(&mut z);
-    // Unpack A[k], B[k] from Z[k] and Z[n-k], multiply, and write the product
-    // spectrum back in place. The product of two real-signal spectra is
-    // Hermitian, so P[n-k] = conj(P[k]) and one half-spectrum pass suffices.
-    let half = n / 2;
-    for k in 0..=half {
-        let zk = z[k];
-        let zmk = z[if k == 0 { 0 } else { n - k }].conj();
-        let ak = (zk + zmk).scale(0.5);
-        let bk = (zk - zmk) * Complex::new(0.0, -0.5);
-        let p = ak * bk;
-        z[k] = p;
-        if k != 0 && k != n - k {
-            z[n - k] = p.conj();
-        }
-    }
-    fft.inverse_in_place(&mut z);
-    out.extend(z[..out_len].iter().map(|c| c.re));
-    scratch.put_complex(z);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,30 +538,12 @@ mod tests {
 
     #[test]
     fn convolution_matches_direct() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [0.5, -1.0];
-        let got = fft_convolve_real(&a, &b);
+        let c = |v: &[f64]| -> Vec<Complex> { v.iter().map(|&x| Complex::new(x, 0.0)).collect() };
+        let got = fft_convolve(&c(&[1.0, 2.0, 3.0]), &c(&[0.5, -1.0]));
         let want = [0.5, 0.0, -0.5, -3.0];
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-9, "{g} vs {w}");
-        }
-    }
-
-    #[test]
-    fn packed_real_convolution_matches_complex_path() {
-        // The packed path reorders float ops; parity must hold to 1e-12.
-        let a: Vec<f64> = (0..200).map(|i| (0.13 * i as f64).sin() * 2.0).collect();
-        let b: Vec<f64> = (0..37).map(|i| (0.41 * i as f64).cos() - 0.2).collect();
-        let packed = fft_convolve_real(&a, &b);
-        let ca: Vec<Complex> = a.iter().map(|&x| Complex::new(x, 0.0)).collect();
-        let cb: Vec<Complex> = b.iter().map(|&x| Complex::new(x, 0.0)).collect();
-        let reference = fft_convolve(&ca, &cb);
-        assert_eq!(packed.len(), reference.len());
-        let scale: f64 = a.iter().map(|x| x.abs()).sum::<f64>()
-            * b.iter().map(|x| x.abs()).fold(0.0, f64::max);
-        for (p, r) in packed.iter().zip(&reference) {
-            assert!((p - r.re).abs() <= 1e-12 * scale.max(1.0), "{p} vs {}", r.re);
+            assert!((g.re - w).abs() < 1e-9 && g.im.abs() < 1e-9, "{g} vs {w}");
         }
     }
 
@@ -651,7 +567,6 @@ mod tests {
     #[test]
     fn empty_convolution() {
         assert!(fft_convolve(&[], &[Complex::ONE]).is_empty());
-        assert!(fft_convolve_real(&[], &[1.0]).is_empty());
         let mut scratch = DspScratch::new();
         let mut out = vec![Complex::ONE];
         fft_convolve_into(&[], &[Complex::ONE], &mut scratch, &mut out);
@@ -668,10 +583,6 @@ mod tests {
         let y = fft_convolve(&[Complex::new(3.0, 0.0)], &[Complex::new(0.0, 2.0)]);
         assert_eq!(y.len(), 1);
         assert!((y[0] - Complex::new(0.0, 6.0)).norm() < 1e-12);
-        // And the packed real path at n = 1.
-        let r = fft_convolve_real(&[3.0], &[-2.0]);
-        assert_eq!(r.len(), 1);
-        assert!((r[0] + 6.0).abs() < 1e-12);
     }
 
     #[test]

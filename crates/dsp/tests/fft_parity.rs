@@ -2,22 +2,13 @@
 //!
 //! Every `_into` / `_in_place` variant added by the kernel-layer rework must
 //! reproduce its allocating counterpart *bit for bit* — they share the same
-//! butterfly schedule, so even the rounding errors must line up. The one
-//! documented exception is the packed real-FFT convolution path
-//! (`fft_convolve_real_into`), which reorders floating-point operations and
-//! is therefore held to a 1e-12-relative tolerance instead (see
-//! `fft_convolve_real_into` docs).
+//! butterfly schedule, so even the rounding errors must line up.
 //!
 //! The proptest section drives `forward_into`/`inverse_into` round trips on
 //! every power-of-two size up to 4096 with arbitrary signals.
 
 use proptest::prelude::*;
-use uwb_dsp::correlation::{
-    circular_autocorrelation, cross_correlate_fft, cross_correlate_fft_into,
-};
-use uwb_dsp::fft::{
-    cached_plan, fft_convolve, fft_convolve_into, fft_convolve_real, fft_convolve_real_into, Fft,
-};
+use uwb_dsp::fft::{cached_plan, fft_convolve, fft_convolve_into, Fft};
 use uwb_dsp::{Complex, DspScratch};
 
 /// Deterministic pseudo-signal (no RNG dependency needed for the fixed tests).
@@ -28,10 +19,6 @@ fn signal(n: usize, phase: f64) -> Vec<Complex> {
             Complex::new((1.3 * t).sin() + 0.2 * (7.1 * t).cos(), (2.9 * t).cos())
         })
         .collect()
-}
-
-fn real_signal(n: usize, phase: f64) -> Vec<f64> {
-    (0..n).map(|k| (k as f64 * 0.61 + phase).sin()).collect()
 }
 
 fn assert_bits_eq(a: &[Complex], b: &[Complex], what: &str) {
@@ -125,68 +112,6 @@ fn fft_convolve_into_bitwise_matches() {
     // Steady state: a second call reuses the pooled buffers and still agrees.
     fft_convolve_into(&a, &b, &mut scratch, &mut out);
     assert_bits_eq(&reference, &out, "fft_convolve (warm)");
-}
-
-/// Packed real convolution: two real sequences ride one complex transform,
-/// which reorders float ops — documented ≤1e-12-relative parity, not bitwise.
-#[test]
-fn fft_convolve_real_into_parity() {
-    for &(na, nb) in &[(2000usize, 257usize), (64, 64), (513, 31), (1, 1)] {
-        let a = real_signal(na, 0.3);
-        let b = real_signal(nb, 5.1);
-        let reference = fft_convolve_real(&a, &b);
-        let mut scratch = DspScratch::new();
-        let mut out = Vec::new();
-        fft_convolve_real_into(&a, &b, &mut scratch, &mut out);
-        assert_eq!(reference.len(), out.len());
-        let scale: f64 = a.iter().map(|v| v.abs()).sum::<f64>()
-            * b.iter().map(|v| v.abs()).sum::<f64>()
-            / (na.max(nb) as f64)
-            + 1.0;
-        for (i, (x, y)) in reference.iter().zip(&out).enumerate() {
-            assert!(
-                (x - y).abs() <= 1e-12 * scale,
-                "real convolve ({na}x{nb}) at {i}: {x} vs {y}"
-            );
-        }
-    }
-}
-
-/// FFT cross-correlation: scratch variant is bit-identical (same chain), and
-/// the small-n direct fallback agrees with the direct correlator by
-/// construction.
-#[test]
-fn cross_correlate_fft_into_bitwise_matches() {
-    for &(ns, nt) in &[(2555usize, 1277usize), (40, 13), (8, 8)] {
-        let sig = signal(ns, 1.1);
-        let tpl = signal(nt, 3.3);
-        let reference = cross_correlate_fft(&sig, &tpl);
-        let mut scratch = DspScratch::new();
-        let mut out = Vec::new();
-        cross_correlate_fft_into(&sig, &tpl, &mut scratch, &mut out);
-        assert_bits_eq(&reference, &out, &format!("xcorr {ns}x{nt}"));
-        cross_correlate_fft_into(&sig, &tpl, &mut scratch, &mut out);
-        assert_bits_eq(&reference, &out, &format!("xcorr {ns}x{nt} (warm)"));
-    }
-}
-
-/// The FFT-folded circular autocorrelation must agree with the O(n²)
-/// definition to floating-point accuracy on a non-pow-2 length (exercises
-/// the padded cyclic embedding).
-#[test]
-fn circular_autocorrelation_matches_direct_definition() {
-    for &n in &[3usize, 37, 100, 1024] {
-        let x = real_signal(n, 0.9);
-        let got = circular_autocorrelation(&x);
-        let energy: f64 = x.iter().map(|v| v * v).sum::<f64>() + 1.0;
-        for (lag, g) in got.iter().enumerate() {
-            let direct: f64 = (0..n).map(|i| x[i] * x[(i + lag) % n]).sum::<f64>();
-            assert!(
-                (g - direct).abs() <= 1e-9 * energy,
-                "autocorr n={n} lag={lag}: {g} vs {direct}"
-            );
-        }
-    }
 }
 
 fn complex_vec(len: usize) -> impl Strategy<Value = Vec<Complex>> {

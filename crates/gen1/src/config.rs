@@ -62,6 +62,13 @@ impl Gen1Config {
         ((1usize << self.preamble_degree) - 1) * self.slot_samples
     }
 
+    /// Preamble periods the receiver's sync code integrates coherently:
+    /// all but one (at least one), for sensitivity down to the link's
+    /// operating SNR.
+    pub fn sync_periods(&self) -> usize {
+        (self.preamble_repeats - 1).max(1)
+    }
+
     /// Worst-case serial-search synchronization time in microseconds: all
     /// code phases in one period, each dwelling one preamble period, spread
     /// over the parallel correlators.

@@ -5,6 +5,7 @@ use crate::sync::{Gen1Sync, SyncResult};
 use uwb_adc::{InterleaveMismatch, InterleavedAdc};
 use uwb_phy::pn::msequence_chips;
 use uwb_phy::pulse::PulseShape;
+use uwb_phy::SpreadCode;
 use uwb_sim::rng::Rand;
 
 /// A transmitted gen1 burst (real baseband samples — no carrier).
@@ -52,11 +53,8 @@ impl Gen1Transmitter {
 
     /// Builds the chip (slot amplitude) sequence: preamble + spread bits.
     fn chip_sequence(&self, bits: &[bool]) -> Vec<f64> {
-        let pn = msequence_chips(self.config.preamble_degree);
-        let mut chips = Vec::new();
-        for _ in 0..self.config.preamble_repeats {
-            chips.extend_from_slice(&pn);
-        }
+        let mut chips =
+            msequence_chips(self.config.preamble_degree).repeat(self.config.preamble_repeats);
         for &b in bits {
             let a = if b { 1.0 } else { -1.0 };
             for _ in 0..self.config.pulses_per_bit {
@@ -86,34 +84,22 @@ impl Gen1Transmitter {
         }
     }
 
-    /// One preamble period as a sampled template (for the sync engine).
-    pub fn preamble_template(&self) -> Vec<f64> {
-        self.preamble_template_periods(1)
-    }
-
-    /// `periods` consecutive preamble periods as one coherent template.
-    /// Longer templates buy acquisition sensitivity at low SNR (the modeled
-    /// hardware accumulates the same gain across dwells).
+    /// `periods` consecutive preamble periods as one spread code: the
+    /// m-sequence repeated `periods` times, `slot_samples` apart, each chip
+    /// carrying the monocycle. Longer codes buy acquisition sensitivity at
+    /// low SNR (the modeled hardware accumulates the same gain across
+    /// dwells).
     ///
     /// # Panics
     ///
     /// Panics if `periods == 0`.
-    fn preamble_template_periods(&self, periods: usize) -> Vec<f64> {
+    pub fn preamble_code(&self, periods: usize) -> SpreadCode {
         assert!(periods > 0, "need at least one period");
-        let pn = msequence_chips(self.config.preamble_degree);
-        let sps = self.config.slot_samples;
-        let total_chips = pn.len() * periods;
-        let n = (total_chips - 1) * sps + self.pulse.len();
-        let mut out = vec![0.0; n];
-        for rep in 0..periods {
-            for (k, &c) in pn.iter().enumerate() {
-                let start = (rep * pn.len() + k) * sps;
-                for (j, &p) in self.pulse.iter().enumerate() {
-                    out[start + j] += c * p;
-                }
-            }
+        SpreadCode {
+            chips: msequence_chips(self.config.preamble_degree).repeat(periods),
+            samples_per_chip: self.config.slot_samples,
+            pulse: self.pulse.clone(),
         }
-        out
     }
 }
 
@@ -154,11 +140,9 @@ impl Gen1Receiver {
             &mut rng,
         );
         let tx = Gen1Transmitter::new(config.clone());
-        // Integrate all-but-one preamble period coherently for sensitivity
-        // down to the link's operating SNR.
-        let template = tx.preamble_template_periods((config.preamble_repeats - 1).max(1));
+        let code = tx.preamble_code(config.sync_periods());
         let pulse = tx.pulse().to_vec();
-        let sync = Gen1Sync::new(template, config.clone());
+        let sync = Gen1Sync::new(code, config.clone());
         Gen1Receiver {
             config,
             adc,
@@ -193,10 +177,14 @@ impl Gen1Receiver {
         Some(Gen1Decoded { bits, sync })
     }
 
-    /// Demodulates `n_bits` starting from a known preamble offset.
+    /// Demodulates `n_bits` starting from a known preamble offset: each
+    /// bit sums the pulse matched filter at its `pulses_per_bit` slots. The
+    /// filter is evaluated only at those slots, each dot product summed in
+    /// ascending tap order; a slot whose pulse runs past the record counts
+    /// zero.
     fn demodulate(&self, digitized: &[f64], offset: usize, n_bits: usize) -> Vec<bool> {
         let sps = self.config.slot_samples;
-        let mf = uwb_dsp::correlation::cross_correlate_real(digitized, &self.pulse);
+        let l = self.pulse.len();
         let preamble_chips =
             ((1usize << self.config.preamble_degree) - 1) * self.config.preamble_repeats;
         let ppb = self.config.pulses_per_bit;
@@ -206,8 +194,12 @@ impl Gen1Receiver {
             for r in 0..ppb {
                 let slot = preamble_chips + k * ppb + r;
                 let idx = offset + slot * sps;
-                if idx < mf.len() {
-                    acc += mf[idx];
+                if idx + l <= digitized.len() {
+                    let window = &digitized[idx..idx + l];
+                    acc += window
+                        .iter()
+                        .zip(&self.pulse)
+                        .fold(0.0, |m, (x, p)| m + x * p);
                 }
             }
             bits.push(acc > 0.0);
@@ -332,21 +324,17 @@ mod tests {
     }
 
     #[test]
-    fn multi_period_template_is_periodic_extension() {
+    fn preamble_code_repeats_the_msequence() {
         let cfg = short_config();
         let tx = Gen1Transmitter::new(cfg.clone());
-        let one = tx.preamble_template();
-        let three = tx.preamble_template_periods(3);
+        let one = tx.preamble_code(1);
+        let three = tx.preamble_code(3);
+        assert_eq!(one.chips, msequence_chips(cfg.preamble_degree));
+        assert_eq!(three.chips, one.chips.repeat(3));
+        assert_eq!(three.samples_per_chip, cfg.slot_samples);
+        assert_eq!(three.pulse, tx.pulse());
         let period = 127 * cfg.slot_samples;
-        assert_eq!(three.len(), one.len() + 2 * period);
-        // The first period of the long template matches the short one except
-        // where the next period's pulses overlap the tail.
-        for i in 0..period - cfg.slot_samples {
-            assert!(
-                (one[i] - three[i]).abs() < 1e-12,
-                "mismatch at sample {i}"
-            );
-        }
+        assert_eq!(three.template_len(), one.template_len() + 2 * period);
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! Through further parallelization, packet synchronization is obtained in
 //! less than 70 µs." (paper §2). The engine searches every sample phase of
 //! one preamble period with a bank of `sync_parallelism` correlators and
-//! reports both the lock and the modeled hardware search time.
+//! reports both the lock and the modeled hardware search time. The bank is
+//! gen2's [`CorrelatorBank`] over the preamble's [`SpreadCode`] (m-sequence
+//! chips × the monocycle): ±1 chip sums, then the pulse FIR.
 
 use crate::config::Gen1Config;
+use uwb_phy::{CorrelatorBank, SpreadCode};
 
 /// A gen1 synchronization lock (the detection threshold was cleared).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,47 +35,39 @@ const THRESHOLD: f64 = 7.0;
 /// The parallelized synchronization engine.
 #[derive(Debug, Clone)]
 pub struct Gen1Sync {
-    template: Vec<f64>,
+    bank: CorrelatorBank,
     config: Gen1Config,
 }
 
 impl Gen1Sync {
-    /// Creates a sync engine for one preamble-period template.
+    /// Creates a sync engine for a preamble code (one or more periods, see
+    /// [`Gen1Transmitter::preamble_code`](crate::Gen1Transmitter::preamble_code)).
     ///
     /// # Panics
     ///
-    /// Panics if the template is empty.
-    pub fn new(template: Vec<f64>, config: Gen1Config) -> Self {
-        assert!(!template.is_empty(), "template must be non-empty");
-        Gen1Sync { template, config }
+    /// Panics if the code has no chips or no pulse or a chip other than ±1,
+    /// or if `config.sync_parallelism == 0`.
+    pub fn new(code: SpreadCode, config: Gen1Config) -> Self {
+        let bank = CorrelatorBank::new(code, config.sync_parallelism);
+        Gen1Sync { bank, config }
     }
 
     /// Searches all phases of one preamble period. Returns `None` when the
     /// peak metric stays below the threshold.
     pub fn acquire(&self, samples: &[f64]) -> Option<SyncResult> {
-        let m = self.template.len();
+        let m = self.bank.template_len();
         if samples.len() < m {
             return None;
         }
         let period = self.config.preamble_period_samples();
         let n_phases = period.min(samples.len() - m + 1);
 
-        // FFT-based correlation over the search region (equivalent to the
-        // hardware's parallel bank, but O(N log N) in simulation).
-        let region = &samples[..(n_phases + m - 1).min(samples.len())];
-        let corr = {
-            let sig_c = uwb_dsp::complex::to_complex(region);
-            let tpl_c = uwb_dsp::complex::to_complex(&self.template);
-            uwb_dsp::correlation::cross_correlate_fft(&sig_c, &tpl_c)
-        };
-        let mags: Vec<f64> = corr
-            .iter()
-            .take(n_phases)
-            .map(|z| z.re.abs())
-            .collect();
-        if mags.is_empty() {
-            return None;
-        }
+        // The bank over the search region, promoted to the complex rail;
+        // the correlation of real samples with a real code is its real part.
+        let region = uwb_dsp::complex::to_complex(&samples[..n_phases + m - 1]);
+        let mut corr = Vec::new();
+        self.bank.run_prefix_into(&region, n_phases, &mut corr);
+        let mags: Vec<f64> = corr.iter().map(|z| z.re.abs()).collect();
         let best_idx = uwb_dsp::math::argmax(&mags)?;
         // CFAR floor: the median absolute correlator output across phases.
         let mut sorted = mags.clone();
@@ -113,7 +108,7 @@ mod tests {
         let config = cfg();
         let tx = Gen1Transmitter::new(config.clone());
         let burst = tx.transmit(&[true, false, true]);
-        let sync = Gen1Sync::new(tx.preamble_template(), config);
+        let sync = Gen1Sync::new(tx.preamble_code(1), config);
         let r = sync.acquire(&burst.samples).expect("no lock");
         assert_eq!(r.offset, burst.slot0_start);
         assert!(r.metric > 7.0, "{}", r.metric);
@@ -124,7 +119,7 @@ mod tests {
         let config = cfg();
         let tx = Gen1Transmitter::new(config.clone());
         let burst = tx.transmit(&[true]);
-        let sync = Gen1Sync::new(tx.preamble_template(), config);
+        let sync = Gen1Sync::new(tx.preamble_code(1), config);
         let r = sync.acquire(&burst.samples).unwrap();
         assert!(r.search_time_us < 70.0, "{} µs", r.search_time_us);
     }
@@ -137,7 +132,7 @@ mod tests {
         let mut rng = Rand::new(1);
         let p = uwb_dsp::complex::mean_power_real(&burst.samples);
         let noisy = add_awgn_real(&burst.samples, 2.0 * p, &mut rng);
-        let sync = Gen1Sync::new(tx.preamble_template(), config);
+        let sync = Gen1Sync::new(tx.preamble_code(1), config);
         let r = sync.acquire(&noisy).expect("no lock in noise");
         assert_eq!(r.offset, burst.slot0_start);
     }
@@ -146,7 +141,7 @@ mod tests {
     fn rejects_pure_noise() {
         let config = cfg();
         let tx = Gen1Transmitter::new(config.clone());
-        let sync = Gen1Sync::new(tx.preamble_template(), config);
+        let sync = Gen1Sync::new(tx.preamble_code(1), config);
         let mut rng = Rand::new(2);
         let noise: Vec<f64> = (0..50_000).map(|_| rng.gaussian()).collect();
         assert!(sync.acquire(&noise).is_none());
@@ -156,7 +151,7 @@ mod tests {
     fn short_input_returns_none() {
         let config = cfg();
         let tx = Gen1Transmitter::new(config.clone());
-        let sync = Gen1Sync::new(tx.preamble_template(), config);
+        let sync = Gen1Sync::new(tx.preamble_code(1), config);
         assert!(sync.acquire(&[0.0; 10]).is_none());
     }
 }

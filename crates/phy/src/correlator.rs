@@ -17,12 +17,19 @@
 //! out[φ] = Σ_j p[j] · Z[φ + j]          (L real MACs per phase)
 //! ```
 //!
-//! instead of `(N−1)·S + L` complex MACs per phase. On ADC output the chip
-//! sums are exact: quantized samples are `(k+½)·step` with a power-of-two
-//! step, and ±1 sums of them stay exactly representable in f64, so they do
-//! not depend on summation order, and the kernel adds the +1 chips and
-//! subtracts the −1 chips without multiplying. Both stages run
+//! instead of `(N−1)·S + L` complex MACs per phase. The kernel adds the +1
+//! chips and subtracts the −1 chips without multiplying. Both stages run
 //! register-tiled, [`TILE`] outputs per pass over the chips or taps.
+//!
+//! Three searches run on the bank: gen2 acquisition, gen1 sync and TOA
+//! ranging. On gen2's ideal ADC output the chip sums are exact: quantized
+//! samples are `(k+½)·step` with a power-of-two step, and ±1 sums of them
+//! stay exactly representable in f64, so they do not depend on summation
+//! order. That does not hold for gen1's interleaved ADC, whose lane gain
+//! and offset mismatch move samples off the grid, nor for ranging's
+//! unquantized input: there each chip sum is rounded, in the kernel's fixed
+//! order (+1 chips ascending, then −1 chips ascending), and is bounded
+//! against an f64 FFT oracle in the tests.
 
 use uwb_dsp::Complex;
 
@@ -356,20 +363,48 @@ mod tests {
     fn kernel_matches_fft_oracle_across_codes() {
         // m-sequence degrees 3–12; chip spacings 1, 2 and gen2's 10; pulses
         // shorter than, equal to and longer than a chip (gen2: 11 > 10).
+        let mut codes = Vec::new();
         for degree in 3..=12u32 {
             for (spc, pulse_len) in [(1, 1), (1, 3), (2, 2), (2, 5), (10, 4), (10, 11)] {
-                let code = code(degree, spc, pulse_len);
-                let m = code.template_len();
-                let at = 5 + (m / 3) % 200;
-                let sig = record(&code, 2 * m + 37, at);
-                let out = checked_run(&code, &sig, 317);
-                let mags: Vec<f64> = out.iter().map(|z| z.norm()).collect();
-                assert_eq!(
-                    uwb_dsp::math::argmax(&mags),
-                    Some(at),
-                    "degree {degree} spc {spc} L {pulse_len}"
-                );
+                codes.push(code(degree, spc, pulse_len));
             }
+        }
+        // Gen1's sync code: degree 7 repeated over 3 periods, 64 samples
+        // per chip, the 9-tap monocycle at 2 GS/s. Ranging's: the gen2
+        // pulse as one chip, and degree 5 at 10 samples per chip.
+        let monocycle = crate::pulse::PulseShape::Monocycle {
+            center: uwb_sim::time::Hertz::from_mhz(500.0),
+        }
+        .generate(uwb_sim::time::SampleRate::from_gsps(2.0));
+        assert_eq!(monocycle.len(), 9);
+        let gen2_pulse = crate::pulse::PulseShape::gen2_default()
+            .generate(uwb_sim::time::SampleRate::from_gsps(1.0));
+        let spread = |chips: Vec<f64>, samples_per_chip, pulse: &[f64]| SpreadCode {
+            chips,
+            samples_per_chip,
+            pulse: pulse.to_vec(),
+        };
+        codes.push(spread(
+            crate::pn::msequence_chips(7).repeat(3),
+            64,
+            &monocycle,
+        ));
+        codes.push(spread(vec![1.0], 1, &gen2_pulse));
+        codes.push(spread(crate::pn::msequence_chips(5), 10, &gen2_pulse));
+        for code in &codes {
+            let m = code.template_len();
+            let at = 5 + (m / 3) % 200;
+            let sig = record(code, 2 * m + 37, at);
+            let out = checked_run(code, &sig, 317);
+            let mags: Vec<f64> = out.iter().map(|z| z.norm()).collect();
+            assert_eq!(
+                uwb_dsp::math::argmax(&mags),
+                Some(at),
+                "{} chips, spc {}, L {}",
+                code.chips.len(),
+                code.samples_per_chip,
+                code.pulse.len()
+            );
         }
     }
 

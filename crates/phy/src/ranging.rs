@@ -6,9 +6,11 @@
 //! timestamps the direct path to sub-metre accuracy. This module implements
 //! the standard pipeline: matched filter → strongest peak → leading-edge
 //! search (the first path is *not* always the strongest in NLOS) →
-//! parabolic sub-sample refinement → two-way-ranging distance solve.
+//! parabolic sub-sample refinement → two-way-ranging distance solve. The
+//! matched filter is the acquisition [`CorrelatorBank`] over the ranging
+//! preamble's [`SpreadCode`], evaluated at every lag where the code fits.
 
-use uwb_dsp::correlation::cross_correlate_fft;
+use crate::correlator::{CorrelatorBank, SpreadCode};
 use uwb_dsp::Complex;
 use uwb_sim::pathloss::SPEED_OF_LIGHT;
 use uwb_sim::time::SampleRate;
@@ -47,20 +49,27 @@ impl ToaEstimator {
         }
     }
 
-    /// Estimates the TOA of `template` within `signal`.
+    /// Estimates the TOA of `code` within `signal`.
     ///
-    /// Returns `None` if the record is shorter than the template or contains
-    /// no energy.
+    /// Returns `None` if the code is empty, the record is shorter than the
+    /// code's template, or the record contains no energy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a chip is other than ±1 or `samples_per_chip == 0`.
     pub fn estimate(
         &self,
         signal: &[Complex],
-        template: &[Complex],
+        code: &SpreadCode,
         fs: SampleRate,
     ) -> Option<ToaEstimate> {
-        if signal.len() < template.len() || template.is_empty() {
+        let m = code.template_len();
+        if code.chips.is_empty() || code.pulse.is_empty() || signal.len() < m {
             return None;
         }
-        let corr = cross_correlate_fft(signal, template);
+        let bank = CorrelatorBank::new(code.clone(), 1);
+        let mut corr = Vec::new();
+        bank.run_prefix_into(signal, signal.len() - m + 1, &mut corr);
         let mags: Vec<f64> = corr.iter().map(|z| z.norm()).collect();
         let peak_idx = uwb_dsp::math::argmax(&mags)?;
         let peak = mags[peak_idx];
@@ -149,12 +158,17 @@ mod tests {
         SampleRate::from_gsps(1.0)
     }
 
-    fn template() -> Vec<Complex> {
-        PulseShape::gen2_default().generate_complex(fs())
+    /// One chip carrying the gen2 pulse.
+    fn code() -> SpreadCode {
+        SpreadCode {
+            chips: vec![1.0],
+            samples_per_chip: 1,
+            pulse: PulseShape::gen2_default().generate(fs()),
+        }
     }
 
     fn delayed_pulse(delay: f64) -> Vec<Complex> {
-        let tpl = template();
+        let tpl = code().template();
         let mut sig = vec![Complex::ZERO; 100];
         sig.extend_from_slice(&tpl);
         sig.extend(vec![Complex::ZERO; 100]);
@@ -164,10 +178,9 @@ mod tests {
     #[test]
     fn clean_toa_is_exact() {
         let est = ToaEstimator::new();
-        let tpl = template();
         for &d in &[0.0, 0.3, 7.6, -2.4] {
             let sig = delayed_pulse(d);
-            let toa = est.estimate(&sig, &tpl, fs()).unwrap();
+            let toa = est.estimate(&sig, &code(), fs()).unwrap();
             let expect = 100.0 + d;
             assert!(
                 (toa.samples - expect).abs() < 0.05,
@@ -180,12 +193,11 @@ mod tests {
     #[test]
     fn noisy_toa_within_a_sample() {
         let est = ToaEstimator::new();
-        let tpl = template();
         let mut rng = Rand::new(2);
         let sig = delayed_pulse(4.5);
         // Pulse energy 1, noise power 0.01 per sample: ~20 dB matched SNR.
         let noisy = add_awgn_complex(&sig, 0.01, &mut rng);
-        let toa = est.estimate(&noisy, &tpl, fs()).unwrap();
+        let toa = est.estimate(&noisy, &code(), fs()).unwrap();
         assert!((toa.samples - 104.5).abs() < 1.0, "{}", toa.samples);
     }
 
@@ -193,14 +205,14 @@ mod tests {
     fn leading_edge_beats_strongest_path() {
         // NLOS-like: direct path at 100 with amplitude 0.4, echo at 112 with
         // amplitude 1.0. Peak picking alone would report the echo.
-        let tpl = template();
+        let tpl = code().template();
         let mut sig = vec![Complex::ZERO; 160 + tpl.len()];
         for (j, &t) in tpl.iter().enumerate() {
             sig[100 + j] += t * 0.4;
             sig[112 + j] += t * 1.0;
         }
         let est = ToaEstimator::new();
-        let toa = est.estimate(&sig, &tpl, fs()).unwrap();
+        let toa = est.estimate(&sig, &code(), fs()).unwrap();
         assert!(
             (toa.samples - 100.0).abs() < 0.5,
             "leading edge missed: {}",
@@ -212,13 +224,13 @@ mod tests {
     #[test]
     fn weak_precursor_below_threshold_ignored() {
         // A 10% precursor is below the 25% edge threshold: should not fire.
-        let tpl = template();
+        let tpl = code().template();
         let mut sig = vec![Complex::ZERO; 160 + tpl.len()];
         for (j, &t) in tpl.iter().enumerate() {
             sig[95 + j] += t * 0.1;
             sig[110 + j] += t * 1.0;
         }
-        let toa = ToaEstimator::new().estimate(&sig, &tpl, fs()).unwrap();
+        let toa = ToaEstimator::new().estimate(&sig, &code(), fs()).unwrap();
         assert!((toa.samples - 110.0).abs() < 0.5, "{}", toa.samples);
     }
 
@@ -243,11 +255,14 @@ mod tests {
     #[test]
     fn degenerate_inputs() {
         let est = ToaEstimator::new();
-        assert!(est.estimate(&[], &template(), fs()).is_none());
-        assert!(est
-            .estimate(&[Complex::ZERO; 10], &template(), fs())
-            .is_none());
+        assert!(est.estimate(&[], &code(), fs()).is_none());
+        assert!(est.estimate(&[Complex::ZERO; 10], &code(), fs()).is_none());
         let zeros = vec![Complex::ZERO; 500];
-        assert!(est.estimate(&zeros, &template(), fs()).is_none());
+        assert!(est.estimate(&zeros, &code(), fs()).is_none());
+        let empty = SpreadCode {
+            chips: Vec::new(),
+            ..code()
+        };
+        assert!(est.estimate(&zeros, &empty, fs()).is_none());
     }
 }

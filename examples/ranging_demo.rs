@@ -7,6 +7,7 @@ use uwb::dsp::resample::fractional_delay;
 use uwb::dsp::Complex;
 use uwb::phy::pulse::PulseShape;
 use uwb::phy::ranging::{distance_to_delay_ns, solve_two_way, ToaEstimator};
+use uwb::phy::SpreadCode;
 use uwb::sim::awgn::add_awgn_complex;
 use uwb::sim::{ChannelModel, ChannelRealization, Rand, SampleRate};
 
@@ -14,16 +15,12 @@ fn main() {
     let fs = SampleRate::from_gsps(1.0);
     let mut rng = Rand::new(5);
 
-    // A short ranging preamble: 31 BPSK pulses.
-    let pulse = PulseShape::gen2_default().generate_complex(fs);
-    let chips = uwb::phy::pn::msequence_chips(5);
-    let sps = 10;
-    let mut template = vec![Complex::ZERO; (chips.len() - 1) * sps + pulse.len()];
-    for (k, &c) in chips.iter().enumerate() {
-        for (j, &p) in pulse.iter().enumerate() {
-            template[k * sps + j] += p * c;
-        }
-    }
+    // A short ranging preamble: 31 BPSK pulses, 10 samples apart.
+    let code = SpreadCode {
+        chips: uwb::phy::pn::msequence_chips(5),
+        samples_per_chip: 10,
+        pulse: PulseShape::gen2_default().generate(fs),
+    };
 
     let true_distance_m = 3.7;
     println!("true distance: {true_distance_m} m");
@@ -33,7 +30,7 @@ fn main() {
     let delay_samples = distance_to_delay_ns(true_distance_m) * fs.as_hz() / 1e9;
     let channel = ChannelRealization::generate(ChannelModel::Cm1, &mut rng);
     let mut sig = vec![Complex::ZERO; 50];
-    sig.extend_from_slice(&template);
+    sig.extend(code.template());
     sig.extend(vec![Complex::ZERO; 100]);
     let through = channel.apply(&sig, fs);
     let arrived = fractional_delay(&through, delay_samples, 8);
@@ -46,7 +43,7 @@ fn main() {
         edge_fraction: 0.15,
         ..ToaEstimator::new()
     };
-    let toa = est.estimate(&noisy, &template, fs).expect("no signal");
+    let toa = est.estimate(&noisy, &code, fs).expect("no signal");
     println!(
         "leading-edge TOA: {:.2} ns (edge {:.0} % of strongest path)",
         toa.ns,

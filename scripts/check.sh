@@ -10,8 +10,8 @@
 #                             BENCH_dsp.json baseline; fails if any DSP
 #                             kernel (`gate` row) regresses by more than
 #                             BENCH_TOL percent (default 15) or an exact
-#                             pin (fft_plans_built, acq_kernel_ops_gen2)
-#                             changes (throughput and back-end block rows
+#                             pin (fft_plans_built, acq_kernel_ops_gen2,
+#                             acq_kernel_ops_gen1) changes (throughput and back-end block rows
 #                             are informational — see EXPERIMENTS.md).
 #                             BENCH_dsp/net/mac.json share
 #                             one schema, uwb-bench-v2: each row carries a
@@ -37,6 +37,8 @@
 #                             (acquisition is StreamRx's first stage; the
 #                             chip-domain kernel against its f64 FFT
 #                             oracle), the pinned acquisition decisions,
+#                             the pinned gen1 sync and TOA-ranging
+#                             decisions (the same bank over their codes),
 #                             then the allocation gate (covers the streamed
 #                             trial, AWGN and CM1, and warm acquisition)
 #   scripts/check.sh net      network gate: builds uwb-net, runs its unit +
@@ -188,6 +190,8 @@ stream() {
     cargo test -q --release -p uwb-phy --lib -- correlator:: acquisition::
     echo "== stream: pinned acquisition decisions =="
     cargo test -q --release --test acquisition_golden
+    echo "== stream: pinned gen1 sync and TOA-ranging decisions =="
+    cargo test -q --release --test correlator_golden
     echo "== stream: zero-allocation warm streamed trial and acquisition =="
     cargo test -q --release --test alloc_regression
 }

@@ -84,7 +84,7 @@ fn main() {
                         let engine = mk_engine();
                         let burst = tx.transmit_packet(&[0x5A; 8]).expect("payload");
                         let p = uwb_dsp::complex::mean_power(&burst.samples);
-                        let truth = burst.slot0_center - tx.pulse().len() / 2;
+                        let truth = tx.layout(8).slot0_start;
                         (engine, burst, p, truth)
                     },
                     |(engine, burst, p, truth), _trial, rng, det: &mut u64| {

@@ -64,7 +64,7 @@ fn main() {
             time_us = r.search_time_us;
             if r.detected {
                 detections += 1;
-                let truth = burst.slot0_center - tx.pulse().len() / 2;
+                let truth = tx.layout(8).slot0_start;
                 err_sum += (r.offset as f64 - truth as f64).abs();
             }
         }

@@ -101,7 +101,7 @@ fn interferer_ber(
                 digitized = w.notch.process(&digitized);
             }
 
-            let slot0_start = burst.slot0_center - w.tx.pulse().len() / 2;
+            let slot0_start = w.tx.layout(payload_len).slot0_start;
             let stats = w
                 .rx
                 .payload_statistics_known_timing(&digitized, slot0_start, payload_len);

@@ -72,8 +72,10 @@ fn main() {
     println!(
         "paper: \"a wireless link of 193 kbps was demonstrated\".\n\
          measured: the {:.1} kbps link's BER falls along the BPSK waterfall\n\
-         (162x despreading supplies the Eb) and the CFAR sync engine locks on\n\
-         every attempt across the waterfall region.",
+         (162x despreading supplies the Eb). The CFAR sync engine fails\n\
+         first: it locks on about a quarter of its attempts at 5 dB, half at\n\
+         7 dB, seven in eight at 9 dB and nearly all at 11 dB, and on every\n\
+         attempt from 13 dB.",
         cfg.bit_rate() / 1e3
     );
 }

@@ -86,7 +86,7 @@ fn main() {
             let spun = lo.baseband_rotation(&burst.samples, cfg.sample_rate.as_hz(), &mut rng);
             let p = uwb_dsp::complex::mean_power(&spun);
             let noisy = add_awgn_complex(&spun, p / 20.0, &mut rng);
-            let slot0 = burst.slot0_center - tx.pulse().len() / 2;
+            let slot0 = tx.layout(payload_len).slot0_start;
             let stats = rx.payload_statistics_known_timing(&noisy, slot0, payload_len);
             if let Ok(bits) = decode_payload_bits(&stats, payload_len, &cfg) {
                 counter.add_bits(&reference_payload_bits(&payload), &bits);

@@ -140,50 +140,6 @@ impl FirFilter {
     }
 }
 
-/// A streaming FIR filter retaining state across calls, for block-based
-/// pipelines.
-#[derive(Debug, Clone)]
-pub struct StreamingFir {
-    taps: Vec<f64>,
-    history: Vec<Complex>,
-    pos: usize,
-}
-
-impl StreamingFir {
-    /// Wraps a [`FirFilter`] design for streaming use.
-    pub fn new(filter: &FirFilter) -> Self {
-        StreamingFir {
-            taps: filter.taps().to_vec(),
-            history: vec![Complex::ZERO; filter.len()],
-            pos: 0,
-        }
-    }
-
-    /// Processes one sample.
-    pub fn push(&mut self, x: Complex) -> Complex {
-        let n = self.taps.len();
-        self.history[self.pos] = x;
-        let mut acc = Complex::ZERO;
-        for (j, &h) in self.taps.iter().enumerate() {
-            let idx = (self.pos + n - j) % n;
-            acc += self.history[idx] * h;
-        }
-        self.pos = (self.pos + 1) % n;
-        acc
-    }
-
-    /// Processes a block of samples.
-    pub fn process(&mut self, input: &[Complex]) -> Vec<Complex> {
-        input.iter().map(|&x| self.push(x)).collect()
-    }
-
-    /// Resets the internal delay line to zeros.
-    pub fn reset(&mut self) {
-        self.history.iter_mut().for_each(|z| *z = Complex::ZERO);
-        self.pos = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,26 +185,6 @@ mod tests {
         for (a, b) in yr.iter().zip(&yc) {
             assert!((a - b.re).abs() < 1e-12);
             assert!(b.im.abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn streaming_matches_block() {
-        let fir = FirFilter::lowpass(17, 0.25, Window::Hamming);
-        let x: Vec<Complex> = (0..64)
-            .map(|i| Complex::new((i as f64 * 0.3).sin(), (i as f64 * 0.7).cos()))
-            .collect();
-        let block = fir.filter_complex(&x);
-        let mut s = StreamingFir::new(&fir);
-        let streamed = s.process(&x);
-        for (a, b) in block.iter().zip(&streamed) {
-            assert!((*a - *b).norm() < 1e-12);
-        }
-        // Reset clears state.
-        s.reset();
-        let again = s.process(&x);
-        for (a, b) in block.iter().zip(&again) {
-            assert!((*a - *b).norm() < 1e-12);
         }
     }
 

@@ -60,9 +60,9 @@ pub mod window;
 pub use complex::Complex;
 pub use fft::{Fft, FftPlanner};
 pub use scratch::DspScratch;
-pub use fir::{FirFilter, StreamingFir};
+pub use fir::FirFilter;
 pub use iir::{Biquad, BiquadCascade};
 pub use nco::Nco;
-pub use stream::{BlockProcessor, Chain};
+pub use stream::BlockProcessor;
 pub use psd::Psd;
 pub use window::Window;

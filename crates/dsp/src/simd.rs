@@ -6,7 +6,7 @@
 //! written so LLVM's autovectorizer can lift them onto whatever SIMD lanes
 //! the target provides (the workspace builds with `target-cpu=native`):
 //!
-//! * **reductions** split their accumulation across [`LANES`] independent
+//! * **reductions** split their accumulation across `LANES` independent
 //!   partial sums (a serial `fold` pins every add onto one dependency
 //!   chain, which the vectorizer must preserve under strict IEEE
 //!   semantics);
@@ -28,9 +28,9 @@ use crate::complex::Complex;
 /// Eight f64 lanes fill one AVX-512 register (two AVX2 registers); the
 /// value is part of the deterministic contract — changing it changes the
 /// reassociation and therefore the low-order bits of every reduction.
-pub const LANES: usize = 8;
+const LANES: usize = 8;
 
-/// Sum of `|z|²` over the block, accumulated in [`LANES`] independent
+/// Sum of `|z|²` over the block, accumulated in `LANES` independent
 /// lanes (lane `i` takes elements `i, i+LANES, …`), then combined in
 /// ascending lane order. Deterministic on every target.
 #[inline]
@@ -146,7 +146,7 @@ fn exact_reciprocal(step: f64) -> Option<f64> {
 /// every `im` is zero (the pulse-shaped preamble template always is), which
 /// is what makes the 2-MAC sweep equal to the full `s·conj(t)`.
 ///
-/// Accumulates in [`LANES`] independent lanes combined in ascending order —
+/// Accumulates in `LANES` independent lanes combined in ascending order —
 /// fixed reassociation, deterministic everywhere. The caller guarantees
 /// `signal.len() >= template.len()`; extra signal samples are ignored.
 #[inline]

@@ -4,12 +4,11 @@
 //! channel allocation, coupling graph, per-link adapted configs), then
 //! derives the MAC-specific statics:
 //!
-//! * **Airtimes** — one probe waveform is synthesized per *distinct*
-//!   config (not per link) to measure the record length, which is
-//!   quantized up to sense slots. Under multipath models the per-trial
-//!   delay spread can jitter the record length a little; the airtime is
-//!   the nominal probe value and the mixer clips any excess at buffer
-//!   bounds.
+//! * **Airtimes** — each link's burst length in closed form
+//!   ([`uwb_phy::FrameLayout::burst_len`] of its config and the payload
+//!   length), quantized up to sense slots. Under multipath models the
+//!   channel's delay spread adds a short tail to each record; the airtime
+//!   is the burst's and the mixer clips any excess at buffer bounds.
 //! * **Sense sets** — the symmetrized subgraph of the coupling graph at
 //!   or above the carrier-sense threshold ([`uwb_net::sense_sets`]).
 //!   Coupling edges *below* the threshold are the hidden terminals: they
@@ -19,12 +18,8 @@
 
 use crate::scenario::MacScenario;
 use crate::traffic::TrafficModel;
-use uwb_net::{plan_network, sense_sets, NetPlan, WorkerPool};
-use uwb_sim::Rand;
-
-/// Probe round id for MAC airtime measurement. Distinct from the network
-/// planner's probe round (`u64::MAX`) and from any trial waveform uid.
-const MAC_PROBE_ROUND: u64 = u64::MAX - 1;
+use uwb_net::{plan_network, sense_sets, NetPlan};
+use uwb_phy::Gen2Transmitter;
 
 /// The MAC knobs copied verbatim from the scenario (everything except the
 /// wrapped [`uwb_net::NetScenario`]).
@@ -67,9 +62,9 @@ pub struct MacPlan {
     pub airtime_slots: Vec<u64>,
     /// Maximum airtime over all links — the record-retention window.
     pub max_airtime_slots: u64,
-    /// Probe record length per link, in samples.
+    /// Burst length per link, in samples (before any multipath tail).
     pub record_len: Vec<usize>,
-    /// Maximum probe record length — pre-sizing bound for record buffers.
+    /// Maximum burst length — pre-sizing bound for record buffers.
     pub max_record_len: usize,
     /// Per-link sensable-neighbor sets (symmetrized, ascending, deduped).
     pub sense: Vec<Vec<usize>>,
@@ -122,27 +117,14 @@ pub fn plan_mac(sc: &MacScenario) -> MacPlan {
     let net = plan_network(&sc.net);
     let n = net.len();
 
-    // One probe synthesis per distinct config measures the record length.
-    let mut pool = WorkerPool::new(&net);
-    let mut probe_len = vec![0usize; pool.worker_count()];
-    let mut buf = Vec::new();
-    for l in 0..n {
-        let c = pool.config_index(l);
-        if probe_len[c] == 0 {
-            let scen = net.links[l].scenario.clone();
-            let mut rng = Rand::for_trial(scen.seed, MAC_PROBE_ROUND);
-            let _ = pool.worker_for(l).synthesize_clean_streamed_record(
-                &scen,
-                net.payload_len,
-                net.block_len,
-                &mut rng,
-                &mut buf,
-            );
-            probe_len[c] = buf.len().max(1);
-        }
-    }
-
-    let record_len: Vec<usize> = (0..n).map(|l| probe_len[pool.config_index(l)]).collect();
+    let record_len: Vec<usize> = net
+        .links
+        .iter()
+        .map(|l| {
+            let tx = Gen2Transmitter::new(l.scenario.config.clone()).expect("planned config");
+            tx.layout(net.payload_len).burst_len
+        })
+        .collect();
     let max_record_len = record_len.iter().copied().max().unwrap_or(1);
     let airtime_slots: Vec<u64> = record_len
         .iter()
@@ -202,10 +184,12 @@ mod tests {
         assert_eq!(plan.len(), 4);
         assert!(plan.max_airtime_slots >= 1);
         for l in 0..4 {
-            assert!(plan.airtime_slots[l] >= 1);
+            let tx = Gen2Transmitter::new(plan.net.links[l].scenario.config.clone()).unwrap();
+            let burst_len = tx.layout(plan.net.payload_len).burst_len;
+            assert_eq!(plan.record_len[l], burst_len);
             assert_eq!(
                 plan.airtime_slots[l],
-                (plan.record_len[l].div_ceil(sc.slot_samples)).max(1) as u64
+                burst_len.div_ceil(sc.slot_samples) as u64
             );
             let expect = 0.8 / plan.cycle_slots(l) as f64;
             assert!((plan.rate_pps[l] - expect).abs() < 1e-12);
@@ -219,11 +203,12 @@ mod tests {
     #[test]
     fn same_config_links_share_airtime() {
         // 2-user ring on round-robin channels: different channels, but the
-        // waveform length is config-shaped, so airtimes still match the
-        // per-config probe exactly (each config probed once).
+        // burst length depends only on the frame shape, so both links get
+        // the same record length and airtime.
         let sc = MacScenario::ring(2, 8.0, 0.5, 3);
         let plan = plan_mac(&sc);
-        assert_eq!(plan.record_len.len(), 2);
-        assert!(plan.record_len.iter().all(|&r| r > 0));
+        assert_ne!(plan.net.links[0].channel, plan.net.links[1].channel);
+        assert_eq!(plan.record_len[0], plan.record_len[1]);
+        assert_eq!(plan.airtime_slots[0], plan.airtime_slots[1]);
     }
 }

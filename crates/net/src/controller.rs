@@ -137,11 +137,15 @@ fn plan_network_swept(
     let n = scenario.len();
     assert!(n > 0, "network needs at least one link");
 
+    // Probe records are synthesized by one shared worker: probes always
+    // use the base config.
+    let mut probes = Probes::new(scenario);
+
     // --- Channel allocation. ---
     // The static policies are pure index arithmetic; the greedy
-    // interference-aware policy synthesizes its own dense probe table
-    // internally (documented small-N).
-    let channels = allocate_channels(scenario);
+    // interference-aware policy synthesizes a dense probe table
+    // (documented small-N).
+    let channels = allocate_channels(scenario, &mut probes);
 
     // --- Sparse interference graph on the final assignment. ---
     // Couplings below the scenario's floor are never enumerated; with the
@@ -153,33 +157,11 @@ fn plan_network_swept(
     // --- Per-link probe measurements on the final assignment. ---
     // Row-driven channel-major sweep over the shared-waveform arena (the
     // measurement rounds' order): each link's clean probe record is
-    // synthesized once (by a single shared worker — probes always use the
-    // base config), shared by every coupled victim, and its slot recycled
-    // after its last reader. Peak memory is the graph's overlap width
-    // along the sweep, not N records.
+    // synthesized once, shared by every coupled victim, and its slot
+    // recycled after its last reader. Peak memory is the graph's overlap
+    // width along the sweep, not N records.
     let schedule = sweep(&channels, &coupling);
     let mut arena = RecordArena::new(n, schedule.max_live());
-    let mut probes = Probes {
-        worker: LinkWorker::new(&LinkScenario {
-            config: scenario.base_config.clone(),
-            channel: scenario.channel_model,
-            ebn0_db: scenario.ebn0_db,
-            interferer: None,
-            notch_enabled: false,
-            seed: scenario.seed,
-        }),
-        scenario: LinkScenario {
-            config: scenario.base_config.clone(),
-            channel: scenario.channel_model,
-            ebn0_db: scenario.ebn0_db,
-            interferer: None,
-            notch_enabled: false,
-            seed: 0,
-        },
-        synth: Vec::new(),
-        n0: vec![0.0f64; n],
-        power: vec![0.0f64; n],
-    };
 
     let monitor = SpectralMonitor::new();
     let fs_hz = scenario.base_config.sample_rate.as_hz();
@@ -240,7 +222,9 @@ fn plan_network_swept(
                 interferer_present: spectral.detected || any,
             };
             let op = adapter.adapt(&conditions);
-            config = Gen2ConfigWithChannel(op.config.clone(), channels[v]).into_config();
+            // The channel assignment overrides the adapter's base channel.
+            config = op.config.clone();
+            config.channel = channels[v];
             config.validate().expect("adapted config");
             Some(op)
         } else {
@@ -279,56 +263,68 @@ fn plan_network_swept(
     }
 }
 
-/// The probe sweep's synthesis state: one shared worker (probes always run
-/// on the base config), the probe scenario whose seed each synthesis sets,
-/// the complex synthesis buffer, and per link the probe's calibrated `n0`
-/// and clean mean power.
+/// The planner's probe synthesis state: one shared worker (probes always
+/// run on the base config; its record buffer holds the latest probe), the
+/// probe scenario whose seed each synthesis sets, and per link the probe's
+/// calibrated `n0` and clean mean power.
 struct Probes {
     worker: LinkWorker,
     scenario: LinkScenario,
-    synth: Vec<Complex>,
     n0: Vec<f64>,
     power: Vec<f64>,
 }
 
 impl Probes {
-    /// Synthesizes link `u`'s clean probe record into the arena if it is
-    /// not already resident. Each record is a pure function of the link's
-    /// decorrelated seed, so the lazy first-use order of any sweep produces
-    /// exactly the records an eager 0..n sweep would.
-    fn ensure(&mut self, scenario: &NetScenario, u: usize, arena: &mut RecordArena) {
-        if arena.is_resident(u) {
-            return;
+    /// The probe worker and scenario on the base config, and zeroed
+    /// per-link tables.
+    fn new(scenario: &NetScenario) -> Self {
+        let probe = LinkScenario {
+            config: scenario.base_config.clone(),
+            channel: scenario.channel_model,
+            ebn0_db: scenario.ebn0_db,
+            interferer: None,
+            notch_enabled: false,
+            seed: 0,
+        };
+        Probes {
+            worker: LinkWorker::new(&probe),
+            scenario: probe,
+            n0: vec![0.0f64; scenario.len()],
+            power: vec![0.0f64; scenario.len()],
         }
+    }
+
+    /// Synthesizes link `u`'s clean probe record and returns it. Each
+    /// record is a pure function of the link's decorrelated seed, so any
+    /// synthesis order produces the same records.
+    fn synthesize(&mut self, scenario: &NetScenario, u: usize) -> &[Complex] {
         self.scenario.seed = link_seed(scenario.seed, u);
         let mut rng = Rand::for_trial(self.scenario.seed, PROBE_ROUND);
-        let clean = self.worker.synthesize_clean_streamed_record(
+        let clean = self.worker.synthesize_clean_streamed(
             &self.scenario,
             scenario.payload_len,
             scenario.block_len,
             &mut rng,
-            &mut self.synth,
         );
         self.n0[u] = clean.n0;
-        self.power[u] = mean_power(&self.synth);
-        arena.acquire(u).set_from(&self.synth);
+        self.power[u] = mean_power(self.worker.clean_record());
+        self.worker.clean_record()
     }
-}
 
-/// Tiny helper keeping the channel assignment authoritative over whatever
-/// channel the adapter's base config carried.
-struct Gen2ConfigWithChannel(uwb_phy::Gen2Config, Channel);
-
-impl Gen2ConfigWithChannel {
-    fn into_config(self) -> uwb_phy::Gen2Config {
-        let mut c = self.0;
-        c.channel = self.1;
-        c
+    /// Synthesizes link `u`'s clean probe record into the arena if it is
+    /// not already resident: the lazy first-use order of any sweep
+    /// produces exactly the records an eager 0..n sweep would.
+    fn ensure(&mut self, scenario: &NetScenario, u: usize, arena: &mut RecordArena) {
+        if arena.is_resident(u) {
+            return;
+        }
+        let record = self.synthesize(scenario, u);
+        arena.acquire(u).set_from(record);
     }
 }
 
 /// Executes the scenario's channel-allocation policy.
-fn allocate_channels(scenario: &NetScenario) -> Vec<Channel> {
+fn allocate_channels(scenario: &NetScenario, probes: &mut Probes) -> Vec<Channel> {
     let n = scenario.len();
     match &scenario.policy {
         ChannelPolicy::Static(chs) | ChannelPolicy::RoundRobin(chs) => {
@@ -342,27 +338,11 @@ fn allocate_channels(scenario: &NetScenario) -> Vec<Channel> {
             // O(N) probe-record table and scans O(N²) pairs — a planning
             // policy for small networks, kept dense by design. Large
             // networks use the static policies, which are free.
-            let probes: Vec<WaveRecord> = (0..n)
+            let records: Vec<WaveRecord> = (0..n)
                 .map(|l| {
-                    let ps = LinkScenario {
-                        config: scenario.base_config.clone(),
-                        channel: scenario.channel_model,
-                        ebn0_db: scenario.ebn0_db,
-                        interferer: None,
-                        notch_enabled: false,
-                        seed: link_seed(scenario.seed, l),
-                    };
-                    let mut worker = LinkWorker::new(&ps);
-                    let mut rng = Rand::for_trial(ps.seed, PROBE_ROUND);
-                    worker.synthesize_clean_streamed(
-                        &ps,
-                        scenario.payload_len,
-                        scenario.block_len,
-                        &mut rng,
-                    );
-                    let mut probe = WaveRecord::default();
-                    probe.set_from(worker.clean_record());
-                    probe
+                    let mut record = WaveRecord::default();
+                    record.set_from(probes.synthesize(scenario, l));
+                    record
                 })
                 .collect();
             let mut assigned: Vec<Channel> = Vec::with_capacity(n);
@@ -374,7 +354,7 @@ fn allocate_channels(scenario: &NetScenario) -> Vec<Channel> {
                     // Measured interference power at v on this candidate:
                     // superpose the already-assigned transmitters' probe
                     // waveforms through the coupling model and measure.
-                    mixer.start_zeros(probes[v].len());
+                    mixer.start_zeros(records[v].len());
                     let mut any = false;
                     for (u, &ch_u) in assigned.iter().enumerate() {
                         if let Some(db) = coupling_db(
@@ -385,7 +365,7 @@ fn allocate_channels(scenario: &NetScenario) -> Vec<Channel> {
                             v,
                             cand,
                         ) {
-                            mixer.add(&probes[u], 0, 10f64.powf(db / 20.0));
+                            mixer.add(&records[u], 0, 10f64.powf(db / 20.0));
                             any = true;
                         }
                     }

@@ -54,16 +54,6 @@ impl WorkerPool {
         self.config_of.len()
     }
 
-    /// Number of distinct workers (= distinct configurations).
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// The pool index of link `l`'s configuration.
-    pub fn config_index(&self, l: usize) -> usize {
-        self.config_of[l] as usize
-    }
-
     /// The shared worker serving link `l`'s configuration.
     pub fn worker_for(&mut self, l: usize) -> &mut LinkWorker {
         &mut self.workers[self.config_of[l] as usize]
@@ -88,10 +78,10 @@ mod tests {
         let plan = plan_network(&sc);
         let pool = WorkerPool::new(&plan);
         assert_eq!(pool.links(), 6);
-        assert_eq!(pool.worker_count(), 3);
+        assert_eq!(pool.workers.len(), 3);
         // Links sharing a channel share a worker.
-        assert_eq!(pool.config_index(0), pool.config_index(3));
-        assert_eq!(pool.config_index(1), pool.config_index(4));
-        assert_ne!(pool.config_index(0), pool.config_index(1));
+        assert_eq!(pool.config_of[0], pool.config_of[3]);
+        assert_eq!(pool.config_of[1], pool.config_of[4]);
+        assert_ne!(pool.config_of[0], pool.config_of[1]);
     }
 }

@@ -13,13 +13,13 @@ use uwb_sim::time::Hertz;
 pub const CHANNEL_COUNT: usize = 14;
 
 /// Center frequency of channel 0.
-pub const FIRST_CENTER_MHZ: f64 = 3432.0;
+const FIRST_CENTER_MHZ: f64 = 3432.0;
 
 /// Channel-to-channel spacing.
 pub const CHANNEL_SPACING_MHZ: f64 = 528.0;
 
 /// Occupied (pulse) bandwidth per channel.
-pub const CHANNEL_BANDWIDTH_MHZ: f64 = 500.0;
+const CHANNEL_BANDWIDTH_MHZ: f64 = 500.0;
 
 /// One of the 14 UWB sub-band channels.
 ///

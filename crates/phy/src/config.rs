@@ -9,6 +9,7 @@ use crate::bandplan::Channel;
 use crate::error::PhyError;
 use crate::fec::ConvCode;
 use crate::modulation::Modulation;
+use crate::packet::FrameLayout;
 use uwb_sim::time::{Hertz, SampleRate};
 
 /// Full configuration of a gen2 link.
@@ -141,8 +142,10 @@ impl Gen2Config {
     /// Duration of the preamble + SFD in microseconds — the acquisition
     /// overhead the paper wants near 20 µs.
     pub fn preamble_duration_us(&self) -> f64 {
-        let chips = self.preamble_length() * self.preamble_repeats + 13; // + SFD
-        chips as f64 / self.prf.as_hz() * 1e6
+        // The slots before the header: their count depends on neither the
+        // pulse nor the payload.
+        let slots = FrameLayout::new(self, 0, 0).header_slot0;
+        slots as f64 / self.prf.as_hz() * 1e6
     }
 }
 
@@ -183,7 +186,7 @@ mod tests {
     fn preamble_duration_in_tens_of_us_range() {
         let cfg = Gen2Config::nominal_100mbps();
         let d = cfg.preamble_duration_us();
-        // 4 x 127 chips + 13 at 100 MHz = 5.21 us.
+        // 4 x 127 chips + the Barker-13 SFD at 100 MHz = 5.21 us.
         assert!((d - 5.21).abs() < 0.01, "{d}");
     }
 

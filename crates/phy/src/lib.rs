@@ -76,7 +76,7 @@ pub use error::PhyError;
 pub use fec::ConvCode;
 pub use mlse::MlseEqualizer;
 pub use modulation::Modulation;
-pub use packet::{FrameScratch, FrameSlots, Header};
+pub use packet::{FrameLayout, FrameScratch, FrameSlots, Header};
 pub use power::{PowerBreakdown, PowerClass, PowerModel};
 pub use pulse::PulseShape;
 pub use rake::RakeReceiver;

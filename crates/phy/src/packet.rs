@@ -22,7 +22,7 @@ use crate::scrambler::Scrambler;
 use uwb_dsp::Complex;
 
 /// Maximum payload size in bytes (12-bit length field).
-pub const MAX_PAYLOAD: usize = 4095;
+const MAX_PAYLOAD: usize = 4095;
 
 /// Decoded header contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,8 +157,8 @@ fn bits_to_slots_into(bits: &[bool], modulation: Modulation, ppb: usize, out: &m
 ///
 /// # Errors
 ///
-/// Returns [`PhyError::PayloadTooLarge`] if the payload exceeds
-/// [`MAX_PAYLOAD`].
+/// Returns [`PhyError::PayloadTooLarge`] if the payload exceeds the
+/// header's 12-bit length field (4095 bytes).
 pub fn build_frame(payload: &[u8], config: &Gen2Config) -> Result<FrameSlots, PhyError> {
     let mut frame = FrameSlots::default();
     let mut scratch = FrameScratch::new();
@@ -172,8 +172,8 @@ pub fn build_frame(payload: &[u8], config: &Gen2Config) -> Result<FrameSlots, Ph
 ///
 /// # Errors
 ///
-/// Returns [`PhyError::PayloadTooLarge`] if the payload exceeds
-/// [`MAX_PAYLOAD`].
+/// Returns [`PhyError::PayloadTooLarge`] if the payload exceeds the
+/// header's 12-bit length field (4095 bytes).
 pub fn build_frame_into(
     payload: &[u8],
     config: &Gen2Config,
@@ -226,7 +226,7 @@ pub fn build_frame_into(
 }
 
 /// Number of payload slots for a given payload length under `config`.
-pub fn payload_slot_count(payload_len: usize, config: &Gen2Config) -> usize {
+fn payload_slot_count(payload_len: usize, config: &Gen2Config) -> usize {
     let raw_bits = 8 * (payload_len + 4); // + CRC-32
     let coded_bits = match config.fec {
         Some(code) => 2 * (raw_bits + code.constraint_length as usize - 1),
@@ -238,8 +238,79 @@ pub fn payload_slot_count(payload_len: usize, config: &Gen2Config) -> usize {
 }
 
 /// Number of header slots under `config`.
-pub fn header_slot_count(config: &Gen2Config) -> usize {
+fn header_slot_count(config: &Gen2Config) -> usize {
     32 * config.pulses_per_bit
+}
+
+/// Where everything of one frame sits, in closed form: the four sections'
+/// slot counts, where the header and the payload start, and the burst's
+/// sample geometry. Every count follows from the configuration, the pulse
+/// length and the payload length, so the transmitter, the receivers and
+/// the MAC planner read one definition instead of re-deriving it.
+///
+/// ```text
+/// | guard | preamble | SFD | header | payload | guard |
+///         ^ slot 0   ^ header_slot0 ^ payload_slot0
+/// ```
+///
+/// Slot `s`'s pulse starts at sample `slot0_start + s·samples_per_slot`
+/// of the burst. Each guard is half a pulse plus one slot, so the first
+/// and the last pulse fit entirely. Only this crate builds one, so every
+/// layout is the closed form's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct FrameLayout {
+    /// Preamble slots: the m-sequence period times its repeats.
+    pub preamble_slots: usize,
+    /// Start-of-frame-delimiter slots ([`BARKER13`]).
+    pub sfd_slots: usize,
+    /// Header slots (32 BPSK bits, spread).
+    pub header_slots: usize,
+    /// Payload slots (payload and CRC-32, coded, modulated and spread).
+    pub payload_slots: usize,
+    /// Frame slot index of the first header slot.
+    pub header_slot0: usize,
+    /// Frame slot index of the first payload slot.
+    pub payload_slot0: usize,
+    /// Slots in the whole frame.
+    pub total_slots: usize,
+    /// Samples per pulse slot.
+    pub samples_per_slot: usize,
+    /// Samples before slot 0's pulse center (and after the last one's).
+    pub guard: usize,
+    /// Sample index in the burst where slot 0's pulse starts.
+    pub slot0_start: usize,
+    /// Samples in the synthesized burst.
+    pub burst_len: usize,
+}
+
+impl FrameLayout {
+    /// The layout of a `payload_len`-byte frame under `config`, shaped
+    /// with a `pulse_len`-sample pulse.
+    pub(crate) fn new(config: &Gen2Config, pulse_len: usize, payload_len: usize) -> Self {
+        let preamble_slots = config.preamble_length() * config.preamble_repeats;
+        let sfd_slots = BARKER13.len();
+        let header_slots = header_slot_count(config);
+        let payload_slots = payload_slot_count(payload_len, config);
+        let header_slot0 = preamble_slots + sfd_slots;
+        let payload_slot0 = header_slot0 + header_slots;
+        let total_slots = payload_slot0 + payload_slots;
+        let samples_per_slot = config.samples_per_slot();
+        let guard = pulse_len / 2 + samples_per_slot;
+        FrameLayout {
+            preamble_slots,
+            sfd_slots,
+            header_slots,
+            payload_slots,
+            header_slot0,
+            payload_slot0,
+            total_slots,
+            samples_per_slot,
+            guard,
+            slot0_start: guard - pulse_len / 2,
+            burst_len: total_slots * samples_per_slot + 2 * guard,
+        }
+    }
 }
 
 /// Combines spread repetitions and demaps a slot-statistic stream back to
@@ -494,17 +565,13 @@ mod tests {
         let config = cfg();
         let payload = vec![0x42u8; 100];
         let frame = build_frame(&payload, &config).unwrap();
+        let layout = FrameLayout::new(&config, 11, payload.len());
         assert_eq!(frame.preamble.len(), 127 * 4);
-        assert_eq!(frame.sfd.len(), 13);
-        assert_eq!(frame.header.len(), header_slot_count(&config));
-        assert_eq!(
-            frame.payload.len(),
-            payload_slot_count(payload.len(), &config)
-        );
-        assert_eq!(
-            frame.concat().len(),
-            127 * 4 + 13 + frame.header.len() + frame.payload.len()
-        );
+        assert_eq!(frame.preamble.len(), layout.preamble_slots);
+        assert_eq!(frame.sfd.len(), layout.sfd_slots);
+        assert_eq!(frame.header.len(), layout.header_slots);
+        assert_eq!(frame.payload.len(), layout.payload_slots);
+        assert_eq!(frame.concat().len(), layout.total_slots);
     }
 
     #[test]

@@ -11,10 +11,7 @@ use crate::config::Gen2Config;
 use crate::error::PhyError;
 use crate::mlse::MlseEqualizer;
 use crate::modulation::Modulation;
-use crate::packet::{
-    decode_header_into, decode_payload_into, header_slot_count, payload_slot_count, FrameScratch,
-    Header,
-};
+use crate::packet::{decode_header_into, decode_payload_into, FrameLayout, FrameScratch, Header};
 use crate::pulse::PulseShape;
 use crate::rake::RakeReceiver;
 use crate::tx::Gen2Transmitter;
@@ -26,9 +23,6 @@ use uwb_dsp::{Complex, DspScratch};
 pub(crate) const CIR_PRE_SAMPLES: usize = 8;
 /// Channel-estimation window length in samples.
 pub(crate) const CIR_WINDOW: usize = 64;
-/// Start-of-frame-delimiter length in slots (gap between the last preamble
-/// repeat and the first header slot).
-pub(crate) const SFD_SLOTS: usize = 13;
 
 /// A successfully received packet with per-stage diagnostics.
 #[derive(Debug, Clone)]
@@ -196,6 +190,13 @@ impl Gen2Receiver {
         self.pulse.len()
     }
 
+    /// The layout of a `payload_len`-byte frame, built from this
+    /// receiver's own pulse (the transmitter's, sample for sample). Where
+    /// the header sits does not depend on `payload_len`.
+    pub(crate) fn layout(&self, payload_len: usize) -> FrameLayout {
+        FrameLayout::new(&self.config, self.pulse.len(), payload_len)
+    }
+
     /// Runs coarse acquisition over `search_len` candidate phases of
     /// `samples`, drawing work buffers from `scratch`.
     pub(crate) fn acquire_into(
@@ -346,24 +347,19 @@ impl Gen2Receiver {
         est_start
     }
 
-    /// Frame slot index of the first header slot: the preamble repeats,
-    /// then the start-of-frame delimiter.
-    fn header_slot0(&self) -> usize {
-        self.config.preamble_length() * self.config.preamble_repeats + SFD_SLOTS
-    }
-
     /// Leaves in `state.payload_raw` the raw statistics (RAKE output before
-    /// carrier tracking and MLSE) of the first `n_payload` payload slots of
-    /// the frame locked at `offset`, unless `state.memo` says they are
-    /// there already.
+    /// carrier tracking and MLSE) of the payload slots of the frame
+    /// `layout` describes, locked at `offset`, unless `state.memo` says
+    /// they are there already.
     fn payload_raw_on(
         &self,
         digitized: &[Complex],
         state: &mut RxState,
         offset: usize,
-        n_payload: usize,
+        layout: &FrameLayout,
     ) {
         let est_start = self.prepare_rake_on(digitized, state, offset);
+        let n_payload = layout.payload_slots;
         let memo = FrameMemo {
             offset,
             payload_slots: Some(n_payload),
@@ -371,13 +367,12 @@ impl Gen2Receiver {
         if state.memo == Some(memo) {
             return;
         }
-        let sps = self.config.samples_per_slot();
-        let payload_slot0 = self.header_slot0() + header_slot_count(&self.config);
+        let sps = layout.samples_per_slot;
         let _t = uwb_obs::span!("rx_rake");
         state.rake.combine_slots_into(
             digitized,
             &self.pulse,
-            est_start + payload_slot0 * sps,
+            est_start + layout.payload_slot0 * sps,
             sps,
             n_payload,
             &mut state.payload_raw,
@@ -411,14 +406,15 @@ impl Gen2Receiver {
         offset: usize,
     ) -> Result<Header, PhyError> {
         let est_start = self.prepare_rake_on(digitized, state, offset);
-        let sps = self.config.samples_per_slot();
-        let n_header = header_slot_count(&self.config);
+        let layout = self.layout(0);
+        let sps = layout.samples_per_slot;
+        let n_header = layout.header_slots;
         {
             let _t = uwb_obs::span!("rx_rake");
             state.rake.combine_slots_into(
                 digitized,
                 &self.pulse,
-                est_start + self.header_slot0() * sps,
+                est_start + layout.header_slot0 * sps,
                 sps,
                 n_header,
                 &mut state.header_stats,
@@ -463,8 +459,7 @@ impl Gen2Receiver {
         offset: usize,
     ) -> Result<(Header, Vec<u8>), PhyError> {
         let header = self.decode_header_on(digitized, state, offset)?;
-        let n_payload = payload_slot_count(header.payload_len, &self.config);
-        self.payload_raw_on(digitized, state, offset, n_payload);
+        self.payload_raw_on(digitized, state, offset, &self.layout(header.payload_len));
         let _t = uwb_obs::span!("rx_decode");
         state.payload_stats.clear();
         state.payload_stats.extend_from_slice(&state.payload_raw);
@@ -597,8 +592,7 @@ impl Gen2Receiver {
         out: &mut Vec<Complex>,
     ) {
         state.forget_record();
-        let n_payload = payload_slot_count(payload_len, &self.config);
-        self.payload_raw_on(digitized, state, slot0_start, n_payload);
+        self.payload_raw_on(digitized, state, slot0_start, &self.layout(payload_len));
         out.clear();
         out.extend_from_slice(&state.payload_raw);
         self.maybe_track_carrier_in_place(out);
@@ -699,7 +693,7 @@ mod tests {
         let burst = tx.transmit_packet(&payload).unwrap();
         let stats = rx.payload_statistics_known_timing(
             &burst.samples,
-            burst.slot0_center - tx.pulse().len() / 2,
+            tx.layout(payload.len()).slot0_start,
             payload.len(),
         );
         let decoded = decode_payload(&stats, payload.len(), &cfg).unwrap();
@@ -783,7 +777,7 @@ mod tests {
             let mut rng = Rand::new(seed);
             let p = uwb_dsp::complex::mean_power(&through);
             let noisy = add_awgn_complex(&through, p / 3.0, &mut rng);
-            let slot0 = burst.slot0_center - tx.pulse().len() / 2;
+            let slot0 = tx.layout(payload.len()).slot0_start;
             let stats = rx.payload_statistics_known_timing(&noisy, slot0, payload.len());
             let bits = crate::packet::decode_payload_bits(&stats, payload.len(), &cfg).unwrap();
             crate::packet::reference_payload_bits(&payload)
@@ -825,7 +819,7 @@ mod tests {
         let mut rng = Rand::new(9);
         let p = uwb_dsp::complex::mean_power(&burst.samples);
         let noisy = add_awgn_complex(&burst.samples, p / 2.0, &mut rng);
-        let slot0 = burst.slot0_center - tx.pulse().len() / 2;
+        let slot0 = tx.layout(payload.len()).slot0_start;
         let bits = |v: &[Complex]| {
             v.iter()
                 .map(|z| (z.re.to_bits(), z.im.to_bits()))
@@ -882,7 +876,7 @@ mod tests {
         let through = ch.apply(&burst.samples, burst.sample_rate);
         let p = uwb_dsp::complex::mean_power(&through);
         let noisy = add_awgn_complex(&through, p / 2.0, &mut rng);
-        (noisy, burst.slot0_center - tx.pulse().len() / 2)
+        (noisy, tx.layout(payload.len()).slot0_start)
     }
 
     #[test]
@@ -898,8 +892,8 @@ mod tests {
                 ..Gen2Config::nominal_100mbps()
             };
             let (tx, rx) = link(&cfg);
-            let sps = cfg.samples_per_slot();
-            let n_payload = payload_slot_count(payload.len(), &cfg);
+            let layout = tx.layout(payload.len());
+            let sps = layout.samples_per_slot;
             for (i, model) in [
                 ChannelModel::Awgn,
                 ChannelModel::Cm1,
@@ -921,9 +915,8 @@ mod tests {
                     &mut state,
                     &mut got,
                 );
-                let first =
-                    slot0 - CIR_PRE_SAMPLES + (rx.header_slot0() + header_slot_count(&cfg)) * sps;
-                let want: Vec<Complex> = (0..n_payload)
+                let first = slot0 - CIR_PRE_SAMPLES + layout.payload_slot0 * sps;
+                let want: Vec<Complex> = (0..layout.payload_slots)
                     .map(|k| {
                         state
                             .rake
@@ -964,8 +957,9 @@ mod tests {
         let cfg = Gen2Config::nominal_100mbps();
         let (tx, rx) = link(&cfg);
         let payload = vec![0xA7u8; 24];
-        let n_header = header_slot_count(&cfg) as u64;
-        let n_payload = payload_slot_count(payload.len(), &cfg) as u64;
+        let layout = tx.layout(payload.len());
+        let n_header = layout.header_slots as u64;
+        let n_payload = layout.payload_slots as u64;
         // Two records with the same frame timing and different noise: a
         // stale memo from one would decode the other at the same offset.
         let (raw_a, slot0) = seeded_record(&tx, ChannelModel::Cm1, &payload, 60);
@@ -1002,7 +996,7 @@ mod tests {
         // A payload length the header does not announce: the estimate is
         // reused, the payload recombined.
         let other_len = payload.len() + 7;
-        assert_ne!(payload_slot_count(other_len, &cfg) as u64, n_payload);
+        assert_ne!(tx.layout(other_len).payload_slots as u64, n_payload);
         known_timing(&mut state, &a, slot0, other_len);
         let before = state.combined_slots();
         assert_eq!(frame_bits(&rx, &a, &mut state, slot0), want_a);

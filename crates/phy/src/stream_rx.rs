@@ -39,10 +39,8 @@
 
 use crate::acquisition::AcquisitionResult;
 use crate::error::PhyError;
-use crate::packet::{header_slot_count, payload_slot_count, Header};
-use crate::receiver::{
-    Gen2Receiver, ReceivedPacket, RxState, CIR_PRE_SAMPLES, CIR_WINDOW, SFD_SLOTS,
-};
+use crate::packet::Header;
+use crate::receiver::{Gen2Receiver, ReceivedPacket, RxState, CIR_PRE_SAMPLES, CIR_WINDOW};
 use crate::Gen2Config;
 use uwb_dsp::Complex;
 
@@ -219,23 +217,14 @@ impl StreamRx {
         n_slots * self.config().samples_per_slot() + CIR_WINDOW + self.rx.pulse_len()
     }
 
-    /// Frame length in slots for a given payload length.
-    fn frame_slots(&self, payload_len: usize) -> usize {
-        let cfg = self.config();
-        cfg.preamble_length() * cfg.preamble_repeats
-            + SFD_SLOTS
-            + header_slot_count(cfg)
-            + payload_slot_count(payload_len, cfg)
-    }
-
     /// Advances the state machine until it runs out of buffered samples.
     /// With `draining` set, pending phases resolve against whatever tail
     /// remains instead of waiting for a full window.
     fn pump(&mut self, draining: bool) {
         let sps = self.config().samples_per_slot();
         let period = self.config().preamble_length() * sps;
-        let preamble_slots = self.config().preamble_length() * self.config().preamble_repeats;
-        let n_header = header_slot_count(self.config());
+        // Slots up to the end of the header: the same for every payload.
+        let through_header = self.rx.layout(0).payload_slot0;
         loop {
             let have_end = self.base + self.buf.len();
             match self.phase {
@@ -265,8 +254,7 @@ impl StreamRx {
                 }
                 Phase::Acquired { acq } => {
                     let est_rel = acq.offset.saturating_sub(CIR_PRE_SAMPLES);
-                    let need =
-                        est_rel + self.slot_span(preamble_slots + SFD_SLOTS + n_header);
+                    let need = est_rel + self.slot_span(through_header);
                     let full_end = self.cursor + need;
                     if have_end < full_end && !draining {
                         return;
@@ -295,7 +283,8 @@ impl StreamRx {
                 }
                 Phase::Decoding { acq, header } => {
                     let est_rel = acq.offset.saturating_sub(CIR_PRE_SAMPLES);
-                    let need = est_rel + self.slot_span(self.frame_slots(header.payload_len));
+                    let frame_slots = self.rx.layout(header.payload_len).total_slots;
+                    let need = est_rel + self.slot_span(frame_slots);
                     let full_end = self.cursor + need;
                     if have_end < full_end && !draining {
                         return;
@@ -308,7 +297,8 @@ impl StreamRx {
                     match self.rx.decode_frame_at(&mut self.state, acq.offset) {
                         Ok((hdr, payload)) => {
                             let frame_start = self.cursor + acq.offset;
-                            let advance = acq.offset + self.frame_slots(hdr.payload_len) * sps;
+                            let advance = acq.offset
+                                + self.rx.layout(hdr.payload_len).total_slots * sps;
                             self.packets.push((
                                 frame_start,
                                 ReceivedPacket {
@@ -505,9 +495,8 @@ mod tests {
         let mut bad = tx.transmit_packet(b"the bad one!").unwrap();
         // Null out everything after the preamble: acquisition will lock but
         // the header cannot decode.
-        let sps = tx.config().samples_per_slot();
-        let preamble_samples =
-            tx.config().preamble_length() * tx.config().preamble_repeats * sps;
+        let layout = tx.layout(12);
+        let preamble_samples = layout.preamble_slots * layout.samples_per_slot;
         for z in bad.samples[preamble_samples..].iter_mut() {
             *z = Complex::ZERO;
         }

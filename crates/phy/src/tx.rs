@@ -9,7 +9,7 @@
 use crate::config::Gen2Config;
 use crate::correlator::SpreadCode;
 use crate::error::PhyError;
-use crate::packet::{build_frame_into, FrameScratch, FrameSlots};
+use crate::packet::{build_frame_into, FrameLayout, FrameScratch, FrameSlots};
 use crate::pulse::PulseShape;
 use uwb_dsp::Complex;
 use uwb_sim::time::SampleRate;
@@ -100,26 +100,25 @@ impl Gen2Transmitter {
         scratch: &mut FrameScratch,
     ) -> Result<(), PhyError> {
         build_frame_into(payload, &self.config, &mut burst.slots, scratch)?;
-        self.synthesize_in_place(burst);
+        self.synthesize_in_place(&self.layout(payload.len()), burst);
         Ok(())
     }
 
+    /// The closed-form layout of the burst this transmitter synthesizes
+    /// for a `payload_len`-byte payload.
+    pub fn layout(&self, payload_len: usize) -> FrameLayout {
+        FrameLayout::new(&self.config, self.pulse.len(), payload_len)
+    }
+
     /// Re-synthesizes `burst.samples` (and geometry fields) from
-    /// `burst.slots`, reusing the sample buffer — allocation-free once the
-    /// capacity suffices. The four slot segments are walked in transmission order
-    /// without concatenating them first.
-    fn synthesize_in_place(&self, burst: &mut Burst) {
-        let sps = self.config.samples_per_slot();
-        let half_pulse = self.pulse.len() / 2;
-        // Guard so the first/last pulse fit entirely.
-        let guard = half_pulse + sps;
-        let slot_count = burst.slots.preamble.len()
-            + burst.slots.sfd.len()
-            + burst.slots.header.len()
-            + burst.slots.payload.len();
-        let n = slot_count * sps + 2 * guard;
+    /// `burst.slots` at the places `layout` gives, reusing the sample
+    /// buffer — allocation-free once the capacity suffices. The four slot
+    /// segments are walked in transmission order without concatenating
+    /// them first.
+    fn synthesize_in_place(&self, layout: &FrameLayout, burst: &mut Burst) {
+        let sps = layout.samples_per_slot;
         burst.samples.clear();
-        burst.samples.resize(n, Complex::ZERO);
+        burst.samples.resize(layout.burst_len, Complex::ZERO);
         let segments = [
             &burst.slots.preamble,
             &burst.slots.sfd,
@@ -130,17 +129,17 @@ impl Gen2Transmitter {
         for seg in segments {
             for &a in seg.iter() {
                 if a != 0.0 {
-                    let center = guard + k * sps;
+                    let start = layout.slot0_start + k * sps;
                     for (j, &p) in self.pulse.iter().enumerate() {
-                        let idx = center + j - half_pulse;
-                        burst.samples[idx].re += a * p;
+                        burst.samples[start + j].re += a * p;
                     }
                 }
                 k += 1;
             }
         }
+        debug_assert_eq!(k, layout.total_slots, "frame slots disagree with the layout");
         burst.sample_rate = self.config.sample_rate;
-        burst.slot0_center = guard;
+        burst.slot0_center = layout.guard;
         burst.samples_per_slot = sps;
     }
 
@@ -231,7 +230,7 @@ mod tests {
         // aligns with chip-0 center minus half the pulse length.
         let sps = burst.samples_per_slot;
         let period = 127 * sps;
-        let start0 = burst.slot0_center as isize - (t.pulse().len() / 2) as isize;
+        let start0 = t.layout(3).slot0_start as isize;
         let rel = (peak_idx as isize - start0).rem_euclid(period as isize);
         assert!(
             rel.min(period as isize - rel) <= 1,

@@ -521,7 +521,7 @@ impl LinkWorker {
         }
 
         CleanSynthesis {
-            slot0_start: self.burst.slot0_center - self.tx.pulse().len() / 2,
+            slot0_start: self.tx.layout(payload_len).slot0_start,
             n0,
             awgn_rng,
         }
@@ -1251,7 +1251,7 @@ mod tests {
         w.trial_full(&sc, 32, &mut rng, &mut outcome);
         let record = w.clean_record().to_vec();
         let payload = w.payload_bytes().to_vec();
-        let slot0 = w.burst.slot0_center - w.tx.pulse().len() / 2;
+        let slot0 = w.tx.layout(32).slot0_start;
 
         let mut counter = ErrorCounter::default();
         let ok = w.count_errors_in_record(&record, slot0, &payload, &mut counter);
@@ -1268,20 +1268,83 @@ mod tests {
         let sc = LinkScenario::awgn(small_config(), 6.0, 20050307);
         let mut w = LinkWorker::new(&sc);
         let mut outcome = LinkOutcome::default();
-        let cfg = &sc.config;
-        let n_header = uwb_phy::packet::header_slot_count(cfg) as u64;
-        let n_payload = uwb_phy::packet::payload_slot_count(24, cfg) as u64;
+        let layout = w.tx.layout(24);
         for t in 0..20 {
             let before = w.rx_state.combined_slots();
             w.trial_full(&sc, 24, &mut Rand::for_trial(sc.seed, t), &mut outcome);
             assert_eq!(
                 w.rx_state.combined_slots() - before,
-                n_payload + n_header,
+                (layout.payload_slots + layout.header_slots) as u64,
                 "trial {t} combined the payload twice"
             );
         }
         assert_eq!(outcome.packets, 20);
         assert_eq!(outcome.sync_failures, 0);
         assert!(outcome.packets_ok > 0);
+    }
+
+    #[test]
+    fn synthesis_matches_the_closed_form_layout() {
+        // Five frame shapes x five payload lengths x AWGN and CM1-CM4 x
+        // four trials: the record is the layout's burst plus the channel's
+        // tail (none on AWGN), slot 0 starts where the layout says, and the
+        // frame sections have the layout's lengths.
+        let nominal = Gen2Config::nominal_100mbps();
+        let configs = [
+            nominal.clone(),
+            Gen2Config {
+                preamble_repeats: 2,
+                ..nominal.clone()
+            },
+            Gen2Config {
+                fec: Some(uwb_phy::ConvCode::k7()),
+                ..nominal.clone()
+            },
+            Gen2Config {
+                modulation: uwb_phy::Modulation::Pam4,
+                pulses_per_bit: 3,
+                ..nominal.clone()
+            },
+            Gen2Config {
+                modulation: uwb_phy::Modulation::Ppm2,
+                preamble_degree: 5,
+                fec: Some(uwb_phy::ConvCode::k3()),
+                ..nominal.clone()
+            },
+        ];
+        let models = [
+            ChannelModel::Awgn,
+            ChannelModel::Cm1,
+            ChannelModel::Cm2,
+            ChannelModel::Cm3,
+            ChannelModel::Cm4,
+        ];
+        for (c, config) in configs.into_iter().enumerate() {
+            for (m, channel) in models.into_iter().enumerate() {
+                let sc = LinkScenario {
+                    channel,
+                    ..LinkScenario::awgn(config.clone(), 8.0, 100 + c as u64)
+                };
+                let mut w = LinkWorker::new(&sc);
+                for payload_len in [0, 1, 24, 256, 1500] {
+                    let layout = w.tx.layout(payload_len);
+                    for t in 0..4 {
+                        let mut rng = Rand::for_trial(sc.seed, (m * 4 + t) as u64);
+                        let clean =
+                            w.synthesize_clean_streamed(&sc, payload_len, 4096, &mut rng);
+                        let tail = w.stream_channel.tail_len();
+                        let what = format!("config {c}, {channel:?}, {payload_len} B");
+                        assert_eq!(tail == 0, channel == ChannelModel::Awgn, "{what}");
+                        assert_eq!(w.clean_record().len(), layout.burst_len + tail, "{what}");
+                        assert_eq!(clean.slot0_start, layout.slot0_start, "{what}");
+                        let slots = &w.burst.slots;
+                        assert_eq!(slots.preamble.len(), layout.preamble_slots, "{what}");
+                        assert_eq!(slots.sfd.len(), layout.sfd_slots, "{what}");
+                        assert_eq!(slots.header.len(), layout.header_slots, "{what}");
+                        assert_eq!(slots.payload.len(), layout.payload_slots, "{what}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -11,11 +11,6 @@
 use crate::time::{Hertz, SampleRate};
 use uwb_dsp::{BiquadCascade, Biquad};
 
-/// Physical footprint of the paper's antenna in millimetres.
-pub const ANTENNA_WIDTH_MM: f64 = 42.0;
-/// Physical height of the paper's antenna in millimetres.
-pub const ANTENNA_HEIGHT_MM: f64 = 27.0;
-
 /// Band-pass behavioral model of the UWB antenna.
 #[derive(Debug, Clone)]
 pub struct Antenna {
@@ -134,12 +129,6 @@ mod tests {
         let y = ant.apply(&x, fs());
         let gain = uwb_dsp::math::rms(&y[n / 2..]) / uwb_dsp::math::rms(&x[n / 2..]);
         assert!(gain > 0.7, "in-band gain {gain}");
-    }
-
-    #[test]
-    fn dimensions_match_paper() {
-        assert_eq!(ANTENNA_WIDTH_MM, 42.0);
-        assert_eq!(ANTENNA_HEIGHT_MM, 27.0);
     }
 
     #[test]

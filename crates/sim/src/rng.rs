@@ -49,13 +49,13 @@ pub fn derive_trial_seed(master_seed: u64, trial: u64) -> u64 {
 /// Eight u64 lanes fill one AVX-512 register; the lane count is part of the
 /// block-Gaussian stream definition and must not change without re-pinning
 /// the downstream fingerprints.
-pub const GAUSS_LANES: usize = 8;
+const GAUSS_LANES: usize = 8;
 
 /// Carry-buffer quantum for [`Rand::fill_gaussian`]: gaussians are always
 /// produced in blocks of this many, regardless of how callers partition
 /// their requests — that fixed refill quantum is what makes the block
 /// stream chunk-size invariant.
-pub const GAUSS_BATCH: usize = 256;
+const GAUSS_BATCH: usize = 256;
 
 /// A seeded random source with Gaussian sampling.
 ///
@@ -68,7 +68,7 @@ pub const GAUSS_BATCH: usize = 256;
 ///
 /// Two Gaussian streams coexist (see [`Rand::fill_gaussian`]): the scalar
 /// [`Rand::gaussian`] stream drawn from the main xoshiro state, and the
-/// block stream drawn from [`GAUSS_LANES`] independent lanes. They never
+/// block stream drawn from `GAUSS_LANES` independent lanes. They never
 /// consume each other's draws, so interleaving calls is well-defined.
 #[derive(Debug, Clone)]
 pub struct Rand {
@@ -215,8 +215,8 @@ impl Rand {
 
     /// Fills `out` with standard normal samples from the **block stream**.
     ///
-    /// The block stream is generated [`GAUSS_BATCH`] samples at a time by
-    /// [`GAUSS_LANES`] lane-parallel xoshiro256++ generators feeding a
+    /// The block stream is generated `GAUSS_BATCH` samples at a time by
+    /// `GAUSS_LANES` lane-parallel xoshiro256++ generators feeding a
     /// batched, branch-free Box–Muller (polynomial `ln` and `sin`/`cos`
     /// kernels from [`uwb_dsp::simd`] — the whole refill autovectorizes).
     /// A carry buffer hands out samples across calls, so the stream depends

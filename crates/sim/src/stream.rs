@@ -282,10 +282,6 @@ impl BlockProcessor for StreamingChannel {
             *z = Complex::ZERO;
         }
     }
-
-    fn name(&self) -> &'static str {
-        "channel"
-    }
 }
 
 /// Streaming AWGN source: adds circularly-symmetric complex noise of total
@@ -393,10 +389,6 @@ impl BlockProcessor for StreamingAwgn {
 
     fn reset(&mut self) {
         self.rng = self.initial.clone();
-    }
-
-    fn name(&self) -> &'static str {
-        "awgn"
     }
 }
 
@@ -554,10 +546,6 @@ impl BlockProcessor for StreamingInterferer {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "interferer"
-    }
 }
 
 #[cfg(test)]
@@ -619,10 +607,6 @@ mod tests {
 
         fn reset(&mut self) {
             self.history.fill(Complex::ZERO);
-        }
-
-        fn name(&self) -> &'static str {
-            "reference-channel"
         }
     }
 
@@ -733,10 +717,6 @@ mod tests {
 
         fn reset(&mut self) {
             self.0.reset();
-        }
-
-        fn name(&self) -> &'static str {
-            "complex-kernel"
         }
     }
 

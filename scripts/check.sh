@@ -79,15 +79,16 @@
 #                             tests, the allocation gate (covers the warm
 #                             batched trial), and the smoke binary under
 #                             UWB_BATCH=1 and UWB_BATCH=8
-#   scripts/check.sh surface  public-surface gate: lists every `pub fn` in a
-#                             library crate (crates/*/src, not crates/bench)
-#                             whose name, as a whole word, appears in no
-#                             other .rs file under crates/, src/, tests/,
-#                             examples/ or benchmark/src/, and fails if there
-#                             is one. Comment lines, `pub use …;` re-exports
-#                             and `fn <name>` definitions in those other
-#                             files do not count as uses. No allowlist:
-#                             delete the function or drop its `pub`
+#   scripts/check.sh surface  public-surface gate: lists every `pub fn`,
+#                             `pub const` and `pub static` in a library
+#                             crate (crates/*/src, not crates/bench) whose
+#                             name, as a whole word, appears in no other .rs
+#                             file under crates/, src/, tests/, examples/ or
+#                             benchmark/src/, and fails if there is one.
+#                             Comment lines, `pub use …;` re-exports and
+#                             `fn <name>` definitions in those other files
+#                             do not count as uses. No allowlist: delete the
+#                             item or drop its `pub`
 #   scripts/check.sh pins     end-to-end determinism gate: one short
 #                             uwbbench run of all five workloads at the
 #                             default seed (--seconds 0.1); fails unless it
@@ -110,7 +111,7 @@ tier1() {
 }
 
 surface() {
-    echo "== surface: library pub fns no other file names =="
+    echo "== surface: library pub fns, consts and statics no other file names =="
     local hits=0 file name stripped
     # A copy of every scanned .rs file without comment lines, `pub use …;`
     # re-exports or `fn <name>` definitions: a name counts as used only
@@ -122,7 +123,8 @@ surface() {
             "$file" >"$stripped/$file"
     done < <(find crates src tests examples benchmark/src -name '*.rs')
     while IFS= read -r file; do
-        for name in $(grep -oP '^\s*pub fn \K\w+' "$file" | sort -u); do
+        for name in $(grep -oP '^\s*pub (const )?fn \K\w+|^\s*pub (const|static) (?!fn\b)\K\w+' "$file" |
+            sort -u); do
             if ! (cd "$stripped" && grep -rlw -- "$name" crates src tests examples benchmark/src) |
                 grep -qvxF -- "$file"; then
                 echo "  $file: $name"
@@ -131,7 +133,7 @@ surface() {
         done
     done < <(find crates -path crates/bench -prune -o -path '*/src/*.rs' -print | sort)
     rm -rf "$stripped"
-    echo "surface: $hits unreferenced pub fn(s)"
+    echo "surface: $hits unreferenced pub item(s)"
     [ "$hits" -eq 0 ]
 }
 

@@ -122,10 +122,8 @@ fn preamble_only_no_data() {
     let tx = Gen2Transmitter::new(config.clone()).unwrap();
     let rx = Gen2Receiver::new(config.clone()).unwrap();
     let burst = tx.transmit_packet(&[0u8; 64]).unwrap();
-    let preamble_samples = config.preamble_length()
-        * config.preamble_repeats
-        * config.samples_per_slot()
-        + burst.slot0_center;
+    let layout = tx.layout(64);
+    let preamble_samples = layout.preamble_slots * layout.samples_per_slot + layout.guard;
     let outcome =
         check_no_silent_corruption(&rx, &burst.samples[..preamble_samples], &[0u8; 64]);
     assert_ne!(outcome, "ok");

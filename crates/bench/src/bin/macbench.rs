@@ -46,8 +46,8 @@ fn bench_scenario() -> MacScenario {
 
 fn suite() -> Suite {
     let scenario = bench_scenario();
-    // 1. The serial MAC planning phase: network planning + per-config
-    //    airtime probes + sense-set extraction.
+    // 1. The MAC planning phase: network planning + closed-form
+    //    airtimes + sense-set extraction.
     let plan_us = time_us(3, 5, || {
         let _ = plan_mac(&scenario);
     });

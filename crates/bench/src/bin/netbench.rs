@@ -3,8 +3,9 @@
 //!
 //! Times the network warm path (clean synthesis + superposition mixing +
 //! per-victim reception for an 8-user piconet), the mixing kernel itself,
-//! the serial planning phase, the 10k-link interference-graph build and a
-//! warm 1,000-user round:
+//! the planning phase (one probe-sweep span: the ring is too small to
+//! split), the 10k-link interference-graph build and a warm 1,000-user
+//! round:
 //!
 //! ```text
 //! cargo run -p uwb-bench --release --bin netbench -- --out BENCH_net.json
@@ -55,8 +56,8 @@ fn bench_scenario() -> NetScenario {
 
 fn suite() -> Suite {
     let scenario = bench_scenario();
-    // 1. The serial planning phase (probe synthesis + allocation +
-    //    measurement) for the 8-user scenario.
+    // 1. The planning phase (probe synthesis + allocation +
+    //    measurement) for the 8-user scenario: one span, on this thread.
     let plan_us = time_us(3, 5, || {
         let _ = plan_network(&scenario);
     });

@@ -99,8 +99,10 @@ impl MacPlan {
     }
 }
 
-/// Freezes a scenario into a [`MacPlan`]. Serial; allocation here is
-/// fine — the measurement phase reuses everything.
+/// Freezes a scenario into a [`MacPlan`]: [`plan_network`] (whose probe
+/// sweep spreads over threads; bit-identical for any count), then the
+/// MAC statics on the calling thread. Allocation here is fine — the
+/// measurement phase reuses everything.
 pub fn plan_mac(sc: &MacScenario) -> MacPlan {
     assert!(sc.queue_cap >= 1, "queue_cap must be at least 1");
     assert!(sc.slot_samples >= 1, "slot_samples must be at least 1");

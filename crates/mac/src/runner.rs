@@ -824,7 +824,7 @@ impl MacWorker {
     }
 }
 
-/// Plans and measures a complete MAC scenario: serial [`plan_mac`], then
+/// Plans and measures a complete MAC scenario: [`plan_mac`], then
 /// `replications` trials on the deterministic parallel engine, then
 /// report assembly. Worker count follows `UWB_THREADS` / available
 /// parallelism; all counters are bit-identical either way.

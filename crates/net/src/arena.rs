@@ -50,7 +50,9 @@ pub(crate) fn channel_major_order(channels: &[Channel]) -> Vec<u32> {
 
 /// Plan-time liveness of per-transmitter records over a victim sweep: the
 /// order victims are processed in, when each record dies, and the maximum
-/// number simultaneously alive (= the arena size).
+/// number simultaneously alive (= the arena size). A span of a
+/// `SpanSchedule` is one too, over its slice of the sweep and the
+/// records only it reads.
 #[derive(Debug, Clone)]
 pub struct RecordSchedule {
     /// Link ids in sweep order: position `p` processes victim `order[p]`.
@@ -86,6 +88,61 @@ impl RecordSchedule {
     /// permutation of the link ids.
     pub(crate) fn ordered(order: Vec<u32>, rows: &[CouplingRow]) -> RecordSchedule {
         let n = order.len();
+        let mut one = SpanSchedule::cut(&order, rows, &[0, n]);
+        one.spans.pop().expect("one span")
+    }
+
+    /// This sweep cut into `t` contiguous spans of near-equal victim
+    /// counts.
+    pub(crate) fn split(&self, rows: &[CouplingRow], t: usize) -> SpanSchedule {
+        let n = self.order.len();
+        let cuts: Vec<usize> = (0..=t).map(|s| s * n / t).collect();
+        SpanSchedule::cut(&self.order, rows, &cuts)
+    }
+
+    /// The link ids in sweep order.
+    pub fn order(&self) -> &[u32] {
+        self.order.as_slice()
+    }
+
+    /// The arena size this schedule needs.
+    pub fn max_live(&self) -> usize {
+        self.max_live
+    }
+
+    /// The transmitters whose records die once the victim at sweep
+    /// position `p` is processed.
+    fn expiring_after(&self, p: usize) -> &[u32] {
+        &self.expire_at[p]
+    }
+}
+
+/// A sweep cut into contiguous spans that can run concurrently. A record
+/// whose first and last reader fall in different spans — exactly the
+/// records live across some cut — is *shared*: it is synthesized once,
+/// before any span starts, and read in place by every span. Each span's
+/// [`RecordSchedule`] covers only the victims in its span (its `order` is
+/// that slice of the sweep) and only the records no other span reads, so
+/// every record is synthesized exactly once for any cut.
+#[derive(Debug, Clone)]
+pub(crate) struct SpanSchedule {
+    /// The spans' schedules, in sweep order.
+    pub(crate) spans: Vec<RecordSchedule>,
+    /// The shared records' link ids, ascending.
+    pub(crate) shared: Vec<u32>,
+}
+
+impl SpanSchedule {
+    /// The sweep that processes victim `order[p]` at position `p`, cut at
+    /// the ascending positions `cuts` (first `0`, last `order.len()`): span
+    /// `s` runs positions `cuts[s]..cuts[s + 1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one row per link and `order` is a
+    /// permutation of the link ids.
+    fn cut(order: &[u32], rows: &[CouplingRow], cuts: &[usize]) -> SpanSchedule {
+        let n = order.len();
         assert_eq!(rows.len(), n, "one coupling row per link");
         let mut pos = vec![u32::MAX; n];
         for (p, &v) in order.iter().enumerate() {
@@ -104,43 +161,42 @@ impl RecordSchedule {
                 last[u] = last[u].max(p);
             }
         }
+        // Span of sweep position `p`: the number of inner cuts at or
+        // before it.
+        let inner = &cuts[1..cuts.len() - 1];
+        let span_of = |p: u32| inner.partition_point(|&c| c <= p as usize);
+        let mut shared = Vec::new();
         let mut expire_at: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (u, &l) in last.iter().enumerate() {
-            expire_at[l as usize].push(u as u32);
-        }
         let mut acquires = vec![0u32; n];
-        for &f in &first {
-            acquires[f as usize] += 1;
+        for (u, (&f, &l)) in first.iter().zip(&last).enumerate() {
+            if span_of(f) == span_of(l) {
+                acquires[f as usize] += 1;
+                expire_at[l as usize].push(u as u32);
+            } else {
+                shared.push(u as u32);
+            }
         }
-        let mut live = 0usize;
-        let mut max_live = 0usize;
-        for p in 0..n {
-            live += acquires[p] as usize;
-            max_live = max_live.max(live);
-            live -= expire_at[p].len();
-        }
-        debug_assert_eq!(live, 0, "every record must die by the end of the sweep");
-        RecordSchedule {
-            order,
-            expire_at,
-            max_live,
-        }
-    }
-
-    /// The link ids in sweep order.
-    pub fn order(&self) -> &[u32] {
-        self.order.as_slice()
-    }
-
-    /// The arena size this schedule needs.
-    pub fn max_live(&self) -> usize {
-        self.max_live
-    }
-
-    /// The transmitters whose records die once the victim at sweep
-    /// position `p` is processed.
-    fn expiring_after(&self, p: usize) -> &[u32] {
-        &self.expire_at[p]
+        let mut expiring = expire_at.into_iter();
+        let spans = cuts
+            .windows(2)
+            .map(|w| {
+                let expire_at: Vec<Vec<u32>> = expiring.by_ref().take(w[1] - w[0]).collect();
+                let mut live = 0usize;
+                let mut max_live = 0usize;
+                for (a, e) in acquires[w[0]..w[1]].iter().zip(&expire_at) {
+                    live += *a as usize;
+                    max_live = max_live.max(live);
+                    live -= e.len();
+                }
+                debug_assert_eq!(live, 0, "every span record must die in its span");
+                RecordSchedule {
+                    order: order[w[0]..w[1]].to_vec(),
+                    expire_at,
+                    max_live,
+                }
+            })
+            .collect();
+        SpanSchedule { spans, shared }
     }
 }
 
@@ -313,40 +369,83 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Driving an arena through any sweep: every record is acquired
-        /// once and stays resident for each of its readers, is released
-        /// exactly once, and the live count never passes `max_live`.
+        /// Driving one arena per span through any cut of any sweep: the
+        /// shared set is exactly the records live across a cut (at most
+        /// `max_live` per cut); every other record a span reads is
+        /// resident in that span's arena from its first reader to its last
+        /// (acquired and released exactly once, by one span); and no span
+        /// arena passes its bound, which its sweep reaches. With no inner
+        /// cut, the one span is the whole sweep.
         #[test]
-        fn any_sweep_keeps_readers_resident(n in 1usize..48, seed in any::<u64>()) {
+        fn any_sweep_keeps_readers_resident(
+            n in 1usize..48,
+            seed in any::<u64>(),
+            inner in 0usize..5,
+        ) {
             let (rows, order) = rows_and_order(n, seed);
-            let s = RecordSchedule::ordered(order.clone(), &rows);
-            prop_assert_eq!(s.order(), order.as_slice());
-            let mut arena = RecordArena::new(n, s.max_live());
+            let whole = RecordSchedule::ordered(order.clone(), &rows);
+            prop_assert_eq!(whole.order(), order.as_slice());
+            let mut rng = uwb_sim::Rand::new(!seed);
+            let mut cuts: Vec<usize> = (0..inner).map(|_| rng.below(n + 1)).collect();
+            cuts.extend([0, n]);
+            cuts.sort_unstable();
+            let split = SpanSchedule::cut(&order, &rows, &cuts);
+            prop_assert_eq!(split.spans.len(), cuts.len() - 1);
+
+            // Every reader of each record: its own victim and every row
+            // holding it.
+            let readers = |v: usize| std::iter::once(v).chain(rows[v].iter().map(|&(u, _)| u));
+            let mut first = vec![usize::MAX; n];
+            let mut last = vec![0usize; n];
+            for (p, &v) in order.iter().enumerate() {
+                for u in readers(v as usize) {
+                    first[u] = first[u].min(p);
+                    last[u] = last[u].max(p);
+                }
+            }
+            let across = |u: usize, c: usize| first[u] < c && c <= last[u];
+            let inner_cuts = &cuts[1..cuts.len() - 1];
+            let shared: Vec<u32> = (0..n as u32)
+                .filter(|&u| inner_cuts.iter().any(|&c| across(u as usize, c)))
+                .collect();
+            prop_assert_eq!(&split.shared, &shared);
+            for &c in inner_cuts {
+                prop_assert!((0..n).filter(|&u| across(u, c)).count() <= whole.max_live());
+            }
+
+            let is_shared = |u: usize| shared.binary_search(&(u as u32)).is_ok();
             let mut acquired = vec![0u32; n];
             let mut released = vec![0u32; n];
-            let mut live = 0usize;
-            let mut peak = 0usize;
-            for (p, &v) in s.order().iter().enumerate() {
-                let v = v as usize;
-                for u in std::iter::once(v).chain(rows[v].iter().map(|&(u, _)| u)) {
-                    if !arena.is_resident(u) {
-                        arena.acquire(u);
-                        acquired[u] += 1;
-                        live += 1;
+            for (span, w) in split.spans.iter().zip(cuts.windows(2)) {
+                prop_assert_eq!(span.order(), &order[w[0]..w[1]]);
+                let mut arena = RecordArena::new(n, span.max_live());
+                let mut live = 0usize;
+                let mut peak = 0usize;
+                for (p, &v) in span.order().iter().enumerate() {
+                    for u in readers(v as usize) {
+                        if is_shared(u) {
+                            prop_assert!(!arena.is_resident(u));
+                        } else if !arena.is_resident(u) {
+                            arena.acquire(u);
+                            acquired[u] += 1;
+                            live += 1;
+                        }
                     }
+                    peak = peak.max(live);
+                    for &u in span.expiring_after(p) {
+                        released[u as usize] += 1;
+                        live -= 1;
+                    }
+                    arena.release_expired(span, p);
                 }
-                peak = peak.max(live);
-                prop_assert!(peak <= s.max_live());
-                for &u in s.expiring_after(p) {
-                    released[u as usize] += 1;
-                    live -= 1;
-                }
-                arena.release_expired(&s, p);
+                prop_assert_eq!(peak, span.max_live());
+                prop_assert!((0..n).all(|u| !arena.is_resident(u)));
             }
-            prop_assert_eq!(peak, s.max_live());
-            prop_assert!(acquired.iter().all(|&a| a == 1), "a record was re-synthesized");
-            prop_assert!(released.iter().all(|&r| r == 1));
-            prop_assert!((0..n).all(|u| !arena.is_resident(u)));
+            for u in 0..n {
+                let once = u32::from(!is_shared(u));
+                prop_assert_eq!(acquired[u], once, "record {} synthesized {} times", u, acquired[u]);
+                prop_assert_eq!(released[u], once);
+            }
         }
     }
 

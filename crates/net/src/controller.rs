@@ -1,6 +1,6 @@
 //! The network controller: channel allocation + per-link adaptation.
 //!
-//! Everything that *reacts to measurements* happens here, in a serial,
+//! Everything that *reacts to measurements* happens here, in a
 //! deterministic **planning phase** before the Monte-Carlo measurement
 //! phase starts. The deterministic parallel engine forbids carrying
 //! information between trials through worker state, so closed-loop control
@@ -18,8 +18,16 @@
 //! records live in the arena as `re` / `im` planes and are mixed by the
 //! same plane mixer as the rounds ([`VictimMixer`]), so on AWGN a probe
 //! mix touches only `re` planes.
+//!
+//! Because every entry is a pure function of its victim, the sweep is cut
+//! into contiguous spans that run on their own threads, each with its own
+//! probe worker, arena and mixer. The records live across a cut — read
+//! by two spans — are synthesized once before the spans start, split over
+//! the same threads, and read in place; every other record lives in the
+//! one span that reads it. Every probe is synthesized exactly once for
+//! any span count, and one span runs inline on the calling thread.
 
-use crate::arena::{RecordArena, RecordSchedule};
+use crate::arena::{RecordArena, RecordSchedule, SpanSchedule};
 use crate::coupling::{build_coupling_sparse, coupling_db, CouplingRow};
 use crate::mix::{VictimMixer, WaveRecord};
 use crate::scenario::{ChannelPolicy, NetScenario};
@@ -28,6 +36,7 @@ use uwb_dsp::Complex;
 use uwb_phy::bandplan::Channel;
 use uwb_phy::{ChannelConditions, InterfererReport, LinkAdapter, OperatingPoint, PowerModel, SpectralMonitor};
 use uwb_platform::link::{channel_rms_delay_ns, LinkScenario, LinkWorker};
+use uwb_sim::montecarlo::resolve_threads;
 use uwb_sim::rng::derive_trial_seed;
 use uwb_sim::time::Hertz;
 use uwb_sim::Rand;
@@ -116,36 +125,51 @@ impl NetPlan {
 /// Runs the planning phase: probe synthesis, channel allocation,
 /// measurement-driven adaptation, coupling-table construction.
 ///
-/// Serial and deterministic — a pure function of the scenario. Telemetry:
-/// the whole phase runs under a `net_schedule` span.
+/// Deterministic — a pure function of the scenario, bit-identical for any
+/// `UWB_THREADS`. The probe sweep runs in contiguous spans, one per
+/// thread while each span keeps at least the schedule's `max_live`
+/// victims; a small network takes one span on the calling thread.
+/// Telemetry: the whole phase runs under a `net_schedule` span, and the
+/// helper threads' stages merge into the calling thread's.
 ///
 /// # Panics
 ///
 /// Panics if the scenario has no links, a policy candidate list is empty,
 /// or an adapted configuration fails validation.
 pub fn plan_network(scenario: &NetScenario) -> NetPlan {
-    plan_network_swept(scenario, RecordSchedule::channel_major)
+    plan_network_swept(scenario, RecordSchedule::channel_major, None).0
 }
 
-/// [`plan_network`] with the probe sweep's schedule built by `sweep` from
-/// the channel assignment and the coupling rows.
+/// The deterministic work of one plan: the probe sweep's spans, its
+/// shared records, and the probe syntheses over the whole plan.
+#[derive(Debug, PartialEq, Eq)]
+struct PlanWork {
+    spans: usize,
+    shared: usize,
+    syntheses: u64,
+}
+
+/// [`plan_network`] with the probe sweep's schedule built by `order_by`
+/// from the channel assignment and the coupling rows, and the span count
+/// bounded by `threads` (`None`: [`resolve_threads`]'s default).
 fn plan_network_swept(
     scenario: &NetScenario,
-    sweep: fn(&[Channel], &[CouplingRow]) -> RecordSchedule,
-) -> NetPlan {
+    order_by: fn(&[Channel], &[CouplingRow]) -> RecordSchedule,
+    threads: Option<usize>,
+) -> (NetPlan, PlanWork) {
     let _t = uwb_obs::span!("net_schedule");
     let n = scenario.len();
     assert!(n > 0, "network needs at least one link");
 
-    // Probe records are synthesized by one shared worker: probes always
+    // Probe records are synthesized by one worker per span: probes always
     // use the base config.
-    let mut probes = Probes::new(scenario);
+    let mut probes = vec![Probes::new(scenario)];
 
     // --- Channel allocation. ---
     // The static policies are pure index arithmetic; the greedy
     // interference-aware policy synthesizes a dense probe table
-    // (documented small-N).
-    let channels = allocate_channels(scenario, &mut probes);
+    // (documented small-N), serially.
+    let channels = allocate_channels(scenario, &mut probes[0]);
 
     // --- Sparse interference graph on the final assignment. ---
     // Couplings below the scenario's floor are never enumerated; with the
@@ -155,102 +179,45 @@ fn plan_network_swept(
         build_coupling_sparse(&scenario.topology, &scenario.selectivity, &channels, &scenario.coupling);
 
     // --- Per-link probe measurements on the final assignment. ---
-    // Row-driven channel-major sweep over the shared-waveform arena (the
-    // measurement rounds' order): each link's clean probe record is
-    // synthesized once, shared by every coupled victim, and its slot
-    // recycled after its last reader. Peak memory is the graph's overlap
-    // width along the sweep, not N records.
-    let schedule = sweep(&channels, &coupling);
-    let mut arena = RecordArena::new(n, schedule.max_live());
+    // Row-driven channel-major sweep over shared-waveform arenas (the
+    // measurement rounds' order), cut into contiguous spans that run
+    // concurrently. Each link's clean probe record is synthesized once and
+    // shared by every coupled victim: a record only one span reads lives
+    // in that span's arena and is recycled after its last reader; the few
+    // records live across a cut are synthesized first, split over the
+    // threads, and read in place by every span. A span costs an arena of
+    // up to `max_live` records, so spans are kept only while each holds
+    // at least that many victims.
+    let schedule = order_by(&channels, &coupling);
+    let t = resolve_threads(threads).min(n / schedule.max_live()).max(1);
+    let SpanSchedule { spans, shared } = schedule.split(&coupling, t);
+    probes.resize_with(spans.len(), || Probes::new(scenario));
+    let shared = SharedProbes::synthesize(scenario, &shared, &mut probes);
+    let sweep = ProbeSweep {
+        scenario,
+        channels: &channels,
+        coupling: &coupling,
+        monitor: SpectralMonitor::new(),
+        adapter: LinkAdapter::new(scenario.base_config.clone(), PowerModel::cmos180()),
+        delay_ns: channel_rms_delay_ns(scenario.channel_model, 8, scenario.seed),
+    };
+    let swept = on_threads(probes.iter_mut().zip(&spans).collect(), |(p, span)| {
+        sweep.span(span, &shared, p)
+    });
 
-    let monitor = SpectralMonitor::new();
-    let fs_hz = scenario.base_config.sample_rate.as_hz();
-    let mut mixer = VictimMixer::default();
-    let mut spectral_mix = Vec::new();
+    // Entries merge by link id.
     let mut entries: Vec<Option<NetLinkPlan>> = (0..n).map(|_| None).collect();
-    let adapter = LinkAdapter::new(scenario.base_config.clone(), PowerModel::cmos180());
-    let delay_ns = channel_rms_delay_ns(scenario.channel_model, 8, scenario.seed);
-    for (p, &v) in schedule.order().iter().enumerate() {
-        let v = v as usize;
-        probes.ensure(scenario, v, &mut arena);
-        for &(u, _) in &coupling[v] {
-            probes.ensure(scenario, u, &mut arena);
+    for (span, swept) in spans.iter().zip(swept) {
+        for (&v, entry) in span.order().iter().zip(swept) {
+            entries[v as usize] = Some(entry);
         }
-
-        // Interference superposition at receiver v under the final plan,
-        // mixed in the same fixed ascending-transmitter order (and with the
-        // same per-edge gains) as the measurement phase.
-        mixer.start_zeros(arena.record(v).len());
-        let any = !coupling[v].is_empty();
-        for &(u, gain) in &coupling[v] {
-            mixer.add(arena.record(u), 0, gain);
-        }
-        let p_own = probes.power[v].max(1e-300);
-        let p_intf = if any { mixer.mean_power() } else { 0.0 };
-        let interference_rel_db = if p_intf > 0.0 {
-            10.0 * (p_intf / p_own).log10()
-        } else {
-            f64::NEG_INFINITY
-        };
-
-        // Spectral measurement over own signal + interference (optional:
-        // the Welch PSD dominates plan time on large networks).
-        let spectral = if scenario.probe_spectral {
-            mixer.add(arena.record(v), 0, 1.0);
-            mixer.complex_into(&mut spectral_mix);
-            monitor.analyze(&spectral_mix, fs_hz)
-        } else {
-            InterfererReport {
-                detected: false,
-                frequency: Hertz::new(0.0),
-                peak_to_floor_db: 0.0,
-                relative_power_db: f64::NEG_INFINITY,
-            }
-        };
-
-        // Adaptation: probe-measured SINR → operating point. The noise
-        // power per complex sample is n0 (two-sided, I+Q), so the SNR
-        // degradation from interference is (N + I) / N.
-        let mut config = scenario.base_config.clone();
-        config.channel = channels[v];
-        let operating = if scenario.adapt {
-            let p_noise = probes.n0[v].max(1e-300);
-            let degradation_db = 10.0 * (1.0 + p_intf / p_noise).log10();
-            let conditions = ChannelConditions {
-                snr_db: scenario.ebn0_db - degradation_db,
-                delay_spread_ns: delay_ns,
-                interferer_present: spectral.detected || any,
-            };
-            let op = adapter.adapt(&conditions);
-            // The channel assignment overrides the adapter's base channel.
-            config = op.config.clone();
-            config.channel = channels[v];
-            config.validate().expect("adapted config");
-            Some(op)
-        } else {
-            None
-        };
-
-        entries[v] = Some(NetLinkPlan {
-            scenario: LinkScenario {
-                config,
-                channel: scenario.channel_model,
-                ebn0_db: scenario.ebn0_db,
-                interferer: None,
-                notch_enabled: false,
-                seed: link_seed(scenario.seed, v),
-            },
-            channel: channels[v],
-            interference_rel_db,
-            spectral,
-            operating,
-        });
-
-        // Recycle every probe record whose last reader was this victim.
-        arena.release_expired(&schedule, p);
     }
-
-    NetPlan {
+    let work = PlanWork {
+        spans: spans.len(),
+        shared: shared.slots.len(),
+        syntheses: probes.iter().map(|p| p.syntheses).sum(),
+    };
+    let plan = NetPlan {
         links: entries
             .into_iter()
             .map(|e| e.expect("every link swept"))
@@ -260,23 +227,227 @@ fn plan_network_swept(
         block_len: scenario.block_len,
         rounds: scenario.rounds,
         seed: scenario.seed,
+    };
+    (plan, work)
+}
+
+/// Runs `job` on every item and returns the results in item order: the
+/// last item on the calling thread, the others on scoped helper threads
+/// whose telemetry merges into the caller's. One item runs inline, with
+/// no thread spawned.
+fn on_threads<I: Send, R: Send>(mut items: Vec<I>, job: impl Fn(I) -> R + Sync) -> Vec<R> {
+    let last = items.pop().expect("at least one item");
+    if items.is_empty() {
+        return vec![job(last)];
+    }
+    std::thread::scope(|s| {
+        let job = &job;
+        let handles: Vec<_> = items
+            .into_iter()
+            .map(|item| {
+                s.spawn(move || {
+                    let r = job(item);
+                    (r, uwb_obs::take_thread_telemetry())
+                })
+            })
+            .collect();
+        let own = job(last);
+        let mut out: Vec<R> = handles
+            .into_iter()
+            .map(|h| {
+                let (r, telemetry) = h.join().expect("planner thread panicked");
+                uwb_obs::merge_thread_telemetry(&telemetry);
+                r
+            })
+            .collect();
+        out.push(own);
+        out
+    })
+}
+
+/// Everything a probe-sweep span reads and no span writes: the scenario,
+/// the final assignment and coupling rows, and the measurement machinery.
+struct ProbeSweep<'a> {
+    scenario: &'a NetScenario,
+    channels: &'a [Channel],
+    coupling: &'a [CouplingRow],
+    monitor: SpectralMonitor,
+    adapter: LinkAdapter,
+    delay_ns: f64,
+}
+
+impl ProbeSweep<'_> {
+    /// Measures every victim of `span` in sweep order and returns their
+    /// plan entries in that order. Records outside `shared` are
+    /// synthesized by `probes` into the span's own arena at their first
+    /// reader and recycled after their last.
+    fn span(
+        &self,
+        span: &RecordSchedule,
+        shared: &SharedProbes,
+        probes: &mut Probes,
+    ) -> Vec<NetLinkPlan> {
+        let scenario = self.scenario;
+        let fs_hz = scenario.base_config.sample_rate.as_hz();
+        let mut arena = RecordArena::new(scenario.len(), span.max_live());
+        let mut mixer = VictimMixer::default();
+        let mut spectral_mix = Vec::new();
+        let mut entries = Vec::with_capacity(span.order().len());
+        for (p, &v) in span.order().iter().enumerate() {
+            let v = v as usize;
+            let row = &self.coupling[v];
+            probes.ensure(scenario, v, shared, &mut arena);
+            for &(u, _) in row {
+                probes.ensure(scenario, u, shared, &mut arena);
+            }
+            let record = |u: usize| shared.get(u).map_or_else(|| arena.record(u), |s| &s.record);
+            let own = shared.get(v).map_or(probes.stats[v], |s| s.stats);
+
+            // Interference superposition at receiver v under the final
+            // plan, mixed in the same fixed ascending-transmitter order
+            // (and with the same per-edge gains) as the measurement phase.
+            mixer.start_zeros(record(v).len());
+            let any = !row.is_empty();
+            for &(u, gain) in row {
+                mixer.add(record(u), 0, gain);
+            }
+            let p_own = own.power.max(1e-300);
+            let p_intf = if any { mixer.mean_power() } else { 0.0 };
+            let interference_rel_db = if p_intf > 0.0 {
+                10.0 * (p_intf / p_own).log10()
+            } else {
+                f64::NEG_INFINITY
+            };
+
+            // Spectral measurement over own signal + interference
+            // (optional: the Welch PSD dominates plan time on large
+            // networks).
+            let spectral = if scenario.probe_spectral {
+                mixer.add(record(v), 0, 1.0);
+                mixer.complex_into(&mut spectral_mix);
+                self.monitor.analyze(&spectral_mix, fs_hz)
+            } else {
+                InterfererReport {
+                    detected: false,
+                    frequency: Hertz::new(0.0),
+                    peak_to_floor_db: 0.0,
+                    relative_power_db: f64::NEG_INFINITY,
+                }
+            };
+
+            // Adaptation: probe-measured SINR → operating point. The noise
+            // power per complex sample is n0 (two-sided, I+Q), so the SNR
+            // degradation from interference is (N + I) / N.
+            let mut config = scenario.base_config.clone();
+            config.channel = self.channels[v];
+            let operating = if scenario.adapt {
+                let p_noise = own.n0.max(1e-300);
+                let degradation_db = 10.0 * (1.0 + p_intf / p_noise).log10();
+                let conditions = ChannelConditions {
+                    snr_db: scenario.ebn0_db - degradation_db,
+                    delay_spread_ns: self.delay_ns,
+                    interferer_present: spectral.detected || any,
+                };
+                let op = self.adapter.adapt(&conditions);
+                // The channel assignment overrides the adapter's base
+                // channel.
+                config = op.config.clone();
+                config.channel = self.channels[v];
+                config.validate().expect("adapted config");
+                Some(op)
+            } else {
+                None
+            };
+
+            entries.push(NetLinkPlan {
+                scenario: LinkScenario {
+                    config,
+                    channel: scenario.channel_model,
+                    ebn0_db: scenario.ebn0_db,
+                    interferer: None,
+                    notch_enabled: false,
+                    seed: link_seed(scenario.seed, v),
+                },
+                channel: self.channels[v],
+                interference_rel_db,
+                spectral,
+                operating,
+            });
+
+            // Recycle every probe record whose last reader was this victim.
+            arena.release_expired(span, p);
+        }
+        entries
     }
 }
 
-/// The planner's probe synthesis state: one shared worker (probes always
+/// A probe's calibrated `n0` and clean mean power.
+#[derive(Debug, Clone, Copy, Default)]
+struct ProbeStats {
+    n0: f64,
+    power: f64,
+}
+
+/// One shared probe: its record and stats.
+#[derive(Debug, Default)]
+struct SharedProbe {
+    record: WaveRecord,
+    stats: ProbeStats,
+}
+
+/// The probe records more than one span reads, synthesized before any
+/// span starts and read in place by all of them.
+struct SharedProbes {
+    /// Link → index into `slots`; `u32::MAX` for links no two spans share.
+    slot_of: Vec<u32>,
+    slots: Vec<SharedProbe>,
+}
+
+impl SharedProbes {
+    /// Synthesizes the links `ids`, split into contiguous chunks over the
+    /// span workers `probes`, one thread each.
+    fn synthesize(scenario: &NetScenario, ids: &[u32], probes: &mut [Probes]) -> SharedProbes {
+        let mut slots: Vec<SharedProbe> = ids.iter().map(|_| SharedProbe::default()).collect();
+        if !ids.is_empty() {
+            let per = ids.len().div_ceil(probes.len());
+            let chunks = probes
+                .iter_mut()
+                .zip(ids.chunks(per).zip(slots.chunks_mut(per)));
+            on_threads(chunks.collect(), |(p, (ids, slots))| {
+                for (&u, slot) in ids.iter().zip(slots) {
+                    slot.record.set_from(p.synthesize(scenario, u as usize));
+                    slot.stats = p.stats[u as usize];
+                }
+            });
+        }
+        let mut slot_of = vec![u32::MAX; scenario.len()];
+        for (i, &u) in ids.iter().enumerate() {
+            slot_of[u as usize] = i as u32;
+        }
+        SharedProbes { slot_of, slots }
+    }
+
+    /// Link `u`'s shared probe, if two spans read it.
+    fn get(&self, u: usize) -> Option<&SharedProbe> {
+        let slot = self.slot_of[u];
+        (slot != u32::MAX).then(|| &self.slots[slot as usize])
+    }
+}
+
+/// A planner thread's probe synthesis state: one worker (probes always
 /// run on the base config; its record buffer holds the latest probe), the
-/// probe scenario whose seed each synthesis sets, and per link the probe's
-/// calibrated `n0` and clean mean power.
+/// probe scenario whose seed each synthesis sets, per link the stats of
+/// the probes this worker synthesized, and its synthesis count.
 struct Probes {
     worker: LinkWorker,
     scenario: LinkScenario,
-    n0: Vec<f64>,
-    power: Vec<f64>,
+    stats: Vec<ProbeStats>,
+    syntheses: u64,
 }
 
 impl Probes {
     /// The probe worker and scenario on the base config, and zeroed
-    /// per-link tables.
+    /// per-link stats.
     fn new(scenario: &NetScenario) -> Self {
         let probe = LinkScenario {
             config: scenario.base_config.clone(),
@@ -289,14 +460,14 @@ impl Probes {
         Probes {
             worker: LinkWorker::new(&probe),
             scenario: probe,
-            n0: vec![0.0f64; scenario.len()],
-            power: vec![0.0f64; scenario.len()],
+            stats: vec![ProbeStats::default(); scenario.len()],
+            syntheses: 0,
         }
     }
 
     /// Synthesizes link `u`'s clean probe record and returns it. Each
     /// record is a pure function of the link's decorrelated seed, so any
-    /// synthesis order produces the same records.
+    /// synthesis order, on any thread, produces the same records.
     fn synthesize(&mut self, scenario: &NetScenario, u: usize) -> &[Complex] {
         self.scenario.seed = link_seed(scenario.seed, u);
         let mut rng = Rand::for_trial(self.scenario.seed, PROBE_ROUND);
@@ -306,16 +477,26 @@ impl Probes {
             scenario.block_len,
             &mut rng,
         );
-        self.n0[u] = clean.n0;
-        self.power[u] = mean_power(self.worker.clean_record());
+        self.stats[u] = ProbeStats {
+            n0: clean.n0,
+            power: mean_power(self.worker.clean_record()),
+        };
+        self.syntheses += 1;
         self.worker.clean_record()
     }
 
-    /// Synthesizes link `u`'s clean probe record into the arena if it is
-    /// not already resident: the lazy first-use order of any sweep
-    /// produces exactly the records an eager 0..n sweep would.
-    fn ensure(&mut self, scenario: &NetScenario, u: usize, arena: &mut RecordArena) {
-        if arena.is_resident(u) {
+    /// Synthesizes link `u`'s clean probe record into the span's arena
+    /// unless it is shared or already resident: the lazy first-use order
+    /// of any sweep produces exactly the records an eager 0..n sweep
+    /// would.
+    fn ensure(
+        &mut self,
+        scenario: &NetScenario,
+        u: usize,
+        shared: &SharedProbes,
+        arena: &mut RecordArena,
+    ) {
+        if shared.get(u).is_some() || arena.is_resident(u) {
             return;
         }
         let record = self.synthesize(scenario, u);
@@ -462,16 +643,43 @@ mod tests {
         }
     }
 
+    /// Equal plans, bit for bit: coupling gains and
+    /// `interference_rel_db` on `to_bits`, every other field on `Debug`.
+    fn assert_same_plan(a: &NetPlan, b: &NetPlan, what: &str) {
+        assert_eq!(a.len(), b.len());
+        for (ra, rb) in a.coupling.iter().zip(&b.coupling) {
+            let bits =
+                |r: &CouplingRow| r.iter().map(|&(u, g)| (u, g.to_bits())).collect::<Vec<_>>();
+            assert_eq!(bits(ra), bits(rb), "{what} changed a coupling row");
+        }
+        for (l, (x, y)) in a.links.iter().zip(&b.links).enumerate() {
+            assert_eq!(
+                x.interference_rel_db.to_bits(),
+                y.interference_rel_db.to_bits(),
+                "{what} changed link {l}'s interference"
+            );
+            // Debug prints every f64 in its shortest round-trip form, so
+            // equal strings mean equal entries.
+            assert_eq!(
+                format!("{x:?}"),
+                format!("{y:?}"),
+                "{what} changed link {l}"
+            );
+        }
+    }
+
     #[test]
     fn plan_is_sweep_order_invariant() {
         // Channel-major versus ascending-id probe sweep on a 200-link city
         // with adaptation and spectral probing on: equal plans, bit for
         // bit. The city's round-robin channels make the two orders differ.
-        let mut sc = NetScenario::clustered_city(20, 10, 7.0, 20050307);
-        sc.adapt = true;
-        sc.probe_spectral = true;
-        let a = plan_network(&sc);
-        let b = plan_network_swept(&sc, |ch, rows| RecordSchedule::build(ch.len(), rows));
+        let a = plan_network(&city_200());
+        let b = plan_network_swept(
+            &city_200(),
+            |ch, rows| RecordSchedule::build(ch.len(), rows),
+            Some(1),
+        )
+        .0;
         assert!(
             a.coupling.iter().any(|r| !r.is_empty()),
             "the city must couple"
@@ -480,21 +688,120 @@ mod tests {
             a.record_schedule().order(),
             RecordSchedule::build(a.len(), &a.coupling).order()
         );
-        assert_eq!(a.len(), b.len());
-        for (ra, rb) in a.coupling.iter().zip(&b.coupling) {
-            let bits =
-                |r: &CouplingRow| r.iter().map(|&(u, g)| (u, g.to_bits())).collect::<Vec<_>>();
-            assert_eq!(bits(ra), bits(rb));
-        }
-        for (x, y) in a.links.iter().zip(&b.links) {
+        assert_same_plan(&a, &b, "the sweep order");
+    }
+
+    /// The 200-link city with adaptation and spectral probing on.
+    fn city_200() -> NetScenario {
+        let mut sc = NetScenario::clustered_city(20, 10, 7.0, 20050307);
+        sc.adapt = true;
+        sc.probe_spectral = true;
+        sc
+    }
+
+    /// Plans `sc` on each of `threads` and checks every plan equals the
+    /// one-thread plan bit for bit, with the same probe syntheses (and,
+    /// with telemetry on, the same `tx` / `channel` stage calls). Returns
+    /// each plan's work.
+    fn assert_thread_invariant(sc: &NetScenario, threads: &[usize]) -> Vec<PlanWork> {
+        let plan = |t: usize| {
+            let _ = uwb_obs::take_thread_telemetry();
+            let (plan, work) = plan_network_swept(sc, RecordSchedule::channel_major, Some(t));
+            let telemetry = uwb_obs::take_thread_telemetry();
+            let calls = |stage| telemetry.stage(stage).map(|s| s.calls);
+            (plan, work, [calls("tx"), calls("channel")])
+        };
+        let (serial, serial_work, serial_calls) = plan(1);
+        assert_eq!(serial_work.spans, 1);
+        assert_eq!(serial_work.shared, 0);
+        if uwb_obs::enabled() {
             assert_eq!(
-                x.interference_rel_db.to_bits(),
-                y.interference_rel_db.to_bits()
+                serial_calls[0],
+                Some(serial_work.syntheses),
+                "one tx per synthesis"
             );
-            // Debug prints every f64 in its shortest round-trip form, so
-            // equal strings mean equal entries.
-            assert_eq!(format!("{x:?}"), format!("{y:?}"));
         }
+        threads
+            .iter()
+            .map(|&t| {
+                let (p, work, calls) = plan(t);
+                assert_same_plan(&serial, &p, &format!("{t} threads"));
+                assert!(work.spans <= t);
+                assert_eq!(work.syntheses, serial_work.syntheses, "{t} threads");
+                assert_eq!(calls, serial_calls, "{t} threads: tx / channel stage calls");
+                work
+            })
+            .collect()
+    }
+
+    #[test]
+    fn plan_is_thread_invariant_on_the_city() {
+        let sc = city_200();
+        let work = assert_thread_invariant(&sc, &[1, 2, 3, 8]);
+        for (w, t) in work.iter().zip([1, 2, 3, 8]) {
+            assert_eq!(
+                w.syntheses,
+                sc.len() as u64,
+                "every probe once at {t} threads"
+            );
+        }
+        assert!(work[1].spans == 2 && work[1].shared > 0, "{:?}", work[1]);
+        assert!(
+            work[2].spans == 3 && work[2].shared > work[1].shared,
+            "{:?}",
+            work[2]
+        );
+    }
+
+    #[test]
+    fn ring_plans_in_one_span() {
+        // Round-robin over all 14 channels, and over four (the saturated
+        // MAC ring's policy): every record stays live, so no cut pays.
+        let mut sc = NetScenario::ring(8, 8.0, 77);
+        for policy in [
+            sc.policy.clone(),
+            ChannelPolicy::RoundRobin((3..7).map(|i| Channel::new(i).unwrap()).collect()),
+        ] {
+            sc.policy = policy;
+            for w in assert_thread_invariant(&sc, &[1, 2, 3, 8]) {
+                let one_span = PlanWork {
+                    spans: 1,
+                    shared: 0,
+                    syntheses: 8,
+                };
+                assert_eq!(w, one_span);
+            }
+        }
+    }
+
+    #[test]
+    fn interference_aware_plan_is_thread_invariant() {
+        // The greedy allocation synthesizes every probe once, serially,
+        // before the sweep synthesizes them again.
+        let mut sc = NetScenario::ring(4, 8.0, 5);
+        sc.topology = Topology::ring(4, 0.5, 1.0);
+        sc.adapt = true;
+        sc.policy = ChannelPolicy::InterferenceAware(vec![
+            Channel::new(3).unwrap(),
+            Channel::new(4).unwrap(),
+        ]);
+        for w in assert_thread_invariant(&sc, &[1, 2, 3, 8]) {
+            assert_eq!(w.syntheses, 8);
+        }
+    }
+
+    #[test]
+    #[ignore = "release-scale gate: scripts/check.sh net runs it with --release"]
+    fn thousand_user_city_plan_is_thread_invariant() {
+        // The net_city_1k benchmark's floor plan and seed.
+        let sc = NetScenario::clustered_city(100, 10, 9.0, 20050307);
+        let work = assert_thread_invariant(&sc, &[2]);
+        let two_spans = PlanWork {
+            spans: 2,
+            shared: 95,
+            syntheses: 1000,
+        };
+        assert_eq!(work[0], two_spans);
     }
 
     #[test]

@@ -30,9 +30,9 @@
 //!
 //! * [`scenario`] — [`NetScenario`]: topology, channel policy, impairments
 //! * [`coupling`] — the spatial × spectral coupling model
-//! * [`controller`] — serial planning phase: probing, channel allocation
-//!   (static / round-robin / interference-aware), closed-loop adaptation;
-//!   frozen into a [`NetPlan`]
+//! * [`controller`] — planning phase: probing (a probe sweep cut into
+//!   spans across threads), channel allocation (static / round-robin /
+//!   interference-aware), closed-loop adaptation; frozen into a [`NetPlan`]
 //! * [`runner`] — parallel measurement phase on the Monte-Carlo engine
 //! * [`mix`] — plane-stored records and the one victim decode (mix,
 //!   noise, known-timing decode) the rounds and the `uwb-mac` layer share

@@ -303,7 +303,7 @@ impl NetWorker {
     }
 }
 
-/// Plans and measures a complete network scenario: serial planning phase
+/// Plans and measures a complete network scenario: the planning phase
 /// ([`plan_network`]), then `scenario.rounds` measurement rounds on the
 /// deterministic parallel engine, then report assembly.
 pub fn run_network(scenario: &NetScenario) -> NetReport {

@@ -205,7 +205,7 @@ net() {
     cargo test -q -p uwb-net
     echo "== net: zero-allocation warm network round =="
     cargo test -q --release --test alloc_regression
-    echo "== net: 1,000-user sparse round, 1/2/4/8-thread and sweep-order parity =="
+    echo "== net: 1,000-user sparse round (1/2/4/8-thread, sweep-order, oracle) and 1/2-thread plan parity =="
     cargo test -q --release -p uwb-net --lib --test net_acceptance -- --ignored
     tracked_tests
     echo "== net: netbench vs committed BENCH_net.json (tol ${tol}%) =="

@@ -33,11 +33,8 @@ use uwb_phy::{
     AcquisitionConfig, CoarseAcquisition, ConvCode, CorrelatorBank, Gen2Config, Gen2Receiver,
     Gen2Transmitter, PulseShape, RakeReceiver,
 };
-use uwb_platform::link::{
-    BatchScratch, LinkOutcome, LinkScenario, LinkWorker, DEFAULT_STREAM_BLOCK,
-};
+use uwb_platform::link::{LinkOutcome, LinkScenario, LinkWorker, DEFAULT_STREAM_BLOCK};
 use uwb_platform::ErrorCounter;
-use uwb_sim::montecarlo::resolve_batch;
 use uwb_sim::{ChannelModel, ChannelRealization, Rand, SampleRate, StreamingChannel};
 
 /// Trials of each throughput loop.
@@ -215,11 +212,10 @@ fn run_kernels() -> Vec<Metric> {
 /// (AWGN, preamble_repeats = 2, Eb/N0 = 6 dB, 24-byte payload) — one
 /// worker driven directly, exactly what each Monte-Carlo thread executes.
 ///
-/// Two loops, one per trial kernel: the unbatched full path, then the
-/// known-timing BER path on the batched stage-sweep runtime at `UWB_BATCH`
-/// (default `DEFAULT_BATCH`) trials per batch. Returns the two trials/s
-/// rows, the `fft_plans_built` row, and the per-stage profile of the timed
-/// unbatched full-path loop (empty when the `obs` feature is off).
+/// Two loops, one per trial kernel: the full path, then the known-timing
+/// BER path. Returns the two trials/s rows, the `fft_plans_built` row, and
+/// the per-stage profile of the timed full-path loop (empty when the `obs`
+/// feature is off).
 /// `fft_plans_built` counts the FFT plans constructed over the whole
 /// section *including* warm-up — in the steady state this must equal the
 /// number of distinct transform sizes the link path touches (each size
@@ -250,48 +246,24 @@ fn run_throughput() -> (Vec<Metric>, uwb_obs::Telemetry) {
     let full_tps = TRIALS as f64 / t0.elapsed().as_secs_f64();
     let telemetry = uwb_obs::take_thread_telemetry();
 
-    // Batched known-timing BER path: `UWB_BATCH` (default
-    // [`DEFAULT_BATCH`]) consecutive trials per sub-batch — the per-worker
-    // loop `MonteCarlo::run_batched` executes. The pinned baseline is
-    // generated with `UWB_BATCH` unset; the env override exists for B-sweep
-    // measurements (see EXPERIMENTS.md).
-    let batch = resolve_batch(None);
-    let mut scratch = BatchScratch::new();
+    // Known-timing BER path: the per-trial body each Monte-Carlo worker of
+    // `run_ber_fast` executes.
     let mut counter = ErrorCounter::default();
-    worker.trial_batch_ber_streamed(
-        &scenario,
-        24,
-        DEFAULT_STREAM_BLOCK,
-        0..batch.min(TRIALS),
-        &mut scratch,
-        &mut counter,
-    );
+    let mut ber_trial = |t| {
+        let mut rng = Rand::for_trial(scenario.seed, t);
+        worker.trial_ber(&scenario, 24, DEFAULT_STREAM_BLOCK, &mut rng, &mut counter);
+    };
+    ber_trial(0);
     let t0 = Instant::now();
-    let mut lo = 0;
-    while lo < TRIALS {
-        let hi = (lo + batch).min(TRIALS);
-        worker.trial_batch_ber_streamed(
-            &scenario,
-            24,
-            DEFAULT_STREAM_BLOCK,
-            lo..hi,
-            &mut scratch,
-            &mut counter,
-        );
-        lo = hi;
+    for t in 0..TRIALS {
+        ber_trial(t);
     }
-    let fast_batched_tps = TRIALS as f64 / t0.elapsed().as_secs_f64();
+    let fast_tps = TRIALS as f64 / t0.elapsed().as_secs_f64();
     let plans_built = (fft_plans_built() - plans_before) as f64;
 
     let rows = vec![
         Metric::new("full_path", full_tps, "trials/s", 1, InfoHigherBetter),
-        Metric::new(
-            "fast_path_batched",
-            fast_batched_tps,
-            "trials/s",
-            1,
-            InfoHigherBetter,
-        ),
+        Metric::new("fast_path", fast_tps, "trials/s", 1, InfoHigherBetter),
         Metric::new("fft_plans_built", plans_built, "count", 0, Exact),
     ];
     (rows, telemetry)

@@ -64,9 +64,8 @@ fn main() {
             "RAKE-8 + MLSE-3",
             "1-finger baseline",
         ]);
-        // Batched stage-sweep runner (`UWB_BATCH` wide); multipath points
-        // use the streamed direct-form convolution (see EXPERIMENTS.md for
-        // the value shift at the E5 re-baseline).
+        // Multipath points use the streamed direct-form convolution (see
+        // EXPERIMENTS.md for the value shift at the E5 re-baseline).
         for &ebn0 in &grid {
             let rake = run_ber_fast(
                 &LinkScenario {

@@ -177,8 +177,7 @@ fn main() -> ExitCode {
         ..Gen2Config::nominal_100mbps()
     };
     // 6 dB AWGN: a few errors per thousand bits, so the error target is
-    // reachable well inside the trial budget. Runs on the batched
-    // stage-sweep path (`UWB_BATCH` wide).
+    // reachable well inside the trial budget.
     let scenario = LinkScenario::awgn(config, 6.0, EXPERIMENT_SEED);
     let budget = TrialBudget { max_trials: 2_000 };
     let run = run_ber_fast_budgeted(&scenario, 24, 20, 200_000, budget);

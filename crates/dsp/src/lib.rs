@@ -9,8 +9,6 @@
 //!   and a packed real-input convolution path
 //! * [`DspScratch`] — reusable buffer arena for allocation-free steady-state
 //!   kernels
-//! * [`batch::BatchArena`] — flat structure-of-arrays lane storage for the
-//!   batched stage-sweep trial runtime
 //! * [`FirFilter`] — windowed-sinc FIR design (lowpass/highpass)
 //! * [`Biquad`]/[`BiquadCascade`] — IIR sections including the tunable notch
 //! * [`Window`] functions (Hann, Hamming, Blackman, Kaiser)
@@ -42,7 +40,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod complex;
 pub mod correlation;
 pub mod fft;

@@ -90,8 +90,7 @@ pub fn quantize_scaled_into(
 }
 
 /// [`quantize_scaled_into`] that *appends* to `out` instead of replacing
-/// it — the form used by the batched runtime to digitize one trial's lane
-/// directly into a flat [`crate::batch::BatchArena`] buffer. Sample
+/// it, so a caller can digitize into a buffer it already owns. Sample
 /// arithmetic is identical.
 ///
 /// When `step` is a power of two whose reciprocal is representable (every

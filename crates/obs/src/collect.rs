@@ -63,8 +63,7 @@ thread_local! {
 // ---------------------------------------------------------------------------
 
 /// Tags subsequent work on this thread with the given Monte-Carlo trial
-/// index: span-timeline records carry it, and the flight recorder uses it
-/// to attribute notes and breadcrumbs to the right armed trial.
+/// index: span-timeline records carry it.
 #[cfg(feature = "obs")]
 #[inline]
 pub fn set_trial(trial: u64) {

@@ -11,16 +11,13 @@
 //! breadcrumb ring of the most recent [`crate::event!`] occurrences.
 //!
 //! Everything lives in fixed-capacity per-thread storage ([`WORST_K`],
-//! `NOTE_SLOTS`, `CRUMB_SLOTS`, [`INFLIGHT_SLOTS`]): recording a note,
-//! a breadcrumb, or an observation never allocates. With the `obs` feature
-//! off every function here is a no-op.
+//! `NOTE_SLOTS`, `CRUMB_SLOTS`): recording a note, a breadcrumb, or an
+//! observation never allocates. With the `obs` feature off every function
+//! here is a no-op.
 //!
-//! Up to [`INFLIGHT_SLOTS`] trials may be armed concurrently on one thread:
-//! the batched stage-sweep runtime arms a whole sub-batch, sweeps each DSP
-//! stage across it (re-tagging [`crate::set_trial`] per trial), and
-//! observes each trial at the end. Writes attribute to the armed slot whose
-//! trial matches the thread's current trial tag, falling back to the only
-//! armed slot when exactly one is armed (the legacy single-trial contract).
+//! One trial is in flight per thread: [`begin_trial`] arms it, notes and
+//! breadcrumbs go to it while it is armed, and [`observe`] scores and
+//! disarms it.
 
 /// How many worst trials each report keeps.
 pub const WORST_K: usize = 8;
@@ -28,12 +25,6 @@ pub const WORST_K: usize = 8;
 const NOTE_SLOTS: usize = 12;
 /// Breadcrumb slots per trial (most recent events win).
 const CRUMB_SLOTS: usize = 10;
-/// In-flight trial slots per thread. The batched stage-sweep runtime arms
-/// one slot per trial in the sub-batch before sweeping stages across them,
-/// so this bounds the engine's batch width (`resolve_batch` clamps to it).
-/// Arming more concurrent trials evicts the oldest-armed slot, mirroring
-/// the legacy single-slot recorder's overwrite-on-rearm behaviour.
-pub const INFLIGHT_SLOTS: usize = 16;
 
 /// Forensic snapshot of one Monte-Carlo trial, captured by the flight
 /// recorder. All fields are trial-deterministic.
@@ -120,101 +111,46 @@ impl TrialForensics {
 
 #[cfg(feature = "obs")]
 mod imp {
-    use super::{TrialForensics, CRUMB_SLOTS, INFLIGHT_SLOTS, NOTE_SLOTS, WORST_K};
+    use super::{TrialForensics, CRUMB_SLOTS, NOTE_SLOTS, WORST_K};
     use crate::registry::NoteId;
     use std::cell::RefCell;
 
     struct RecState {
-        /// Fixed pool of in-flight trial snapshots. The batched stage-sweep
-        /// runtime keeps a whole sub-batch armed at once; the unbatched
-        /// engine uses exactly one slot at a time.
-        inflight: [TrialForensics; INFLIGHT_SLOTS],
-        armed: [bool; INFLIGHT_SLOTS],
-        /// Arm-order stamps; the oldest-armed slot is evicted when a
-        /// `begin_trial` finds no free slot (legacy overwrite semantics).
-        armed_at: [u64; INFLIGHT_SLOTS],
-        next_arm: u64,
+        /// The in-flight trial's snapshot, written while `armed`.
+        inflight: TrialForensics,
+        armed: bool,
         worst: [TrialForensics; WORST_K],
         n_worst: usize,
-    }
-
-    impl RecState {
-        /// The slot an in-flight write lands in: the armed slot whose trial
-        /// matches the thread's current trial tag ([`crate::set_trial`]);
-        /// otherwise — preserving the single-trial behaviour of standalone
-        /// harnesses that arm without tagging — the only armed slot, if
-        /// exactly one is armed; otherwise none (the write is dropped, as
-        /// it cannot be attributed deterministically).
-        fn attribute(&self) -> Option<usize> {
-            let tag = crate::current_trial();
-            let mut only = None;
-            let mut n_armed = 0usize;
-            for i in 0..INFLIGHT_SLOTS {
-                if self.armed[i] {
-                    if self.inflight[i].trial == tag {
-                        return Some(i);
-                    }
-                    n_armed += 1;
-                    only = Some(i);
-                }
-            }
-            if n_armed == 1 {
-                only
-            } else {
-                None
-            }
-        }
     }
 
     thread_local! {
         static REC: RefCell<RecState> = const {
             RefCell::new(RecState {
-                inflight: [TrialForensics::EMPTY; INFLIGHT_SLOTS],
-                armed: [false; INFLIGHT_SLOTS],
-                armed_at: [0; INFLIGHT_SLOTS],
-                next_arm: 0,
+                inflight: TrialForensics::EMPTY,
+                armed: false,
                 worst: [TrialForensics::EMPTY; WORST_K],
                 n_worst: 0,
             })
         };
     }
 
-    /// Arms a recorder slot for a new trial: resets its in-flight snapshot.
-    /// Called by the Monte-Carlo engine next to `set_trial`. Re-arming a
-    /// trial that is already in flight resets that slot; with every slot
-    /// armed, the oldest-armed one is evicted.
+    /// Arms the recorder for a new trial: resets the in-flight snapshot.
+    /// Called by the Monte-Carlo engine next to `set_trial`; arming again
+    /// before `observe` drops the earlier trial.
     #[inline]
     pub fn begin_trial(trial: u64, seed: u64) {
         REC.with(|r| {
             let mut r = r.borrow_mut();
-            let mut slot = None;
-            for i in 0..INFLIGHT_SLOTS {
-                if r.armed[i] && r.inflight[i].trial == trial {
-                    slot = Some(i);
-                    break;
-                }
-            }
-            if slot.is_none() {
-                slot = (0..INFLIGHT_SLOTS).find(|&i| !r.armed[i]);
-            }
-            let i = slot.unwrap_or_else(|| {
-                (0..INFLIGHT_SLOTS)
-                    .min_by_key(|&i| r.armed_at[i])
-                    .expect("INFLIGHT_SLOTS > 0")
-            });
-            r.inflight[i] = TrialForensics::EMPTY;
-            r.inflight[i].trial = trial;
-            r.inflight[i].seed = seed;
-            r.armed[i] = true;
-            r.armed_at[i] = r.next_arm;
-            r.next_arm += 1;
+            r.inflight = TrialForensics::EMPTY;
+            r.inflight.trial = trial;
+            r.inflight.seed = seed;
+            r.armed = true;
         });
     }
 
-    /// Writes a forensic note onto the attributed in-flight trial (latest
-    /// value wins per name; silently dropped when no trial is attributable
-    /// or the note slots are full). Called by [`crate::note!`]; not public
-    /// API.
+    /// Writes a forensic note onto the in-flight trial (latest value wins
+    /// per name; silently dropped when no trial is armed or the note slots
+    /// are full). Called by [`crate::note!`]; not public API.
     #[doc(hidden)]
     #[inline]
     pub fn record_note(id: NoteId, value: u64) {
@@ -223,10 +159,10 @@ mod imp {
         }
         REC.with(|r| {
             let mut r = r.borrow_mut();
-            let Some(i) = r.attribute() else {
+            if !r.armed {
                 return;
-            };
-            let c = &mut r.inflight[i];
+            }
+            let c = &mut r.inflight;
             let n = c.n_notes as usize;
             if let Some(slot) = c.notes[..n].iter_mut().find(|(i, _)| *i == id.0) {
                 slot.1 = value;
@@ -237,16 +173,16 @@ mod imp {
         });
     }
 
-    /// Appends an event breadcrumb to the attributed in-flight trial's ring
-    /// (called from `record_event`).
+    /// Appends an event breadcrumb to the in-flight trial's ring (called
+    /// from `record_event`).
     #[inline]
     pub(crate) fn crumb(event: u16, value: u64) {
         REC.with(|r| {
             let mut r = r.borrow_mut();
-            let Some(i) = r.attribute() else {
+            if !r.armed {
                 return;
-            };
-            let c = &mut r.inflight[i];
+            }
+            let c = &mut r.inflight;
             c.events_seen = c.events_seen.saturating_add(1);
             if (c.n_crumbs as usize) < CRUMB_SLOTS {
                 c.crumbs[c.n_crumbs as usize] = (event, value);
@@ -259,24 +195,24 @@ mod imp {
         });
     }
 
-    /// Finalizes the attributed in-flight trial with its outcome and inserts
-    /// it into this thread's worst-K list if it ranks. Disarms that slot
-    /// until the next `begin_trial`.
+    /// Finalizes the in-flight trial with its outcome and inserts it into
+    /// this thread's worst-K list if it ranks. Disarms the recorder until
+    /// the next `begin_trial`.
     ///
     /// Because [`TrialForensics::sort_key`] is a strict total order (trial
     /// index breaks every tie), the worst-K list is identical no matter the
-    /// order in which a batch's trials are observed.
+    /// order in which trials are observed.
     #[inline]
     pub fn observe(bit_errors: u64, acq_metric_bits: u64) {
         REC.with(|r| {
             let mut r = r.borrow_mut();
-            let Some(i) = r.attribute() else {
+            if !r.armed {
                 return;
-            };
-            r.armed[i] = false;
-            r.inflight[i].bit_errors = bit_errors;
-            r.inflight[i].acq_metric_bits = acq_metric_bits;
-            let cand = r.inflight[i];
+            }
+            r.armed = false;
+            r.inflight.bit_errors = bit_errors;
+            r.inflight.acq_metric_bits = acq_metric_bits;
+            let cand = r.inflight;
             let key = cand.sort_key();
             let n = r.n_worst;
             // Insertion sort into the fixed worst-first array.
@@ -295,14 +231,14 @@ mod imp {
     }
 
     /// Drains this thread's worst-K list (take semantics), worst first.
-    /// Also disarms any leftover in-flight slots, so abandoned trials from
+    /// Also disarms a leftover in-flight trial, so an abandoned trial from
     /// one run can never be attributed writes from a later one.
     pub(crate) fn drain() -> Vec<TrialForensics> {
         REC.with(|r| {
             let mut r = r.borrow_mut();
             let out = r.worst[..r.n_worst].to_vec();
             r.n_worst = 0;
-            r.armed = [false; INFLIGHT_SLOTS];
+            r.armed = false;
             out
         })
     }
@@ -480,70 +416,5 @@ mod tests {
         observe(9999, 0); // no begin_trial: must not record
         let snap = crate::take_thread_telemetry();
         assert!(snap.worst.is_empty());
-    }
-
-    #[test]
-    fn concurrent_inflight_trials_attribute_by_trial_tag() {
-        let _ = crate::take_thread_telemetry();
-        if !crate::enabled() {
-            return;
-        }
-        // Arm a whole batch, then sweep "stages" across it out of order,
-        // re-tagging the thread's current trial before each write — the
-        // shape of the batched stage-sweep runtime.
-        let batch: [u64; 4] = [40, 41, 42, 43];
-        for &t in &batch {
-            crate::set_trial(t);
-            begin_trial(t, 0x9000 + t);
-        }
-        for &t in batch.iter().rev() {
-            crate::set_trial(t);
-            crate::note!("rec_test_gain", t);
-        }
-        for &t in &batch {
-            crate::set_trial(t);
-            crate::event!("rec_test_evt", t);
-            observe(t, 0);
-        }
-        crate::set_trial(0);
-        let snap = crate::take_thread_telemetry();
-        assert_eq!(snap.worst.len(), batch.len());
-        // Worst-first by bit_errors: 43, 42, 41, 40 — and each snapshot
-        // carries exactly its own trial's note, crumb, and seed.
-        for (i, f) in snap.worst.iter().enumerate() {
-            let t = batch[batch.len() - 1 - i];
-            assert_eq!(f.trial, t);
-            assert_eq!(f.seed, 0x9000 + t);
-            assert_eq!(f.bit_errors, t);
-            assert_eq!(f.notes(), vec![("rec_test_gain", t)]);
-            assert_eq!(f.crumbs(), vec![("rec_test_evt", t)]);
-            assert_eq!(f.events_seen, 1);
-        }
-    }
-
-    #[test]
-    fn arming_past_capacity_evicts_the_oldest_slot() {
-        let _ = crate::take_thread_telemetry();
-        if !crate::enabled() {
-            return;
-        }
-        // Arm INFLIGHT_SLOTS + 2 trials without observing: the first two
-        // must be evicted, the rest still observable by tag.
-        let n = INFLIGHT_SLOTS as u64 + 2;
-        for t in 0..n {
-            crate::set_trial(t);
-            begin_trial(t, t);
-        }
-        for t in 0..n {
-            crate::set_trial(t);
-            observe(1000 + t, 0);
-        }
-        crate::set_trial(0);
-        let snap = crate::take_thread_telemetry();
-        // Evicted trials 0 and 1 cannot be observed; the worst-K list holds
-        // the K worst of the surviving INFLIGHT_SLOTS trials.
-        assert_eq!(snap.worst.len(), WORST_K);
-        assert_eq!(snap.worst[0].bit_errors, 1000 + n - 1);
-        assert!(snap.worst.iter().all(|f| f.trial >= 2));
     }
 }

@@ -219,8 +219,7 @@ impl Gen2Receiver {
     /// [`Gen2Receiver::digitize`] *appending* the digitized record to a
     /// caller-owned buffer (clear it first for a fresh record), fusing the
     /// gain and quantization passes — allocation-free once the buffer
-    /// capacity suffices. The batched runtime digitizes each trial's lane
-    /// straight into a flat [`uwb_dsp::batch::BatchArena`] buffer this way.
+    /// capacity suffices.
     pub fn digitize_append(&self, samples: &[Complex], out: &mut Vec<Complex>) {
         let p = uwb_dsp::simd::mean_power(samples);
         if p <= 0.0 {

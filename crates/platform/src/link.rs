@@ -12,14 +12,14 @@
 //! [`LinkWorker::synthesize_clean_streamed`] builds the clean record block by
 //! block (payload → frame → multipath channel → optional interferer), then
 //! one whole-record pass adds the calibrated receiver noise and, when
-//! enabled, the spectral monitor + notch. Two trial kernels read it:
+//! enabled, the spectral monitor + notch. One trial at a time, two trial
+//! kernels read it:
 //!
-//! * [`LinkWorker::trial_full`] — known-timing BER plus the full
-//!   acquisition → header → CRC packet path, one trial at a time
-//!   ([`run_ber_budgeted`], [`run_packet`]);
-//! * [`LinkWorker::trial_batch_ber_streamed`] — known-timing BER only, run
-//!   as stage sweeps over a batch of trials ([`run_ber_fast`],
-//!   [`run_ber_fast_streamed_tuned`]).
+//! * [`LinkWorker::trial_ber`] — known-timing BER only ([`run_ber_fast`],
+//!   [`run_ber_fast_streamed_tuned`]);
+//! * [`LinkWorker::trial_full`] — the same known-timing BER pass, then the
+//!   full acquisition → header → CRC packet path over the same digitized
+//!   record ([`run_ber_budgeted`], [`run_packet`]).
 //!
 //! Both runners execute on [`uwb_sim::montecarlo::MonteCarlo`]:
 //!
@@ -38,7 +38,6 @@
 
 use crate::metrics::ErrorCounter;
 use std::ops::Range;
-use uwb_dsp::batch::BatchArena;
 use uwb_dsp::stream::BlockProcessor;
 use uwb_dsp::Complex;
 use uwb_phy::packet::{decode_payload_bits_into, reference_payload_bits_into};
@@ -47,7 +46,7 @@ use uwb_phy::{
     SpectralMonitor,
 };
 use uwb_rf::TunableNotch;
-use uwb_sim::montecarlo::{resolve_batch, Merge, MonteCarlo, RunStats, StopReason};
+use uwb_sim::montecarlo::{Merge, MonteCarlo, RunStats, StopReason};
 use uwb_sim::stream::{StreamingAwgn, StreamingChannel, StreamingInterferer};
 use uwb_sim::sv_channel::{ChannelModel, ChannelRealization, Tap};
 use uwb_sim::{Interferer, Rand};
@@ -245,41 +244,17 @@ pub struct CleanSynthesis {
     pub awgn_rng: Rand,
 }
 
-/// Structure-of-arrays scratch for one batch of stage-sweep trials.
-///
-/// The batched runtime holds all B in-flight waveforms in two flat
-/// [`BatchArena`]s (impaired records, then digitized records) plus
-/// per-trial sidecar vectors (synthesis metadata, payload snapshots). One
-/// instance lives next to each [`LinkWorker`]
-/// and is reused across batches: `reset` keeps every buffer's capacity, so
-/// warm batches run allocation-free on the nominal path (enforced by the
-/// umbrella crate's counting-allocator gate).
+/// Field-less and unused by the link runners, which run one trial per
+/// call. Kept only because the benchmark crate still names it; it goes
+/// with that crate's next change (ROADMAP item 10).
+#[doc(hidden)]
 #[derive(Default)]
-pub struct BatchScratch {
-    /// Impaired waveform lanes, one per trial in the batch.
-    records: BatchArena,
-    /// Post-AGC/ADC digitized lanes, one per trial in the batch.
-    digitized: BatchArena,
-    /// Per-trial synthesis metadata (slot-0 start, calibrated N0, AWGN RNG).
-    clean: Vec<CleanSynthesis>,
-    /// Per-trial payload snapshots. The outer vector only ever grows (to
-    /// the largest batch seen); inner buffers are cleared and refilled in
-    /// place, so steady-state batches never allocate here.
-    payloads: Vec<Vec<u8>>,
-}
+pub struct BatchScratch;
 
 impl BatchScratch {
-    /// An empty scratch; buffers warm to their high-water marks over the
-    /// first batch.
+    /// The (empty) scratch.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clears all per-batch state, keeping every buffer's capacity.
-    fn reset(&mut self) {
-        self.records.clear();
-        self.digitized.clear();
-        self.clean.clear();
+        BatchScratch
     }
 }
 
@@ -430,26 +405,6 @@ impl LinkWorker {
         rng: &mut Rand,
         record: &mut Vec<Complex>,
     ) -> CleanSynthesis {
-        record.clear();
-        self.synthesize_clean_streamed_append(scenario, payload_len, block_len, rng, record)
-    }
-
-    /// [`synthesize_clean_streamed_record`](Self::synthesize_clean_streamed_record)
-    /// that *appends* the record after whatever `record` already holds
-    /// instead of replacing it. This is the lane builder for the batched
-    /// structure-of-arrays runtime: B trials' records live back-to-back in
-    /// one flat arena buffer, each built by one call at its own base offset.
-    /// The returned [`CleanSynthesis::slot0_start`] stays relative to this
-    /// trial's own record (the lane), not the arena. Identical RNG schedule
-    /// and sample values to the replacing variant.
-    fn synthesize_clean_streamed_append(
-        &mut self,
-        scenario: &LinkScenario,
-        payload_len: usize,
-        block_len: usize,
-        rng: &mut Rand,
-        record: &mut Vec<Complex>,
-    ) -> CleanSynthesis {
         let config = &scenario.config;
         {
             let _t = uwb_obs::span!("tx");
@@ -486,14 +441,14 @@ impl LinkWorker {
 
         let block_len = block_len.max(1);
         let n = self.burst.samples.len();
-        let base = record.len();
+        record.clear();
         record.reserve(n + self.stream_channel.tail_len());
         let scratch = self.rx_state.scratch();
         let mut start = 0;
         while start < n {
             let end = (start + block_len).min(n);
             record.extend_from_slice(&self.burst.samples[start..end]);
-            let block = &mut record[base + start..base + end];
+            let block = &mut record[start..end];
             {
                 let _t = uwb_obs::span!("channel");
                 self.stream_channel.process_block(block, scratch);
@@ -512,8 +467,8 @@ impl LinkWorker {
             let _t = uwb_obs::span!("channel");
             self.stream_channel.flush_into(record, scratch);
         }
-        if record.len() > base + n {
-            let tail = &mut record[base + n..];
+        if record.len() > n {
+            let tail = &mut record[n..];
             if let Some(src) = interferer.as_mut() {
                 let _t = uwb_obs::span!("interferer");
                 src.process_block(tail, scratch);
@@ -566,8 +521,10 @@ impl LinkWorker {
     }
 
     /// AGC/ADC of `record` into `self.digitized`, then the known-timing back
-    /// half over it. The digitized record stays in `self.digitized` for a
-    /// following acquisition pass.
+    /// half over it: statistics → decode → error count against
+    /// `self.payload`. The digitized record stays in `self.digitized` for a
+    /// following acquisition pass. Returns `true` if the payload decoded
+    /// error-free.
     fn digitize_and_count(
         &mut self,
         record: &[Complex],
@@ -582,27 +539,14 @@ impl LinkWorker {
             let _t = uwb_obs::span!("rx_agc_adc");
             self.rx.digitize_append(record, &mut digitized);
         }
-        let ok = self.count_errors_predigitized(&digitized, slot0_start, counter);
-        self.digitized = digitized;
-        ok
-    }
-
-    /// Known-timing BER back half over an already-digitized record:
-    /// statistics → decode → error count against `self.payload`. Returns
-    /// `true` if the payload decoded error-free.
-    fn count_errors_predigitized(
-        &mut self,
-        digitized: &[Complex],
-        slot0_start: usize,
-        counter: &mut ErrorCounter,
-    ) -> bool {
         self.rx.payload_statistics_predigitized_with(
-            digitized,
+            &digitized,
             slot0_start,
             self.payload.len(),
             &mut self.rx_state,
             &mut self.stats,
         );
+        self.digitized = digitized;
         let _t = uwb_obs::span!("rx_decode");
         if decode_payload_bits_into(
             &self.stats,
@@ -623,15 +567,41 @@ impl LinkWorker {
         }
     }
 
-    /// Full trial: the clean record of
-    /// [`synthesize_clean_streamed`](Self::synthesize_clean_streamed) and
-    /// one whole-record [`impair`](Self::impair) pass, then the known-timing
-    /// BER path plus the full-acquisition packet path (acquire → header →
-    /// CRC → payload), both over one digitized record. The BER pass leaves
-    /// the channel-estimate memo pointing at the true frame start, so when
-    /// acquisition locks there the packet path skips the duplicate chanest
-    /// pass (bit-exact, see `RxState::chanest_memo`). Allocation-free in
-    /// steady state except for the notch path and the returned packet.
+    /// Known-timing BER trial: the clean record of
+    /// [`synthesize_clean_streamed`](Self::synthesize_clean_streamed), one
+    /// whole-record [`impair`](Self::impair) pass, then AGC/ADC →
+    /// statistics → decode → error count into `counter`. Returns the bit
+    /// errors this trial added. The impaired record stays in the worker
+    /// ([`clean_record`](Self::clean_record)) and the digitized one too,
+    /// for [`trial_full`](Self::trial_full)'s acquisition pass.
+    /// Allocation-free in steady state except for the notch path.
+    pub fn trial_ber(
+        &mut self,
+        scenario: &LinkScenario,
+        payload_len: usize,
+        block_len: usize,
+        rng: &mut Rand,
+        counter: &mut ErrorCounter,
+    ) -> u64 {
+        let clean = self.synthesize_clean_streamed(scenario, payload_len, block_len, rng);
+        let before = counter.errors;
+        // `mem::take` detaches the record so it can be read alongside
+        // `&mut self`; swap-restore, no allocation.
+        let mut samples = std::mem::take(&mut self.samples);
+        self.impair(scenario, &clean, &mut samples);
+        self.digitize_and_count(&samples, clean.slot0_start, counter);
+        self.samples = samples;
+        counter.errors - before
+    }
+
+    /// Full trial: the known-timing BER pass of
+    /// [`trial_ber`](Self::trial_ber), then the full-acquisition packet path
+    /// (acquire → header → CRC → payload) over the same digitized record.
+    /// The BER pass leaves the channel-estimate memo pointing at the true
+    /// frame start, so when acquisition locks there the packet path skips
+    /// the duplicate chanest pass (bit-exact, see `RxState::chanest_memo`).
+    /// Allocation-free in steady state except for the notch path and the
+    /// returned packet.
     pub fn trial_full(
         &mut self,
         scenario: &LinkScenario,
@@ -639,15 +609,13 @@ impl LinkWorker {
         rng: &mut Rand,
         outcome: &mut LinkOutcome,
     ) {
-        let clean =
-            self.synthesize_clean_streamed(scenario, payload_len, DEFAULT_STREAM_BLOCK, rng);
-        let ber_before = outcome.ber.errors;
-        // `mem::take` detaches the record so it can be read alongside
-        // `&mut self`; swap-restore, no allocation.
-        let mut samples = std::mem::take(&mut self.samples);
-        self.impair(scenario, &clean, &mut samples);
-        self.digitize_and_count(&samples, clean.slot0_start, &mut outcome.ber);
-        self.samples = samples;
+        let bit_errors = self.trial_ber(
+            scenario,
+            payload_len,
+            DEFAULT_STREAM_BLOCK,
+            rng,
+            &mut outcome.ber,
+        );
 
         outcome.packets += 1;
         let acq = self.rx.acquire_record(&self.digitized, &mut self.rx_state);
@@ -671,87 +639,30 @@ impl LinkWorker {
         // Finalize the flight-recorder snapshot for this trial (no-op unless
         // the engine armed it): bit errors first, then the acquisition
         // confidence as tiebreak.
-        uwb_obs::recorder::observe(outcome.ber.errors - ber_before, acq_metric_bits);
+        uwb_obs::recorder::observe(bit_errors, acq_metric_bits);
     }
 
-    /// BER-only batched trial, run as four stage sweeps over `trials`:
-    /// (1) payload → frame → channel → interferer, each trial's clean record
-    /// appended to its own arena lane; (2) the [`impair`](Self::impair) pass
-    /// over every lane, replayed from each trial's captured RNG state;
-    /// (3) AGC/ADC, digitizing each lane into the second arena; (4)
-    /// known-timing statistics → decode → count, one trial at a time (the
-    /// receiver state is inherently per-trial).
-    ///
-    /// Every per-trial operation re-tags the telemetry trial index with
-    /// `set_trial`, so spans, notes, and the flight recorder attribute work
-    /// to the right trial even though the execution order interleaves
-    /// stages across trials. Per-trial RNG streams are re-derived from the
-    /// scenario seed exactly as the unbatched engine path derives them, so
-    /// counters, telemetry fingerprint, and flight-recorder report do not
-    /// depend on the batch width. Zero steady-state heap allocation once
-    /// the scratch has warmed.
+    /// [`trial_ber`](Self::trial_ber) over each trial of `trials` in turn,
+    /// on the trial's derived RNG stream. Kept only because the benchmark
+    /// crate still calls it (`scratch` is unused); it goes with that
+    /// crate's next change (ROADMAP item 10).
+    #[doc(hidden)]
     pub fn trial_batch_ber_streamed(
         &mut self,
         scenario: &LinkScenario,
         payload_len: usize,
         block_len: usize,
         trials: Range<u64>,
-        scratch: &mut BatchScratch,
+        _scratch: &mut BatchScratch,
         counter: &mut ErrorCounter,
     ) {
-        scratch.reset();
-
-        for t in trials.clone() {
+        for t in trials {
             uwb_obs::set_trial(t);
             let mut rng = Rand::for_trial(scenario.seed, t);
-            let mut clean = None;
-            let (tx_self, records) = (&mut *self, &mut scratch.records);
-            records.push_lane_with(|buf, _base| {
-                clean = Some(tx_self.synthesize_clean_streamed_append(
-                    scenario,
-                    payload_len,
-                    block_len,
-                    &mut rng,
-                    buf,
-                ));
-            });
-            scratch.clean.push(clean.expect("lane builder ran"));
-            let i = scratch.clean.len() - 1;
-            if scratch.payloads.len() <= i {
-                scratch.payloads.push(Vec::new());
-            }
-            scratch.payloads[i].clear();
-            scratch.payloads[i].extend_from_slice(&self.payload);
-        }
-
-        for (i, t) in trials.clone().enumerate() {
-            uwb_obs::set_trial(t);
-            self.impair(scenario, &scratch.clean[i], scratch.records.lane_mut(i));
-        }
-
-        for (i, t) in trials.clone().enumerate() {
-            uwb_obs::set_trial(t);
-            let _t = uwb_obs::span!("rx_agc_adc");
-            let BatchScratch {
-                records, digitized, ..
-            } = &mut *scratch;
-            let rx = &self.rx;
-            digitized.push_lane_with(|buf, _base| rx.digitize_append(records.lane(i), buf));
-        }
-
-        for (i, t) in trials.enumerate() {
-            uwb_obs::set_trial(t);
-            let before = counter.errors;
-            self.payload.clear();
-            self.payload.extend_from_slice(&scratch.payloads[i]);
-            self.count_errors_predigitized(
-                scratch.digitized.lane(i),
-                scratch.clean[i].slot0_start,
-                counter,
-            );
-            // BER-only trials never acquire; the flight recorder scores them
-            // on bit errors alone (no-op unless the engine armed this trial).
-            uwb_obs::recorder::observe(counter.errors - before, 0);
+            let bit_errors = self.trial_ber(scenario, payload_len, block_len, &mut rng, counter);
+            // BER-only trials never acquire; the flight recorder scores
+            // them on bit errors alone (no-op unless the trial is armed).
+            uwb_obs::recorder::observe(bit_errors, 0);
         }
     }
 }
@@ -809,10 +720,10 @@ pub fn run_ber_budgeted(
 }
 
 /// A lighter-weight BER-only runner that skips the full-acquisition packet
-/// path (several times faster; used for wide parameter sweeps). Runs the
-/// batched kernel on the deterministic Monte-Carlo engine at `UWB_BATCH` /
-/// `UWB_THREADS`: the returned counter is bit-identical for any batch width
-/// and thread count.
+/// path (several times faster; used for wide parameter sweeps). Runs
+/// [`LinkWorker::trial_ber`] on the deterministic Monte-Carlo engine at
+/// `UWB_THREADS`: the returned counter is bit-identical for any thread
+/// count.
 pub fn run_ber_fast(
     scenario: &LinkScenario,
     payload_len: usize,
@@ -848,13 +759,12 @@ pub fn run_ber_fast_budgeted(
     )
 }
 
-/// [`run_ber_fast_budgeted`] with an explicit synthesis block length, batch
-/// width and worker thread count (`None` → `UWB_BATCH` / `UWB_THREADS`) —
-/// the hook the batch-invariance tests and benchmarks drive. Each worker
-/// sweeps every DSP stage across `batch` consecutive trials
-/// ([`MonteCarlo::run_batched`]) before moving to the next stage. Counters,
-/// telemetry fingerprint, and worst-trial report are bit-identical for any
-/// batch width, block length and thread count.
+/// [`run_ber_fast_budgeted`] with an explicit synthesis block length and
+/// worker thread count (`None` → `UWB_THREADS`). Counters, telemetry
+/// fingerprint and worst-trial report are bit-identical for any block
+/// length and thread count. `_batch` is ignored: it is kept only because
+/// the benchmark crate still passes it, and goes with that crate's next
+/// change (ROADMAP item 10).
 #[allow(clippy::too_many_arguments)]
 pub fn run_ber_fast_streamed_tuned(
     scenario: &LinkScenario,
@@ -863,19 +773,20 @@ pub fn run_ber_fast_streamed_tuned(
     target_errors: u64,
     max_bits: u64,
     budget: TrialBudget,
-    batch: Option<u64>,
+    _batch: Option<u64>,
     threads: Option<usize>,
 ) -> BerRun {
-    let batch = resolve_batch(batch);
     let mut mc = MonteCarlo::new(scenario.seed, budget.max_trials);
     if threads.is_some() {
         mc.threads = threads;
     }
-    let out = mc.run_batched(
-        batch,
-        || (LinkWorker::new(scenario), BatchScratch::new()),
-        |(w, scratch): &mut (LinkWorker, BatchScratch), trials, acc: &mut ErrorCounter| {
-            w.trial_batch_ber_streamed(scenario, payload_len, block_len, trials, scratch, acc)
+    let out = mc.run(
+        || LinkWorker::new(scenario),
+        |w, _trial, rng, acc: &mut ErrorCounter| {
+            let bit_errors = w.trial_ber(scenario, payload_len, block_len, rng, acc);
+            // BER-only trials never acquire; the flight recorder scores
+            // them on bit errors alone.
+            uwb_obs::recorder::observe(bit_errors, 0);
         },
         |acc| acc.errors >= target_errors || acc.total >= max_bits,
     );
@@ -1124,8 +1035,9 @@ mod tests {
         let run = |block_len: usize| {
             let mut w = LinkWorker::new(&sc);
             let mut c = ErrorCounter::default();
-            let mut scratch = BatchScratch::new();
-            w.trial_batch_ber_streamed(&sc, 48, block_len, 0..3, &mut scratch, &mut c);
+            for t in 0..3 {
+                w.trial_ber(&sc, 48, block_len, &mut Rand::for_trial(sc.seed, t), &mut c);
+            }
             c
         };
         let reference = run(usize::MAX / 2);
@@ -1149,16 +1061,19 @@ mod tests {
         let blocks_per_trial =
             |w: &LinkWorker| w.burst.samples.len().div_ceil(DEFAULT_STREAM_BLOCK) as u64 + 1;
 
-        let (mut scratch, mut c) = (BatchScratch::new(), ErrorCounter::default());
-        w.trial_batch_ber_streamed(&sc, 256, DEFAULT_STREAM_BLOCK, 0..4, &mut scratch, &mut c);
-        let batch = w.stream_channel.kernel_counts();
-        assert_eq!(batch.real, 4 * blocks_per_trial(&w), "{batch:?}");
-        assert_eq!((batch.complex, batch.single_tap), (0, 0), "{batch:?}");
+        let mut c = ErrorCounter::default();
+        for t in 0..4 {
+            let mut rng = Rand::for_trial(sc.seed, t);
+            w.trial_ber(&sc, 256, DEFAULT_STREAM_BLOCK, &mut rng, &mut c);
+        }
+        let ber = w.stream_channel.kernel_counts();
+        assert_eq!(ber.real, 4 * blocks_per_trial(&w), "{ber:?}");
+        assert_eq!((ber.complex, ber.single_tap), (0, 0), "{ber:?}");
 
         let mut rng = Rand::for_trial(sc.seed, 4);
         w.trial_full(&sc, 256, &mut rng, &mut LinkOutcome::default());
         let full = w.stream_channel.kernel_counts();
-        assert_eq!(full.real - batch.real, blocks_per_trial(&w), "{full:?}");
+        assert_eq!(full.real - ber.real, blocks_per_trial(&w), "{full:?}");
         assert_eq!((full.complex, full.single_tap), (0, 0), "{full:?}");
     }
 
@@ -1166,77 +1081,6 @@ mod tests {
     fn channel_stats_helper() {
         let rms = channel_rms_delay_ns(ChannelModel::Cm3, 20, 7);
         assert!(rms > 5.0 && rms < 30.0, "{rms}");
-    }
-
-    #[test]
-    fn batched_ber_trials_match_unbatched_bitwise() {
-        // The stage-sweep path re-derives every trial's RNG stream, so the
-        // counter must agree bit-for-bit with one trial per batch for every
-        // batch width — multipath included.
-        for sc in [
-            LinkScenario::awgn(small_config(), 4.0, 41),
-            LinkScenario {
-                channel: ChannelModel::Cm1,
-                ..LinkScenario::awgn(small_config(), 8.0, 43)
-            },
-        ] {
-            let trials = 8u64;
-            let mut reference = ErrorCounter::default();
-            let mut w = LinkWorker::new(&sc);
-            let mut scratch = BatchScratch::new();
-            for t in 0..trials {
-                w.trial_batch_ber_streamed(
-                    &sc,
-                    32,
-                    DEFAULT_STREAM_BLOCK,
-                    t..t + 1,
-                    &mut scratch,
-                    &mut reference,
-                );
-            }
-            for batch in [2u64, 4, 8] {
-                let mut w = LinkWorker::new(&sc);
-                let mut scratch = BatchScratch::new();
-                let mut c = ErrorCounter::default();
-                let mut lo = 0;
-                while lo < trials {
-                    let hi = (lo + batch).min(trials);
-                    w.trial_batch_ber_streamed(
-                        &sc,
-                        32,
-                        DEFAULT_STREAM_BLOCK,
-                        lo..hi,
-                        &mut scratch,
-                        &mut c,
-                    );
-                    lo = hi;
-                }
-                assert_eq!(c, reference, "batch {batch} ({:?})", sc.channel);
-            }
-        }
-    }
-
-    #[test]
-    fn streamed_runner_is_batch_width_invariant() {
-        // The engine-level contract: the tuned runner returns the same
-        // counter and stop reason for every batch width (and matches the
-        // unbatched fast runner on AWGN).
-        let sc = LinkScenario::awgn(small_config(), 5.0, 47);
-        let unbatched = run_ber_fast(&sc, 32, 40, 60_000);
-        for batch in [1u64, 2, 4, 8] {
-            let run = run_ber_fast_streamed_tuned(
-                &sc,
-                32,
-                DEFAULT_STREAM_BLOCK,
-                40,
-                60_000,
-                TrialBudget::default(),
-                Some(batch),
-                None,
-            );
-            assert_eq!(run.counter, unbatched.counter, "batch {batch}");
-            assert_eq!(run.stop, unbatched.stop, "batch {batch}");
-        }
     }
 
     #[test]

@@ -190,23 +190,12 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
         .unwrap_or(1)
 }
 
-/// Default batch width for the stage-sweep trial path.
-pub const DEFAULT_BATCH: u64 = 8;
-
-/// Resolves the stage-sweep batch width: explicit override, else the
-/// `UWB_BATCH` environment variable (0 or unset → [`DEFAULT_BATCH`]).
-/// Clamped to `1..=`[`uwb_obs::recorder::INFLIGHT_SLOTS`] — the flight
-/// recorder keeps one armed forensic slot per in-flight trial, so wider
-/// batches would silently evict snapshots.
-pub fn resolve_batch(explicit: Option<u64>) -> u64 {
-    let raw = explicit.or_else(|| {
-        std::env::var("UWB_BATCH")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&n| n > 0)
-    });
-    raw.unwrap_or(DEFAULT_BATCH)
-        .clamp(1, uwb_obs::recorder::INFLIGHT_SLOTS as u64)
+/// Always 1: the engine runs one trial per call. Kept, reading no
+/// environment, only because the benchmark crate still names it; it goes
+/// with that crate's next change (ROADMAP item 10).
+#[doc(hidden)]
+pub fn resolve_batch(_explicit: Option<u64>) -> u64 {
+    1
 }
 
 /// A configured Monte-Carlo run (see the module docs for the guarantees).
@@ -268,117 +257,6 @@ impl MonteCarlo {
         FT: Fn(&mut S, u64, &mut Rand, &mut R) + Sync,
         FP: Fn(&R) -> bool + Sync,
     {
-        self.run_engine(
-            self.chunk_size.max(1),
-            make_state,
-            |state, lo, hi, local| {
-                for t in lo..hi {
-                    uwb_obs::set_trial(t);
-                    // Arm the flight recorder with the trial's derived seed so
-                    // a worst-trial snapshot can be replayed standalone.
-                    uwb_obs::recorder::begin_trial(
-                        t,
-                        crate::rng::derive_trial_seed(self.master_seed, t),
-                    );
-                    let mut rng = Rand::for_trial(self.master_seed, t);
-                    trial(state, t, &mut rng, local);
-                }
-            },
-            stop,
-        )
-    }
-
-    /// The scheduling chunk size the batched path actually uses:
-    /// [`MonteCarlo::chunk_size`] rounded **up** to a multiple of `batch`,
-    /// so a sub-batch never straddles a chunk boundary and the early-stop
-    /// prefix stays a whole number of batches. When `batch` divides
-    /// `chunk_size` (the default 8 with B ∈ {1, 2, 4, 8}) this is exactly
-    /// `chunk_size`, and [`MonteCarlo::run_batched`] stops at the same
-    /// trial boundaries as [`MonteCarlo::run`].
-    fn effective_chunk_size(&self, batch: u64) -> u64 {
-        let chunk = self.chunk_size.max(1);
-        let batch = batch.max(1);
-        chunk.div_ceil(batch) * batch
-    }
-
-    /// Runs the Monte-Carlo loop, handing the trial closure `batch`
-    /// consecutive trial indices at a time so it can sweep each DSP stage
-    /// across the whole sub-batch (structure-of-arrays style) instead of
-    /// finishing one trial before starting the next.
-    ///
-    /// * `make_state` builds per-worker cached state once per worker;
-    /// * `batch_fn(state, lo..hi, acc)` runs trials `lo..hi`
-    ///   (`hi - lo ≤ batch`), accumulating into `acc`. The engine has
-    ///   already tagged ([`uwb_obs::set_trial`]) and armed
-    ///   ([`uwb_obs::recorder::begin_trial`]) every trial in the range; the
-    ///   closure must derive per-trial RNG streams via
-    ///   [`Rand::for_trial`]`(master_seed, t)` and re-tag `set_trial(t)`
-    ///   before each trial's portion of a stage sweep so telemetry and
-    ///   forensics attribute correctly;
-    /// * `stop(&merged)` is evaluated on the deterministic merge prefix
-    ///   after each chunk, exactly as in [`MonteCarlo::run`].
-    ///
-    /// Scheduling uses `effective_chunk_size`, so when
-    /// `batch` divides `chunk_size` the contributing trial set — and hence
-    /// the merged result, telemetry fingerprint, and worst-trial report —
-    /// is bit-identical to [`MonteCarlo::run`] with a closure performing
-    /// the same per-trial computation, for any `UWB_THREADS`.
-    pub fn run_batched<R, S, FS, FB, FP>(
-        &self,
-        batch: u64,
-        make_state: FS,
-        batch_fn: FB,
-        stop: FP,
-    ) -> RunOutcome<R>
-    where
-        R: Merge + Default + Send,
-        FS: Fn() -> S + Sync,
-        FB: Fn(&mut S, std::ops::Range<u64>, &mut R) + Sync,
-        FP: Fn(&R) -> bool + Sync,
-    {
-        let batch = batch.clamp(1, uwb_obs::recorder::INFLIGHT_SLOTS as u64);
-        self.run_engine(
-            self.effective_chunk_size(batch),
-            make_state,
-            |state, lo, hi, local| {
-                let mut b_lo = lo;
-                while b_lo < hi {
-                    let b_hi = (b_lo + batch).min(hi);
-                    // Arm the whole sub-batch up front: one forensic slot
-                    // per in-flight trial, keyed by trial index.
-                    for t in b_lo..b_hi {
-                        uwb_obs::set_trial(t);
-                        uwb_obs::recorder::begin_trial(
-                            t,
-                            crate::rng::derive_trial_seed(self.master_seed, t),
-                        );
-                    }
-                    batch_fn(state, b_lo..b_hi, local);
-                    b_lo = b_hi;
-                }
-            },
-            stop,
-        )
-    }
-
-    /// The shared worker/reducer skeleton behind [`MonteCarlo::run`] and
-    /// [`MonteCarlo::run_batched`]: chunk scheduling, per-chunk telemetry
-    /// drains, the ordered-prefix merge, and early-stop bookkeeping.
-    /// `chunk_body(state, lo, hi, acc)` executes trials `lo..hi` of one
-    /// chunk, including any per-trial tagging/arming.
-    fn run_engine<R, S, FS, FC, FP>(
-        &self,
-        chunk: u64,
-        make_state: FS,
-        chunk_body: FC,
-        stop: FP,
-    ) -> RunOutcome<R>
-    where
-        R: Merge + Default + Send,
-        FS: Fn() -> S + Sync,
-        FC: Fn(&mut S, u64, u64, &mut R) + Sync,
-        FP: Fn(&R) -> bool + Sync,
-    {
         let t0 = Instant::now();
         // Discard telemetry residue on the calling thread so the per-run
         // snapshot covers exactly the contributing trials regardless of
@@ -386,6 +264,7 @@ impl MonteCarlo {
         // or only coordinates (multi-threaded mode).
         let _ = uwb_obs::take_thread_telemetry();
         let threads = resolve_threads(self.threads);
+        let chunk = self.chunk_size.max(1);
         let n_chunks = self.max_trials.div_ceil(chunk);
 
         let next_chunk = AtomicU64::new(0);
@@ -415,7 +294,17 @@ impl MonteCarlo {
                 let lo = c * chunk;
                 let hi = ((c + 1) * chunk).min(self.max_trials);
                 let mut local = R::default();
-                chunk_body(&mut state, lo, hi, &mut local);
+                for t in lo..hi {
+                    uwb_obs::set_trial(t);
+                    // Arm the flight recorder with the trial's derived seed
+                    // so a worst-trial snapshot can be replayed standalone.
+                    uwb_obs::recorder::begin_trial(
+                        t,
+                        crate::rng::derive_trial_seed(self.master_seed, t),
+                    );
+                    let mut rng = Rand::for_trial(self.master_seed, t);
+                    trial(&mut state, t, &mut rng, &mut local);
+                }
                 // Drain this chunk's telemetry; it merges (or is discarded)
                 // together with the chunk's result.
                 let telem = uwb_obs::take_thread_telemetry();
@@ -716,100 +605,6 @@ mod tests {
     fn env_threads_parsing() {
         assert_eq!(resolve_threads(Some(3)), 3);
         assert!(resolve_threads(None) >= 1);
-    }
-
-    #[test]
-    fn batch_resolution_clamps_to_recorder_capacity() {
-        assert_eq!(resolve_batch(Some(1)), 1);
-        assert_eq!(resolve_batch(Some(8)), 8);
-        assert_eq!(resolve_batch(Some(0)), 1);
-        assert_eq!(
-            resolve_batch(Some(1 << 20)),
-            uwb_obs::recorder::INFLIGHT_SLOTS as u64
-        );
-        assert!(resolve_batch(None) >= 1);
-    }
-
-    #[test]
-    fn chunk_size_rounds_up_to_a_multiple_of_batch() {
-        // Default chunk 8: every B ∈ {1, 2, 4, 8} divides it — scheduling
-        // (and hence early-stop boundaries) identical to the unbatched run.
-        let mc = MonteCarlo::new(1, 1000);
-        assert_eq!(mc.chunk_size, 8);
-        for b in [1, 2, 4, 8] {
-            assert_eq!(mc.effective_chunk_size(b), 8, "B={b}");
-        }
-        // Non-divisors round the chunk *up* so a sub-batch never straddles
-        // a chunk boundary.
-        assert_eq!(mc.effective_chunk_size(3), 9);
-        assert_eq!(mc.effective_chunk_size(5), 10);
-        assert_eq!(mc.effective_chunk_size(16), 16);
-        // And an explicit chunk override still rounds against the batch.
-        let mc = MonteCarlo::new(1, 1000).chunk_size(20);
-        assert_eq!(mc.effective_chunk_size(8), 24);
-        assert_eq!(mc.effective_chunk_size(4), 20);
-    }
-
-    /// The reference per-trial computation used by the batched-identity
-    /// tests: one RNG draw stream + telemetry per trial.
-    fn batched_toy_trial(t: u64, rng: &mut Rand, acc: &mut Tally) {
-        let _sp = uwb_obs::span!("mc_batch_stage");
-        acc.trials += 1;
-        let v = rng.next_u64() % 64;
-        uwb_obs::digest!("mc_batch_digest", v);
-        uwb_obs::note!("mc_batch_note", v);
-        if v == 0 {
-            uwb_obs::event!("mc_batch_rare");
-        }
-        if rng.chance(0.125) {
-            acc.hits += 1;
-        }
-        acc.checksum = acc.checksum.wrapping_add(rng.next_u64() ^ t);
-        uwb_obs::recorder::observe(v, 0);
-    }
-
-    #[test]
-    fn run_batched_is_bit_identical_to_run() {
-        const SEED: u64 = 99;
-        let reference = MonteCarlo::new(SEED, 2_000).threads(1).run(
-            || (),
-            |_, t, rng, acc: &mut Tally| batched_toy_trial(t, rng, acc),
-            |acc| acc.hits >= 30,
-        );
-        for batch in [1u64, 2, 4, 8] {
-            for threads in [1usize, 4] {
-                let out = MonteCarlo::new(SEED, 2_000).threads(threads).run_batched(
-                    batch,
-                    || (),
-                    |_, range: std::ops::Range<u64>, acc: &mut Tally| {
-                        // Stage-sweep shape: draw all RNG streams first,
-                        // then run the per-trial computation in a second
-                        // sweep — the engine contract (per-trial seeds,
-                        // per-trial tags) makes this equivalent.
-                        let rngs: Vec<Rand> =
-                            range.clone().map(|t| Rand::for_trial(SEED, t)).collect();
-                        for (t, mut rng) in range.zip(rngs) {
-                            uwb_obs::set_trial(t);
-                            batched_toy_trial(t, &mut rng, acc);
-                        }
-                    },
-                    |acc| acc.hits >= 30,
-                );
-                assert_eq!(reference.value, out.value, "B={batch} threads={threads}");
-                assert_eq!(reference.stats.trials, out.stats.trials);
-                assert_eq!(reference.stats.stop_reason, out.stats.stop_reason);
-                assert_eq!(
-                    reference.stats.telemetry.to_json_deterministic(),
-                    out.stats.telemetry.to_json_deterministic(),
-                    "B={batch} threads={threads}"
-                );
-                assert_eq!(
-                    uwb_obs::recorder::render_report(&reference.stats.telemetry.worst),
-                    uwb_obs::recorder::render_report(&out.stats.telemetry.worst),
-                    "B={batch} threads={threads}"
-                );
-            }
-        }
     }
 
     #[test]

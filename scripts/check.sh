@@ -71,14 +71,6 @@
 #                             the smoke test checks mac_city_1k's
 #                             one-thread fingerprint against two threads,
 #                             i.e. one decode lane against two)
-#   scripts/check.sh batch    batched-runtime gate: batch-width invariance
-#                             (B in {1,2,4,8} x threads in {1,2,4,8} must be
-#                             bit-identical — counters, stop reason,
-#                             telemetry fingerprint, flight-recorder
-#                             report), the platform batched-parity unit
-#                             tests, the allocation gate (covers the warm
-#                             batched trial), and the smoke binary under
-#                             UWB_BATCH=1 and UWB_BATCH=8
 #   scripts/check.sh surface  public-surface gate: lists every `pub fn`,
 #                             `pub const` and `pub static` in a library
 #                             crate (crates/*/src, not crates/bench) whose
@@ -97,7 +89,7 @@
 #   scripts/check.sh all      tier-1, then the whole workspace's tests, then
 #                             surface, then smoke, then obs, then stream,
 #                             then net, then mac (which includes the
-#                             uwbbench tests), then batch, then pins
+#                             uwbbench tests), then pins
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -239,19 +231,6 @@ pins() {
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --seconds 0.1
 }
 
-batch() {
-    echo "== batch: batch-width x thread-count invariance =="
-    cargo test -q --release --test batch_parity
-    echo "== batch: platform batched stage-sweep parity units =="
-    cargo test -q --release -p uwb-platform batched
-    echo "== batch: zero-allocation warm batched trial =="
-    cargo test -q --release --test alloc_regression
-    echo "== batch: smoke at UWB_BATCH=1 and UWB_BATCH=8 =="
-    cargo build --release -p uwb-bench --bin smoke
-    UWB_BATCH=1 ./target/release/smoke
-    UWB_BATCH=8 ./target/release/smoke
-}
-
 case "$mode" in
 tier1)
     tier1
@@ -277,9 +256,6 @@ net)
 mac)
     mac
     ;;
-batch)
-    batch
-    ;;
 pins)
     pins
     ;;
@@ -293,11 +269,10 @@ all)
     stream
     net
     mac
-    batch
     pins
     ;;
 *)
-    echo "usage: scripts/check.sh [tier1|surface|smoke|bench|obs|stream|net|mac|batch|pins|all]" >&2
+    echo "usage: scripts/check.sh [tier1|surface|smoke|bench|obs|stream|net|mac|pins|all]" >&2
     exit 2
     ;;
 esac

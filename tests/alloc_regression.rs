@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use uwb_net::{plan_network, NetAccumulator, NetScenario, NetWorker};
 use uwb_phy::Gen2Config;
-use uwb_platform::link::{BatchScratch, LinkScenario, LinkWorker};
+use uwb_platform::link::{LinkScenario, LinkWorker};
 use uwb_platform::ErrorCounter;
 
 /// System allocator wrapper that counts every allocation entry point.
@@ -75,11 +75,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTING: CountingAlloc = CountingAlloc;
 
 /// Steady-state gen2 fast-path trials allocate nothing: warm a few
-/// batches, then run many more and require the allocation counter to stand
+/// trials, then run many more and require the allocation counter to stand
 /// still. Uses the same smoke scenario as the Monte-Carlo engine and
 /// `dspbench` (AWGN, `preamble_repeats = 2`, 24-byte payload) on the
-/// batched stage-sweep kernel, 8 trials per batch: the batch arenas,
-/// payload snapshots, synthesis metadata, and the streaming operators'
+/// per-trial known-timing body (`LinkWorker::trial_ber`): the worker's
+/// record, digitized and statistic buffers and the streaming operators'
 /// per-block workspace all ratchet to their high-water capacity during
 /// warm-up. A CM1 section then holds the multi-tap channel convolution to
 /// the same gate, an acquisition section holds
@@ -98,52 +98,37 @@ fn gen2_fast_path_steady_state_is_allocation_free() {
     let mut counter = ErrorCounter::default();
 
     const BLOCK: usize = 4096;
-    const BATCH: u64 = 8;
-    let mut scratch = BatchScratch::new();
+    let trial = |w: &mut LinkWorker, sc: &LinkScenario, len, t, c: &mut ErrorCounter| {
+        w.trial_ber(sc, len, BLOCK, &mut uwb_sim::Rand::for_trial(sc.seed, t), c);
+    };
     // Warm-up: builds FFT plans (cached per thread) and sizes every pooled
-    // buffer in the worker and the scratch.
-    for b in 0..3 {
-        worker.trial_batch_ber_streamed(
-            &scenario,
-            24,
-            BLOCK,
-            b * BATCH..(b + 1) * BATCH,
-            &mut scratch,
-            &mut counter,
-        );
+    // buffer in the worker.
+    for t in 0..24 {
+        trial(&mut worker, &scenario, 24, t, &mut counter);
     }
 
     let before = thread_allocs();
-    for b in 0..25 {
-        worker.trial_batch_ber_streamed(
-            &scenario,
-            24,
-            BLOCK,
-            b * BATCH..(b + 1) * BATCH,
-            &mut scratch,
-            &mut counter,
-        );
+    for t in 24..224 {
+        trial(&mut worker, &scenario, 24, t, &mut counter);
     }
     let after = thread_allocs();
 
     assert_eq!(
         after - before,
         0,
-        "steady-state batched trials must not allocate ({} allocations \
-         across 25 batches of {})",
-        after - before,
-        BATCH
+        "AWGN 24 B section: steady-state trials must not allocate \
+         (allocations {before} before, {after} after 200 trials)"
     );
     // Sanity: the loop actually demodulated bits.
     assert!(counter.total > 0, "trials produced no bits");
 
-    // --- Multipath: the same batched kernel on CM1 (256-byte payload, the
+    // --- Multipath: the same per-trial body on CM1 (256-byte payload, the
     //     benchmark's multipath link shape) exercises the multi-tap
     //     convolution and its per-block `[history | block]` workspace (the
     //     real burst takes the real-input kernel and its `f64` buffer). CM1
-    //     tail lengths vary per realization, so a new trial range could
-    //     legitimately grow the arena once more: the gate warms one fixed
-    //     range and replays exactly that range. ---
+    //     tail lengths vary per realization, so a new trial could
+    //     legitimately grow the record once more: the gate warms one fixed
+    //     set of trials and replays exactly that set. ---
     let cm1 = LinkScenario {
         channel: uwb_sim::ChannelModel::Cm1,
         ebn0_db: 10.0,
@@ -151,37 +136,24 @@ fn gen2_fast_path_steady_state_is_allocation_free() {
     };
     let mut cm1_worker = LinkWorker::new(&cm1);
     let mut cm1_counter = ErrorCounter::default();
-    let mut cm1_scratch = BatchScratch::new();
-    let range = 0..BATCH;
-    cm1_worker.trial_batch_ber_streamed(
-        &cm1,
-        256,
-        BLOCK,
-        range.clone(),
-        &mut cm1_scratch,
-        &mut cm1_counter,
-    );
+    const CM1_TRIALS: u64 = 8;
+    for t in 0..CM1_TRIALS {
+        trial(&mut cm1_worker, &cm1, 256, t, &mut cm1_counter);
+    }
 
     let before = thread_allocs();
     for _ in 0..3 {
-        cm1_worker.trial_batch_ber_streamed(
-            &cm1,
-            256,
-            BLOCK,
-            range.clone(),
-            &mut cm1_scratch,
-            &mut cm1_counter,
-        );
+        for t in 0..CM1_TRIALS {
+            trial(&mut cm1_worker, &cm1, 256, t, &mut cm1_counter);
+        }
     }
     let after = thread_allocs();
 
     assert_eq!(
         after - before,
         0,
-        "replayed CM1 batched trials must not allocate ({} allocations \
-         across 3 replays of {} trials)",
-        after - before,
-        BATCH
+        "CM1 256 B replay section: replayed trials must not allocate \
+         (allocations {before} before, {after} after 3 replays of {CM1_TRIALS} trials)"
     );
     assert!(cm1_counter.total > 0, "CM1 trials produced no bits");
 

@@ -10,10 +10,9 @@
 //! on the `UWB_THREADS` environment variable.
 
 use uwb_phy::Gen2Config;
-use uwb_platform::link::{BatchScratch, LinkScenario, LinkWorker, DEFAULT_STREAM_BLOCK};
-use uwb_platform::ErrorCounter;
-use uwb_sim::montecarlo::DEFAULT_BATCH;
-use uwb_sim::MonteCarlo;
+use uwb_platform::link::{
+    run_ber_fast_streamed_tuned, BerRun, LinkScenario, TrialBudget, DEFAULT_STREAM_BLOCK,
+};
 
 const SEED: u64 = 20050307;
 
@@ -25,20 +24,18 @@ fn scenario() -> LinkScenario {
     LinkScenario::awgn(config, 6.0, SEED)
 }
 
-/// A small engine-backed batched link run with an explicit worker count.
-fn link_run(threads: usize) -> uwb_sim::montecarlo::RunOutcome<ErrorCounter> {
-    let sc = scenario();
-    MonteCarlo::new(SEED, 48)
-        .threads(threads)
-        .chunk_size(8)
-        .run_batched(
-            DEFAULT_BATCH,
-            || (LinkWorker::new(&sc), BatchScratch::new()),
-            |(w, scratch): &mut (LinkWorker, BatchScratch), trials, acc: &mut ErrorCounter| {
-                w.trial_batch_ber_streamed(&sc, 24, DEFAULT_STREAM_BLOCK, trials, scratch, acc)
-            },
-            |_| false,
-        )
+/// 48 trials of the fast BER runner with an explicit worker count.
+fn link_run(threads: usize) -> BerRun {
+    run_ber_fast_streamed_tuned(
+        &scenario(),
+        24,
+        DEFAULT_STREAM_BLOCK,
+        u64::MAX,
+        u64::MAX,
+        TrialBudget { max_trials: 48 },
+        None,
+        Some(threads),
+    )
 }
 
 #[test]
@@ -47,7 +44,10 @@ fn link_trace_and_recorder_are_thread_invariant() {
     let ref_report = uwb_obs::recorder::render_report(&reference.stats.telemetry.worst);
     for threads in [2, 4, 8] {
         let got = link_run(threads);
-        assert_eq!(got.value, reference.value, "{threads} threads changed the counter");
+        assert_eq!(
+            got.counter, reference.counter,
+            "{threads} threads changed the counter"
+        );
         assert_eq!(
             got.stats.telemetry.trace_fingerprint(),
             reference.stats.telemetry.trace_fingerprint(),

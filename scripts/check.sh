@@ -45,7 +45,8 @@
 #                             acceptance tests (isolation bit-parity,
 #                             co-channel contention, thread determinism,
 #                             channel-major versus link-id sweep parity,
-#                             the 1,000-user city at release scale),
+#                             the 1,000-user city at release scale, the
+#                             golden plans including net_city_1k's),
 #                             the allocation gate (covers the warm 2-link
 #                             network round), the uwb-bench unit tests,
 #                             then netbench against the committed
@@ -199,6 +200,7 @@ net() {
     cargo test -q --release --test alloc_regression
     echo "== net: 1,000-user sparse round (1/2/4/8-thread, sweep-order, oracle) and 1/2-thread plan parity =="
     cargo test -q --release -p uwb-net --lib --test net_acceptance -- --ignored
+    cargo test -q --release --test plan_golden -- --ignored
     tracked_tests
     echo "== net: netbench vs committed BENCH_net.json (tol ${tol}%) =="
     cargo build --release -p uwb-bench --bin netbench

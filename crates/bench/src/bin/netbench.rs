@@ -77,7 +77,7 @@ fn suite() -> Suite {
             let _ = w.synthesize_clean_streamed(
                 &link.scenario,
                 scenario.payload_len,
-                scenario.block_len,
+                uwb_platform::link::DEFAULT_STREAM_BLOCK,
                 &mut rng,
             );
             w.clean_record().len()

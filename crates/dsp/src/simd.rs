@@ -57,6 +57,32 @@ pub fn mean_power(signal: &[Complex]) -> f64 {
     sum_power(signal) / signal.len() as f64
 }
 
+/// [`mean_power`] fused with the bitwise OR of every imaginary part, in one
+/// pass: the power is bit-identical to [`mean_power`]'s (the same lanes,
+/// the same order), and the OR is 0 exactly when every imaginary part is
+/// `+0.0`. Branch-free with no early exit, so it vectorizes.
+pub fn mean_power_and_im_bits(signal: &[Complex]) -> (f64, u64) {
+    let mut lanes = [0.0f64; LANES];
+    let mut bits = [0u64; LANES];
+    let mut chunks = signal.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for ((acc, b), z) in lanes.iter_mut().zip(&mut bits).zip(chunk) {
+            *acc += z.re * z.re + z.im * z.im;
+            *b |= z.im.to_bits();
+        }
+    }
+    for ((acc, b), z) in lanes.iter_mut().zip(&mut bits).zip(chunks.remainder()) {
+        *acc += z.re * z.re + z.im * z.im;
+        *b |= z.im.to_bits();
+    }
+    let power = if signal.is_empty() {
+        0.0
+    } else {
+        lanes.iter().sum::<f64>() / signal.len() as f64
+    };
+    (power, bits.iter().fold(0, |a, b| a | b))
+}
+
 /// Scales every sample by `gain` in place (`z * gain`, elementwise — the
 /// same arithmetic as the scalar AGC loop, so this is bit-identical to it).
 #[inline]
@@ -271,6 +297,24 @@ pub fn sincos_tau_block(u: &[f64], sin_out: &mut [f64], cos_out: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fused_im_bits_keep_mean_power_bit_identical() {
+        let xs: Vec<Complex> = (0..1003)
+            .map(|i| Complex::new((0.3 * i as f64).sin(), (0.7 * i as f64).cos()))
+            .collect();
+        let real: Vec<Complex> = xs.iter().map(|z| Complex::new(z.re, 0.0)).collect();
+        let negative_zero: Vec<Complex> = xs.iter().map(|z| Complex::new(z.re, -0.0)).collect();
+        for (signal, complex) in [(&xs, true), (&real, false), (&negative_zero, true)] {
+            // Every remainder length, the empty block, and the long block.
+            for n in (0..=2 * LANES + 1).chain([signal.len()]) {
+                let block = &signal[..n];
+                let (power, bits) = mean_power_and_im_bits(block);
+                assert_eq!(power.to_bits(), mean_power(block).to_bits(), "n = {n}");
+                assert_eq!(bits != 0, complex && n > 0, "n = {n}");
+            }
+        }
+    }
 
     #[test]
     fn sum_power_matches_serial_closely() {

@@ -56,10 +56,11 @@
 //! Synthesis stays serial: it runs at `Attempt` time, interleaved with
 //! carrier sense and the record pool, and is a small share of the work.
 //!
-//! Pooled records are `re` / `im` planes ([`uwb_net::WaveRecord`]): a
-//! synthesis writes one complex record that is split into its slot's
-//! planes, and on AWGN no `im` plane is kept, so every overlapping source
-//! is mixed with one real axpy at its slot offset.
+//! Pooled records are the network's [`uwb_net::TxRecord`]s, filled by the
+//! same [`uwb_net::TxRecord::synthesize`] a network round uses: `re` /
+//! `im` planes, the payload snapshot and the synthesis metadata. On AWGN
+//! no `im` plane is kept, so every overlapping source is mixed with one
+//! real axpy at its slot offset.
 //!
 //! ## Zero warm-path allocation
 //!
@@ -78,7 +79,8 @@ use crate::scenario::MacScenario;
 use crate::traffic::{ArrivalGen, TrafficModel};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use uwb_dsp::Complex;
-use uwb_net::{Layer, MixCounts, Victim, VictimMixer, WaveRecord, WorkerPool};
+use uwb_net::{Layer, MixCounts, TxRecord, VictimMixer, WaveRecord, WorkerPool};
+use uwb_platform::link::DEFAULT_STREAM_BLOCK;
 use uwb_platform::metrics::ErrorCounter;
 use uwb_sim::montecarlo::{resolve_threads, Merge, MonteCarlo};
 use uwb_sim::{derive_trial_seed, Rand};
@@ -305,15 +307,6 @@ impl LinkState {
     }
 }
 
-/// A pooled waveform record: its planes, the payload snapshot, and the
-/// synthesis metadata needed at decode time.
-#[derive(Debug, Default)]
-struct TxRecord {
-    wave: WaveRecord,
-    payload: Vec<u8>,
-    clean: Option<uwb_platform::link::CleanSynthesis>,
-}
-
 /// Free-list record pool. `reset` restores a deterministic acquisition
 /// order for each trial (slot identity never affects results — records
 /// are read back only through `TxRef`s — but a fixed order keeps memory
@@ -334,7 +327,7 @@ impl RecordPool {
             pool.slots.push(TxRecord {
                 wave: WaveRecord::with_capacity(sample_cap),
                 payload: Vec::with_capacity(payload_cap),
-                clean: None,
+                ..TxRecord::default()
             });
         }
         pool.reset();
@@ -392,10 +385,6 @@ impl DecodeLane {
     ) -> Decoded {
         let (l, now) = (ev.link as usize, ev.time);
         let rec = &records[ev.arg as usize];
-        let clean = rec
-            .clean
-            .as_ref()
-            .expect("in-flight record has synthesis metadata");
         let s_v = links[l].cur_start;
         // Every coupled transmission whose airtime overlapped ours, at its
         // true slot offset. Row order is ascending tx index; within a row,
@@ -416,11 +405,7 @@ impl DecodeLane {
         let mut ber = ErrorCounter::default();
         let ok = self.mixer.decode_victim(
             Layer::Mac,
-            Victim {
-                record: &rec.wave,
-                clean,
-                payload: &rec.payload,
-            },
+            rec,
             sources,
             self.pool.worker_for(l),
             &mut ber,
@@ -435,7 +420,7 @@ pub struct MacWorker {
     lanes: Vec<DecodeLane>,
     records: RecordPool,
     /// The complex record a synthesis writes before it is split into its
-    /// pool slot's planes.
+    /// pool slot.
     synth: Vec<Complex>,
     links: Vec<LinkState>,
     events: EventQueue,
@@ -461,7 +446,7 @@ impl MacWorker {
     /// depend on the lane count.
     pub fn with_lanes(plan: &MacPlan, lanes: usize) -> MacWorker {
         let n = plan.len();
-        let sample_cap = plan.max_record_len + plan.net.block_len;
+        let sample_cap = plan.max_record_len + DEFAULT_STREAM_BLOCK;
         let prealloc = if n <= 64 { 2 * n } else { 0 };
         let links = (0..n)
             .map(|l| LinkState::new(plan.params.queue_cap, plan.params.traffic, plan.rate_pps[l]))
@@ -585,25 +570,13 @@ impl MacWorker {
             let st = &mut self.links[l];
             let mut rng = Rand::for_trial(st.wave_seed, st.tx_uid);
             st.tx_uid += 1;
-            let rec = &mut self.records.slots[slot as usize];
-            let tx = self.lanes[0].pool.worker_for(l);
-            let clean = tx.synthesize_clean_streamed_record(
+            self.records.slots[slot as usize].synthesize(
+                self.lanes[0].pool.worker_for(l),
                 &plan.net.links[l].scenario,
                 plan.net.payload_len,
-                plan.net.block_len,
                 &mut rng,
                 &mut self.synth,
             );
-            rec.wave.set_from(&self.synth);
-            rec.clean = Some(clean);
-        }
-        {
-            // Snapshot the drawn payload before another link reuses the
-            // shared pooled worker.
-            let rec = &mut self.records.slots[slot as usize];
-            rec.payload.clear();
-            rec.payload
-                .extend_from_slice(self.lanes[0].pool.worker_for(l).payload_bytes());
         }
 
         let airtime = plan.airtime_slots[l];

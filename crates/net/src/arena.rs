@@ -1,8 +1,8 @@
 //! The shared-waveform arena and its plan-time liveness schedule.
 //!
-//! Both the planning probe sweep and every measurement round walk victims
-//! in **channel-major** order: link ids stably sorted by their assigned
-//! channel, then by id. Coupling is strongest between links on the same
+//! `NetWorker`'s one victim sweep, which runs both the planning probe pass
+//! and every measurement round, walks victims in **channel-major** order:
+//! link ids stably sorted by their assigned channel, then by id. Coupling is strongest between links on the same
 //! channel, so consecutive victims share most of their interferers and
 //! the records they read stay hot in cache, where an ascending-id sweep
 //! would interleave all 14 channels and keep most of a city's records
@@ -13,12 +13,13 @@
 //! record buffers: a record is synthesized **once** per (transmitter,
 //! round) into an acquired slot, shared read-only by every coupled
 //! receiver, and the slot is recycled the moment its last reader has been
-//! processed. A slot holds its record as `re` / `im` planes
-//! ([`WaveRecord`]); on AWGN every `im` plane stays empty, so a record
-//! costs 8 bytes per sample, not 16. No victim writes a slot: the victim
-//! decode reads its own record and its sources and writes its own mix
-//! buffers. Memory therefore scales with the interference graph's
-//! *overlap width* along the sweep, not with the network size — the
+//! processed. A slot holds a [`TxRecord`]: the waveform as `re` / `im`
+//! planes, the payload snapshot, the synthesis metadata and the mean
+//! power; on AWGN every `im` plane stays empty, so a record costs 8 bytes
+//! per sample, not 16. No victim writes a slot: the victim decode reads
+//! its own record and its sources and writes its own mix buffers. Memory
+//! therefore scales with the interference graph's *overlap width* along
+//! the sweep, not with the network size — the
 //! property that lets a 10 000-node round run in a bounded set of record
 //! buffers.
 //!
@@ -27,17 +28,26 @@
 //! the round, and every victim mixes its own record, then its coupling row
 //! in ascending-transmitter order, then its own noise.
 //!
+//! A schedule may cover any list of distinct victims, not only the whole
+//! network, so a sweep cut into contiguous spans (`RecordSchedule::split`)
+//! gives each span a schedule of its own: a record lives in a span's arena
+//! from its first reader in that span to its last, and a record read on
+//! both sides of a cut is synthesized once by each span that reads it.
+//!
 //! Everything here is allocation-free once warm: the slot buffers ratchet
 //! to their high-water capacity during the first round (the acquisition
 //! sequence is identical every round, so each slot sees the same demand),
 //! and the free list / residency map are sized at construction.
 
 use crate::coupling::CouplingRow;
-use crate::mix::WaveRecord;
+use crate::mix::TxRecord;
 use uwb_phy::bandplan::Channel;
 
 /// Sentinel residency: the link's record is not in the arena.
 const NO_SLOT: u32 = u32::MAX;
+
+/// Sentinel sweep position: no victim of the sweep reads the record.
+const UNREAD: u32 = u32::MAX;
 
 /// The channel-major victim sweep: link ids stably sorted by assigned
 /// channel index, then by id. The runner derives `channels` from its plan
@@ -50,9 +60,8 @@ pub(crate) fn channel_major_order(channels: &[Channel]) -> Vec<u32> {
 
 /// Plan-time liveness of per-transmitter records over a victim sweep: the
 /// order victims are processed in, when each record dies, and the maximum
-/// number simultaneously alive (= the arena size). A span of a
-/// `SpanSchedule` is one too, over its slice of the sweep and the
-/// records only it reads.
+/// number simultaneously alive (= the arena size). The sweep may be any
+/// list of distinct victims, such as one span of a longer sweep.
 #[derive(Debug, Clone)]
 pub struct RecordSchedule {
     /// Link ids in sweep order: position `p` processes victim `order[p]`.
@@ -80,24 +89,64 @@ impl RecordSchedule {
     }
 
     /// The schedule of the sweep that processes victim `order[p]` at
-    /// position `p`; first and last use are sweep positions.
+    /// position `p`, where `rows` holds one coupling row per link of the
+    /// network: each record a victim reads (its own and its row's) lives
+    /// from its first reader's position to its last reader's.
     ///
     /// # Panics
     ///
-    /// Panics unless there is one row per link and `order` is a
-    /// permutation of the link ids.
+    /// Panics unless the ids in `order` are distinct links of `rows`.
     pub(crate) fn ordered(order: Vec<u32>, rows: &[CouplingRow]) -> RecordSchedule {
-        let n = order.len();
-        let mut one = SpanSchedule::cut(&order, rows, &[0, n]);
-        one.spans.pop().expect("one span")
+        let n = rows.len();
+        let mut swept = vec![false; n];
+        let mut first = vec![UNREAD; n];
+        let mut last = vec![UNREAD; n];
+        for (p, &v) in order.iter().enumerate() {
+            let v = v as usize;
+            assert!(!swept[v], "sweep order must list distinct links");
+            swept[v] = true;
+            for u in std::iter::once(v).chain(rows[v].iter().map(|&(u, _)| u)) {
+                if first[u] == UNREAD {
+                    first[u] = p as u32;
+                }
+                last[u] = p as u32;
+            }
+        }
+        let mut expire_at: Vec<Vec<u32>> = vec![Vec::new(); order.len()];
+        let mut acquires = vec![0usize; order.len()];
+        for (u, (&f, &l)) in first.iter().zip(&last).enumerate() {
+            if f != UNREAD {
+                acquires[f as usize] += 1;
+                expire_at[l as usize].push(u as u32);
+            }
+        }
+        let mut live = 0usize;
+        let mut max_live = 0usize;
+        for (a, e) in acquires.iter().zip(&expire_at) {
+            live += a;
+            max_live = max_live.max(live);
+            live -= e.len();
+        }
+        RecordSchedule {
+            order,
+            expire_at,
+            max_live,
+        }
     }
 
     /// This sweep cut into `t` contiguous spans of near-equal victim
-    /// counts.
-    pub(crate) fn split(&self, rows: &[CouplingRow], t: usize) -> SpanSchedule {
+    /// counts, each with its own schedule over `rows`.
+    pub(crate) fn split(&self, rows: &[CouplingRow], t: usize) -> Vec<RecordSchedule> {
         let n = self.order.len();
-        let cuts: Vec<usize> = (0..=t).map(|s| s * n / t).collect();
-        SpanSchedule::cut(&self.order, rows, &cuts)
+        (0..t)
+            .map(|s| RecordSchedule::ordered(self.order[s * n / t..(s + 1) * n / t].to_vec(), rows))
+            .collect()
+    }
+
+    /// The records this sweep synthesizes: every record its victims read,
+    /// once each.
+    pub(crate) fn records(&self) -> usize {
+        self.expire_at.iter().map(Vec::len).sum()
     }
 
     /// The link ids in sweep order.
@@ -117,95 +166,12 @@ impl RecordSchedule {
     }
 }
 
-/// A sweep cut into contiguous spans that can run concurrently. A record
-/// whose first and last reader fall in different spans — exactly the
-/// records live across some cut — is *shared*: it is synthesized once,
-/// before any span starts, and read in place by every span. Each span's
-/// [`RecordSchedule`] covers only the victims in its span (its `order` is
-/// that slice of the sweep) and only the records no other span reads, so
-/// every record is synthesized exactly once for any cut.
-#[derive(Debug, Clone)]
-pub(crate) struct SpanSchedule {
-    /// The spans' schedules, in sweep order.
-    pub(crate) spans: Vec<RecordSchedule>,
-    /// The shared records' link ids, ascending.
-    pub(crate) shared: Vec<u32>,
-}
-
-impl SpanSchedule {
-    /// The sweep that processes victim `order[p]` at position `p`, cut at
-    /// the ascending positions `cuts` (first `0`, last `order.len()`): span
-    /// `s` runs positions `cuts[s]..cuts[s + 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless there is one row per link and `order` is a
-    /// permutation of the link ids.
-    fn cut(order: &[u32], rows: &[CouplingRow], cuts: &[usize]) -> SpanSchedule {
-        let n = order.len();
-        assert_eq!(rows.len(), n, "one coupling row per link");
-        let mut pos = vec![u32::MAX; n];
-        for (p, &v) in order.iter().enumerate() {
-            assert_eq!(
-                pos[v as usize],
-                u32::MAX,
-                "sweep order must be a permutation"
-            );
-            pos[v as usize] = p as u32;
-        }
-        let mut first = pos.clone();
-        let mut last = pos.clone();
-        for (row, &p) in rows.iter().zip(&pos) {
-            for &(u, _) in row {
-                first[u] = first[u].min(p);
-                last[u] = last[u].max(p);
-            }
-        }
-        // Span of sweep position `p`: the number of inner cuts at or
-        // before it.
-        let inner = &cuts[1..cuts.len() - 1];
-        let span_of = |p: u32| inner.partition_point(|&c| c <= p as usize);
-        let mut shared = Vec::new();
-        let mut expire_at: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut acquires = vec![0u32; n];
-        for (u, (&f, &l)) in first.iter().zip(&last).enumerate() {
-            if span_of(f) == span_of(l) {
-                acquires[f as usize] += 1;
-                expire_at[l as usize].push(u as u32);
-            } else {
-                shared.push(u as u32);
-            }
-        }
-        let mut expiring = expire_at.into_iter();
-        let spans = cuts
-            .windows(2)
-            .map(|w| {
-                let expire_at: Vec<Vec<u32>> = expiring.by_ref().take(w[1] - w[0]).collect();
-                let mut live = 0usize;
-                let mut max_live = 0usize;
-                for (a, e) in acquires[w[0]..w[1]].iter().zip(&expire_at) {
-                    live += *a as usize;
-                    max_live = max_live.max(live);
-                    live -= e.len();
-                }
-                debug_assert_eq!(live, 0, "every span record must die in its span");
-                RecordSchedule {
-                    order: order[w[0]..w[1]].to_vec(),
-                    expire_at,
-                    max_live,
-                }
-            })
-            .collect();
-        SpanSchedule { spans, shared }
-    }
-}
-
-/// `max_live` interchangeable plane records plus the link → slot
+/// `max_live` interchangeable transmission records plus the link → slot
 /// residency map. Slot identity is meaningless — buffers only carry a
 /// round's record between its synthesis and its last reader.
 #[derive(Debug)]
 pub struct RecordArena {
-    slots: Vec<WaveRecord>,
+    slots: Vec<TxRecord>,
     free: Vec<u32>,
     slot_of: Vec<u32>,
 }
@@ -214,7 +180,7 @@ impl RecordArena {
     /// An arena of `max_live` slots covering `n_links` links.
     pub fn new(n_links: usize, max_live: usize) -> RecordArena {
         RecordArena {
-            slots: (0..max_live).map(|_| WaveRecord::default()).collect(),
+            slots: (0..max_live).map(|_| TxRecord::default()).collect(),
             free: (0..max_live as u32).rev().collect(),
             slot_of: vec![NO_SLOT; n_links],
         }
@@ -232,7 +198,7 @@ impl RecordArena {
     ///
     /// Panics if `u` is already resident or the schedule's `max_live` bound
     /// is violated (both are plan-construction bugs, not runtime states).
-    pub fn acquire(&mut self, u: usize) -> &mut WaveRecord {
+    pub fn acquire(&mut self, u: usize) -> &mut TxRecord {
         assert_eq!(self.slot_of[u], NO_SLOT, "link {u} already resident");
         let slot = self
             .free
@@ -247,7 +213,7 @@ impl RecordArena {
     /// # Panics
     ///
     /// Panics if `u` is not resident.
-    pub fn record(&self, u: usize) -> &WaveRecord {
+    pub fn record(&self, u: usize) -> &TxRecord {
         let slot = self.slot_of[u];
         assert_ne!(slot, NO_SLOT, "link {u} not resident");
         &self.slots[slot as usize]
@@ -306,10 +272,10 @@ mod tests {
         let mut arena = RecordArena::new(3, s.max_live());
         for v in 0..3 {
             assert!(!arena.is_resident(v));
-            arena.acquire(v).set_from(&[Complex::ONE]);
+            arena.acquire(v).wave.set_from(&[Complex::ONE]);
             assert!(arena.is_resident(v));
-            assert_eq!(arena.record(v).re(), &[1.0]);
-            assert!(arena.record(v).im().is_none());
+            assert_eq!(arena.record(v).wave.re(), &[1.0]);
+            assert!(arena.record(v).wave.im().is_none());
             arena.release_expired(&s, v);
             assert!(!arena.is_resident(v));
         }
@@ -340,8 +306,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "permutation")]
-    fn order_must_be_a_permutation() {
+    fn a_partial_sweep_schedules_only_what_it_reads() {
+        // Victims 2 and 0 of a 4-link network: victim 2 reads tx 3, victim
+        // 0 reads tx 3 and tx 1. Tx 3 lives across both positions; tx 2
+        // dies after its own victim, before tx 0 and tx 1 arrive.
+        let rows: Vec<CouplingRow> =
+            vec![vec![(1, 0.5), (3, 0.5)], vec![], vec![(3, 0.5)], vec![]];
+        let s = RecordSchedule::ordered(vec![2, 0], &rows);
+        assert_eq!(s.order(), &[2, 0]);
+        assert_eq!(s.expiring_after(0), &[2]);
+        assert_eq!(s.expiring_after(1), &[0, 1, 3]);
+        assert_eq!(s.max_live(), 3);
+        assert_eq!(s.records(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct")]
+    fn order_must_list_distinct_links() {
         let rows: Vec<CouplingRow> = vec![vec![], vec![]];
         RecordSchedule::ordered(vec![1, 1], &rows);
     }
@@ -369,83 +350,92 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Driving one arena per span through any cut of any sweep: the
-        /// shared set is exactly the records live across a cut (at most
-        /// `max_live` per cut); every other record a span reads is
-        /// resident in that span's arena from its first reader to its last
-        /// (acquired and released exactly once, by one span); and no span
-        /// arena passes its bound, which its sweep reaches. With no inner
-        /// cut, the one span is the whole sweep.
+        /// Driving one arena per span through any cut of any sweep: each
+        /// span's arena holds every record its victims read from its first
+        /// reader in the span to its last, acquiring it exactly once; a
+        /// record is acquired once per span that reads it; no span arena
+        /// passes its bound, which its sweep reaches and which is at most
+        /// the whole sweep's; each cut costs at most `max_live` extra
+        /// acquisitions. With no inner cut, the one span is the whole
+        /// sweep.
         #[test]
         fn any_sweep_keeps_readers_resident(
             n in 1usize..48,
             seed in any::<u64>(),
-            inner in 0usize..5,
+            t in 1usize..6,
         ) {
             let (rows, order) = rows_and_order(n, seed);
             let whole = RecordSchedule::ordered(order.clone(), &rows);
             prop_assert_eq!(whole.order(), order.as_slice());
-            let mut rng = uwb_sim::Rand::new(!seed);
-            let mut cuts: Vec<usize> = (0..inner).map(|_| rng.below(n + 1)).collect();
-            cuts.extend([0, n]);
-            cuts.sort_unstable();
-            let split = SpanSchedule::cut(&order, &rows, &cuts);
-            prop_assert_eq!(split.spans.len(), cuts.len() - 1);
+            let spans = whole.split(&rows, t);
+            prop_assert_eq!(spans.len(), t);
+            if t == 1 {
+                prop_assert_eq!(spans[0].order(), whole.order());
+                prop_assert_eq!(&spans[0].expire_at, &whole.expire_at);
+                prop_assert_eq!(spans[0].max_live(), whole.max_live());
+            }
 
             // Every reader of each record: its own victim and every row
             // holding it.
             let readers = |v: usize| std::iter::once(v).chain(rows[v].iter().map(|&(u, _)| u));
-            let mut first = vec![usize::MAX; n];
-            let mut last = vec![0usize; n];
-            for (p, &v) in order.iter().enumerate() {
-                for u in readers(v as usize) {
-                    first[u] = first[u].min(p);
-                    last[u] = last[u].max(p);
-                }
-            }
-            let across = |u: usize, c: usize| first[u] < c && c <= last[u];
-            let inner_cuts = &cuts[1..cuts.len() - 1];
-            let shared: Vec<u32> = (0..n as u32)
-                .filter(|&u| inner_cuts.iter().any(|&c| across(u as usize, c)))
-                .collect();
-            prop_assert_eq!(&split.shared, &shared);
-            for &c in inner_cuts {
-                prop_assert!((0..n).filter(|&u| across(u, c)).count() <= whole.max_live());
-            }
-
-            let is_shared = |u: usize| shared.binary_search(&(u as u32)).is_ok();
+            let mut swept = 0;
+            let mut reading_spans = vec![0u32; n];
             let mut acquired = vec![0u32; n];
-            let mut released = vec![0u32; n];
-            for (span, w) in split.spans.iter().zip(cuts.windows(2)) {
-                prop_assert_eq!(span.order(), &order[w[0]..w[1]]);
-                let mut arena = RecordArena::new(n, span.max_live());
-                let mut live = 0usize;
-                let mut peak = 0usize;
-                for (p, &v) in span.order().iter().enumerate() {
+            for span in &spans {
+                let victims = span.order();
+                prop_assert_eq!(victims, &order[swept..swept + victims.len()]);
+                swept += victims.len();
+
+                // Brute force: the span's first and last reader of each
+                // record.
+                let mut first = vec![usize::MAX; n];
+                let mut last = vec![0usize; n];
+                for (p, &v) in victims.iter().enumerate() {
                     for u in readers(v as usize) {
-                        if is_shared(u) {
-                            prop_assert!(!arena.is_resident(u));
-                        } else if !arena.is_resident(u) {
+                        first[u] = first[u].min(p);
+                        last[u] = p;
+                    }
+                }
+                let read: Vec<usize> = (0..n).filter(|&u| first[u] != usize::MAX).collect();
+                prop_assert_eq!(span.records(), read.len());
+                for &u in &read {
+                    reading_spans[u] += 1;
+                }
+
+                let mut arena = RecordArena::new(n, span.max_live());
+                let mut peak = 0usize;
+                for (p, &v) in victims.iter().enumerate() {
+                    for u in readers(v as usize) {
+                        if !arena.is_resident(u) {
+                            prop_assert_eq!(first[u], p, "record {} acquired late", u);
                             arena.acquire(u);
                             acquired[u] += 1;
-                            live += 1;
                         }
                     }
+                    let live = (0..n).filter(|&u| arena.is_resident(u)).count();
                     peak = peak.max(live);
-                    for &u in span.expiring_after(p) {
-                        released[u as usize] += 1;
-                        live -= 1;
+                    for u in 0..n {
+                        let should = first[u] <= p && p <= last[u];
+                        prop_assert_eq!(arena.is_resident(u), should, "record {} at {}", u, p);
                     }
                     arena.release_expired(span, p);
+                    for u in 0..n {
+                        prop_assert_eq!(
+                            arena.is_resident(u),
+                            first[u] <= p && p < last[u],
+                            "record {} after {}", u, p
+                        );
+                    }
                 }
                 prop_assert_eq!(peak, span.max_live());
-                prop_assert!((0..n).all(|u| !arena.is_resident(u)));
+                prop_assert!(span.max_live() <= whole.max_live());
             }
-            for u in 0..n {
-                let once = u32::from(!is_shared(u));
-                prop_assert_eq!(acquired[u], once, "record {} synthesized {} times", u, acquired[u]);
-                prop_assert_eq!(released[u], once);
-            }
+            prop_assert_eq!(swept, n);
+            prop_assert_eq!(&acquired, &reading_spans, "one acquisition per reading span");
+            prop_assert!((0..n).all(|u| reading_spans[u] >= 1));
+            // Each cut re-synthesizes at most the records live across it.
+            let total: u32 = acquired.iter().sum();
+            prop_assert!(total as usize <= n + (t - 1) * whole.max_live());
         }
     }
 

@@ -10,32 +10,37 @@
 //! [`NetPlan`], and the measurement phase replays that static plan —
 //! bit-identically for any `UWB_THREADS`.
 //!
-//! The probe sweep walks victims in the same channel-major order as the
-//! measurement rounds ([`RecordSchedule::channel_major`]), so the probe
-//! records a victim mixes are the ones its channel neighbours just used.
-//! Every plan entry is a pure function of its victim; the order changes
-//! only the arena size and the cache traffic, never the plan. Probe
-//! records live in the arena as `re` / `im` planes and are mixed by the
-//! same plane mixer as the rounds ([`VictimMixer`]), so on AWGN a probe
-//! mix touches only `re` planes.
+//! The probe pass is a measurement round of its own: a [`NetWorker`]
+//! sweep at the reserved round `PROBE_ROUND` over a *probe plan* in which
+//! every link runs the base config with its own seed under the final
+//! coupling rows, so the worker pool holds one worker. It walks victims in
+//! the rounds' channel-major order ([`RecordSchedule::channel_major`]),
+//! synthesizes each record into the arena at its first reader and recycles
+//! it after its last, and visits each victim with a probe measurement
+//! instead of a decode: the interference mix on the plane mixer
+//! ([`VictimMixer`]), the optional spectral probe, and the adapter. Every
+//! plan entry is a pure function of its victim; the order changes only the
+//! arena size and the cache traffic, never the plan.
 //!
 //! Because every entry is a pure function of its victim, the sweep is cut
-//! into contiguous spans that run on their own threads, each with its own
-//! probe worker, arena and mixer. The records live across a cut — read
-//! by two spans — are synthesized once before the spans start, split over
-//! the same threads, and read in place; every other record lives in the
-//! one span that reads it. Every probe is synthesized exactly once for
-//! any span count, and one span runs inline on the calling thread.
+//! into contiguous spans that run on their own threads, each a
+//! `NetWorker` on the span's own schedule (`RecordSchedule::split`). A
+//! record read on both sides of a cut is synthesized once by each span
+//! that reads it — at most `max_live` records per cut — and one span runs
+//! inline on the calling thread.
 
-use crate::arena::{RecordArena, RecordSchedule, SpanSchedule};
+use crate::arena::RecordSchedule;
 use crate::coupling::{build_coupling_sparse, coupling_db, CouplingRow};
-use crate::mix::{VictimMixer, WaveRecord};
+use crate::mix::{TxRecord, VictimMixer};
+use crate::runner::NetWorker;
 use crate::scenario::{ChannelPolicy, NetScenario};
-use uwb_dsp::complex::mean_power;
 use uwb_dsp::Complex;
 use uwb_phy::bandplan::Channel;
-use uwb_phy::{ChannelConditions, InterfererReport, LinkAdapter, OperatingPoint, PowerModel, SpectralMonitor};
-use uwb_platform::link::{channel_rms_delay_ns, LinkScenario, LinkWorker};
+use uwb_phy::{
+    ChannelConditions, Gen2Config, InterfererReport, LinkAdapter, OperatingPoint, PowerModel,
+    SpectralMonitor,
+};
+use uwb_platform::link::{channel_rms_delay_ns, LinkScenario, LinkWorker, DEFAULT_STREAM_BLOCK};
 use uwb_sim::montecarlo::resolve_threads;
 use uwb_sim::rng::derive_trial_seed;
 use uwb_sim::time::Hertz;
@@ -88,7 +93,8 @@ pub struct NetPlan {
     pub coupling: Vec<CouplingRow>,
     /// Payload bytes per packet.
     pub payload_len: usize,
-    /// Streaming block length in samples.
+    /// Streaming block length in samples: always
+    /// [`DEFAULT_STREAM_BLOCK`], which every synthesis uses.
     pub block_len: usize,
     /// Measurement rounds.
     pub rounds: u64,
@@ -129,8 +135,9 @@ impl NetPlan {
 /// `UWB_THREADS`. The probe sweep runs in contiguous spans, one per
 /// thread while each span keeps at least the schedule's `max_live`
 /// victims; a small network takes one span on the calling thread.
-/// Telemetry: the whole phase runs under a `net_schedule` span, and the
-/// helper threads' stages merge into the calling thread's.
+/// Telemetry: each probe synthesis runs under a `net_schedule` span, as in
+/// the rounds, and the helper threads' stages merge into the calling
+/// thread's.
 ///
 /// # Panics
 ///
@@ -140,13 +147,12 @@ pub fn plan_network(scenario: &NetScenario) -> NetPlan {
     plan_network_swept(scenario, RecordSchedule::channel_major, None).0
 }
 
-/// The deterministic work of one plan: the probe sweep's spans, its
-/// shared records, and the probe syntheses over the whole plan.
+/// The deterministic work of one plan: the probe sweep's spans and the
+/// probe syntheses over the whole plan.
 #[derive(Debug, PartialEq, Eq)]
 struct PlanWork {
     spans: usize,
-    shared: usize,
-    syntheses: u64,
+    syntheses: usize,
 }
 
 /// [`plan_network`] with the probe sweep's schedule built by `order_by`
@@ -157,19 +163,23 @@ fn plan_network_swept(
     order_by: fn(&[Channel], &[CouplingRow]) -> RecordSchedule,
     threads: Option<usize>,
 ) -> (NetPlan, PlanWork) {
-    let _t = uwb_obs::span!("net_schedule");
     let n = scenario.len();
     assert!(n > 0, "network needs at least one link");
 
-    // Probe records are synthesized by one worker per span: probes always
-    // use the base config.
-    let mut probes = vec![Probes::new(scenario)];
+    // Probes run every link on the base config with its own seed.
+    let probe_links: Vec<LinkScenario> = (0..n)
+        .map(|l| link_scenario(scenario, scenario.base_config.clone(), l))
+        .collect();
 
     // --- Channel allocation. ---
     // The static policies are pure index arithmetic; the greedy
     // interference-aware policy synthesizes a dense probe table
     // (documented small-N), serially.
-    let channels = allocate_channels(scenario, &mut probes[0]);
+    let channels = allocate_channels(scenario, &probe_links);
+    let allocation_probes = match scenario.policy {
+        ChannelPolicy::InterferenceAware(_) => n,
+        _ => 0,
+    };
 
     // --- Sparse interference graph on the final assignment. ---
     // Couplings below the scenario's floor are never enumerated; with the
@@ -179,56 +189,71 @@ fn plan_network_swept(
         build_coupling_sparse(&scenario.topology, &scenario.selectivity, &channels, &scenario.coupling);
 
     // --- Per-link probe measurements on the final assignment. ---
-    // Row-driven channel-major sweep over shared-waveform arenas (the
-    // measurement rounds' order), cut into contiguous spans that run
-    // concurrently. Each link's clean probe record is synthesized once and
-    // shared by every coupled victim: a record only one span reads lives
-    // in that span's arena and is recycled after its last reader; the few
-    // records live across a cut are synthesized first, split over the
-    // threads, and read in place by every span. A span costs an arena of
-    // up to `max_live` records, so spans are kept only while each holds
-    // at least that many victims.
-    let schedule = order_by(&channels, &coupling);
+    // A `NetWorker` sweep of the probe plan in the measurement rounds'
+    // order, cut into contiguous spans that run concurrently. A span costs
+    // an arena of up to `max_live` records and re-synthesizes the records
+    // live across its cut, so spans are kept only while each holds at
+    // least `max_live` victims.
+    let probes = NetPlan {
+        links: probe_links
+            .into_iter()
+            .zip(&channels)
+            .map(|(scenario, &channel)| NetLinkPlan {
+                scenario,
+                channel,
+                interference_rel_db: f64::NEG_INFINITY,
+                spectral: NO_REPORT,
+                operating: None,
+            })
+            .collect(),
+        coupling,
+        payload_len: scenario.payload_len,
+        block_len: DEFAULT_STREAM_BLOCK,
+        rounds: scenario.rounds,
+        seed: scenario.seed,
+    };
+    let schedule = order_by(&channels, &probes.coupling);
     let t = resolve_threads(threads).min(n / schedule.max_live()).max(1);
-    let SpanSchedule { spans, shared } = schedule.split(&coupling, t);
-    probes.resize_with(spans.len(), || Probes::new(scenario));
-    let shared = SharedProbes::synthesize(scenario, &shared, &mut probes);
-    let sweep = ProbeSweep {
+    let spans = schedule.split(&probes.coupling, t);
+    let work = PlanWork {
+        spans: spans.len(),
+        syntheses: allocation_probes + spans.iter().map(RecordSchedule::records).sum::<usize>(),
+    };
+    let measure = Measure {
         scenario,
         channels: &channels,
-        coupling: &coupling,
         monitor: SpectralMonitor::new(),
         adapter: LinkAdapter::new(scenario.base_config.clone(), PowerModel::cmos180()),
         delay_ns: channel_rms_delay_ns(scenario.channel_model, 8, scenario.seed),
     };
-    let swept = on_threads(probes.iter_mut().zip(&spans).collect(), |(p, span)| {
-        sweep.span(span, &shared, p)
-    });
+    let swept = on_threads(spans, |span| measure.span(&probes, span));
 
-    // Entries merge by link id.
-    let mut entries: Vec<Option<NetLinkPlan>> = (0..n).map(|_| None).collect();
-    for (span, swept) in spans.iter().zip(swept) {
-        for (&v, entry) in span.order().iter().zip(swept) {
-            entries[v as usize] = Some(entry);
-        }
+    // Entries replace the probe plan's by link id.
+    let mut plan = probes;
+    for (v, entry) in swept.into_iter().flatten() {
+        plan.links[v] = entry;
     }
-    let work = PlanWork {
-        spans: spans.len(),
-        shared: shared.slots.len(),
-        syntheses: probes.iter().map(|p| p.syntheses).sum(),
-    };
-    let plan = NetPlan {
-        links: entries
-            .into_iter()
-            .map(|e| e.expect("every link swept"))
-            .collect(),
-        coupling,
-        payload_len: scenario.payload_len,
-        block_len: scenario.block_len,
-        rounds: scenario.rounds,
-        seed: scenario.seed,
-    };
     (plan, work)
+}
+
+/// The spectral report of a plan entry whose probe skipped the monitor.
+const NO_REPORT: InterfererReport = InterfererReport {
+    detected: false,
+    frequency: Hertz::new(0.0),
+    peak_to_floor_db: 0.0,
+    relative_power_db: f64::NEG_INFINITY,
+};
+
+/// Link `l`'s single-link scenario on `config`, with its decorrelated seed.
+fn link_scenario(scenario: &NetScenario, config: Gen2Config, l: usize) -> LinkScenario {
+    LinkScenario {
+        config,
+        channel: scenario.channel_model,
+        ebn0_db: scenario.ebn0_db,
+        interferer: None,
+        notch_enabled: false,
+        seed: link_seed(scenario.seed, l),
+    }
 }
 
 /// Runs `job` on every item and returns the results in item order: the
@@ -266,246 +291,105 @@ fn on_threads<I: Send, R: Send>(mut items: Vec<I>, job: impl Fn(I) -> R + Sync) 
 }
 
 /// Everything a probe-sweep span reads and no span writes: the scenario,
-/// the final assignment and coupling rows, and the measurement machinery.
-struct ProbeSweep<'a> {
+/// the final assignment, and the measurement machinery.
+struct Measure<'a> {
     scenario: &'a NetScenario,
     channels: &'a [Channel],
-    coupling: &'a [CouplingRow],
     monitor: SpectralMonitor,
     adapter: LinkAdapter,
     delay_ns: f64,
 }
 
-impl ProbeSweep<'_> {
-    /// Measures every victim of `span` in sweep order and returns their
-    /// plan entries in that order. Records outside `shared` are
-    /// synthesized by `probes` into the span's own arena at their first
-    /// reader and recycled after their last.
-    fn span(
-        &self,
-        span: &RecordSchedule,
-        shared: &SharedProbes,
-        probes: &mut Probes,
-    ) -> Vec<NetLinkPlan> {
-        let scenario = self.scenario;
-        let fs_hz = scenario.base_config.sample_rate.as_hz();
-        let mut arena = RecordArena::new(scenario.len(), span.max_live());
-        let mut mixer = VictimMixer::default();
+impl Measure<'_> {
+    /// Sweeps the victims of `span` over the probe plan `probes` on a
+    /// worker of its own and returns their plan entries with their link
+    /// ids, in sweep order.
+    fn span(&self, probes: &NetPlan, span: RecordSchedule) -> Vec<(usize, NetLinkPlan)> {
+        let mut worker = NetWorker::with_schedule(probes, span);
         let mut spectral_mix = Vec::new();
-        let mut entries = Vec::with_capacity(span.order().len());
-        for (p, &v) in span.order().iter().enumerate() {
-            let v = v as usize;
-            let row = &self.coupling[v];
-            probes.ensure(scenario, v, shared, &mut arena);
-            for &(u, _) in row {
-                probes.ensure(scenario, u, shared, &mut arena);
-            }
-            let record = |u: usize| shared.get(u).map_or_else(|| arena.record(u), |s| &s.record);
-            let own = shared.get(v).map_or(probes.stats[v], |s| s.stats);
-
-            // Interference superposition at receiver v under the final
-            // plan, mixed in the same fixed ascending-transmitter order
-            // (and with the same per-edge gains) as the measurement phase.
-            mixer.start_zeros(record(v).len());
-            let any = !row.is_empty();
-            for &(u, gain) in row {
-                mixer.add(record(u), 0, gain);
-            }
-            let p_own = own.power.max(1e-300);
-            let p_intf = if any { mixer.mean_power() } else { 0.0 };
-            let interference_rel_db = if p_intf > 0.0 {
-                10.0 * (p_intf / p_own).log10()
-            } else {
-                f64::NEG_INFINITY
-            };
-
-            // Spectral measurement over own signal + interference
-            // (optional: the Welch PSD dominates plan time on large
-            // networks).
-            let spectral = if scenario.probe_spectral {
-                mixer.add(record(v), 0, 1.0);
-                mixer.complex_into(&mut spectral_mix);
-                self.monitor.analyze(&spectral_mix, fs_hz)
-            } else {
-                InterfererReport {
-                    detected: false,
-                    frequency: Hertz::new(0.0),
-                    peak_to_floor_db: 0.0,
-                    relative_power_db: f64::NEG_INFINITY,
-                }
-            };
-
-            // Adaptation: probe-measured SINR → operating point. The noise
-            // power per complex sample is n0 (two-sided, I+Q), so the SNR
-            // degradation from interference is (N + I) / N.
-            let mut config = scenario.base_config.clone();
-            config.channel = self.channels[v];
-            let operating = if scenario.adapt {
-                let p_noise = own.n0.max(1e-300);
-                let degradation_db = 10.0 * (1.0 + p_intf / p_noise).log10();
-                let conditions = ChannelConditions {
-                    snr_db: scenario.ebn0_db - degradation_db,
-                    delay_spread_ns: self.delay_ns,
-                    interferer_present: spectral.detected || any,
-                };
-                let op = self.adapter.adapt(&conditions);
-                // The channel assignment overrides the adapter's base
-                // channel.
-                config = op.config.clone();
-                config.channel = self.channels[v];
-                config.validate().expect("adapted config");
-                Some(op)
-            } else {
-                None
-            };
-
-            entries.push(NetLinkPlan {
-                scenario: LinkScenario {
-                    config,
-                    channel: scenario.channel_model,
-                    ebn0_db: scenario.ebn0_db,
-                    interferer: None,
-                    notch_enabled: false,
-                    seed: link_seed(scenario.seed, v),
-                },
-                channel: self.channels[v],
-                interference_rel_db,
-                spectral,
-                operating,
-            });
-
-            // Recycle every probe record whose last reader was this victim.
-            arena.release_expired(span, p);
-        }
+        let mut entries = Vec::new();
+        worker.sweep(probes, PROBE_ROUND, |w, v| {
+            entries.push((v, self.entry(probes, w, v, &mut spectral_mix)));
+        });
         entries
     }
-}
 
-/// A probe's calibrated `n0` and clean mean power.
-#[derive(Debug, Clone, Copy, Default)]
-struct ProbeStats {
-    n0: f64,
-    power: f64,
-}
+    /// Victim `v`'s plan entry, its row's probe records all resident in
+    /// `w`'s arena.
+    fn entry(
+        &self,
+        probes: &NetPlan,
+        w: &mut NetWorker,
+        v: usize,
+        spectral_mix: &mut Vec<Complex>,
+    ) -> NetLinkPlan {
+        let scenario = self.scenario;
+        let (arena, mixer) = (&w.arena, &mut w.mixer);
+        let own = arena.record(v);
+        let row = &probes.coupling[v];
 
-/// One shared probe: its record and stats.
-#[derive(Debug, Default)]
-struct SharedProbe {
-    record: WaveRecord,
-    stats: ProbeStats,
-}
-
-/// The probe records more than one span reads, synthesized before any
-/// span starts and read in place by all of them.
-struct SharedProbes {
-    /// Link → index into `slots`; `u32::MAX` for links no two spans share.
-    slot_of: Vec<u32>,
-    slots: Vec<SharedProbe>,
-}
-
-impl SharedProbes {
-    /// Synthesizes the links `ids`, split into contiguous chunks over the
-    /// span workers `probes`, one thread each.
-    fn synthesize(scenario: &NetScenario, ids: &[u32], probes: &mut [Probes]) -> SharedProbes {
-        let mut slots: Vec<SharedProbe> = ids.iter().map(|_| SharedProbe::default()).collect();
-        if !ids.is_empty() {
-            let per = ids.len().div_ceil(probes.len());
-            let chunks = probes
-                .iter_mut()
-                .zip(ids.chunks(per).zip(slots.chunks_mut(per)));
-            on_threads(chunks.collect(), |(p, (ids, slots))| {
-                for (&u, slot) in ids.iter().zip(slots) {
-                    slot.record.set_from(p.synthesize(scenario, u as usize));
-                    slot.stats = p.stats[u as usize];
-                }
-            });
+        // Interference superposition at receiver v under the final plan,
+        // mixed in the same fixed ascending-transmitter order (and with the
+        // same per-edge gains) as the measurement phase.
+        mixer.start_zeros(own.wave.len());
+        let any = !row.is_empty();
+        for &(u, gain) in row {
+            mixer.add(&arena.record(u).wave, 0, gain);
         }
-        let mut slot_of = vec![u32::MAX; scenario.len()];
-        for (i, &u) in ids.iter().enumerate() {
-            slot_of[u as usize] = i as u32;
-        }
-        SharedProbes { slot_of, slots }
-    }
-
-    /// Link `u`'s shared probe, if two spans read it.
-    fn get(&self, u: usize) -> Option<&SharedProbe> {
-        let slot = self.slot_of[u];
-        (slot != u32::MAX).then(|| &self.slots[slot as usize])
-    }
-}
-
-/// A planner thread's probe synthesis state: one worker (probes always
-/// run on the base config; its record buffer holds the latest probe), the
-/// probe scenario whose seed each synthesis sets, per link the stats of
-/// the probes this worker synthesized, and its synthesis count.
-struct Probes {
-    worker: LinkWorker,
-    scenario: LinkScenario,
-    stats: Vec<ProbeStats>,
-    syntheses: u64,
-}
-
-impl Probes {
-    /// The probe worker and scenario on the base config, and zeroed
-    /// per-link stats.
-    fn new(scenario: &NetScenario) -> Self {
-        let probe = LinkScenario {
-            config: scenario.base_config.clone(),
-            channel: scenario.channel_model,
-            ebn0_db: scenario.ebn0_db,
-            interferer: None,
-            notch_enabled: false,
-            seed: 0,
+        let p_own = own.wave.mean_power().max(1e-300);
+        let p_intf = if any { mixer.mean_power() } else { 0.0 };
+        let interference_rel_db = if p_intf > 0.0 {
+            10.0 * (p_intf / p_own).log10()
+        } else {
+            f64::NEG_INFINITY
         };
-        Probes {
-            worker: LinkWorker::new(&probe),
-            scenario: probe,
-            stats: vec![ProbeStats::default(); scenario.len()],
-            syntheses: 0,
-        }
-    }
 
-    /// Synthesizes link `u`'s clean probe record and returns it. Each
-    /// record is a pure function of the link's decorrelated seed, so any
-    /// synthesis order, on any thread, produces the same records.
-    fn synthesize(&mut self, scenario: &NetScenario, u: usize) -> &[Complex] {
-        self.scenario.seed = link_seed(scenario.seed, u);
-        let mut rng = Rand::for_trial(self.scenario.seed, PROBE_ROUND);
-        let clean = self.worker.synthesize_clean_streamed(
-            &self.scenario,
-            scenario.payload_len,
-            scenario.block_len,
-            &mut rng,
-        );
-        self.stats[u] = ProbeStats {
-            n0: clean.n0,
-            power: mean_power(self.worker.clean_record()),
+        // Spectral measurement over own signal + interference (optional:
+        // the Welch PSD dominates plan time on large networks).
+        let spectral = if scenario.probe_spectral {
+            mixer.add(&own.wave, 0, 1.0);
+            mixer.complex_into(spectral_mix);
+            self.monitor
+                .analyze(spectral_mix, scenario.base_config.sample_rate.as_hz())
+        } else {
+            NO_REPORT
         };
-        self.syntheses += 1;
-        self.worker.clean_record()
-    }
 
-    /// Synthesizes link `u`'s clean probe record into the span's arena
-    /// unless it is shared or already resident: the lazy first-use order
-    /// of any sweep produces exactly the records an eager 0..n sweep
-    /// would.
-    fn ensure(
-        &mut self,
-        scenario: &NetScenario,
-        u: usize,
-        shared: &SharedProbes,
-        arena: &mut RecordArena,
-    ) {
-        if shared.get(u).is_some() || arena.is_resident(u) {
-            return;
+        // Adaptation: probe-measured SINR → operating point. The noise
+        // power per complex sample is n0 (two-sided, I+Q), so the SNR
+        // degradation from interference is (N + I) / N.
+        let mut config = scenario.base_config.clone();
+        config.channel = self.channels[v];
+        let operating = if scenario.adapt {
+            let p_noise = own.synthesis().n0.max(1e-300);
+            let degradation_db = 10.0 * (1.0 + p_intf / p_noise).log10();
+            let conditions = ChannelConditions {
+                snr_db: scenario.ebn0_db - degradation_db,
+                delay_spread_ns: self.delay_ns,
+                interferer_present: spectral.detected || any,
+            };
+            let op = self.adapter.adapt(&conditions);
+            // The channel assignment overrides the adapter's base channel.
+            config = op.config.clone();
+            config.channel = self.channels[v];
+            config.validate().expect("adapted config");
+            Some(op)
+        } else {
+            None
+        };
+
+        NetLinkPlan {
+            scenario: link_scenario(scenario, config, v),
+            channel: self.channels[v],
+            interference_rel_db,
+            spectral,
+            operating,
         }
-        let record = self.synthesize(scenario, u);
-        arena.acquire(u).set_from(record);
     }
 }
 
 /// Executes the scenario's channel-allocation policy.
-fn allocate_channels(scenario: &NetScenario, probes: &mut Probes) -> Vec<Channel> {
+fn allocate_channels(scenario: &NetScenario, probe_links: &[LinkScenario]) -> Vec<Channel> {
     let n = scenario.len();
     match &scenario.policy {
         ChannelPolicy::Static(chs) | ChannelPolicy::RoundRobin(chs) => {
@@ -519,10 +403,15 @@ fn allocate_channels(scenario: &NetScenario, probes: &mut Probes) -> Vec<Channel
             // O(N) probe-record table and scans O(N²) pairs — a planning
             // policy for small networks, kept dense by design. Large
             // networks use the static policies, which are free.
-            let records: Vec<WaveRecord> = (0..n)
-                .map(|l| {
-                    let mut record = WaveRecord::default();
-                    record.set_from(probes.synthesize(scenario, l));
+            let mut worker = LinkWorker::new(&probe_links[0]);
+            let mut synth = Vec::new();
+            let records: Vec<TxRecord> = probe_links
+                .iter()
+                .map(|probe| {
+                    let mut record = TxRecord::default();
+                    let mut rng = Rand::for_trial(probe.seed, PROBE_ROUND);
+                    let len = scenario.payload_len;
+                    record.synthesize(&mut worker, probe, len, &mut rng, &mut synth);
                     record
                 })
                 .collect();
@@ -535,7 +424,7 @@ fn allocate_channels(scenario: &NetScenario, probes: &mut Probes) -> Vec<Channel
                     // Measured interference power at v on this candidate:
                     // superpose the already-assigned transmitters' probe
                     // waveforms through the coupling model and measure.
-                    mixer.start_zeros(records[v].len());
+                    mixer.start_zeros(records[v].wave.len());
                     let mut any = false;
                     for (u, &ch_u) in assigned.iter().enumerate() {
                         if let Some(db) = coupling_db(
@@ -546,7 +435,7 @@ fn allocate_channels(scenario: &NetScenario, probes: &mut Probes) -> Vec<Channel
                             v,
                             cand,
                         ) {
-                            mixer.add(&records[u], 0, 10f64.powf(db / 20.0));
+                            mixer.add(&records[u].wave, 0, 10f64.powf(db / 20.0));
                             any = true;
                         }
                     }
@@ -700,35 +589,42 @@ mod tests {
     }
 
     /// Plans `sc` on each of `threads` and checks every plan equals the
-    /// one-thread plan bit for bit, with the same probe syntheses (and,
-    /// with telemetry on, the same `tx` / `channel` stage calls). Returns
-    /// each plan's work.
+    /// one-thread plan bit for bit, and that each plan makes the probe
+    /// syntheses its work claims (with telemetry on: one `tx` stage call
+    /// per synthesis, and `channel` stage calls in proportion, every probe
+    /// record being the same length). A cut re-synthesizes the records
+    /// live across it, at most the sweep's `max_live`. Returns each plan's
+    /// work.
     fn assert_thread_invariant(sc: &NetScenario, threads: &[usize]) -> Vec<PlanWork> {
         let plan = |t: usize| {
             let _ = uwb_obs::take_thread_telemetry();
             let (plan, work) = plan_network_swept(sc, RecordSchedule::channel_major, Some(t));
             let telemetry = uwb_obs::take_thread_telemetry();
-            let calls = |stage| telemetry.stage(stage).map(|s| s.calls);
+            let calls = |stage| telemetry.stage(stage).map_or(0, |s| s.calls as usize);
             (plan, work, [calls("tx"), calls("channel")])
         };
         let (serial, serial_work, serial_calls) = plan(1);
         assert_eq!(serial_work.spans, 1);
-        assert_eq!(serial_work.shared, 0);
-        if uwb_obs::enabled() {
-            assert_eq!(
-                serial_calls[0],
-                Some(serial_work.syntheses),
-                "one tx per synthesis"
-            );
-        }
+        let max_live = serial.record_schedule().max_live();
         threads
             .iter()
             .map(|&t| {
-                let (p, work, calls) = plan(t);
+                let (p, work, [tx, channel]) = plan(t);
                 assert_same_plan(&serial, &p, &format!("{t} threads"));
                 assert!(work.spans <= t);
-                assert_eq!(work.syntheses, serial_work.syntheses, "{t} threads");
-                assert_eq!(calls, serial_calls, "{t} threads: tx / channel stage calls");
+                if uwb_obs::enabled() {
+                    assert_eq!(tx, work.syntheses, "{t} threads: one tx per synthesis");
+                    assert_eq!(
+                        channel * serial_work.syntheses,
+                        serial_calls[1] * work.syntheses,
+                        "{t} threads: channel stage calls"
+                    );
+                }
+                assert!(
+                    work.syntheses >= serial_work.syntheses
+                        && work.syntheses <= serial_work.syntheses + (work.spans - 1) * max_live,
+                    "{t} threads: {work:?}"
+                );
                 work
             })
             .collect()
@@ -738,16 +634,21 @@ mod tests {
     fn plan_is_thread_invariant_on_the_city() {
         let sc = city_200();
         let work = assert_thread_invariant(&sc, &[1, 2, 3, 8]);
-        for (w, t) in work.iter().zip([1, 2, 3, 8]) {
-            assert_eq!(
-                w.syntheses,
-                sc.len() as u64,
-                "every probe once at {t} threads"
-            );
-        }
-        assert!(work[1].spans == 2 && work[1].shared > 0, "{:?}", work[1]);
+        assert_eq!(
+            work[0],
+            PlanWork {
+                spans: 1,
+                syntheses: sc.len()
+            },
+            "one span synthesizes every probe once"
+        );
         assert!(
-            work[2].spans == 3 && work[2].shared > work[1].shared,
+            work[1].spans == 2 && work[1].syntheses > sc.len(),
+            "{:?}",
+            work[1]
+        );
+        assert!(
+            work[2].spans == 3 && work[2].syntheses > work[1].syntheses,
             "{:?}",
             work[2]
         );
@@ -766,7 +667,6 @@ mod tests {
             for w in assert_thread_invariant(&sc, &[1, 2, 3, 8]) {
                 let one_span = PlanWork {
                     spans: 1,
-                    shared: 0,
                     syntheses: 8,
                 };
                 assert_eq!(w, one_span);
@@ -793,13 +693,13 @@ mod tests {
     #[test]
     #[ignore = "release-scale gate: scripts/check.sh net runs it with --release"]
     fn thousand_user_city_plan_is_thread_invariant() {
-        // The net_city_1k benchmark's floor plan and seed.
+        // The net_city_1k benchmark's floor plan and seed: the one cut
+        // re-synthesizes the 95 records live across it.
         let sc = NetScenario::clustered_city(100, 10, 9.0, 20050307);
         let work = assert_thread_invariant(&sc, &[2]);
         let two_spans = PlanWork {
             spans: 2,
-            shared: 95,
-            syntheses: 1000,
+            syntheses: 1095,
         };
         assert_eq!(work[0], two_spans);
     }

@@ -30,12 +30,15 @@
 //!
 //! * [`scenario`] — [`NetScenario`]: topology, channel policy, impairments
 //! * [`coupling`] — the spatial × spectral coupling model
-//! * [`controller`] — planning phase: probing (a probe sweep cut into
-//!   spans across threads), channel allocation (static / round-robin /
-//!   interference-aware), closed-loop adaptation; frozen into a [`NetPlan`]
-//! * [`runner`] — parallel measurement phase on the Monte-Carlo engine
-//! * [`mix`] — plane-stored records and the one victim decode (mix,
-//!   noise, known-timing decode) the rounds and the `uwb-mac` layer share
+//! * [`controller`] — planning phase: probing (the rounds' victim sweep
+//!   over a probe plan, cut into spans across threads), channel allocation
+//!   (static / round-robin / interference-aware), closed-loop adaptation;
+//!   frozen into a [`NetPlan`]
+//! * [`runner`] — parallel measurement phase on the Monte-Carlo engine:
+//!   [`NetWorker`]'s one victim sweep over the [`arena`]
+//! * [`mix`] — the shared transmission record ([`TxRecord`]) and the one
+//!   victim decode (mix, noise, known-timing decode) the rounds and the
+//!   `uwb-mac` layer share
 //! * [`report`] — per-link BER/PER/goodput + aggregate throughput
 //!
 //! # Example: an 8-user piconet
@@ -66,7 +69,7 @@ pub use controller::{link_seed, plan_network, NetLinkPlan, NetPlan};
 pub use coupling::{
     build_coupling, build_coupling_sparse, coupling_db, sense_sets, CouplingParams, CouplingRow,
 };
-pub use mix::{Layer, MixCounts, Source, Victim, VictimMixer, WaveRecord};
+pub use mix::{Layer, MixCounts, Source, TxRecord, VictimMixer, WaveRecord};
 pub use pool::WorkerPool;
 pub use report::{LinkReport, NetReport};
 pub use runner::{

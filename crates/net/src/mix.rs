@@ -9,6 +9,11 @@
 //! when every imaginary part is `+0.0` bitwise (a multipath channel or an
 //! interferer fills it).
 //!
+//! A [`TxRecord`] is one transmission as every layer shares it: the
+//! planes, the payload they carry, the synthesis metadata and the mean
+//! power. [`TxRecord::synthesize`] is the one way to fill it from a
+//! pooled worker; the network arena and the MAC's record pool hold it.
+//!
 //! [`VictimMixer::decode_victim`] is the one victim decode of
 //! `NetWorker::round` and the MAC's decode lanes. It builds the victim's
 //! superposition in planes — a copy of its own record, then each source's
@@ -36,9 +41,10 @@
 
 use uwb_dsp::Complex;
 use uwb_obs::StageTimer;
-use uwb_platform::link::{CleanSynthesis, LinkWorker};
+use uwb_platform::link::{CleanSynthesis, LinkScenario, LinkWorker, DEFAULT_STREAM_BLOCK};
 use uwb_platform::metrics::ErrorCounter;
 use uwb_sim::stream::StreamingAwgn;
+use uwb_sim::Rand;
 
 /// One waveform record as `re` and `im` planes; `im` is empty when every
 /// imaginary part of the record is `+0.0` bitwise.
@@ -58,18 +64,19 @@ impl WaveRecord {
         }
     }
 
-    /// Replaces the record with `samples`, split into planes. The `im`
-    /// plane is kept only if some imaginary part is not `+0.0` bitwise
-    /// (`−0.0` keeps it).
-    pub fn set_from(&mut self, samples: &[Complex]) {
+    /// Replaces the record with `samples`, split into planes, and returns
+    /// their mean power ([`uwb_dsp::simd::mean_power`], taken in the pass
+    /// that decides the `im` plane). The `im` plane is kept only if some
+    /// imaginary part is not `+0.0` bitwise (`−0.0` keeps it).
+    pub fn set_from(&mut self, samples: &[Complex]) -> f64 {
+        let (power, im_bits) = uwb_dsp::simd::mean_power_and_im_bits(samples);
         self.re.clear();
         self.re.extend(samples.iter().map(|z| z.re));
         self.im.clear();
-        // Branch-free sweep, no early exit, so it vectorizes.
-        let complex = samples.iter().fold(0u64, |bits, z| bits | z.im.to_bits()) != 0;
-        if complex {
+        if im_bits != 0 {
             self.im.extend(samples.iter().map(|z| z.im));
         }
+        power
     }
 
     /// Samples in the record.
@@ -92,6 +99,13 @@ impl WaveRecord {
         (!self.im.is_empty()).then_some(self.im.as_slice())
     }
 
+    /// Mean power `Σ|z|²/N`, summed serially in sample order
+    /// (bit-identical to `uwb_dsp::complex::mean_power` of the complex
+    /// record).
+    pub(crate) fn mean_power(&self) -> f64 {
+        plane_mean_power(&self.re, self.im())
+    }
+
     /// The record as complex samples (`+0.0` imaginary parts when the
     /// `im` plane is absent).
     #[cfg(test)]
@@ -105,6 +119,60 @@ impl WaveRecord {
                 .collect(),
             None => self.re.iter().map(|&r| Complex::new(r, 0.0)).collect(),
         }
+    }
+}
+
+/// One transmission's shared record: its clean waveform as planes, the
+/// payload it carries, its synthesis metadata and its mean power. Every
+/// victim that mixes or decodes it reads it in place.
+#[derive(Debug, Default)]
+pub struct TxRecord {
+    /// The clean waveform.
+    pub wave: WaveRecord,
+    /// The payload the waveform carries, snapshot at synthesis: the
+    /// pooled worker has synthesized other links' records by decode time.
+    pub payload: Vec<u8>,
+    /// Slot-0 start, calibrated `n0`, and the AWGN RNG at the state the
+    /// single-link path starts its noise from; `None` until synthesized.
+    pub clean: Option<CleanSynthesis>,
+    /// Mean power of the clean record (`uwb_dsp::simd::mean_power`).
+    pub power: f64,
+}
+
+impl TxRecord {
+    /// Synthesizes `scenario`'s clean record for `payload_len` payload
+    /// bytes on the pooled `worker`, drawing from `rng`, and replaces this
+    /// record with it: planes, payload snapshot, metadata and power.
+    /// `synth` is the caller's scratch for the complex record: one buffer
+    /// serves every worker of a pool, so it stays in cache.
+    pub fn synthesize(
+        &mut self,
+        worker: &mut LinkWorker,
+        scenario: &LinkScenario,
+        payload_len: usize,
+        rng: &mut Rand,
+        synth: &mut Vec<Complex>,
+    ) {
+        let clean = worker.synthesize_clean_streamed_record(
+            scenario,
+            payload_len,
+            DEFAULT_STREAM_BLOCK,
+            rng,
+            synth,
+        );
+        self.power = self.wave.set_from(synth);
+        self.payload.clear();
+        self.payload.extend_from_slice(worker.payload_bytes());
+        self.clean = Some(clean);
+    }
+
+    /// The synthesis metadata.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record was never synthesized.
+    pub(crate) fn synthesis(&self) -> &CleanSynthesis {
+        self.clean.as_ref().expect("record synthesized")
     }
 }
 
@@ -137,20 +205,6 @@ impl Layer {
             Layer::Mac => uwb_obs::span!("mac_rx"),
         }
     }
-}
-
-/// What a victim decode needs of the victim itself: its own clean record,
-/// the synthesis metadata (slot-0 start, calibrated `n0`, the AWGN RNG at
-/// the state the single-link path starts its noise from) and the payload
-/// snapshot to count errors against.
-#[derive(Debug, Clone, Copy)]
-pub struct Victim<'a> {
-    /// The victim's own clean record.
-    pub record: &'a WaveRecord,
-    /// Its synthesis metadata.
-    pub clean: &'a CleanSynthesis,
-    /// The payload its record carries.
-    pub payload: &'a [u8],
 }
 
 /// Deterministic work counts of a [`VictimMixer`]: how many sources it
@@ -198,16 +252,17 @@ impl VictimMixer {
     /// every source scaled by its gain at its offset, in the order given
     /// (the summation order is part of the bit-exactness contract), then
     /// the victim's receiver noise, then `rx`'s known-timing decode at
-    /// `slot0_start`, counted into `counter`. Returns `true` when the
-    /// payload decoded error-free.
+    /// `slot0_start` against the victim's payload, counted into `counter`.
+    /// Returns `true` when the payload decoded error-free.
     ///
     /// # Panics
     ///
-    /// Panics if a source's gain is not finite.
+    /// Panics if `victim` was never synthesized or a source's gain is not
+    /// finite.
     pub fn decode_victim<'a>(
         &mut self,
         layer: Layer,
-        victim: Victim<'_>,
+        victim: &TxRecord,
         sources: impl IntoIterator<Item = Source<'a>>,
         rx: &mut LinkWorker,
         counter: &mut ErrorCounter,
@@ -219,17 +274,18 @@ impl VictimMixer {
         let _t = layer.rx_span();
         rx.count_errors_in_record(
             &self.noisy,
-            victim.clean.slot0_start,
-            victim.payload,
+            victim.synthesis().slot0_start,
+            &victim.payload,
             counter,
         )
     }
 
     /// The mix and noise half of [`decode_victim`](Self::decode_victim):
     /// leaves the noisy complex record in `self.noisy`.
-    fn mix_noisy<'a>(&mut self, victim: Victim<'_>, sources: impl IntoIterator<Item = Source<'a>>) {
-        let own = victim.record;
-        let mut noise = StreamingAwgn::new(victim.clean.n0, victim.clean.awgn_rng.clone());
+    fn mix_noisy<'a>(&mut self, victim: &TxRecord, sources: impl IntoIterator<Item = Source<'a>>) {
+        let own = &victim.wave;
+        let clean = victim.synthesis();
+        let mut noise = StreamingAwgn::new(clean.n0, clean.awgn_rng.clone());
         let mut sources = sources.into_iter();
         match sources.next() {
             None => noise.add_to_planes(own.re(), own.im(), &mut self.noisy),
@@ -304,21 +360,7 @@ impl VictimMixer {
     /// Mean power `Σ|z|²/N` of the mix, summed serially in sample order
     /// (bit-identical to `uwb_dsp::complex::mean_power` of the complex mix).
     pub(crate) fn mean_power(&self) -> f64 {
-        if self.im.is_empty() {
-            // `r·r + (+0.0)·(+0.0)` is `r·r`: a square is never `−0.0`.
-            uwb_dsp::complex::mean_power_real(&self.re)
-        } else {
-            if self.re.is_empty() {
-                return 0.0;
-            }
-            let sum: f64 = self
-                .re
-                .iter()
-                .zip(&self.im)
-                .map(|(r, i)| r * r + i * i)
-                .sum();
-            sum / self.re.len() as f64
-        }
+        plane_mean_power(&self.re, (!self.im.is_empty()).then_some(&self.im))
     }
 
     /// Writes the mix to `out` as complex samples, replacing its contents.
@@ -334,6 +376,17 @@ impl VictimMixer {
                     .map(|(&r, &i)| Complex::new(r, i)),
             );
         }
+    }
+}
+
+/// Mean power `Σ(re² + im²)/N` of planes, summed serially in sample order:
+/// bit-identical to `uwb_dsp::complex::mean_power` of the complex samples.
+fn plane_mean_power(re: &[f64], im: Option<&[f64]>) -> f64 {
+    match im {
+        // `r·r + (+0.0)·(+0.0)` is `r·r`: a square is never `−0.0`.
+        None => uwb_dsp::complex::mean_power_real(re),
+        // A present `im` plane is never empty.
+        Some(im) => re.iter().zip(im).map(|(r, i)| r * r + i * i).sum::<f64>() / re.len() as f64,
     }
 }
 
@@ -385,9 +438,10 @@ pub(crate) mod oracle {
     }
 
     /// The complex mix plus the victim's noise, added in place.
-    pub(crate) fn mix_noisy(victim: Victim<'_>, sources: &[Source<'_>]) -> Vec<Complex> {
-        let mut mixed = mix(victim.record, sources);
-        let mut awgn = StreamingAwgn::new(victim.clean.n0, victim.clean.awgn_rng.clone());
+    pub(crate) fn mix_noisy(victim: &TxRecord, sources: &[Source<'_>]) -> Vec<Complex> {
+        let mut mixed = mix(&victim.wave, sources);
+        let clean = victim.synthesis();
+        let mut awgn = StreamingAwgn::new(clean.n0, clean.awgn_rng.clone());
         awgn.process_block(&mut mixed, &mut DspScratch::new());
         mixed
     }
@@ -396,7 +450,7 @@ pub(crate) mod oracle {
     /// telemetry spans.
     pub(crate) fn decode_victim(
         layer: Layer,
-        victim: Victim<'_>,
+        victim: &TxRecord,
         sources: &[Source<'_>],
         rx: &mut LinkWorker,
         counter: &mut ErrorCounter,
@@ -406,7 +460,7 @@ pub(crate) mod oracle {
             mix_noisy(victim, sources)
         };
         let _t = layer.rx_span();
-        rx.count_errors_in_record(&mixed, victim.clean.slot0_start, victim.payload, counter)
+        rx.count_errors_in_record(&mixed, victim.synthesis().slot0_start, &victim.payload, counter)
     }
 }
 
@@ -414,9 +468,7 @@ pub(crate) mod oracle {
 mod tests {
     use super::*;
     use uwb_phy::Gen2Config;
-    use uwb_platform::link::{LinkScenario, DEFAULT_STREAM_BLOCK};
     use uwb_sim::sv_channel::ChannelModel;
-    use uwb_sim::Rand;
 
     fn bits(z: &[Complex]) -> Vec<(u64, u64)> {
         z.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
@@ -433,47 +485,35 @@ mod tests {
         }
     }
 
-    /// A clean record of `scenario`, its synthesis and its payload.
-    fn synth(
-        worker: &mut LinkWorker,
-        sc: &LinkScenario,
-        trial: u64,
-    ) -> (WaveRecord, CleanSynthesis, Vec<u8>) {
-        let mut samples = Vec::new();
-        let mut rng = Rand::for_trial(sc.seed, trial);
-        let clean = worker.synthesize_clean_streamed_record(
-            sc,
-            16,
-            DEFAULT_STREAM_BLOCK,
-            &mut rng,
-            &mut samples,
-        );
-        let mut record = WaveRecord::default();
-        record.set_from(&samples);
+    /// A clean 16-byte record of `scenario`'s trial `trial`.
+    fn synth(worker: &mut LinkWorker, sc: &LinkScenario, trial: u64) -> TxRecord {
+        let mut record = TxRecord::default();
+        let mut synth = Vec::new();
+        record.synthesize(worker, sc, 16, &mut Rand::for_trial(sc.seed, trial), &mut synth);
         assert_eq!(
-            bits(&record.to_complex()),
-            bits(&samples),
+            bits(&record.wave.to_complex()),
+            bits(&synth),
             "the split must be lossless"
         );
-        (record, clean, worker.payload_bytes().to_vec())
+        assert_eq!(record.payload, worker.payload_bytes());
+        assert_eq!(
+            record.power.to_bits(),
+            uwb_dsp::simd::mean_power(&synth).to_bits()
+        );
+        assert_eq!(
+            record.wave.mean_power().to_bits(),
+            uwb_dsp::complex::mean_power(&synth).to_bits()
+        );
+        record
     }
 
     /// Runs the plane mix and the oracle on one victim, compares the
     /// noiseless mixes and the noisy records on `to_bits`, then decodes
     /// both and compares the counters.
-    fn assert_parity(
-        own: &(WaveRecord, CleanSynthesis, Vec<u8>),
-        sources: &[Source<'_>],
-        rx: &mut LinkWorker,
-    ) {
-        let victim = Victim {
-            record: &own.0,
-            clean: &own.1,
-            payload: &own.2,
-        };
+    fn assert_parity(victim: &TxRecord, sources: &[Source<'_>], rx: &mut LinkWorker) {
         let mut mixer = VictimMixer::default();
         if !sources.is_empty() {
-            mixer.start_copy(&own.0);
+            mixer.start_copy(&victim.wave);
             for &(src, offset, gain) in sources {
                 mixer.add(src, offset, gain);
             }
@@ -481,7 +521,7 @@ mod tests {
             mixer.complex_into(&mut planes);
             assert_eq!(
                 bits(&planes),
-                bits(&oracle::mix(&own.0, sources)),
+                bits(&oracle::mix(&victim.wave, sources)),
                 "noiseless mix"
             );
         }
@@ -510,10 +550,10 @@ mod tests {
             let sc = scenario(channel, 8.0, 0xC0DE + k as u64);
             let mut w = LinkWorker::new(&sc);
             let own = synth(&mut w, &sc, 0);
-            let a = synth(&mut w, &sc, 1).0;
-            let b = synth(&mut w, &sc, 2).0;
-            assert_eq!(own.0.im().is_none(), channel == ChannelModel::Awgn);
-            let len = own.0.len() as isize;
+            let a = synth(&mut w, &sc, 1).wave;
+            let b = synth(&mut w, &sc, 2).wave;
+            assert_eq!(own.wave.im().is_none(), channel == ChannelModel::Awgn);
+            let len = own.wave.len() as isize;
             // Offsets: zero, positive, negative, and past either end.
             let sources: Vec<Source<'_>> = vec![
                 (&a, 0, 0.5),
@@ -535,16 +575,15 @@ mod tests {
         // `gain · (+0.0)`, which turns each −0.0 into +0.0.
         let sc = scenario(ChannelModel::Awgn, 8.0, 77);
         let mut w = LinkWorker::new(&sc);
-        let (own, clean, payload) = synth(&mut w, &sc, 0);
-        let negative: Vec<Complex> = own.re().iter().map(|&r| Complex::new(r, -0.0)).collect();
-        let mut own = WaveRecord::default();
-        own.set_from(&negative);
-        assert!(own.im().is_some(), "−0.0 keeps the im plane");
-        let src = synth(&mut w, &sc, 1).0;
+        let mut own = synth(&mut w, &sc, 0);
+        let negative: Vec<Complex> = own.wave.re().iter().map(|&r| Complex::new(r, -0.0)).collect();
+        own.wave.set_from(&negative);
+        assert!(own.wave.im().is_some(), "−0.0 keeps the im plane");
+        let src = synth(&mut w, &sc, 1).wave;
         assert!(src.im().is_none());
 
         let mut mixer = VictimMixer::default();
-        mixer.start_copy(&own);
+        mixer.start_copy(&own.wave);
         mixer.add(&src, 5, 0.5);
         assert_eq!(
             mixer.counts(),
@@ -557,7 +596,7 @@ mod tests {
             .iter()
             .all(|i| i.to_bits() == (-0.0f64).to_bits()));
         assert!(mixer.im[5..].iter().all(|i| i.to_bits() == 0));
-        assert_parity(&(own, clean, payload), &[(&src, 5, 0.5)], &mut w);
+        assert_parity(&own, &[(&src, 5, 0.5)], &mut w);
     }
 
     #[test]
@@ -573,29 +612,22 @@ mod tests {
             ..scenario(ChannelModel::Awgn, 8.0, 91)
         };
         let mut w = LinkWorker::new(&sc);
-        let (own, mut clean, payload) = synth(&mut w, &sc, 0);
-        let src = synth(&mut w, &sc, 1).0;
+        let mut own = synth(&mut w, &sc, 0);
+        let src = synth(&mut w, &sc, 1).wave;
+        let clean = own.clean.as_mut().expect("synthesized");
         clean.n0 = 0.0;
         // Some Q draw is negative, so a dropped `+0.0` would show.
-        let mut g = vec![0.0; 2 * own.len()];
+        let mut g = vec![0.0; 2 * own.wave.len()];
         clean.awgn_rng.clone().fill_gaussian(&mut g);
         assert!(g
             .iter()
             .skip(1)
             .step_by(2)
             .any(|&q| (0.0 * q).is_sign_negative()));
-        let own = (own, clean, payload);
         assert_parity(&own, &[], &mut w);
         assert_parity(&own, &[(&src, 0, 0.5)], &mut w);
         let mut mixer = VictimMixer::default();
-        mixer.mix_noisy(
-            Victim {
-                record: &own.0,
-                clean: &own.1,
-                payload: &own.2,
-            },
-            [(&src, 0, 0.5)],
-        );
+        mixer.mix_noisy(&own, [(&src, 0, 0.5)]);
         assert!(
             mixer.noisy.iter().all(|z| z.im.to_bits() == 0),
             "Q rail must be +0.0"
@@ -699,6 +731,10 @@ mod tests {
             assert_eq!(
                 mixer.mean_power().to_bits(),
                 uwb_dsp::complex::mean_power(&complex).to_bits()
+            );
+            assert_eq!(
+                r.mean_power().to_bits(),
+                uwb_dsp::complex::mean_power(&samples).to_bits()
             );
         }
     }

@@ -21,8 +21,17 @@
 //! never changes a value: each victim's sum is own record, coupling row in
 //! ascending-transmitter order, then its own noise.
 //!
-//! Records are stored as `re` / `im` planes ([`crate::mix::WaveRecord`]),
-//! and every victim goes through the one victim decode the MAC shares,
+//! The sweep itself is one private loop, `NetWorker::sweep`: make the
+//! victim's record and its row's records resident, visit the victim, then
+//! release the records it read last. A round visits each victim with its
+//! decode; the planner ([`plan_network`]) drives the same sweep over a
+//! probe plan, cut into spans with a schedule each, and visits each victim
+//! with its probe measurement.
+//!
+//! Records are [`crate::TxRecord`]s: `re` / `im` planes, the payload
+//! snapshot, the synthesis metadata and the mean power, filled by
+//! [`crate::TxRecord::synthesize`] as in the MAC. Every victim goes
+//! through the one victim decode the MAC shares,
 //! [`VictimMixer::decode_victim`]: on AWGN no record has an `im` plane, so
 //! each coupled source costs one real axpy over the `re` plane. A victim
 //! with an empty row skips the mix copy — the noise pass reads its own
@@ -30,18 +39,18 @@
 //! free.
 //!
 //! The warm path allocates nothing: the config-deduplicated worker pool,
-//! the arena slots, the synthesis and mix buffers, and the per-round
-//! synthesis metadata all live in [`NetWorker`] and are reused round after
+//! the arena slots (records, payload snapshots, synthesis metadata) and
+//! the mix buffers all live in [`NetWorker`] and are reused round after
 //! round (the arena's slot-acquisition sequence is identical every round,
 //! so each slot ratchets to its high-water capacity during round 0).
 
 use crate::arena::{RecordArena, RecordSchedule};
 use crate::controller::{plan_network, NetPlan};
-use crate::mix::{Layer, MixCounts, Victim, VictimMixer};
+use crate::mix::{Layer, MixCounts, VictimMixer};
+use crate::pool::WorkerPool;
 use crate::report::{LinkReport, NetReport};
 use crate::scenario::NetScenario;
 use uwb_dsp::Complex;
-use uwb_platform::link::CleanSynthesis;
 use uwb_platform::metrics::ErrorCounter;
 use uwb_sim::montecarlo::{Merge, MonteCarlo};
 use uwb_sim::Rand;
@@ -126,26 +135,19 @@ impl Merge for NetAccumulator {
 /// The pool ([`crate::pool::WorkerPool`]) holds one worker per **distinct**
 /// `Gen2Config` rather than one per link — a worker only carries
 /// configuration-shaped machinery (transmitter, streaming channel, receiver
-/// scratch), while the per-round waveforms live in the arena and the
-/// per-link payload snapshots in `payloads`. A 10 000-link network on a
-/// round-robin policy therefore costs 14 workers, not 10 000.
+/// scratch), while the per-round records and payload snapshots live in the
+/// arena. A 10 000-link network on a round-robin policy therefore costs 14
+/// workers, not 10 000.
+///
+/// [`LinkWorker`]: uwb_platform::link::LinkWorker
 pub struct NetWorker {
-    pool: crate::pool::WorkerPool,
+    pub(crate) pool: WorkerPool,
     schedule: RecordSchedule,
-    arena: RecordArena,
-    /// Per link: this round's synthesis metadata (slot-0 index, calibrated
-    /// n0, AWGN RNG), set at lazy synthesis and taken at decode.
-    clean: Vec<Option<CleanSynthesis>>,
-    /// Per link: payload snapshot taken right after synthesis, handed back
-    /// to the (shared) worker at decode time.
-    payloads: Vec<Vec<u8>>,
-    /// Per link: mean power of this round's clean record (cached at
-    /// synthesis, read by every victim that mixes it for its SINR digest).
-    power: Vec<f64>,
+    pub(crate) arena: RecordArena,
+    pub(crate) mixer: VictimMixer,
     /// The complex record a synthesis writes before it is split into its
-    /// arena slot's planes.
+    /// arena slot.
     synth: Vec<Complex>,
-    mixer: VictimMixer,
 }
 
 impl NetWorker {
@@ -155,21 +157,15 @@ impl NetWorker {
         NetWorker::with_schedule(plan, plan.record_schedule())
     }
 
-    /// [`NetWorker::new`] sweeping victims in `schedule`'s order instead
-    /// of the plan's channel-major one.
-    fn with_schedule(plan: &NetPlan, schedule: RecordSchedule) -> Self {
-        let n = plan.len();
-        let pool = crate::pool::WorkerPool::new(plan);
-        let arena = RecordArena::new(n, schedule.max_live());
+    /// [`NetWorker::new`] sweeping the victims of `schedule`, in its order,
+    /// instead of the plan's channel-major sweep of every link.
+    pub(crate) fn with_schedule(plan: &NetPlan, schedule: RecordSchedule) -> Self {
         NetWorker {
-            pool,
+            pool: WorkerPool::new(plan),
+            arena: RecordArena::new(plan.len(), schedule.max_live()),
             schedule,
-            arena,
-            clean: (0..n).map(|_| None).collect(),
-            payloads: vec![Vec::new(); n],
-            power: vec![0.0; n],
-            synth: Vec::new(),
             mixer: VictimMixer::default(),
+            synth: Vec::new(),
         }
     }
 
@@ -179,9 +175,8 @@ impl NetWorker {
         self.mixer.counts()
     }
 
-    /// Synthesizes link `u`'s clean record for this round into an arena
-    /// slot if it is not already resident, snapshotting the payload the
-    /// shared worker drew. Every record is a pure function of
+    /// Synthesizes link `u`'s clean record for `round` into an arena slot
+    /// if it is not already resident. Every record is a pure function of
     /// `(link_seed(u), round)`, so the lazy first-reader order produces
     /// exactly the waveforms an eager 0..n sweep would.
     fn ensure_record(&mut self, plan: &NetPlan, round: u64, u: usize) {
@@ -190,52 +185,58 @@ impl NetWorker {
         }
         let _t = uwb_obs::span!("net_schedule");
         let mut rng = Rand::for_trial(plan.link_seed(u), round);
-        let worker = self.pool.worker_for(u);
-        let clean = worker.synthesize_clean_streamed_record(
+        self.arena.acquire(u).synthesize(
+            self.pool.worker_for(u),
             &plan.links[u].scenario,
             plan.payload_len,
-            plan.block_len,
             &mut rng,
             &mut self.synth,
         );
-        self.payloads[u].clear();
-        self.payloads[u].extend_from_slice(worker.payload_bytes());
-        self.power[u] = uwb_dsp::simd::mean_power(&self.synth);
-        self.arena.acquire(u).set_from(&self.synth);
-        self.clean[u] = Some(clean);
+    }
+
+    /// The one victim sweep: per victim of the schedule, in its order,
+    /// make the victim's record and its coupling row's records resident
+    /// (`net_schedule`, lazy, shared), `visit` it, then recycle every
+    /// record it read last.
+    pub(crate) fn sweep(
+        &mut self,
+        plan: &NetPlan,
+        round: u64,
+        mut visit: impl FnMut(&mut NetWorker, usize),
+    ) {
+        for p in 0..self.schedule.order().len() {
+            let v = self.schedule.order()[p] as usize;
+            self.ensure_record(plan, round, v);
+            for &(u, _) in &plan.coupling[v] {
+                self.ensure_record(plan, round, u);
+            }
+            visit(self, v);
+            self.arena.release_expired(&self.schedule, p);
+        }
     }
 
     /// Runs one network round (= one engine trial) and accumulates every
     /// link's outcome into `acc`.
     ///
     /// Victims are processed in the schedule's channel-major sweep. Per
-    /// victim: materialize the records its coupling row needs
-    /// (`net_schedule`, lazy, shared), mix own + coupled foreign records +
-    /// calibrated AWGN in fixed ascending-transmitter order (`net_mix`),
-    /// decode and count (`net_rx`), then recycle every record this victim
-    /// read last.
+    /// victim: materialize the records its coupling row needs, mix own +
+    /// coupled foreign records + calibrated AWGN in fixed
+    /// ascending-transmitter order (`net_mix`), decode and count
+    /// (`net_rx`).
     pub fn round(&mut self, plan: &NetPlan, round: u64, acc: &mut NetAccumulator) {
         self.round_by(plan, round, acc, NetWorker::decode);
     }
 
     /// One victim's mix, noise and decode on the plane mixer, its row's
     /// records all resident.
-    fn decode(
-        &mut self,
-        plan: &NetPlan,
-        v: usize,
-        clean: &CleanSynthesis,
-        counter: &mut ErrorCounter,
-    ) -> bool {
+    fn decode(&mut self, plan: &NetPlan, v: usize, counter: &mut ErrorCounter) -> bool {
         let arena = &self.arena;
         self.mixer.decode_victim(
             Layer::Net,
-            Victim {
-                record: arena.record(v),
-                clean,
-                payload: &self.payloads[v],
-            },
-            plan.coupling[v].iter().map(|&(u, gain)| (arena.record(u), 0, gain)),
+            arena.record(v),
+            plan.coupling[v]
+                .iter()
+                .map(|&(u, gain)| (&arena.record(u).wave, 0, gain)),
             self.pool.worker_for(v),
             counter,
         )
@@ -247,35 +248,23 @@ impl NetWorker {
         plan: &NetPlan,
         round: u64,
         acc: &mut NetAccumulator,
-        decode: fn(&mut NetWorker, &NetPlan, usize, &CleanSynthesis, &mut ErrorCounter) -> bool,
+        decode: fn(&mut NetWorker, &NetPlan, usize, &mut ErrorCounter) -> bool,
     ) {
-        let n = plan.len();
-        acc.ensure_len(n);
-        for c in &mut self.clean {
-            *c = None;
-        }
-
+        acc.ensure_len(plan.len());
         let mut round_errs = 0u64;
         let mut round_bad = 0u64;
-        for p in 0..n {
-            let v = self.schedule.order()[p] as usize;
-            self.ensure_record(plan, round, v);
-            for &(u, _) in &plan.coupling[v] {
-                self.ensure_record(plan, round, u);
-            }
-            let clean = self.clean[v].take().expect("own record just ensured");
-
-            let row = &plan.coupling[v];
+        self.sweep(plan, round, |w, v| {
+            let own = w.arena.record(v);
             // Per-victim round SINR: own clean power over coupled foreign
             // power (plan gains are amplitude factors → power scales by
             // gain²) plus the calibrated per-sample receiver noise power.
             // Centi-dB with a +100 dB offset keeps the u64 digest monotonic
             // across the practical [-100, +84] dB range.
-            let interference: f64 = row
+            let interference: f64 = plan.coupling[v]
                 .iter()
-                .map(|&(u, gain)| gain * gain * self.power[u])
+                .map(|&(u, gain)| gain * gain * w.arena.record(u).power)
                 .sum();
-            let sinr = self.power[v] / (interference + clean.n0).max(f64::MIN_POSITIVE);
+            let sinr = own.power / (interference + own.synthesis().n0).max(f64::MIN_POSITIVE);
             let sinr_cdb = (10.0 * sinr.log10() + 100.0) * 100.0;
             uwb_obs::digest!("net_link_sinr_cdb", sinr_cdb.max(0.0) as u64);
 
@@ -287,14 +276,13 @@ impl NetWorker {
             // receiver noise from the RNG state the single-link path would
             // hold — an uncoupled link is bit-identical to an isolated
             // streamed run.
-            let ok = decode(self, plan, v, &clean, &mut stats.ber);
+            let ok = decode(w, plan, v, &mut stats.ber);
             if !ok {
                 stats.packets_bad += 1;
                 round_bad += 1;
             }
             round_errs += stats.ber.errors - errs_before;
-            self.arena.release_expired(&self.schedule, p);
-        }
+        });
         // Finalize this round's flight-recorder snapshot: one network round
         // is one engine trial, scored by its network-wide bit-error total
         // (no-op unless the engine armed the trial).
@@ -362,26 +350,16 @@ mod tests {
     use uwb_sim::sv_channel::ChannelModel;
 
     /// A per-victim decode a round can run.
-    type Decode = fn(&mut NetWorker, &NetPlan, usize, &CleanSynthesis, &mut ErrorCounter) -> bool;
+    type Decode = fn(&mut NetWorker, &NetPlan, usize, &mut ErrorCounter) -> bool;
 
     /// The oracle victim decode: the complex (AoS) mix the planes replaced,
     /// over the same arena records, with the same spans.
-    fn aos_decode(
-        w: &mut NetWorker,
-        plan: &NetPlan,
-        v: usize,
-        clean: &CleanSynthesis,
-        counter: &mut ErrorCounter,
-    ) -> bool {
+    fn aos_decode(w: &mut NetWorker, plan: &NetPlan, v: usize, counter: &mut ErrorCounter) -> bool {
         let sources: Vec<Source<'_>> = plan.coupling[v]
             .iter()
-            .map(|&(u, gain)| (w.arena.record(u), 0, gain))
+            .map(|&(u, gain)| (&w.arena.record(u).wave, 0, gain))
             .collect();
-        let victim = Victim {
-            record: w.arena.record(v),
-            clean,
-            payload: &w.payloads[v],
-        };
+        let victim = w.arena.record(v);
         oracle::decode_victim(Layer::Net, victim, &sources, w.pool.worker_for(v), counter)
     }
 
@@ -535,10 +513,9 @@ mod tests {
             let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             (bits(r.re()), r.im().map(bits))
         };
-        let before = planes(w.arena.record(1));
-        let clean = w.clean[1].take().expect("just synthesized");
-        w.decode(&plan, 1, &clean, &mut ErrorCounter::default());
-        assert_eq!(planes(w.arena.record(1)), before, "the decode wrote its own record");
+        let before = planes(&w.arena.record(1).wave);
+        w.decode(&plan, 1, &mut ErrorCounter::default());
+        assert_eq!(planes(&w.arena.record(1).wave), before, "the decode wrote its own record");
 
         let (a, _) = sweep(&plan, reversed, 6);
         let (b, _) = sweep(&plan, RecordSchedule::build(2, &plan.coupling), 6);

@@ -10,7 +10,6 @@
 use crate::coupling::CouplingParams;
 use uwb_phy::bandplan::Channel;
 use uwb_phy::Gen2Config;
-use uwb_platform::link::DEFAULT_STREAM_BLOCK;
 use uwb_rf::ChannelSelectivity;
 use uwb_sim::sv_channel::ChannelModel;
 use uwb_sim::topology::Topology;
@@ -59,8 +58,6 @@ pub struct NetScenario {
     pub ebn0_db: f64,
     /// Payload bytes per packet.
     pub payload_len: usize,
-    /// Streaming block length in samples.
-    pub block_len: usize,
     /// Measurement rounds. Each round, every link transmits one packet
     /// simultaneously; round `r` is Monte-Carlo trial `r`.
     pub rounds: u64,
@@ -103,7 +100,6 @@ impl NetScenario {
             channel_model: ChannelModel::Awgn,
             ebn0_db,
             payload_len: 32,
-            block_len: DEFAULT_STREAM_BLOCK,
             rounds: 25,
             seed,
             policy: ChannelPolicy::round_robin_all(),
@@ -168,7 +164,6 @@ mod tests {
         assert_eq!(sc.len(), 8);
         assert!(!sc.is_empty());
         assert_eq!(sc.base_config.preamble_repeats, 2);
-        assert_eq!(sc.block_len, DEFAULT_STREAM_BLOCK);
         match &sc.policy {
             ChannelPolicy::RoundRobin(chs) => assert_eq!(chs.len(), 14),
             other => panic!("unexpected policy {other:?}"),

@@ -16,7 +16,7 @@ use uwb_net::{
     NetScenario,
 };
 use uwb_phy::bandplan::Channel;
-use uwb_platform::link::{run_ber_fast_streamed_tuned, TrialBudget};
+use uwb_platform::link::{run_ber_fast_streamed_tuned, TrialBudget, DEFAULT_STREAM_BLOCK};
 use uwb_sim::sv_channel::ChannelModel;
 use uwb_sim::topology::{LinkGeometry, Position, Topology};
 
@@ -76,7 +76,7 @@ fn assert_isolated_link_matches_single_link(channel: ChannelModel, rounds: u64) 
     let solo = run_ber_fast_streamed_tuned(
         &report.plan.links[7].scenario,
         sc.payload_len,
-        sc.block_len,
+        DEFAULT_STREAM_BLOCK,
         u64::MAX,
         u64::MAX,
         TrialBudget {

@@ -45,8 +45,9 @@
 #                             acceptance tests (isolation bit-parity,
 #                             co-channel contention, thread determinism,
 #                             channel-major versus link-id sweep parity,
-#                             the 1,000-user city at release scale, the
-#                             golden plans including net_city_1k's),
+#                             the 1,000-user city's round and two-span
+#                             plan at release scale, the golden plans
+#                             including net_city_1k's),
 #                             the allocation gate (covers the warm 2-link
 #                             network round), the uwb-bench unit tests,
 #                             then netbench against the committed
@@ -198,7 +199,7 @@ net() {
     cargo test -q -p uwb-net
     echo "== net: zero-allocation warm network round =="
     cargo test -q --release --test alloc_regression
-    echo "== net: 1,000-user sparse round (1/2/4/8-thread, sweep-order, oracle) and 1/2-thread plan parity =="
+    echo "== net: 1,000-user sparse round (1/2/4/8-thread, sweep-order, oracle), 1/2-thread plan parity and golden plan =="
     cargo test -q --release -p uwb-net --lib --test net_acceptance -- --ignored
     cargo test -q --release --test plan_golden -- --ignored
     tracked_tests

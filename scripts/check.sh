@@ -61,7 +61,8 @@
 #                             knee, hidden-terminal ARQ recovery, thread
 #                             determinism), the allocation gate (covers the
 #                             warm MAC discrete-event trial), the slow
-#                             8-user thread-parity sweep, the uwb-bench unit
+#                             8-user thread-parity sweep, the golden
+#                             mac_city_1k plan at release scale, the uwb-bench unit
 #                             tests, then macbench against the committed
 #                             BENCH_mac.json baseline; fails if any `gate`
 #                             row regresses by more than BENCH_TOL percent
@@ -201,7 +202,7 @@ net() {
     cargo test -q --release --test alloc_regression
     echo "== net: 1,000-user sparse round (1/2/4/8-thread, sweep-order, oracle), 1/2-thread plan parity and golden plan =="
     cargo test -q --release -p uwb-net --lib --test net_acceptance -- --ignored
-    cargo test -q --release --test plan_golden -- --ignored
+    cargo test -q --release --test plan_golden -- --ignored net_city_1k
     tracked_tests
     echo "== net: netbench vs committed BENCH_net.json (tol ${tol}%) =="
     cargo build --release -p uwb-bench --bin netbench
@@ -215,8 +216,9 @@ mac() {
     cargo test -q -p uwb-mac
     echo "== mac: zero-allocation warm MAC trial =="
     cargo test -q --release --test alloc_regression
-    echo "== mac: 8-user contended run, 1/2/4/8-thread fingerprint =="
+    echo "== mac: 8-user contended run, 1/2/4/8-thread fingerprint, golden 1,000-link plan =="
     cargo test -q --release -p uwb-mac --test mac_acceptance -- --ignored
+    cargo test -q --release --test plan_golden -- --ignored mac_city_1k
     tracked_tests
     echo "== mac: macbench vs committed BENCH_mac.json (tol ${tol}%) =="
     cargo build --release -p uwb-bench --bin macbench

@@ -46,8 +46,9 @@ fn bench_scenario() -> MacScenario {
 
 fn suite() -> Suite {
     let scenario = bench_scenario();
-    // 1. The MAC planning phase: network planning + closed-form
-    //    airtimes + sense-set extraction.
+    // 1. The MAC planning phase: channel assignment + coupling graph (no
+    //    probe sweep: the scenario does not adapt) + closed-form airtimes
+    //    + sense-set extraction.
     let plan_us = time_us(3, 5, || {
         let _ = plan_mac(&scenario);
     });

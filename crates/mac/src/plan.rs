@@ -1,8 +1,13 @@
 //! The frozen MAC plan: everything the event loop needs, precomputed.
 //!
-//! [`plan_mac`] runs the network planner ([`uwb_net::plan_network`] —
-//! channel allocation, coupling graph, per-link adapted configs), then
-//! derives the MAC-specific statics:
+//! [`plan_mac`] takes its network plan from the planner's first stage,
+//! [`uwb_net::assign_network`] (channel allocation, coupling graph, the
+//! base config with each link's channel written in), which synthesizes no
+//! waveform. The event loop reads the channels, the coupling rows and the
+//! configs, never the probe's interference measurement, so the probe sweep
+//! ([`uwb_net::plan_network`]) runs only when its result is read: with
+//! adaptation on (it chooses the configs) or the spectral probe on (its
+//! reports are the caller's). Then it derives the MAC-specific statics:
 //!
 //! * **Airtimes** — each link's burst length in closed form
 //!   ([`uwb_phy::FrameLayout::burst_len`] of its config and the payload
@@ -18,7 +23,7 @@
 
 use crate::scenario::MacScenario;
 use crate::traffic::TrafficModel;
-use uwb_net::{plan_network, sense_sets, NetPlan};
+use uwb_net::{assign_network, plan_network, sense_sets, NetPlan};
 use uwb_phy::Gen2Transmitter;
 
 /// The MAC knobs copied verbatim from the scenario (everything except the
@@ -99,10 +104,15 @@ impl MacPlan {
     }
 }
 
-/// Freezes a scenario into a [`MacPlan`]: [`plan_network`] (whose probe
-/// sweep spreads over threads; bit-identical for any count), then the
-/// MAC statics on the calling thread. Allocation here is fine — the
+/// Freezes a scenario into a [`MacPlan`]: the network plan, then the MAC
+/// statics on the calling thread. Allocation here is fine — the
 /// measurement phase reuses everything.
+///
+/// The network plan is [`plan_network`]'s (whose probe sweep spreads over
+/// threads; bit-identical for any count) when `sc.net.adapt` or
+/// `sc.net.probe_spectral` is on, and [`assign_network`]'s otherwise: the
+/// same channels, coupling rows and configs, with every
+/// `interference_rel_db` NaN (not probed).
 pub fn plan_mac(sc: &MacScenario) -> MacPlan {
     assert!(sc.queue_cap >= 1, "queue_cap must be at least 1");
     assert!(sc.slot_samples >= 1, "slot_samples must be at least 1");
@@ -116,7 +126,11 @@ pub fn plan_mac(sc: &MacScenario) -> MacPlan {
         "ack_loss must be a probability"
     );
 
-    let net = plan_network(&sc.net);
+    let net = if sc.net.adapt || sc.net.probe_spectral {
+        plan_network(&sc.net)
+    } else {
+        assign_network(&sc.net)
+    };
     let n = net.len();
 
     let record_len: Vec<usize> = net

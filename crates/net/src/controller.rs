@@ -10,6 +10,17 @@
 //! [`NetPlan`], and the measurement phase replays that static plan —
 //! bit-identically for any `UWB_THREADS`.
 //!
+//! Planning has two stages. [`assign_network`] synthesizes nothing (except
+//! under the interference-aware policy, whose allocation measures): it
+//! allocates channels, builds the sparse coupling graph on that
+//! assignment, and gives every link the base config with its channel
+//! written in and its own seed. [`plan_network`] runs that stage, then the
+//! probe pass, which measures each link's interference and, with
+//! adaptation on, replaces its config. Without adaptation the probe pass
+//! changes no channel, coupling row or config, so a caller that reads
+//! neither the measurement nor the spectral report (the MAC layer's
+//! `plan_mac`) plans with [`assign_network`] alone.
+//!
 //! The probe pass is a measurement round of its own: a [`NetWorker`]
 //! sweep at the reserved round `PROBE_ROUND` over a *probe plan* in which
 //! every link runs the base config with its own seed under the final
@@ -73,10 +84,12 @@ pub struct NetLinkPlan {
     /// The assigned band-plan channel (also in `scenario.config.channel`).
     pub channel: Channel,
     /// Probe-measured interference power at this receiver relative to its
-    /// own signal power, in dB (`-inf` when nothing couples).
+    /// own signal power, in dB: `-inf` when nothing couples, NaN when the
+    /// plan was not probed ([`assign_network`]).
     pub interference_rel_db: f64,
     /// Spectral-monitor report over the probe superposition (planning
-    /// diagnostic; drives the adapter's `interferer_present`).
+    /// diagnostic; drives the adapter's `interferer_present`). Nothing
+    /// detected when the probe skipped the monitor or did not run.
     pub spectral: InterfererReport,
     /// The adapter's chosen operating point when adaptation is enabled.
     pub operating: Option<OperatingPoint>,
@@ -128,8 +141,64 @@ impl NetPlan {
     }
 }
 
-/// Runs the planning phase: probe synthesis, channel allocation,
-/// measurement-driven adaptation, coupling-table construction.
+/// The planning phase's first stage, which probes nothing: channel
+/// allocation, the sparse coupling graph on the final assignment, and per
+/// link the base config with the assigned channel written in and the
+/// link's decorrelated seed.
+///
+/// No entry is probed: `interference_rel_db` is NaN, `spectral` reports
+/// nothing detected and `operating` is `None`. Every other field equals
+/// [`plan_network`]'s without adaptation, bit for bit. Only the
+/// interference-aware policy synthesizes waveforms (one probe per link,
+/// serially, for its measured allocation).
+///
+/// # Panics
+///
+/// Panics if the scenario has no links or a policy candidate list is empty.
+pub fn assign_network(scenario: &NetScenario) -> NetPlan {
+    assert!(!scenario.is_empty(), "network needs at least one link");
+
+    // --- Channel allocation. ---
+    // The static policies are pure index arithmetic; the greedy
+    // interference-aware policy synthesizes a dense probe table
+    // (documented small-N), serially.
+    let channels = allocate_channels(scenario);
+
+    // --- Sparse interference graph on the final assignment. ---
+    // Couplings below the scenario's floor are never enumerated; with the
+    // default parameters the rows are bit-identical to the dense
+    // `build_coupling` reference.
+    let coupling =
+        build_coupling_sparse(&scenario.topology, &scenario.selectivity, &channels, &scenario.coupling);
+
+    let links = channels
+        .into_iter()
+        .enumerate()
+        .map(|(l, channel)| {
+            let mut config = scenario.base_config.clone();
+            config.channel = channel;
+            NetLinkPlan {
+                scenario: link_scenario(scenario, config, l),
+                channel,
+                interference_rel_db: f64::NAN,
+                spectral: NO_REPORT,
+                operating: None,
+            }
+        })
+        .collect();
+    NetPlan {
+        links,
+        coupling,
+        payload_len: scenario.payload_len,
+        block_len: DEFAULT_STREAM_BLOCK,
+        rounds: scenario.rounds,
+        seed: scenario.seed,
+    }
+}
+
+/// Runs the planning phase: [`assign_network`], then the probe pass —
+/// probe synthesis on the final assignment, the interference measurement,
+/// the optional spectral probe and measurement-driven adaptation.
 ///
 /// Deterministic — a pure function of the scenario, bit-identical for any
 /// `UWB_THREADS`. The probe sweep runs in contiguous spans, one per
@@ -164,29 +233,18 @@ fn plan_network_swept(
     threads: Option<usize>,
 ) -> (NetPlan, PlanWork) {
     let n = scenario.len();
-    assert!(n > 0, "network needs at least one link");
-
-    // Probes run every link on the base config with its own seed.
-    let probe_links: Vec<LinkScenario> = (0..n)
-        .map(|l| link_scenario(scenario, scenario.base_config.clone(), l))
-        .collect();
-
-    // --- Channel allocation. ---
-    // The static policies are pure index arithmetic; the greedy
-    // interference-aware policy synthesizes a dense probe table
-    // (documented small-N), serially.
-    let channels = allocate_channels(scenario, &probe_links);
     let allocation_probes = match scenario.policy {
         ChannelPolicy::InterferenceAware(_) => n,
         _ => 0,
     };
 
-    // --- Sparse interference graph on the final assignment. ---
-    // Couplings below the scenario's floor are never enumerated; with the
-    // default parameters the rows are bit-identical to the dense
-    // `build_coupling` reference.
-    let coupling =
-        build_coupling_sparse(&scenario.topology, &scenario.selectivity, &channels, &scenario.coupling);
+    // The probe plan is the assignment with every link back on the base
+    // config (and its own seed), so its worker pool holds one worker.
+    let mut probes = assign_network(scenario);
+    for link in &mut probes.links {
+        link.scenario.config.channel = scenario.base_config.channel;
+    }
+    let channels: Vec<Channel> = probes.links.iter().map(|l| l.channel).collect();
 
     // --- Per-link probe measurements on the final assignment. ---
     // A `NetWorker` sweep of the probe plan in the measurement rounds'
@@ -194,24 +252,6 @@ fn plan_network_swept(
     // an arena of up to `max_live` records and re-synthesizes the records
     // live across its cut, so spans are kept only while each holds at
     // least `max_live` victims.
-    let probes = NetPlan {
-        links: probe_links
-            .into_iter()
-            .zip(&channels)
-            .map(|(scenario, &channel)| NetLinkPlan {
-                scenario,
-                channel,
-                interference_rel_db: f64::NEG_INFINITY,
-                spectral: NO_REPORT,
-                operating: None,
-            })
-            .collect(),
-        coupling,
-        payload_len: scenario.payload_len,
-        block_len: DEFAULT_STREAM_BLOCK,
-        rounds: scenario.rounds,
-        seed: scenario.seed,
-    };
     let schedule = order_by(&channels, &probes.coupling);
     let t = resolve_threads(threads).min(n / schedule.max_live()).max(1);
     let spans = schedule.split(&probes.coupling, t);
@@ -236,7 +276,8 @@ fn plan_network_swept(
     (plan, work)
 }
 
-/// The spectral report of a plan entry whose probe skipped the monitor.
+/// The spectral report of a plan entry whose probe skipped the monitor or
+/// did not run.
 const NO_REPORT: InterfererReport = InterfererReport {
     detected: false,
     frequency: Hertz::new(0.0),
@@ -389,7 +430,7 @@ impl Measure<'_> {
 }
 
 /// Executes the scenario's channel-allocation policy.
-fn allocate_channels(scenario: &NetScenario, probe_links: &[LinkScenario]) -> Vec<Channel> {
+fn allocate_channels(scenario: &NetScenario) -> Vec<Channel> {
     let n = scenario.len();
     match &scenario.policy {
         ChannelPolicy::Static(chs) | ChannelPolicy::RoundRobin(chs) => {
@@ -402,7 +443,11 @@ fn allocate_channels(scenario: &NetScenario, probe_links: &[LinkScenario]) -> Ve
             // every (candidate, assigned) pair, so it materializes the full
             // O(N) probe-record table and scans O(N²) pairs — a planning
             // policy for small networks, kept dense by design. Large
-            // networks use the static policies, which are free.
+            // networks use the static policies, which are free. Probes run
+            // every link on the base config with its own seed.
+            let probe_links: Vec<LinkScenario> = (0..n)
+                .map(|l| link_scenario(scenario, scenario.base_config.clone(), l))
+                .collect();
             let mut worker = LinkWorker::new(&probe_links[0]);
             let mut synth = Vec::new();
             let records: Vec<TxRecord> = probe_links

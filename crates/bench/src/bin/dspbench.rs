@@ -63,7 +63,9 @@ fn run_kernels() -> Vec<Metric> {
     let mut out = Vec::new();
 
     // 1. 4096-point forward FFT through the thread-local plan cache,
-    //    in place (the acquisition inner loop shape).
+    //    in place: the radix-2 kernel itself, which serves only spectra
+    //    (Welch PSD) and test oracles (no receiver search or channel runs
+    //    on it).
     {
         let plan = cached_plan(4096);
         let mut buf = noise_complex(4096, 1);
@@ -119,12 +121,13 @@ fn run_kernels() -> Vec<Metric> {
         ));
     }
 
-    // 3. Eight coarse acquisitions (one default batch of records) against
-    //    the gen2 preamble code, over the receiver's search: one preamble
-    //    period plus its 8-sample channel-estimate margin. The exact row
-    //    beside it counts the chip-domain kernel's real adds and MACs for
-    //    one such acquisition; the gen1 row counts them for one sync search
-    //    of the demonstrated receiver over one preamble period of phases.
+    // 3. Eight coarse acquisitions, one per noise record in turn (the
+    //    row keeps its batch-era name), against the gen2 preamble code,
+    //    over the receiver's search: one preamble period plus its 8-sample
+    //    channel-estimate margin. The exact row beside it counts the
+    //    chip-domain kernel's real adds and MACs for one such acquisition;
+    //    the gen1 row counts them for one sync search of the demonstrated
+    //    receiver over one preamble period of phases.
     {
         let cfg = Gen2Config::nominal_100mbps();
         let code = Gen2Transmitter::new(cfg.clone())

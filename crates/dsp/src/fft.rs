@@ -1,10 +1,12 @@
 //! Radix-2 decimation-in-time FFT.
 //!
 //! A dependency-free iterative Cooley–Tukey implementation with precomputed
-//! twiddle factors, plus zero-padded transforms of arbitrary length and
-//! linear convolution. Its users are spectra (Welch PSD), the multipath
-//! channel's whole-record convolution and test oracles; no receiver search
-//! correlates through it.
+//! twiddle factors and zero-padded transforms of arbitrary length. Its users
+//! are spectra (Welch PSD and the spectral monitor), the f64 correlation
+//! oracles the acquisition tests check the chip-domain kernel against, and
+//! `dspbench`'s kernel rows. No receiver search correlates through it, and
+//! no channel convolves through it: the multipath channel is the streamed
+//! direct-form `uwb_sim::StreamingChannel`.
 //!
 //! The forward transform computes `X[k] = Σ x[n] e^{-i 2π nk/N}`; the inverse
 //! applies the conjugate kernel and divides by `N`, so
@@ -14,12 +16,11 @@
 //!
 //! Two layers keep the FFT path allocation-free:
 //!
-//! * **In-place / into-buffer transforms** — [`Fft::process_in_place`],
-//!   [`Fft::forward_in_place`], [`Fft::inverse_in_place`],
-//!   [`Fft::forward_into`], [`Fft::inverse_into`] operate on caller-provided
-//!   buffers. The in-place bit-reversal permutation is an involution, so the
-//!   outputs are **bit-identical** to the allocating [`Fft::forward`] /
-//!   [`Fft::inverse`].
+//! * **In-place transforms** — [`Fft::process_in_place`],
+//!   [`Fft::forward_in_place`] and [`Fft::inverse_in_place`] operate on a
+//!   caller-provided buffer. The in-place bit-reversal permutation is an
+//!   involution, so the outputs are **bit-identical** to the allocating
+//!   [`Fft::forward`] / [`Fft::inverse`].
 //! * **A thread-local plan cache** — [`cached_plan`] returns this thread's
 //!   memoized [`Fft`] for a given size, so twiddle and bit-reversal tables are
 //!   computed once per (worker thread, size) instead of per call.
@@ -32,7 +33,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::complex::Complex;
 use crate::math::next_pow2;
-use crate::scratch::DspScratch;
 
 /// Process-wide count of [`Fft`] plan constructions (see [`fft_plans_built`]).
 static PLANS_BUILT: AtomicU64 = AtomicU64::new(0);
@@ -190,35 +190,13 @@ impl Fft {
         self.process_in_place(a, true);
     }
 
-    /// Gather-permute `input` into `out`, then run the butterflies there.
-    fn transform_into(&self, input: &[Complex], out: &mut [Complex], invert: bool) {
+    /// Gather-permute `input` into a new buffer, then run the butterflies
+    /// there.
+    fn transform(&self, input: &[Complex], invert: bool) -> Vec<Complex> {
         assert_eq!(input.len(), self.n, "input length must equal FFT size");
-        assert_eq!(out.len(), self.n, "output length must equal FFT size");
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = input[self.rev[i]];
-        }
-        self.butterflies(out, invert);
-    }
-
-    /// Forward DFT of `input` written into the caller-provided `out`.
-    /// Bit-identical to [`Fft::forward`], allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.len()` or `out.len() != self.len()`.
-    pub fn forward_into(&self, input: &[Complex], out: &mut [Complex]) {
-        self.transform_into(input, out, false);
-    }
-
-    /// Inverse DFT of `input` (with `1/N` normalization) written into the
-    /// caller-provided `out`. Bit-identical to [`Fft::inverse`],
-    /// allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.len()` or `out.len() != self.len()`.
-    pub fn inverse_into(&self, input: &[Complex], out: &mut [Complex]) {
-        self.transform_into(input, out, true);
+        let mut out: Vec<Complex> = self.rev.iter().map(|&r| input[r]).collect();
+        self.butterflies(&mut out, invert);
+        out
     }
 
     /// Forward DFT.
@@ -227,9 +205,7 @@ impl Fft {
     ///
     /// Panics if `input.len() != self.len()`.
     pub fn forward(&self, input: &[Complex]) -> Vec<Complex> {
-        let mut out = vec![Complex::ZERO; self.n];
-        self.transform_into(input, &mut out, false);
-        out
+        self.transform(input, false)
     }
 
     /// Inverse DFT (includes the `1/N` normalization).
@@ -238,9 +214,7 @@ impl Fft {
     ///
     /// Panics if `input.len() != self.len()`.
     pub fn inverse(&self, input: &[Complex]) -> Vec<Complex> {
-        let mut out = vec![Complex::ZERO; self.n];
-        self.transform_into(input, &mut out, true);
-        out
+        self.transform(input, true)
     }
 }
 
@@ -248,17 +222,17 @@ impl Fft {
 ///
 /// Plans are stored by `log2(n)` and shared out as [`Rc`] clones, so a
 /// worker thread builds each size's twiddle/bit-reversal tables exactly once
-/// no matter how many kernels request it. Most callers should use the
-/// thread-local front end [`cached_plan`] instead of owning a planner.
+/// no matter how many kernels request it. One lives in each thread, behind
+/// [`cached_plan`].
 #[derive(Debug, Default)]
-pub struct FftPlanner {
+struct FftPlanner {
     /// `plans[log2(n)]` holds the plan for size `n`.
     plans: Vec<Option<Rc<Fft>>>,
 }
 
 impl FftPlanner {
     /// An empty planner; plans are built lazily on first request.
-    pub fn new() -> Self {
+    fn new() -> Self {
         FftPlanner::default()
     }
 
@@ -267,7 +241,7 @@ impl FftPlanner {
     /// # Panics
     ///
     /// Panics if `n` is zero or not a power of two.
-    pub fn plan(&mut self, n: usize) -> Rc<Fft> {
+    fn plan(&mut self, n: usize) -> Rc<Fft> {
         assert!(n > 0 && n.is_power_of_two(), "FFT size must be a power of two");
         let idx = n.trailing_zeros() as usize;
         if idx >= self.plans.len() {
@@ -318,65 +292,6 @@ pub fn bin_frequency(k: usize, n: usize, fs: f64) -> f64 {
     } else {
         f
     }
-}
-
-/// Linear convolution of two complex signals via zero-padded FFT.
-///
-/// Output length is `a.len() + b.len() - 1` (empty if either input is empty).
-/// Uses the thread-local plan cache; see [`fft_convolve_into`] for the
-/// allocation-free form.
-pub fn fft_convolve(a: &[Complex], b: &[Complex]) -> Vec<Complex> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let out_len = a.len() + b.len() - 1;
-    let n = next_pow2(out_len);
-    let fft = cached_plan(n);
-    let mut pa = a.to_vec();
-    pa.resize(n, Complex::ZERO);
-    let mut pb = b.to_vec();
-    pb.resize(n, Complex::ZERO);
-    fft.forward_in_place(&mut pa);
-    fft.forward_in_place(&mut pb);
-    for (x, y) in pa.iter_mut().zip(&pb) {
-        *x *= *y;
-    }
-    fft.inverse_in_place(&mut pa);
-    pa.truncate(out_len);
-    pa
-}
-
-/// [`fft_convolve`] computing into caller-owned storage.
-///
-/// `out` is cleared and filled with the `a.len() + b.len() - 1` convolution
-/// samples; one intermediate buffer comes from `scratch`. After warm-up
-/// (capacities at their high-water marks) the call performs **zero heap
-/// allocation**. Values are bit-identical to [`fft_convolve`].
-pub fn fft_convolve_into(
-    a: &[Complex],
-    b: &[Complex],
-    scratch: &mut DspScratch,
-    out: &mut Vec<Complex>,
-) {
-    out.clear();
-    if a.is_empty() || b.is_empty() {
-        return;
-    }
-    let out_len = a.len() + b.len() - 1;
-    let n = next_pow2(out_len);
-    let fft = cached_plan(n);
-    out.extend_from_slice(a);
-    out.resize(n, Complex::ZERO);
-    let mut pb = scratch.take_complex(n);
-    pb[..b.len()].copy_from_slice(b);
-    fft.forward_in_place(out);
-    fft.forward_in_place(&mut pb);
-    for (x, y) in out.iter_mut().zip(&pb) {
-        *x *= *y;
-    }
-    fft.inverse_in_place(out);
-    out.truncate(out_len);
-    scratch.put_complex(pb);
 }
 
 #[cfg(test)]
@@ -458,21 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn into_buffer_is_bit_identical() {
-        let n = 64;
-        let fft = Fft::new(n);
-        let x: Vec<Complex> = (0..n)
-            .map(|i| Complex::new(i as f64 * 0.1 - 3.0, (i as f64 * 0.7).cos()))
-            .collect();
-        let mut out = vec![Complex::ZERO; n];
-        fft.forward_into(&x, &mut out);
-        assert_eq!(out, fft.forward(&x));
-        let mut back = vec![Complex::ZERO; n];
-        fft.inverse_into(&out, &mut back);
-        assert_eq!(back, fft.inverse(&out));
-    }
-
-    #[test]
     fn planner_caches_plans_per_size() {
         // The process-wide `fft_plans_built` counter is shared with every
         // concurrently running test, so reuse is checked on the planner.
@@ -537,52 +437,11 @@ mod tests {
     }
 
     #[test]
-    fn convolution_matches_direct() {
-        let c = |v: &[f64]| -> Vec<Complex> { v.iter().map(|&x| Complex::new(x, 0.0)).collect() };
-        let got = fft_convolve(&c(&[1.0, 2.0, 3.0]), &c(&[0.5, -1.0]));
-        let want = [0.5, 0.0, -0.5, -3.0];
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g.re - w).abs() < 1e-9 && g.im.abs() < 1e-9, "{g} vs {w}");
-        }
-    }
-
-    #[test]
-    fn convolve_into_is_bit_identical_and_reuses_storage() {
-        let a: Vec<Complex> = (0..120).map(|i| Complex::cis(0.3 * i as f64)).collect();
-        let b: Vec<Complex> = (0..30).map(|i| Complex::new(0.1 * i as f64, -0.5)).collect();
-        let want = fft_convolve(&a, &b);
-        let mut scratch = DspScratch::new();
-        let mut out = Vec::new();
-        fft_convolve_into(&a, &b, &mut scratch, &mut out);
-        assert_eq!(out, want);
-        // Second call must reuse both the output and scratch storage.
-        let cap = out.capacity();
-        fft_convolve_into(&a, &b, &mut scratch, &mut out);
-        assert_eq!(out, want);
-        assert_eq!(out.capacity(), cap);
-        assert_eq!(scratch.pooled(), 1);
-    }
-
-    #[test]
-    fn empty_convolution() {
-        assert!(fft_convolve(&[], &[Complex::ONE]).is_empty());
-        let mut scratch = DspScratch::new();
-        let mut out = vec![Complex::ONE];
-        fft_convolve_into(&[], &[Complex::ONE], &mut scratch, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn size_one_fft() {
         let fft = Fft::new(1);
         let x = [Complex::new(2.5, -1.0)];
         assert_eq!(fft.forward(&x), x.to_vec());
         assert_eq!(fft.inverse(&x), x.to_vec());
-        // Single-sample convolution exercises the n = 1 plan.
-        let y = fft_convolve(&[Complex::new(3.0, 0.0)], &[Complex::new(0.0, 2.0)]);
-        assert_eq!(y.len(), 1);
-        assert!((y[0] - Complex::new(0.0, 6.0)).norm() < 1e-12);
     }
 
     #[test]
@@ -601,12 +460,5 @@ mod tests {
     #[should_panic(expected = "input length")]
     fn wrong_input_length_panics() {
         Fft::new(8).forward(&[Complex::ZERO; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "output length")]
-    fn wrong_output_length_panics() {
-        let mut out = vec![Complex::ZERO; 4];
-        Fft::new(8).forward_into(&[Complex::ZERO; 8], &mut out);
     }
 }

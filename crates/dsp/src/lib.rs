@@ -4,17 +4,16 @@
 //! crate in the workspace:
 //!
 //! * [`Complex`] arithmetic for equivalent-baseband processing
-//! * [`Fft`] — radix-2 FFT with convolution/correlation helpers, in-place /
-//!   into-buffer transforms, a thread-local plan cache ([`fft::cached_plan`])
-//!   and a packed real-input convolution path
+//! * [`Fft`] — radix-2 FFT with in-place transforms and a thread-local plan
+//!   cache ([`fft::cached_plan`]), for spectra and test oracles
 //! * [`DspScratch`] — reusable buffer arena for allocation-free steady-state
 //!   kernels
 //! * [`FirFilter`] — windowed-sinc FIR design (lowpass/highpass)
 //! * [`Biquad`]/[`BiquadCascade`] — IIR sections including the tunable notch
 //! * [`Window`] functions (Hann, Hamming, Blackman, Kaiser)
 //! * [`Nco`] — phase-continuous oscillator for frequency translation
-//! * [`correlation`] — sliding and normalized correlation (the back-end's
-//!   work-horse)
+//! * [`correlation`] — sliding and normalized correlation for tests and
+//!   `dspbench` (the receiver correlates through `uwb_phy::CorrelatorBank`)
 //! * [`resample`] — up/down-sampling and fractional delay (retiming block)
 //! * [`psd`] — periodogram and Welch PSD estimation (spectral monitoring,
 //!   FCC-mask checks)
@@ -55,7 +54,7 @@ pub mod stream;
 pub mod window;
 
 pub use complex::Complex;
-pub use fft::{Fft, FftPlanner};
+pub use fft::Fft;
 pub use scratch::DspScratch;
 pub use fir::FirFilter;
 pub use iir::{Biquad, BiquadCascade};

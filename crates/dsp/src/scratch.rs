@@ -73,11 +73,6 @@ impl DspScratch {
     pub fn put_complex(&mut self, buf: Vec<Complex>) {
         self.complex.push(buf);
     }
-
-    /// Number of buffers currently parked in the pool (diagnostics).
-    pub fn pooled(&self) -> usize {
-        self.complex.len()
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +107,7 @@ mod tests {
         s.put_complex(Vec::with_capacity(32));
         let b = s.take_complex(4);
         assert!(b.capacity() >= 256);
-        assert_eq!(s.pooled(), 2);
+        assert_eq!(s.complex.len(), 2);
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! Parity tests for the zero-allocation FFT layer.
 //!
-//! Every `_into` / `_in_place` variant added by the kernel-layer rework must
-//! reproduce its allocating counterpart *bit for bit* — they share the same
-//! butterfly schedule, so even the rounding errors must line up.
-//!
-//! The proptest section drives `forward_into`/`inverse_into` round trips on
-//! every power-of-two size up to 4096 with arbitrary signals.
+//! The `_in_place` transforms and the thread-local plan cache must
+//! reproduce the allocating transforms of a fresh plan *bit for bit* — they
+//! share the same butterfly schedule, so even the rounding errors must line
+//! up. `properties.rs` checks the round trip.
 
-use proptest::prelude::*;
-use uwb_dsp::fft::{cached_plan, fft_convolve, fft_convolve_into, Fft};
-use uwb_dsp::{Complex, DspScratch};
+use uwb_dsp::fft::{cached_plan, Fft};
+use uwb_dsp::Complex;
 
 /// Deterministic pseudo-signal (no RNG dependency needed for the fixed tests).
 fn signal(n: usize, phase: f64) -> Vec<Complex> {
@@ -26,36 +23,6 @@ fn assert_bits_eq(a: &[Complex], b: &[Complex], what: &str) {
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert_eq!(x.re.to_bits(), y.re.to_bits(), "{what}: re differs at {i}");
         assert_eq!(x.im.to_bits(), y.im.to_bits(), "{what}: im differs at {i}");
-    }
-}
-
-/// `forward_into` must be bit-identical to the allocating `forward` on every
-/// power-of-two size the repo uses (the in-place bit-reversal is an
-/// involution, so the butterfly order is unchanged).
-#[test]
-fn forward_into_bitwise_matches_forward() {
-    for shift in 0..=12 {
-        let n = 1usize << shift;
-        let fft = Fft::new(n);
-        let x = signal(n, 0.123);
-        let reference = fft.forward(&x);
-        let mut out = vec![Complex::ZERO; n];
-        fft.forward_into(&x, &mut out);
-        assert_bits_eq(&reference, &out, &format!("forward n={n}"));
-    }
-}
-
-/// Same for `inverse_into` vs `inverse`.
-#[test]
-fn inverse_into_bitwise_matches_inverse() {
-    for shift in 0..=12 {
-        let n = 1usize << shift;
-        let fft = Fft::new(n);
-        let x = signal(n, 4.56);
-        let reference = fft.inverse(&x);
-        let mut out = vec![Complex::ZERO; n];
-        fft.inverse_into(&x, &mut out);
-        assert_bits_eq(&reference, &out, &format!("inverse n={n}"));
     }
 }
 
@@ -96,60 +63,5 @@ fn cached_plan_matches_fresh_plan_and_is_reused() {
             std::rc::Rc::ptr_eq(&plan, &again),
             "cached_plan must not rebuild a plan for a cached size"
         );
-    }
-}
-
-/// Complex convolution: the scratch variant is the same transform chain.
-#[test]
-fn fft_convolve_into_bitwise_matches() {
-    let a = signal(300, 0.5);
-    let b = signal(77, 1.5);
-    let reference = fft_convolve(&a, &b);
-    let mut scratch = DspScratch::new();
-    let mut out = Vec::new();
-    fft_convolve_into(&a, &b, &mut scratch, &mut out);
-    assert_bits_eq(&reference, &out, "fft_convolve");
-    // Steady state: a second call reuses the pooled buffers and still agrees.
-    fft_convolve_into(&a, &b, &mut scratch, &mut out);
-    assert_bits_eq(&reference, &out, "fft_convolve (warm)");
-}
-
-fn complex_vec(len: usize) -> impl Strategy<Value = Vec<Complex>> {
-    prop::collection::vec((-100.0f64..100.0, -100.0f64..100.0), len..=len)
-        .prop_map(|v| v.into_iter().map(|(re, im)| Complex::new(re, im)).collect())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// `inverse_into(forward_into(x)) == x` on random power-of-two sizes up
-    /// to 4096 with arbitrary signals — the buffered pair must round-trip
-    /// exactly like the allocating pair always has.
-    #[test]
-    fn into_round_trip(shift in 0usize..=12, full in complex_vec(4096)) {
-        let n = 1usize << shift;
-        let x = &full[..n];
-        let fft = Fft::new(n);
-        let mut spec = vec![Complex::ZERO; n];
-        let mut back = vec![Complex::ZERO; n];
-        fft.forward_into(x, &mut spec);
-        fft.inverse_into(&spec, &mut back);
-        for (a, b) in x.iter().zip(&back) {
-            prop_assert!((*a - *b).norm() < 1e-6 * (1.0 + a.norm()));
-        }
-    }
-
-    /// Bitwise parity between `forward_into` and `forward` holds for
-    /// arbitrary signals, not just the fixed probe above.
-    #[test]
-    fn into_parity_random_signals(x in complex_vec(1024)) {
-        let fft = Fft::new(1024);
-        let reference = fft.forward(&x);
-        let mut out = vec![Complex::ZERO; 1024];
-        fft.forward_into(&x, &mut out);
-        for (a, b) in reference.iter().zip(&out) {
-            prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
-            prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
     }
 }

@@ -212,7 +212,6 @@ pub fn estimate_cir_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uwb_dsp::fft::fft_convolve;
     use uwb_sim::awgn::add_awgn_complex;
     use uwb_sim::Rand;
 
@@ -228,8 +227,13 @@ mod tests {
         for _ in 0..periods {
             sig.extend_from_slice(template);
         }
-        let mut out = fft_convolve(&sig, h);
-        out.extend(vec![Complex::ZERO; 32]);
+        // Direct linear convolution, then 32 samples of trailing silence.
+        let mut out = vec![Complex::ZERO; sig.len() + h.len() - 1 + 32];
+        for (i, &x) in sig.iter().enumerate() {
+            for (k, &hk) in h.iter().enumerate() {
+                out[i + k] += x * hk;
+            }
+        }
         out
     }
 

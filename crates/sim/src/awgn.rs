@@ -53,14 +53,25 @@ pub fn add_awgn_complex(signal: &[Complex], noise_power: f64, rng: &mut Rand) ->
 
 /// [`add_awgn_complex`] mutating the signal in place (allocation-free).
 ///
-/// Noise comes from the block stream ([`Rand::fill_gaussian`]) in I-then-Q
-/// order per sample, pulled through a stack chunk buffer; draw order and
-/// arithmetic are identical to the allocating form, so results and
-/// downstream RNG state are bit-identical — the per-trial form used by the
-/// Monte-Carlo workers. Negative `noise_power` panics in debug builds and
-/// clamps to zero in release builds.
+/// The per-trial form used by the Monte-Carlo workers, and the same noise
+/// loop as [`StreamingAwgn`](crate::stream::StreamingAwgn): results and
+/// downstream RNG state are bit-identical to the allocating form and to a
+/// streamed source seeded with the same RNG. Negative `noise_power` panics
+/// in debug builds and clamps to zero in release builds.
 pub fn add_awgn_complex_in_place(signal: &mut [Complex], noise_power: f64, rng: &mut Rand) {
-    let sigma = (checked_noise_power(noise_power) / 2.0).sqrt();
+    add_complex_noise(signal, complex_sigma(noise_power), rng);
+}
+
+/// The per-component standard deviation of complex noise of total power
+/// `noise_power` (checked as in [`checked_noise_power`]).
+pub(crate) fn complex_sigma(noise_power: f64) -> f64 {
+    (checked_noise_power(noise_power) / 2.0).sqrt()
+}
+
+/// The complex noise loop: adds `σ·(g0 + i·g1)` to each sample, drawing
+/// from the block stream ([`Rand::fill_gaussian`]) I then Q per sample in
+/// ascending order, through a stack chunk buffer.
+pub(crate) fn add_complex_noise(signal: &mut [Complex], sigma: f64, rng: &mut Rand) {
     let mut buf = [0.0f64; NOISE_CHUNK];
     for chunk in signal.chunks_mut(NOISE_CHUNK / 2) {
         rng.fill_gaussian(&mut buf[..2 * chunk.len()]);

@@ -4,11 +4,15 @@
 //! challenge and §3 describes a spectral-monitoring block that estimates the
 //! interferer frequency for a front-end notch filter. These generators
 //! produce the interference those blocks are tested against: a continuous-
-//! wave tone (the worst case for a 1-bit ADC), a modulated carrier
-//! (802.11a-like), and a swept tone.
+//! wave tone (the worst case for a 1-bit ADC) and a modulated carrier
+//! (802.11a-like). Both are synthesized by
+//! [`StreamingInterferer`](crate::stream::StreamingInterferer); the batch
+//! helpers here run it over one block.
 
 use crate::rng::Rand;
-use uwb_dsp::{Complex, Nco};
+use crate::stream::StreamingInterferer;
+use uwb_dsp::stream::BlockProcessor;
+use uwb_dsp::{Complex, DspScratch};
 
 /// A narrowband interferer description.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,11 +37,6 @@ pub enum InterfererKind {
         /// Symbol rate of the random BPSK modulation, in hertz.
         symbol_rate_hz: f64,
     },
-    /// Tone sweeping linearly by `sweep_hz_per_s`.
-    Swept {
-        /// Sweep rate in hertz per second.
-        sweep_hz_per_s: f64,
-    },
 }
 
 impl Interferer {
@@ -50,85 +49,20 @@ impl Interferer {
         }
     }
 
-    /// Generates `n` complex baseband samples of the interferer at `fs_hz`.
+    /// Generates `n` complex baseband samples of the interferer at `fs_hz`:
+    /// [`Interferer::add_to`] over a zero record.
     pub fn generate(&self, n: usize, fs_hz: f64, rng: &mut Rand) -> Vec<Complex> {
-        let amp = self.power.sqrt();
-        let phase0 = rng.uniform_in(0.0, std::f64::consts::TAU);
-        match &self.kind {
-            InterfererKind::ContinuousWave => {
-                let mut nco = Nco::with_phase(self.offset_hz, fs_hz, phase0);
-                (0..n).map(|_| nco.next_complex() * amp).collect()
-            }
-            InterfererKind::Modulated { symbol_rate_hz } => {
-                let mut nco = Nco::with_phase(self.offset_hz, fs_hz, phase0);
-                let sps = (fs_hz / symbol_rate_hz).max(1.0) as usize;
-                let mut out = Vec::with_capacity(n);
-                let mut symbol = 1.0;
-                for i in 0..n {
-                    if i % sps == 0 {
-                        symbol = if rng.bit() { 1.0 } else { -1.0 };
-                    }
-                    out.push(nco.next_complex() * (amp * symbol));
-                }
-                out
-            }
-            InterfererKind::Swept { sweep_hz_per_s } => {
-                let mut out = Vec::with_capacity(n);
-                let dt = 1.0 / fs_hz;
-                let mut phase = phase0;
-                for i in 0..n {
-                    let f = self.offset_hz + sweep_hz_per_s * (i as f64 * dt);
-                    phase += std::f64::consts::TAU * f * dt;
-                    out.push(Complex::from_polar(amp, phase));
-                }
-                out
-            }
-        }
+        self.add_to(&vec![Complex::ZERO; n], fs_hz, rng)
     }
 
-    /// Adds the interferer to an existing signal in place of allocation
-    /// (returns a new vector of the same length).
+    /// Adds the interferer to a copy of `signal`: one block of a
+    /// [`StreamingInterferer`] built from `rng` (the starting phase, and for
+    /// the modulated kind a forked symbol stream), so the result is
+    /// bit-identical to a link trial's streamed interferer.
     pub fn add_to(&self, signal: &[Complex], fs_hz: f64, rng: &mut Rand) -> Vec<Complex> {
-        let tone = self.generate(signal.len(), fs_hz, rng);
-        signal.iter().zip(&tone).map(|(&s, &t)| s + t).collect()
-    }
-
-    /// [`Interferer::add_to`] mutating the signal in place (allocation-free).
-    ///
-    /// The RNG draw order (starting phase first, then any per-sample symbol
-    /// draws) matches [`Interferer::generate`] exactly, so results and
-    /// downstream RNG state are bit-identical to the allocating form.
-    pub fn add_to_in_place(&self, signal: &mut [Complex], fs_hz: f64, rng: &mut Rand) {
-        let amp = self.power.sqrt();
-        let phase0 = rng.uniform_in(0.0, std::f64::consts::TAU);
-        match &self.kind {
-            InterfererKind::ContinuousWave => {
-                let mut nco = Nco::with_phase(self.offset_hz, fs_hz, phase0);
-                for z in signal.iter_mut() {
-                    *z += nco.next_complex() * amp;
-                }
-            }
-            InterfererKind::Modulated { symbol_rate_hz } => {
-                let mut nco = Nco::with_phase(self.offset_hz, fs_hz, phase0);
-                let sps = (fs_hz / symbol_rate_hz).max(1.0) as usize;
-                let mut symbol = 1.0;
-                for (i, z) in signal.iter_mut().enumerate() {
-                    if i % sps == 0 {
-                        symbol = if rng.bit() { 1.0 } else { -1.0 };
-                    }
-                    *z += nco.next_complex() * (amp * symbol);
-                }
-            }
-            InterfererKind::Swept { sweep_hz_per_s } => {
-                let dt = 1.0 / fs_hz;
-                let mut phase = phase0;
-                for (i, z) in signal.iter_mut().enumerate() {
-                    let f = self.offset_hz + sweep_hz_per_s * (i as f64 * dt);
-                    phase += std::f64::consts::TAU * f * dt;
-                    *z += Complex::from_polar(amp, phase);
-                }
-            }
-        }
+        let mut out = signal.to_vec();
+        StreamingInterferer::new(self, fs_hz, rng).process_block(&mut out, &mut DspScratch::new());
+        out
     }
 }
 
@@ -180,24 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn swept_tone_moves() {
-        let mut rng = Rand::new(4);
-        let fs = 1e9;
-        let intf = Interferer {
-            offset_hz: 10e6,
-            power: 1.0,
-            kind: InterfererKind::Swept {
-                sweep_hz_per_s: 1e15, // 1 MHz per µs
-            },
-        };
-        let sig = intf.generate(32_768, fs, &mut rng);
-        let early = welch(&sig[..8192], fs, 4096, Window::Hann).peak_frequency();
-        let late =
-            welch(&sig[24_576..], fs, 4096, Window::Hann).peak_frequency();
-        assert!(late > early + 5e6, "sweep did not move: {early} -> {late}");
-    }
-
-    #[test]
     fn add_to_superimposes() {
         let mut rng = Rand::new(5);
         let base = vec![Complex::ONE; 1000];
@@ -206,27 +122,6 @@ mod tests {
         assert_eq!(out.len(), base.len());
         // Powers add only on average for uncorrelated phases; check amplitude range.
         assert!(out.iter().all(|z| z.norm() <= 2.0 + 1e-12));
-    }
-
-    #[test]
-    fn add_to_in_place_matches_allocating_bitwise() {
-        let base: Vec<Complex> = (0..500).map(|i| Complex::new(0.01 * i as f64, -1.0)).collect();
-        for kind in [
-            InterfererKind::ContinuousWave,
-            InterfererKind::Modulated { symbol_rate_hz: 20e6 },
-            InterfererKind::Swept { sweep_hz_per_s: 1e14 },
-        ] {
-            let intf = Interferer {
-                offset_hz: 55e6,
-                power: 2.5,
-                kind,
-            };
-            let want = intf.add_to(&base, 1e9, &mut Rand::new(31));
-            let mut buf = base.clone();
-            let mut rng = Rand::new(31);
-            intf.add_to_in_place(&mut buf, 1e9, &mut rng);
-            assert_eq!(buf, want);
-        }
     }
 
     #[test]

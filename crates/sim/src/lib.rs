@@ -10,8 +10,9 @@
 //! * [`awgn`] — calibrated additive noise (per-power, per-SNR, per-Eb/N0)
 //! * [`sv_channel`] — IEEE 802.15.3a Saleh–Valenzuela multipath (CM1–CM4),
 //!   covering the paper's "rms delay spread ~20 ns" regime
-//! * [`interference`] — narrowband interferer generators (CW, modulated,
-//!   swept)
+//! * [`interference`] — narrowband interferer generators (CW, modulated)
+//! * [`stream`] — block-streamed channel, AWGN and interferer operators;
+//!   the batch helpers above run them over one block
 //! * [`antenna`] — band-pass behavioral model of the planar elliptical
 //!   antenna of paper Fig. 2
 //! * [`pathloss`] — free-space/log-distance loss and the FCC −41.3 dBm/MHz

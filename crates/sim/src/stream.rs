@@ -12,35 +12,32 @@
 //! summation order is fixed and all cross-boundary history (channel tail,
 //! oscillator phase, RNG position) is carried in state.
 //!
-//! Parity with the batch path:
+//! They are the only multipath, interferer and complex-noise code.
+//! [`ChannelRealization::apply`] and [`Interferer::add_to`] /
+//! [`Interferer::generate`] run the channel and interferer over the whole
+//! record as one block, and [`crate::awgn::add_awgn_complex`] runs
+//! [`StreamingAwgn`]'s noise loop, so a record composed from the batch
+//! helpers equals a streamed trial's bit for bit.
 //!
-//! * [`StreamingChannel`] on a **single-tap** channel (AWGN scenarios) is
-//!   bit-identical to [`ChannelRealization::apply_into`]. Multi-tap
-//!   channels use a direct-form convolution with a fixed summation
-//!   contract: per output, ascending k from a `+0.0` accumulator; outputs
-//!   are computed a tile at a time, and tiling never reorders a sum. Two
-//!   kernels honour that contract. When every sample of
-//!   `[history | block]` has a zero imaginary part (the transmitted burst
-//!   is real baseband BPSK), a real-input kernel adds `h.re·x` and
-//!   `h.im·x` into two `f64` accumulators; otherwise the complex kernel
-//!   adds `h·x`. For finite taps and inputs they agree bit for bit: the
-//!   products the real kernel drops (`h.im·x.im`, `h.re·x.im`) are ±0, a
-//!   round-to-nearest sum that starts at `+0.0` never becomes `−0.0`
-//!   (exact cancellation gives `+0.0`), so adding ±0 never changes it,
-//!   and every nonzero term is the same product either way. The batch
-//!   path uses FFT convolution, so the two agree to numerical precision
-//!   (≲1e-12 relative) but not bitwise — the chunk-invariance gates
-//!   therefore compare streamed-vs-streamed and assert equality of
-//!   *decisions* vs batch.
-//! * [`StreamingAwgn`] seeded with the RNG state at the point the batch
-//!   path would call `add_awgn_complex_in_place` is bit-identical to it.
-//! * [`StreamingInterferer`] for CW and swept kinds draws only the initial
-//!   phase and is bit-identical to [`Interferer::add_to_in_place`]; the
-//!   modulated kind forks its symbol RNG (documented deviation — the batch
-//!   path interleaves symbol draws with nothing else, but a stream of
-//!   unknown length cannot leave the shared RNG in a record-independent
-//!   state).
+//! [`StreamingChannel`] is a direct-form convolution with a fixed summation
+//! contract: per output, ascending k from a `+0.0` accumulator; outputs are
+//! computed a tile at a time, and tiling never reorders a sum. Two kernels
+//! honour that contract. When every sample of `[history | block]` has a
+//! zero imaginary part (the transmitted burst is real baseband BPSK), a
+//! real-input kernel adds `h.re·x` and `h.im·x` into two `f64`
+//! accumulators; otherwise the complex kernel adds `h·x`. For finite taps
+//! and inputs they agree bit for bit: the products the real kernel drops
+//! (`h.im·x.im`, `h.re·x.im`) are ±0, a round-to-nearest sum that starts at
+//! `+0.0` never becomes `−0.0` (exact cancellation gives `+0.0`), so adding
+//! ±0 never changes it, and every nonzero term is the same product either
+//! way. A single-tap channel (AWGN scenarios) is a plain scaling.
+//!
+//! [`StreamingInterferer`] draws its starting phase from the caller's RNG;
+//! the modulated kind also forks a private symbol RNG, because a stream of
+//! unknown length cannot leave the shared RNG in a record-independent
+//! state.
 
+use crate::awgn::{add_complex_noise, complex_sigma};
 use crate::interference::{Interferer, InterfererKind};
 use crate::rng::Rand;
 use crate::sv_channel::ChannelRealization;
@@ -245,8 +242,7 @@ impl StreamingChannel {
 impl BlockProcessor for StreamingChannel {
     fn process_block(&mut self, block: &mut [Complex], scratch: &mut DspScratch) {
         if self.h.len() == 1 {
-            // Single-tap channel: plain scaling, bit-identical to the batch
-            // `apply_into` fast path (`z * g`, no accumulator —
+            // Single-tap channel: plain scaling (`z * g`, no accumulator —
             // `MulAssign` expands to exactly `*z = *z * g`).
             self.counts.single_tap += 1;
             let g = self.h[0];
@@ -290,7 +286,8 @@ impl BlockProcessor for StreamingChannel {
 ///
 /// Seeded with the RNG state the batch path would hold when calling
 /// [`crate::awgn::add_awgn_complex_in_place`], the streamed record is
-/// bit-identical to the batch record for any block partition.
+/// bit-identical to the batch record for any block partition: both run the
+/// same noise loop.
 #[derive(Debug, Clone)]
 pub struct StreamingAwgn {
     sigma: f64,
@@ -303,12 +300,8 @@ impl StreamingAwgn {
     /// private draw stream. Negative `noise_power` is a caller bug: panics
     /// in debug builds, clamps to zero in release builds.
     pub fn new(noise_power: f64, rng: Rand) -> Self {
-        debug_assert!(
-            noise_power >= 0.0,
-            "negative noise_power ({noise_power}): a mis-signed SNR runs noiseless"
-        );
         StreamingAwgn {
-            sigma: (noise_power.max(0.0) / 2.0).sqrt(),
+            sigma: complex_sigma(noise_power),
             initial: rng.clone(),
             rng,
         }
@@ -318,11 +311,7 @@ impl StreamingAwgn {
     /// Negative `noise_power` is a caller bug: panics in debug builds,
     /// clamps to zero in release builds.
     pub fn configure(&mut self, noise_power: f64, rng: Rand) {
-        debug_assert!(
-            noise_power >= 0.0,
-            "negative noise_power ({noise_power}): a mis-signed SNR runs noiseless"
-        );
-        self.sigma = (noise_power.max(0.0) / 2.0).sqrt();
+        self.sigma = complex_sigma(noise_power);
         self.initial = rng.clone();
         self.rng = rng;
     }
@@ -375,16 +364,9 @@ impl StreamingAwgn {
 
 impl BlockProcessor for StreamingAwgn {
     fn process_block(&mut self, block: &mut [Complex], _scratch: &mut DspScratch) {
-        // Same block stream, I then Q in ascending sample order, as
-        // `add_awgn_complex_in_place`; the carry buffer inside the RNG makes
-        // the block partition unobservable (chunk-size invariance).
-        let mut buf = [0.0f64; 256];
-        for chunk in block.chunks_mut(128) {
-            self.rng.fill_gaussian(&mut buf[..2 * chunk.len()]);
-            for (z, g) in chunk.iter_mut().zip(buf.chunks_exact(2)) {
-                *z += Complex::new(self.sigma * g[0], self.sigma * g[1]);
-            }
-        }
+        // The carry buffer inside the RNG makes the block partition
+        // unobservable (chunk-size invariance).
+        add_complex_noise(block, self.sigma, &mut self.rng);
     }
 
     fn reset(&mut self) {
@@ -410,22 +392,12 @@ enum InterfererState {
         rng: Box<Rand>,
         initial_rng: Box<Rand>,
     },
-    /// Swept tone: explicit phase recurrence with the absolute sample index.
-    Swept {
-        offset_hz: f64,
-        sweep_hz_per_s: f64,
-        dt: f64,
-        phase: f64,
-        idx: usize,
-    },
 }
 
 /// Streaming narrowband interferer: adds the tone to each block with all
 /// oscillator/symbol state carried across boundaries.
 ///
-/// Construction draws the starting phase from the caller's RNG — the same
-/// single draw, at the same position, as [`Interferer::add_to_in_place`] —
-/// so CW and swept kinds are bit-identical to the batch path. The
+/// Construction draws the starting phase from the caller's RNG; the
 /// modulated kind additionally forks `rng` for its per-symbol draws (see
 /// module docs).
 #[derive(Debug, Clone)]
@@ -458,13 +430,6 @@ impl StreamingInterferer {
                     rng: Box::new(symbol_rng),
                 }
             }
-            InterfererKind::Swept { sweep_hz_per_s } => InterfererState::Swept {
-                offset_hz: intf.offset_hz,
-                sweep_hz_per_s: *sweep_hz_per_s,
-                dt: 1.0 / fs_hz,
-                phase: phase0,
-                idx: 0,
-            },
         };
         StreamingInterferer {
             amp: intf.power.sqrt(),
@@ -501,22 +466,6 @@ impl BlockProcessor for StreamingInterferer {
                     *idx += 1;
                 }
             }
-            InterfererState::Swept {
-                offset_hz,
-                sweep_hz_per_s,
-                dt,
-                phase,
-                idx,
-            } => {
-                // Same recurrence as the batch path, with the absolute
-                // sample index carried across blocks.
-                for z in block.iter_mut() {
-                    let f = *offset_hz + *sweep_hz_per_s * (*idx as f64 * *dt);
-                    *phase += std::f64::consts::TAU * f * *dt;
-                    *z += Complex::from_polar(amp, *phase);
-                    *idx += 1;
-                }
-            }
         }
     }
 
@@ -539,10 +488,6 @@ impl BlockProcessor for StreamingInterferer {
                 // clone_from reuses the box's existing allocation, keeping
                 // reset allocation-free on the warm path.
                 rng.clone_from(initial_rng);
-            }
-            InterfererState::Swept { phase, idx, .. } => {
-                *phase = self.phase0;
-                *idx = 0;
             }
         }
     }
@@ -630,46 +575,24 @@ mod tests {
     ];
 
     #[test]
-    fn channel_single_tap_matches_batch_bitwise() {
-        let ch = ChannelRealization::identity();
-        let fs = SampleRate::from_gsps(1.0);
-        let sig = test_signal(500);
-        let mut scratch = DspScratch::new();
-        let mut batch = Vec::new();
-        ch.apply_into(&sig, fs, &mut scratch, &mut batch);
-
-        let mut streamed = sig.clone();
-        let mut conv = StreamingChannel::from_realization(&ch, fs);
-        process_record(&mut conv, &mut streamed, 64, &mut scratch);
-        assert_eq!(streamed, batch);
-    }
-
-    #[test]
-    fn channel_multipath_is_chunk_invariant_and_near_batch() {
+    fn channel_is_chunk_invariant_and_matches_apply_bitwise() {
         let mut rng = Rand::new(77);
-        let ch = ChannelRealization::generate(ChannelModel::Cm2, &mut rng);
         let fs = SampleRate::from_gsps(1.0);
         let sig = test_signal(700);
-
-        assert_chunk_invariant(
-            &sig,
-            &[1, 13, TILE - 1, TILE, TILE + 1, 64, 255, 700, 2000],
-            || StreamingChannel::from_realization(&ch, fs),
-        );
-
-        // Against the FFT batch path: equal to numerical precision.
-        let batch = ch.apply(&sig, fs);
-        let mut streamed = sig.clone();
-        let mut scratch = DspScratch::new();
-        let mut conv = StreamingChannel::from_realization(&ch, fs);
-        process_record(&mut conv, &mut streamed, 128, &mut scratch);
-        assert_eq!(streamed.len(), batch.len());
-        let scale: f64 = batch.iter().map(|z| z.norm()).fold(1e-9, f64::max);
-        for (i, (s, b)) in streamed.iter().zip(&batch).enumerate() {
-            assert!(
-                (*s - *b).norm() <= 1e-9 * scale,
-                "sample {i}: {s:?} vs {b:?}"
+        for ch in [
+            ChannelRealization::identity(),
+            ChannelRealization::generate(ChannelModel::Cm2, &mut rng),
+        ] {
+            assert_chunk_invariant(
+                &sig,
+                &[1, 13, TILE - 1, TILE, TILE + 1, 64, 255, 700, 2000],
+                || StreamingChannel::from_realization(&ch, fs),
             );
+            let mut streamed = sig.clone();
+            let mut scratch = DspScratch::new();
+            let mut conv = StreamingChannel::from_realization(&ch, fs);
+            process_record(&mut conv, &mut streamed, 128, &mut scratch);
+            assert_bits_eq(&streamed, &ch.apply(&sig, fs), &format!("{} taps", conv.tail_len() + 1));
         }
     }
 
@@ -921,54 +844,31 @@ mod tests {
     }
 
     #[test]
-    fn cw_and_swept_interferer_match_batch_bitwise() {
-        let sig = test_signal(400);
+    fn interferer_is_chunk_invariant() {
+        let sig = test_signal(350);
         for kind in [
             InterfererKind::ContinuousWave,
-            InterfererKind::Swept {
-                sweep_hz_per_s: 2e14,
+            InterfererKind::Modulated {
+                symbol_rate_hz: 20e6,
             },
         ] {
             let intf = Interferer {
-                offset_hz: 120e6,
-                power: 3.0,
+                offset_hz: -80e6,
+                power: 1.5,
                 kind,
             };
-            let mut batch = sig.clone();
-            intf.add_to_in_place(&mut batch, 1e9, &mut Rand::new(13));
-
-            for bl in [7usize, 100, 400] {
-                let mut rng = Rand::new(13);
-                let mut src = StreamingInterferer::new(&intf, 1e9, &mut rng);
-                let mut streamed = sig.clone();
-                let mut scratch = DspScratch::new();
-                process_record(&mut src, &mut streamed, bl, &mut scratch);
-                assert_eq!(streamed, batch, "block {bl}");
-            }
+            assert_chunk_invariant(&sig, &[1, 17, 50, 350, 999], || {
+                StreamingInterferer::new(&intf, 1e9, &mut Rand::new(21))
+            });
+            let mut streamed = sig.clone();
+            let mut src = StreamingInterferer::new(&intf, 1e9, &mut Rand::new(21));
+            process_record(&mut src, &mut streamed, 64, &mut DspScratch::new());
+            let batch = intf.add_to(&sig, 1e9, &mut Rand::new(21));
+            assert_bits_eq(&streamed, &batch, &format!("{:?}", intf.kind));
+            // Power is calibrated.
+            let p = uwb_dsp::complex::mean_power(&intf.generate(20_000, 1e9, &mut Rand::new(3)));
+            assert!((p - 1.5).abs() / 1.5 < 0.02, "{:?}: {p}", intf.kind);
         }
-    }
-
-    #[test]
-    fn modulated_interferer_is_chunk_invariant() {
-        let intf = Interferer {
-            offset_hz: -80e6,
-            power: 1.5,
-            kind: InterfererKind::Modulated {
-                symbol_rate_hz: 20e6,
-            },
-        };
-        let sig = test_signal(350);
-        assert_chunk_invariant(&sig, &[1, 17, 50, 350, 999], || {
-            StreamingInterferer::new(&intf, 1e9, &mut Rand::new(21))
-        });
-        // And its power is calibrated like the batch form.
-        let mut rng = Rand::new(3);
-        let mut src = StreamingInterferer::new(&intf, 1e9, &mut rng);
-        let mut buf = vec![Complex::ZERO; 20_000];
-        let mut scratch = DspScratch::new();
-        src.process_block(&mut buf, &mut scratch);
-        let p = uwb_dsp::complex::mean_power(&buf);
-        assert!((p - 1.5).abs() / 1.5 < 0.02, "{p}");
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! polarity (equivalently uniform phase at complex baseband).
 
 use crate::rng::Rand;
+use crate::stream::StreamingChannel;
 use crate::time::SampleRate;
+use uwb_dsp::stream::process_record;
 use uwb_dsp::{Complex, DspScratch};
 
 /// Channel environment selector.
@@ -308,40 +310,15 @@ impl ChannelRealization {
         }
     }
 
-    /// Convolves a complex baseband signal with the discretized channel
-    /// ("same" length as `input` plus the channel tail).
+    /// Convolves a complex baseband signal with the discretized channel:
+    /// the input plus the channel tail. One block of [`StreamingChannel`]
+    /// and its flush, so the record is bit-identical to a link trial's
+    /// streamed one for any block partition.
     pub fn apply(&self, input: &[Complex], fs: SampleRate) -> Vec<Complex> {
-        let h = self.discretize(fs);
-        if h.len() == 1 {
-            // Single-tap channel (e.g. AWGN's identity): plain scaling —
-            // exact, and orders of magnitude cheaper than the FFT path.
-            return input.iter().map(|&z| z * h[0]).collect();
-        }
-        uwb_dsp::fft::fft_convolve(input, &h)
-    }
-
-    /// [`ChannelRealization::apply`] computing into caller-owned storage.
-    ///
-    /// Bit-identical to `apply`; the discretized impulse response and FFT
-    /// work buffers come from `scratch`, so steady-state per-trial use is
-    /// allocation-free.
-    pub fn apply_into(
-        &self,
-        input: &[Complex],
-        fs: SampleRate,
-        scratch: &mut DspScratch,
-        out: &mut Vec<Complex>,
-    ) {
-        let mut h = scratch.take_complex(0);
-        self.discretize_into(fs, &mut h);
-        if h.len() == 1 {
-            let g = h[0];
-            out.clear();
-            out.extend(input.iter().map(|&z| z * g));
-        } else {
-            uwb_dsp::fft::fft_convolve_into(input, &h, scratch, out);
-        }
-        scratch.put_complex(h);
+        let mut out = input.to_vec();
+        let mut conv = StreamingChannel::from_realization(self, fs);
+        process_record(&mut conv, &mut out, input.len(), &mut DspScratch::new());
+        out
     }
 
     /// Energy captured by the `n` strongest taps, as a fraction of total —
@@ -421,23 +398,6 @@ mod tests {
             let mut reused = ChannelRealization::generate(ChannelModel::Cm1, &mut Rand::new(1));
             reused.regenerate(model, &mut Rand::new(99));
             assert_eq!(fresh, reused, "{model}");
-        }
-    }
-
-    #[test]
-    fn apply_into_matches_apply_bitwise() {
-        let mut rng = Rand::new(11);
-        let fs = SampleRate::from_gsps(2.0);
-        let sig: Vec<Complex> = (0..300)
-            .map(|i| Complex::new((0.2 * i as f64).sin(), (0.13 * i as f64).cos()))
-            .collect();
-        let mut scratch = uwb_dsp::DspScratch::new();
-        let mut out = Vec::new();
-        for model in [ChannelModel::Awgn, ChannelModel::Cm1, ChannelModel::Cm3] {
-            let c = ChannelRealization::generate(model, &mut rng);
-            let want = c.apply(&sig, fs);
-            c.apply_into(&sig, fs, &mut scratch, &mut out);
-            assert_eq!(out, want, "{model}");
         }
     }
 

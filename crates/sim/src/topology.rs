@@ -188,8 +188,7 @@ impl Topology {
 /// of scanning all N transmitters.
 ///
 /// Query results are **deterministic and build-order independent**:
-/// `within_radius_into` returns ids in ascending order, `k_nearest_into` in
-/// ascending `(distance, id)` order.
+/// `within_radius_into` returns ids in ascending order.
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
     cell_size_m: f64,
@@ -329,64 +328,6 @@ impl SpatialGrid {
         }
         // Cells were visited row-major, so the union is not id-sorted.
         out.sort_unstable();
-    }
-
-    /// Appends to `out` the `k` nearest indexed points to `center`, in
-    /// ascending `(distance, id)` order (ties broken toward the lower id).
-    /// Returns fewer than `k` when the grid holds fewer points. `out` is
-    /// cleared first.
-    pub fn k_nearest_into(&self, center: Position, k: usize, out: &mut Vec<u32>) {
-        out.clear();
-        if k == 0 || self.items.is_empty() {
-            return;
-        }
-        // Expanding ring search: examine cells within ring `r`, keep the k
-        // best; stop once the ring's inner boundary distance exceeds the
-        // current k-th best (then nothing outside can improve the set).
-        let mut best: Vec<(f64, u32)> = Vec::with_capacity(k + 1);
-        let push = |best: &mut Vec<(f64, u32)>, d: f64, id: u32| {
-            let key = (d, id);
-            let pos = best
-                .binary_search_by(|&(bd, bid)| (bd, bid).partial_cmp(&key).expect("finite"))
-                .unwrap_or_else(|e| e);
-            if pos < k {
-                best.insert(pos, (d, id));
-                best.truncate(k);
-            }
-        };
-        let cx0 = ((center.x - self.origin.x) / self.cell_size_m).floor();
-        let cy0 = ((center.y - self.origin.y) / self.cell_size_m).floor();
-        let max_ring = self.nx.max(self.ny) + (cx0.abs() + cy0.abs()) as usize + 2;
-        for ring in 0..=max_ring {
-            // Inner boundary of ring r: any point in it is at least
-            // (r-1)·cell away from the center cell's boundary.
-            if best.len() == k {
-                let bound = (ring as f64 - 1.0) * self.cell_size_m;
-                if bound > best[k - 1].0 {
-                    break;
-                }
-            }
-            let r = ring as i64;
-            for dy in -r..=r {
-                for dx in -r..=r {
-                    if dx.abs().max(dy.abs()) != r {
-                        continue; // only the ring's border cells
-                    }
-                    let cx = cx0 + dx as f64;
-                    let cy = cy0 + dy as f64;
-                    if cx < 0.0 || cy < 0.0 || cx >= self.nx as f64 || cy >= self.ny as f64 {
-                        continue;
-                    }
-                    let c = cy as usize * self.nx + cx as usize;
-                    let lo = self.cell_start[c] as usize;
-                    let hi = self.cell_start[c + 1] as usize;
-                    for &(id, p) in &self.items[lo..hi] {
-                        push(&mut best, p.distance_m(&center), id);
-                    }
-                }
-            }
-        }
-        out.extend(best.iter().map(|&(_, id)| id));
     }
 }
 

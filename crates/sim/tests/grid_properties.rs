@@ -1,6 +1,6 @@
 //! Property-based tests for the spatial grid index: every query must agree
 //! exactly with the brute-force O(N²) scan it replaces, for any point set,
-//! cell size, query center, and radius / k.
+//! cell size, query center and radius.
 
 use proptest::prelude::*;
 use uwb_sim::topology::{Position, SpatialGrid, Topology};
@@ -14,18 +14,6 @@ fn brute_within(points: &[Position], c: Position, r: f64) -> Vec<u32> {
         .filter(|(_, p)| p.distance_m(&c) <= r)
         .map(|(i, _)| i as u32)
         .collect()
-}
-
-/// Brute-force k-nearest: ascending `(distance, id)`.
-fn brute_k_nearest(points: &[Position], c: Position, k: usize) -> Vec<u32> {
-    let mut order: Vec<(f64, u32)> = points
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.distance_m(&c), i as u32))
-        .collect();
-    order.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
-    order.truncate(k);
-    order.into_iter().map(|(_, id)| id).collect()
 }
 
 fn positions(
@@ -65,23 +53,6 @@ proptest! {
         prop_assert_eq!(got, all);
     }
 
-    /// k-nearest agrees with the brute-force (distance, id) sort for any k,
-    /// including k larger than the point count.
-    #[test]
-    fn k_nearest_matches_brute_force(
-        pts in positions(50),
-        cell in 0.3f64..20.0,
-        cx in -60.0f64..60.0,
-        cy in -60.0f64..60.0,
-        k in 0usize..60,
-    ) {
-        let grid = SpatialGrid::from_points(pts.iter().copied().enumerate(), cell);
-        let c = Position::new(cx, cy);
-        let mut got = Vec::new();
-        grid.k_nearest_into(c, k, &mut got);
-        prop_assert_eq!(got, brute_k_nearest(&pts, c, k));
-    }
-
     /// Build order never changes query results: a reversed-insertion grid
     /// answers identically.
     #[test]
@@ -96,9 +67,6 @@ proptest! {
         let (mut a, mut b) = (Vec::new(), Vec::new());
         fwd.within_radius_into(c, r, &mut a);
         rev.within_radius_into(c, r, &mut b);
-        prop_assert_eq!(&a, &b);
-        fwd.k_nearest_into(c, 7, &mut a);
-        rev.k_nearest_into(c, 7, &mut b);
         prop_assert_eq!(a, b);
     }
 

@@ -89,10 +89,14 @@
 #                             default seed (--seconds 0.1); fails unless it
 #                             exits 0, i.e. unless every fingerprint equals
 #                             benchmark/pins.json and no check failed
+#   scripts/check.sh examples builds every example under examples/ in
+#                             release and runs each one with UWB_THREADS=2;
+#                             fails on the first non-zero exit (~20 s of
+#                             runs, piconet_city the slowest)
 #   scripts/check.sh all      tier-1, then the whole workspace's tests, then
 #                             surface, then smoke, then obs, then stream,
 #                             then net, then mac (which includes the
-#                             uwbbench tests), then pins
+#                             uwbbench tests), then pins, then examples
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -236,6 +240,17 @@ pins() {
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --seconds 0.1
 }
 
+examples() {
+    echo "== examples: build and run every example (release, UWB_THREADS=2) =="
+    cargo build -q --release --examples
+    local f name
+    for f in examples/*.rs; do
+        name=$(basename "$f" .rs)
+        echo "-- $name"
+        UWB_THREADS=2 "./target/release/examples/$name" >/dev/null
+    done
+}
+
 case "$mode" in
 tier1)
     tier1
@@ -264,6 +279,9 @@ mac)
 pins)
     pins
     ;;
+examples)
+    examples
+    ;;
 all)
     tier1
     echo "== workspace: cargo test -q --workspace =="
@@ -275,9 +293,10 @@ all)
     net
     mac
     pins
+    examples
     ;;
 *)
-    echo "usage: scripts/check.sh [tier1|surface|smoke|bench|obs|stream|net|mac|pins|all]" >&2
+    echo "usage: scripts/check.sh [tier1|surface|smoke|bench|obs|stream|net|mac|pins|examples|all]" >&2
     exit 2
     ;;
 esac

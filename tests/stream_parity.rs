@@ -1,18 +1,22 @@
 //! Repo-level gates for the streaming signal chain (`scripts/check.sh
-//! stream`): the chunk-size invariance contract and bounded receiver
-//! memory.
+//! stream`): the chunk-size invariance contract, bounded receiver memory,
+//! and a link trial's record against the batch impairment helpers.
 //!
 //! The property under test is the one that makes block streaming *safe to
 //! adopt everywhere*: the partition of a record into blocks is
 //! unobservable. Any random split of the impairment chain's input, and any
 //! random split of the receiver's input, must produce bit-identical
-//! records / identical decoded packets.
+//! records / identical decoded packets; and since the batch helpers run the
+//! streamed operators over one block, a trial's record equals their
+//! composition bit for bit.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use uwb::dsp::stream::BlockProcessor;
 use uwb::dsp::{Complex, DspScratch};
 use uwb::phy::{Gen2Config, Gen2Transmitter, ReceivedPacket, StreamRx};
+use uwb::platform::{ErrorCounter, LinkScenario, LinkWorker, DEFAULT_STREAM_BLOCK};
+use uwb::sim::awgn::add_awgn_complex;
 use uwb::sim::stream::{StreamingAwgn, StreamingChannel, StreamingInterferer};
 use uwb::sim::sv_channel::{ChannelModel, ChannelRealization};
 use uwb::sim::time::SampleRate;
@@ -206,4 +210,72 @@ fn stream_rx_memory_is_bounded_by_frame_not_stream() {
         rx.buffer_capacity(),
         pushed
     );
+}
+
+/// Bit-for-bit equality (`==` on `Complex` would let `-0.0` pass for
+/// `+0.0`).
+fn assert_bits_eq(got: &[Complex], want: &[Complex], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+            "{what}: sample {i}: {g:?} vs {w:?}"
+        );
+    }
+}
+
+/// A link trial's record is the batch composition of the impairment
+/// helpers, bit for bit: on the trial's RNG, the payload bytes,
+/// `transmit_packet`, `ChannelRealization::generate`, `apply`, the
+/// interferer's `add_to`, then `add_awgn_complex` at the trial's calibrated
+/// `n0`. The clean record is compared as well as the noisy one, because
+/// noise at this SNR can hide a 1-ulp difference in the clean samples.
+#[test]
+fn trial_record_equals_the_batch_composition() {
+    const PAYLOAD: usize = 48;
+    let config = Gen2Config::nominal_100mbps();
+    let tx = Gen2Transmitter::new(config.clone()).expect("tx config");
+    let fs = config.sample_rate;
+    for channel in [ChannelModel::Awgn, ChannelModel::Cm1, ChannelModel::Cm3] {
+        for interferer in [None, Some(Interferer::cw(150e6, 0.2))] {
+            let scenario = LinkScenario {
+                interferer: interferer.clone(),
+                channel,
+                ..LinkScenario::awgn(config.clone(), 8.0, 2031)
+            };
+            let mut worker = LinkWorker::new(&scenario);
+            for t in 0..3 {
+                let what = format!("{channel:?}, interferer {interferer:?}, trial {t}");
+                let mut rng = Rand::for_trial(scenario.seed, t);
+                let mut payload = vec![0u8; PAYLOAD];
+                rng.fill_bytes(&mut payload);
+                let burst = tx.transmit_packet(&payload).expect("payload size");
+                let ch = ChannelRealization::generate(channel, &mut rng);
+                let mut clean = ch.apply(&burst.samples, fs);
+                if let Some(intf) = &interferer {
+                    clean = intf.add_to(&clean, fs.as_hz(), &mut rng);
+                }
+
+                let mut trial_rng = Rand::for_trial(scenario.seed, t);
+                let synth = worker.synthesize_clean_streamed(
+                    &scenario,
+                    PAYLOAD,
+                    DEFAULT_STREAM_BLOCK,
+                    &mut trial_rng,
+                );
+                assert_bits_eq(worker.clean_record(), &clean, &format!("{what}: clean"));
+
+                let noisy = add_awgn_complex(&clean, synth.n0, &mut rng);
+                let mut counter = ErrorCounter::default();
+                worker.trial_ber(
+                    &scenario,
+                    PAYLOAD,
+                    DEFAULT_STREAM_BLOCK,
+                    &mut Rand::for_trial(scenario.seed, t),
+                    &mut counter,
+                );
+                assert_bits_eq(worker.clean_record(), &noisy, &format!("{what}: impaired"));
+            }
+        }
+    }
 }

@@ -1,24 +1,23 @@
 //! Golden network and MAC plans.
 //!
-//! `plan_network` is a pure function of its scenario: the channel
-//! assignment, the coupling rows, every probe measurement and every
-//! adapted operating point. Each test here plans one scenario and pins two
-//! FNV-64 digests of the result: one over the plan's `Debug` string (which
-//! prints every `f64` in its shortest round-trip form, so equal strings
-//! mean equal values) and one over its coupling rows with each gain taken
-//! `to_bits`.
+//! `plan_network` is a pure function of its scenario. Each test here plans
+//! one scenario and pins two FNV-64 digests of its decisions, the fields
+//! the rounds, the MAC and the benchmark read:
 //!
-//! `plan_mac` is pinned the same way, except that its `Debug` digest
-//! blanks every `interference_rel_db` value: the MAC reads the channels,
-//! the coupling rows and the configs of its network plan, never the probe
-//! measurement.
+//! * the decision digest, over each link's `scenario` (`Debug`, which
+//!   prints every `f64` in its shortest round-trip form, so equal strings
+//!   mean equal values) and `channel`, then the plan's scalars
+//!   (`payload_len`, `block_len`, `rounds`, `seed`); a `plan_mac` plan
+//!   adds its MAC statics (parameters, airtimes, record lengths, sense
+//!   sets, out-degrees and arrival rates);
+//! * the coupling digest, over the coupling rows with each gain taken
+//!   `to_bits`.
 //!
-//! The network pins were taken from the planner whose probe sweep ran on
-//! its own synthesizer, the MAC pins from the planner that probed every
-//! MAC plan. A moved digest means the planner's arithmetic changed: fix
-//! the planner, never re-pin.
+//! A moved digest means the planner's arithmetic changed: fix the
+//! planner, never re-pin.
 
-use uwb::mac::{plan_mac, MacScenario};
+use std::fmt::Write;
+use uwb::mac::{plan_mac, MacPlan, MacScenario};
 use uwb::net::{plan_network, ChannelPolicy, NetPlan, NetScenario};
 use uwb::phy::bandplan::Channel;
 use uwb::sim::sv_channel::ChannelModel;
@@ -45,10 +44,28 @@ fn coupling_digest(plan: &NetPlan) -> u64 {
     }))
 }
 
-/// `(Debug digest, coupling digest)` of `plan`.
+/// The decisions of `plan`, by name: per link its scenario and channel,
+/// then the plan's scalars.
+fn net_decisions(plan: &NetPlan) -> String {
+    let mut s = String::new();
+    for link in &plan.links {
+        writeln!(s, "{:?} {:?}", link.scenario, link.channel).unwrap();
+    }
+    let NetPlan {
+        payload_len,
+        block_len,
+        rounds,
+        seed,
+        ..
+    } = plan;
+    writeln!(s, "{payload_len} {block_len} {rounds} {seed}").unwrap();
+    s
+}
+
+/// `(decision digest, coupling digest)` of a network plan.
 fn digests(plan: &NetPlan) -> (u64, u64) {
     (
-        fnv64(format!("{plan:?}").into_bytes()),
+        fnv64(net_decisions(plan).into_bytes()),
         coupling_digest(plan),
     )
 }
@@ -69,34 +86,31 @@ fn assert_plan(sc: &NetScenario, pinned: (u64, u64)) {
     assert_digests(digests(&plan), pinned);
 }
 
-/// `debug` with the value after every `interference_rel_db: ` removed.
-fn blank_interference(debug: &str) -> String {
-    const KEY: &str = "interference_rel_db: ";
-    let mut out = String::with_capacity(debug.len());
-    let mut rest = debug;
-    while let Some(at) = rest.find(KEY) {
-        out.push_str(&rest[..at + KEY.len()]);
-        rest = &rest[at + KEY.len()..];
-        rest = &rest[rest.find(',').unwrap_or(rest.len())..];
-    }
-    out.push_str(rest);
-    out
-}
-
 /// Plans `sc` with `plan_mac` and checks its digests against `pinned`:
-/// the `Debug` digest with every `interference_rel_db` blanked, and the
+/// the network plan's decisions followed by the MAC statics, and the
 /// network plan's coupling digest.
 fn assert_mac_plan(sc: &MacScenario, pinned: (u64, u64)) {
     let plan = plan_mac(sc);
     assert_eq!(plan.len(), sc.len());
-    let debug = blank_interference(&format!("{plan:?}"));
-    assert_eq!(
-        debug.matches("interference_rel_db: ,").count(),
-        sc.len(),
-        "one blanked value per link"
-    );
-    let got = (fnv64(debug.into_bytes()), coupling_digest(&plan.net));
-    assert_digests(got, pinned);
+    let MacPlan {
+        net,
+        params,
+        airtime_slots,
+        max_airtime_slots,
+        record_len,
+        max_record_len,
+        sense,
+        out_deg,
+        rate_pps,
+    } = &plan;
+    let mut s = net_decisions(net);
+    writeln!(
+        s,
+        "{params:?} {airtime_slots:?} {max_airtime_slots} {record_len:?} {max_record_len} \
+         {sense:?} {out_deg:?} {rate_pps:?}"
+    )
+    .unwrap();
+    assert_digests((fnv64(s.into_bytes()), coupling_digest(net)), pinned);
 }
 
 fn ch(i: usize) -> Channel {
@@ -118,7 +132,7 @@ fn interference_aware_ring(channel: ChannelModel) -> NetScenario {
 fn ring8_with_the_spectral_probe() {
     let sc = NetScenario::ring(8, 9.0, 77);
     assert!(sc.probe_spectral);
-    assert_plan(&sc, (0x4e61_0a54_57d0_8f0b, 0xfbd6_5e71_83ec_3a62));
+    assert_plan(&sc, (0xb3f3_ae19_f1df_f288, 0xfbd6_5e71_83ec_3a62));
 }
 
 #[test]
@@ -126,7 +140,7 @@ fn adapted_ring6() {
     let mut sc = NetScenario::ring(6, 6.0, 4);
     sc.adapt = true;
     sc.policy = ChannelPolicy::RoundRobin((3..6).map(ch).collect());
-    assert_plan(&sc, (0xa4ca_569c_6c52_929f, 0xc068_2e55_cc4e_327d));
+    assert_plan(&sc, (0x2a54_36f7_065a_3559, 0xc068_2e55_cc4e_327d));
 }
 
 #[test]
@@ -134,14 +148,14 @@ fn adapted_city_200_with_the_spectral_probe() {
     let mut sc = NetScenario::clustered_city(20, 10, 7.0, 20050307);
     sc.adapt = true;
     sc.probe_spectral = true;
-    assert_plan(&sc, (0xe006_8af7_841a_8f6b, 0x4baf_c834_0163_cbfe));
+    assert_plan(&sc, (0x2fc2_7efa_b196_3383, 0x4baf_c834_0163_cbfe));
 }
 
 #[test]
 fn interference_aware_ring4_awgn() {
     assert_plan(
         &interference_aware_ring(ChannelModel::Awgn),
-        (0x072e_a2c0_024b_6478, 0xcf9e_4759_2877_dfb9),
+        (0x8037_88f8_0b1f_07b7, 0xcf9e_4759_2877_dfb9),
     );
 }
 
@@ -149,7 +163,7 @@ fn interference_aware_ring4_awgn() {
 fn interference_aware_ring4_cm1() {
     assert_plan(
         &interference_aware_ring(ChannelModel::Cm1),
-        (0xd47c_a7d4_b5cb_8e2d, 0xcf9e_4759_2877_dfb9),
+        (0x4b1b_6785_98d1_a173, 0xcf9e_4759_2877_dfb9),
     );
 }
 
@@ -158,7 +172,7 @@ fn adapted_cm1_city() {
     let mut sc = NetScenario::clustered_city(6, 4, 9.0, 20050308);
     sc.channel_model = ChannelModel::Cm1;
     sc.adapt = true;
-    assert_plan(&sc, (0x136f_f24a_a50b_8c41, 0x1cb6_f993_2ed9_1947));
+    assert_plan(&sc, (0x9325_a52e_16fc_4c05, 0x1cb6_f993_2ed9_1947));
 }
 
 /// Release-scale gate (run via `scripts/check.sh net`): the `net_city_1k`
@@ -167,7 +181,7 @@ fn adapted_cm1_city() {
 #[ignore = "release-scale gate: scripts/check.sh net runs it with --release"]
 fn net_city_1k() {
     let sc = NetScenario::clustered_city(100, 10, 9.0, 20050307);
-    assert_plan(&sc, (0x0010_d593_4124_caae, 0x55f5_e102_415a_eed0));
+    assert_plan(&sc, (0x8804_fbed_cee7_44a5, 0x55f5_e102_415a_eed0));
 }
 
 /// `mac_ring8_saturated`'s scenario: eight users on four channels, so
@@ -178,14 +192,14 @@ fn mac_ring8_saturated() {
     sc.net.policy = ChannelPolicy::RoundRobin((3..7).map(ch).collect());
     sc.horizon_slots = 400;
     sc.replications = 32;
-    assert_mac_plan(&sc, (0x4f49_acb4_7582_f112, 0x1aac_7c22_3567_da40));
+    assert_mac_plan(&sc, (0x5fe5_7972_87fc_12b5, 0x1aac_7c22_3567_da40));
 }
 
 #[test]
 fn mac_ring4_defaults() {
     assert_mac_plan(
         &MacScenario::ring(4, 9.0, 0.8, 11),
-        (0x6571_f6fc_49fa_d091, 0x5f61_4099_64cb_987e),
+        (0xfdb8_3c4c_767e_e35a, 0x5f61_4099_64cb_987e),
     );
 }
 
@@ -195,7 +209,7 @@ fn mac_co_channel_pair() {
     let mut sc = MacScenario::ring(2, 6.0, 1.5, 20050316);
     sc.net.policy = ChannelPolicy::Static(vec![ch(3)]);
     sc.horizon_slots = 200;
-    assert_mac_plan(&sc, (0xc0df_0074_bb55_6aa3, 0x626b_7195_e693_f60c));
+    assert_mac_plan(&sc, (0x78d8_7916_9782_bf23, 0x626b_7195_e693_f60c));
 }
 
 /// Release-scale gate (run via `scripts/check.sh mac`): the `mac_city_1k`
@@ -205,5 +219,5 @@ fn mac_co_channel_pair() {
 fn mac_city_1k() {
     let mut sc = MacScenario::clustered_city(125, 8, 9.0, 1.5, 20050307);
     sc.horizon_slots = 120;
-    assert_mac_plan(&sc, (0x14a7_7a1d_386f_4201, 0x0a55_bc5e_ad4f_9c13));
+    assert_mac_plan(&sc, (0xcf5f_8404_92ae_0bc8, 0x0a55_bc5e_ad4f_9c13));
 }

@@ -80,11 +80,15 @@ impl InterleavedAdc {
         let lanes = (0..m)
             .map(|_| FlashAdc::with_offsets(bits, full_scale, 0.0, rng))
             .collect();
-        let offsets = (0..m).map(|_| mismatch.offset_sigma * rng.gaussian()).collect();
+        let offsets = (0..m)
+            .map(|_| mismatch.offset_sigma * rng.gaussian())
+            .collect();
         let gains = (0..m)
             .map(|_| 1.0 + mismatch.gain_sigma * rng.gaussian())
             .collect();
-        let skews_s = (0..m).map(|_| mismatch.skew_sigma_s * rng.gaussian()).collect();
+        let skews_s = (0..m)
+            .map(|_| mismatch.skew_sigma_s * rng.gaussian())
+            .collect();
         InterleavedAdc {
             lanes,
             offsets,
@@ -246,12 +250,22 @@ mod tests {
         };
         let low = err_at(0.005);
         let high = err_at(0.2);
-        assert!(high > 4.0 * low, "skew error should grow with f: {low} vs {high}");
+        assert!(
+            high > 4.0 * low,
+            "skew error should grow with f: {low} vs {high}"
+        );
     }
 
     #[test]
     #[should_panic(expected = "at least one lane")]
     fn zero_lanes_panics() {
-        InterleavedAdc::new(0, 4, 1.0, 1e9, InterleaveMismatch::none(), &mut Rand::new(0));
+        InterleavedAdc::new(
+            0,
+            4,
+            1.0,
+            1e9,
+            InterleaveMismatch::none(),
+            &mut Rand::new(0),
+        );
     }
 }

@@ -194,7 +194,9 @@ mod tests {
         let noisy = SarAdc::with_mismatch(5, 1.0, 0.0, 0.05, &mut rng);
         // Input exactly between two codes: noise makes results vary.
         let mut rng2 = Rand::new(7);
-        let codes: Vec<u32> = (0..200).map(|_| noisy.convert_code(0.0, &mut rng2)).collect();
+        let codes: Vec<u32> = (0..200)
+            .map(|_| noisy.convert_code(0.0, &mut rng2))
+            .collect();
         let first = codes[0];
         assert!(codes.iter().any(|&c| c != first), "noise had no effect");
     }

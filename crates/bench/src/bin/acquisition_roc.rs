@@ -16,7 +16,11 @@ use uwb_sim::montecarlo::{resolve_threads, MonteCarlo};
 fn main() {
     println!(
         "{}",
-        banner("A5", "acquisition ROC: threshold / SNR / preamble length", "§1")
+        banner(
+            "A5",
+            "acquisition ROC: threshold / SNR / preamble length",
+            "§1"
+        )
     );
 
     let trials = 40u64;
@@ -75,31 +79,28 @@ fn main() {
             // the noise varies per trial.
             let mut detections = Vec::new();
             for snr_db in [-12.0f64, -9.0, -6.0] {
-                let det_run = MonteCarlo::new(
-                    EXPERIMENT_SEED ^ th.to_bits() ^ snr_db.to_bits(),
-                    trials,
-                )
-                .run(
-                    || {
-                        let engine = mk_engine();
-                        let burst = tx.transmit_packet(&[0x5A; 8]).expect("payload");
-                        let p = uwb_dsp::complex::mean_power(&burst.samples);
-                        let truth = tx.layout(8).slot0_start;
-                        (engine, burst, p, truth)
-                    },
-                    |(engine, burst, p, truth), _trial, rng, det: &mut u64| {
-                        let noisy = add_awgn_complex(
-                            &burst.samples,
-                            *p / uwb_dsp::math::db_to_pow(snr_db),
-                            rng,
-                        );
-                        let r = engine.acquire(&noisy, period);
-                        if r.detected && r.offset.abs_diff(*truth) <= 2 {
-                            *det += 1;
-                        }
-                    },
-                    |_| false,
-                );
+                let det_run =
+                    MonteCarlo::new(EXPERIMENT_SEED ^ th.to_bits() ^ snr_db.to_bits(), trials).run(
+                        || {
+                            let engine = mk_engine();
+                            let burst = tx.transmit_packet(&[0x5A; 8]).expect("payload");
+                            let p = uwb_dsp::complex::mean_power(&burst.samples);
+                            let truth = tx.layout(8).slot0_start;
+                            (engine, burst, p, truth)
+                        },
+                        |(engine, burst, p, truth), _trial, rng, det: &mut u64| {
+                            let noisy = add_awgn_complex(
+                                &burst.samples,
+                                *p / uwb_dsp::math::db_to_pow(snr_db),
+                                rng,
+                            );
+                            let r = engine.acquire(&noisy, period);
+                            if r.detected && r.offset.abs_diff(*truth) <= 2 {
+                                *det += 1;
+                            }
+                        },
+                        |_| false,
+                    );
                 total_trials += det_run.stats.trials;
                 total_wall += det_run.stats.wall;
                 detections.push(det_run.value);

@@ -8,10 +8,7 @@ use uwb_phy::{ChannelConditions, Gen2Config, LinkAdapter, PowerModel};
 use uwb_platform::report::Table;
 
 fn main() {
-    println!(
-        "{}",
-        banner("E12", "power / QoS / rate adaptation", "§3")
-    );
+    println!("{}", banner("E12", "power / QoS / rate adaptation", "§3"));
 
     let adapter = LinkAdapter::new(Gen2Config::nominal_100mbps(), PowerModel::cmos180());
 

@@ -102,9 +102,8 @@ fn interferer_ber(
             }
 
             let slot0_start = w.tx.layout(payload_len).slot0_start;
-            let stats = w
-                .rx
-                .payload_statistics_known_timing(&digitized, slot0_start, payload_len);
+            let stats =
+                w.rx.payload_statistics_known_timing(&digitized, slot0_start, payload_len);
             if let Ok(decoded) = decode_payload_bits(&stats, payload_len, &w.config) {
                 counter.add_bits(&reference_payload_bits(&payload), &decoded);
             }

@@ -12,10 +12,7 @@ use uwb_rf::TxChain;
 use uwb_sim::time::SampleRate;
 
 fn main() {
-    println!(
-        "{}",
-        banner("E9", "14-channel band plan occupancy", "§3")
-    );
+    println!("{}", banner("E9", "14-channel band plan occupancy", "§3"));
 
     // Baseband synthesized directly at the passband rate (sample-exact
     // upconversion).

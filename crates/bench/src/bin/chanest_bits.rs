@@ -83,8 +83,7 @@ fn main() {
 
     let four_bit = rows.iter().find(|(b, _)| *b == 4).unwrap().1;
     let one_bit = rows[0].1;
-    let ok = four_bit < 2.5 * float_ber.rate().max(1e-4)
-        && one_bit > four_bit;
+    let ok = four_bit < 2.5 * float_ber.rate().max(1e-4) && one_bit > four_bit;
     println!(
         "paper design point: 4-bit precision.\n\
          measured: 4-bit BER within ~2x of the unquantized estimator while\n\

@@ -10,7 +10,11 @@ use uwb_sim::Rand;
 fn main() {
     println!(
         "{}",
-        banner("A3", "802.15.3a channel statistics", "§1 multipath assumptions")
+        banner(
+            "A3",
+            "802.15.3a channel statistics",
+            "§1 multipath assumptions"
+        )
     );
 
     let ensemble = 200;

@@ -16,7 +16,11 @@ use uwb_sim::time::SampleRate;
 fn main() {
     println!(
         "{}",
-        banner("E2", "FCC −41.3 dBm/MHz mask compliance", "§1 + §3 band plan")
+        banner(
+            "E2",
+            "FCC −41.3 dBm/MHz mask compliance",
+            "§1 + §3 band plan"
+        )
     );
 
     // Synthesize the baseband directly at the passband simulation rate so

@@ -34,10 +34,7 @@ fn main() {
 
     // Burst duration at 10% of peak (matches scope-trace reading).
     let dt_ps = 1e12 / fs.as_hz();
-    let above = scaled
-        .iter()
-        .filter(|x| x.abs() > 0.1 * 0.150)
-        .count();
+    let above = scaled.iter().filter(|x| x.abs() > 0.1 * 0.150).count();
     let duration_ps = above as f64 * dt_ps;
 
     // Spectrum of the passband burst.
@@ -47,10 +44,13 @@ fn main() {
     let peak_f = psd.peak_frequency().abs();
     let pass_bw = psd.bandwidth_below_peak(10.0);
 
-    println!("\ntime-domain burst (~{:.0} ps per column, span ±150 mV):\n", {
-        let cols = 78.0;
-        scaled.len() as f64 * dt_ps / cols
-    });
+    println!(
+        "\ntime-domain burst (~{:.0} ps per column, span ±150 mV):\n",
+        {
+            let cols = 78.0;
+            scaled.len() as f64 * dt_ps / cols
+        }
+    );
     // Show the central ±3 ns of the burst.
     let half_window = (3e-9 * fs.as_hz()) as usize;
     let c = scaled.len() / 2;

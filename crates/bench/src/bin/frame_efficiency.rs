@@ -13,7 +13,11 @@ use uwb_platform::report::Table;
 fn main() {
     println!(
         "{}",
-        banner("A6", "frame efficiency vs preamble length", "§1 preamble budget")
+        banner(
+            "A6",
+            "frame efficiency vs preamble length",
+            "§1 preamble budget"
+        )
     );
 
     let mut table = Table::new(vec![

@@ -33,13 +33,7 @@ fn main() {
     let tx = Gen1Transmitter::new(cfg.clone());
     let rx = Gen1Receiver::new(cfg.clone(), InterleaveMismatch::typical(), EXPERIMENT_SEED);
 
-    let mut table = Table::new(vec![
-        "Eb/N0 (dB)",
-        "bits",
-        "errors",
-        "BER",
-        "sync ok",
-    ]);
+    let mut table = Table::new(vec!["Eb/N0 (dB)", "bits", "errors", "BER", "sync ok"]);
 
     // Eb = pulses_per_bit unit-energy pulses; for real AWGN the per-sample
     // noise power is N0/2, so noise_p = Eb / (2 * 10^(Eb/N0 / 10)).

@@ -6,7 +6,7 @@
 
 use uwb_adc::InterleaveMismatch;
 use uwb_bench::{banner, EXPERIMENT_SEED};
-use uwb_gen1::{Gen1Config, Gen1Receiver, Gen1Transmitter, Gen1Sync};
+use uwb_gen1::{Gen1Config, Gen1Receiver, Gen1Sync, Gen1Transmitter};
 use uwb_platform::report::Table;
 use uwb_sim::awgn::add_awgn_real;
 use uwb_sim::Rand;

@@ -29,7 +29,11 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     println!(
         "{}",
-        banner("E5", "gen2 100 Mbps link: BER vs Eb/N0, RAKE vs 1-finger", "§3 / Fig. 3")
+        banner(
+            "E5",
+            "gen2 100 Mbps link: BER vs Eb/N0, RAKE vs 1-finger",
+            "§3 / Fig. 3"
+        )
     );
 
     let grid = [2.0, 4.0, 6.0, 8.0, 10.0];
@@ -158,7 +162,10 @@ fn main() {
     let tps = if total_wall.as_secs_f64() < 1e-6 {
         "n/a trials/s".to_string()
     } else {
-        format!("{:.0} trials/s", total_trials as f64 / total_wall.as_secs_f64())
+        format!(
+            "{:.0} trials/s",
+            total_trials as f64 / total_wall.as_secs_f64()
+        )
     };
     println!(
         "\nengine: {total_trials} packet trials in {:.2} s on {} thread(s) \

@@ -55,7 +55,10 @@ fn main() {
             format!("{isr_db:.0}"),
             if report.detected { "yes" } else { "no" }.to_string(),
             format!("{:+.2}", report.frequency.as_mhz()),
-            format!("{:.0}", (report.frequency.as_hz() - f_mhz * 1e6).abs() / 1e3),
+            format!(
+                "{:.0}",
+                (report.frequency.as_hz() - f_mhz * 1e6).abs() / 1e3
+            ),
         ]);
     }
     println!("\nfrequency estimation (Welch + parabolic interpolation):\n{t1}");
@@ -106,8 +109,7 @@ fn main() {
         print!("{profile}");
     }
 
-    let ok = c_jam.rate() > 5.0 * c_clean.rate().max(1e-5)
-        && c_notch.rate() < c_jam.rate() / 3.0;
+    let ok = c_jam.rate() > 5.0 * c_clean.rate().max(1e-5) && c_notch.rate() < c_jam.rate() / 3.0;
     println!(
         "expected shape: interferer degrades BER by an order of magnitude;\n\
          the estimated-frequency notch recovers most of it -> {}",

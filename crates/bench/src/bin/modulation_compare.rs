@@ -23,7 +23,11 @@ fn theory(m: Modulation, ebn0: f64) -> f64 {
 fn main() {
     println!(
         "{}",
-        banner("E11", "modulation comparison within 500 MHz", "§3 + Fig. 4 context")
+        banner(
+            "E11",
+            "modulation comparison within 500 MHz",
+            "§3 + Fig. 4 context"
+        )
     );
 
     let grid = [2.0, 4.0, 6.0, 8.0, 10.0];

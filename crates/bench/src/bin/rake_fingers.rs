@@ -16,7 +16,11 @@ use uwb_sim::Rand;
 fn main() {
     println!(
         "{}",
-        banner("A1", "ablation: RAKE finger count", "§3 'programmable' RAKE")
+        banner(
+            "A1",
+            "ablation: RAKE finger count",
+            "§3 'programmable' RAKE"
+        )
     );
 
     let ebn0 = 9.0;

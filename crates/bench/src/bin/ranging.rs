@@ -33,7 +33,11 @@ fn ranging_code() -> SpreadCode {
 fn main() {
     println!(
         "{}",
-        banner("E13", "precise locationing via leading-edge TOA", "abstract")
+        banner(
+            "E13",
+            "precise locationing via leading-edge TOA",
+            "abstract"
+        )
     );
 
     let code = ranging_code();
@@ -41,7 +45,11 @@ fn main() {
     let est = ToaEstimator::new();
 
     // --- Part 1: TOA error vs matched-filter SNR (LOS, fractional delays) ---
-    let mut t1 = Table::new(vec!["per-sample SNR (dB)", "TOA RMS error (ps)", "range RMS (cm)"]);
+    let mut t1 = Table::new(vec![
+        "per-sample SNR (dB)",
+        "TOA RMS error (ps)",
+        "range RMS (cm)",
+    ]);
     for &snr_db in &[0.0f64, 6.0, 12.0, 20.0] {
         let mut rng = Rand::new(EXPERIMENT_SEED ^ snr_db.to_bits());
         let mut sq = 0.0;
@@ -66,7 +74,10 @@ fn main() {
         t1.row(vec![
             format!("{snr_db:.0}"),
             format!("{rms_ps:.0}"),
-            format!("{:.1}", rms_ps * 1e-12 * uwb_sim::pathloss::SPEED_OF_LIGHT * 1e2),
+            format!(
+                "{:.1}",
+                rms_ps * 1e-12 * uwb_sim::pathloss::SPEED_OF_LIGHT * 1e2
+            ),
         ]);
     }
     println!("\nLOS TOA accuracy (sub-sample parabolic refinement):\n{t1}");
@@ -103,11 +114,8 @@ fn main() {
                         let t_tx = 0.0;
                         let turnaround = 1000.0;
                         let measured_oneway_ns = toa.ns - 60.0; // template inserted at 60
-                        let r = solve_two_way(
-                            t_tx,
-                            2.0 * measured_oneway_ns + turnaround,
-                            turnaround,
-                        );
+                        let r =
+                            solve_two_way(t_tx, 2.0 * measured_oneway_ns + turnaround, turnaround);
                         let err_cm = (r.distance_m - dist_m).abs() * 100.0;
                         if which == 0 {
                             edge_errs.push(err_cm);

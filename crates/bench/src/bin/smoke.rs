@@ -133,7 +133,10 @@ fn replay(seed: u64) -> ExitCode {
 
     println!(
         "outcome: {} bit error(s) / {} bits, packets {}/{} ok, {} sync failure(s)",
-        outcome.ber.errors, outcome.ber.total, outcome.packets_ok, outcome.packets,
+        outcome.ber.errors,
+        outcome.ber.total,
+        outcome.packets_ok,
+        outcome.packets,
         outcome.sync_failures
     );
     let profile = stage_table(&telemetry);
@@ -170,7 +173,10 @@ fn main() -> ExitCode {
             .unwrap_or(400);
         return speedup(trials);
     }
-    println!("{}", banner("S0", "engine + link smoke check", "tier-1 gate"));
+    println!(
+        "{}",
+        banner("S0", "engine + link smoke check", "tier-1 gate")
+    );
 
     let config = Gen2Config {
         preamble_repeats: 2,
@@ -185,7 +191,10 @@ fn main() -> ExitCode {
 
     let mut failures = 0u32;
     if run.stop.truncated() {
-        eprintln!("FAIL: run truncated by the trial budget ({})", run.stats.trials);
+        eprintln!(
+            "FAIL: run truncated by the trial budget ({})",
+            run.stats.trials
+        );
         failures += 1;
     }
     if run.total == 0 {
@@ -245,7 +254,10 @@ fn main() -> ExitCode {
     }
     // Worst-trial flight recorder (seeds feed `smoke --replay-seed`).
     if !run.stats.telemetry.worst.is_empty() {
-        print!("\n{}", uwb_obs::recorder::render_report(&run.stats.telemetry.worst));
+        print!(
+            "\n{}",
+            uwb_obs::recorder::render_report(&run.stats.telemetry.worst)
+        );
     }
     // Optional span-timeline export.
     if let Some(path) = trace_arg(&args) {

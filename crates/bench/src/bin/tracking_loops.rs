@@ -22,7 +22,11 @@ use uwb_sim::{Hertz, Rand};
 fn main() {
     println!(
         "{}",
-        banner("A2", "fine tracking: DLL S-curve + PLL vs CFO", "Figs. 1 & 3 PLL/DLL")
+        banner(
+            "A2",
+            "fine tracking: DLL S-curve + PLL vs CFO",
+            "Figs. 1 & 3 PLL/DLL"
+        )
     );
 
     // --- Part 1: DLL discriminator S-curve and convergence ---
@@ -44,7 +48,11 @@ fn main() {
     }
     println!("\nDLL early-late S-curve (spacing 1 sample):\n{s_curve}");
 
-    let mut conv = Table::new(vec!["true offset", "DLL estimate after 30 updates", "residual"]);
+    let mut conv = Table::new(vec![
+        "true offset",
+        "DLL estimate after 30 updates",
+        "residual",
+    ]);
     for &off in &[0.15, 0.35, -0.45] {
         let sig = make_sig(off);
         let mut loop_dll = Dll::new(1.0, 0.4);
@@ -78,11 +86,7 @@ fn main() {
             let mut payload = vec![0u8; payload_len];
             rng.fill_bytes(&mut payload);
             let burst = tx.transmit_packet(&payload).expect("frame");
-            let mut lo = LocalOscillator::with_impairments(
-                Hertz::from_ghz(5.0),
-                cfo_ppm,
-                0.0,
-            );
+            let mut lo = LocalOscillator::with_impairments(Hertz::from_ghz(5.0), cfo_ppm, 0.0);
             let spun = lo.baseband_rotation(&burst.samples, cfg.sample_rate.as_hz(), &mut rng);
             let p = uwb_dsp::complex::mean_power(&spun);
             let noisy = add_awgn_complex(&spun, p / 20.0, &mut rng);
@@ -95,7 +99,11 @@ fn main() {
         counter
     };
 
-    let mut pll_table = Table::new(vec!["LO CFO (ppm @ 5 GHz)", "BER no tracking", "BER with PLL"]);
+    let mut pll_table = Table::new(vec![
+        "LO CFO (ppm @ 5 GHz)",
+        "BER no tracking",
+        "BER with PLL",
+    ]);
     for &ppm in &[0.0, 2.0, 5.0, 10.0, 20.0] {
         let off = run(ppm, false);
         let on = run(ppm, true);

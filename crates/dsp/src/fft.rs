@@ -88,7 +88,10 @@ impl Fft {
     ///
     /// Panics if `n` is zero or not a power of two.
     pub fn new(n: usize) -> Self {
-        assert!(n > 0 && n.is_power_of_two(), "FFT size must be a power of two");
+        assert!(
+            n > 0 && n.is_power_of_two(),
+            "FFT size must be a power of two"
+        );
         PLANS_BUILT.fetch_add(1, Ordering::Relaxed);
         let bits = n.trailing_zeros();
         let mut rev = vec![0usize; n];
@@ -242,7 +245,10 @@ impl FftPlanner {
     ///
     /// Panics if `n` is zero or not a power of two.
     fn plan(&mut self, n: usize) -> Rc<Fft> {
-        assert!(n > 0 && n.is_power_of_two(), "FFT size must be a power of two");
+        assert!(
+            n > 0 && n.is_power_of_two(),
+            "FFT size must be a power of two"
+        );
         let idx = n.trailing_zeros() as usize;
         if idx >= self.plans.len() {
             self.plans.resize(idx + 1, None);

@@ -42,23 +42,23 @@
 pub mod complex;
 pub mod correlation;
 pub mod fft;
-pub mod scratch;
 pub mod fir;
 pub mod iir;
 pub mod math;
 pub mod nco;
 pub mod psd;
 pub mod resample;
+pub mod scratch;
 pub mod simd;
 pub mod stream;
 pub mod window;
 
 pub use complex::Complex;
 pub use fft::Fft;
-pub use scratch::DspScratch;
 pub use fir::FirFilter;
 pub use iir::{Biquad, BiquadCascade};
 pub use nco::Nco;
-pub use stream::BlockProcessor;
 pub use psd::Psd;
+pub use scratch::DspScratch;
+pub use stream::BlockProcessor;
 pub use window::Window;

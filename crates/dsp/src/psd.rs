@@ -74,7 +74,11 @@ impl Psd {
         let mut acc = vals[peak];
         while acc < fraction * total && (lo > 0 || hi + 1 < vals.len()) {
             let left = if lo > 0 { vals[lo - 1] } else { -1.0 };
-            let right = if hi + 1 < vals.len() { vals[hi + 1] } else { -1.0 };
+            let right = if hi + 1 < vals.len() {
+                vals[hi + 1]
+            } else {
+                -1.0
+            };
             if left >= right {
                 lo -= 1;
                 acc += vals[lo];
@@ -119,11 +123,7 @@ fn periodogram(signal: &[Complex], fs: f64, window: Window) -> Psd {
     let n = signal.len();
     let w = window.generate(n);
     let wpow: f64 = w.iter().map(|x| x * x).sum::<f64>() / n as f64;
-    let mut buf: Vec<Complex> = signal
-        .iter()
-        .zip(&w)
-        .map(|(&z, &wk)| z * wk)
-        .collect();
+    let mut buf: Vec<Complex> = signal.iter().zip(&w).map(|(&z, &wk)| z * wk).collect();
     let nfft = next_pow2(n);
     buf.resize(nfft, Complex::ZERO);
     let spec = Fft::new(nfft).forward(&buf);
@@ -249,7 +249,9 @@ mod tests {
         let mut state = 0x2545F4914F6CDD1Du64;
         let sig: Vec<Complex> = (0..4096)
             .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let u = (state >> 11) as f64 / (1u64 << 53) as f64;
                 Complex::cis(std::f64::consts::TAU * u)
             })

@@ -133,8 +133,7 @@ mod tests {
         assert_eq!(y.len(), 256 * factor);
         // After the filter transient the upsampled tone sits at f/4 with ~unit amplitude.
         let tail = &y[y.len() / 2..];
-        let mean_amp: f64 =
-            tail.iter().map(|z| z.norm()).sum::<f64>() / tail.len() as f64;
+        let mean_amp: f64 = tail.iter().map(|z| z.norm()).sum::<f64>() / tail.len() as f64;
         assert!((mean_amp - 1.0).abs() < 0.05, "{mean_amp}");
     }
 
@@ -145,8 +144,7 @@ mod tests {
         let y = decimate(&x, 4);
         assert_eq!(y.len(), 256);
         let tail = &y[128..];
-        let mean_amp: f64 =
-            tail.iter().map(|z| z.norm()).sum::<f64>() / tail.len() as f64;
+        let mean_amp: f64 = tail.iter().map(|z| z.norm()).sum::<f64>() / tail.len() as f64;
         assert!((mean_amp - 1.0).abs() < 0.05, "{mean_amp}");
     }
 
@@ -157,8 +155,7 @@ mod tests {
         let x = tone(2048, f);
         let y = decimate(&x, 4);
         let tail = &y[256..];
-        let mean_amp: f64 =
-            tail.iter().map(|z| z.norm()).sum::<f64>() / tail.len() as f64;
+        let mean_amp: f64 = tail.iter().map(|z| z.norm()).sum::<f64>() / tail.len() as f64;
         assert!(mean_amp < 0.02, "alias leaked: {mean_amp}");
     }
 
@@ -188,7 +185,10 @@ mod tests {
         // Mid-signal phase difference should be ~2*pi*f*0.5 radians.
         let expected = -std::f64::consts::TAU * f * 0.5;
         let measured = (y[128] * x[128].conj()).arg();
-        assert!((measured - expected).abs() < 0.01, "{measured} vs {expected}");
+        assert!(
+            (measured - expected).abs() < 0.01,
+            "{measured} vs {expected}"
+        );
     }
 
     #[test]

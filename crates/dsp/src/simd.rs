@@ -444,8 +444,16 @@ mod tests {
         sincos_tau_block(&us, &mut s, &mut c);
         for ((&u, &sg), &cg) in us.iter().zip(&s).zip(&c) {
             let a = std::f64::consts::TAU * u;
-            assert!((sg - a.sin()).abs() < 1e-15, "sin(τ·{u}): {sg} vs {}", a.sin());
-            assert!((cg - a.cos()).abs() < 1e-15, "cos(τ·{u}): {cg} vs {}", a.cos());
+            assert!(
+                (sg - a.sin()).abs() < 1e-15,
+                "sin(τ·{u}): {sg} vs {}",
+                a.sin()
+            );
+            assert!(
+                (cg - a.cos()).abs() < 1e-15,
+                "cos(τ·{u}): {cg} vs {}",
+                a.cos()
+            );
             // The pair stays on the unit circle to high accuracy.
             assert!((sg * sg + cg * cg - 1.0).abs() < 1e-14);
         }

@@ -39,9 +39,7 @@ impl Window {
             Window::Rectangular => 1.0,
             Window::Hann => 0.5 - 0.5 * (two_pi * x).cos(),
             Window::Hamming => 0.54 - 0.46 * (two_pi * x).cos(),
-            Window::Blackman => {
-                0.42 - 0.5 * (two_pi * x).cos() + 0.08 * (2.0 * two_pi * x).cos()
-            }
+            Window::Blackman => 0.42 - 0.5 * (two_pi * x).cos() + 0.08 * (2.0 * two_pi * x).cos(),
             Window::Kaiser(beta) => {
                 let t = 2.0 * x - 1.0; // in [-1, 1]
                 bessel_i0(beta * (1.0 - t * t).max(0.0).sqrt()) / bessel_i0(beta)

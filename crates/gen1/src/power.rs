@@ -80,11 +80,7 @@ impl Gen1PowerModel {
         // Coarse-acquisition correlator bank (duty-cycled).
         blocks.push(BlockPower {
             name: format!("{}-way sync bank", config.sync_parallelism),
-            mw: config.sync_parallelism as f64
-                * config.prf().as_hz()
-                * e.mac
-                * self.sync_duty
-                * mw,
+            mw: config.sync_parallelism as f64 * config.prf().as_hz() * e.mac * self.sync_duty * mw,
             class: PowerClass::Digital,
         });
 
@@ -153,8 +149,6 @@ mod tests {
         let mut narrow = Gen1Config::demonstrated_193kbps();
         narrow.sync_parallelism = 64;
         let wide = Gen1Config::demonstrated_193kbps(); // 512
-        assert!(
-            model.breakdown(&wide).total_mw() > model.breakdown(&narrow).total_mw()
-        );
+        assert!(model.breakdown(&wide).total_mw() > model.breakdown(&narrow).total_mw());
     }
 }

@@ -66,8 +66,8 @@ impl MacLinkReport {
         };
         // Wall time simulated per replication: the arrival horizon, in
         // seconds (slot = slot_samples / sample_rate).
-        let slot_secs = plan.params.slot_samples as f64
-            / plan.net.links[l].scenario.config.sample_rate.as_hz();
+        let slot_secs =
+            plan.params.slot_samples as f64 / plan.net.links[l].scenario.config.sample_rate.as_hz();
         let sim_secs =
             plan.params.horizon_slots as f64 * plan.params.replications as f64 * slot_secs;
         let goodput_bps = if sim_secs > 0.0 {

@@ -403,13 +403,9 @@ impl DecodeLane {
             })
         });
         let mut ber = ErrorCounter::default();
-        let ok = self.mixer.decode_victim(
-            Layer::Mac,
-            rec,
-            sources,
-            self.pool.worker_for(l),
-            &mut ber,
-        );
+        let ok =
+            self.mixer
+                .decode_victim(Layer::Mac, rec, sources, self.pool.worker_for(l), &mut ber);
         Decoded { ok, ber }
     }
 }
@@ -557,7 +553,8 @@ impl MacWorker {
             let st = &mut self.links[l];
             let cw = plan.params.cw0 << st.be;
             let defer = 1 + st.rng.below(cw as usize) as u64;
-            self.events.push(now + defer, l as u32, EventKind::Attempt, 0);
+            self.events
+                .push(now + defer, l as u32, EventKind::Attempt, 0);
             return;
         }
         self.start_tx(plan, l, now, acc);
@@ -741,7 +738,14 @@ impl MacWorker {
         }
     }
 
-    fn on_ack_done(&mut self, plan: &MacPlan, l: usize, now: u64, acked: u32, acc: &mut MacAccumulator) {
+    fn on_ack_done(
+        &mut self,
+        plan: &MacPlan,
+        l: usize,
+        now: u64,
+        acked: u32,
+        acc: &mut MacAccumulator,
+    ) {
         let st = &mut self.links[l];
         let stats = &mut acc.links[l];
         let finish = if acked == 1 {

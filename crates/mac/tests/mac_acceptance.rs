@@ -226,7 +226,10 @@ fn cm1_report_is_bit_identical_at_one_and_two_threads() {
     let mut worker = MacWorker::new(&plan);
     worker.trial(&plan, 0, &mut MacAccumulator::default());
     let counts = worker.mix_counts();
-    assert!(counts.with_im > 0, "CM1 sources must mix with im planes: {counts:?}");
+    assert!(
+        counts.with_im > 0,
+        "CM1 sources must mix with im planes: {counts:?}"
+    );
     assert_eq!(counts.re_only, 0, "CM1 records are complex: {counts:?}");
 
     let serial = run_mac_plan_threads(plan, 1);
@@ -242,9 +245,7 @@ fn eight_user_awgn_ring_mixes_every_source_on_the_re_plane() {
     // The `mac_ring8_saturated` shape: eight users on four channels, past
     // the knee. On AWGN no record has an `im` plane.
     let mut sc = MacScenario::ring(8, 9.0, 1.2, 20050307);
-    sc.net.policy = ChannelPolicy::RoundRobin(
-        (3..7).map(|i| Channel::new(i).unwrap()).collect(),
-    );
+    sc.net.policy = ChannelPolicy::RoundRobin((3..7).map(|i| Channel::new(i).unwrap()).collect());
     sc.horizon_slots = 200;
     let plan = plan_mac(&sc);
     let mut worker = MacWorker::new(&plan);
@@ -252,7 +253,10 @@ fn eight_user_awgn_ring_mixes_every_source_on_the_re_plane() {
     worker.trial(&plan, 0, &mut acc);
     let counts = worker.mix_counts();
     assert!(counts.re_only > 0, "the ring must mix overlapping frames");
-    assert_eq!(counts.with_im, 0, "AWGN sources must mix re-only: {counts:?}");
+    assert_eq!(
+        counts.with_im, 0,
+        "AWGN sources must mix re-only: {counts:?}"
+    );
 }
 
 #[test]
@@ -273,9 +277,7 @@ fn small_city_never_overflows_the_mixing_ring() {
 #[ignore]
 fn eight_user_report_is_bit_identical_across_thread_counts() {
     let mut sc = MacScenario::ring(8, 9.0, 1.0, 77);
-    sc.net.policy = ChannelPolicy::RoundRobin(
-        (3..7).map(|i| Channel::new(i).unwrap()).collect(),
-    );
+    sc.net.policy = ChannelPolicy::RoundRobin((3..7).map(|i| Channel::new(i).unwrap()).collect());
     sc.horizon_slots = 400;
     sc.replications = 4;
     let serial = run_mac_plan_threads(plan_mac(&sc), 1);

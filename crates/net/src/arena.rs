@@ -240,8 +240,7 @@ mod tests {
     #[test]
     fn schedule_bounds_live_records() {
         // 4 links; victim 0 reads tx 2, victim 3 reads tx 1.
-        let rows: Vec<CouplingRow> =
-            vec![vec![(2, 0.5)], vec![], vec![], vec![(1, 0.25)]];
+        let rows: Vec<CouplingRow> = vec![vec![(2, 0.5)], vec![], vec![], vec![(1, 0.25)]];
         let s = RecordSchedule::build(4, &rows);
         // Sweep: v0 acquires {0, 2}, frees 0; v1 acquires 1 (live {1,2}),
         // v2 frees 2 after its own decode; v3 acquires 3, frees 1 and 3.
@@ -310,8 +309,7 @@ mod tests {
         // Victims 2 and 0 of a 4-link network: victim 2 reads tx 3, victim
         // 0 reads tx 3 and tx 1. Tx 3 lives across both positions; tx 2
         // dies after its own victim, before tx 0 and tx 1 arrive.
-        let rows: Vec<CouplingRow> =
-            vec![vec![(1, 0.5), (3, 0.5)], vec![], vec![(3, 0.5)], vec![]];
+        let rows: Vec<CouplingRow> = vec![vec![(1, 0.5), (3, 0.5)], vec![], vec![(3, 0.5)], vec![]];
         let s = RecordSchedule::ordered(vec![2, 0], &rows);
         assert_eq!(s.order(), &[2, 0]);
         assert_eq!(s.expiring_after(0), &[2]);

@@ -168,8 +168,12 @@ pub fn assign_network(scenario: &NetScenario) -> NetPlan {
     // Couplings below the scenario's floor are never enumerated; with the
     // default parameters the rows are bit-identical to the dense
     // `build_coupling` reference.
-    let coupling =
-        build_coupling_sparse(&scenario.topology, &scenario.selectivity, &channels, &scenario.coupling);
+    let coupling = build_coupling_sparse(
+        &scenario.topology,
+        &scenario.selectivity,
+        &channels,
+        &scenario.coupling,
+    );
 
     let links = channels
         .into_iter()
@@ -472,14 +476,9 @@ fn allocate_channels(scenario: &NetScenario) -> Vec<Channel> {
                     mixer.start_zeros(records[v].wave.len());
                     let mut any = false;
                     for (u, &ch_u) in assigned.iter().enumerate() {
-                        if let Some(db) = coupling_db(
-                            &scenario.topology,
-                            &scenario.selectivity,
-                            u,
-                            ch_u,
-                            v,
-                            cand,
-                        ) {
+                        if let Some(db) =
+                            coupling_db(&scenario.topology, &scenario.selectivity, u, ch_u, v, cand)
+                        {
                             mixer.add(&records[u].wave, 0, 10f64.powf(db / 20.0));
                             any = true;
                         }
@@ -554,7 +553,11 @@ mod tests {
         ]);
         sc.rounds = 1;
         let plan = plan_network(&sc);
-        assert_eq!(plan.links[0].channel.index(), 3, "first pick: first candidate");
+        assert_eq!(
+            plan.links[0].channel.index(),
+            3,
+            "first pick: first candidate"
+        );
         assert_eq!(plan.links[1].channel.index(), 9, "second link must dodge");
         assert!(plan.coupling.iter().all(|r| r.is_empty()));
         assert_eq!(plan.links[1].interference_rel_db, f64::NEG_INFINITY);

@@ -211,7 +211,8 @@ pub fn build_coupling_sparse(
         for (cu, grid) in grids.iter().enumerate() {
             let Some(grid) = grid else { continue };
             let Some(s) = spectral[cu][cv] else { continue };
-            let radius = interference_radius_m(topology, own_pl[v], s, params.floor_db, f, exponent);
+            let radius =
+                interference_radius_m(topology, own_pl[v], s, params.floor_db, f, exponent);
             grid.within_radius_into(topology.links[v].rx, radius, &mut cand);
             for &u in &cand {
                 let u = u as usize;
@@ -279,8 +280,14 @@ pub fn sense_sets(rows: &[CouplingRow], sense_threshold_db: f64) -> Vec<Vec<usiz
 fn auto_cell_m(topology: &Topology) -> f64 {
     let xs = topology.links.iter().map(|l| l.tx.x);
     let ys = topology.links.iter().map(|l| l.tx.y);
-    let (min_x, max_x) = (xs.clone().fold(f64::INFINITY, f64::min), xs.fold(f64::NEG_INFINITY, f64::max));
-    let (min_y, max_y) = (ys.clone().fold(f64::INFINITY, f64::min), ys.fold(f64::NEG_INFINITY, f64::max));
+    let (min_x, max_x) = (
+        xs.clone().fold(f64::INFINITY, f64::min),
+        xs.fold(f64::NEG_INFINITY, f64::max),
+    );
+    let (min_y, max_y) = (
+        ys.clone().fold(f64::INFINITY, f64::min),
+        ys.fold(f64::NEG_INFINITY, f64::max),
+    );
     let area = (max_x - min_x) * (max_y - min_y);
     let cell = (area / topology.len().max(1) as f64).sqrt();
     if cell.is_finite() && cell > 0.0 {
@@ -331,11 +338,7 @@ mod tests {
     fn sense_sets_symmetrize_and_threshold() {
         // 3 links; directed rows: 0 hears 1 loudly (0 dB), 1 hears 2
         // faintly (-60 dB), 2 hears nobody.
-        let rows: Vec<CouplingRow> = vec![
-            vec![(1, 1.0)],
-            vec![(2, 1e-3)],
-            vec![],
-        ];
+        let rows: Vec<CouplingRow> = vec![vec![(1, 1.0)], vec![(2, 1e-3)], vec![]];
         // Threshold between the two edge strengths: only the 0<->1 pair is
         // mutually sensed; the 1<-2 edge stays a hidden terminal.
         let sets = sense_sets(&rows, -40.0);
@@ -423,7 +426,11 @@ mod tests {
             assert_eq!(d.len(), s.len(), "victim {v}: {d:?} vs {s:?}");
             for ((du, dg), (su, sg)) in d.iter().zip(s) {
                 assert_eq!(du, su, "victim {v} edge set differs");
-                assert_eq!(dg.to_bits(), sg.to_bits(), "victim {v} tx {du} gain differs");
+                assert_eq!(
+                    dg.to_bits(),
+                    sg.to_bits(),
+                    "victim {v} tx {du} gain differs"
+                );
             }
         }
     }

@@ -460,7 +460,12 @@ pub(crate) mod oracle {
             mix_noisy(victim, sources)
         };
         let _t = layer.rx_span();
-        rx.count_errors_in_record(&mixed, victim.synthesis().slot0_start, &victim.payload, counter)
+        rx.count_errors_in_record(
+            &mixed,
+            victim.synthesis().slot0_start,
+            &victim.payload,
+            counter,
+        )
     }
 }
 
@@ -489,7 +494,13 @@ mod tests {
     fn synth(worker: &mut LinkWorker, sc: &LinkScenario, trial: u64) -> TxRecord {
         let mut record = TxRecord::default();
         let mut synth = Vec::new();
-        record.synthesize(worker, sc, 16, &mut Rand::for_trial(sc.seed, trial), &mut synth);
+        record.synthesize(
+            worker,
+            sc,
+            16,
+            &mut Rand::for_trial(sc.seed, trial),
+            &mut synth,
+        );
         assert_eq!(
             bits(&record.wave.to_complex()),
             bits(&synth),
@@ -576,7 +587,12 @@ mod tests {
         let sc = scenario(ChannelModel::Awgn, 8.0, 77);
         let mut w = LinkWorker::new(&sc);
         let mut own = synth(&mut w, &sc, 0);
-        let negative: Vec<Complex> = own.wave.re().iter().map(|&r| Complex::new(r, -0.0)).collect();
+        let negative: Vec<Complex> = own
+            .wave
+            .re()
+            .iter()
+            .map(|&r| Complex::new(r, -0.0))
+            .collect();
         own.wave.set_from(&negative);
         assert!(own.wave.im().is_some(), "−0.0 keeps the im plane");
         let src = synth(&mut w, &sc, 1).wave;

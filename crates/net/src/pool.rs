@@ -72,9 +72,7 @@ mod tests {
         // 6 links round-robin over 3 channels -> 3 distinct configs.
         let mut sc = NetScenario::ring(6, 8.0, 7);
         sc.probe_spectral = false;
-        sc.policy = ChannelPolicy::RoundRobin(
-            (3..6).map(|i| Channel::new(i).unwrap()).collect(),
-        );
+        sc.policy = ChannelPolicy::RoundRobin((3..6).map(|i| Channel::new(i).unwrap()).collect());
         let plan = plan_network(&sc);
         let pool = WorkerPool::new(&plan);
         assert_eq!(pool.links(), 6);

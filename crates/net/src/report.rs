@@ -146,9 +146,7 @@ mod tests {
 
     #[test]
     fn throughput_scales_with_per() {
-        let plan = crate::controller::plan_network(&crate::scenario::NetScenario::ring(
-            1, 8.0, 9,
-        ));
+        let plan = crate::controller::plan_network(&crate::scenario::NetScenario::ring(1, 8.0, 9));
         let stats = LinkRoundStats {
             packets: 4,
             packets_bad: 1,
@@ -161,9 +159,7 @@ mod tests {
 
     #[test]
     fn unmeasured_link_reports_nan_per_and_zero_goodput() {
-        let plan = crate::controller::plan_network(&crate::scenario::NetScenario::ring(
-            1, 8.0, 9,
-        ));
+        let plan = crate::controller::plan_network(&crate::scenario::NetScenario::ring(1, 8.0, 9));
         let r = LinkReport::new(&plan.links[0], &LinkRoundStats::default());
         assert!(r.per().is_nan(), "no packets must read as no-data");
         assert_eq!(r.throughput_bps, 0.0, "no data delivered -> zero goodput");

@@ -515,7 +515,11 @@ mod tests {
         };
         let before = planes(&w.arena.record(1).wave);
         w.decode(&plan, 1, &mut ErrorCounter::default());
-        assert_eq!(planes(&w.arena.record(1).wave), before, "the decode wrote its own record");
+        assert_eq!(
+            planes(&w.arena.record(1).wave),
+            before,
+            "the decode wrote its own record"
+        );
 
         let (a, _) = sweep(&plan, reversed, 6);
         let (b, _) = sweep(&plan, RecordSchedule::build(2, &plan.coupling), 6);

@@ -115,7 +115,12 @@ impl NetScenario {
     /// radius, 1 m links), round-robin channels, and a finite coupling
     /// floor so the interference graph stays sparse. Spectral probing is
     /// off — this is the constructor for large-N scaling runs.
-    pub fn clustered_city(clusters: usize, per_cluster: usize, ebn0_db: f64, seed: u64) -> NetScenario {
+    pub fn clustered_city(
+        clusters: usize,
+        per_cluster: usize,
+        ebn0_db: f64,
+        seed: u64,
+    ) -> NetScenario {
         let mut sc = NetScenario::ring(1, ebn0_db, seed);
         sc.topology = Topology::clustered(clusters, per_cluster, 20.0, 3.0, 1.0, seed);
         sc.coupling.floor_db = -40.0;

@@ -207,8 +207,7 @@ macro_rules! digest {
 #[macro_export]
 macro_rules! note {
     ($name:expr, $value:expr) => {{
-        static __UWB_OBS_NOTE: ::std::sync::OnceLock<$crate::NoteId> =
-            ::std::sync::OnceLock::new();
+        static __UWB_OBS_NOTE: ::std::sync::OnceLock<$crate::NoteId> = ::std::sync::OnceLock::new();
         let __id = *__UWB_OBS_NOTE.get_or_init(|| $crate::register_note($name));
         $crate::recorder::record_note(__id, $value);
     }};

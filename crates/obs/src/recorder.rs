@@ -385,7 +385,10 @@ mod tests {
         assert_eq!(crumbs.len(), CRUMB_SLOTS);
         assert_eq!(f.events_seen as usize, CRUMB_SLOTS + 4);
         assert_eq!(crumbs[0], ("rec_test_evt", 4));
-        assert_eq!(crumbs[CRUMB_SLOTS - 1], ("rec_test_evt", CRUMB_SLOTS as u64 + 3));
+        assert_eq!(
+            crumbs[CRUMB_SLOTS - 1],
+            ("rec_test_evt", CRUMB_SLOTS as u64 + 3)
+        );
         // The report renders every captured trial and parses as text.
         let report = render_report(&snap.worst);
         assert!(report.contains("rec_test_gain=15"), "{report}");

@@ -108,25 +108,41 @@ pub fn register_note(name: &'static str) -> NoteId {
 /// Names of all registered stages, indexed by [`StageId`].
 #[cfg_attr(not(feature = "obs"), allow(dead_code))]
 pub(crate) fn stage_names() -> Vec<&'static str> {
-    REGISTRY.lock().expect("obs registry poisoned").stages.clone()
+    REGISTRY
+        .lock()
+        .expect("obs registry poisoned")
+        .stages
+        .clone()
 }
 
 /// Names of all registered events, indexed by [`EventId`].
 #[cfg_attr(not(feature = "obs"), allow(dead_code))]
 pub(crate) fn event_names() -> Vec<&'static str> {
-    REGISTRY.lock().expect("obs registry poisoned").events.clone()
+    REGISTRY
+        .lock()
+        .expect("obs registry poisoned")
+        .events
+        .clone()
 }
 
 /// Names of all registered percentile digests, indexed by [`DigestId`].
 #[cfg_attr(not(feature = "obs"), allow(dead_code))]
 pub(crate) fn digest_names() -> Vec<&'static str> {
-    REGISTRY.lock().expect("obs registry poisoned").digests.clone()
+    REGISTRY
+        .lock()
+        .expect("obs registry poisoned")
+        .digests
+        .clone()
 }
 
 /// Names of all registered flight-recorder notes, indexed by [`NoteId`].
 #[cfg_attr(not(feature = "obs"), allow(dead_code))]
 pub(crate) fn note_names() -> Vec<&'static str> {
-    REGISTRY.lock().expect("obs registry poisoned").notes.clone()
+    REGISTRY
+        .lock()
+        .expect("obs registry poisoned")
+        .notes
+        .clone()
 }
 
 #[cfg(test)]

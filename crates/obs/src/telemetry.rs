@@ -492,7 +492,10 @@ mod tests {
         let p95 = d.quantile(0.95);
         let p99 = d.quantile(0.99);
         assert!(p50 <= 7, "p50 {p50} should sit in the small mass");
-        assert!((937..=1000).contains(&p95), "p95 {p95} should hit the outliers");
+        assert!(
+            (937..=1000).contains(&p95),
+            "p95 {p95} should hit the outliers"
+        );
         assert_eq!(p99, 1000, "p99 clamps to the exact max's bin edge");
         assert!(p50 <= p95 && p95 <= p99 && p99 <= d.max);
         // Empty digest yields zeros, not panics.

@@ -201,7 +201,12 @@ mod tests {
         assert_eq!(events[0].get("ph").unwrap().as_str(), Some("X"));
         assert_eq!(events[0].get("ts").unwrap().as_num(), Some(1234.567));
         assert_eq!(
-            events[1].get("args").unwrap().get("trial").unwrap().as_num(),
+            events[1]
+                .get("args")
+                .unwrap()
+                .get("trial")
+                .unwrap()
+                .as_num(),
             Some(4.0)
         );
         // Empty timeline still renders a valid document.

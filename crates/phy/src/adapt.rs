@@ -225,7 +225,11 @@ mod tests {
         let cap = reused.capacity();
         a.trade_curve_into(&snrs[..3], 10.0, &mut reused);
         assert_eq!(reused.len(), 3);
-        assert_eq!(reused.capacity(), cap, "buffer must be reused, not reallocated");
+        assert_eq!(
+            reused.capacity(),
+            cap,
+            "buffer must be reused, not reallocated"
+        );
     }
 
     #[test]

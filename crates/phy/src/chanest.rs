@@ -142,7 +142,9 @@ pub fn estimate_cir(
     let mut est = ChannelEstimate {
         taps: vec![Complex::ZERO; window.max(1)],
     };
-    estimate_cir_into(signal, template, start, window, periods, period_len, &mut est);
+    estimate_cir_into(
+        signal, template, start, window, periods, period_len, &mut est,
+    );
     est
 }
 

@@ -79,7 +79,10 @@ impl ConvCode {
     ///
     /// Panics if the input length is odd or shorter than the tail.
     pub fn decode_soft(&self, soft: &[f64]) -> Vec<bool> {
-        assert!(soft.len().is_multiple_of(2), "rate-1/2 input must have even length");
+        assert!(
+            soft.len().is_multiple_of(2),
+            "rate-1/2 input must have even length"
+        );
         let n_steps = soft.len() / 2;
         let k = self.constraint_length as usize;
         assert!(n_steps >= k - 1, "input shorter than the code tail");

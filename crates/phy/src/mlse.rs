@@ -229,13 +229,8 @@ mod tests {
         let rx = apply_symbol_channel(&symbols, &h);
         let mut rng = Rand::new(3);
         let noisy = add_awgn_complex(&rx, 0.4, &mut rng);
-        let count_err = |decided: &[bool]| {
-            decided
-                .iter()
-                .zip(&symbols)
-                .filter(|(a, b)| a != b)
-                .count()
-        };
+        let count_err =
+            |decided: &[bool]| decided.iter().zip(&symbols).filter(|(a, b)| a != b).count();
         let e_mlse = count_err(&eq.equalize(&noisy));
         let e_thresh = count_err(&eq.threshold_detect(&noisy));
         assert!(

@@ -254,8 +254,10 @@ mod tests {
             for bit in [false, true] {
                 let amps = m.map(&[bit]);
                 // Random carrier phase — noncoherent must still decide right.
-                let slots: Vec<Complex> =
-                    amps.iter().map(|&a| Complex::from_polar(a, 1.234)).collect();
+                let slots: Vec<Complex> = amps
+                    .iter()
+                    .map(|&a| Complex::from_polar(a, 1.234))
+                    .collect();
                 let (decided, _) = m.demap_noncoherent(&slots).unwrap();
                 assert_eq!(decided, vec![bit], "{m} bit {bit}");
             }
@@ -288,12 +290,7 @@ mod tests {
             .collect();
         level_bits.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
         for w in level_bits.windows(2) {
-            let diff = w[0]
-                .1
-                .iter()
-                .zip(&w[1].1)
-                .filter(|(a, b)| a != b)
-                .count();
+            let diff = w[0].1.iter().zip(&w[1].1).filter(|(a, b)| a != b).count();
             assert_eq!(diff, 1, "not Gray: {:?} vs {:?}", w[0], w[1]);
         }
     }

@@ -94,9 +94,9 @@ pub struct FrameSlots {
 impl FrameSlots {
     /// All slots concatenated in transmission order.
     pub fn concat(&self) -> Vec<f64> {
-        let mut v =
-            Vec::with_capacity(self.preamble.len() + self.sfd.len() + self.header.len()
-                + self.payload.len());
+        let mut v = Vec::with_capacity(
+            self.preamble.len() + self.sfd.len() + self.header.len() + self.payload.len(),
+        );
         v.extend_from_slice(&self.preamble);
         v.extend_from_slice(&self.sfd);
         v.extend_from_slice(&self.header);
@@ -691,8 +691,7 @@ mod tests {
         // A flipped slot produces exactly one bit error (uncoded BPSK).
         let mut stats = to_stats(&frame.payload);
         stats[7] = -stats[7];
-        let noisy_bits =
-            decode_payload_bits(&stats, payload.len(), &config).unwrap();
+        let noisy_bits = decode_payload_bits(&stats, payload.len(), &config).unwrap();
         let diff = noisy_bits
             .iter()
             .zip(reference_payload_bits(&payload))

@@ -79,19 +79,19 @@ fn primitive_taps(degree: u32) -> u32 {
     // to the x^i term of a primitive polynomial x^degree + … + 1; all
     // entries verified maximal-length against this exact implementation.
     match degree {
-        3 => 0o3,   // x^3 + x + 1
-        4 => 0o3,   // x^4 + x + 1
-        5 => 0o5,   // x^5 + x^2 + 1
-        6 => 0o3,   // x^6 + x + 1
-        7 => 0o3,   // x^7 + x + 1
-        8 => 0o35,  // x^8 + x^4 + x^3 + x^2 + 1
-        9 => 0o21,  // x^9 + x^4 + 1
-        10 => 0o11, // x^10 + x^3 + 1
-        11 => 0o5,  // x^11 + x^2 + 1
+        3 => 0o3,    // x^3 + x + 1
+        4 => 0o3,    // x^4 + x + 1
+        5 => 0o5,    // x^5 + x^2 + 1
+        6 => 0o3,    // x^6 + x + 1
+        7 => 0o3,    // x^7 + x + 1
+        8 => 0o35,   // x^8 + x^4 + x^3 + x^2 + 1
+        9 => 0o21,   // x^9 + x^4 + 1
+        10 => 0o11,  // x^10 + x^3 + 1
+        11 => 0o5,   // x^11 + x^2 + 1
         12 => 0o123, // x^12 + x^6 + x^4 + x + 1
-        13 => 0o33, // x^13 + x^4 + x^3 + x + 1
-        14 => 0o53, // x^14 + x^5 + x^3 + x + 1
-        15 => 0o3,  // x^15 + x + 1
+        13 => 0o33,  // x^13 + x^4 + x^3 + x + 1
+        14 => 0o53,  // x^14 + x^5 + x^3 + x + 1
+        15 => 0o3,   // x^15 + x + 1
         _ => panic!("unsupported m-sequence degree {degree} (3..=15)"),
     }
 }

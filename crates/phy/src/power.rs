@@ -162,8 +162,7 @@ impl PowerModel {
         });
 
         // --- ADCs: two SAR converters at the sample rate ---
-        let sar_energy_per_conv =
-            config.adc_bits as f64 * (e.comparator + e.dac_settle);
+        let sar_energy_per_conv = config.adc_bits as f64 * (e.comparator + e.dac_settle);
         blocks.push(BlockPower {
             name: format!("2x {}-bit SAR ADC", config.adc_bits),
             mw: 2.0 * fs * sar_energy_per_conv * mw,
@@ -183,7 +182,11 @@ impl PowerModel {
         // complex MAC per chip, duty-cycled to the preamble.
         blocks.push(BlockPower {
             name: format!("{}-way acquisition bank", self.acquisition_parallelism),
-            mw: self.acquisition_parallelism as f64 * prf * 2.0 * e.mac * self.acquisition_duty
+            mw: self.acquisition_parallelism as f64
+                * prf
+                * 2.0
+                * e.mac
+                * self.acquisition_duty
                 * mw,
             class: PowerClass::Digital,
         });
@@ -283,9 +286,7 @@ mod tests {
         small.rake_fingers = 2;
         let mut big = Gen2Config::nominal_100mbps();
         big.rake_fingers = 16;
-        assert!(
-            model.breakdown(&big).total_mw() > model.breakdown(&small).total_mw()
-        );
+        assert!(model.breakdown(&big).total_mw() > model.breakdown(&small).total_mw());
     }
 
     #[test]

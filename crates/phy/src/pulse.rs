@@ -98,7 +98,10 @@ fn gaussian_pulse(bandwidth: Hertz, fs: SampleRate) -> Vec<f64> {
 fn monocycle_pulse(center: Hertz, fs: SampleRate) -> Vec<f64> {
     let fc = center.as_hz();
     assert!(fc > 0.0, "center frequency must be positive");
-    assert!(fc < fs.as_hz() / 2.0, "sample rate too low for the monocycle");
+    assert!(
+        fc < fs.as_hz() / 2.0,
+        "sample rate too low for the monocycle"
+    );
     // First Gaussian derivative: peak spectral response at f_p = 1/(2 pi sigma).
     let sigma = 1.0 / (std::f64::consts::TAU * fc);
     let dt = 1.0 / fs.as_hz();
@@ -114,7 +117,10 @@ fn monocycle_pulse(center: Hertz, fs: SampleRate) -> Vec<f64> {
 fn rrc_pulse(chip_rate: Hertz, roll_off: f64, fs: SampleRate) -> Vec<f64> {
     let rc = chip_rate.as_hz();
     assert!(rc > 0.0, "chip rate must be positive");
-    assert!((0.0..=1.0).contains(&roll_off), "roll-off must be in [0, 1]");
+    assert!(
+        (0.0..=1.0).contains(&roll_off),
+        "roll-off must be in [0, 1]"
+    );
     assert!(
         rc * (1.0 + roll_off) / 2.0 < fs.as_hz() / 2.0,
         "sample rate too low for the RRC bandwidth"

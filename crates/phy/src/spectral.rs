@@ -194,7 +194,11 @@ mod tests {
         let report = SpectralMonitor::new().analyze(&sig, FS);
         assert!(report.detected);
         assert!((report.frequency.as_hz() - 180e6).abs() < 2e6);
-        assert!(report.relative_power_db > -3.0, "{}", report.relative_power_db);
+        assert!(
+            report.relative_power_db > -3.0,
+            "{}",
+            report.relative_power_db
+        );
     }
 
     #[test]

@@ -59,8 +59,13 @@ pub enum StreamPhase {
 #[derive(Debug, Clone, Copy)]
 enum Phase {
     Searching,
-    Acquired { acq: AcquisitionResult },
-    Decoding { acq: AcquisitionResult, header: Header },
+    Acquired {
+        acq: AcquisitionResult,
+    },
+    Decoding {
+        acq: AcquisitionResult,
+        header: Header,
+    },
 }
 
 /// The incremental streaming receiver.
@@ -242,7 +247,11 @@ impl StreamRx {
                     if have_end < self.cursor + need {
                         return;
                     }
-                    let end = if draining { have_end } else { self.cursor + need };
+                    let end = if draining {
+                        have_end
+                    } else {
+                        self.cursor + need
+                    };
                     let acq = self.digitize_and_acquire(end, search_len);
                     if !acq.detected {
                         uwb_obs::event!("acq_miss");
@@ -297,8 +306,8 @@ impl StreamRx {
                     match self.rx.decode_frame_at(&mut self.state, acq.offset) {
                         Ok((hdr, payload)) => {
                             let frame_start = self.cursor + acq.offset;
-                            let advance = acq.offset
-                                + self.rx.layout(hdr.payload_len).total_slots * sps;
+                            let advance =
+                                acq.offset + self.rx.layout(hdr.payload_len).total_slots * sps;
                             self.packets.push((
                                 frame_start,
                                 ReceivedPacket {

@@ -47,12 +47,7 @@ impl Dll {
     /// The early−late discriminator: correlates the template at
     /// `center ± spacing` and returns the normalized error (positive means
     /// the true peak is later than `center`).
-    pub fn discriminant(
-        &self,
-        signal: &[Complex],
-        template: &[Complex],
-        center: f64,
-    ) -> f64 {
+    pub fn discriminant(&self, signal: &[Complex], template: &[Complex], center: f64) -> f64 {
         let early = correlate_at(signal, template, center - self.spacing + self.timing);
         let late = correlate_at(signal, template, center + self.spacing + self.timing);
         let (e, l) = (early.norm(), late.norm());

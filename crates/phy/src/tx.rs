@@ -137,7 +137,10 @@ impl Gen2Transmitter {
                 k += 1;
             }
         }
-        debug_assert_eq!(k, layout.total_slots, "frame slots disagree with the layout");
+        debug_assert_eq!(
+            k, layout.total_slots,
+            "frame slots disagree with the layout"
+        );
         burst.sample_rate = self.config.sample_rate;
         burst.slot0_center = layout.guard;
         burst.samples_per_slot = sps;

@@ -383,8 +383,13 @@ impl LinkWorker {
         // `mem::take` detaches the record buffer so the `_record` variant can
         // borrow it alongside `&mut self`; swap-restore, no allocation.
         let mut samples = std::mem::take(&mut self.samples);
-        let clean =
-            self.synthesize_clean_streamed_record(scenario, payload_len, block_len, rng, &mut samples);
+        let clean = self.synthesize_clean_streamed_record(
+            scenario,
+            payload_len,
+            block_len,
+            rng,
+            &mut samples,
+        );
         self.samples = samples;
         clean
     }
@@ -1174,8 +1179,7 @@ mod tests {
                     let layout = w.tx.layout(payload_len);
                     for t in 0..4 {
                         let mut rng = Rand::for_trial(sc.seed, (m * 4 + t) as u64);
-                        let clean =
-                            w.synthesize_clean_streamed(&sc, payload_len, 4096, &mut rng);
+                        let clean = w.synthesize_clean_streamed(&sc, payload_len, 4096, &mut rng);
                         let tail = w.stream_channel.tail_len();
                         let what = format!("config {c}, {channel:?}, {payload_len} B");
                         assert_eq!(tail == 0, channel == ChannelModel::Awgn, "{what}");

@@ -90,12 +90,7 @@ pub struct MaskReport {
 /// # Panics
 ///
 /// Panics if the waveform is empty or `duty` is outside `(0, 1]`.
-pub fn check_mask(
-    waveform: &[f64],
-    fs: SampleRate,
-    mask: &[MaskSegment],
-    duty: f64,
-) -> MaskReport {
+pub fn check_mask(waveform: &[f64], fs: SampleRate, mask: &[MaskSegment], duty: f64) -> MaskReport {
     assert!(!waveform.is_empty(), "cannot check an empty waveform");
     assert!(duty > 0.0 && duty <= 1.0, "duty must be in (0, 1]");
     let psd = welch_real(waveform, fs.as_hz(), 4096, Window::Blackman);
@@ -145,10 +140,7 @@ pub fn scale_to_mask(
     let report = check_mask(waveform, fs, mask, duty);
     let delta_db = target_dbm - report.peak_density_dbm_per_mhz;
     let amp = uwb_dsp::math::db_to_amp(delta_db);
-    (
-        waveform.iter().map(|&x| x * amp).collect(),
-        delta_db,
-    )
+    (waveform.iter().map(|&x| x * amp).collect(), delta_db)
 }
 
 #[cfg(test)]

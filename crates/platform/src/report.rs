@@ -162,7 +162,10 @@ pub fn oscillogram(samples: &[f64], rows: usize, cols: usize) -> String {
     if samples.is_empty() || rows < 3 || cols < 3 {
         return String::new();
     }
-    let max = samples.iter().fold(0.0f64, |m, x| m.max(x.abs())).max(1e-30);
+    let max = samples
+        .iter()
+        .fold(0.0f64, |m, x| m.max(x.abs()))
+        .max(1e-30);
     let mut grid = vec![vec![' '; cols]; rows];
     for (c, _) in (0..cols).enumerate() {
         let idx = c * (samples.len() - 1) / (cols - 1);
@@ -256,7 +259,9 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
         // All lines the same width.
-        assert!(lines.iter().all(|l| l.chars().count() == lines[0].chars().count()));
+        assert!(lines
+            .iter()
+            .all(|l| l.chars().count() == lines[0].chars().count()));
         assert!(s.contains("Eb/N0"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
@@ -353,9 +358,7 @@ mod tests {
 
     #[test]
     fn oscillogram_renders() {
-        let wave: Vec<f64> = (0..200)
-            .map(|i| (i as f64 * 0.3).sin())
-            .collect();
+        let wave: Vec<f64> = (0..200).map(|i| (i as f64 * 0.3).sin()).collect();
         let s = oscillogram(&wave, 11, 60);
         assert_eq!(s.lines().count(), 11);
         assert!(s.contains('*'));

@@ -55,12 +55,7 @@ impl Lna {
     /// the polynomial's own peak, then holds that level (hard saturation) —
     /// a cubic extrapolated past its monotonic region would non-physically
     /// re-expand and invert.
-    pub fn amplify_real(
-        &self,
-        input: &[f64],
-        noise_power_in: f64,
-        rng: &mut Rand,
-    ) -> Vec<f64> {
+    pub fn amplify_real(&self, input: &[f64], noise_power_in: f64, rng: &mut Rand) -> Vec<f64> {
         let g = self.gain_linear();
         let c3 = self.c3();
         // The cubic g(x - c3 x^3) peaks at x_sat = 1/sqrt(3 c3).

@@ -176,7 +176,12 @@ mod tests {
             .map(|i| out[i + 40_000] * out[i].conj())
             .sum::<Complex>()
             / 50_000.0;
-        assert!(corr_short.norm() > corr_long.norm(), "{} vs {}", corr_short.norm(), corr_long.norm());
+        assert!(
+            corr_short.norm() > corr_long.norm(),
+            "{} vs {}",
+            corr_short.norm(),
+            corr_long.norm()
+        );
     }
 
     #[test]

@@ -140,8 +140,7 @@ mod tests {
         let mut rng = Rand::new(4);
         let mut notch = TunableNotch::new(fs(), 30.0);
         for f_mhz in [-180.0, -40.0, 90.0, 210.0] {
-            let tone =
-                Interferer::cw(f_mhz * 1e6, 1.0).generate(16_384, fs().as_hz(), &mut rng);
+            let tone = Interferer::cw(f_mhz * 1e6, 1.0).generate(16_384, fs().as_hz(), &mut rng);
             notch.tune(Hertz::from_mhz(f_mhz));
             assert_eq!(notch.center(), Some(Hertz::from_mhz(f_mhz)));
             let out = notch.process(&tone);

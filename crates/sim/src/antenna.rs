@@ -9,7 +9,7 @@
 //! response is convolved into the passband signal path.
 
 use crate::time::{Hertz, SampleRate};
-use uwb_dsp::{BiquadCascade, Biquad};
+use uwb_dsp::{Biquad, BiquadCascade};
 
 /// Band-pass behavioral model of the UWB antenna.
 #[derive(Debug, Clone)]

@@ -522,7 +522,10 @@ mod tests {
         let json = s.to_json();
         assert!(json.contains("\"schema\":\"uwb-telemetry-v3\""), "{json}");
         assert!(json.contains("\"trials\":"), "{json}");
-        assert!(json.contains("\"stop_reason\":\"target-reached\""), "{json}");
+        assert!(
+            json.contains("\"stop_reason\":\"target-reached\""),
+            "{json}"
+        );
         assert!(json.contains("\"telemetry\":{"), "{json}");
         assert!(s.summary().contains("trials/s"));
         if let Some(tps) = s.trials_per_sec() {

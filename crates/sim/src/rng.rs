@@ -408,7 +408,12 @@ mod tests {
         // never on the partition of the requests.
         let mut whole = vec![0.0; 1000];
         Rand::new(77).fill_gaussian(&mut whole);
-        for chunks in [vec![1000], vec![1, 999], vec![255, 256, 257, 232], vec![7; 143]] {
+        for chunks in [
+            vec![1000],
+            vec![1, 999],
+            vec![255, 256, 257, 232],
+            vec![7; 143],
+        ] {
             let mut r = Rand::new(77);
             let mut got = Vec::new();
             for c in chunks {

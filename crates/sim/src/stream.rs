@@ -592,7 +592,11 @@ mod tests {
             let mut scratch = DspScratch::new();
             let mut conv = StreamingChannel::from_realization(&ch, fs);
             process_record(&mut conv, &mut streamed, 128, &mut scratch);
-            assert_bits_eq(&streamed, &ch.apply(&sig, fs), &format!("{} taps", conv.tail_len() + 1));
+            assert_bits_eq(
+                &streamed,
+                &ch.apply(&sig, fs),
+                &format!("{} taps", conv.tail_len() + 1),
+            );
         }
     }
 
@@ -803,9 +807,7 @@ mod tests {
         for len in [0usize, 1, 127, 128, 129, 300] {
             let sig = test_signal(len);
             let re: Vec<f64> = sig.iter().map(|z| z.re).collect();
-            let im: Vec<f64> = (0..len)
-                .map(|i| [sig[i].im, -0.0, 0.0][i % 3])
-                .collect();
+            let im: Vec<f64> = (0..len).map(|i| [sig[i].im, -0.0, 0.0][i % 3]).collect();
             for (p, with_im) in [(0.7, true), (0.7, false), (0.0, true), (0.0, false)] {
                 let interleaved: Vec<Complex> = (0..len)
                     .map(|i| Complex::new(re[i], if with_im { im[i] } else { 0.0 }))

@@ -222,8 +222,7 @@ impl ChannelRealization {
         while t_cluster <= max_cluster_delay {
             let mut tau = 0.0; // first ray of each cluster at the cluster time
             while tau <= max_ray_excess {
-                let mean_energy =
-                    (-t_cluster / p.cluster_decay).exp() * (-tau / p.ray_decay).exp();
+                let mean_energy = (-t_cluster / p.cluster_decay).exp() * (-tau / p.ray_decay).exp();
                 // Log-normal amplitude fading about the mean energy, with the
                 // standard -sigma^2/2 correction so E[|g|^2] = mean_energy.
                 let x = rng.gaussian() * sigma_ln;

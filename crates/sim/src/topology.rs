@@ -121,7 +121,11 @@ impl Topology {
     /// Path loss (dB) from link `tx_link`'s transmitter to link `rx_link`'s
     /// receiver at carrier frequency `f`.
     pub fn path_loss_db(&self, tx_link: usize, rx_link: usize, f: Hertz) -> f64 {
-        log_distance_path_loss_db(self.distance_m(tx_link, rx_link), f, self.path_loss_exponent)
+        log_distance_path_loss_db(
+            self.distance_m(tx_link, rx_link),
+            f,
+            self.path_loss_exponent,
+        )
     }
 
     /// Relative gain (dB, usually ≤ 0) of the interfering path from link
@@ -235,8 +239,14 @@ impl SpatialGrid {
         }
         let min_x = pts.iter().map(|(_, p)| p.x).fold(f64::INFINITY, f64::min);
         let min_y = pts.iter().map(|(_, p)| p.y).fold(f64::INFINITY, f64::min);
-        let max_x = pts.iter().map(|(_, p)| p.x).fold(f64::NEG_INFINITY, f64::max);
-        let max_y = pts.iter().map(|(_, p)| p.y).fold(f64::NEG_INFINITY, f64::max);
+        let max_x = pts
+            .iter()
+            .map(|(_, p)| p.x)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let max_y = pts
+            .iter()
+            .map(|(_, p)| p.y)
+            .fold(f64::NEG_INFINITY, f64::max);
         let origin = Position::new(min_x, min_y);
         let nx = ((max_x - min_x) / cell_size_m).floor() as usize + 1;
         let ny = ((max_y - min_y) / cell_size_m).floor() as usize + 1;

@@ -16,9 +16,7 @@ fn brute_within(points: &[Position], c: Position, r: f64) -> Vec<u32> {
         .collect()
 }
 
-fn positions(
-    max_len: usize,
-) -> impl Strategy<Value = Vec<Position>> {
+fn positions(max_len: usize) -> impl Strategy<Value = Vec<Position>> {
     prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 0..max_len)
         .prop_map(|v| v.into_iter().map(|(x, y)| Position::new(x, y)).collect())
 }

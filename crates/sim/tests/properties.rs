@@ -1,10 +1,10 @@
 //! Property-based tests for environment-model invariants.
 
 use proptest::prelude::*;
+use uwb_dsp::Complex;
 use uwb_sim::sv_channel::{ChannelModel, ChannelRealization, SvParams, Tap};
 use uwb_sim::time::{Hertz, Picoseconds, SampleRate};
 use uwb_sim::Rand;
-use uwb_dsp::Complex;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

@@ -75,7 +75,11 @@ fn main() {
             .iter()
             .zip([snr_db - 4.0, snr_db, snr_db + 4.0])
             .map(|(p, s)| {
-                format!("{s:.0} dB→{:.0} Mbps/{:.0} mW", p.bit_rate / 1e6, p.power.total_mw())
+                format!(
+                    "{s:.0} dB→{:.0} Mbps/{:.0} mW",
+                    p.bit_rate / 1e6,
+                    p.power.total_mw()
+                )
             })
             .collect();
         println!("  trade curve: {}", knee.join(", "));

@@ -33,7 +33,10 @@ fn main() {
 
     for n in [2usize, 4, 8, 16, 32] {
         let policies: [(&str, ChannelPolicy); 3] = [
-            ("packed", ChannelPolicy::Static(vec![Channel::new(3).unwrap()])),
+            (
+                "packed",
+                ChannelPolicy::Static(vec![Channel::new(3).unwrap()]),
+            ),
             ("spread", ChannelPolicy::round_robin_all()),
             (
                 "aware",
@@ -46,15 +49,10 @@ fn main() {
             sc.policy = policy;
             let report = run_network(&sc);
 
-            let mut used: Vec<usize> =
-                report.links.iter().map(|l| l.channel.index()).collect();
+            let mut used: Vec<usize> = report.links.iter().map(|l| l.channel.index()).collect();
             used.sort_unstable();
             used.dedup();
-            let worst_ber = report
-                .links
-                .iter()
-                .map(|l| l.ber())
-                .fold(0.0f64, f64::max);
+            let worst_ber = report.links.iter().map(|l| l.ber()).fold(0.0f64, f64::max);
             let mean_per = report.links.iter().map(|l| l.per()).sum::<f64>() / n as f64;
 
             table.row(vec![

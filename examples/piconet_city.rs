@@ -66,8 +66,11 @@ fn main() {
     let isolated = plan.coupling.iter().filter(|r| r.is_empty()).count();
     let arena = plan.record_schedule().max_live();
     println!("plan phase            {plan_s:>10.2} s");
-    println!("directed edges        {edges:>10}   ({:.2} per node, dense would be {})",
-        edges as f64 / n as f64, n - 1);
+    println!(
+        "directed edges        {edges:>10}   ({:.2} per node, dense would be {})",
+        edges as f64 / n as f64,
+        n - 1
+    );
     println!("largest coupling row  {max_row:>10}");
     println!("isolated links        {isolated:>10}");
     println!(
@@ -105,7 +108,10 @@ fn main() {
         );
     }
     if !report.stats.telemetry.worst.is_empty() {
-        print!("\n{}", uwb::obs::recorder::render_report(&report.stats.telemetry.worst));
+        print!(
+            "\n{}",
+            uwb::obs::recorder::render_report(&report.stats.telemetry.worst)
+        );
     }
     if let Some(path) = &trace_path {
         if !uwb::obs::trace::enabled() {

@@ -37,7 +37,10 @@ fn main() {
     let baseband = shape.generate_complex(fs);
     let passband = TxChain::new(ch.center(), 1.0).transmit(&baseband, fs);
     let bw = measure_bandwidth(&shape.generate(fs), fs, 10.0);
-    println!("  -10 dB bandwidth: {:.0} MHz (paper: 500 MHz)", bw.as_mhz());
+    println!(
+        "  -10 dB bandwidth: {:.0} MHz (paper: 500 MHz)",
+        bw.as_mhz()
+    );
     // Central 3 ns window of the burst.
     let half = (1.5e-9 * fs.as_hz()) as usize;
     let c = passband.len() / 2;

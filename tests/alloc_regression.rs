@@ -236,9 +236,8 @@ fn gen2_fast_path_steady_state_is_allocation_free() {
     //     two superposition mixes (own + coupled foreign + AWGN), and two
     //     receptions — all out of `NetWorker`'s reused storage. ---
     let mut net_scenario = NetScenario::ring(2, 6.0, 20050314);
-    net_scenario.policy = uwb_net::ChannelPolicy::Static(vec![
-        uwb_phy::bandplan::Channel::new(3).unwrap(),
-    ]);
+    net_scenario.policy =
+        uwb_net::ChannelPolicy::Static(vec![uwb_phy::bandplan::Channel::new(3).unwrap()]);
     let plan = plan_network(&net_scenario);
     assert!(
         plan.coupling.iter().all(|row| !row.is_empty()),
@@ -321,9 +320,8 @@ fn gen2_fast_path_steady_state_is_allocation_free() {
     //     waveform synthesis into pooled records, overlap mixing, decode
     //     failures, ARQ retries, and record recycling. ---
     let mut mac_sc = uwb_mac::MacScenario::ring(2, 6.0, 1.5, 20050316);
-    mac_sc.net.policy = uwb_net::ChannelPolicy::Static(vec![
-        uwb_phy::bandplan::Channel::new(3).unwrap(),
-    ]);
+    mac_sc.net.policy =
+        uwb_net::ChannelPolicy::Static(vec![uwb_phy::bandplan::Channel::new(3).unwrap()]);
     mac_sc.horizon_slots = 200;
     let mac_plan = uwb_mac::plan_mac(&mac_sc);
     assert!(

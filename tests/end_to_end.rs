@@ -5,7 +5,13 @@ use uwb::phy::{ConvCode, Gen2Config, Gen2Receiver, Gen2Transmitter, Modulation, 
 use uwb::sim::awgn::add_awgn_complex;
 use uwb::sim::{ChannelModel, ChannelRealization, Rand};
 
-fn round_trip(config: &Gen2Config, payload: &[u8], channel: ChannelModel, noise_rel: f64, seed: u64) {
+fn round_trip(
+    config: &Gen2Config,
+    payload: &[u8],
+    channel: ChannelModel,
+    noise_rel: f64,
+    seed: u64,
+) {
     let tx = Gen2Transmitter::new(config.clone()).expect("tx");
     let rx = Gen2Receiver::new(config.clone()).expect("rx");
     let burst = tx.transmit_packet(payload).expect("frame");
@@ -30,7 +36,13 @@ fn all_modulations_over_awgn() {
             preamble_repeats: 2,
             ..Gen2Config::nominal_100mbps()
         };
-        round_trip(&config, b"modulation integration", ChannelModel::Awgn, 0.05, 1);
+        round_trip(
+            &config,
+            b"modulation integration",
+            ChannelModel::Awgn,
+            0.05,
+            1,
+        );
     }
 }
 
@@ -85,7 +97,13 @@ fn low_resolution_adc_still_decodes() {
             preamble_repeats: 3,
             ..Gen2Config::nominal_100mbps()
         };
-        round_trip(&config, &[0xAB; 24], ChannelModel::Awgn, 0.25, 20 + bits as u64);
+        round_trip(
+            &config,
+            &[0xAB; 24],
+            ChannelModel::Awgn,
+            0.25,
+            20 + bits as u64,
+        );
     }
 }
 

@@ -124,8 +124,7 @@ fn preamble_only_no_data() {
     let burst = tx.transmit_packet(&[0u8; 64]).unwrap();
     let layout = tx.layout(64);
     let preamble_samples = layout.preamble_slots * layout.samples_per_slot + layout.guard;
-    let outcome =
-        check_no_silent_corruption(&rx, &burst.samples[..preamble_samples], &[0u8; 64]);
+    let outcome = check_no_silent_corruption(&rx, &burst.samples[..preamble_samples], &[0u8; 64]);
     assert_ne!(outcome, "ok");
 }
 

@@ -137,9 +137,13 @@ fn truncation_is_reported_not_silent() {
     // Impossible error target + tiny budget: the old runner stopped at a
     // hard-coded 10 000 trials and returned an ordinary-looking outcome.
     // Now the stop reason says so.
-    let run = run_ber_fast_budgeted(&scenario(), 24, u64::MAX, u64::MAX, TrialBudget {
-        max_trials: 3,
-    });
+    let run = run_ber_fast_budgeted(
+        &scenario(),
+        24,
+        u64::MAX,
+        u64::MAX,
+        TrialBudget { max_trials: 3 },
+    );
     assert_eq!(run.stop, LinkStopReason::Truncated);
     assert!(run.stop.truncated());
     assert_eq!(run.stats.trials, 3);
@@ -195,7 +199,10 @@ fn telemetry_is_thread_invariant_on_the_real_link() {
             );
         }
     } else {
-        assert!(serial.stats.telemetry.is_empty(), "no-op build produced telemetry");
+        assert!(
+            serial.stats.telemetry.is_empty(),
+            "no-op build produced telemetry"
+        );
     }
 }
 
@@ -240,7 +247,10 @@ fn network_run_is_thread_invariant_including_telemetry() {
 
     if uwb_obs::enabled() {
         let telem = &serial.stats.telemetry;
-        assert!(!telem.is_empty(), "instrumented network run yielded no telemetry");
+        assert!(
+            !telem.is_empty(),
+            "instrumented network run yielded no telemetry"
+        );
         // One scheduling span per lazy record synthesis (every link
         // transmits once per round); one mix + one reception per link per
         // round.

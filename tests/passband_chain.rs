@@ -83,5 +83,9 @@ fn antenna_bandpass_preserves_in_band_pulse() {
     let out = antenna.apply(&pass, fs);
     let e_in: f64 = pass.iter().map(|x| x * x).sum();
     let e_out: f64 = out.iter().map(|x| x * x).sum();
-    assert!(e_out / e_in > 0.5, "antenna ate the pulse: {}", e_out / e_in);
+    assert!(
+        e_out / e_in > 0.5,
+        "antenna ate the pulse: {}",
+        e_out / e_in
+    );
 }

@@ -1,15 +1,20 @@
 //! Integration: every stochastic pipeline is bit-reproducible from its seed
 //! (the workspace's core experimental-hygiene invariant).
 
-use uwb::gen1::{Gen1Config, Gen1Receiver, Gen1Transmitter};
 use uwb::adc::InterleaveMismatch;
+use uwb::gen1::{Gen1Config, Gen1Receiver, Gen1Transmitter};
 use uwb::phy::Gen2Config;
 use uwb::platform::link::{run_ber_fast, LinkScenario};
 use uwb::sim::{ChannelModel, ChannelRealization, Interferer, Rand};
 
 #[test]
 fn channel_realizations_reproduce() {
-    for model in [ChannelModel::Cm1, ChannelModel::Cm2, ChannelModel::Cm3, ChannelModel::Cm4] {
+    for model in [
+        ChannelModel::Cm1,
+        ChannelModel::Cm2,
+        ChannelModel::Cm3,
+        ChannelModel::Cm4,
+    ] {
         let a = ChannelRealization::generate(model, &mut Rand::new(99));
         let b = ChannelRealization::generate(model, &mut Rand::new(99));
         assert_eq!(a, b, "{model}");
@@ -39,12 +44,7 @@ fn different_seeds_differ() {
         preamble_repeats: 2,
         ..Gen2Config::nominal_100mbps()
     };
-    let a = run_ber_fast(
-        &LinkScenario::awgn(config.clone(), 4.0, 1),
-        24,
-        50,
-        50_000,
-    );
+    let a = run_ber_fast(&LinkScenario::awgn(config.clone(), 4.0, 1), 24, 50, 50_000);
     let b = run_ber_fast(&LinkScenario::awgn(config, 4.0, 2), 24, 50, 50_000);
     // Same statistics, different sample paths: totals may match but the
     // exact error counts at equal totals almost surely differ.
@@ -69,5 +69,8 @@ fn gen1_link_reproduces() {
     let rx2 = Gen1Receiver::new(cfg, InterleaveMismatch::typical(), 5);
     let d1 = rx1.digitize(&b1.samples);
     let d2 = rx2.digitize(&b2.samples);
-    assert_eq!(d1, d2, "ADC mismatch realizations must derive from the seed");
+    assert_eq!(
+        d1, d2,
+        "ADC mismatch realizations must derive from the seed"
+    );
 }

@@ -197,7 +197,11 @@ fn stream_rx_memory_is_bounded_by_frame_not_stream() {
     rx.finish();
 
     assert!(pushed > 120_000, "stream too short to be meaningful");
-    assert!(rx.packets().len() >= 5, "scan found {} packets", rx.packets().len());
+    assert!(
+        rx.packets().len() >= 5,
+        "scan found {} packets",
+        rx.packets().len()
+    );
     assert!(
         rx.buffer_capacity() <= capacity_after_warmup,
         "buffer kept growing after warm-up: {} -> {}",

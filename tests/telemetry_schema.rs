@@ -62,11 +62,21 @@ fn run_stats_json_parses_and_matches_schema() {
     );
 
     assert_eq!(field(o, "schema").as_str(), Some("uwb-telemetry-v3"));
-    let trials = field(o, "trials").as_num().expect("trials must be a number");
-    assert!(trials >= 1.0 && trials.fract() == 0.0, "trials must be a whole count");
+    let trials = field(o, "trials")
+        .as_num()
+        .expect("trials must be a number");
+    assert!(
+        trials >= 1.0 && trials.fract() == 0.0,
+        "trials must be a whole count"
+    );
     let executed = field(o, "trials_executed").as_num().expect("number");
-    assert!(executed >= trials, "executed ({executed}) < merged ({trials})");
-    let wall_ms = field(o, "wall_ms").as_num().expect("wall_ms must be a number");
+    assert!(
+        executed >= trials,
+        "executed ({executed}) < merged ({trials})"
+    );
+    let wall_ms = field(o, "wall_ms")
+        .as_num()
+        .expect("wall_ms must be a number");
     assert!(wall_ms.is_finite() && wall_ms >= 0.0);
     let threads = field(o, "threads").as_num().expect("number");
     assert!(threads >= 1.0 && threads.fract() == 0.0);
@@ -88,12 +98,19 @@ fn run_stats_json_parses_and_matches_schema() {
 
     let stages = field(telem, "stages").as_arr().expect("stages array");
     if uwb_obs::enabled() {
-        assert!(!stages.is_empty(), "instrumented run produced no stage stats");
+        assert!(
+            !stages.is_empty(),
+            "instrumented run produced no stage stats"
+        );
     }
     for st in stages {
         let st = obj(st);
         let keys: Vec<&str> = st.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["name", "calls"], "stage entry drifted (ns must stay out)");
+        assert_eq!(
+            keys,
+            ["name", "calls"],
+            "stage entry drifted (ns must stay out)"
+        );
         assert!(field(st, "name").as_str().is_some());
         assert!(field(st, "calls").as_num().expect("number") >= 1.0);
     }
@@ -123,7 +140,10 @@ fn run_stats_json_parses_and_matches_schema() {
         for v in [p50, p95, p99, max] {
             assert!(v.is_finite() && v >= 0.0, "{name}: non-finite percentile");
         }
-        assert!(p50 <= p95 && p95 <= p99 && p99 <= max, "{name}: unordered percentiles");
+        assert!(
+            p50 <= p95 && p95 <= p99 && p99 <= max,
+            "{name}: unordered percentiles"
+        );
         assert!(
             max <= sum && sum <= count * max,
             "{name}: sum {sum} inconsistent with count {count} and max {max}"

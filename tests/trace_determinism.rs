@@ -85,11 +85,17 @@ fn link_trace_and_recorder_are_thread_invariant() {
     if uwb_obs::enabled() {
         // The recorder kept real trials, worst first, with replayable seeds.
         let worst = &reference.stats.telemetry.worst;
-        assert!(!worst.is_empty(), "instrumented run recorded no worst trials");
+        assert!(
+            !worst.is_empty(),
+            "instrumented run recorded no worst trials"
+        );
         for w in worst.windows(2) {
             assert!(w[0].sort_key() <= w[1].sort_key(), "report not worst-first");
         }
-        assert_eq!(worst[0].seed, uwb_sim::derive_trial_seed(SEED, worst[0].trial));
+        assert_eq!(
+            worst[0].seed,
+            uwb_sim::derive_trial_seed(SEED, worst[0].trial)
+        );
     }
 }
 
@@ -155,7 +161,10 @@ fn city_1k_round_trace_is_thread_invariant() {
         // the 1k-user round must fit the ring (no deterministic drops) and
         // export as valid Chrome Trace JSON.
         let telem = &reference.stats.telemetry;
-        assert!(telem.spans.len() >= 3 * sc.len(), "city round under-recorded");
+        assert!(
+            telem.spans.len() >= 3 * sc.len(),
+            "city round under-recorded"
+        );
         let doc = uwb_obs::trace::export_chrome(&telem.spans);
         uwb_obs::json::parse(&doc).expect("city trace export must be valid JSON");
     }

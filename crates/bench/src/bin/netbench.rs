@@ -3,9 +3,9 @@
 //!
 //! Times the network warm path (clean synthesis + superposition mixing +
 //! per-victim reception for an 8-user piconet), the mixing kernel itself,
-//! the planning phase (one probe-sweep span: the ring is too small to
-//! split), the 10k-link interference-graph build and a warm 1,000-user
-//! round:
+//! the planning phase (channel allocation and the coupling graph: the ring
+//! is not adapted, so no probe runs), the 10k-link interference-graph
+//! build and a warm 1,000-user round:
 //!
 //! ```text
 //! cargo run -p uwb-bench --release --bin netbench -- --out BENCH_net.json
@@ -56,8 +56,8 @@ fn bench_scenario() -> NetScenario {
 
 fn suite() -> Suite {
     let scenario = bench_scenario();
-    // 1. The planning phase (probe synthesis + allocation +
-    //    measurement) for the 8-user scenario: one span, on this thread.
+    // 1. The planning phase for the 8-user scenario: channel allocation
+    //    and the coupling graph (unadapted, so no probe sweep).
     let plan_us = time_us(3, 5, || {
         let _ = plan_network(&scenario);
     });

@@ -13,16 +13,13 @@
 //! * `--trace out.json` — export the run's span timeline as Chrome Trace
 //!   Event JSON (needs a build with `--features obs-trace`);
 //! * `--replay-seed <seed>` — re-run exactly one trial on the given derived
-//!   RNG seed (from a flight-recorder report) with a verbose forensic dump;
-//! * `--speedup [trials]` — engine-vs-serial throughput comparison.
+//!   RNG seed (from a flight-recorder report) with a verbose forensic dump.
 
 use std::process::ExitCode;
-use std::time::Instant;
 use uwb_bench::{banner, trace_arg, write_trace, EXPERIMENT_SEED};
 use uwb_phy::Gen2Config;
 use uwb_platform::link::{
-    run_ber_budgeted, run_ber_fast_budgeted, run_packet, LinkOutcome, LinkScenario, LinkWorker,
-    TrialBudget,
+    run_ber_fast_budgeted, LinkOutcome, LinkScenario, LinkWorker, TrialBudget,
 };
 use uwb_platform::report::stage_table;
 
@@ -33,80 +30,6 @@ fn parse_seed(s: &str) -> Result<u64, std::num::ParseIntError> {
         Some(hex) => u64::from_str_radix(hex, 16),
         None => s.parse(),
     }
-}
-
-/// Renders a trials/sec figure that may be unavailable for untimed runs.
-fn tps(v: Option<f64>) -> String {
-    match v {
-        Some(v) => format!("{v:.1} trials/s"),
-        None => "n/a trials/s".to_string(),
-    }
-}
-
-/// `smoke --speedup [trials]`: measures trials/sec of the pre-engine runner
-/// behavior (serial loop, tx/rx rebuilt per packet — what the full-path
-/// runner did before the Monte-Carlo port) against the engine-backed
-/// `run_ber_budgeted` (per-worker cached state, `UWB_THREADS` workers) on
-/// the same scenario.
-fn speedup(trials: u64) -> ExitCode {
-    let config = Gen2Config {
-        preamble_repeats: 2,
-        ..Gen2Config::nominal_100mbps()
-    };
-    let scenario = LinkScenario::awgn(config, 6.0, EXPERIMENT_SEED);
-
-    // Before: the old serial loop (run_packet rebuilds the worker per call,
-    // exactly like the pre-port full-path runner body).
-    let t0 = Instant::now();
-    let mut serial = LinkOutcome::default();
-    for t in 0..trials {
-        run_packet(&scenario, 24, t, &mut serial);
-    }
-    let before = t0.elapsed();
-    let before_tps = trials as f64 / before.as_secs_f64();
-
-    // After: the engine with the same trial count (no early stop).
-    let run = run_ber_budgeted(
-        &scenario,
-        24,
-        u64::MAX,
-        u64::MAX,
-        TrialBudget { max_trials: trials },
-    );
-    let after_tps = run.stats.trials_per_sec();
-
-    assert_eq!(run.outcome, serial, "engine must reproduce the serial loop");
-    println!(
-        "before (serial, per-trial state): {trials} trials in {:.2} s  ({before_tps:.1} trials/s)",
-        before.as_secs_f64()
-    );
-    println!(
-        "after  (engine, {} thread(s)):    {}  ({})",
-        run.stats.threads,
-        run.stats.summary(),
-        tps(after_tps)
-    );
-    if let Some(after) = after_tps {
-        println!("speedup: {:.2}x", after / before_tps);
-    }
-
-    // Fast (BER-only) path rate, for comparison against the pre-PR
-    // `run_ber_fast` (measure the seed commit with the same scenario to get
-    // the "before" number).
-    let fast = run_ber_fast_budgeted(
-        &scenario,
-        24,
-        u64::MAX,
-        u64::MAX,
-        TrialBudget { max_trials: trials },
-    );
-    println!(
-        "fast path (engine, {} thread(s)): {}  ({})",
-        fast.stats.threads,
-        fast.stats.summary(),
-        tps(fast.stats.trials_per_sec())
-    );
-    ExitCode::SUCCESS
 }
 
 /// `smoke --replay-seed <seed>`: re-runs exactly one full trial on a derived
@@ -163,15 +86,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         };
         return replay(seed);
-    }
-    if args.iter().any(|a| a == "--speedup") {
-        let trials = args
-            .iter()
-            .skip_while(|a| *a != "--speedup")
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(400);
-        return speedup(trials);
     }
     println!(
         "{}",

@@ -4,7 +4,7 @@
 //! spectrum reproduction, and the receiver's spectral-monitoring block.
 
 use crate::complex::Complex;
-use crate::fft::{bin_frequency, Fft};
+use crate::fft::{bin_frequency, cached_plan};
 use crate::math::next_pow2;
 use crate::window::Window;
 
@@ -126,9 +126,9 @@ fn periodogram(signal: &[Complex], fs: f64, window: Window) -> Psd {
     let mut buf: Vec<Complex> = signal.iter().zip(&w).map(|(&z, &wk)| z * wk).collect();
     let nfft = next_pow2(n);
     buf.resize(nfft, Complex::ZERO);
-    let spec = Fft::new(nfft).forward(&buf);
+    cached_plan(nfft).forward_in_place(&mut buf);
     let scale = 1.0 / (fs * n as f64 * wpow);
-    let values: Vec<f64> = spec.iter().map(|z| z.norm_sqr() * scale).collect();
+    let values: Vec<f64> = buf.iter().map(|z| z.norm_sqr() * scale).collect();
     let freqs: Vec<f64> = (0..nfft).map(|k| bin_frequency(k, nfft, fs)).collect();
     Psd { freqs, values, fs }
 }
@@ -142,7 +142,9 @@ pub fn periodogram_real(signal: &[f64], fs: f64, window: Window) -> Psd {
 /// Welch's averaged-periodogram PSD estimate with 50 % overlap.
 ///
 /// `segment_len` is rounded up to a power of two. Falls back to a single
-/// periodogram when the signal is shorter than one segment.
+/// periodogram when the signal is shorter than one segment. Every segment
+/// runs on this thread's cached plan ([`cached_plan`]) in one reused
+/// buffer.
 ///
 /// # Panics
 ///
@@ -158,14 +160,17 @@ pub fn welch(signal: &[Complex], fs: f64, segment_len: usize, window: Window) ->
     let hop = seg / 2;
     let w = window.generate(seg);
     let wpow: f64 = w.iter().map(|x| x * x).sum::<f64>() / seg as f64;
-    let fft = Fft::new(seg);
+    let fft = cached_plan(seg);
     let mut acc = vec![0.0f64; seg];
+    let mut buf = vec![Complex::ZERO; seg];
     let mut count = 0usize;
     let mut start = 0usize;
     while start + seg <= signal.len() {
-        let buf: Vec<Complex> = (0..seg).map(|i| signal[start + i] * w[i]).collect();
-        let spec = fft.forward(&buf);
-        for (a, z) in acc.iter_mut().zip(&spec) {
+        for ((b, &z), &wk) in buf.iter_mut().zip(&signal[start..start + seg]).zip(&w) {
+            *b = z * wk;
+        }
+        fft.forward_in_place(&mut buf);
+        for (a, z) in acc.iter_mut().zip(&buf) {
             *a += z.norm_sqr();
         }
         count += 1;

@@ -1,8 +1,9 @@
 //! The shared-waveform arena and its plan-time liveness schedule.
 //!
-//! `NetWorker`'s one victim sweep, which runs both the planning probe pass
-//! and every measurement round, walks victims in **channel-major** order:
-//! link ids stably sorted by their assigned channel, then by id. Coupling is strongest between links on the same
+//! `NetWorker`'s one victim sweep, which runs both an adaptive plan's
+//! probe pass and every measurement round, walks victims in
+//! **channel-major** order: link ids stably sorted by their assigned
+//! channel, then by id. Coupling is strongest between links on the same
 //! channel, so consecutive victims share most of their interferers and
 //! the records they read stay hot in cache, where an ascending-id sweep
 //! would interleave all 14 channels and keep most of a city's records

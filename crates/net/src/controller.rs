@@ -10,16 +10,14 @@
 //! [`NetPlan`], and the measurement phase replays that static plan —
 //! bit-identically for any `UWB_THREADS`.
 //!
-//! Planning has two stages. [`assign_network`] synthesizes nothing (except
-//! under the interference-aware policy, whose allocation measures): it
-//! allocates channels, builds the sparse coupling graph on that
-//! assignment, and gives every link the base config with its channel
-//! written in and its own seed. [`plan_network`] runs that stage, then the
-//! probe pass, which measures each link's interference and, with
-//! adaptation on, replaces its config. Without adaptation the probe pass
-//! changes no channel, coupling row or config, so a caller that reads
-//! neither the measurement nor the spectral report (the MAC layer's
-//! `plan_mac`) plans with [`assign_network`] alone.
+//! Planning has two stages. The first, `assign`, synthesizes nothing
+//! (except under the interference-aware policy, whose allocation
+//! measures): it allocates channels, builds the sparse coupling graph on
+//! that assignment, and gives every link the base config with its channel
+//! written in and its own seed. With adaptation on, the probe pass then
+//! measures each link's interference and replaces its config with the
+//! adapter's; the adapted configs are its only decision, so without
+//! adaptation no probe runs.
 //!
 //! The probe pass is a measurement round of its own: a [`NetWorker`]
 //! sweep at the reserved round `PROBE_ROUND` over a *probe plan* in which
@@ -30,10 +28,10 @@
 //! it after its last, and visits each victim with a probe measurement
 //! instead of a decode: the interference mix on the plane mixer
 //! ([`VictimMixer`]), the optional spectral probe, and the adapter. Every
-//! plan entry is a pure function of its victim; the order changes only the
-//! arena size and the cache traffic, never the plan.
+//! adapted config is a pure function of its victim; the order changes only
+//! the arena size and the cache traffic, never the plan.
 //!
-//! Because every entry is a pure function of its victim, the sweep is cut
+//! Because every config is a pure function of its victim, the sweep is cut
 //! into contiguous spans that run on their own threads, each a
 //! `NetWorker` on the span's own schedule (`RecordSchedule::split`). A
 //! record read on both sides of a cut is synthesized once by each span
@@ -47,14 +45,10 @@ use crate::runner::NetWorker;
 use crate::scenario::{ChannelPolicy, NetScenario};
 use uwb_dsp::Complex;
 use uwb_phy::bandplan::Channel;
-use uwb_phy::{
-    ChannelConditions, Gen2Config, InterfererReport, LinkAdapter, OperatingPoint, PowerModel,
-    SpectralMonitor,
-};
+use uwb_phy::{ChannelConditions, Gen2Config, LinkAdapter, PowerModel, SpectralMonitor};
 use uwb_platform::link::{channel_rms_delay_ns, LinkScenario, LinkWorker, DEFAULT_STREAM_BLOCK};
 use uwb_sim::montecarlo::resolve_threads;
 use uwb_sim::rng::derive_trial_seed;
-use uwb_sim::time::Hertz;
 use uwb_sim::Rand;
 
 /// Salt that decorrelates per-link seed streams from the engine's per-round
@@ -83,16 +77,6 @@ pub struct NetLinkPlan {
     pub scenario: LinkScenario,
     /// The assigned band-plan channel (also in `scenario.config.channel`).
     pub channel: Channel,
-    /// Probe-measured interference power at this receiver relative to its
-    /// own signal power, in dB: `-inf` when nothing couples, NaN when the
-    /// plan was not probed ([`assign_network`]).
-    pub interference_rel_db: f64,
-    /// Spectral-monitor report over the probe superposition (planning
-    /// diagnostic; drives the adapter's `interferer_present`). Nothing
-    /// detected when the probe skipped the monitor or did not run.
-    pub spectral: InterfererReport,
-    /// The adapter's chosen operating point when adaptation is enabled.
-    pub operating: Option<OperatingPoint>,
 }
 
 /// The frozen network plan: everything the measurement phase needs, and
@@ -133,8 +117,8 @@ impl NetPlan {
     }
 
     /// The channel-major sweep schedule the measurement rounds run (and
-    /// the planning probe sweep ran); its `max_live` is the round's arena
-    /// size.
+    /// an adaptive plan's probe sweep ran); its `max_live` is the round's
+    /// arena size.
     pub fn record_schedule(&self) -> RecordSchedule {
         let channels: Vec<Channel> = self.links.iter().map(|l| l.channel).collect();
         RecordSchedule::channel_major(&channels, &self.coupling)
@@ -144,20 +128,10 @@ impl NetPlan {
 /// The planning phase's first stage, which probes nothing: channel
 /// allocation, the sparse coupling graph on the final assignment, and per
 /// link the base config with the assigned channel written in and the
-/// link's decorrelated seed.
-///
-/// No entry is probed: `interference_rel_db` is NaN, `spectral` reports
-/// nothing detected and `operating` is `None`. Every other field equals
-/// [`plan_network`]'s without adaptation, bit for bit. Only the
-/// interference-aware policy synthesizes waveforms (one probe per link,
-/// serially, for its measured allocation).
-///
-/// # Panics
-///
-/// Panics if the scenario has no links or a policy candidate list is empty.
-pub fn assign_network(scenario: &NetScenario) -> NetPlan {
-    assert!(!scenario.is_empty(), "network needs at least one link");
-
+/// link's decorrelated seed. Only the interference-aware policy
+/// synthesizes waveforms (one probe per link, serially, for its measured
+/// allocation).
+fn assign(scenario: &NetScenario) -> NetPlan {
     // --- Channel allocation. ---
     // The static policies are pure index arithmetic; the greedy
     // interference-aware policy synthesizes a dense probe table
@@ -184,9 +158,6 @@ pub fn assign_network(scenario: &NetScenario) -> NetPlan {
             NetLinkPlan {
                 scenario: link_scenario(scenario, config, l),
                 channel,
-                interference_rel_db: f64::NAN,
-                spectral: NO_REPORT,
-                operating: None,
             }
         })
         .collect();
@@ -200,9 +171,13 @@ pub fn assign_network(scenario: &NetScenario) -> NetPlan {
     }
 }
 
-/// Runs the planning phase: [`assign_network`], then the probe pass —
-/// probe synthesis on the final assignment, the interference measurement,
-/// the optional spectral probe and measurement-driven adaptation.
+/// Runs the planning phase: channel allocation, the coupling graph, and
+/// with `scenario.adapt` set the probe pass — probe synthesis on the final
+/// assignment, the interference measurement, the optional spectral probe
+/// and measurement-driven adaptation. Without adaptation no probe is
+/// synthesized (except the interference-aware policy's allocation
+/// probes) and every link keeps the base config with its channel written
+/// in.
 ///
 /// Deterministic — a pure function of the scenario, bit-identical for any
 /// `UWB_THREADS`. The probe sweep runs in contiguous spans, one per
@@ -220,8 +195,8 @@ pub fn plan_network(scenario: &NetScenario) -> NetPlan {
     plan_network_swept(scenario, RecordSchedule::channel_major, None).0
 }
 
-/// The deterministic work of one plan: the probe sweep's spans and the
-/// probe syntheses over the whole plan.
+/// The deterministic work of one plan: the probe sweep's spans (0 without
+/// adaptation) and the probe syntheses over the whole plan.
 #[derive(Debug, PartialEq, Eq)]
 struct PlanWork {
     spans: usize,
@@ -236,19 +211,27 @@ fn plan_network_swept(
     order_by: fn(&[Channel], &[CouplingRow]) -> RecordSchedule,
     threads: Option<usize>,
 ) -> (NetPlan, PlanWork) {
+    assert!(!scenario.is_empty(), "network needs at least one link");
     let n = scenario.len();
     let allocation_probes = match scenario.policy {
         ChannelPolicy::InterferenceAware(_) => n,
         _ => 0,
     };
+    let mut plan = assign(scenario);
+    if !scenario.adapt {
+        let work = PlanWork {
+            spans: 0,
+            syntheses: allocation_probes,
+        };
+        return (plan, work);
+    }
 
     // The probe plan is the assignment with every link back on the base
     // config (and its own seed), so its worker pool holds one worker.
-    let mut probes = assign_network(scenario);
-    for link in &mut probes.links {
+    let channels: Vec<Channel> = plan.links.iter().map(|l| l.channel).collect();
+    for link in &mut plan.links {
         link.scenario.config.channel = scenario.base_config.channel;
     }
-    let channels: Vec<Channel> = probes.links.iter().map(|l| l.channel).collect();
 
     // --- Per-link probe measurements on the final assignment. ---
     // A `NetWorker` sweep of the probe plan in the measurement rounds'
@@ -256,9 +239,9 @@ fn plan_network_swept(
     // an arena of up to `max_live` records and re-synthesizes the records
     // live across its cut, so spans are kept only while each holds at
     // least `max_live` victims.
-    let schedule = order_by(&channels, &probes.coupling);
+    let schedule = order_by(&channels, &plan.coupling);
     let t = resolve_threads(threads).min(n / schedule.max_live()).max(1);
-    let spans = schedule.split(&probes.coupling, t);
+    let spans = schedule.split(&plan.coupling, t);
     let work = PlanWork {
         spans: spans.len(),
         syntheses: allocation_probes + spans.iter().map(RecordSchedule::records).sum::<usize>(),
@@ -270,24 +253,15 @@ fn plan_network_swept(
         adapter: LinkAdapter::new(scenario.base_config.clone(), PowerModel::cmos180()),
         delay_ns: channel_rms_delay_ns(scenario.channel_model, 8, scenario.seed),
     };
-    let swept = on_threads(spans, |span| measure.span(&probes, span));
+    let swept = on_threads(spans, |span| measure.span(&plan, span));
 
-    // Entries replace the probe plan's by link id.
-    let mut plan = probes;
-    for (v, entry) in swept.into_iter().flatten() {
-        plan.links[v] = entry;
+    // The sweep visits every victim once: each adapted config replaces
+    // its link's probe config.
+    for (v, config) in swept.into_iter().flatten() {
+        plan.links[v].scenario.config = config;
     }
     (plan, work)
 }
-
-/// The spectral report of a plan entry whose probe skipped the monitor or
-/// did not run.
-const NO_REPORT: InterfererReport = InterfererReport {
-    detected: false,
-    frequency: Hertz::new(0.0),
-    peak_to_floor_db: 0.0,
-    relative_power_db: f64::NEG_INFINITY,
-};
 
 /// Link `l`'s single-link scenario on `config`, with its decorrelated seed.
 fn link_scenario(scenario: &NetScenario, config: Gen2Config, l: usize) -> LinkScenario {
@@ -347,27 +321,27 @@ struct Measure<'a> {
 
 impl Measure<'_> {
     /// Sweeps the victims of `span` over the probe plan `probes` on a
-    /// worker of its own and returns their plan entries with their link
+    /// worker of its own and returns their adapted configs with their link
     /// ids, in sweep order.
-    fn span(&self, probes: &NetPlan, span: RecordSchedule) -> Vec<(usize, NetLinkPlan)> {
+    fn span(&self, probes: &NetPlan, span: RecordSchedule) -> Vec<(usize, Gen2Config)> {
         let mut worker = NetWorker::with_schedule(probes, span);
         let mut spectral_mix = Vec::new();
-        let mut entries = Vec::new();
+        let mut configs = Vec::new();
         worker.sweep(probes, PROBE_ROUND, |w, v| {
-            entries.push((v, self.entry(probes, w, v, &mut spectral_mix)));
+            configs.push((v, self.config(probes, w, v, &mut spectral_mix)));
         });
-        entries
+        configs
     }
 
-    /// Victim `v`'s plan entry, its row's probe records all resident in
-    /// `w`'s arena.
-    fn entry(
+    /// Victim `v`'s adapted config, its row's probe records all resident
+    /// in `w`'s arena.
+    fn config(
         &self,
         probes: &NetPlan,
         w: &mut NetWorker,
         v: usize,
         spectral_mix: &mut Vec<Complex>,
-    ) -> NetLinkPlan {
+    ) -> Gen2Config {
         let scenario = self.scenario;
         let (arena, mixer) = (&w.arena, &mut w.mixer);
         let own = arena.record(v);
@@ -381,55 +355,32 @@ impl Measure<'_> {
         for &(u, gain) in row {
             mixer.add(&arena.record(u).wave, 0, gain);
         }
-        let p_own = own.wave.mean_power().max(1e-300);
         let p_intf = if any { mixer.mean_power() } else { 0.0 };
-        let interference_rel_db = if p_intf > 0.0 {
-            10.0 * (p_intf / p_own).log10()
-        } else {
-            f64::NEG_INFINITY
-        };
 
         // Spectral measurement over own signal + interference (optional:
         // the Welch PSD dominates plan time on large networks).
-        let spectral = if scenario.probe_spectral {
+        let detected = scenario.probe_spectral && {
             mixer.add(&own.wave, 0, 1.0);
             mixer.complex_into(spectral_mix);
-            self.monitor
-                .analyze(spectral_mix, scenario.base_config.sample_rate.as_hz())
-        } else {
-            NO_REPORT
+            let fs = scenario.base_config.sample_rate.as_hz();
+            self.monitor.analyze(spectral_mix, fs).detected
         };
 
         // Adaptation: probe-measured SINR → operating point. The noise
         // power per complex sample is n0 (two-sided, I+Q), so the SNR
         // degradation from interference is (N + I) / N.
-        let mut config = scenario.base_config.clone();
-        config.channel = self.channels[v];
-        let operating = if scenario.adapt {
-            let p_noise = own.synthesis().n0.max(1e-300);
-            let degradation_db = 10.0 * (1.0 + p_intf / p_noise).log10();
-            let conditions = ChannelConditions {
-                snr_db: scenario.ebn0_db - degradation_db,
-                delay_spread_ns: self.delay_ns,
-                interferer_present: spectral.detected || any,
-            };
-            let op = self.adapter.adapt(&conditions);
-            // The channel assignment overrides the adapter's base channel.
-            config = op.config.clone();
-            config.channel = self.channels[v];
-            config.validate().expect("adapted config");
-            Some(op)
-        } else {
-            None
+        let p_noise = own.synthesis().n0.max(1e-300);
+        let degradation_db = 10.0 * (1.0 + p_intf / p_noise).log10();
+        let conditions = ChannelConditions {
+            snr_db: scenario.ebn0_db - degradation_db,
+            delay_spread_ns: self.delay_ns,
+            interferer_present: detected || any,
         };
-
-        NetLinkPlan {
-            scenario: link_scenario(scenario, config, v),
-            channel: self.channels[v],
-            interference_rel_db,
-            spectral,
-            operating,
-        }
+        // The channel assignment overrides the adapter's base channel.
+        let mut config = self.adapter.adapt(&conditions).config;
+        config.channel = self.channels[v];
+        config.validate().expect("adapted config");
+        config
     }
 }
 
@@ -560,28 +511,28 @@ mod tests {
         );
         assert_eq!(plan.links[1].channel.index(), 9, "second link must dodge");
         assert!(plan.coupling.iter().all(|r| r.is_empty()));
-        assert_eq!(plan.links[1].interference_rel_db, f64::NEG_INFINITY);
     }
 
     #[test]
     fn adaptation_produces_valid_operating_points() {
         let mut sc = NetScenario::ring(4, 6.0, 4);
         sc.adapt = true;
+        sc.base_config.adc_bits = 1;
         sc.policy = ChannelPolicy::Static(vec![Channel::new(3).unwrap()]);
         sc.rounds = 1;
         let plan = plan_network(&sc);
         for l in &plan.links {
-            let op = l.operating.as_ref().expect("adapted");
-            op.config.validate().unwrap();
-            assert_eq!(l.scenario.config.channel, l.channel);
-            // All-co-channel, everyone sees interference.
-            assert!(op.rationale.contains("interferer"), "{}", op.rationale);
-            assert!(l.interference_rel_db.is_finite());
+            let config = &l.scenario.config;
+            config.validate().unwrap();
+            assert_eq!(config.channel, l.channel);
+            // All-co-channel, everyone sees interference: the adapter
+            // raises the 1-bit ADC to 4 bits.
+            assert_eq!(config.adc_bits, 4);
         }
     }
 
-    /// Equal plans, bit for bit: coupling gains and
-    /// `interference_rel_db` on `to_bits`, every other field on `Debug`.
+    /// Equal plans, bit for bit: coupling gains on `to_bits`, every other
+    /// field on `Debug`.
     fn assert_same_plan(a: &NetPlan, b: &NetPlan, what: &str) {
         assert_eq!(a.len(), b.len());
         for (ra, rb) in a.coupling.iter().zip(&b.coupling) {
@@ -590,11 +541,6 @@ mod tests {
             assert_eq!(bits(ra), bits(rb), "{what} changed a coupling row");
         }
         for (l, (x, y)) in a.links.iter().zip(&b.links).enumerate() {
-            assert_eq!(
-                x.interference_rel_db.to_bits(),
-                y.interference_rel_db.to_bits(),
-                "{what} changed link {l}'s interference"
-            );
             // Debug prints every f64 in its shortest round-trip form, so
             // equal strings mean equal entries.
             assert_eq!(
@@ -704,9 +650,11 @@ mod tests {
 
     #[test]
     fn ring_plans_in_one_span() {
-        // Round-robin over all 14 channels, and over four (the saturated
-        // MAC ring's policy): every record stays live, so no cut pays.
+        // Adapted, round-robin over all 14 channels and over four (the
+        // saturated MAC ring's policy): every record stays live, so no cut
+        // pays.
         let mut sc = NetScenario::ring(8, 8.0, 77);
+        sc.adapt = true;
         for policy in [
             sc.policy.clone(),
             ChannelPolicy::RoundRobin((3..7).map(|i| Channel::new(i).unwrap()).collect()),
@@ -741,9 +689,10 @@ mod tests {
     #[test]
     #[ignore = "release-scale gate: scripts/check.sh net runs it with --release"]
     fn thousand_user_city_plan_is_thread_invariant() {
-        // The net_city_1k benchmark's floor plan and seed: the one cut
-        // re-synthesizes the 95 records live across it.
-        let sc = NetScenario::clustered_city(100, 10, 9.0, 20050307);
+        // The net_city_1k benchmark's floor plan and seed, adapted: the one
+        // cut re-synthesizes the 95 records live across it.
+        let mut sc = NetScenario::clustered_city(100, 10, 9.0, 20050307);
+        sc.adapt = true;
         let work = assert_thread_invariant(&sc, &[2]);
         let two_spans = PlanWork {
             spans: 2,
@@ -753,18 +702,54 @@ mod tests {
     }
 
     #[test]
+    fn unadapted_plans_do_not_probe() {
+        // Without adaptation the probe sweep decides nothing, so it does
+        // not run: the round-robin city and the 8-ring (both with the
+        // spectral probe on) synthesize nothing, and the interference-aware
+        // policy only its allocation probes.
+        let mut city = city_200();
+        city.adapt = false;
+        let ring = NetScenario::ring(8, 8.0, 77);
+        let mut aware = NetScenario::ring(4, 8.0, 5);
+        aware.topology = Topology::ring(4, 0.5, 1.0);
+        aware.policy = ChannelPolicy::InterferenceAware(vec![
+            Channel::new(3).unwrap(),
+            Channel::new(4).unwrap(),
+        ]);
+        for (sc, syntheses) in [(&city, 0), (&ring, 0), (&aware, 4)] {
+            assert!(sc.probe_spectral);
+            let _ = uwb_obs::take_thread_telemetry();
+            let (plan, work) = plan_network_swept(sc, RecordSchedule::channel_major, None);
+            let telemetry = uwb_obs::take_thread_telemetry();
+            assert_eq!(
+                work,
+                PlanWork {
+                    spans: 0,
+                    syntheses
+                }
+            );
+            if uwb_obs::enabled() {
+                let tx = telemetry.stage("tx").map_or(0, |s| s.calls as usize);
+                assert_eq!(tx, syntheses, "one tx per allocation probe");
+            }
+            for (l, link) in plan.links.iter().enumerate() {
+                let mut base = sc.base_config.clone();
+                base.channel = link.channel;
+                assert_eq!(link.scenario.config, base, "link {l} keeps the base config");
+            }
+        }
+    }
+
+    #[test]
     fn plan_is_deterministic() {
-        let sc = NetScenario::ring(6, 8.0, 77);
+        let mut sc = NetScenario::ring(6, 8.0, 77);
+        sc.adapt = true;
         let a = plan_network(&sc);
         let b = plan_network(&sc);
         assert_eq!(a.coupling, b.coupling);
         for (x, y) in a.links.iter().zip(b.links.iter()) {
             assert_eq!(x.channel, y.channel);
-            assert_eq!(x.scenario.seed, y.scenario.seed);
-            assert_eq!(
-                x.interference_rel_db.to_bits(),
-                y.interference_rel_db.to_bits()
-            );
+            assert_eq!(format!("{:?}", x.scenario), format!("{:?}", y.scenario));
         }
     }
 }

@@ -30,11 +30,11 @@
 //!
 //! * [`scenario`] — [`NetScenario`]: topology, channel policy, impairments
 //! * [`coupling`] — the spatial × spectral coupling model
-//! * [`controller`] — planning phase in two stages: [`assign_network`]
-//!   (channel allocation — static / round-robin / interference-aware — and
-//!   the coupling graph, no probe), then [`plan_network`]'s probing (the
-//!   rounds' victim sweep over a probe plan, cut into spans across
-//!   threads) and closed-loop adaptation; frozen into a [`NetPlan`]
+//! * [`controller`] — planning phase: [`plan_network`]'s channel
+//!   allocation (static / round-robin / interference-aware) and coupling
+//!   graph, then, with adaptation on, its probing (the rounds' victim
+//!   sweep over a probe plan, cut into spans across threads) and
+//!   closed-loop adaptation; frozen into a [`NetPlan`]
 //! * [`runner`] — parallel measurement phase on the Monte-Carlo engine:
 //!   [`NetWorker`]'s one victim sweep over the [`arena`]
 //! * [`mix`] — the shared transmission record ([`TxRecord`]) and the one
@@ -66,7 +66,7 @@ pub mod runner;
 pub mod scenario;
 
 pub use arena::{RecordArena, RecordSchedule};
-pub use controller::{assign_network, link_seed, plan_network, NetLinkPlan, NetPlan};
+pub use controller::{link_seed, plan_network, NetLinkPlan, NetPlan};
 pub use coupling::{
     build_coupling, build_coupling_sparse, coupling_db, sense_sets, CouplingParams, CouplingRow,
 };

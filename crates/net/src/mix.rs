@@ -99,13 +99,6 @@ impl WaveRecord {
         (!self.im.is_empty()).then_some(self.im.as_slice())
     }
 
-    /// Mean power `Σ|z|²/N`, summed serially in sample order
-    /// (bit-identical to `uwb_dsp::complex::mean_power` of the complex
-    /// record).
-    pub(crate) fn mean_power(&self) -> f64 {
-        plane_mean_power(&self.re, self.im())
-    }
-
     /// The record as complex samples (`+0.0` imaginary parts when the
     /// `im` plane is absent).
     #[cfg(test)]
@@ -360,7 +353,18 @@ impl VictimMixer {
     /// Mean power `Σ|z|²/N` of the mix, summed serially in sample order
     /// (bit-identical to `uwb_dsp::complex::mean_power` of the complex mix).
     pub(crate) fn mean_power(&self) -> f64 {
-        plane_mean_power(&self.re, (!self.im.is_empty()).then_some(&self.im))
+        if self.im.is_empty() {
+            // `r·r + (+0.0)·(+0.0)` is `r·r`: a square is never `−0.0`.
+            uwb_dsp::complex::mean_power_real(&self.re)
+        } else {
+            let sum: f64 = self
+                .re
+                .iter()
+                .zip(&self.im)
+                .map(|(r, i)| r * r + i * i)
+                .sum();
+            sum / self.re.len() as f64
+        }
     }
 
     /// Writes the mix to `out` as complex samples, replacing its contents.
@@ -376,17 +380,6 @@ impl VictimMixer {
                     .map(|(&r, &i)| Complex::new(r, i)),
             );
         }
-    }
-}
-
-/// Mean power `Σ(re² + im²)/N` of planes, summed serially in sample order:
-/// bit-identical to `uwb_dsp::complex::mean_power` of the complex samples.
-fn plane_mean_power(re: &[f64], im: Option<&[f64]>) -> f64 {
-    match im {
-        // `r·r + (+0.0)·(+0.0)` is `r·r`: a square is never `−0.0`.
-        None => uwb_dsp::complex::mean_power_real(re),
-        // A present `im` plane is never empty.
-        Some(im) => re.iter().zip(im).map(|(r, i)| r * r + i * i).sum::<f64>() / re.len() as f64,
     }
 }
 
@@ -510,10 +503,6 @@ mod tests {
         assert_eq!(
             record.power.to_bits(),
             uwb_dsp::simd::mean_power(&synth).to_bits()
-        );
-        assert_eq!(
-            record.wave.mean_power().to_bits(),
-            uwb_dsp::complex::mean_power(&synth).to_bits()
         );
         record
     }
@@ -747,10 +736,6 @@ mod tests {
             assert_eq!(
                 mixer.mean_power().to_bits(),
                 uwb_dsp::complex::mean_power(&complex).to_bits()
-            );
-            assert_eq!(
-                r.mean_power().to_bits(),
-                uwb_dsp::complex::mean_power(&samples).to_bits()
             );
         }
     }

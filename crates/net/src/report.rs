@@ -23,9 +23,6 @@ pub struct LinkReport {
     pub bit_rate: f64,
     /// Goodput proxy: `bit_rate × (1 − PER)` (bit/s).
     pub throughput_bps: f64,
-    /// Probe-measured interference power relative to the link's own signal
-    /// (dB; `-inf` when nothing couples, NaN when the plan was not probed).
-    pub interference_rel_db: f64,
 }
 
 impl LinkReport {
@@ -47,7 +44,6 @@ impl LinkReport {
             packets_bad: stats.packets_bad,
             bit_rate,
             throughput_bps,
-            interference_rel_db: plan.interference_rel_db,
         }
     }
 
@@ -107,19 +103,11 @@ impl NetReport {
         self.links.is_empty()
     }
 
-    /// Renders the per-link table (`link / ch / BER / PER / I/S dB /
-    /// throughput`) used by the experiment binaries. An unprobed link's
-    /// I/S reads `n/a`, one that nothing couples into `-inf`.
+    /// Renders the per-link table (`link / ch / bits / errors / BER / PER /
+    /// throughput`). A link measured over no packets reads `n/a` PER.
     pub fn table(&self) -> Table {
-        let mut t = Table::new(vec![
-            "link", "ch", "bits", "errors", "BER", "PER", "I/S dB", "Mbit/s",
-        ]);
+        let mut t = Table::new(vec!["link", "ch", "bits", "errors", "BER", "PER", "Mbit/s"]);
         for (l, r) in self.links.iter().enumerate() {
-            let isr = if r.interference_rel_db.is_nan() {
-                "n/a".to_string()
-            } else {
-                format!("{:.1}", r.interference_rel_db)
-            };
             let per = r.per();
             t.row(vec![
                 l.to_string(),
@@ -132,7 +120,6 @@ impl NetReport {
                 } else {
                     format!("{per:.3}")
                 },
-                isr,
                 format!("{:.1}", r.throughput_bps / 1e6),
             ]);
         }
@@ -180,27 +167,5 @@ mod tests {
         assert!(report.links[0].per().is_nan());
         assert_eq!(report.aggregate_throughput_bps, 0.0);
         assert!(report.table().to_string().contains("n/a"));
-    }
-
-    #[test]
-    fn unprobed_plan_renders_na_interference() {
-        // An unprobed plan measures like a probed one, but its I/S column
-        // reads n/a: not -inf, which says that nothing couples.
-        use crate::controller::{assign_network, plan_network};
-        use crate::runner::run_plan_threads;
-        let mut sc = crate::scenario::NetScenario::ring(2, 8.0, 9);
-        sc.rounds = 1;
-        sc.probe_spectral = false;
-        let probed = run_plan_threads(plan_network(&sc), 1);
-        let unprobed = run_plan_threads(assign_network(&sc), 1);
-        for (p, u) in probed.links.iter().zip(&unprobed.links) {
-            assert!(!p.interference_rel_db.is_nan());
-            assert!(u.interference_rel_db.is_nan());
-            assert_eq!(p.counter, u.counter, "the plans measure alike");
-            assert_eq!(u.packets, 1);
-        }
-        let na = |r: &NetReport| r.table().to_string().matches("n/a").count();
-        assert_eq!(na(&probed), 0);
-        assert_eq!(na(&unprobed), 2);
     }
 }

@@ -24,9 +24,9 @@
 //! The sweep itself is one private loop, `NetWorker::sweep`: make the
 //! victim's record and its row's records resident, visit the victim, then
 //! release the records it read last. A round visits each victim with its
-//! decode; the planner ([`plan_network`]) drives the same sweep over a
-//! probe plan, cut into spans with a schedule each, and visits each victim
-//! with its probe measurement.
+//! decode; an adaptive plan ([`plan_network`] with `adapt` on) drives the
+//! same sweep over a probe plan, cut into spans with a schedule each, and
+//! visits each victim with its probe measurement.
 //!
 //! Records are [`crate::TxRecord`]s: `re` / `im` planes, the payload
 //! snapshot, the synthesis metadata and the mean power, filled by

@@ -67,7 +67,10 @@ pub struct NetScenario {
     /// Channel-allocation policy.
     pub policy: ChannelPolicy,
     /// Run the closed-loop [`uwb_phy::LinkAdapter`] per link during
-    /// planning (probe-measured SINR → config).
+    /// planning (probe-measured SINR → config). The adapted configs are the
+    /// probe sweep's only decision, so planning synthesizes probes only
+    /// with this on (apart from the interference-aware policy's
+    /// allocation probes).
     pub adapt: bool,
     /// Front-end adjacent-channel selectivity model.
     pub selectivity: ChannelSelectivity,
@@ -77,11 +80,13 @@ pub struct NetScenario {
     /// semantics bit-for-bit — only the front end's spectral floor drops
     /// edges.
     pub coupling: CouplingParams,
-    /// Run the Welch [`uwb_phy::SpectralMonitor`] over each receiver's
-    /// probe superposition during planning. On by default; large networks
-    /// turn it off because the per-link PSD dominates plan time and its
-    /// result only feeds planning diagnostics (the adapter's
-    /// `interferer_present` flag falls back to the coupling graph).
+    /// With [`NetScenario::adapt`] on, run the Welch
+    /// [`uwb_phy::SpectralMonitor`] over each receiver's probe
+    /// superposition: its detection sets the adapter's
+    /// `interferer_present` flag, along with a non-empty coupling row.
+    /// Without adaptation no probe runs and this has no effect. On by
+    /// default; large networks turn it off because the per-link PSD
+    /// dominates an adaptive plan's time.
     pub probe_spectral: bool,
 }
 
@@ -114,7 +119,8 @@ impl NetScenario {
     /// [`Topology::clustered`] floor plan (20 m cluster pitch, 3 m cluster
     /// radius, 1 m links), round-robin channels, and a finite coupling
     /// floor so the interference graph stays sparse. Spectral probing is
-    /// off — this is the constructor for large-N scaling runs.
+    /// off (it only matters with adaptation on) — this is the constructor
+    /// for large-N scaling runs.
     pub fn clustered_city(
         clusters: usize,
         per_cluster: usize,

@@ -165,9 +165,6 @@ fn eight_links_three_channels_report_coherently() {
         agg += r.throughput_bps;
     }
     assert!((report.aggregate_throughput_bps - agg).abs() < 1e-6);
-    // The co-channel pairs (links 0/3/6 share channel 1, etc.) must see
-    // finite probe-measured interference; the geometry makes it nonzero.
-    assert!(report.links[0].interference_rel_db.is_finite());
 }
 
 #[test]

@@ -19,9 +19,9 @@
 //!   [`run_ber_fast_streamed_tuned`]);
 //! * [`LinkWorker::trial_full`] — the same known-timing BER pass, then the
 //!   full acquisition → header → CRC packet path over the same digitized
-//!   record ([`run_ber_budgeted`], [`run_packet`]).
+//!   record ([`run_ber_budgeted`]).
 //!
-//! Both runners execute on [`uwb_sim::montecarlo::MonteCarlo`]:
+//! Every runner executes on [`uwb_sim::montecarlo::MonteCarlo`]:
 //!
 //! * trial `t` draws its RNG from
 //!   [`uwb_sim::rng::derive_trial_seed`]`(scenario.seed, t)` (a splitmix64
@@ -682,24 +682,6 @@ fn classify_stop(reason: StopReason, c: &ErrorCounter, target_errors: u64) -> Li
     }
 }
 
-/// Runs one packet through the scenario, updating `outcome`.
-///
-/// Uses the *known-timing* statistics path for the BER counter (so every
-/// payload bit contributes even when the CRC fails) and the full
-/// acquisition path for the packet/sync counters. Trial `trial` runs on
-/// `derive_trial_seed(scenario.seed, trial)` — identical to what the
-/// parallel engine feeds the same trial index.
-pub fn run_packet(
-    scenario: &LinkScenario,
-    payload_len: usize,
-    trial: u64,
-    outcome: &mut LinkOutcome,
-) {
-    let mut rng = Rand::for_trial(scenario.seed, trial);
-    let mut worker = LinkWorker::new(scenario);
-    worker.trial_full(scenario, payload_len, &mut rng, outcome);
-}
-
 /// Runs packets through the full trial kernel until `target_errors` bit
 /// errors accumulate, `max_bits` bits are observed or `budget` runs out, in
 /// parallel on the deterministic Monte-Carlo engine
@@ -869,13 +851,22 @@ mod tests {
         assert!(rates[1] >= rates[2]);
     }
 
+    /// Trials `trials` of `sc` through [`LinkWorker::trial_full`], each on
+    /// its engine RNG stream (`Rand::for_trial`), serially on one worker.
+    fn full_trials(sc: &LinkScenario, payload_len: usize, trials: Range<u64>) -> LinkOutcome {
+        let mut worker = LinkWorker::new(sc);
+        let mut outcome = LinkOutcome::default();
+        for t in trials {
+            let mut rng = Rand::for_trial(sc.seed, t);
+            worker.trial_full(sc, payload_len, &mut rng, &mut outcome);
+        }
+        outcome
+    }
+
     #[test]
     fn full_packet_path_counts() {
         let sc = LinkScenario::awgn(small_config(), 12.0, 4);
-        let mut outcome = LinkOutcome::default();
-        for t in 0..3 {
-            run_packet(&sc, 24, t, &mut outcome);
-        }
+        let outcome = full_trials(&sc, 24, 0..3);
         assert_eq!(outcome.packets, 3);
         assert_eq!(outcome.packets_ok, 3);
         assert_eq!(outcome.sync_failures, 0);
@@ -917,13 +908,10 @@ mod tests {
 
     #[test]
     fn run_packet_matches_engine_trial() {
-        // The compat single-packet entry point must agree with what the
-        // engine produces for the same trial index.
+        // Serial full trials on the engine's per-trial RNG streams must
+        // agree with what the engine produces for the same trial indices.
         let sc = LinkScenario::awgn(small_config(), 8.0, 11);
-        let mut serial = LinkOutcome::default();
-        for t in 0..4 {
-            run_packet(&sc, 16, t, &mut serial);
-        }
+        let serial = full_trials(&sc, 16, 0..4);
         let engine = run_ber_budgeted(&sc, 16, u64::MAX, u64::MAX, TrialBudget { max_trials: 4 });
         assert_eq!(engine.outcome, serial);
     }

@@ -6,7 +6,8 @@
 //!
 //! * **Plan** — per-channel spatial grids enumerate ~O(N·k) candidate
 //!   couplings instead of all N² pairs; anything below the −40 dB
-//!   total-coupling floor is never even visited.
+//!   total-coupling floor is never even visited. The city is not adapted,
+//!   so planning synthesizes no probe waveform.
 //! * **Measure** — victims are swept channel by channel; each
 //!   transmitter's clean waveform is synthesized once per round into a
 //!   recycled arena slot and shared read-only by every coupled receiver,
@@ -38,7 +39,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     // 1,000 clusters × 10 links on a ~620 m square grid: 20 m cluster
     // pitch, 3 m cluster radius, 1 m links, round-robin over all 14
-    // channels, spectral probing off (planning diagnostic only).
+    // channels, no adaptation (so no probe sweep).
     let per_cluster = 10;
     let users: usize = arg_value(&args, "--users")
         .and_then(|v| v.parse().ok())
@@ -56,7 +57,7 @@ fn main() {
         sc.coupling.floor_db
     );
 
-    // --- Plan: sparse graph + per-link probe measurement. ---
+    // --- Plan: channel allocation + sparse graph. ---
     let t0 = Instant::now();
     let plan = plan_network(&sc);
     let plan_s = t0.elapsed().as_secs_f64();

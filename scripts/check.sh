@@ -3,6 +3,8 @@
 #
 # Usage:
 #   scripts/check.sh          release build + the root test suite (tier-1)
+#   scripts/check.sh fmt      formatting gate: `cargo fmt --all --check`
+#                             (rustfmt defaults, no rustfmt.toml)
 #   scripts/check.sh smoke    build + run the end-to-end engine/link smoke bin
 #   scripts/check.sh bench    the uwb-bench unit tests (the shared tracked
 #                             driver: flag parsing, report schema, checker),
@@ -94,8 +96,8 @@
 #                             fails on the first non-zero exit (~20 s of
 #                             runs, piconet_city the slowest)
 #   scripts/check.sh all      tier-1, then the whole workspace's tests, then
-#                             surface, then smoke, then obs, then stream,
-#                             then net, then mac (which includes the
+#                             fmt, then surface, then smoke, then obs, then
+#                             stream, then net, then mac (which includes the
 #                             uwbbench tests), then pins, then examples
 set -eu
 cd "$(dirname "$0")/.."
@@ -134,6 +136,11 @@ surface() {
     rm -rf "$stripped"
     echo "surface: $hits unreferenced pub item(s)"
     [ "$hits" -eq 0 ]
+}
+
+fmt() {
+    echo "== fmt: cargo fmt --all --check =="
+    cargo fmt --all --check
 }
 
 smoke() {
@@ -255,6 +262,9 @@ case "$mode" in
 tier1)
     tier1
     ;;
+fmt)
+    fmt
+    ;;
 surface)
     surface
     ;;
@@ -286,6 +296,7 @@ all)
     tier1
     echo "== workspace: cargo test -q --workspace =="
     cargo test -q --workspace
+    fmt
     surface
     smoke
     obs
@@ -296,7 +307,7 @@ all)
     examples
     ;;
 *)
-    echo "usage: scripts/check.sh [tier1|surface|smoke|bench|obs|stream|net|mac|pins|examples|all]" >&2
+    echo "usage: scripts/check.sh [tier1|fmt|surface|smoke|bench|obs|stream|net|mac|pins|examples|all]" >&2
     exit 2
     ;;
 esac

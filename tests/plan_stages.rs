@@ -1,13 +1,11 @@
-//! The planner's two stages agree wherever the MAC reads them.
+//! `plan_mac`'s network plan is `plan_network`'s, bit for bit.
 //!
-//! `assign_network` allocates channels, builds the coupling graph and
-//! writes each link's channel into the base config without synthesizing a
-//! probe; `plan_network` runs it, then the probe sweep. Without adaptation
-//! the sweep changes no channel, coupling row or config, so `plan_mac`
-//! skips it unless adaptation or the spectral probe is on. These tests
-//! hold `plan_mac`'s network plan to `plan_network`'s: equal in every
-//! field except the unprobed `interference_rel_db` (NaN) without
-//! adaptation, and equal bit for bit with it.
+//! `plan_network` allocates channels, builds the coupling graph and writes
+//! each link's channel into the base config; with adaptation on, its probe
+//! sweep then replaces each config with the adapter's. `plan_mac` plans
+//! its network with it. These tests hold the two equal without adaptation,
+//! where no probe runs, and with it, down to the airtimes the adapted
+//! configs give.
 
 use uwb::mac::{plan_mac, MacScenario};
 use uwb::net::{plan_network, ChannelPolicy, CouplingRow, NetPlan};
@@ -15,33 +13,16 @@ use uwb::phy::bandplan::Channel;
 use uwb::phy::Gen2Transmitter;
 use uwb::sim::sv_channel::ChannelModel;
 
-/// Equal coupling rows, gains compared on `to_bits`.
-fn assert_same_coupling(a: &NetPlan, b: &NetPlan, what: &str) {
+/// `a` equals `b` bit for bit: coupling gains on `to_bits`, every other
+/// field on `Debug` (which prints every `f64` in its shortest round-trip
+/// form, so equal strings mean equal values).
+fn assert_same_plan(a: &NetPlan, b: &NetPlan, what: &str) {
     let bits = |r: &CouplingRow| r.iter().map(|&(u, g)| (u, g.to_bits())).collect::<Vec<_>>();
     assert_eq!(a.coupling.len(), b.coupling.len());
     for (v, (ra, rb)) in a.coupling.iter().zip(&b.coupling).enumerate() {
         assert_eq!(bits(ra), bits(rb), "{what}: coupling row {v}");
     }
-}
-
-/// `unprobed` equals `probed` in every field but `interference_rel_db`,
-/// which `unprobed` leaves NaN. `Debug` prints every `f64` in its shortest
-/// round-trip form, so equal strings mean equal values.
-fn assert_equal_but_unprobed(unprobed: &NetPlan, probed: &NetPlan, what: &str) {
-    assert_same_coupling(unprobed, probed, what);
-    let mut filled = unprobed.clone();
-    for (l, (x, y)) in filled.links.iter_mut().zip(&probed.links).enumerate() {
-        assert!(
-            x.interference_rel_db.is_nan(),
-            "{what}: link {l} was probed"
-        );
-        assert!(
-            !y.interference_rel_db.is_nan(),
-            "{what}: link {l} was not probed"
-        );
-        x.interference_rel_db = y.interference_rel_db;
-    }
-    assert_eq!(format!("{filled:?}"), format!("{probed:?}"), "{what}");
+    assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
 }
 
 #[test]
@@ -59,9 +40,14 @@ fn unadapted_mac_plans_skip_only_the_probe() {
         MacScenario::clustered_city(20, 10, 9.0, 1.5, 20050307),
     ));
     for (what, sc) in &scenarios {
-        assert!(!sc.net.adapt && !sc.net.probe_spectral, "{what}");
+        assert!(!sc.net.adapt, "{what}");
         let plan = plan_mac(sc);
-        assert_equal_but_unprobed(&plan.net, &plan_network(&sc.net), what);
+        assert_same_plan(&plan.net, &plan_network(&sc.net), what);
+        for (l, link) in plan.net.links.iter().enumerate() {
+            let mut base = sc.net.base_config.clone();
+            base.channel = link.channel;
+            assert_eq!(link.scenario.config, base, "{what}: link {l}");
+        }
     }
     let city = &scenarios.last().unwrap().1;
     assert!(
@@ -71,20 +57,6 @@ fn unadapted_mac_plans_skip_only_the_probe() {
             .any(|r| !r.is_empty()),
         "the city must couple"
     );
-}
-
-/// `a` equals `b` bit for bit: coupling gains and `interference_rel_db` on
-/// `to_bits`, every other field on `Debug`.
-fn assert_same_plan(a: &NetPlan, b: &NetPlan, what: &str) {
-    assert_same_coupling(a, b, what);
-    for (l, (x, y)) in a.links.iter().zip(&b.links).enumerate() {
-        assert_eq!(
-            x.interference_rel_db.to_bits(),
-            y.interference_rel_db.to_bits(),
-            "{what}: link {l}"
-        );
-    }
-    assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
 }
 
 #[test]
@@ -97,7 +69,6 @@ fn probed_mac_plans_are_the_network_plan() {
     let plan = plan_mac(&adapted);
     let net = plan_network(&adapted.net);
     assert_same_plan(&plan.net, &net, "adapted 6-ring");
-    assert!(net.links.iter().all(|l| l.operating.is_some()));
     assert!(
         net.links.iter().any(|l| {
             let mut base = adapted.net.base_config.clone();
@@ -118,12 +89,13 @@ fn probed_mac_plans_are_the_network_plan() {
         );
     }
 
-    // The spectral probe's reports are the caller's to read.
+    // The spectral probe feeds the adapter's interferer flag.
     let mut spectral = MacScenario::ring(4, 9.0, 0.8, 11);
+    spectral.net.adapt = true;
     spectral.net.probe_spectral = true;
     assert_same_plan(
         &plan_mac(&spectral).net,
         &plan_network(&spectral.net),
-        "4-ring with the spectral probe",
+        "adapted 4-ring with the spectral probe",
     );
 }

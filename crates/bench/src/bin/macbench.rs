@@ -48,8 +48,9 @@ fn suite() -> Suite {
     let scenario = bench_scenario();
     // 1. The MAC planning phase: channel assignment + coupling graph (no
     //    probe sweep: the scenario does not adapt) + closed-form airtimes
-    //    + sense-set extraction.
-    let plan_us = time_us(3, 5, || {
+    //    + sense-set extraction. A plan takes ~10 µs, so each batch of 200
+    //    runs for ~2 ms: one preempted batch cannot decide the row.
+    let plan_us = time_us(200, 15, || {
         let _ = plan_mac(&scenario);
     });
     let mut metrics = vec![Metric::us("plan_mac_8user", plan_us, Gate)];

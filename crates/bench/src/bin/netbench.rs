@@ -57,8 +57,10 @@ fn bench_scenario() -> NetScenario {
 fn suite() -> Suite {
     let scenario = bench_scenario();
     // 1. The planning phase for the 8-user scenario: channel allocation
-    //    and the coupling graph (unadapted, so no probe sweep).
-    let plan_us = time_us(3, 5, || {
+    //    and the coupling graph (unadapted, so no probe sweep). A plan
+    //    takes a few µs, so each batch of 200 runs for ~1 ms: one preempted
+    //    batch cannot decide the row.
+    let plan_us = time_us(200, 15, || {
         let _ = plan_network(&scenario);
     });
     let mut metrics = vec![Metric::us("plan_8user", plan_us, Gate)];

@@ -142,12 +142,15 @@ fn assign(scenario: &NetScenario) -> NetPlan {
     // Couplings below the scenario's floor are never enumerated; with the
     // default parameters the rows are bit-identical to the dense
     // `build_coupling` reference.
-    let coupling = build_coupling_sparse(
-        &scenario.topology,
-        &scenario.selectivity,
-        &channels,
-        &scenario.coupling,
-    );
+    let coupling = {
+        let _t = uwb_obs::span!("net_coupling");
+        build_coupling_sparse(
+            &scenario.topology,
+            &scenario.selectivity,
+            &channels,
+            &scenario.coupling,
+        )
+    };
 
     let links = channels
         .into_iter()

@@ -15,11 +15,19 @@
 //!    are disjoint. Below the selectivity floor the coupling is dropped
 //!    entirely (`None`), which is what makes a link on a far channel
 //!    **bit-identical** to an isolated link rather than merely close.
+//!
+//! [`build_coupling`] is the O(N²) reference; [`build_coupling_sparse`] is
+//! the build planning runs. It grids each channel's transmitters on their
+//! own (cells sized for about one transmitter each), asks each grid only
+//! for transmitters inside the radius where a coupling can still clear
+//! the floor, and checks each candidate once, at the distance the grid
+//! hands over. Its cost follows the edges it keeps, not N², and its kept
+//! gains equal the reference's bit for bit.
 
 use uwb_phy::bandplan::Channel;
 use uwb_rf::ChannelSelectivity;
-use uwb_sim::pathloss::log_distance_path_loss_db;
-use uwb_sim::topology::{SpatialGrid, Topology};
+use uwb_sim::pathloss::free_space_path_loss_db;
+use uwb_sim::topology::{Position, SpatialGrid, Topology};
 
 /// The spectral term of a coupling: in-band overlap attenuation for
 /// co-channel pairs, front-end stop-band leakage for disjoint occupied
@@ -77,20 +85,12 @@ pub struct CouplingParams {
     /// geometric pruning — only the front end's spectral floor drops edges,
     /// exactly the classic dense semantics.
     pub floor_db: f64,
-    /// Optional cap: keep only the `k` strongest couplings per receiver
-    /// (ties break toward the lower transmitter index). `None` = unbounded.
-    pub max_per_rx: Option<usize>,
-    /// Spatial-grid cell size override in metres; `None` picks
-    /// `sqrt(bounding-box area / N)` — about one transmitter per cell.
-    pub grid_cell_m: Option<f64>,
 }
 
 impl Default for CouplingParams {
     fn default() -> CouplingParams {
         CouplingParams {
             floor_db: f64::NEG_INFINITY,
-            max_per_rx: None,
-            grid_cell_m: None,
         }
     }
 }
@@ -151,10 +151,21 @@ pub fn build_coupling(
 /// where the combined coupling can still clear `params.floor_db`. Couplings
 /// below the floor are **never enumerated**.
 ///
+/// Each channel's grid is sized from that channel's own transmitters
+/// (about one per cell over their bounding box), so a query walks cells
+/// in proportion to the co-channel transmitters it can meet, not to the
+/// whole network. Each candidate is handled in one pass: the grid hands
+/// over its distance, and the victim-constant terms (free-space loss at
+/// 1 m, `10 · exponent`) are computed once per victim.
+///
 /// For every edge that both builds keep, the stored gain is **bit-identical**
 /// to [`build_coupling`]'s (same float operations in the same order), so on
 /// a scenario where no coupling falls below `params.floor_db` the sparse
 /// graph is a pure no-op relative to the dense one.
+///
+/// Telemetry: per victim, the `net_coupling_cells` digest records the grid
+/// cells walked and `net_coupling_candidates` the transmitters the grids
+/// hand over (the victim's own included) to be checked against the floor.
 pub fn build_coupling_sparse(
     topology: &Topology,
     selectivity: &ChannelSelectivity,
@@ -163,83 +174,77 @@ pub fn build_coupling_sparse(
 ) -> Vec<CouplingRow> {
     let n = topology.len();
     assert_eq!(channels.len(), n, "one channel per link");
-    let nch = Channel::all().count();
+    let all: Vec<Channel> = Channel::all().collect();
     let own_pl = own_path_losses(topology, channels);
-    let exponent = topology.path_loss_exponent;
+    let ten_n = 10.0 * topology.path_loss_exponent;
+    let min_d = topology.min_distance_m;
 
     // Group transmitters by assigned channel and grid each group.
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); nch];
+    let mut members: Vec<Vec<(usize, Position)>> = vec![Vec::new(); all.len()];
     for (l, ch) in channels.iter().enumerate() {
-        members[ch.index()].push(l);
+        members[ch.index()].push((l, topology.links[l].tx));
     }
-    let cell = params.grid_cell_m.unwrap_or_else(|| auto_cell_m(topology));
     let grids: Vec<Option<SpatialGrid>> = members
         .iter()
         .map(|m| {
-            if m.is_empty() {
-                None
-            } else {
-                Some(SpatialGrid::from_points(
-                    m.iter().map(|&l| (l, topology.links[l].tx)),
-                    cell,
-                ))
-            }
+            (!m.is_empty()).then(|| SpatialGrid::from_points(m.iter().copied(), one_per_cell_m(m)))
         })
         .collect();
 
     // Spectral term per (tx-channel, victim-channel) pair — 14×14, not N².
-    let spectral: Vec<Vec<Option<f64>>> = (0..nch)
-        .map(|cu| {
-            (0..nch)
-                .map(|cv| {
-                    spectral_term(
-                        selectivity,
-                        Channel::new(cu).expect("band-plan channel"),
-                        Channel::new(cv).expect("band-plan channel"),
-                    )
-                })
+    let spectral: Vec<Vec<Option<f64>>> = all
+        .iter()
+        .map(|&cu| {
+            all.iter()
+                .map(|&cv| spectral_term(selectivity, cu, cv))
                 .collect()
         })
         .collect();
 
     let mut rows: Vec<CouplingRow> = Vec::with_capacity(n);
-    let mut cand: Vec<u32> = Vec::new();
+    let mut row: CouplingRow = Vec::new();
     for v in 0..n {
         let cv = channels[v].index();
-        let f = channels[v].center();
-        let mut row: CouplingRow = Vec::new();
+        let fspl_1m = free_space_path_loss_db(1.0, channels[v].center());
+        let rx = topology.links[v].rx;
+        let (mut cells, mut candidates) = (0usize, 0usize);
+        row.clear();
         for (cu, grid) in grids.iter().enumerate() {
             let Some(grid) = grid else { continue };
             let Some(s) = spectral[cu][cv] else { continue };
-            let radius =
-                interference_radius_m(topology, own_pl[v], s, params.floor_db, f, exponent);
-            grid.within_radius_into(topology.links[v].rx, radius, &mut cand);
-            for &u in &cand {
+            // Beyond this distance a transmitter cannot clear the floor:
+            // `own_pl + s − PL(d) = floor` solved for `d`, plus a relative
+            // margin and the near-field clamp, so round-off in the closed
+            // form never excludes an edge the exact check below would keep.
+            let radius = if params.floor_db == f64::NEG_INFINITY {
+                f64::INFINITY
+            } else {
+                let budget_db = own_pl[v] + s - params.floor_db - fspl_1m;
+                10f64.powf(budget_db / ten_n) * (1.0 + 1e-9) + min_d
+            };
+            cells += grid.for_each_within(rx, radius, |u, d| {
+                candidates += 1;
                 let u = u as usize;
                 if u == v {
-                    continue;
+                    return;
                 }
-                // Same float-op order as the dense build — bit-identical
-                // gains for every edge both builds keep.
-                let db = own_pl[v] - topology.path_loss_db(u, v, f) + s;
+                // `log_distance_path_loss_db` at `Topology::distance_m`,
+                // operation for operation: gains bit-identical to the dense
+                // build's for every edge both builds keep.
+                let pl = fspl_1m + ten_n * d.max(min_d).log10();
+                let db = own_pl[v] - pl + s;
                 if db > params.floor_db {
                     row.push((u, 10f64.powf(db / 20.0)));
                 }
-            }
+            });
         }
-        // Candidates arrive grouped by channel; restore the ascending-tx
-        // mixing order the measurement phase's bit-exactness contract needs.
+        uwb_obs::digest!("net_coupling_cells", cells as u64);
+        uwb_obs::digest!("net_coupling_candidates", candidates as u64);
+        // Candidates arrive grouped by channel and cell; restore the
+        // ascending-tx mixing order the bit-exactness contract needs, then
+        // copy the row out at its exact size.
         row.sort_unstable_by_key(|&(u, _)| u);
-        if let Some(k) = params.max_per_rx {
-            if row.len() > k {
-                // Keep the k strongest (ties toward the lower tx index),
-                // then restore ascending-tx order.
-                row.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                row.truncate(k);
-                row.sort_unstable_by_key(|&(u, _)| u);
-            }
-        }
-        rows.push(row);
+        rows.push(row.clone());
     }
     rows
 }
@@ -276,49 +281,24 @@ pub fn sense_sets(rows: &[CouplingRow], sense_threshold_db: f64) -> Vec<Vec<usiz
     sets
 }
 
-/// Default grid cell: about one transmitter per cell over the bounding box.
-fn auto_cell_m(topology: &Topology) -> f64 {
-    let xs = topology.links.iter().map(|l| l.tx.x);
-    let ys = topology.links.iter().map(|l| l.tx.y);
-    let (min_x, max_x) = (
-        xs.clone().fold(f64::INFINITY, f64::min),
-        xs.fold(f64::NEG_INFINITY, f64::max),
-    );
-    let (min_y, max_y) = (
-        ys.clone().fold(f64::INFINITY, f64::min),
-        ys.fold(f64::NEG_INFINITY, f64::max),
-    );
-    let area = (max_x - min_x) * (max_y - min_y);
-    let cell = (area / topology.len().max(1) as f64).sqrt();
+/// Grid cell for one channel's transmitters: about one per cell over
+/// their bounding box. The cell is at least the box's longer side over the
+/// transmitter count, so a thin box (two transmitters on opposite sides of
+/// a ring, a line) still gets about as many cells as transmitters rather
+/// than one per `sqrt(area / n)` along its length: the grid never has more
+/// than `3n + 1` cells. 1 m when every transmitter sits at one point.
+fn one_per_cell_m(points: &[(usize, Position)]) -> f64 {
+    let xs = points.iter().map(|(_, p)| p.x);
+    let ys = points.iter().map(|(_, p)| p.y);
+    let width = xs.clone().fold(f64::NEG_INFINITY, f64::max) - xs.fold(f64::INFINITY, f64::min);
+    let height = ys.clone().fold(f64::NEG_INFINITY, f64::max) - ys.fold(f64::INFINITY, f64::min);
+    let n = points.len().max(1) as f64;
+    let cell = (width * height / n).sqrt().max(width.max(height) / n);
     if cell.is_finite() && cell > 0.0 {
         cell
     } else {
         1.0
     }
-}
-
-/// The distance beyond which a transmitter with spectral term `s` cannot
-/// clear the coupling floor at this victim: solves
-/// `own_pl + s − PL(d) = floor` for `d` under the log-distance model, with
-/// a relative margin and the near-field clamp added so floating-point
-/// round-off in the closed form can never exclude an edge the exact
-/// per-edge check would keep (the query is a superset; every candidate is
-/// re-checked exactly).
-fn interference_radius_m(
-    topology: &Topology,
-    own_pl_db: f64,
-    spectral_db: f64,
-    floor_db: f64,
-    f: uwb_sim::time::Hertz,
-    exponent: f64,
-) -> f64 {
-    if floor_db == f64::NEG_INFINITY {
-        return f64::INFINITY;
-    }
-    let pl_at_1m = log_distance_path_loss_db(1.0, f, exponent);
-    let budget_db = own_pl_db + spectral_db - floor_db - pl_at_1m;
-    let d = 10f64.powf(budget_db / (10.0 * exponent));
-    d * (1.0 + 1e-9) + topology.min_distance_m
 }
 
 #[cfg(test)]
@@ -415,24 +395,49 @@ mod tests {
         }
     }
 
-    /// A mixed-channel layout where the sparse build must reproduce the
-    /// dense table exactly — same edges, bitwise-equal gains.
-    fn assert_sparse_matches_dense(topo: &Topology, channels: &[Channel], params: &CouplingParams) {
+    /// The sparse build must equal the every-ordered-pair reference
+    /// exactly — same edges, bitwise-equal gains: for each victim, every
+    /// other transmitter whose `coupling_db` clears `params.floor_db`, with
+    /// gain `10^(db/20)`, in ascending order. Without a floor the dense
+    /// `build_coupling` must equal it too. Returns the edge count.
+    fn assert_sparse_matches_dense(
+        topo: &Topology,
+        channels: &[Channel],
+        params: &CouplingParams,
+    ) -> usize {
         let sel = ChannelSelectivity::gen2();
-        let dense = build_coupling(topo, &sel, channels);
+        let n = topo.len();
+        let reference: Vec<CouplingRow> = (0..n)
+            .map(|v| {
+                (0..n)
+                    .filter(|&u| u != v)
+                    .filter_map(|u| {
+                        let db = coupling_db(topo, &sel, u, channels[u], v, channels[v])?;
+                        (db > params.floor_db).then(|| (u, 10f64.powf(db / 20.0)))
+                    })
+                    .collect()
+            })
+            .collect();
         let sparse = build_coupling_sparse(topo, &sel, channels, params);
-        assert_eq!(dense.len(), sparse.len());
-        for (v, (d, s)) in dense.iter().zip(&sparse).enumerate() {
-            assert_eq!(d.len(), s.len(), "victim {v}: {d:?} vs {s:?}");
-            for ((du, dg), (su, sg)) in d.iter().zip(s) {
-                assert_eq!(du, su, "victim {v} edge set differs");
-                assert_eq!(
-                    dg.to_bits(),
-                    sg.to_bits(),
-                    "victim {v} tx {du} gain differs"
-                );
+        let mut builds = vec![("sparse", sparse)];
+        if params.floor_db == f64::NEG_INFINITY {
+            builds.push(("dense", build_coupling(topo, &sel, channels)));
+        }
+        for (name, rows) in &builds {
+            assert_eq!(reference.len(), rows.len(), "{name}");
+            for (v, (r, s)) in reference.iter().zip(rows).enumerate() {
+                assert_eq!(r.len(), s.len(), "{name} victim {v}: {r:?} vs {s:?}");
+                for ((ru, rg), (su, sg)) in r.iter().zip(s) {
+                    assert_eq!(ru, su, "{name} victim {v} edge set differs");
+                    assert_eq!(
+                        rg.to_bits(),
+                        sg.to_bits(),
+                        "{name} victim {v} tx {ru} gain differs"
+                    );
+                }
             }
         }
+        reference.iter().map(Vec::len).sum()
     }
 
     #[test]
@@ -449,10 +454,7 @@ mod tests {
         // still exercised (finite floor ⇒ finite query radii).
         let topo = Topology::ring(16, 3.0, 1.0);
         let channels: Vec<Channel> = (0..16).map(|l| ch(l % 3)).collect();
-        let params = CouplingParams {
-            floor_db: -200.0,
-            ..CouplingParams::default()
-        };
+        let params = CouplingParams { floor_db: -200.0 };
         assert_sparse_matches_dense(&topo, &channels, &params);
     }
 
@@ -469,37 +471,92 @@ mod tests {
         let channels = [ch(3), ch(3)];
         let dense = build_coupling(&topo, &sel, &channels);
         assert!(dense.iter().all(|r| r.len() == 1), "{dense:?}");
-        let params = CouplingParams {
-            floor_db: -40.0,
-            ..CouplingParams::default()
-        };
+        let params = CouplingParams { floor_db: -40.0 };
         let sparse = build_coupling_sparse(&topo, &sel, &channels, &params);
         assert!(sparse.iter().all(|r| r.is_empty()), "{sparse:?}");
     }
 
     #[test]
-    fn max_per_rx_keeps_strongest_in_ascending_order() {
-        let topo = Topology::ring(10, 2.0, 1.0);
-        let channels = [ch(5); 10];
-        let sel = ChannelSelectivity::gen2();
-        let full = build_coupling_sparse(&topo, &sel, &channels, &CouplingParams::default());
-        let params = CouplingParams {
-            max_per_rx: Some(3),
-            ..CouplingParams::default()
+    fn sparse_build_matches_the_reference_under_a_finite_floor() {
+        // A 288-link city, 150 m on a side: at -40 dB the floor cuts
+        // co-channel edges beyond ~100 m and most adjacent-channel ones.
+        let topo = Topology::clustered(36, 8, 30.0, 3.0, 1.0, 20050307);
+        let n = topo.len();
+        let floor = CouplingParams { floor_db: -40.0 };
+        for channels in [
+            (0..n).map(|l| ch(l % 14)).collect::<Vec<_>>(),
+            vec![ch(5); n],
+            (0..n).map(|l| ch(3 + l % 3)).collect(),
+        ] {
+            let kept = assert_sparse_matches_dense(&topo, &channels, &floor);
+            let all = assert_sparse_matches_dense(&topo, &channels, &CouplingParams::default());
+            assert!(
+                0 < kept && kept < all,
+                "the floor must prune: {kept} of {all}"
+            );
+        }
+    }
+
+    #[test]
+    fn channel_grids_have_about_one_cell_per_transmitter() {
+        let cells = |pts: &[(f64, f64)]| {
+            let pts: Vec<(usize, Position)> = pts
+                .iter()
+                .enumerate()
+                .map(|(l, &(x, y))| (l, Position::new(x, y)))
+                .collect();
+            let c = one_per_cell_m(&pts);
+            let span = |f: fn(&Position) -> f64| {
+                let v = pts.iter().map(|(_, p)| f(p));
+                v.clone().fold(f64::NEG_INFINITY, f64::max) - v.fold(f64::INFINITY, f64::min)
+            };
+            let nx = (span(|p| p.x) / c).floor() + 1.0;
+            let ny = (span(|p| p.y) / c).floor() + 1.0;
+            (c, nx * ny)
         };
-        let capped = build_coupling_sparse(&topo, &sel, &channels, &params);
-        for (v, row) in capped.iter().enumerate() {
-            assert_eq!(row.len(), 3, "victim {v}");
-            for w in row.windows(2) {
-                assert!(w[0].0 < w[1].0, "ascending tx order");
-            }
-            // Every kept gain is ≥ every dropped gain.
-            let kept_min = row.iter().map(|&(_, g)| g).fold(f64::INFINITY, f64::min);
-            for &(u, g) in &full[v] {
-                if !row.iter().any(|&(ku, _)| ku == u) {
-                    assert!(g <= kept_min, "victim {v} dropped a stronger edge");
-                }
-            }
+        // Diametric ring pair: a box 18 m long and ~1e-15 m high.
+        let (_, n) = cells(&[(9.0, 0.0), (-9.0, 9.0 * std::f64::consts::PI.sin())]);
+        assert!(n <= 7.0, "{n} cells for 2 transmitters");
+        // A line, a square and a single point.
+        let line: Vec<(f64, f64)> = (0..10).map(|i| (i as f64 * 3.0, 0.0)).collect();
+        assert!(cells(&line).1 <= 31.0);
+        let square: Vec<(f64, f64)> = (0..100)
+            .map(|i| ((i % 10) as f64, (i / 10) as f64))
+            .collect();
+        assert!(cells(&square).1 <= 301.0);
+        assert_eq!(cells(&[(4.0, 4.0), (4.0, 4.0)]), (1.0, 1.0));
+    }
+
+    #[test]
+    fn sparse_build_handles_degenerate_channel_grids() {
+        // Channel 3: four transmitters on a line (a zero-area box, so the
+        // 1 m fallback cell). Channel 4: three coincident transmitters.
+        // Channel 5: a single transmitter. Channel 6: a vertical line.
+        // Channel 7: a diametric ring pair, a box ~1e-15 m high.
+        let link = |x: f64, y: f64, dx: f64, dy: f64| {
+            LinkGeometry::new(Position::new(x, y), Position::new(x + dx, y + dy))
+        };
+        let topo = Topology::new(vec![
+            link(0.0, 0.0, 0.0, 1.0),
+            link(7.0, 0.0, 0.0, -1.0),
+            link(2.0, 0.0, 1.0, 0.0),
+            link(40.0, 0.0, 0.0, 2.0),
+            link(10.0, 10.0, 1.0, 0.0),
+            link(10.0, 10.0, -1.0, 0.0),
+            link(10.0, 10.0, 0.0, 3.0),
+            link(5.0, 5.0, 1.0, 1.0),
+            link(-3.0, 1.0, 1.0, 0.0),
+            link(-3.0, 9.0, 0.0, 1.0),
+            link(-3.0, 30.0, -1.0, 0.0),
+            link(9.0, 0.0, 1.0, 0.0),
+            link(-9.0, 9.0 * std::f64::consts::PI.sin(), -1.0, 0.0),
+        ]);
+        let channels: Vec<Channel> = [3, 3, 3, 3, 4, 4, 4, 5, 6, 6, 6, 7, 7]
+            .into_iter()
+            .map(ch)
+            .collect();
+        for floor_db in [f64::NEG_INFINITY, -40.0, -20.0, 0.0] {
+            assert_sparse_matches_dense(&topo, &channels, &CouplingParams { floor_db });
         }
     }
 

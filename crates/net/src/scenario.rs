@@ -74,8 +74,7 @@ pub struct NetScenario {
     pub adapt: bool,
     /// Front-end adjacent-channel selectivity model.
     pub selectivity: ChannelSelectivity,
-    /// Sparse interference-graph parameters: the total-coupling floor,
-    /// optional per-receiver edge cap, and spatial-grid cell size. The
+    /// Sparse interference-graph parameters: the total-coupling floor. The
     /// default ([`CouplingParams::default`]) reproduces the classic dense
     /// semantics bit-for-bit — only the front end's spectral floor drops
     /// edges.

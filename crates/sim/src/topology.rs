@@ -191,8 +191,9 @@ impl Topology {
 /// simulator enumerate candidate interferers in ~O(k) per receiver instead
 /// of scanning all N transmitters.
 ///
-/// Query results are **deterministic and build-order independent**:
-/// `within_radius_into` returns ids in ascending order.
+/// Queries are **deterministic and build-order independent**: each cell
+/// holds its ids ascending, so `for_each_within` visits the same points in
+/// the same order however the grid was built.
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
     cell_size_m: f64,
@@ -310,34 +311,38 @@ impl SpatialGrid {
         (lo as usize, hi as usize)
     }
 
-    /// Appends to `out` the ids of every indexed point within `radius_m`
-    /// (inclusive) of `center`, in **ascending id** order. An infinite
-    /// radius returns every point. `out` is cleared first; no allocation
-    /// once it has warmed to capacity.
-    pub fn within_radius_into(&self, center: Position, radius_m: f64, out: &mut Vec<u32>) {
-        out.clear();
+    /// Calls `visit(id, d)` for every indexed point within `radius_m`
+    /// (inclusive) of `center`, with `d` its distance from `center`
+    /// (`Position::distance_m`, bit for bit), and returns the number of
+    /// cells walked. Points come row by row in storage order, not in id
+    /// order; an infinite radius visits every point.
+    pub fn for_each_within(
+        &self,
+        center: Position,
+        radius_m: f64,
+        mut visit: impl FnMut(u32, f64),
+    ) -> usize {
         if radius_m < 0.0 || self.items.is_empty() {
-            return;
+            return 0;
         }
         let (x0, x1) = self.axis_range(center.x, self.origin.x, self.nx, radius_m);
         let (y0, y1) = self.axis_range(center.y, self.origin.y, self.ny, radius_m);
         if x1 < x0 || y1 < y0 {
-            return;
+            return 0;
         }
         for cy in y0..=y1 {
-            for cx in x0..=x1 {
-                let c = cy * self.nx + cx;
-                let lo = self.cell_start[c] as usize;
-                let hi = self.cell_start[c + 1] as usize;
-                for &(id, p) in &self.items[lo..hi] {
-                    if p.distance_m(&center) <= radius_m {
-                        out.push(id);
-                    }
+            // A row's cells `x0..=x1` are one contiguous CSR slice.
+            let row = cy * self.nx;
+            let lo = self.cell_start[row + x0] as usize;
+            let hi = self.cell_start[row + x1 + 1] as usize;
+            for &(id, p) in &self.items[lo..hi] {
+                let d = p.distance_m(&center);
+                if d <= radius_m {
+                    visit(id, d);
                 }
             }
         }
-        // Cells were visited row-major, so the union is not id-sorted.
-        out.sort_unstable();
+        (x1 - x0 + 1) * (y1 - y0 + 1)
     }
 }
 

@@ -16,6 +16,23 @@ fn brute_within(points: &[Position], c: Position, r: f64) -> Vec<u32> {
         .collect()
 }
 
+/// The grid's radius query, collected through `for_each_within` and
+/// sorted by id. Each visited point's distance must be the one
+/// `Position::distance_m` gives, bit for bit.
+fn grid_within(grid: &SpatialGrid, points: &[Position], c: Position, r: f64) -> Vec<u32> {
+    let mut got = Vec::new();
+    grid.for_each_within(c, r, |id, d| {
+        assert_eq!(
+            d.to_bits(),
+            points[id as usize].distance_m(&c).to_bits(),
+            "point {id}"
+        );
+        got.push(id);
+    });
+    got.sort_unstable();
+    got
+}
+
 fn positions(max_len: usize) -> impl Strategy<Value = Vec<Position>> {
     prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 0..max_len)
         .prop_map(|v| v.into_iter().map(|(x, y)| Position::new(x, y)).collect())
@@ -36,17 +53,14 @@ proptest! {
     ) {
         let grid = SpatialGrid::from_points(pts.iter().copied().enumerate(), cell);
         let c = Position::new(cx, cy);
-        let mut got = Vec::new();
-        grid.within_radius_into(c, r, &mut got);
-        prop_assert_eq!(got, brute_within(&pts, c, r));
+        prop_assert_eq!(grid_within(&grid, &pts, c, r), brute_within(&pts, c, r));
     }
 
     /// An infinite radius returns every indexed point.
     #[test]
     fn infinite_radius_returns_all(pts in positions(40), cell in 0.5f64..10.0) {
         let grid = SpatialGrid::from_points(pts.iter().copied().enumerate(), cell);
-        let mut got = Vec::new();
-        grid.within_radius_into(Position::new(3.0, -7.0), f64::INFINITY, &mut got);
+        let got = grid_within(&grid, &pts, Position::new(3.0, -7.0), f64::INFINITY);
         let all: Vec<u32> = (0..pts.len() as u32).collect();
         prop_assert_eq!(got, all);
     }
@@ -62,10 +76,7 @@ proptest! {
         let fwd = SpatialGrid::from_points(pts.iter().copied().enumerate(), cell);
         let rev = SpatialGrid::from_points(pts.iter().copied().enumerate().rev(), cell);
         let c = Position::new(-2.5, 4.0);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        fwd.within_radius_into(c, r, &mut a);
-        rev.within_radius_into(c, r, &mut b);
-        prop_assert_eq!(a, b);
+        prop_assert_eq!(grid_within(&fwd, &pts, c, r), grid_within(&rev, &pts, c, r));
     }
 
     /// The clustered city layout is deterministic in its seed and respects
@@ -90,11 +101,10 @@ fn topology_grid_indexes_transmitters() {
     let topo = Topology::ring(12, 5.0, 1.0);
     let grid = topo.grid(2.0);
     assert_eq!(grid.len(), 12);
-    let mut got = Vec::new();
-    // Query around link 0's transmitter: it must be in its own neighborhood.
-    grid.within_radius_into(topo.links[0].tx, 0.5, &mut got);
-    assert!(got.contains(&0));
     let tx_positions: Vec<Position> = topo.links.iter().map(|l| l.tx).collect();
-    grid.within_radius_into(Position::new(0.0, 0.0), f64::INFINITY, &mut got);
+    // Query around link 0's transmitter: it must be in its own neighborhood.
+    let got = grid_within(&grid, &tx_positions, topo.links[0].tx, 0.5);
+    assert!(got.contains(&0));
+    let got = grid_within(&grid, &tx_positions, Position::new(0.0, 0.0), f64::INFINITY);
     assert_eq!(got.len(), tx_positions.len());
 }

@@ -211,9 +211,8 @@ net() {
     cargo test -q -p uwb-net
     echo "== net: zero-allocation warm network round =="
     cargo test -q --release --test alloc_regression
-    echo "== net: 1,000-user sparse round (1/2/4/8-thread, sweep-order, oracle), 1/2-thread plan parity and golden plan =="
+    echo "== net: 1,000-user sparse round (1/2/4/8-thread, sweep-order, oracle), 1/2-thread plan parity =="
     cargo test -q --release -p uwb-net --lib --test net_acceptance -- --ignored
-    cargo test -q --release --test plan_golden -- --ignored net_city_1k
     tracked_tests
     echo "== net: netbench vs committed BENCH_net.json (tol ${tol}%) =="
     cargo build --release -p uwb-bench --bin netbench
@@ -227,9 +226,8 @@ mac() {
     cargo test -q -p uwb-mac
     echo "== mac: zero-allocation warm MAC trial =="
     cargo test -q --release --test alloc_regression
-    echo "== mac: 8-user contended run, 1/2/4/8-thread fingerprint, golden 1,000-link plan =="
+    echo "== mac: 8-user contended run, 1/2/4/8-thread fingerprint =="
     cargo test -q --release -p uwb-mac --test mac_acceptance -- --ignored
-    cargo test -q --release --test plan_golden -- --ignored mac_city_1k
     tracked_tests
     echo "== mac: macbench vs committed BENCH_mac.json (tol ${tol}%) =="
     cargo build --release -p uwb-bench --bin macbench

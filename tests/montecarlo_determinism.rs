@@ -150,6 +150,52 @@ fn truncation_is_reported_not_silent() {
 }
 
 #[test]
+fn coupling_build_work_is_thread_invariant() {
+    // The coupling build's counted work on `net_city_1k`'s floor plan: per
+    // victim, the grid cells walked and the candidates the grids hand over
+    // (the victim's own transmitter included). The build runs serially on
+    // the planning thread, so neither count may depend on `UWB_THREADS`
+    // (set through the env knob as above: a racing test cannot change a
+    // deterministic result).
+    let sc = uwb_net::NetScenario::clustered_city(100, 10, 9.0, SEED);
+    let plan = |threads: &str| {
+        std::env::set_var("UWB_THREADS", threads);
+        let _ = uwb_obs::take_thread_telemetry();
+        let plan = uwb_net::plan_network(&sc);
+        (plan, uwb_obs::take_thread_telemetry())
+    };
+    let (serial, serial_telem) = plan("1");
+    let (threaded, threaded_telem) = plan("4");
+    std::env::remove_var("UWB_THREADS");
+
+    assert_eq!(serial.coupling, threaded.coupling);
+    assert_eq!(
+        serial_telem.to_json_deterministic(),
+        threaded_telem.to_json_deterministic(),
+        "plan telemetry depends on thread count"
+    );
+    if uwb_obs::enabled() {
+        let st = serial_telem
+            .stage("net_coupling")
+            .expect("net_coupling span");
+        assert_eq!(st.calls, 1);
+        let total = |name: &str| {
+            let d = serial_telem
+                .digests
+                .iter()
+                .find(|d| d.name == name)
+                .unwrap_or_else(|| panic!("digest {name:?} missing"));
+            assert_eq!(d.count, 1000, "{name}: one sample per victim");
+            d.sum
+        };
+        assert_eq!(total("net_coupling_candidates"), 35_259);
+        assert_eq!(total("net_coupling_cells"), 58_286);
+        let edges: usize = serial.coupling.iter().map(Vec::len).sum();
+        assert_eq!(edges, 34_133);
+    }
+}
+
+#[test]
 fn thread_resolution_precedence() {
     assert_eq!(resolve_threads(Some(5)), 5);
     assert!(resolve_threads(None) >= 1);

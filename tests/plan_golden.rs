@@ -175,10 +175,8 @@ fn adapted_cm1_city() {
     assert_plan(&sc, (0x9325_a52e_16fc_4c05, 0x1cb6_f993_2ed9_1947));
 }
 
-/// Release-scale gate (run via `scripts/check.sh net`): the `net_city_1k`
-/// benchmark workload's floor plan and seed.
+/// The `net_city_1k` benchmark workload's floor plan and seed.
 #[test]
-#[ignore = "release-scale gate: scripts/check.sh net runs it with --release"]
 fn net_city_1k() {
     let sc = NetScenario::clustered_city(100, 10, 9.0, 20050307);
     assert_plan(&sc, (0x8804_fbed_cee7_44a5, 0x55f5_e102_415a_eed0));
@@ -212,10 +210,8 @@ fn mac_co_channel_pair() {
     assert_mac_plan(&sc, (0x78d8_7916_9782_bf23, 0x626b_7195_e693_f60c));
 }
 
-/// Release-scale gate (run via `scripts/check.sh mac`): the `mac_city_1k`
-/// benchmark workload's floor plan and seed.
+/// The `mac_city_1k` benchmark workload's floor plan and seed.
 #[test]
-#[ignore = "release-scale gate: scripts/check.sh mac runs it with --release"]
 fn mac_city_1k() {
     let mut sc = MacScenario::clustered_city(125, 8, 9.0, 1.5, 20050307);
     sc.horizon_slots = 120;
